@@ -48,9 +48,9 @@ def main() -> None:
 
     print()
     print("= a < 1 runs in the log variable (note the report's notes)")
-    variable, z0 = gamma_start(GammaQuantileQuery(0.5, 0.2))
+    plan = gamma_start(GammaQuantileQuery(0.5, 0.2))
     report = invert_gamma(GammaQuantileQuery(0.5, 0.2))
-    print(f"  start: variable = {variable.value}, z0 = {z0:.6f}")
+    print(f"  start: variable = {plan.variable.value}, z0 = {plan.x0:.6f}")
     print(f"  root = {report.root:.17g}   notes = {report.notes}")
     print(f"  P(0.5, root) = {reg_gamma_p(0.5, report.root):.17g}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     RESIDUAL_NOISE_FLOOR,
@@ -27,7 +27,7 @@ from .core import (
     SolveReport,
     solve,
 )
-from .special import ln_beta, reg_beta
+from .special import _reg_beta, ln_beta
 
 
 class BetaVariable(Enum):
@@ -154,18 +154,22 @@ def _logit(x: float) -> float:
 
 
 class BetaDirectProblem(Problem):
-    """f(x) = I_x(a,b) - p on (0, 1)."""
+    """f(x) = I_x(a,b) - p on (0, 1).
 
-    def __init__(self, query: BetaQuantileQuery) -> None:
+    ``ln_b`` is ln B(a, b); it is computed here when the caller passes none.
+    """
+
+    def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         self.query = query
+        self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         q = self.query
         fp = math.exp((q.a - 1.0) * math.log(x) + (q.b - 1.0) * math.log1p(-x)
-                      - ln_beta(q.a, q.b))
+                      - self.ln_b)
         return ProblemEvaluation.build(
             x=x,
-            f=reg_beta(x, q.a, q.b) - q.p,
+            f=_reg_beta(x, q.a, q.b, self.ln_b) - q.p,
             fp=fp,
             big_b=beta_b(q.a, q.b, x),
             omega=beta_omega(q.a, q.b, x),
@@ -176,10 +180,11 @@ class BetaDirectProblem(Problem):
 
 
 class BetaLogitProblem(Problem):
-    """Same residual in z = log(x/(1-x)); B and Omega transformed."""
+    """Same residual in z = log(x/(1-x)); B and Omega transformed; ``ln_b`` as above."""
 
-    def __init__(self, query: BetaQuantileQuery) -> None:
+    def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         self.query = query
+        self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
         # Omega(z) is monotone decreasing exactly for a <= 1 <= b.
         self.omega_monotone_hint = (
             "decreasing-left-of-root"
@@ -194,10 +199,10 @@ class BetaLogitProblem(Problem):
             raise DerivativeVanishedError(f"beta logit derivative 0 at z={z}")
         # Chain rule with dx/dz = x(1-x): f_z' = x^a (1-x)^b / B(a,b),
         # B_z = (a+b) x - a.
-        fp = math.exp(q.a * math.log(x) + q.b * math.log1p(-x) - ln_beta(q.a, q.b))
+        fp = math.exp(q.a * math.log(x) + q.b * math.log1p(-x) - self.ln_b)
         return ProblemEvaluation.build(
             x=z,
-            f=reg_beta(x, q.a, q.b) - q.p,
+            f=_reg_beta(x, q.a, q.b, self.ln_b) - q.p,
             fp=fp,
             big_b=(q.a + q.b) * x - q.a,
             omega=beta_omega_logit(q.a, q.b, z),
@@ -207,11 +212,14 @@ class BetaLogitProblem(Problem):
         return Interval(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class BetaPlan:
-    """Prepared problem, start and bookkeeping for one inversion."""
+class BetaPlan(NamedTuple):
+    """Prepared problem, start and bookkeeping for one inversion.
 
-    problem: Problem
+    The problem holds ln B(a, b); ``query`` is the working (possibly
+    flipped) query and ``x0`` is in the solver variable.
+    """
+
+    problem: BetaDirectProblem | BetaLogitProblem
     x0: float
     variable: BetaVariable
     flipped: bool
@@ -223,11 +231,16 @@ class BetaPlan:
         x = _sigmoid(v) if self.variable is BetaVariable.LOGIT else v
         return 1.0 - x if self.flipped else x
 
+    def from_x(self, x: float) -> float:
+        """Map an x of the original query to the solver variable."""
+        x = 1.0 - x if self.flipped else x
+        return _logit(x) if self.variable is BetaVariable.LOGIT else x
 
-def _logit_lower_bound_start(query: BetaQuantileQuery) -> float:
+
+def _logit_lower_bound_start(query: BetaQuantileQuery, ln_b: float) -> float:
     # x^a/(a B(a,b)) bounds I_x from above for b >= 1, so this x never
     # exceeds the root; heuristic (but capped at 1/2) when b < 1.
-    log_x = (math.log(query.p) + math.log(query.a) + ln_beta(query.a, query.b)) / query.a
+    log_x = (math.log(query.p) + math.log(query.a) + ln_b) / query.a
     return _logit(min(0.5, math.exp(min(log_x, 0.0))))
 
 
@@ -243,6 +256,8 @@ def beta_plan(query: BetaQuantileQuery,
     """
     a, b, p, q = query.a, query.b, query.p, query.q
     notes: list[str] = []
+    # ln_beta is symmetric, so one value serves the flipped query too.
+    ln_b = ln_beta(a, b)
 
     direct_ok = a > 1.0 and b > 1.0
     if direct_ok:
@@ -254,7 +269,7 @@ def beta_plan(query: BetaQuantileQuery,
         # Keep the root in the left half: near x = 1 the quantile is
         # quantized by ulp(1) (z steps of ulp(1)/(1-x) in the logit
         # variable), while the left tail resolves down to e^-745.
-        flipped = reg_beta(0.5, a, b) < p
+        flipped = _reg_beta(0.5, a, b, ln_b) < p
     else:  # a <= 1 <= b: already the decreasing configuration
         flipped = False
     if flipped:
@@ -272,7 +287,7 @@ def beta_plan(query: BetaQuantileQuery,
             raise ValueError("direct variable requires a > 1 and b > 1")
         x0 = beta_xm(a, b)
         notes.append("start=omega-max")
-        return BetaPlan(BetaDirectProblem(work), x0, variable, flipped, work,
+        return BetaPlan(BetaDirectProblem(work, ln_b), x0, variable, flipped, work,
                         tuple(notes))
 
     if a > 1.0 and b > 1.0:
@@ -280,15 +295,16 @@ def beta_plan(query: BetaQuantileQuery,
         x0 = _logit((a - 1.0) / (a + b - 2.0))
         notes.append("start=omega-max")
     else:
-        x0 = _logit_lower_bound_start(work)
+        x0 = _logit_lower_bound_start(work, ln_b)
         notes.append("start=lower-bound")
         if a <= 1.0 and b <= 1.0 and not (a == 1.0 and b == 1.0):
             notes.append("path=heuristic(a<=1,b<=1)")
-    return BetaPlan(BetaLogitProblem(work), x0, variable, flipped, work,
+    return BetaPlan(BetaLogitProblem(work, ln_b), x0, variable, flipped, work,
                     tuple(notes))
 
 
-def _logit_bisect_seed(query: BetaQuantileQuery, tol_z: float = 1e-6) -> float:
+def _logit_bisect_seed(query: BetaQuantileQuery, ln_b: float,
+                       tol_z: float = 1e-6) -> float:
     """Bisection seed in the logit variable with an expanding bracket.
 
     Works for arbitrarily small shapes, whose quantiles sit at |z| of
@@ -303,7 +319,7 @@ def _logit_bisect_seed(query: BetaQuantileQuery, tol_z: float = 1e-6) -> float:
             return -p
         if x >= 1.0:
             return query.q
-        return reg_beta(x, a, b) - p
+        return _reg_beta(x, a, b, ln_b) - p
 
     zlo, zhi = -2.0, 2.0
     while g(zlo) >= 0.0 and zlo > -800.0:
@@ -319,29 +335,13 @@ def _logit_bisect_seed(query: BetaQuantileQuery, tol_z: float = 1e-6) -> float:
     return 0.5 * (zlo + zhi)
 
 
-def _omega_monotone_note(plan: BetaPlan, z0: float, z_root: float) -> str:
-    # Runtime check of the convergence hypothesis: Omega monotone between
-    # start and root (sampled).
-    if z0 == z_root:
-        return "omega-monotone=trivial"
-    w = plan.query
-    n = 9
-    vals = [beta_omega_logit(w.a, w.b, z0 + (z_root - z0) * k / n)
-            for k in range(n + 1)]
-    diffs = [vals[k + 1] - vals[k] for k in range(n)]
-    if all(d <= 0 for d in diffs) or all(d >= 0 for d in diffs):
-        return "omega-monotone=verified"
-    return "omega-monotone=violated"
-
-
 def invert_beta(query: BetaQuantileQuery,
                 opts: Optional[SolveOptions] = None,
                 variable: BetaVariable = BetaVariable.AUTO) -> SolveReport:
     """Solve I_x(a, b) = p for x in (0, 1).
 
     Falls back to a bisection-seeded retry if the planned start fails to
-    converge; the report notes record variable, flip, start and the
-    runtime Omega-monotonicity check on the logit path.
+    converge; the report notes record flip, start and path.
     """
     if opts is None:
         opts = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
@@ -352,14 +352,11 @@ def invert_beta(query: BetaQuantileQuery,
     if not report.converged:
         # Re-seed from a logit-space bisection (expanding bracket copes
         # with quantiles at extreme |z| for tiny shapes), then retry.
-        z_seed = _logit_bisect_seed(plan.query)
+        z_seed = _logit_bisect_seed(plan.query, plan.problem.ln_b)
         x0 = z_seed if plan.variable is BetaVariable.LOGIT else _sigmoid(z_seed)
         retry = solve(plan.problem, x0, opts)
         if retry.converged:
             report = retry
             notes = notes + ("retry=bisection-seed",)
-
-    if plan.variable is BetaVariable.LOGIT:
-        notes = notes + (_omega_monotone_note(plan, plan.x0, report.root),)
 
     return report.with_root(plan.to_x(report.root), *notes)

@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .beta import BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
@@ -39,7 +39,7 @@ from .core import (
     solve,
     tan_problem,
 )
-from .elliptic import EllipticProblem, EllipticQuery, choose_start, invert_ellip_e
+from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaQuantileQuery, GammaVariable, gamma_problem, gamma_start, invert_gamma
 from .special import bisect_root, ellip_e_inc, reg_beta, reg_gamma_p
 
@@ -158,40 +158,22 @@ class CompareRow:
     errors: tuple[float, ...]
 
 
-def _compare_setup(args) -> tuple[Problem, float, Callable[[float], float],
-                                  Callable[[float], float], tuple[float, float]]:
-    """Problem, default start, solver-var -> x map, residual(x), oracle bracket."""
-    if args.problem == "gamma":
-        query = GammaQuantileQuery(args.a, args.p)
-        variable, x0 = gamma_start(query)
-        problem = gamma_problem(query, variable)
-        to_x = math.exp if variable is GammaVariable.LOG else (lambda v: v)
+def _compare_setup(query) -> tuple:
+    """The solver's plan, residual(x) and the oracle's bracket in x."""
+    if isinstance(query, GammaQuantileQuery):
+        plan = gamma_start(query)
         residual = lambda x: reg_gamma_p(query.a, x) - query.p
-        bracket = (1e-150, max(4.0 * query.a + 100.0, 4.0 * to_x(x0)))
-        if variable is GammaVariable.LOG and args.x0 is not None:
-            x0 = math.log(args.x0)
-            args.x0 = None
-        return problem, x0, to_x, residual, bracket
-    if args.problem == "beta":
-        query = BetaQuantileQuery(args.a, args.b, args.p)
-        plan = beta_plan(query)
+        return plan, residual, (1e-150, max(4.0 * query.a + 100.0, 4.0 * plan.to_x(plan.x0)))
+    if isinstance(query, BetaQuantileQuery):
         residual = lambda x: reg_beta(x, query.a, query.b) - query.p
-        if args.x0 is not None and plan.variable.value == "logit":
-            x_work = 1.0 - args.x0 if plan.flipped else args.x0
-            x0 = math.log(x_work / (1.0 - x_work))
-            args.x0 = None
-        else:
-            x0 = plan.x0
-        return plan.problem, x0, plan.to_x, residual, (1e-12, 1.0 - 1e-12)
-    query = EllipticQuery(args.m, args.p)
-    problem = EllipticProblem(query)
-    x0, _ = choose_start(query)
-    residual = lambda x: ellip_e_inc(x, query.m) - query.p * problem.complete
-    return problem, x0, (lambda v: v), residual, (0.0, math.pi / 2)
+        return beta_plan(query), residual, (1e-12, 1.0 - 1e-12)
+    plan = elliptic_plan(query)
+    residual = lambda x: ellip_e_inc(x, query.m) - query.p * plan.problem.complete
+    return plan, residual, (0.0, math.pi / 2)
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _validated_query(parser, args)
+    query = _validated_query(parser, args)
     if args.problem == "elliptic" and (args.m == 0.0 or args.m == 1.0):
         parser.error("compare requires 0 < m < 1 (the endpoints invert in closed form)")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -199,9 +181,9 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if name not in ("snm", "halley", "newton"):
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
 
-    problem, x0, to_x, residual, bracket = _compare_setup(args)
-    if args.x0 is not None:
-        x0 = args.x0
+    plan, residual, bracket = _compare_setup(query)
+    # --x0 is in x; each plan maps it to its own solver variable.
+    x0 = plan.x0 if args.x0 is None else plan.from_x(args.x0)
     oracle = bisect_root(residual, bracket[0], bracket[1], tol=1e-15)
 
     rows = []
@@ -209,13 +191,13 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     for name in methods:
         opts = SolveOptions(abs_tol=args.tol, residual_tol=RESIDUAL_NOISE_FLOOR,
                             max_iter=args.max_iter, method=Method(name))
-        report = solve(problem, x0, opts)
+        report = solve(plan.problem, x0, opts)
         failed = failed or not report.converged
-        iterates = [to_x(r.x + r.step) for r in report.trace]
+        iterates = [plan.to_x(r.x + r.step) for r in report.trace]
         rows.append(CompareRow(
             method=name,
             iterations=report.iterations,
-            final_residual=abs(residual(to_x(report.root))),
+            final_residual=abs(residual(plan.to_x(report.root))),
             errors=tuple(abs(x - oracle) for x in iterates),
         ))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     RESIDUAL_NOISE_FLOOR,
@@ -31,7 +31,7 @@ from .core import (
     StopReason,
     solve,
 )
-from .special import bisect_root, ellip_e_complete, ellip_e_inc
+from .special import _ellip_e, bisect_root, ellip_e_complete, ellip_e_inc
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
@@ -61,10 +61,13 @@ def ellip_omega(m: float, x: float) -> float:
         raise ValueError(f"ellip_omega requires x in [0, pi/2], got {x}")
     s = math.sin(x)
     c = math.cos(x)
-    w = 1.0 - (m * s) * (m * s)
+    return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
+
+
+def _ellip_omega(m: float, c2: float, w: float) -> float:
+    """ellip_omega from c2 = cos^2 x and w = 1 - m^2 sin^2 x."""
     if w == 0.0:
         raise ValueError("ellip_omega singular at m=1, x=pi/2")
-    c2 = c * c
     m2 = m * m
     return 0.25 * m2 * (m2 * c2 * c2 + (m2 - 4.0) * c2 + 2.0 * (1.0 - m2)) / (w * w)
 
@@ -108,20 +111,30 @@ def ellip_start_low(m: float, p: float) -> float:
         StepUndefinedError: the arctanh argument reaches 1 (callers use
             the high start instead).
     """
+    return _start_low(m, p, ellip_e_complete(m))
+
+
+def ellip_start_high(m: float, p: float) -> float:
+    """One SNM step from x = pi/2; always lands inside (0, pi/2)."""
+    return _start_high(m, p, ellip_e_complete(m))
+
+
+def _start_low(m: float, p: float, complete: float) -> float:
+    """ellip_start_low given complete = E(1, m)."""
     if not (0.0 < m < 1.0 and 0.0 < p < 1.0):
         raise ValueError("ellip_start_low requires m, p in (0, 1)")
-    arg = m * p * ellip_e_complete(m) / math.sqrt(2.0)
+    arg = m * p * complete / math.sqrt(2.0)
     if arg >= 1.0:
         raise StepUndefinedError(f"arctanh argument {arg} >= 1 in low start")
     return math.sqrt(2.0) / m * math.atanh(arg)
 
 
-def ellip_start_high(m: float, p: float) -> float:
-    """One SNM step from x = pi/2; always lands inside (0, pi/2)."""
+def _start_high(m: float, p: float, complete: float) -> float:
+    """ellip_start_high given complete = E(1, m)."""
     if not (0.0 < m < 1.0 and 0.0 < p < 1.0):
         raise ValueError("ellip_start_high requires m, p in (0, 1)")
     w = 1.0 - m * m
-    t = m * ellip_e_complete(m) * (1.0 - p) / (math.sqrt(2.0) * w)
+    t = m * complete * (1.0 - p) / (math.sqrt(2.0) * w)
     return math.pi / 2 - math.sqrt(2.0 * w) / m * math.atan(t)
 
 
@@ -140,41 +153,71 @@ class EllipticProblem(Problem):
             if query.m <= MONOTONE_OMEGA_MODULUS else "unknown")
 
     def evaluate(self, x: float) -> ProblemEvaluation:
+        if not 0.0 <= x <= math.pi / 2:
+            raise ValueError(f"EllipticProblem requires x in [0, pi/2], got {x}")
         m = self.query.m
         s = math.sin(x)
         c = math.cos(x)
+        c2 = c * c
         w = 1.0 - (m * s) * (m * s)
         return ProblemEvaluation.build(
             x=x,
-            f=ellip_e_inc(x, m) - self.query.p * self.complete,
+            f=_ellip_e(m, s, c2, w) - self.query.p * self.complete,
             fp=math.sqrt(w),
             big_b=m * m * s * c / w,
-            omega=ellip_omega(m, x),
+            omega=_ellip_omega(m, c2, w),
         )
 
     def domain(self) -> Interval:
         return Interval(0.0, math.pi / 2, lo_open=False, hi_open=False)
 
 
-def choose_start(query: EllipticQuery) -> tuple[float, str]:
+def choose_start(query: EllipticQuery,
+                 complete: Optional[float] = None) -> tuple[float, str]:
     """Starting value and its label per the selection heuristics.
 
     m > 0.95 uses arcsin(p E(1,m)) from the degenerate relation
     E(sin x, 1) = sin x; otherwise the low start wins when it is below
     the high start and p < 0.8, since Omega varies slowly near 0.
+    ``complete`` is E(1, m), computed here unless the caller has it.
     """
     m, p = query.m, query.p
+    if complete is None:
+        complete = ellip_e_complete(m)
     if m > 0.95:
-        arg = min(1.0, max(0.0, p * ellip_e_complete(m)))
+        arg = min(1.0, max(0.0, p * complete))
         return math.asin(arg), "arcsin-guess"
     try:
-        low = ellip_start_low(m, p)
+        low = _start_low(m, p, complete)
     except StepUndefinedError:
-        return ellip_start_high(m, p), "high"
-    high = ellip_start_high(m, p)
+        return _start_high(m, p, complete), "high"
+    high = _start_high(m, p, complete)
     if low < high and p < 0.8:
         return low, "low"
     return high, "high"
+
+
+class EllipticPlan(NamedTuple):
+    """Prepared problem (it holds E(1, m)), start x0 and the start's label.
+
+    The solver variable is x itself, so ``to_x`` and ``from_x`` are identities.
+    """
+
+    problem: EllipticProblem
+    x0: float
+    start: str
+
+    def to_x(self, v: float) -> float:
+        return v
+
+    from_x = to_x
+
+
+def elliptic_plan(query: EllipticQuery) -> EllipticPlan:
+    """Problem and heuristic start (``choose_start``) for 0 < m < 1."""
+    problem = EllipticProblem(query)
+    x0, label = choose_start(query, problem.complete)
+    return EllipticPlan(problem, x0, label)
 
 
 def _steps_monotone(trace: tuple[IterationRecord, ...], slack: float) -> bool:
@@ -203,13 +246,13 @@ def invert_ellip_e(query: EllipticQuery,
     if m == 1.0:
         return _closed_form_report(math.asin(p), "closed-form=arcsin")
 
-    problem = EllipticProblem(query)
+    plan = elliptic_plan(query)
+    problem, label = plan.problem, plan.start
     if opts is None:
         opts = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
     slack = 100.0 * opts.abs_tol
 
-    x0, label = choose_start(query)
-    report = solve(problem, x0, opts)
+    report = solve(problem, plan.x0, opts)
     ok = (report.converged and _steps_monotone(report.trace, slack)
           and not any(r.fallback_used for r in report.trace))
     if ok:
@@ -217,8 +260,8 @@ def invert_ellip_e(query: EllipticQuery,
 
     alt_label = "high" if label != "high" else "low"
     try:
-        alt = (ellip_start_high(m, p) if alt_label == "high"
-               else ellip_start_low(m, p))
+        alt = (_start_high(m, p, problem.complete) if alt_label == "high"
+               else _start_low(m, p, problem.complete))
     except StepUndefinedError:
         alt = None
     if alt is not None:

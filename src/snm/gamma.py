@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     RESIDUAL_NOISE_FLOOR,
@@ -25,7 +25,7 @@ from .core import (
     SolveReport,
     solve,
 )
-from .special import gamma_density, ln_gamma, reg_gamma_p, reg_gamma_q
+from .special import _gamma_density, _reg_gamma, ln_gamma
 
 
 class GammaVariable(Enum):
@@ -84,11 +84,12 @@ def gamma_omega_log(a: float, z: float) -> float:
     return -0.25 * (x * x - 2.0 * (a - 1.0) * x + a * a)
 
 
-def _residual(query: GammaQuantileQuery, x: float) -> float:
+def _residual(query: GammaQuantileQuery, x: float,
+              ln_gamma_a: float) -> tuple[float, float]:
+    """(residual, kernel exponent) at x > 0; the exponent also gives f'(x)."""
+    big_p, big_q, arg = _reg_gamma(query.a, x, ln_gamma_a)
     # Invert P - p for p <= 1/2 and q - Q otherwise; same derivatives.
-    if query.p <= 0.5:
-        return reg_gamma_p(query.a, x) - query.p
-    return query.q - reg_gamma_q(query.a, x)
+    return (big_p - query.p if query.p <= 0.5 else query.q - big_q), arg
 
 
 class GammaDirectProblem(Problem):
@@ -96,15 +97,17 @@ class GammaDirectProblem(Problem):
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         self.query = query
+        self.ln_gamma_a = ln_gamma(query.a)
         # Omega peaks at a+1, so no one-sided monotonicity holds globally.
         self.omega_monotone_hint = "unknown"
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         q = self.query
+        f, arg = _residual(q, x, self.ln_gamma_a)
         return ProblemEvaluation.build(
             x=x,
-            f=_residual(q, x),
-            fp=gamma_density(q.a, x),
+            f=f,
+            fp=_gamma_density(arg, x),
             big_b=gamma_b(q.a, x),
             omega=gamma_omega(q.a, x),
         )
@@ -118,6 +121,8 @@ class GammaLogProblem(Problem):
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         self.query = query
+        self.ln_gamma_a = ln_gamma(query.a)
+        self.ln_gamma_a1 = ln_gamma(query.a + 1.0)
         # Omega(z) is strictly decreasing on all of R exactly when a <= 1.
         self.omega_monotone_hint = (
             "decreasing-left-of-root" if query.a <= 1.0 else "unknown")
@@ -132,15 +137,15 @@ class GammaLogProblem(Problem):
         # Chain rule: B_z = x B(x) - 1 = x - a, f_z' = x f'(x) = x^a e^-x
         # / Gamma(a), formed from z directly so deep-tail z stays finite
         # even where x itself under/overflows.
-        fp = math.exp(q.a * z - x - ln_gamma(q.a))
+        fp = math.exp(q.a * z - x - self.ln_gamma_a)
         if z < -667.0:
             # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
             # (the next series term is below x ~ 1e-290).  Also dodges
             # the precision loss of log on a subnormal x inside the
             # kernel once x drops past 1e-308.
-            f = math.exp(q.a * z - ln_gamma(q.a + 1.0)) - q.p
+            f = math.exp(q.a * z - self.ln_gamma_a1) - q.p
         else:
-            f = _residual(q, x)
+            f = _residual(q, x, self.ln_gamma_a)[0]
         return ProblemEvaluation.build(
             x=z,
             f=f,
@@ -161,8 +166,25 @@ def gamma_problem(query: GammaQuantileQuery,
     return GammaLogProblem(query)
 
 
-def gamma_start(query: GammaQuantileQuery) -> tuple[GammaVariable, float]:
-    """Standard starting point: (Direct, a+1) for a >= 1, else (Log, z0).
+class GammaPlan(NamedTuple):
+    """Prepared problem, its variable and the start x0 in that variable.
+
+    The problem holds ln Gamma(a), and ln Gamma(a+1) in the log variable.
+    """
+
+    problem: Problem
+    variable: GammaVariable
+    x0: float
+
+    def to_x(self, v: float) -> float:
+        return math.exp(v) if self.variable is GammaVariable.LOG else v
+
+    def from_x(self, x: float) -> float:
+        return math.log(x) if self.variable is GammaVariable.LOG else x
+
+
+def gamma_start(query: GammaQuantileQuery) -> GammaPlan:
+    """Standard plan: (Direct, a+1) for a >= 1, else (Log, z0).
 
     a + 1 is the maximum of Omega, from which convergence is monotone.
     For a < 1, z0 = (log p + log Gamma(a+1)) / a comes from the bound
@@ -170,9 +192,10 @@ def gamma_start(query: GammaQuantileQuery) -> tuple[GammaVariable, float]:
     iterates increase monotonically toward it.
     """
     if query.a >= 1.0:
-        return GammaVariable.DIRECT, query.a + 1.0
-    z0 = (math.log(query.p) + ln_gamma(query.a + 1.0)) / query.a
-    return GammaVariable.LOG, z0
+        return GammaPlan(GammaDirectProblem(query), GammaVariable.DIRECT, query.a + 1.0)
+    problem = GammaLogProblem(query)
+    z0 = (math.log(query.p) + problem.ln_gamma_a1) / query.a
+    return GammaPlan(problem, GammaVariable.LOG, z0)
 
 
 def invert_gamma(query: GammaQuantileQuery,
@@ -185,23 +208,24 @@ def invert_gamma(query: GammaQuantileQuery,
     variable.  Roots found in the log variable are mapped back with
     x = e^z before reporting; the trace stays in the solver variable.
     """
-    variable, x0 = gamma_start(query)
+    plan = gamma_start(query)
+    x0 = plan.x0
     if start == "inflection":
         if not query.a > 1.0:
             raise ValueError("inflection start requires a > 1")
-        variable, x0 = GammaVariable.DIRECT, query.a - 1.0
+        x0 = query.a - 1.0  # a > 1, so the plan is in the direct variable
     elif start != "auto":
         x_user = float(start)
         if not x_user > 0.0:
             raise ValueError(f"start must be positive, got {x_user}")
-        x0 = x_user if variable is GammaVariable.DIRECT else math.log(x_user)
+        x0 = plan.from_x(x_user)
 
     if opts is None:
         opts = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
-    report = solve(gamma_problem(query, variable), x0, opts)
-    if variable is GammaVariable.LOG:
-        root = math.exp(report.root)
+    report = solve(plan.problem, x0, opts)
+    root = plan.to_x(report.root)
+    if plan.variable is GammaVariable.LOG:
         if root == 0.0:
             return report.with_root(root, "variable=log", "root-underflow")
         return report.with_root(root, "variable=log")
-    return report.with_root(report.root, "variable=direct")
+    return report.with_root(root, "variable=direct")

@@ -120,25 +120,24 @@ def _stirling_remainder(a: float) -> float:
         _STIRLING[2] + inv2 * (_STIRLING[3] + inv2 * _STIRLING[4]))))
 
 
-def _gamma_exponent(a: float, x: float) -> float:
+def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
     """a log x - x - ln Gamma(a), computed without large-argument cancellation.
 
-    For a >= 16 the identity
+    ``ln_gamma_a`` is ln Gamma(a); it is read only for a < 16.  For a >= 16
+    the identity
         a log x - x - ln Gamma(a)
             = a log1p((x-a)/a) + (a - x) + (1/2) log(a/(2 pi)) - S(a)
     (S the Stirling remainder) keeps the absolute error near |x-a| * eps
     instead of a log(x) * eps, which matters already at a ~ 100.
     """
     if a < 16.0:
-        return a * math.log(x) - x - ln_gamma(a)
+        return a * math.log(x) - x - ln_gamma_a
     return (a * math.log1p((x - a) / a) + (a - x)
             + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_remainder(a))
 
 
 def _gamma_series(a: float, x: float) -> float:
-    """P(a,x) by the lower-tail power series; requires x < a + 1."""
-    if x == 0.0:
-        return 0.0
+    """Lower-tail power series S, P(a,x) = S e^exponent; requires 0 < x < a + 1."""
     term = 1.0 / a
     total = term
     ap = a
@@ -147,12 +146,12 @@ def _gamma_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(_gamma_exponent(a, x))
+            return total
     raise KernelError(f"gamma series did not converge for a={a}, x={x}")
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    """Q(a,x) by the continued fraction (modified Lentz); x >= a + 1."""
+    """Continued fraction h (modified Lentz), Q(a,x) = h e^exponent; x >= a + 1."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -170,23 +169,43 @@ def _gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return math.exp(_gamma_exponent(a, x)) * h
+            return h
     raise KernelError(f"gamma continued fraction did not converge for a={a}, x={x}")
 
 
-def reg_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) in [0, 1].
+def _reg_gamma(a: float, x: float, ln_gamma_a: float) -> tuple[float, float, float]:
+    """(P(a, x), Q(a, x), exponent) for x > 0 from one series or fraction sum.
 
-    Power series for x < a + 1, complement of the continued fraction
-    otherwise, so each representation is used where it converges fast.
+    Power series for x < a + 1, continued fraction otherwise, so each
+    representation is used where it converges fast.  The exponent also
+    gives the density (``_gamma_density``).
     """
+    arg = _gamma_exponent(a, x, ln_gamma_a)
+    if x < a + 1.0:
+        p = _gamma_series(a, x) * math.exp(arg)
+        return p, 1.0 - p, arg
+    q = math.exp(arg) * _gamma_cf(a, x)
+    return 1.0 - q, q, arg
+
+
+def _gamma_density(arg: float, x: float) -> float:
+    """x^(a-1) e^(-x) / Gamma(a) from arg = _gamma_exponent(a, x); 0 on underflow."""
+    if arg < -745.0:
+        return 0.0
+    # exp(arg)/x rather than exp(arg - log x): x^(a-1) can be huge while
+    # the density itself stays representable (tiny x, small a).
+    return math.exp(arg) / x
+
+
+def reg_gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
     if not (a > 0.0):
         raise ValueError(f"reg_gamma_p requires a > 0, got {a}")
     if x < 0.0:
         raise ValueError(f"reg_gamma_p requires x >= 0, got {x}")
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
+    if x == 0.0:
+        return 0.0
+    return _reg_gamma(a, x, ln_gamma(a))[0]
 
 
 def reg_gamma_q(a: float, x: float) -> float:
@@ -195,9 +214,9 @@ def reg_gamma_q(a: float, x: float) -> float:
         raise ValueError(f"reg_gamma_q requires a > 0, got {a}")
     if x < 0.0:
         raise ValueError(f"reg_gamma_q requires x >= 0, got {x}")
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
+    if x == 0.0:
+        return 1.0
+    return _reg_gamma(a, x, ln_gamma(a))[1]
 
 
 def gamma_density(a: float, x: float) -> float:
@@ -206,12 +225,7 @@ def gamma_density(a: float, x: float) -> float:
         raise ValueError(f"gamma_density requires a > 0, got {a}")
     if not (x > 0.0):
         raise ValueError(f"gamma_density requires x > 0, got {x}")
-    arg = _gamma_exponent(a, x)
-    if arg < -745.0:
-        return 0.0
-    # exp(arg)/x rather than exp(arg - log x): x^(a-1) can be huge while
-    # the density itself stays representable (tiny x, small a).
-    return math.exp(arg) / x
+    return _gamma_density(_gamma_exponent(a, x, ln_gamma(a)), x)
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -219,7 +233,7 @@ def ln_beta(a: float, b: float) -> float:
 
     For max(a, b) >= 16 the log Gamma difference is expanded through the
     Stirling remainder, avoiding the cancellation of two large log Gamma
-    values.
+    values.  Symmetric bit for bit: ln_beta(a, b) == ln_beta(b, a).
     """
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < 16.0:
@@ -231,8 +245,8 @@ def ln_beta(a: float, b: float) -> float:
     return ln_gamma(lo) - diff
 
 
-def _beta_exponent(a: float, b: float, x: float) -> float:
-    """a log x + b log(1-x) - ln B(a, b) without large-shape cancellation.
+def _beta_exponent(a: float, b: float, x: float, ln_b: float) -> float:
+    """a log x + b log(1-x) - ln B(a, b), given ln_b = ln B(a, b).
 
     For min(a, b) >= 16 and x in the central bulk, the shifted form
         a log1p(y/a) + b log1p(-y/b) + (1/2) log(ab/(2 pi s)) + dS,
@@ -247,7 +261,7 @@ def _beta_exponent(a: float, b: float, x: float) -> float:
                     + 0.5 * math.log(a * b / (2.0 * math.pi * s))
                     + _stirling_remainder(s) - _stirling_remainder(a)
                     - _stirling_remainder(b))
-    return a * math.log(x) + b * math.log1p(-x) - ln_beta(a, b)
+    return a * math.log(x) + b * math.log1p(-x) - ln_b
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -302,9 +316,14 @@ def reg_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    return _reg_beta(x, a, b, ln_beta(a, b))
+
+
+def _reg_beta(x: float, a: float, b: float, ln_b: float) -> float:
+    """I_x(a, b) for 0 < x < 1, given ln_b = ln B(a, b) (either orientation)."""
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(_beta_exponent(a, b, x)) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(_beta_exponent(b, a, 1.0 - x)) * _beta_cf(b, a, 1.0 - x) / b
+        return math.exp(_beta_exponent(a, b, x, ln_b)) * _beta_cf(a, b, x) / a
+    return 1.0 - math.exp(_beta_exponent(b, a, 1.0 - x, ln_b)) * _beta_cf(b, a, 1.0 - x) / b
 
 
 # Relative error targets for the Carlson duplication loops; the series
@@ -401,8 +420,11 @@ def ellip_e_inc(phi: float, m: float) -> float:
         return math.sin(phi)
     s = math.sin(phi)
     c = math.cos(phi)
-    c2 = c * c
-    w = 1.0 - (m * s) * (m * s)
+    return _ellip_e(m, s, c * c, 1.0 - (m * s) * (m * s))
+
+
+def _ellip_e(m: float, s: float, c2: float, w: float) -> float:
+    """E(phi, m) from s = sin phi, c2 = cos^2 phi and w = 1 - m^2 s^2, 0 < m < 1."""
     s3 = s * s * s
     return s * carlson_rf(c2, w, 1.0) - (m * m / 3.0) * s3 * carlson_rd(c2, w, 1.0)
 

@@ -217,10 +217,22 @@ def test_snm_beats_halley_for_shapes_above_one():
 
 
 def test_logit_path_notes_and_flags():
-    report = invert_beta(BetaQuantileQuery(0.5, 3.0, 0.2))
-    assert any(n.startswith("omega-monotone=") for n in report.notes)
     heur = invert_beta(BetaQuantileQuery(0.3, 0.6, 0.4))
     assert "path=heuristic(a<=1,b<=1)" in heur.notes
+
+
+def test_logit_omega_monotone_between_start_and_root():
+    # The convergence hypothesis of the logit path for a <= 1 <= b: Omega
+    # is non-increasing in z on the whole segment from the start to the root.
+    for a, b in itertools.product((0.05, 0.3, 0.5, 1.0), (1.5, 3.0, 30.0)):
+        for p in P_GRID:
+            plan = beta_plan(BetaQuantileQuery(a, b, p))
+            assert plan.variable is BetaVariable.LOGIT and not plan.flipped
+            report = invert_beta(BetaQuantileQuery(a, b, p))
+            assert report.converged, (a, b, p)
+            lo, hi = sorted((plan.x0, plan.from_x(report.root)))
+            vals = [beta_omega_logit(a, b, lo + (hi - lo) * k / 16) for k in range(17)]
+            assert all(v1 >= v2 for v1, v2 in zip(vals, vals[1:])), (a, b, p)
 
 
 def test_flip_rules():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from snm.cli import main
+from snm.cli import build_parser, cmd_compare, main
 
 
 def run(capsys, *argv):
@@ -94,6 +94,38 @@ def test_compare_respects_common_start(capsys):
     near = json.loads(out2)["rows"][0]
     assert far["iterations"] >= near["iterations"]
     assert far["final_residual"] <= 1e-13
+
+
+# compare --x0 rows in the log/logit variables, pinned to the values the
+# solvers gave before they prepared plans; the last case is a flipped query.
+COMPARE_X0_ROWS = {
+    ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
+        {"method": "snm", "iterations": 3, "final_residual": 2.220446049250313e-16,
+         "errors": [0.00033917173066180806, 5.785649737077847e-14, 6.938893903907228e-17]},
+        {"method": "halley", "iterations": 3, "final_residual": 2.220446049250313e-16,
+         "errors": [0.0025564621435086587, 7.969673825047874e-08, 6.938893903907228e-17]}],
+    ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
+        {"method": "snm", "iterations": 3, "final_residual": 8.326672684688674e-17,
+         "errors": [0.00018427585718359257, 6.795605744791544e-13, 8.153200337090993e-17]},
+        {"method": "halley", "iterations": 3, "final_residual": 8.326672684688674e-17,
+         "errors": [0.0012043826670882062, 2.832387529568686e-07, 9.194034422677078e-17]}],
+    ("beta", "--a", "3", "--b", "0.5", "--p", "0.2", "--x0", "0.9"): [
+        {"method": "snm", "iterations": 3, "final_residual": 5.551115123125783e-17,
+         "errors": [0.003423150059983615, 4.895623906264746e-10, 3.3306690738754696e-16]},
+        {"method": "halley", "iterations": 4, "final_residual": 5.551115123125783e-17,
+         "errors": [0.01642966237315069, 1.5355945221839917e-05, 1.2878587085651816e-14,
+                    7.771561172376096e-16]}],
+}
+
+
+def test_compare_x0_in_solver_variable_leaves_args_untouched(capsys):
+    parser = build_parser()
+    for argv, expected in COMPARE_X0_ROWS.items():
+        args = parser.parse_args(["compare", *argv, "--format", "json"])
+        before = vars(args).copy()
+        assert cmd_compare(parser, args) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == expected, argv
+        assert vars(args) == before, argv
 
 
 def test_usage_errors_exit_two(capsys):

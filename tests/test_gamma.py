@@ -111,13 +111,17 @@ def test_log_problem_same_residual_as_direct():
 
 
 def test_gamma_start_policy():
-    assert gamma_start(GammaQuantileQuery(30.0, 0.5)) == (GammaVariable.DIRECT, 31.0)
-    variable, x0 = gamma_start(GammaQuantileQuery(1.0, 0.5))
-    assert (variable, x0) == (GammaVariable.DIRECT, 2.0)
+    plan = gamma_start(GammaQuantileQuery(30.0, 0.5))
+    assert (plan.variable, plan.x0) == (GammaVariable.DIRECT, 31.0)
+    assert isinstance(plan.problem, GammaDirectProblem)
+    plan = gamma_start(GammaQuantileQuery(1.0, 0.5))
+    assert (plan.variable, plan.x0) == (GammaVariable.DIRECT, 2.0)
     # a < 1: log variable, start below the root.
     a, p = 0.5, 0.1
-    variable, z0 = gamma_start(GammaQuantileQuery(a, p))
-    assert variable is GammaVariable.LOG
+    plan = gamma_start(GammaQuantileQuery(a, p))
+    assert plan.variable is GammaVariable.LOG
+    assert isinstance(plan.problem, GammaLogProblem)
+    z0 = plan.x0
     assert z0 == pytest.approx((math.log(p) + ln_gamma(a + 1.0)) / a, rel=1e-15)
     assert reg_gamma_p(a, math.exp(z0)) <= p
 

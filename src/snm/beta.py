@@ -18,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .core import (
-    RESIDUAL_NOISE_FLOOR,
+    QUANTILE_OPTIONS,
     DerivativeVanishedError,
     Interval,
     Problem,
@@ -28,6 +28,9 @@ from .core import (
     solve,
 )
 from .special import _reg_beta, ln_beta
+
+_UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+_REAL_LINE = Interval(-math.inf, math.inf)
 
 
 class BetaVariable(Enum):
@@ -176,7 +179,7 @@ class BetaDirectProblem(Problem):
         )
 
     def domain(self) -> Interval:
-        return Interval(0.0, 1.0, lo_open=True, hi_open=True)
+        return _UNIT_INTERVAL
 
 
 class BetaLogitProblem(Problem):
@@ -185,10 +188,6 @@ class BetaLogitProblem(Problem):
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         self.query = query
         self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
-        # Omega(z) is monotone decreasing exactly for a <= 1 <= b.
-        self.omega_monotone_hint = (
-            "decreasing-left-of-root"
-            if query.a <= 1.0 <= query.b else "unknown")
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
@@ -209,7 +208,7 @@ class BetaLogitProblem(Problem):
         )
 
     def domain(self) -> Interval:
-        return Interval(-math.inf, math.inf)
+        return _REAL_LINE
 
 
 class BetaPlan(NamedTuple):
@@ -341,13 +340,15 @@ def invert_beta(query: BetaQuantileQuery,
     """Solve I_x(a, b) = p for x in (0, 1).
 
     Falls back to a bisection-seeded retry if the planned start fails to
-    converge; the report notes record flip, start and path.
+    converge; the report notes record flip, start and path, and its
+    evaluation count includes both solves.
     """
     if opts is None:
-        opts = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
+        opts = QUANTILE_OPTIONS
     plan = beta_plan(query, variable)
     report = solve(plan.problem, plan.x0, opts)
     notes = plan.notes
+    discarded = 0
 
     if not report.converged:
         # Re-seed from a logit-space bisection (expanding bracket copes
@@ -356,7 +357,12 @@ def invert_beta(query: BetaQuantileQuery,
         x0 = z_seed if plan.variable is BetaVariable.LOGIT else _sigmoid(z_seed)
         retry = solve(plan.problem, x0, opts)
         if retry.converged:
-            report = retry
+            discarded, report = report.evaluations, retry
             notes = notes + ("retry=bisection-seed",)
+        else:
+            discarded = retry.evaluations
 
-    return report.with_root(plan.to_x(report.root), *notes)
+    report = report.with_root(plan.to_x(report.root), *notes)
+    if discarded:
+        report = report._replace(evaluations=report.evaluations + discarded)
+    return report

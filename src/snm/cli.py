@@ -106,6 +106,7 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         payload = {
             "root": report.root,
             "iterations": report.iterations,
+            "evaluations": report.evaluations,
             "converged": report.converged,
             "reason": report.reason.value,
             "trace": rows,

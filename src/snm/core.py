@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 MACHINE_EPSILON = sys.float_info.epsilon
 
@@ -126,8 +126,7 @@ class Interval:
         return True
 
 
-@dataclass(frozen=True)
-class ProblemEvaluation:
+class ProblemEvaluation(NamedTuple):
     """Everything one SNM/Halley/Newton step needs at a point.
 
     Attributes:
@@ -161,7 +160,7 @@ class ProblemEvaluation:
             h = math.copysign(math.inf, f) if f != 0.0 else 0.0
         else:
             h = f / denom
-        return cls(x=x, f=f, fp=fp, big_b=big_b, omega=omega, h=h)
+        return cls(x, f, fp, big_b, omega, h)
 
     @classmethod
     def from_derivatives(cls, x: float, f: float, fp: float, fpp: float,
@@ -180,10 +179,6 @@ class Problem(ABC):
     required for points strictly inside ``domain()`` unless the concrete
     problem supports endpoint evaluation.
     """
-
-    #: Diagnostic hint about Omega's monotonicity near the root; one of
-    #: "decreasing-left-of-root", "increasing-right-of-root", "unknown".
-    omega_monotone_hint: str = "unknown"
 
     @abstractmethod
     def evaluate(self, x: float) -> ProblemEvaluation:
@@ -233,7 +228,7 @@ def tan_problem() -> FunctionProblem:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """Driver configuration.
 
@@ -261,8 +256,7 @@ class SolveOptions:
             raise ValueError("series_threshold must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One applied step of the driver.
 
     ``x`` is the iterate the step was taken from and ``step`` the applied
@@ -280,9 +274,12 @@ class IterationRecord:
     fallback_used: bool
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Result of a solve call; converged iff reason is a tolerance stop."""
+class SolveReport(NamedTuple):
+    """Result of a solve call; converged iff reason is a tolerance stop.
+
+    ``evaluations`` counts the ``Problem.evaluate`` calls made, including
+    those of solves an application solver ran and then discarded.
+    """
 
     root: float
     iterations: int
@@ -290,9 +287,18 @@ class SolveReport:
     converged: bool
     reason: StopReason
     notes: tuple[str, ...] = ()
+    evaluations: int = 0
 
     def with_root(self, root: float, *extra_notes: str) -> "SolveReport":
-        return replace(self, root=root, notes=self.notes + extra_notes)
+        """A copy with a new root and notes appended; the trace is shared."""
+        return SolveReport(root, self.iterations, self.trace, self.converged,
+                           self.reason, self.notes + extra_notes, self.evaluations)
+
+
+_DEFAULT_OPTIONS = SolveOptions()
+# The options of the application solvers: the library default plus the
+# residual stop at the kernels' noise floor.
+QUANTILE_OPTIONS = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
 
 
 def gtan(lam: float, x: float, series_threshold: float = SERIES_THRESHOLD) -> float:
@@ -453,6 +459,12 @@ def _step_for(method: Method, e: ProblemEvaluation,
     return snm_step(e, series_threshold)
 
 
+def _report(root: float, trace: list[IterationRecord], converged: bool,
+            reason: StopReason, evaluations: int) -> SolveReport:
+    return SolveReport(root, len(trace), tuple(trace), converged, reason, (),
+                       evaluations)
+
+
 def solve(problem: Problem, x0: float,
           opts: Optional[SolveOptions] = None) -> SolveReport:
     """Iterate the selected method from x0 until a stopping test fires.
@@ -466,29 +478,28 @@ def solve(problem: Problem, x0: float,
     one Halley step and flagged in the trace.  A step leaving the domain
     is clamped to the midpoint between the current iterate and the
     violated endpoint (or fails, per ``opts.safeguard``).
+    ``evaluations`` counts every ``problem.evaluate`` call, so a converged
+    solve reports at least ``iterations + 1``.
     """
     if opts is None:
-        opts = SolveOptions()
+        opts = _DEFAULT_OPTIONS
     dom = problem.domain()
     if not dom.contains(x0):
         raise ValueError(f"x0 = {x0} outside problem domain")
 
     x = x0
     trace: list[IterationRecord] = []
-
-    def report(root: float, converged: bool, reason: StopReason) -> SolveReport:
-        return SolveReport(root=root, iterations=len(trace),
-                           trace=tuple(trace), converged=converged,
-                           reason=reason)
+    evaluations = 0
 
     while True:
+        evaluations += 1
         try:
             e = problem.evaluate(x)
         except DerivativeVanishedError:
-            return report(x, False, StopReason.DERIVATIVE_VANISHED)
+            return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
 
         if abs(e.f) <= opts.residual_tol:
-            return report(x, True, StopReason.RESIDUAL_TOL)
+            return _report(x, trace, True, StopReason.RESIDUAL_TOL, evaluations)
 
         fallback = False
         try:
@@ -498,28 +509,27 @@ def solve(problem: Problem, x0: float,
                 raw = halley_step(e)
                 fallback = True
         except DegenerateStepError:
-            return report(x, False, StopReason.DERIVATIVE_VANISHED)
+            return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
 
         step = raw - x
         x_next = x + step
 
         if not (math.isfinite(x_next) and dom.contains(x_next)):
             if opts.safeguard is Safeguard.FAIL or math.isnan(x_next):
-                return report(x, False, StopReason.DOMAIN_EXIT)
+                return _report(x, trace, False, StopReason.DOMAIN_EXIT, evaluations)
             endpoint = dom.hi if x_next > x else dom.lo
             if not math.isfinite(endpoint):
-                return report(x, False, StopReason.DOMAIN_EXIT)
+                return _report(x, trace, False, StopReason.DOMAIN_EXIT, evaluations)
             x_next = 0.5 * (x + endpoint)
             step = x_next - x
             x_next = x + step
             fallback = True
 
         if abs(step) <= opts.abs_tol + opts.rel_tol * abs(x):
-            return report(x_next, True, StopReason.STEP_TOL)
+            return _report(x_next, trace, True, StopReason.STEP_TOL, evaluations)
 
-        trace.append(IterationRecord(n=len(trace) + 1, x=x, f=e.f, h=e.h,
-                                     omega=e.omega, step=step,
-                                     fallback_used=fallback))
+        trace.append(IterationRecord(len(trace) + 1, x, e.f, e.h, e.omega, step,
+                                     fallback))
         x = x_next
         if len(trace) >= opts.max_iter:
-            return report(x, False, StopReason.MAX_ITER)
+            return _report(x, trace, False, StopReason.MAX_ITER, evaluations)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
-    RESIDUAL_NOISE_FLOOR,
+    QUANTILE_OPTIONS,
     Interval,
     IterationRecord,
     Problem,
@@ -35,6 +35,8 @@ from .special import _ellip_e, bisect_root, ellip_e_complete, ellip_e_inc
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
+
+_AMPLITUDE_RANGE = Interval(0.0, math.pi / 2, lo_open=False, hi_open=False)
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,6 @@ class EllipticProblem(Problem):
                              "and m = 1 endpoints invert in closed form")
         self.query = query
         self.complete = ellip_e_complete(query.m)
-        # Omega increases across (0, pi/2) exactly below the x_e threshold.
-        self.omega_monotone_hint = (
-            "increasing-right-of-root"
-            if query.m <= MONOTONE_OMEGA_MODULUS else "unknown")
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         if not 0.0 <= x <= math.pi / 2:
@@ -169,7 +167,7 @@ class EllipticProblem(Problem):
         )
 
     def domain(self) -> Interval:
-        return Interval(0.0, math.pi / 2, lo_open=False, hi_open=False)
+        return _AMPLITUDE_RANGE
 
 
 def choose_start(query: EllipticQuery,
@@ -238,7 +236,8 @@ def invert_ellip_e(query: EllipticQuery,
     Otherwise the SNM runs from the heuristic start; a start that fails
     to converge monotonically (step sign flip, fallback, or domain exit)
     is retried once from the alternate endpoint start, then from a
-    10-step bisection seed.  The notes record which start was used.
+    10-step bisection seed.  The notes record which start was used, and
+    the evaluation count includes the discarded solves.
     """
     m, p = query.m, query.p
     if m == 0.0:
@@ -249,7 +248,7 @@ def invert_ellip_e(query: EllipticQuery,
     plan = elliptic_plan(query)
     problem, label = plan.problem, plan.start
     if opts is None:
-        opts = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
+        opts = QUANTILE_OPTIONS
     slack = 100.0 * opts.abs_tol
 
     report = solve(problem, plan.x0, opts)
@@ -264,13 +263,19 @@ def invert_ellip_e(query: EllipticQuery,
                else _start_low(m, p, problem.complete))
     except StepUndefinedError:
         alt = None
+    discarded = report.evaluations
     if alt is not None:
         retry = solve(problem, alt, opts)
         if retry.converged:
-            return retry.with_root(retry.root, f"start={alt_label}", "retry=alternate")
+            return retry._replace(
+                notes=retry.notes + (f"start={alt_label}", "retry=alternate"),
+                evaluations=discarded + retry.evaluations)
+        discarded += retry.evaluations
 
     target = p * problem.complete
     seed = bisect_root(lambda x: ellip_e_inc(x, m) - target,
                        0.0, math.pi / 2, tol=1e-3, max_iter=10)
     final = solve(problem, seed, opts)
-    return final.with_root(final.root, f"start={label}", "retry=bisection-seed")
+    return final._replace(
+        notes=final.notes + (f"start={label}", "retry=bisection-seed"),
+        evaluations=discarded + final.evaluations)

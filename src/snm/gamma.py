@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 from .core import (
-    RESIDUAL_NOISE_FLOOR,
+    QUANTILE_OPTIONS,
     DerivativeVanishedError,
     Interval,
     Problem,
@@ -26,6 +26,9 @@ from .core import (
     solve,
 )
 from .special import _gamma_density, _reg_gamma, ln_gamma
+
+_POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
+_REAL_LINE = Interval(-math.inf, math.inf)
 
 
 class GammaVariable(Enum):
@@ -98,8 +101,6 @@ class GammaDirectProblem(Problem):
     def __init__(self, query: GammaQuantileQuery) -> None:
         self.query = query
         self.ln_gamma_a = ln_gamma(query.a)
-        # Omega peaks at a+1, so no one-sided monotonicity holds globally.
-        self.omega_monotone_hint = "unknown"
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         q = self.query
@@ -113,7 +114,7 @@ class GammaDirectProblem(Problem):
         )
 
     def domain(self) -> Interval:
-        return Interval(0.0, math.inf, lo_open=True, hi_open=True)
+        return _POSITIVE_AXIS
 
 
 class GammaLogProblem(Problem):
@@ -123,9 +124,6 @@ class GammaLogProblem(Problem):
         self.query = query
         self.ln_gamma_a = ln_gamma(query.a)
         self.ln_gamma_a1 = ln_gamma(query.a + 1.0)
-        # Omega(z) is strictly decreasing on all of R exactly when a <= 1.
-        self.omega_monotone_hint = (
-            "decreasing-left-of-root" if query.a <= 1.0 else "unknown")
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
@@ -155,7 +153,7 @@ class GammaLogProblem(Problem):
         )
 
     def domain(self) -> Interval:
-        return Interval(-math.inf, math.inf)
+        return _REAL_LINE
 
 
 def gamma_problem(query: GammaQuantileQuery,
@@ -221,7 +219,7 @@ def invert_gamma(query: GammaQuantileQuery,
         x0 = plan.from_x(x_user)
 
     if opts is None:
-        opts = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
+        opts = QUANTILE_OPTIONS
     report = solve(plan.problem, x0, opts)
     root = plan.to_x(report.root)
     if plan.variable is GammaVariable.LOG:

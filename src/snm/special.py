@@ -20,6 +20,7 @@ import math
 from typing import Callable
 
 _EPS = 2.220446049250313e-16
+_MIN_NORMAL = 2.2250738585072014e-308
 _TINY = 1e-300
 # Worst case sits at the series/fraction split x ~ a + 1, where the
 # continued fraction needs ~sqrt(a) and the series ~7.6 sqrt(a)
@@ -126,13 +127,22 @@ def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
     ``ln_gamma_a`` is ln Gamma(a); it is read only for a < 16.  For a >= 16
     the identity
         a log x - x - ln Gamma(a)
-            = a log1p((x-a)/a) + (a - x) + (1/2) log(a/(2 pi)) - S(a)
+            = a log(x/a) + (a - x) + (1/2) log(a/(2 pi)) - S(a)
     (S the Stirling remainder) keeps the absolute error near |x-a| * eps
-    instead of a log(x) * eps, which matters already at a ~ 100.
+    instead of a log(x) * eps, which matters already at a ~ 100.  log(x/a)
+    is taken as log1p((x-a)/a) for x >= a/2, where x - a is exact; below
+    a/2 that difference would round x away, so log(x/a) is used, or
+    log x - log a once x/a would be subnormal.  Below a/2 every form has
+    absolute error near a * eps.
     """
     if a < 16.0:
         return a * math.log(x) - x - ln_gamma_a
-    return (a * math.log1p((x - a) / a) + (a - x)
+    if x >= 0.5 * a:
+        log_ratio = math.log1p((x - a) / a)
+    else:
+        ratio = x / a
+        log_ratio = math.log(ratio) if ratio >= _MIN_NORMAL else math.log(x) - math.log(a)
+    return (a * log_ratio + (a - x)
             + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_remainder(a))
 
 

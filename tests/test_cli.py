@@ -55,9 +55,10 @@ def test_json_keys_exact(capsys):
     _, out, _ = run(capsys, "invert", "gamma", "--a", "2", "--p", "0.5",
                     "--format", "json")
     payload = json.loads(out)
-    assert set(payload.keys()) == {"root", "iterations", "converged",
-                                   "reason", "trace"}
+    assert set(payload.keys()) == {"root", "iterations", "evaluations",
+                                   "converged", "reason", "trace"}
     assert payload["trace"] == []
+    assert payload["evaluations"] >= payload["iterations"] + 1
     assert payload["converged"] is True
     assert payload["reason"] == "ResidualTol" or payload["reason"] == "StepTol"
 

@@ -203,13 +203,6 @@ def test_extreme_ranges_converge():
                 assert "root-underflow" in report.notes
 
 
-def test_omega_monotone_hints():
-    assert GammaDirectProblem(GammaQuantileQuery(2.0, 0.5)).omega_monotone_hint == "unknown"
-    assert (GammaLogProblem(GammaQuantileQuery(0.5, 0.5)).omega_monotone_hint
-            == "decreasing-left-of-root")
-    assert GammaLogProblem(GammaQuantileQuery(3.0, 0.5)).omega_monotone_hint == "unknown"
-
-
 def test_log_variable_extreme_z_reports_vanished_derivative():
     # Wild points fail loudly-but-gracefully instead of overflowing.
     from snm.core import StopReason

@@ -1,0 +1,129 @@
+"""Golden results: root bits, iteration count, stop reason and notes.
+
+Each entry pins one query on one solver path.  A change meant to be
+bit-identical must keep every entry; a change that moves rounding must
+re-pin the entries it moves and say by how many ulps.  Re-pinned:
+"gamma direct a=20 p=1e-10" moved by 2 ulps when the a >= 16 gamma
+exponent switched from log1p((x-a)/a) to log(x/a) below x = a/2.
+"""
+
+import math
+
+import pytest
+
+from snm import (
+    BetaQuantileQuery,
+    EllipticQuery,
+    FunctionProblem,
+    GammaQuantileQuery,
+    Interval,
+    Method,
+    SolveOptions,
+    invert_beta,
+    invert_ellip_e,
+    invert_gamma,
+    solve,
+    tan_problem,
+)
+
+
+def _cube_problem() -> FunctionProblem:
+    # f(x) = x^3 - 2: non-constant Schwarzian, root 2^(1/3).
+    return FunctionProblem(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
+                           lambda x: 6.0 * x, lambda x: 6.0,
+                           Interval(0.0, math.inf))
+
+
+def _solve(make, method):
+    return lambda: solve(make(), 1.0, SolveOptions(method=method))
+
+
+CASES = {
+    "gamma direct a=2.5 p=0.3":
+        lambda: invert_gamma(GammaQuantileQuery(2.5, 0.3)),
+    "gamma direct upper a=5 p=0.99":
+        lambda: invert_gamma(GammaQuantileQuery(5.0, 0.99)),
+    "gamma direct a=20 p=0.5":
+        lambda: invert_gamma(GammaQuantileQuery(20.0, 0.5)),
+    "gamma direct a=20 p=1e-10":
+        lambda: invert_gamma(GammaQuantileQuery(20.0, 1e-10)),
+    "gamma log a=0.5 p=0.3":
+        lambda: invert_gamma(GammaQuantileQuery(0.5, 0.3)),
+    "gamma log a=0.2 p=0.9":
+        lambda: invert_gamma(GammaQuantileQuery(0.2, 0.9)),
+    "gamma log a=0.01 p=1e-5":
+        lambda: invert_gamma(GammaQuantileQuery(0.01, 1e-5)),
+    "beta direct 2,3 p=0.3":
+        lambda: invert_beta(BetaQuantileQuery(2.0, 3.0, 0.3)),
+    "beta direct flipped 2,3 p=0.8":
+        lambda: invert_beta(BetaQuantileQuery(2.0, 3.0, 0.8)),
+    "beta direct 50,50 p=0.5":
+        lambda: invert_beta(BetaQuantileQuery(50.0, 50.0, 0.5)),
+    "beta logit 0.5,3 p=0.2":
+        lambda: invert_beta(BetaQuantileQuery(0.5, 3.0, 0.2)),
+    "beta logit flipped 3,0.5 p=0.4":
+        lambda: invert_beta(BetaQuantileQuery(3.0, 0.5, 0.4)),
+    "beta heuristic 0.5,0.5 p=0.3":
+        lambda: invert_beta(BetaQuantileQuery(0.5, 0.5, 0.3)),
+    "beta heuristic flipped 0.3,0.7 p=0.9":
+        lambda: invert_beta(BetaQuantileQuery(0.3, 0.7, 0.9)),
+    "elliptic low m=0.5 p=0.3":
+        lambda: invert_ellip_e(EllipticQuery(0.5, 0.3)),
+    "elliptic high m=0.5 p=0.9":
+        lambda: invert_ellip_e(EllipticQuery(0.5, 0.9)),
+    "elliptic arcsin m=0.97 p=0.3":
+        lambda: invert_ellip_e(EllipticQuery(0.97, 0.3)),
+    "elliptic retry m=0.81 p=0.7":
+        lambda: invert_ellip_e(EllipticQuery(0.81, 0.7)),
+    "elliptic closed m=0 p=0.4":
+        lambda: invert_ellip_e(EllipticQuery(0.0, 0.4)),
+    "elliptic closed m=1 p=0.4":
+        lambda: invert_ellip_e(EllipticQuery(1.0, 0.4)),
+    "solve tan snm": _solve(tan_problem, Method.SNM),
+    "solve tan halley": _solve(tan_problem, Method.HALLEY),
+    "solve tan newton": _solve(tan_problem, Method.NEWTON),
+    "solve cube snm": _solve(_cube_problem, Method.SNM),
+    "solve cube halley": _solve(_cube_problem, Method.HALLEY),
+    "solve cube newton": _solve(_cube_problem, Method.NEWTON),
+}
+
+# name -> (root.hex(), iterations, reason, notes)
+GOLDEN = {
+    "gamma direct a=2.5 p=0.3": ('0x1.7ffcfd5c9aa6fp+0', 3, "ResidualTol", ('variable=direct',)),
+    "gamma direct upper a=5 p=0.99": ('0x1.735917be45bedp+3', 3, "ResidualTol", ('variable=direct',)),
+    "gamma direct a=20 p=0.5": ('0x1.3aaec947689f6p+4', 2, "ResidualTol", ('variable=direct',)),
+    "gamma direct a=20 p=1e-10": ('0x1.8427e4dc2590ep+1', 8, "ResidualTol", ('variable=direct',)),
+    "gamma log a=0.5 p=0.3": ('0x1.301203f7937b9p-4', 2, "ResidualTol", ('variable=log',)),
+    "gamma log a=0.2 p=0.9": ('0x1.35b5c1cbd2d36p-1', 2, "ResidualTol", ('variable=log',)),
+    "gamma log a=0.01 p=1e-5": ('0x0.0p+0', 0, "ResidualTol", ('variable=log', 'root-underflow')),
+    "beta direct 2,3 p=0.3": ('0x1.16ebd0ecac31dp-2', 2, "ResidualTol", ('start=omega-max',)),
+    "beta direct flipped 2,3 p=0.8": ('0x1.2a375adc0a65ep-1', 3, "ResidualTol", ('flip=symmetry', 'start=omega-max')),
+    "beta direct 50,50 p=0.5": ('0x1.0000000000000p-1', 0, "ResidualTol", ('start=omega-max',)),
+    "beta logit 0.5,3 p=0.2": ('0x1.7a9e125bd9495p-7', 2, "ResidualTol", ('start=lower-bound',)),
+    "beta logit flipped 3,0.5 p=0.4": ('0x1.c26b906c4bcecp-1', 2, "ResidualTol", ('flip=omega-monotonicity', 'flip=symmetry', 'start=lower-bound')),
+    "beta heuristic 0.5,0.5 p=0.3": ('0x1.a61b9f7154b47p-3', 2, "ResidualTol", ('start=lower-bound', 'path=heuristic(a<=1,b<=1)')),
+    "beta heuristic flipped 0.3,0.7 p=0.9": ('0x1.b549b8b247cc1p-1', 2, "ResidualTol", ('flip=symmetry', 'start=lower-bound', 'path=heuristic(a<=1,b<=1)')),
+    "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e3p-2', 1, "ResidualTol", ('start=low',)),
+    "elliptic high m=0.5 p=0.9": ('0x1.66d045d309310p+0', 1, "ResidualTol", ('start=high',)),
+    "elliptic arcsin m=0.97 p=0.3": ('0x1.4dfa5fd26b072p-2', 1, "ResidualTol", ('start=arcsin-guess',)),
+    "elliptic retry m=0.81 p=0.7": ('0x1.f55eb027e5ba6p-1', 2, "ResidualTol", ('start=high', 'retry=alternate')),
+    "elliptic closed m=0 p=0.4": ('0x1.41b2f769cf0e0p-1', 0, "ResidualTol", ('closed-form=linear',)),
+    "elliptic closed m=1 p=0.4": ('0x1.a564ac0e73a34p-2', 0, "ResidualTol", ('closed-form=arcsin',)),
+    "solve tan snm": ('0x0.0p+0', 1, "ResidualTol", ()),
+    "solve tan halley": ('0x0.0p+0', 5, "ResidualTol", ()),
+    "solve tan newton": ('0x0.0p+0', 5, "ResidualTol", ()),
+    "solve cube snm": ('0x1.428a2f98d728bp+0', 3, "ResidualTol", ()),
+    "solve cube halley": ('0x1.428a2f98d728bp+0', 3, "ResidualTol", ()),
+    "solve cube newton": ('0x1.428a2f98d728bp+0', 5, "ResidualTol", ()),
+}
+
+
+def test_every_case_is_pinned():
+    assert CASES.keys() == GOLDEN.keys()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    report = CASES[name]()
+    got = (report.root.hex(), report.iterations, report.reason.value, report.notes)
+    assert got == GOLDEN[name]

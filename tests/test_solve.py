@@ -1,21 +1,30 @@
-"""Driver behavior: stopping reasons, trace consistency, safeguards."""
+"""Driver behavior: stopping reasons, trace consistency, safeguards,
+the immutable record types and the evaluation count."""
 
+import dataclasses
 import math
 
 import pytest
 
 from snm.core import (
+    QUANTILE_OPTIONS,
+    RESIDUAL_NOISE_FLOOR,
     FunctionProblem,
     Interval,
+    IterationRecord,
     Method,
+    Problem,
     ProblemEvaluation,
     Safeguard,
     SolveOptions,
+    SolveReport,
     StopReason,
     snm_step,
     solve,
     tan_problem,
 )
+from snm.beta import BetaQuantileQuery, beta_plan, invert_beta
+from snm.elliptic import EllipticQuery, ellip_start_high, elliptic_plan, invert_ellip_e
 from snm.gamma import GammaDirectProblem, GammaQuantileQuery
 
 
@@ -160,3 +169,101 @@ def test_evaluation_invariants():
     # h consistency: h * ((B/2) f + f') = f to rounding
     e = ProblemEvaluation.build(1.0, f=0.3, fp=2.0, big_b=-0.5, omega=-0.1)
     assert e.h * (0.5 * e.big_b * e.f + e.fp) == pytest.approx(e.f, abs=4e-16)
+
+
+# ------------------------------------------------------- record contract
+
+def _records():
+    report = solve(tan_problem(), 1.0)
+    return report.trace[0], report
+
+
+def test_records_are_immutable():
+    e = ProblemEvaluation.build(1.0, f=0.3, fp=2.0, big_b=-0.5, omega=-0.1)
+    record, report = _records()
+    for obj, field in ((e, "x"), (e, "h"), (record, "step"), (report, "root"),
+                       (report, "evaluations")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0.0)
+
+
+def test_record_field_order():
+    assert ProblemEvaluation._fields == ("x", "f", "fp", "big_b", "omega", "h")
+    assert IterationRecord._fields == ("n", "x", "f", "h", "omega", "step",
+                                       "fallback_used")
+    assert SolveReport._fields == ("root", "iterations", "trace", "converged",
+                                   "reason", "notes", "evaluations")
+
+
+def test_with_root_shares_trace_and_leaves_original():
+    _, report = _records()
+    before = tuple(report)
+    moved = report.with_root(2.5, "variable=log", "root-underflow")
+    assert moved is not report
+    assert moved.trace is report.trace
+    assert moved.root == 2.5
+    assert moved.notes == report.notes + ("variable=log", "root-underflow")
+    assert (moved.iterations, moved.converged, moved.reason, moved.evaluations) == (
+        report.iterations, report.converged, report.reason, report.evaluations)
+    assert tuple(report) == before
+
+
+def test_solve_options_frozen():
+    opts = SolveOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.max_iter = 5
+    assert QUANTILE_OPTIONS.residual_tol == RESIDUAL_NOISE_FLOOR
+    assert QUANTILE_OPTIONS == SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
+
+
+# ----------------------------------------------------------- evaluations
+
+class _CountingProblem(Problem):
+    def __init__(self, inner: Problem) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return self.inner.evaluate(x)
+
+    def domain(self):
+        return self.inner.domain()
+
+
+def test_evaluations_count_every_evaluate_call():
+    problem = _CountingProblem(tan_problem())
+    report = solve(problem, 1.0)
+    assert report.converged
+    assert report.evaluations == report.iterations + 1 == problem.calls
+    halley = solve(tan_problem(), 1.0, SolveOptions(method=Method.HALLEY))
+    assert halley.converged and halley.evaluations == halley.iterations + 1
+
+
+def test_evaluations_include_discarded_elliptic_solve():
+    # m = 0.81, p = 0.7: the low start fails the monotone-steps check
+    # and the high start is retried; both solves count.
+    query = EllipticQuery(0.81, 0.7)
+    report = invert_ellip_e(query)
+    assert "retry=alternate" in report.notes
+    plan = elliptic_plan(query)
+    assert plan.start == "low"
+    first = solve(plan.problem, plan.x0, QUANTILE_OPTIONS)
+    retry = solve(plan.problem, ellip_start_high(0.81, 0.7), QUANTILE_OPTIONS)
+    assert report.trace == retry.trace
+    assert report.evaluations == first.evaluations + retry.evaluations
+    assert report.evaluations > report.iterations + 1
+
+
+def test_evaluations_include_discarded_beta_solve():
+    # Two iterations are too few from the lower-bound start, so the
+    # bisection-seeded retry runs; a converged solve makes iterations + 1
+    # evaluations.
+    opts = SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)
+    query = BetaQuantileQuery(0.5, 3.0, 0.2)
+    report = invert_beta(query, opts)
+    assert report.converged and "retry=bisection-seed" in report.notes
+    plan = beta_plan(query)
+    first = solve(plan.problem, plan.x0, opts)
+    assert not first.converged
+    assert report.evaluations == first.evaluations + report.iterations + 1

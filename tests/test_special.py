@@ -91,6 +91,32 @@ def test_p_plus_q_identity():
             assert abs(reg_gamma_p(a, x) + reg_gamma_q(a, x) - 1.0) <= 2e-15
 
 
+def test_reg_gamma_small_x_at_large_shape():
+    # For a >= 16 the exponent is formed from x/a; forming x - a first
+    # rounds x away once x << a (and raised ValueError near x ~ a*eps).
+    # The relative error of P = S e^arg is the absolute error of arg,
+    # which is at least the rounding of arg itself, eps |ln P| / 2.
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.220446049250313e-16
+    assert reg_gamma_p(150.0, 4e-18) == 0.0
+    for a in (16.0, 20.0, 150.0):
+        x = 0.49 * a
+        compared = 0
+        with mpmath.workdps(40):
+            while x >= 1e-300:
+                got = reg_gamma_p(a, x)
+                true = mpmath.gammainc(a, 0, x, regularized=True)
+                if true < 1e-300:
+                    assert got < 1e-299, (a, x, got)
+                else:
+                    err = float(abs(got - true) / true)
+                    bound = max(1e-13, 3.0 * eps * abs(float(mpmath.log(true))))
+                    assert err <= bound, (a, x, err)
+                    compared += 1
+                x /= 3.0
+        assert compared >= 3, a
+
+
 def test_reg_gamma_monotone_in_x():
     for a in GAMMA_A_GRID:
         values = [reg_gamma_p(a, a * k) for k in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)]

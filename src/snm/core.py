@@ -242,7 +242,6 @@ class SolveOptions:
     residual_tol: float = 0.0
     max_iter: int = 30
     method: Method = Method.SNM
-    series_threshold: float = SERIES_THRESHOLD
     safeguard: Safeguard = Safeguard.CLAMP_TO_DOMAIN
 
     def __post_init__(self) -> None:
@@ -252,8 +251,6 @@ class SolveOptions:
             raise ValueError("residual_tol must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0 < self.series_threshold < 1:
-            raise ValueError("series_threshold must be in (0, 1)")
 
 
 class IterationRecord(NamedTuple):
@@ -372,8 +369,7 @@ def halley_step(e: ProblemEvaluation) -> float:
     return e.x - e.h
 
 
-def snm_step(e: ProblemEvaluation,
-             series_threshold: float = SERIES_THRESHOLD) -> float:
+def snm_step(e: ProblemEvaluation) -> float:
     """One Schwarzian-Newton step: x - arctan(Omega, h).
 
     Reduces to ``halley_step`` bit-for-bit when Omega = 0, and is exact
@@ -385,7 +381,7 @@ def snm_step(e: ProblemEvaluation,
     """
     if not math.isfinite(e.h):
         raise DegenerateStepError(f"(B/2) f + f' = 0 at x={e.x}")
-    return e.x - gatan(e.omega, e.h, series_threshold)
+    return e.x - gatan(e.omega, e.h)
 
 
 @dataclass(frozen=True)
@@ -425,38 +421,35 @@ def osculating_fit(e: ProblemEvaluation) -> OsculatingModel:
     )
 
 
-def osculating_root(m: OsculatingModel,
-                    series_threshold: float = SERIES_THRESHOLD) -> float:
+def osculating_root(m: OsculatingModel) -> float:
     """Root of the osculating curve: x_anchor - gatan(lam, a).
 
     Agrees with ``snm_step`` on the generating evaluation (the two
     constructions are algebraically identical).
     """
-    return m.x_anchor - gatan(m.lam, m.a, series_threshold)
+    return m.x_anchor - gatan(m.lam, m.a)
 
 
-def osculating_eval(m: OsculatingModel, x: float,
-                    series_threshold: float = SERIES_THRESHOLD) -> float:
+def osculating_eval(m: OsculatingModel, x: float) -> float:
     """Value of the osculating curve at x.
 
     Raises:
         PoleError: at a zero of the denominator.
         ValueError: gtan outside its principal branch (lam > 0).
     """
-    u = gtan(m.lam, x - m.x_anchor, series_threshold)
+    u = gtan(m.lam, x - m.x_anchor)
     den = m.b * u + m.c
     if den == 0.0:
         raise PoleError(f"osculating curve pole at x={x}")
     return (u + m.a) / den
 
 
-def _step_for(method: Method, e: ProblemEvaluation,
-              series_threshold: float) -> float:
+def _step_for(method: Method, e: ProblemEvaluation) -> float:
     if method is Method.NEWTON:
         return newton_step(e)
     if method is Method.HALLEY:
         return halley_step(e)
-    return snm_step(e, series_threshold)
+    return snm_step(e)
 
 
 def _report(root: float, trace: list[IterationRecord], converged: bool,
@@ -504,7 +497,7 @@ def solve(problem: Problem, x0: float,
         fallback = False
         try:
             try:
-                raw = _step_for(opts.method, e, opts.series_threshold)
+                raw = _step_for(opts.method, e)
             except StepUndefinedError:
                 raw = halley_step(e)
                 fallback = True

@@ -9,8 +9,10 @@ crosses between the hyperbolic and circular branches of the generalized
 arctangent.  For m <= 2/sqrt(7), Omega is increasing on (0, pi/2) and the
 one-step-from-pi/2 value g(pi/2) gives monotone convergence; for larger
 m, Omega dips to an interior minimum at x_e and the better of the two
-endpoint values g(0), g(pi/2) is chosen heuristically, with one retry
-from the alternate start and a bisection re-seed as last resort.
+endpoint values g(0), g(pi/2) is chosen heuristically.  The residual is
+strictly increasing on [0, pi/2], so its root is unique and any converged
+solve has found it; only a solve that does not converge is re-seeded by
+bisection.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import NamedTuple, Optional
 from .core import (
     QUANTILE_OPTIONS,
     Interval,
-    IterationRecord,
     Problem,
     ProblemEvaluation,
     SolveOptions,
@@ -218,11 +219,6 @@ def elliptic_plan(query: EllipticQuery) -> EllipticPlan:
     return EllipticPlan(problem, x0, label)
 
 
-def _steps_monotone(trace: tuple[IterationRecord, ...], slack: float) -> bool:
-    signs = [1 if r.step > 0 else -1 for r in trace if abs(r.step) > slack]
-    return all(s == signs[0] for s in signs) if signs else True
-
-
 def _closed_form_report(root: float, note: str) -> SolveReport:
     return SolveReport(root=root, iterations=0, trace=(), converged=True,
                        reason=StopReason.RESIDUAL_TOL, notes=(note,))
@@ -233,11 +229,10 @@ def invert_ellip_e(query: EllipticQuery,
     """Solve E(sin x, m) = p E(1, m) for the amplitude x.
 
     m = 0 (f linear) and m = 1 (f = sin x - p) invert in closed form.
-    Otherwise the SNM runs from the heuristic start; a start that fails
-    to converge monotonically (step sign flip, fallback, or domain exit)
-    is retried once from the alternate endpoint start, then from a
+    Otherwise the SNM runs from the heuristic start, and a converged solve
+    is accepted as is.  A solve that does not converge is run again from a
     10-step bisection seed.  The notes record which start was used, and
-    the evaluation count includes the discarded solves.
+    the evaluation count includes that of a discarded solve.
     """
     m, p = query.m, query.p
     if m == 0.0:
@@ -249,28 +244,10 @@ def invert_ellip_e(query: EllipticQuery,
     problem, label = plan.problem, plan.start
     if opts is None:
         opts = QUANTILE_OPTIONS
-    slack = 100.0 * opts.abs_tol
 
     report = solve(problem, plan.x0, opts)
-    ok = (report.converged and _steps_monotone(report.trace, slack)
-          and not any(r.fallback_used for r in report.trace))
-    if ok:
+    if report.converged:
         return report.with_root(report.root, f"start={label}")
-
-    alt_label = "high" if label != "high" else "low"
-    try:
-        alt = (_start_high(m, p, problem.complete) if alt_label == "high"
-               else _start_low(m, p, problem.complete))
-    except StepUndefinedError:
-        alt = None
-    discarded = report.evaluations
-    if alt is not None:
-        retry = solve(problem, alt, opts)
-        if retry.converged:
-            return retry._replace(
-                notes=retry.notes + (f"start={alt_label}", "retry=alternate"),
-                evaluations=discarded + retry.evaluations)
-        discarded += retry.evaluations
 
     target = p * problem.complete
     seed = bisect_root(lambda x: ellip_e_inc(x, m) - target,
@@ -278,4 +255,4 @@ def invert_ellip_e(query: EllipticQuery,
     final = solve(problem, seed, opts)
     return final._replace(
         notes=final.notes + (f"start={label}", "retry=bisection-seed"),
-        evaluations=discarded + final.evaluations)
+        evaluations=report.evaluations + final.evaluations)

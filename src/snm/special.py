@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .core import SnmError
+
 _EPS = 2.220446049250313e-16
 _MIN_NORMAL = 2.2250738585072014e-308
 _TINY = 1e-300
@@ -64,7 +66,7 @@ _ZETA_M1 = (
 )
 
 
-class KernelError(ArithmeticError):
+class KernelError(SnmError, ArithmeticError):
     """A kernel iteration failed to converge within its budget."""
 
 

@@ -1,6 +1,7 @@
 """Elliptic-integral inversion: Omega structure, starts, round trips."""
 
 import math
+import random
 
 import pytest
 
@@ -216,3 +217,30 @@ def test_start_selection_heuristic():
 def test_report_notes_record_start():
     report = invert_ellip_e(EllipticQuery(0.6, 0.5))
     assert any(n.startswith("start=") for n in report.notes)
+
+
+def _fuzz_queries() -> list[tuple[float, float]]:
+    rng = random.Random("elliptic-one-solve")
+    # Where m > 2/sqrt(7) puts an interior minimum in Omega and the start
+    # is heuristic.
+    grid = [(round(0.81 + 0.01 * i, 2), round(0.50 + 0.01 * j, 2))
+            for i in range(19) for j in range(30)]
+    uniform = [(rng.random(), rng.random()) for _ in range(1000)]
+    near_one = []
+    for _ in range(200):
+        m = 1.0 - 10.0 ** rng.uniform(-12.0, -2.0)
+        tail = rng.uniform(0.0, 1e-2)
+        near_one.append((m, tail if rng.random() < 0.5 else 1.0 - tail))
+    return grid + uniform + near_one
+
+
+def test_every_query_converges_in_one_solve():
+    # The residual is strictly increasing in x, so a converged solve has
+    # found the unique root: no query needs a second solve.
+    for m, p in _fuzz_queries():
+        report = invert_ellip_e(EllipticQuery(m, p))
+        assert report.converged, (m, p)
+        assert report.evaluations == report.iterations + 1, (m, p)
+        assert not any(n.startswith("retry=") for n in report.notes), (m, p)
+        round_trip = ellip_e_inc(report.root, m) / ellip_e_complete(m)
+        assert abs(round_trip - p) <= 1e-13, (m, p)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from snm.core import Method, SolveOptions, solve
+from snm.core import Method, SnmError, SolveOptions, solve
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
@@ -201,6 +201,13 @@ def test_extreme_ranges_converge():
             else:
                 # Quantile below the smallest positive double.
                 assert "root-underflow" in report.notes
+
+
+def test_kernel_budget_exhaustion_is_typed():
+    # The continued fraction's term cap covers a up to about 1e7; beyond
+    # it the query must still end in a typed SnmError.
+    with pytest.raises(SnmError):
+        invert_gamma(GammaQuantileQuery(1e8, 0.3))
 
 
 def test_log_variable_extreme_z_reports_vanished_derivative():

@@ -24,7 +24,7 @@ from snm.core import (
     tan_problem,
 )
 from snm.beta import BetaQuantileQuery, beta_plan, invert_beta
-from snm.elliptic import EllipticQuery, ellip_start_high, elliptic_plan, invert_ellip_e
+from snm.elliptic import EllipticQuery, elliptic_plan, invert_ellip_e
 from snm.gamma import GammaDirectProblem, GammaQuantileQuery
 
 
@@ -147,8 +147,6 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
-        SolveOptions(series_threshold=1.5)
-    with pytest.raises(ValueError):
         Interval(2.0, 1.0)
 
 
@@ -241,18 +239,17 @@ def test_evaluations_count_every_evaluate_call():
 
 
 def test_evaluations_include_discarded_elliptic_solve():
-    # m = 0.81, p = 0.7: the low start fails the monotone-steps check
-    # and the high start is retried; both solves count.
+    # Two iterations are too few from the low start at m = 0.81, p = 0.7,
+    # so the bisection-seeded solve runs; both solves count.
+    opts = SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)
     query = EllipticQuery(0.81, 0.7)
-    report = invert_ellip_e(query)
-    assert "retry=alternate" in report.notes
+    report = invert_ellip_e(query, opts)
+    assert report.converged
+    assert report.notes == ("start=low", "retry=bisection-seed")
     plan = elliptic_plan(query)
-    assert plan.start == "low"
-    first = solve(plan.problem, plan.x0, QUANTILE_OPTIONS)
-    retry = solve(plan.problem, ellip_start_high(0.81, 0.7), QUANTILE_OPTIONS)
-    assert report.trace == retry.trace
-    assert report.evaluations == first.evaluations + retry.evaluations
-    assert report.evaluations > report.iterations + 1
+    first = solve(plan.problem, plan.x0, opts)
+    assert not first.converged
+    assert report.evaluations == first.evaluations + report.iterations + 1
 
 
 def test_evaluations_include_discarded_beta_solve():

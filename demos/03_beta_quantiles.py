@@ -1,17 +1,19 @@
-"""Beta-distribution quantiles: the cubic start and the logit path.
+"""Beta-distribution quantiles: the asymptotic start and the logit path.
 
-For a, b > 1 the iteration runs in x from the unique maximum of Omega
-(the root of a cubic); otherwise it moves to z = log(x/(1-x)) where
-Omega is negative for every shape pair, flipping the problem through
-I_x(a,b) = 1 - I_(1-x)(b,a) whenever that yields the monotone-Omega
-configuration.
+For a, b > 1 the iteration runs in x, where Omega has a unique maximum
+(the root of a cubic, ``beta_xm``); it starts at the asymptotic quantile
+of Abramowitz & Stegun 26.5.22, raised where needed to the lower bound
+of the root from I_x(a, b) <= x^a / (a B(a, b)).  Otherwise it moves to
+z = log(x/(1-x)) where Omega is negative for every shape pair, flipping
+the problem through I_x(a,b) = 1 - I_(1-x)(b,a) whenever that yields the
+monotone-Omega configuration.
 """
 
 from snm import BetaQuantileQuery, beta_plan, beta_xm, invert_beta, reg_beta
 
 
 def main() -> None:
-    print("= Shapes above one: start at the Omega maximum (cubic root)")
+    print("= Shapes above one: the Omega maximum (cubic root) and the A&S start")
     a, b, p = 2.0, 3.0, 0.3
     print(f"  beta_xm(2, 3) = {beta_xm(a, b):.15f}")
     report = invert_beta(BetaQuantileQuery(a, b, p))

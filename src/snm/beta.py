@@ -1,8 +1,11 @@
 """Beta-distribution quantiles by the Schwarzian-Newton iteration.
 
-Inverts I_x(a, b) = p.  For a, b > 1 the iteration runs in x directly:
-Omega is negative on (0, 1) and has a single interior maximum, located at
-the unique (0,1)-root of a cubic, which serves as the starting value.
+Inverts I_x(a, b) = p.  For a, b > 1 the iteration runs in x directly,
+where Omega is negative on (0, 1) with a single interior maximum (the
+unique (0,1)-root of a cubic, ``beta_xm``).  After the symmetry flip
+that makes p <= 1/2, it starts at the asymptotic quantile of
+Abramowitz & Stegun 26.5.22, raised where needed to the lower bound of
+the root that I_x(a, b) <= x^a / (a B(a, b)) gives for b >= 1.
 Otherwise the problem moves to the logit variable z = log(x/(1-x)),
 where Omega is negative for all shapes; the solver starts on the
 monotone side of Omega, applying the symmetry
@@ -25,12 +28,15 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
+    StopReason,
     solve,
 )
-from .special import _reg_beta, ln_beta
+from .special import _normal_quantile, _reg_beta, ln_beta
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
+# The smallest positive double.
+_X_MIN = 5e-324
 
 
 class BetaVariable(Enum):
@@ -236,11 +242,42 @@ class BetaPlan(NamedTuple):
         return _logit(x) if self.variable is BetaVariable.LOGIT else x
 
 
+def _log_lower_bound(query: BetaQuantileQuery, ln_b: float) -> float:
+    """log x of the root of x^a / (a B(a, b)) = p.
+
+    That power bounds I_x(a, b) from above for b >= 1, so this x never
+    exceeds the root; for b < 1 it is only a heuristic start.
+    """
+    return (math.log(query.p) + math.log(query.a) + ln_b) / query.a
+
+
 def _logit_lower_bound_start(query: BetaQuantileQuery, ln_b: float) -> float:
-    # x^a/(a B(a,b)) bounds I_x from above for b >= 1, so this x never
-    # exceeds the root; heuristic (but capped at 1/2) when b < 1.
-    log_x = (math.log(query.p) + math.log(query.a) + ln_b) / query.a
-    return _logit(min(0.5, math.exp(min(log_x, 0.0))))
+    # Capped at x = 1/2 for b < 1, where the bound is only a heuristic.
+    log_x = _log_lower_bound(query, ln_b)
+    x = math.exp(min(log_x, 0.0))
+    if x == 0.0:
+        # x underflows; its logit is log x to double precision.
+        return log_x
+    return _logit(min(0.5, x))
+
+
+def _asymptotic_start(query: BetaQuantileQuery, ln_b: float) -> float:
+    """A&S 26.5.22 quantile for a, b > 1, never below the root's lower bound.
+
+    Deep in the lower tail the normal approximation can fall far below
+    the root, where f is flat; the bound of ``_log_lower_bound`` is then
+    the better start.  Returns 1.0 if the approximation rounds to the
+    right end of the interval.
+    """
+    a, b = query.a, query.b
+    y = _normal_quantile(query.q, query.p)  # upper-tail quantile: Q(y) = p
+    lam = (y * y - 3.0) / 6.0
+    ra = 1.0 / (2.0 * a - 1.0)
+    rb = 1.0 / (2.0 * b - 1.0)
+    h = 2.0 / (ra + rb)
+    w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+    return max(x, math.exp(_log_lower_bound(query, ln_b)))
 
 
 def beta_plan(query: BetaQuantileQuery,
@@ -273,7 +310,9 @@ def beta_plan(query: BetaQuantileQuery,
         flipped = False
     if flipped:
         a, b, p, q = b, a, q, p
-        work = BetaQuantileQuery(a, b, p, q)
+        # The values were validated with the query; skip its __init__.
+        work = object.__new__(BetaQuantileQuery)
+        vars(work).update(a=a, b=b, p=p, q=q)
         notes.append("flip=symmetry")
     else:
         work = query
@@ -284,8 +323,12 @@ def beta_plan(query: BetaQuantileQuery,
     if variable is BetaVariable.DIRECT:
         if not (a > 1.0 and b > 1.0):
             raise ValueError("direct variable requires a > 1 and b > 1")
-        x0 = beta_xm(a, b)
-        notes.append("start=omega-max")
+        x0 = _asymptotic_start(work, ln_b)
+        if x0 < 1.0:
+            notes.append("start=asymptotic")
+        else:
+            x0 = beta_xm(a, b)
+            notes.append("start=omega-max")
         return BetaPlan(BetaDirectProblem(work, ln_b), x0, variable, flipped, work,
                         tuple(notes))
 
@@ -341,19 +384,28 @@ def invert_beta(query: BetaQuantileQuery,
 
     Falls back to a bisection-seeded retry if the planned start fails to
     converge; the report notes record flip, start and path, and its
-    evaluation count includes both solves.
+    evaluation count includes both solves.  A root below the smallest
+    positive double (tiny shapes) is reported as converged at 0, or at 1
+    after a symmetry flip, with the note "root-underflow".
     """
     if opts is None:
         opts = QUANTILE_OPTIONS
     plan = beta_plan(query, variable)
-    report = solve(plan.problem, plan.x0, opts)
     notes = plan.notes
+    work, ln_b = plan.query, plan.problem.ln_b
+    if (plan.variable is BetaVariable.LOGIT and _sigmoid(plan.x0) == 0.0
+            and _reg_beta(_X_MIN, work.a, work.b, ln_b) >= work.p):
+        # The start's x underflows, and I_x reaches p already at the
+        # smallest double, so the root lies below it as well.
+        return SolveReport(plan.to_x(plan.x0), 0, (), True, StopReason.RESIDUAL_TOL,
+                           notes + ("root-underflow",))
+    report = solve(plan.problem, plan.x0, opts)
     discarded = 0
 
     if not report.converged:
         # Re-seed from a logit-space bisection (expanding bracket copes
         # with quantiles at extreme |z| for tiny shapes), then retry.
-        z_seed = _logit_bisect_seed(plan.query, plan.problem.ln_b)
+        z_seed = _logit_bisect_seed(work, ln_b)
         x0 = z_seed if plan.variable is BetaVariable.LOGIT else _sigmoid(z_seed)
         retry = solve(plan.problem, x0, opts)
         if retry.converged:

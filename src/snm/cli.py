@@ -169,7 +169,7 @@ def _compare_setup(query) -> tuple:
         residual = lambda x: reg_beta(x, query.a, query.b) - query.p
         return beta_plan(query), residual, (1e-12, 1.0 - 1e-12)
     plan = elliptic_plan(query)
-    residual = lambda x: ellip_e_inc(x, query.m) - query.p * plan.problem.complete
+    residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
     return plan, residual, (0.0, math.pi / 2)
 
 
@@ -247,7 +247,7 @@ def _osculate_problem(parser, args) -> tuple[Problem, float]:
         problem = EllipticProblem(query)
     except ValueError as exc:
         parser.error(str(exc))
-    return problem, query.p * problem.complete
+    return problem, problem.target
 
 
 def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -178,7 +178,12 @@ class Problem(ABC):
     construction (safe for concurrent use).  ``evaluate`` is only
     required for points strictly inside ``domain()`` unless the concrete
     problem supports endpoint evaluation.
+
+    ``residual_scale`` sets the size of |f| that counts as small: the
+    residual stop of ``solve`` is |f| <= residual_tol * residual_scale.
     """
+
+    residual_scale: float = 1.0
 
     @abstractmethod
     def evaluate(self, x: float) -> ProblemEvaluation:
@@ -233,8 +238,8 @@ class SolveOptions:
     """Driver configuration.
 
     The stopping rule is |step| <= abs_tol + rel_tol * |x|, or
-    |f| <= residual_tol (disabled at the default 0, where only an exact
-    zero triggers it), or max_iter.
+    |f| <= residual_tol * problem.residual_scale (disabled at the default
+    0, where only an exact zero triggers it), or max_iter.
     """
 
     abs_tol: float = 1e-15
@@ -483,6 +488,7 @@ def solve(problem: Problem, x0: float,
     x = x0
     trace: list[IterationRecord] = []
     evaluations = 0
+    residual_tol = opts.residual_tol * problem.residual_scale
 
     while True:
         evaluations += 1
@@ -491,7 +497,7 @@ def solve(problem: Problem, x0: float,
         except DerivativeVanishedError:
             return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
 
-        if abs(e.f) <= opts.residual_tol:
+        if abs(e.f) <= residual_tol:
             return _report(x, trace, True, StopReason.RESIDUAL_TOL, evaluations)
 
         fallback = False

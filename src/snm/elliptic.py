@@ -142,7 +142,12 @@ def _start_high(m: float, p: float, complete: float) -> float:
 
 
 class EllipticProblem(Problem):
-    """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2]."""
+    """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
+
+    The residual stop is relative to the target p E(1, m): an absolute
+    stop would accept x ~ p E(1, m) unrefined once the target itself is
+    below the tolerance (m near 1, small p).
+    """
 
     def __init__(self, query: EllipticQuery) -> None:
         if not 0.0 < query.m < 1.0:
@@ -150,6 +155,7 @@ class EllipticProblem(Problem):
                              "and m = 1 endpoints invert in closed form")
         self.query = query
         self.complete = ellip_e_complete(query.m)
+        self.target = self.residual_scale = query.p * self.complete
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         if not 0.0 <= x <= math.pi / 2:
@@ -161,7 +167,7 @@ class EllipticProblem(Problem):
         w = 1.0 - (m * s) * (m * s)
         return ProblemEvaluation.build(
             x=x,
-            f=_ellip_e(m, s, c2, w) - self.query.p * self.complete,
+            f=_ellip_e(m, s, c2, w) - self.target,
             fp=math.sqrt(w),
             big_b=m * m * s * c / w,
             omega=_ellip_omega(m, c2, w),
@@ -249,7 +255,7 @@ def invert_ellip_e(query: EllipticQuery,
     if report.converged:
         return report.with_root(report.root, f"start={label}")
 
-    target = p * problem.complete
+    target = problem.target
     seed = bisect_root(lambda x: ellip_e_inc(x, m) - target,
                        0.0, math.pi / 2, tol=1e-3, max_iter=10)
     final = solve(problem, seed, opts)

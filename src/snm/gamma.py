@@ -1,11 +1,14 @@
 """Gamma-distribution quantiles by the Schwarzian-Newton iteration.
 
 Inverts P(a, x) = p (lower tail) or Q(a, x) = q (upper tail).  For
-a >= 1 the iteration runs in x directly: Omega is negative on (0, inf)
-with a single maximum at x = a + 1, so starting there gives monotone
-convergence.  For a < 1 the problem is transformed to z = log x, where
-Omega stays negative for every a > 0 and is strictly decreasing, and the
-start is a guaranteed lower bound of the root.
+a >= 1 the iteration runs in x directly, where Omega is negative on
+(0, inf) with a single maximum at x = a + 1.  It starts at the
+Wilson-Hilferty approximation of the quantile, raised where needed to
+the lower bound of the root that P(a, x) <= x^a / Gamma(a+1) gives, so
+a start far out in the lower tail cannot land where f is flat.  For
+a < 1 the problem is transformed to z = log x, where Omega stays
+negative for every a > 0 and is strictly decreasing, and the start is
+that same lower bound of the root.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .core import (
     SolveReport,
     solve,
 )
-from .special import _gamma_density, _reg_gamma, ln_gamma
+from .special import _gamma_density, _normal_quantile, _reg_gamma, ln_gamma
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -181,16 +184,33 @@ class GammaPlan(NamedTuple):
         return math.log(x) if self.variable is GammaVariable.LOG else x
 
 
-def gamma_start(query: GammaQuantileQuery) -> GammaPlan:
-    """Standard plan: (Direct, a+1) for a >= 1, else (Log, z0).
+def _wilson_hilferty_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
+    """Wilson-Hilferty quantile (A&S 26.4.17), never below the root's lower bound.
 
-    a + 1 is the maximum of Omega, from which convergence is monotone.
+    P(a, x) <= x^a / Gamma(a+1) puts the root at or above
+    (p Gamma(a+1))^(1/a); the cube root of the normal approximation can
+    fall far below it (or below 0) in the lower tail at small a.
+    """
+    a = query.a
+    y = _normal_quantile(query.p, query.q)
+    c = 1.0 - 1.0 / (9.0 * a) + y / (3.0 * math.sqrt(a))
+    lower = math.exp((math.log(query.p) + ln_gamma_a + math.log(a)) / a)
+    return max(a * c * c * c, lower)
+
+
+def gamma_start(query: GammaQuantileQuery) -> GammaPlan:
+    """Standard plan: (Direct, Wilson-Hilferty start) for a >= 1, else (Log, z0).
+
+    For a >= 1 the start is ``_wilson_hilferty_start``: close to the root
+    across both tails, so the direct iteration needs about two steps.
     For a < 1, z0 = (log p + log Gamma(a+1)) / a comes from the bound
     P(a, x) <= x^a / Gamma(a+1), so e^z0 never exceeds the root and the
     iterates increase monotonically toward it.
     """
     if query.a >= 1.0:
-        return GammaPlan(GammaDirectProblem(query), GammaVariable.DIRECT, query.a + 1.0)
+        problem = GammaDirectProblem(query)
+        x0 = _wilson_hilferty_start(query, problem.ln_gamma_a)
+        return GammaPlan(problem, GammaVariable.DIRECT, x0)
     problem = GammaLogProblem(query)
     z0 = (math.log(query.p) + problem.ln_gamma_a1) / query.a
     return GammaPlan(problem, GammaVariable.LOG, z0)

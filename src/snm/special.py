@@ -338,6 +338,21 @@ def _reg_beta(x: float, a: float, b: float, ln_b: float) -> float:
     return 1.0 - math.exp(_beta_exponent(b, a, 1.0 - x, ln_b)) * _beta_cf(b, a, 1.0 - x) / b
 
 
+def _normal_quantile(p: float, q: float) -> float:
+    """Standard normal quantile Phi^-1(p), q = 1 - p, to |error| < 4.5e-4.
+
+    The rational approximation of Abramowitz & Stegun 26.2.23, taken from
+    the smaller tail, so it is odd in p - 1/2 and exactly 0 at p = q.
+    Only good enough to seed the quantile solvers.
+    """
+    if p == q:
+        return 0.0
+    t = math.sqrt(-2.0 * math.log(min(p, q)))
+    y = t - ((2.515517 + t * (0.802853 + t * 0.010328))
+             / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))))
+    return -y if p < q else y
+
+
 # Relative error targets for the Carlson duplication loops; the series
 # truncation error scales like r, far below the 1e-13 contract.
 _CARLSON_R = 1e-16

@@ -235,6 +235,38 @@ def test_logit_omega_monotone_between_start_and_root():
             assert all(v1 >= v2 for v1, v2 in zip(vals, vals[1:])), (a, b, p)
 
 
+def test_flipped_query_equals_validated_mirror():
+    # The flip builds its working query without re-validation; it must be
+    # the same query the validating constructor gives.
+    for query in (BetaQuantileQuery(2.0, 3.0, 0.8), BetaQuantileQuery(3.0, 0.5, 0.2),
+                  BetaQuantileQuery(0.3, 0.7, 0.9, 0.1 - 1e-17)):
+        plan = beta_plan(query)
+        assert plan.flipped
+        mirror = BetaQuantileQuery(query.b, query.a, query.q, query.p)
+        assert type(plan.query) is BetaQuantileQuery
+        assert plan.query == mirror and hash(plan.query) == hash(mirror)
+        assert repr(plan.query) == repr(mirror)
+
+
+@pytest.mark.parametrize("a, b, p, root", [
+    (1e-4, 1e-4, 0.3, 0.0),
+    (1e-3, 0.5, 0.2, 0.0),
+    (0.5, 1e-3, 0.9, 1.0),  # flipped: 1 - x rounds to 1
+])
+def test_tiny_shapes_end_in_root_underflow(a, b, p, root):
+    # The root x ~ exp(-1600) or below is not representable: the solver
+    # reports the nearest double, converged, as gamma's log path does.
+    report = invert_beta(BetaQuantileQuery(a, b, p))
+    assert report.converged
+    assert report.root == root
+    assert "root-underflow" in report.notes
+    # The inverted tail is reached already at the smallest positive double.
+    if root == 0.0:
+        assert reg_beta(5e-324, a, b) >= p
+    else:
+        assert reg_beta(5e-324, b, a) >= 1.0 - p
+
+
 def test_flip_rules():
     # a <= 1 <= b keeps the decreasing configuration even for p > 1/2.
     plan = beta_plan(BetaQuantileQuery(0.5, 3.0, 0.8))

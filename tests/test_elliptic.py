@@ -244,3 +244,26 @@ def test_every_query_converges_in_one_solve():
         assert not any(n.startswith("retry=") for n in report.notes), (m, p)
         round_trip = ellip_e_inc(report.root, m) / ellip_e_complete(m)
         assert abs(round_trip - p) <= 1e-13, (m, p)
+
+
+def test_stop_is_relative_to_the_target():
+    # m near 1, small p: the target p E(1, m) ~ 3e-4 is below the absolute
+    # 1e-14 residual stop's scale, which used to accept the arcsin start
+    # unrefined (relative error 1.1e-11).  The stop scales with the target.
+    m, p = 0.9996858651919436, 0.000323509614793955
+    report = invert_ellip_e(EllipticQuery(m, p))
+    assert report.converged and report.iterations >= 1
+    target = p * ellip_e_complete(m)
+    assert EllipticProblem(EllipticQuery(m, p)).residual_scale == target
+    assert abs(ellip_e_inc(report.root, m) - target) <= 1e-13 * target
+
+
+def test_relative_stop_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    m, p = 0.9996858651919436, 0.000323509614793955
+    root = invert_ellip_e(EllipticQuery(m, p)).root
+    with mpmath.workdps(40):
+        m2 = mpmath.mpf(m) ** 2
+        target = mpmath.mpf(p) * mpmath.ellipe(m2)
+        exact = mpmath.findroot(lambda x: mpmath.ellipe(x, m2) - target, mpmath.mpf(root))
+        assert abs(root - exact) <= 1e-14 * exact

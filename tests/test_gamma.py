@@ -111,11 +111,30 @@ def test_log_problem_same_residual_as_direct():
 
 
 def test_gamma_start_policy():
-    plan = gamma_start(GammaQuantileQuery(30.0, 0.5))
-    assert (plan.variable, plan.x0) == (GammaVariable.DIRECT, 31.0)
-    assert isinstance(plan.problem, GammaDirectProblem)
-    plan = gamma_start(GammaQuantileQuery(1.0, 0.5))
-    assert (plan.variable, plan.x0) == (GammaVariable.DIRECT, 2.0)
+    # a >= 1: direct variable, started at the Wilson-Hilferty quantile, never
+    # below the lower bound (p Gamma(a+1))^(1/a) of the root, and below the
+    # Omega maximum a + 1 across the lower tail.
+    for a in (1.0, 1.5, 2.0, 6.582065866777457, 30.0, 1e4):
+        for p in (1e-15, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12):
+            plan = gamma_start(GammaQuantileQuery(a, p))
+            assert plan.variable is GammaVariable.DIRECT
+            assert isinstance(plan.problem, GammaDirectProblem)
+            ln_gamma_a1 = plan.problem.ln_gamma_a + math.log(a)
+            assert plan.x0 >= math.exp((math.log(p) + ln_gamma_a1) / a), (a, p)
+            if p <= 0.5:
+                assert plan.x0 <= a + 1.0, (a, p)
+    # Near the median the start is within a few parts in 1e4 of the root.
+    for a in (1.0, 2.0, 30.0):
+        plan = gamma_start(GammaQuantileQuery(a, 0.5))
+        root = invert_gamma(GammaQuantileQuery(a, 0.5)).root
+        assert abs(plan.x0 - root) <= 2e-2 * root, a
+    # Where the normal approximation falls far below the root the start is
+    # the bound itself, which f does not meet with a flat residual.
+    a, p = 6.582065866777457, 2.6020706234195834e-14
+    plan = gamma_start(GammaQuantileQuery(a, p))
+    assert plan.x0 == math.exp((math.log(p) + plan.problem.ln_gamma_a + math.log(a)) / a)
+    report = invert_gamma(GammaQuantileQuery(a, p))
+    assert report.converged and not any(r.fallback_used for r in report.trace)
     # a < 1: log variable, start below the root.
     a, p = 0.5, 0.1
     plan = gamma_start(GammaQuantileQuery(a, p))

@@ -1,8 +1,10 @@
 """Prepared plans: fused evaluations match the public kernels bit for bit,
-and per-query constants are computed once per query."""
+per-query constants are computed once per query, and the direct-variable
+starts are close enough that the solves need no fallback."""
 
 import functools
 import math
+import random
 import sys
 
 import pytest
@@ -17,9 +19,16 @@ from snm.beta import (
     beta_b,
     beta_omega,
     beta_omega_logit,
+    beta_plan,
     invert_beta,
 )
-from snm.core import RESIDUAL_NOISE_FLOOR, DerivativeVanishedError, SolveOptions
+from snm.core import (
+    QUANTILE_OPTIONS,
+    RESIDUAL_NOISE_FLOOR,
+    DerivativeVanishedError,
+    SolveOptions,
+    solve,
+)
 from snm.elliptic import EllipticProblem, EllipticQuery, ellip_omega, invert_ellip_e
 from snm.gamma import (
     GammaDirectProblem,
@@ -28,6 +37,7 @@ from snm.gamma import (
     gamma_b,
     gamma_omega,
     gamma_omega_log,
+    gamma_start,
     invert_gamma,
 )
 from snm.special import (
@@ -162,6 +172,7 @@ BETA_CASES = (
     (BetaQuantileQuery(3.0, 0.5, 0.2), {}),
     (BetaQuantileQuery(0.3, 0.6, 0.4), {}),
     (BetaQuantileQuery(0.3, 0.6, 0.95), {}),
+    (BetaQuantileQuery(1e-4, 1e-4, 0.3), {}),
     (BetaQuantileQuery(3.0, 4.0, 0.3), {"variable": BetaVariable.LOGIT}),
     (BetaQuantileQuery(0.5, 3.0, 0.2),
      {"opts": SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)}),
@@ -203,3 +214,47 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
         notes.update(invert_ellip_e(query, **kwargs).notes)
         assert calls[0] == 1, (query, kwargs, calls[0])
     assert "retry=bisection-seed" in notes
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _tail_pair(rng):
+    """(p, q) with the smaller tail log-uniform in [1e-15, 0.5], on either side."""
+    t = _log_uniform(rng, 1e-15, 0.5)
+    return (t, 1.0 - t) if rng.random() < 0.5 else (1.0 - t, t)
+
+
+def _assert_quick_direct_solve(plan, report, query):
+    # The public report is the plan's one solve, mapped back to x.
+    working = solve(plan.problem, plan.x0, QUANTILE_OPTIONS)
+    assert report.root == plan.to_x(working.root), query
+    assert report.evaluations == working.evaluations, query
+    assert working.converged, query
+    assert not any(r.fallback_used for r in working.trace), query
+    assert working.evaluations <= 4, (query, working.evaluations)
+    # Round trip in the inverted tail, at the working root (mapping a
+    # flipped beta root back through 1 - x rounds it at ulp(1)): 1e-13,
+    # plus the residual change across the step tolerance, since a
+    # step-tolerance stop places the root only that closely.  Beta roots
+    # near x = 1 with a >> b need it: there |f'| reaches ~1e3.
+    e = plan.problem.evaluate(working.root)
+    step_tol = QUANTILE_OPTIONS.abs_tol + QUANTILE_OPTIONS.rel_tol * working.root
+    assert abs(e.f) <= 1e-13 + e.fp * step_tol, (query, e.f)
+
+
+def test_direct_starts_need_few_evaluations_and_no_fallback():
+    # Seeded fuzz over the direct-variable paths: the bound-clamped
+    # asymptotic starts converge in at most 3 steps across both tails.
+    rng = random.Random(5)
+    for _ in range(1000):
+        query = GammaQuantileQuery(_log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
+        _assert_quick_direct_solve(gamma_start(query), invert_gamma(query), query)
+    for _ in range(1000):
+        query = BetaQuantileQuery(_log_uniform(rng, 1.0, 1e4),
+                                  _log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
+        plan = beta_plan(query)
+        assert plan.variable is BetaVariable.DIRECT, query
+        assert plan.notes[-1] == "start=asymptotic", query
+        _assert_quick_direct_solve(plan, invert_beta(query), query)

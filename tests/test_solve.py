@@ -238,6 +238,19 @@ def test_evaluations_count_every_evaluate_call():
     assert halley.converged and halley.evaluations == halley.iterations + 1
 
 
+def test_residual_stop_scales_with_the_problem():
+    # The residual stop is |f| <= residual_tol * problem.residual_scale.
+    line = FunctionProblem(lambda x: x - 1.0, lambda x: 1.0, lambda x: 0.0,
+                           lambda x: 0.0, Interval(-math.inf, math.inf))
+    opts = SolveOptions(residual_tol=1e-6)
+    assert Problem.residual_scale == line.residual_scale == 1.0
+    loose = solve(line, 1.0 + 1e-9, opts)
+    assert (loose.reason, loose.evaluations) == (StopReason.RESIDUAL_TOL, 1)
+    line.residual_scale = 1e-6
+    tight = solve(line, 1.0 + 1e-9, opts)
+    assert tight.converged and tight.evaluations == 2 and tight.root == 1.0
+
+
 def test_evaluations_include_discarded_elliptic_solve():
     # Two iterations are too few from the low start at m = 0.81, p = 0.7,
     # so the bisection-seeded solve runs; both solves count.

@@ -43,7 +43,7 @@ def main() -> None:
     print(f"  one Halley step: {halley_step(e):+.6f}   (outside the interval!)")
 
     print()
-    print("= Full solves from x0 = 1.5 with domain safeguard")
+    print("= Full solves from x0 = 1.5 with the domain clamp")
     for method in (Method.SNM, Method.HALLEY, Method.NEWTON):
         report = solve(problem, 1.5, SolveOptions(method=method))
         print(f"  {method.value:7s} iterations={report.iterations:2d} "

@@ -10,7 +10,8 @@ Otherwise the problem moves to the logit variable z = log(x/(1-x)),
 where Omega is negative for all shapes; the solver starts on the
 monotone side of Omega, applying the symmetry
 I_x(a,b) = 1 - I_(1-x)(b,a) first when that puts Omega in its
-decreasing configuration (or when p > 1/2).
+decreasing configuration (or when p > 1/2).  Each query runs one solve
+from that start.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ from .special import _normal_quantile, _reg_beta, ln_beta
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
-# The smallest positive double.
+# The smallest positive double and the largest double below 1.
 _X_MIN = 5e-324
+_X_MAX = 1.0 - 2.0 ** -53
 
 
 class BetaVariable(Enum):
     DIRECT = "direct"
     LOGIT = "logit"
-    AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -266,8 +267,8 @@ def _asymptotic_start(query: BetaQuantileQuery, ln_b: float) -> float:
 
     Deep in the lower tail the normal approximation can fall far below
     the root, where f is flat; the bound of ``_log_lower_bound`` is then
-    the better start.  Returns 1.0 if the approximation rounds to the
-    right end of the interval.
+    the better start.  A start that rounds to 1 (a huge, b small) is
+    clamped to the largest double below 1, inside the open domain.
     """
     a, b = query.a, query.b
     y = _normal_quantile(query.q, query.p)  # upper-tail quantile: Q(y) = p
@@ -277,13 +278,14 @@ def _asymptotic_start(query: BetaQuantileQuery, ln_b: float) -> float:
     h = 2.0 / (ra + rb)
     w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
     x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
-    return max(x, math.exp(_log_lower_bound(query, ln_b)))
+    return min(max(x, math.exp(_log_lower_bound(query, ln_b))), _X_MAX)
 
 
-def beta_plan(query: BetaQuantileQuery,
-              variable: BetaVariable = BetaVariable.AUTO) -> BetaPlan:
+def beta_plan(query: BetaQuantileQuery) -> BetaPlan:
     """Choose variable, symmetry flip and starting point for a query.
 
+    a, b > 1 solve in x from ``_asymptotic_start``; every other shape
+    solves in the logit variable from the lower bound of the root.
     Flip rules: a, b > 1 and p > 1/2 flips for residual accuracy (the
     direct path is kept); a > 1 >= b flips so the logit Omega becomes
     decreasing; both shapes <= 1 flip only to keep p <= 1/2.  The
@@ -317,104 +319,35 @@ def beta_plan(query: BetaQuantileQuery,
     else:
         work = query
 
-    if variable is BetaVariable.AUTO:
-        variable = BetaVariable.DIRECT if direct_ok else BetaVariable.LOGIT
+    if direct_ok:
+        notes.append("start=asymptotic")
+        return BetaPlan(BetaDirectProblem(work, ln_b), _asymptotic_start(work, ln_b),
+                        BetaVariable.DIRECT, flipped, work, tuple(notes))
 
-    if variable is BetaVariable.DIRECT:
-        if not (a > 1.0 and b > 1.0):
-            raise ValueError("direct variable requires a > 1 and b > 1")
-        x0 = _asymptotic_start(work, ln_b)
-        if x0 < 1.0:
-            notes.append("start=asymptotic")
-        else:
-            x0 = beta_xm(a, b)
-            notes.append("start=omega-max")
-        return BetaPlan(BetaDirectProblem(work, ln_b), x0, variable, flipped, work,
-                        tuple(notes))
-
-    if a > 1.0 and b > 1.0:
-        # Logit requested explicitly: Omega has its max at (a-1)/(a+b-2).
-        x0 = _logit((a - 1.0) / (a + b - 2.0))
-        notes.append("start=omega-max")
-    else:
-        x0 = _logit_lower_bound_start(work, ln_b)
-        notes.append("start=lower-bound")
-        if a <= 1.0 and b <= 1.0 and not (a == 1.0 and b == 1.0):
-            notes.append("path=heuristic(a<=1,b<=1)")
-    return BetaPlan(BetaLogitProblem(work, ln_b), x0, variable, flipped, work,
-                    tuple(notes))
-
-
-def _logit_bisect_seed(query: BetaQuantileQuery, ln_b: float,
-                       tol_z: float = 1e-6) -> float:
-    """Bisection seed in the logit variable with an expanding bracket.
-
-    Works for arbitrarily small shapes, whose quantiles sit at |z| of
-    order 1/min(a, b); the residual saturates to -p / q at the caps, so
-    the bracket is always valid.
-    """
-    a, b, p = query.a, query.b, query.p
-
-    def g(z: float) -> float:
-        x = _sigmoid(z)
-        if x <= 0.0:
-            return -p
-        if x >= 1.0:
-            return query.q
-        return _reg_beta(x, a, b, ln_b) - p
-
-    zlo, zhi = -2.0, 2.0
-    while g(zlo) >= 0.0 and zlo > -800.0:
-        zlo *= 2.0
-    while g(zhi) <= 0.0 and zhi < 800.0:
-        zhi *= 2.0
-    while zhi - zlo > tol_z:
-        mid = 0.5 * (zlo + zhi)
-        if g(mid) > 0.0:
-            zhi = mid
-        else:
-            zlo = mid
-    return 0.5 * (zlo + zhi)
+    notes.append("start=lower-bound")
+    if a <= 1.0 and b <= 1.0 and not (a == 1.0 and b == 1.0):
+        notes.append("path=heuristic(a<=1,b<=1)")
+    return BetaPlan(BetaLogitProblem(work, ln_b), _logit_lower_bound_start(work, ln_b),
+                    BetaVariable.LOGIT, flipped, work, tuple(notes))
 
 
 def invert_beta(query: BetaQuantileQuery,
-                opts: Optional[SolveOptions] = None,
-                variable: BetaVariable = BetaVariable.AUTO) -> SolveReport:
-    """Solve I_x(a, b) = p for x in (0, 1).
+                opts: Optional[SolveOptions] = None) -> SolveReport:
+    """Solve I_x(a, b) = p for x in (0, 1): one solve from the ``beta_plan``.
 
-    Falls back to a bisection-seeded retry if the planned start fails to
-    converge; the report notes record flip, start and path, and its
-    evaluation count includes both solves.  A root below the smallest
-    positive double (tiny shapes) is reported as converged at 0, or at 1
-    after a symmetry flip, with the note "root-underflow".
+    The report notes record flip, start and path.  A root below the
+    smallest positive double (tiny shapes) is reported as converged at 0,
+    or at 1 after a symmetry flip, with the note "root-underflow".
     """
     if opts is None:
         opts = QUANTILE_OPTIONS
-    plan = beta_plan(query, variable)
-    notes = plan.notes
-    work, ln_b = plan.query, plan.problem.ln_b
+    plan = beta_plan(query)
+    work = plan.query
     if (plan.variable is BetaVariable.LOGIT and _sigmoid(plan.x0) == 0.0
-            and _reg_beta(_X_MIN, work.a, work.b, ln_b) >= work.p):
+            and _reg_beta(_X_MIN, work.a, work.b, plan.problem.ln_b) >= work.p):
         # The start's x underflows, and I_x reaches p already at the
         # smallest double, so the root lies below it as well.
         return SolveReport(plan.to_x(plan.x0), 0, (), True, StopReason.RESIDUAL_TOL,
-                           notes + ("root-underflow",))
+                           plan.notes + ("root-underflow",))
     report = solve(plan.problem, plan.x0, opts)
-    discarded = 0
-
-    if not report.converged:
-        # Re-seed from a logit-space bisection (expanding bracket copes
-        # with quantiles at extreme |z| for tiny shapes), then retry.
-        z_seed = _logit_bisect_seed(work, ln_b)
-        x0 = z_seed if plan.variable is BetaVariable.LOGIT else _sigmoid(z_seed)
-        retry = solve(plan.problem, x0, opts)
-        if retry.converged:
-            discarded, report = report.evaluations, retry
-            notes = notes + ("retry=bisection-seed",)
-        else:
-            discarded = retry.evaluations
-
-    report = report.with_root(plan.to_x(report.root), *notes)
-    if discarded:
-        report = report._replace(evaluations=report.evaluations + discarded)
-    return report
+    return report.with_root(plan.to_x(report.root), *plan.notes)

@@ -22,12 +22,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .beta import BetaQuantileQuery, beta_plan, invert_beta
+from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
-    RESIDUAL_NOISE_FLOOR,
+    QUANTILE_OPTIONS,
     Method,
     OsculatingModel,
     PoleError,
@@ -40,7 +40,7 @@ from .core import (
     tan_problem,
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
-from .gamma import GammaQuantileQuery, GammaVariable, gamma_problem, gamma_start, invert_gamma
+from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
 from .special import bisect_root, ellip_e_inc, reg_beta, reg_gamma_p
 
 TABLE_DIGITS = 12
@@ -51,13 +51,10 @@ def _fmt(v: float, digits: int) -> str:
     return f"{v:.{digits}g}"
 
 
-def _build_options(args: argparse.Namespace) -> SolveOptions:
-    return SolveOptions(
-        abs_tol=args.tol,
-        residual_tol=RESIDUAL_NOISE_FLOOR,
-        max_iter=args.max_iter,
-        method=Method(args.method),
-    )
+def _build_options(args: argparse.Namespace, method: str) -> SolveOptions:
+    """The library's quantile options with the command's tolerance, cap and method."""
+    return replace(QUANTILE_OPTIONS, abs_tol=args.tol, max_iter=args.max_iter,
+                   method=Method(method))
 
 
 def _require(parser: argparse.ArgumentParser, args: argparse.Namespace,
@@ -93,7 +90,7 @@ def _trace_rows(report: SolveReport) -> list[dict]:
 
 def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     query = _validated_query(parser, args)
-    opts = _build_options(args)
+    opts = _build_options(args, args.method)
     if args.problem == "gamma":
         report = invert_gamma(query, opts)
     elif args.problem == "beta":
@@ -190,9 +187,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     rows = []
     failed = False
     for name in methods:
-        opts = SolveOptions(abs_tol=args.tol, residual_tol=RESIDUAL_NOISE_FLOOR,
-                            max_iter=args.max_iter, method=Method(name))
-        report = solve(plan.problem, x0, opts)
+        report = solve(plan.problem, x0, _build_options(args, name))
         failed = failed or not report.converged
         iterates = [plan.to_x(r.x + r.step) for r in report.trace]
         rows.append(CompareRow(
@@ -239,9 +234,8 @@ def _osculate_problem(parser, args) -> tuple[Problem, float]:
         return tan_problem(), 0.0
     query = _validated_query(parser, args)
     if args.problem == "gamma":
-        return gamma_problem(query, GammaVariable.DIRECT), query.p
+        return GammaDirectProblem(query), query.p
     if args.problem == "beta":
-        from .beta import BetaDirectProblem
         return BetaDirectProblem(query), query.p
     try:
         problem = EllipticProblem(query)

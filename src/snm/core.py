@@ -89,11 +89,6 @@ class StopReason(str, Enum):
     DOMAIN_EXIT = "DomainExit"
 
 
-class Safeguard(str, Enum):
-    CLAMP_TO_DOMAIN = "clamp"
-    FAIL = "fail"
-
-
 @dataclass(frozen=True)
 class Interval:
     """Solver domain with open/closed endpoint semantics.
@@ -247,7 +242,6 @@ class SolveOptions:
     residual_tol: float = 0.0
     max_iter: int = 30
     method: Method = Method.SNM
-    safeguard: Safeguard = Safeguard.CLAMP_TO_DOMAIN
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -279,8 +273,7 @@ class IterationRecord(NamedTuple):
 class SolveReport(NamedTuple):
     """Result of a solve call; converged iff reason is a tolerance stop.
 
-    ``evaluations`` counts the ``Problem.evaluate`` calls made, including
-    those of solves an application solver ran and then discarded.
+    ``evaluations`` counts the ``Problem.evaluate`` calls made.
     """
 
     root: float
@@ -475,7 +468,8 @@ def solve(problem: Problem, x0: float,
     An undefined SNM step (hyperbolic branch out of range) is replaced by
     one Halley step and flagged in the trace.  A step leaving the domain
     is clamped to the midpoint between the current iterate and the
-    violated endpoint (or fails, per ``opts.safeguard``).
+    violated endpoint; a step to NaN, or past an infinite endpoint, ends
+    the solve with ``DOMAIN_EXIT``.
     ``evaluations`` counts every ``problem.evaluate`` call, so a converged
     solve reports at least ``iterations + 1``.
     """
@@ -514,10 +508,8 @@ def solve(problem: Problem, x0: float,
         x_next = x + step
 
         if not (math.isfinite(x_next) and dom.contains(x_next)):
-            if opts.safeguard is Safeguard.FAIL or math.isnan(x_next):
-                return _report(x, trace, False, StopReason.DOMAIN_EXIT, evaluations)
             endpoint = dom.hi if x_next > x else dom.lo
-            if not math.isfinite(endpoint):
+            if math.isnan(x_next) or not math.isfinite(endpoint):
                 return _report(x, trace, False, StopReason.DOMAIN_EXIT, evaluations)
             x_next = 0.5 * (x + endpoint)
             step = x_next - x

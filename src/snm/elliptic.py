@@ -11,8 +11,7 @@ one-step-from-pi/2 value g(pi/2) gives monotone convergence; for larger
 m, Omega dips to an interior minimum at x_e and the better of the two
 endpoint values g(0), g(pi/2) is chosen heuristically.  The residual is
 strictly increasing on [0, pi/2], so its root is unique and any converged
-solve has found it; only a solve that does not converge is re-seeded by
-bisection.
+solve has found it: each query runs one solve.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .core import (
     StopReason,
     solve,
 )
-from .special import _ellip_e, bisect_root, ellip_e_complete, ellip_e_inc
+from .special import _ellip_e, ellip_e_complete
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
@@ -235,30 +234,16 @@ def invert_ellip_e(query: EllipticQuery,
     """Solve E(sin x, m) = p E(1, m) for the amplitude x.
 
     m = 0 (f linear) and m = 1 (f = sin x - p) invert in closed form.
-    Otherwise the SNM runs from the heuristic start, and a converged solve
-    is accepted as is.  A solve that does not converge is run again from a
-    10-step bisection seed.  The notes record which start was used, and
-    the evaluation count includes that of a discarded solve.
+    Otherwise the SNM runs once from the heuristic start of
+    ``elliptic_plan``; the note records which start was used.
     """
     m, p = query.m, query.p
     if m == 0.0:
         return _closed_form_report(p * math.pi / 2, "closed-form=linear")
     if m == 1.0:
         return _closed_form_report(math.asin(p), "closed-form=arcsin")
-
-    plan = elliptic_plan(query)
-    problem, label = plan.problem, plan.start
     if opts is None:
         opts = QUANTILE_OPTIONS
-
-    report = solve(problem, plan.x0, opts)
-    if report.converged:
-        return report.with_root(report.root, f"start={label}")
-
-    target = problem.target
-    seed = bisect_root(lambda x: ellip_e_inc(x, m) - target,
-                       0.0, math.pi / 2, tol=1e-3, max_iter=10)
-    final = solve(problem, seed, opts)
-    return final._replace(
-        notes=final.notes + (f"start={label}", "retry=bisection-seed"),
-        evaluations=report.evaluations + final.evaluations)
+    plan = elliptic_plan(query)
+    report = solve(plan.problem, plan.x0, opts)
+    return report.with_root(report.root, f"start={plan.start}")

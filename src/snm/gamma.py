@@ -8,7 +8,8 @@ the lower bound of the root that P(a, x) <= x^a / Gamma(a+1) gives, so
 a start far out in the lower tail cannot land where f is flat.  For
 a < 1 the problem is transformed to z = log x, where Omega stays
 negative for every a > 0 and is strictly decreasing, and the start is
-that same lower bound of the root.
+that same lower bound of the root.  Each query runs one solve from its
+start.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .core import (
     QUANTILE_OPTIONS,
@@ -159,14 +160,6 @@ class GammaLogProblem(Problem):
         return _REAL_LINE
 
 
-def gamma_problem(query: GammaQuantileQuery,
-                  variable: GammaVariable = GammaVariable.DIRECT) -> Problem:
-    """Build the inversion problem in the requested variable."""
-    if variable is GammaVariable.DIRECT:
-        return GammaDirectProblem(query)
-    return GammaLogProblem(query)
-
-
 class GammaPlan(NamedTuple):
     """Prepared problem, its variable and the start x0 in that variable.
 
@@ -217,30 +210,16 @@ def gamma_start(query: GammaQuantileQuery) -> GammaPlan:
 
 
 def invert_gamma(query: GammaQuantileQuery,
-                 opts: Optional[SolveOptions] = None,
-                 start: Union[str, float] = "auto") -> SolveReport:
-    """Solve P(a, x) = p for x.
+                 opts: Optional[SolveOptions] = None) -> SolveReport:
+    """Solve P(a, x) = p for x: one solve from the ``gamma_start`` plan.
 
-    ``start`` may be "auto" (standard policy above), "inflection" (x0 =
-    a - 1, only meaningful for a > 1), or a number interpreted in the x
-    variable.  Roots found in the log variable are mapped back with
-    x = e^z before reporting; the trace stays in the solver variable.
+    Roots found in the log variable are mapped back with x = e^z before
+    reporting; the trace stays in the solver variable.
     """
-    plan = gamma_start(query)
-    x0 = plan.x0
-    if start == "inflection":
-        if not query.a > 1.0:
-            raise ValueError("inflection start requires a > 1")
-        x0 = query.a - 1.0  # a > 1, so the plan is in the direct variable
-    elif start != "auto":
-        x_user = float(start)
-        if not x_user > 0.0:
-            raise ValueError(f"start must be positive, got {x_user}")
-        x0 = plan.from_x(x_user)
-
     if opts is None:
         opts = QUANTILE_OPTIONS
-    report = solve(plan.problem, x0, opts)
+    plan = gamma_start(query)
+    report = solve(plan.problem, plan.x0, opts)
     root = plan.to_x(report.root)
     if plan.variable is GammaVariable.LOG:
         if root == 0.0:

@@ -8,6 +8,7 @@ import pytest
 
 from snm.beta import (
     BetaDirectProblem,
+    BetaLogitProblem,
     BetaQuantileQuery,
     BetaVariable,
     beta_b,
@@ -17,6 +18,7 @@ from snm.beta import (
     beta_xm,
     beta_xm_coefficients,
     invert_beta,
+    _logit,
     _sigmoid,
 )
 from snm.core import Method, RESIDUAL_NOISE_FLOOR, SolveOptions, solve
@@ -164,12 +166,9 @@ def _work_residual(query: BetaQuantileQuery) -> float:
     plan = beta_plan(query)
     report = solve(plan.problem, plan.x0,
                    SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR))
-    if not report.converged:
-        report = invert_beta(query)  # exercises the bisection retry
-        x_work = 1.0 - report.root if plan.flipped else report.root
-    else:
-        x_work = (_sigmoid(report.root)
-                  if plan.variable is BetaVariable.LOGIT else report.root)
+    assert report.converged, (query, report.reason)
+    x_work = (_sigmoid(report.root)
+              if plan.variable is BetaVariable.LOGIT else report.root)
     w = plan.query
     return abs(reg_beta(x_work, w.a, w.b) - w.p)
 
@@ -280,12 +279,23 @@ def test_flip_rules():
 
 
 def test_explicit_logit_variable_for_large_shapes():
-    report = invert_beta(BetaQuantileQuery(3.0, 4.0, 0.3),
-                         variable=BetaVariable.LOGIT)
+    # The logit problem also serves a, b > 1, from the Omega maximum.
+    a, b = 3.0, 4.0
+    report = solve(BetaLogitProblem(BetaQuantileQuery(a, b, 0.3)),
+                   _logit((a - 1.0) / (a + b - 2.0)))
     assert report.converged
-    assert abs(reg_beta(report.root, 3.0, 4.0) - 0.3) <= 1e-13
-    with pytest.raises(ValueError):
-        beta_plan(BetaQuantileQuery(0.5, 4.0, 0.3), BetaVariable.DIRECT)
+    assert abs(reg_beta(_sigmoid(report.root), a, b) - 0.3) <= 1e-13
+
+
+@pytest.mark.parametrize("a, b, p", [(1e17, 1.5, 0.3), (1e18, 2.0, 0.5)])
+def test_start_rounding_to_one_is_clamped_inside_the_domain(a, b, p):
+    # The asymptotic start rounds to x = 1 for a huge a; clamped to the
+    # largest double below 1, the solve converges there.
+    report = invert_beta(BetaQuantileQuery(a, b, p))
+    assert report.converged, report.reason
+    assert report.root < 1.0
+    assert report.root == 1.0 - 2.0 ** -53
+    assert report.notes == ("start=asymptotic",)
 
 
 def test_logit_saturation_reports_vanished_derivative():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from snm.core import Method, SnmError, SolveOptions, solve
+from snm.core import QUANTILE_OPTIONS, Method, SnmError, SolveOptions, solve
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
@@ -13,7 +13,6 @@ from snm.gamma import (
     gamma_b,
     gamma_omega,
     gamma_omega_log,
-    gamma_problem,
     gamma_start,
     invert_gamma,
 )
@@ -91,7 +90,7 @@ def test_gamma_omega_log_values():
 
 
 def test_problem_residual_at_known_median():
-    problem = gamma_problem(GammaQuantileQuery(2.0, 0.5))
+    problem = GammaDirectProblem(GammaQuantileQuery(2.0, 0.5))
     assert abs(problem.evaluate(1.6783469900166605).f) <= 1e-14
 
 
@@ -195,16 +194,10 @@ def test_quantile_monotone_in_p():
         assert all(r1 < r2 for r1, r2 in zip(roots, roots[1:]))
 
 
-def test_inflection_start_selectable():
-    report = invert_gamma(GammaQuantileQuery(5.0, 0.5), start="inflection")
-    assert report.converged
-    assert abs(reg_gamma_p(5.0, report.root) - 0.5) <= 1e-13
-    with pytest.raises(ValueError):
-        invert_gamma(GammaQuantileQuery(0.5, 0.5), start="inflection")
-
-
 def test_numeric_start_override():
-    report = invert_gamma(GammaQuantileQuery(2.0, 0.5), start=4.0)
+    # A caller's own start runs through the plan's problem and its x map.
+    plan = gamma_start(GammaQuantileQuery(2.0, 0.5))
+    report = solve(plan.problem, plan.from_x(4.0), QUANTILE_OPTIONS)
     assert report.converged
     assert report.root == pytest.approx(1.6783469900166605, rel=1e-13)
 

@@ -1,8 +1,10 @@
 """Prepared plans: fused evaluations match the public kernels bit for bit,
-per-query constants are computed once per query, and the direct-variable
-starts are close enough that the solves need no fallback."""
+per-query constants are computed once per query, each query runs the
+plan's one solve, and the direct-variable starts are close enough that
+the solves need no fallback."""
 
 import functools
+import json
 import math
 import random
 import sys
@@ -22,14 +24,22 @@ from snm.beta import (
     beta_plan,
     invert_beta,
 )
+from snm.cli import main
 from snm.core import (
     QUANTILE_OPTIONS,
     RESIDUAL_NOISE_FLOOR,
     DerivativeVanishedError,
+    Method,
     SolveOptions,
     solve,
 )
-from snm.elliptic import EllipticProblem, EllipticQuery, ellip_omega, invert_ellip_e
+from snm.elliptic import (
+    EllipticProblem,
+    EllipticQuery,
+    ellip_omega,
+    elliptic_plan,
+    invert_ellip_e,
+)
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
@@ -130,9 +140,9 @@ def test_elliptic_evaluate_matches_public_kernels():
                 problem.evaluate(math.pi / 2 + 1e-9)
 
 
-def _count_calls(monkeypatch, name):
-    """Count the outermost calls of snm.special.<name> through any snm alias."""
-    original = getattr(snm.special, name)
+def _count_calls(monkeypatch, name, owner=snm.special):
+    """Count the outermost calls of <owner>.<name> through any snm alias."""
+    original = getattr(owner, name)
     calls = [0]
     depth = [0]
 
@@ -153,7 +163,14 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-# Each case takes a distinct path: variable, flip, deep tail, user start, retry.
+# The Newton solve of this query stays on one side of the root for all
+# 30 steps and ends MaxIter.
+NEWTON_ONE_SIDED = BetaQuantileQuery(0.22527578378421423, 1.497837167475381,
+                                     0.9999999999999892, 1.0769607723293331e-14)
+NEWTON_OPTIONS = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR, method=Method.NEWTON)
+
+# Each case takes a distinct path: variable, flip, deep tail, root
+# underflow, an iteration cap that the solve does not meet.
 GAMMA_CASES = (
     (GammaQuantileQuery(2.5, 0.3), {}),
     (GammaQuantileQuery(150.0, 0.7), {}),
@@ -161,8 +178,8 @@ GAMMA_CASES = (
     (GammaQuantileQuery(0.3, 0.2), {}),
     (GammaQuantileQuery(0.7, 0.9), {}),
     (GammaQuantileQuery(0.05, 1e-15), {}),
-    (GammaQuantileQuery(0.5, 0.3), {"start": 0.2}),
-    (GammaQuantileQuery(5.0, 0.3), {"start": "inflection"}),
+    (GammaQuantileQuery(0.5, 0.3),
+     {"opts": SolveOptions(max_iter=1, residual_tol=RESIDUAL_NOISE_FLOOR)}),
 )
 BETA_CASES = (
     (BetaQuantileQuery(2.0, 3.0, 0.3), {}),
@@ -173,7 +190,8 @@ BETA_CASES = (
     (BetaQuantileQuery(0.3, 0.6, 0.4), {}),
     (BetaQuantileQuery(0.3, 0.6, 0.95), {}),
     (BetaQuantileQuery(1e-4, 1e-4, 0.3), {}),
-    (BetaQuantileQuery(3.0, 4.0, 0.3), {"variable": BetaVariable.LOGIT}),
+    (BetaQuantileQuery(1e17, 1.5, 0.3), {}),
+    (NEWTON_ONE_SIDED, {"opts": NEWTON_OPTIONS}),
     (BetaQuantileQuery(0.5, 3.0, 0.2),
      {"opts": SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)}),
     (BetaQuantileQuery(2.0, 3.0, 0.7),
@@ -203,17 +221,53 @@ def test_beta_query_computes_ln_beta_once(monkeypatch):
         calls[0] = 0
         notes.update(invert_beta(query, **kwargs).notes)
         assert calls[0] == 1, (query, kwargs, calls[0])
-    assert {"flip=symmetry", "retry=bisection-seed"} <= notes
+    assert "flip=symmetry" in notes
 
 
 def test_elliptic_query_computes_complete_integral_once(monkeypatch):
     calls = _count_calls(monkeypatch, "ellip_e_complete")
-    notes = set()
     for query, kwargs in ELLIPTIC_CASES:
         calls[0] = 0
-        notes.update(invert_ellip_e(query, **kwargs).notes)
+        invert_ellip_e(query, **kwargs)
         assert calls[0] == 1, (query, kwargs, calls[0])
-    assert "retry=bisection-seed" in notes
+
+
+@pytest.mark.parametrize("invert, make_plan, cases", [
+    (invert_gamma, gamma_start, GAMMA_CASES),
+    (invert_beta, beta_plan, BETA_CASES),
+    (invert_ellip_e, elliptic_plan, ELLIPTIC_CASES),
+])
+def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, cases):
+    calls = _count_calls(monkeypatch, "solve", snm.core)
+    unconverged = 0
+    for query, kwargs in cases:
+        calls[0] = 0
+        report = invert(query, **kwargs)
+        plan = make_plan(query)
+        if report.evaluations == 0:
+            # A beta root below the smallest double is known from the start.
+            assert "root-underflow" in report.notes and calls[0] == 0, query
+            continue
+        assert calls[0] == 1, (query, kwargs, calls[0])
+        own = solve(plan.problem, plan.x0, kwargs.get("opts", QUANTILE_OPTIONS))
+        assert report.root == plan.to_x(own.root), query
+        assert (report.iterations, report.evaluations, report.reason, report.converged) \
+            == (own.iterations, own.evaluations, own.reason, own.converged), query
+        assert report.trace == own.trace, query
+        unconverged += not report.converged
+    # The capped cases end unconverged: no second solve rescues them.
+    assert unconverged >= 1
+
+
+def test_invert_beta_agrees_with_compare_on_a_one_sided_newton_solve(capsys):
+    a, b, p = NEWTON_ONE_SIDED.a, NEWTON_ONE_SIDED.b, NEWTON_ONE_SIDED.p
+    report = invert_beta(BetaQuantileQuery(a, b, p), NEWTON_OPTIONS)
+    assert (report.converged, report.reason.value, report.iterations) == (False, "MaxIter", 30)
+    status = main(["compare", "beta", "--a", repr(a), "--b", repr(b), "--p", repr(p),
+                   "--methods", "newton", "--format", "json"])
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert status == 1
+    assert row["iterations"] == report.iterations
 
 
 def _log_uniform(rng, lo, hi):

@@ -1,5 +1,5 @@
-"""Driver behavior: stopping reasons, trace consistency, safeguards,
-the immutable record types and the evaluation count."""
+"""Driver behavior: stopping reasons, trace consistency, the domain
+clamp, the immutable record types and the evaluation count."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from snm.core import (
     Method,
     Problem,
     ProblemEvaluation,
-    Safeguard,
     SolveOptions,
     SolveReport,
     StopReason,
@@ -23,8 +22,6 @@ from snm.core import (
     solve,
     tan_problem,
 )
-from snm.beta import BetaQuantileQuery, beta_plan, invert_beta
-from snm.elliptic import EllipticQuery, elliptic_plan, invert_ellip_e
 from snm.gamma import GammaDirectProblem, GammaQuantileQuery
 
 
@@ -103,12 +100,16 @@ def test_derivative_vanished():
     assert report.root == 0.0
 
 
-def test_domain_exit_with_fail_safeguard():
-    # Halley on tan from 1.5 jumps far outside (-pi/2, pi/2).
-    report = solve(tan_problem(), 1.5,
-                   SolveOptions(method=Method.HALLEY, safeguard=Safeguard.FAIL))
+def test_domain_exit_on_overflowing_step():
+    # A subnormal slope sends the Newton step to -inf; the domain has no
+    # finite endpoint to clamp toward, so the solve stops where it was.
+    problem = FunctionProblem(lambda x: 1e-320 * x + 1.0, lambda x: 1e-320,
+                              lambda x: 0.0, lambda x: 0.0,
+                              Interval(-math.inf, math.inf))
+    report = solve(problem, 0.0, SolveOptions(method=Method.NEWTON))
     assert not report.converged
     assert report.reason is StopReason.DOMAIN_EXIT
+    assert (report.root, report.iterations, report.evaluations) == (0.0, 0, 1)
 
 
 def test_domain_clamp_recovers():
@@ -249,31 +250,3 @@ def test_residual_stop_scales_with_the_problem():
     line.residual_scale = 1e-6
     tight = solve(line, 1.0 + 1e-9, opts)
     assert tight.converged and tight.evaluations == 2 and tight.root == 1.0
-
-
-def test_evaluations_include_discarded_elliptic_solve():
-    # Two iterations are too few from the low start at m = 0.81, p = 0.7,
-    # so the bisection-seeded solve runs; both solves count.
-    opts = SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)
-    query = EllipticQuery(0.81, 0.7)
-    report = invert_ellip_e(query, opts)
-    assert report.converged
-    assert report.notes == ("start=low", "retry=bisection-seed")
-    plan = elliptic_plan(query)
-    first = solve(plan.problem, plan.x0, opts)
-    assert not first.converged
-    assert report.evaluations == first.evaluations + report.iterations + 1
-
-
-def test_evaluations_include_discarded_beta_solve():
-    # Two iterations are too few from the lower-bound start, so the
-    # bisection-seeded retry runs; a converged solve makes iterations + 1
-    # evaluations.
-    opts = SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)
-    query = BetaQuantileQuery(0.5, 3.0, 0.2)
-    report = invert_beta(query, opts)
-    assert report.converged and "retry=bisection-seed" in report.notes
-    plan = beta_plan(query)
-    first = solve(plan.problem, plan.x0, opts)
-    assert not first.converged
-    assert report.evaluations == first.evaluations + report.iterations + 1

@@ -50,11 +50,12 @@ def main() -> None:
         print(f"  p = {p}: root = {report.root:.17g}  iterations = {report.iterations}")
 
     print()
-    print("= a < 1 runs in the log variable (note the report's notes)")
+    print("= a < 1 runs in the log variable (see the report's fields)")
     plan = gamma_start(GammaQuantileQuery(0.5, 0.2))
     report = invert_gamma(GammaQuantileQuery(0.5, 0.2))
     print(f"  start: variable = {plan.variable.value}, z0 = {plan.x0:.6f}")
-    print(f"  root = {report.root:.17g}   notes = {report.notes}")
+    print(f"  root = {report.root:.17g}   variable = {report.variable.value}  "
+          f"start = {report.start}")
     print(f"  P(0.5, root) = {reg_gamma_p(0.5, report.root):.17g}")
 
 

@@ -18,7 +18,7 @@ def main() -> None:
     print(f"  beta_xm(2, 3) = {beta_xm(a, b):.15f}")
     report = invert_beta(BetaQuantileQuery(a, b, p))
     print(f"  quantile(2, 3; 0.3) = {report.root:.17g}  "
-          f"iterations = {report.iterations}  notes = {report.notes}")
+          f"iterations = {report.iterations}  start = {report.start}")
     print(f"  I(root; 2, 3) = {reg_beta(report.root, a, b):.17g}")
 
     print()
@@ -34,7 +34,7 @@ def main() -> None:
         report = invert_beta(BetaQuantileQuery(a, b, p))
         print(f"  (a={a}, b={b}, p={p}): variable={plan.variable.value} "
               f"flipped={plan.flipped}")
-        print(f"      root = {report.root:.17g}   notes = {report.notes}")
+        print(f"      root = {report.root:.17g}   start = {report.start}")
 
     print()
     print("= Symmetry: quantile(a, b; p) + quantile(b, a; 1-p) = 1")

@@ -40,7 +40,7 @@ def main() -> None:
     print(f"  g(0) = {low:.15f}, g(pi/2) = {high:.15f} -> chose '{label}'")
     report = invert_ellip_e(EllipticQuery(m, p))
     print(f"  root = {report.root:.17g}   iterations = {report.iterations}  "
-          f"notes = {report.notes}")
+          f"start = {report.start}")
     comp = ellip_e_complete(m)
     print(f"  E(sin root, m)/E(1, m) = {ellip_e_inc(report.root, m) / comp:.17g}")
 

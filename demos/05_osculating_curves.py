@@ -11,9 +11,10 @@ The same data is available from the command line:
     snm osculate gamma --a 30 --p 0.5 --x0 31 --range 15:50 --samples 200
 """
 
+from dataclasses import replace
+
 from snm import (
     GammaQuantileQuery,
-    OsculatingModel,
     PoleError,
     osculating_eval,
     osculating_fit,
@@ -30,8 +31,7 @@ def main() -> None:
     e = problem.evaluate(a + 1.0)
 
     model = osculating_fit(e)
-    halley_model = OsculatingModel(x_anchor=model.x_anchor, lam=0.0,
-                                   a=model.a, b=model.b, c=model.c, d=model.d)
+    halley_model = replace(model, lam=0.0)
     print(f"= Models fitted to the gamma(30) CDF residual at x = {e.x}")
     print(f"  lam = Omega(x0) = {model.lam:.15f}")
     print(f"  A = {model.a:.6e}  B = {model.b:.6e}  C = {model.c:.6e}")

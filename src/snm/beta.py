@@ -11,25 +11,30 @@ where Omega is negative for all shapes; the solver starts on the
 monotone side of Omega, applying the symmetry
 I_x(a,b) = 1 - I_(1-x)(b,a) first when that puts Omega in its
 decreasing configuration (or when p > 1/2).  Each query runs one solve
-from that start.
+from that start; the report's ``variable`` (DIRECT or LOGIT),
+``flipped`` and ``start`` ("asymptotic" or "lower-bound") record the
+plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     QUANTILE_OPTIONS,
     DerivativeVanishedError,
     Interval,
+    Plan,
     Problem,
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
     StopReason,
+    Variable,
+    _logit,
+    _sigmoid,
     solve,
 )
 from .special import _normal_quantile, _reg_beta, ln_beta
@@ -39,11 +44,6 @@ _REAL_LINE = Interval(-math.inf, math.inf)
 # The smallest positive double and the largest double below 1.
 _X_MIN = 5e-324
 _X_MAX = 1.0 - 2.0 ** -53
-
-
-class BetaVariable(Enum):
-    DIRECT = "direct"
-    LOGIT = "logit"
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,6 @@ def beta_omega_logit(a: float, b: float, z: float) -> float:
     return 0.25 * (-(s * (s - 2.0)) * x * x + 2.0 * s * (a - 1.0) * x - a * a)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    t = math.exp(z)
-    return t / (1.0 + t)
-
-
-def _logit(x: float) -> float:
-    return math.log(x / (1.0 - x))
-
-
 class BetaDirectProblem(Problem):
     """f(x) = I_x(a,b) - p on (0, 1).
 
@@ -218,31 +207,6 @@ class BetaLogitProblem(Problem):
         return _REAL_LINE
 
 
-class BetaPlan(NamedTuple):
-    """Prepared problem, start and bookkeeping for one inversion.
-
-    The problem holds ln B(a, b); ``query`` is the working (possibly
-    flipped) query and ``x0`` is in the solver variable.
-    """
-
-    problem: BetaDirectProblem | BetaLogitProblem
-    x0: float
-    variable: BetaVariable
-    flipped: bool
-    query: BetaQuantileQuery
-    notes: tuple[str, ...]
-
-    def to_x(self, v: float) -> float:
-        """Map a solver-variable value back to the x of the original query."""
-        x = _sigmoid(v) if self.variable is BetaVariable.LOGIT else v
-        return 1.0 - x if self.flipped else x
-
-    def from_x(self, x: float) -> float:
-        """Map an x of the original query to the solver variable."""
-        x = 1.0 - x if self.flipped else x
-        return _logit(x) if self.variable is BetaVariable.LOGIT else x
-
-
 def _log_lower_bound(query: BetaQuantileQuery, ln_b: float) -> float:
     """log x of the root of x^a / (a B(a, b)) = p.
 
@@ -281,7 +245,7 @@ def _asymptotic_start(query: BetaQuantileQuery, ln_b: float) -> float:
     return min(max(x, math.exp(_log_lower_bound(query, ln_b))), _X_MAX)
 
 
-def beta_plan(query: BetaQuantileQuery) -> BetaPlan:
+def beta_plan(query: BetaQuantileQuery) -> Plan:
     """Choose variable, symmetry flip and starting point for a query.
 
     a, b > 1 solve in x from ``_asymptotic_start``; every other shape
@@ -290,10 +254,10 @@ def beta_plan(query: BetaQuantileQuery) -> BetaPlan:
     direct path is kept); a > 1 >= b flips so the logit Omega becomes
     decreasing; both shapes <= 1 flip only to keep p <= 1/2.  The
     configuration a <= 1 <= b is never flipped, since that would trade a
-    decreasing Omega for an increasing one.
+    decreasing Omega for an increasing one.  The problem holds ln B(a, b)
+    and the working (possibly flipped) query.
     """
     a, b, p, q = query.a, query.b, query.p, query.q
-    notes: list[str] = []
     # ln_beta is symmetric, so one value serves the flipped query too.
     ln_b = ln_beta(a, b)
 
@@ -302,7 +266,6 @@ def beta_plan(query: BetaQuantileQuery) -> BetaPlan:
         flipped = p > 0.5
     elif a > 1.0 and b <= 1.0:
         flipped = True
-        notes.append("flip=omega-monotonicity")
     elif a <= 1.0 and b <= 1.0:
         # Keep the root in the left half: near x = 1 the quantile is
         # quantized by ulp(1) (z steps of ulp(1)/(1-x) in the logit
@@ -311,43 +274,36 @@ def beta_plan(query: BetaQuantileQuery) -> BetaPlan:
     else:  # a <= 1 <= b: already the decreasing configuration
         flipped = False
     if flipped:
-        a, b, p, q = b, a, q, p
         # The values were validated with the query; skip its __init__.
         work = object.__new__(BetaQuantileQuery)
-        vars(work).update(a=a, b=b, p=p, q=q)
-        notes.append("flip=symmetry")
+        vars(work).update(a=b, b=a, p=q, q=p)
     else:
         work = query
 
     if direct_ok:
-        notes.append("start=asymptotic")
-        return BetaPlan(BetaDirectProblem(work, ln_b), _asymptotic_start(work, ln_b),
-                        BetaVariable.DIRECT, flipped, work, tuple(notes))
-
-    notes.append("start=lower-bound")
-    if a <= 1.0 and b <= 1.0 and not (a == 1.0 and b == 1.0):
-        notes.append("path=heuristic(a<=1,b<=1)")
-    return BetaPlan(BetaLogitProblem(work, ln_b), _logit_lower_bound_start(work, ln_b),
-                    BetaVariable.LOGIT, flipped, work, tuple(notes))
+        return Plan(BetaDirectProblem(work, ln_b), _asymptotic_start(work, ln_b),
+                    Variable.DIRECT, "asymptotic", flipped)
+    return Plan(BetaLogitProblem(work, ln_b), _logit_lower_bound_start(work, ln_b),
+                Variable.LOGIT, "lower-bound", flipped)
 
 
 def invert_beta(query: BetaQuantileQuery,
                 opts: Optional[SolveOptions] = None) -> SolveReport:
     """Solve I_x(a, b) = p for x in (0, 1): one solve from the ``beta_plan``.
 
-    The report notes record flip, start and path.  A root below the
-    smallest positive double (tiny shapes) is reported as converged at 0,
-    or at 1 after a symmetry flip, with the note "root-underflow".
+    The report records the plan's variable, flip and start.  A root below
+    the smallest positive double (tiny shapes) is reported as converged
+    at 0, or at 1 after a symmetry flip, with ``root_underflow`` set.
     """
     if opts is None:
         opts = QUANTILE_OPTIONS
     plan = beta_plan(query)
     work = plan.query
-    if (plan.variable is BetaVariable.LOGIT and _sigmoid(plan.x0) == 0.0
+    if (plan.variable is Variable.LOGIT and _sigmoid(plan.x0) == 0.0
             and _reg_beta(_X_MIN, work.a, work.b, plan.problem.ln_b) >= work.p):
         # The start's x underflows, and I_x reaches p already at the
         # smallest double, so the root lies below it as well.
-        return SolveReport(plan.to_x(plan.x0), 0, (), True, StopReason.RESIDUAL_TOL,
-                           plan.notes + ("root-underflow",))
+        return SolveReport(plan.x0, 0, (), True, StopReason.RESIDUAL_TOL).with_plan(
+            plan, root_underflow=True)
     report = solve(plan.problem, plan.x0, opts)
-    return report.with_root(plan.to_x(report.root), *plan.notes)
+    return report.with_plan(plan)

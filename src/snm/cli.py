@@ -29,7 +29,6 @@ from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
     QUANTILE_OPTIONS,
     Method,
-    OsculatingModel,
     PoleError,
     Problem,
     SolveOptions,
@@ -45,16 +44,23 @@ from .special import bisect_root, ellip_e_inc, reg_beta, reg_gamma_p
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
+# The report fields of ``invert --format json``, in output order.
+JSON_KEYS = ("root", "iterations", "evaluations", "converged", "reason",
+             "variable", "flipped", "start", "root_underflow")
 
 
 def _fmt(v: float, digits: int) -> str:
     return f"{v:.{digits}g}"
 
 
-def _build_options(args: argparse.Namespace, method: str) -> SolveOptions:
+def _build_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                   method: str) -> SolveOptions:
     """The library's quantile options with the command's tolerance, cap and method."""
-    return replace(QUANTILE_OPTIONS, abs_tol=args.tol, max_iter=args.max_iter,
-                   method=Method(method))
+    try:
+        return replace(QUANTILE_OPTIONS, abs_tol=args.tol, max_iter=args.max_iter,
+                       method=Method(method))
+    except ValueError as exc:
+        parser.error(f"--tol/--max-iter: {exc}")
 
 
 def _require(parser: argparse.ArgumentParser, args: argparse.Namespace,
@@ -90,7 +96,7 @@ def _trace_rows(report: SolveReport) -> list[dict]:
 
 def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     query = _validated_query(parser, args)
-    opts = _build_options(args, args.method)
+    opts = _build_options(parser, args, args.method)
     if args.problem == "gamma":
         report = invert_gamma(query, opts)
     elif args.problem == "beta":
@@ -100,15 +106,9 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
     rows = _trace_rows(report) if args.trace else []
     if args.format == "json":
-        payload = {
-            "root": report.root,
-            "iterations": report.iterations,
-            "evaluations": report.evaluations,
-            "converged": report.converged,
-            "reason": report.reason.value,
-            "trace": rows,
-        }
-        print(json.dumps(payload))
+        # The str enums (reason, variable) encode as their values.
+        payload = {k: getattr(report, k) for k in JSON_KEYS}
+        print(json.dumps({**payload, "trace": rows}))
     elif args.format == "csv":
         if args.trace:
             print("n,x,f,h,omega,step,fallback_used")
@@ -126,8 +126,10 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(f"iterations  {report.iterations}")
         print(f"converged   {str(report.converged).lower()}")
         print(f"reason      {report.reason.value}")
-        if report.notes:
-            print(f"notes       {' '.join(report.notes)}")
+        print(f"variable    {report.variable.value}")
+        print(f"flipped     {str(report.flipped).lower()}")
+        print(f"start       {report.start}")
+        print(f"underflow   {str(report.root_underflow).lower()}")
         if args.trace:
             header = f"{'n':>3} {'x':>19} {'f':>19} {'h':>19} {'omega':>19} {'step':>19} fb"
             print(header)
@@ -175,19 +177,29 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     if args.problem == "elliptic" and (args.m == 0.0 or args.m == 1.0):
         parser.error("compare requires 0 < m < 1 (the endpoints invert in closed form)")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        parser.error("--methods names no method")
     for name in methods:
         if name not in ("snm", "halley", "newton"):
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
+    options = [_build_options(parser, args, name) for name in methods]
 
     plan, residual, bracket = _compare_setup(query)
-    # --x0 is in x; each plan maps it to its own solver variable.
-    x0 = plan.x0 if args.x0 is None else plan.from_x(args.x0)
+    x0 = plan.x0
+    if args.x0 is not None:
+        # --x0 is in x; each plan maps it to its own solver variable.
+        try:
+            x0 = plan.from_x(args.x0)
+        except (ValueError, ZeroDivisionError):
+            x0 = math.nan  # log or logit of an x outside the domain
+        if not plan.problem.domain().contains(x0):
+            parser.error(f"--x0 {args.x0} outside the problem domain")
     oracle = bisect_root(residual, bracket[0], bracket[1], tol=1e-15)
 
     rows = []
     failed = False
-    for name in methods:
-        report = solve(plan.problem, x0, _build_options(args, name))
+    for name, opts in zip(methods, options):
+        report = solve(plan.problem, x0, opts)
         failed = failed or not report.converged
         iterates = [plan.to_x(r.x + r.step) for r in report.trace]
         rows.append(CompareRow(
@@ -264,9 +276,7 @@ def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         parser.error(f"--x0 {args.x0} outside the problem domain")
     e0 = problem.evaluate(args.x0)
     snm_model = osculating_fit(e0)
-    halley_model = OsculatingModel(x_anchor=snm_model.x_anchor, lam=0.0,
-                                   a=snm_model.a, b=snm_model.b,
-                                   c=snm_model.c, d=snm_model.d)
+    halley_model = replace(snm_model, lam=0.0)
 
     def cell(name: str, x: float) -> Optional[float]:
         try:

@@ -48,6 +48,9 @@ SERIES_THRESHOLD = 1e-6
 # order of magnitude below the 1e-13 round-trip contracts.
 RESIDUAL_NOISE_FLOOR = 1e-14
 
+# Relative part of the step stop |step| <= abs_tol + STEP_REL_TOL * |x|.
+STEP_REL_TOL = 4 * MACHINE_EPSILON
+
 HALF_PI = math.pi / 2
 
 
@@ -79,6 +82,14 @@ class Method(str, Enum):
     SNM = "snm"
     HALLEY = "halley"
     NEWTON = "newton"
+
+
+class Variable(str, Enum):
+    """The variable a solve runs in: x itself, z = log x or z = logit x."""
+
+    DIRECT = "direct"
+    LOG = "log"
+    LOGIT = "logit"
 
 
 class StopReason(str, Enum):
@@ -232,21 +243,20 @@ def tan_problem() -> FunctionProblem:
 class SolveOptions:
     """Driver configuration.
 
-    The stopping rule is |step| <= abs_tol + rel_tol * |x|, or
+    The stopping rule is |step| <= abs_tol + STEP_REL_TOL * |x|, or
     |f| <= residual_tol * problem.residual_scale (disabled at the default
     0, where only an exact zero triggers it), or max_iter.
     """
 
     abs_tol: float = 1e-15
-    rel_tol: float = 4 * MACHINE_EPSILON
     residual_tol: float = 0.0
     max_iter: int = 30
     method: Method = Method.SNM
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.residual_tol < 0:
+        if not self.abs_tol > 0:  # also refuses NaN
+            raise ValueError("abs_tol must be positive")
+        if not self.residual_tol >= 0:
             raise ValueError("residual_tol must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -270,10 +280,63 @@ class IterationRecord(NamedTuple):
     fallback_used: bool
 
 
+def _sigmoid(z: float) -> float:
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    t = math.exp(z)
+    return t / (1.0 + t)
+
+
+def _logit(x: float) -> float:
+    return math.log(x / (1.0 - x))
+
+
+class Plan(NamedTuple):
+    """One prepared inversion: the problem, its start and how to read it.
+
+    ``x0`` is in the solver ``variable`` and ``start`` names its rule.
+    ``flipped`` marks the symmetry x -> 1 - x; ``query`` is the problem's
+    working query, the flipped one when ``flipped`` is set.
+    """
+
+    problem: Problem
+    x0: float
+    variable: Variable
+    start: str
+    flipped: bool = False
+
+    @property
+    def query(self):
+        return self.problem.query
+
+    def to_x(self, v: float) -> float:
+        """Map a solver-variable value back to the x of the original query."""
+        if self.variable is Variable.DIRECT:
+            x = v
+        elif self.variable is Variable.LOG:
+            x = math.exp(v)
+        else:
+            x = _sigmoid(v)
+        return 1.0 - x if self.flipped else x
+
+    def from_x(self, x: float) -> float:
+        """Map an x of the original query to the solver variable."""
+        if self.flipped:
+            x = 1.0 - x
+        if self.variable is Variable.LOG:
+            return math.log(x)
+        if self.variable is Variable.LOGIT:
+            return _logit(x)
+        return x
+
+
 class SolveReport(NamedTuple):
     """Result of a solve call; converged iff reason is a tolerance stop.
 
-    ``evaluations`` counts the ``Problem.evaluate`` calls made.
+    ``evaluations`` counts the ``Problem.evaluate`` calls made.  The
+    ``invert_*`` solvers copy the last four fields from their ``Plan``;
+    ``root_underflow`` marks a root below the smallest positive double,
+    reported as 0 (1 after a flip).
     """
 
     root: float
@@ -281,13 +344,17 @@ class SolveReport(NamedTuple):
     trace: tuple[IterationRecord, ...]
     converged: bool
     reason: StopReason
-    notes: tuple[str, ...] = ()
     evaluations: int = 0
+    variable: Variable = Variable.DIRECT
+    flipped: bool = False
+    start: str = ""
+    root_underflow: bool = False
 
-    def with_root(self, root: float, *extra_notes: str) -> "SolveReport":
-        """A copy with a new root and notes appended; the trace is shared."""
-        return SolveReport(root, self.iterations, self.trace, self.converged,
-                           self.reason, self.notes + extra_notes, self.evaluations)
+    def with_plan(self, plan: Plan, root_underflow: bool = False) -> "SolveReport":
+        """A copy with the root mapped to x and the plan's fields; the trace is shared."""
+        return SolveReport(plan.to_x(self.root), self.iterations, self.trace,
+                           self.converged, self.reason, self.evaluations,
+                           plan.variable, plan.flipped, plan.start, root_underflow)
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -387,8 +454,7 @@ class OsculatingModel:
     """Constants of the tangent curve (gtan(lam,u) + a)/(b gtan(lam,u) + c).
 
     Anchored at ``x_anchor`` (u = x - x_anchor); matches the source
-    function's value and first three derivatives there.  ``d`` is the
-    normalizer 2 f'^2 - f f''.
+    function's value and first three derivatives there.
     """
 
     x_anchor: float
@@ -396,7 +462,6 @@ class OsculatingModel:
     a: float
     b: float
     c: float
-    d: float
 
 
 def osculating_fit(e: ProblemEvaluation) -> OsculatingModel:
@@ -415,7 +480,6 @@ def osculating_fit(e: ProblemEvaluation) -> OsculatingModel:
         a=2.0 * e.f * e.fp / d,
         b=-fpp / d,
         c=2.0 * e.fp / d,
-        d=d,
     )
 
 
@@ -452,8 +516,7 @@ def _step_for(method: Method, e: ProblemEvaluation) -> float:
 
 def _report(root: float, trace: list[IterationRecord], converged: bool,
             reason: StopReason, evaluations: int) -> SolveReport:
-    return SolveReport(root, len(trace), tuple(trace), converged, reason, (),
-                       evaluations)
+    return SolveReport(root, len(trace), tuple(trace), converged, reason, evaluations)
 
 
 def solve(problem: Problem, x0: float,
@@ -516,7 +579,7 @@ def solve(problem: Problem, x0: float,
             x_next = x + step
             fallback = True
 
-        if abs(step) <= opts.abs_tol + opts.rel_tol * abs(x):
+        if abs(step) <= opts.abs_tol + STEP_REL_TOL * abs(x):
             return _report(x_next, trace, True, StopReason.STEP_TOL, evaluations)
 
         trace.append(IterationRecord(len(trace) + 1, x, e.f, e.h, e.omega, step,

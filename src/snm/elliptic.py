@@ -11,24 +11,28 @@ one-step-from-pi/2 value g(pi/2) gives monotone convergence; for larger
 m, Omega dips to an interior minimum at x_e and the better of the two
 endpoint values g(0), g(pi/2) is chosen heuristically.  The residual is
 strictly increasing on [0, pi/2], so its root is unique and any converged
-solve has found it: each query runs one solve.
+solve has found it: each query runs one solve.  The report's ``start``
+names the start used ("low", "high" or "arcsin-guess"), or
+"closed-form" for m = 0 and m = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     QUANTILE_OPTIONS,
     Interval,
+    Plan,
     Problem,
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
     StepUndefinedError,
     StopReason,
+    Variable,
     solve,
 )
 from .special import _ellip_e, ellip_e_complete
@@ -201,32 +205,12 @@ def choose_start(query: EllipticQuery,
     return high, "high"
 
 
-class EllipticPlan(NamedTuple):
-    """Prepared problem (it holds E(1, m)), start x0 and the start's label.
-
-    The solver variable is x itself, so ``to_x`` and ``from_x`` are identities.
-    """
-
-    problem: EllipticProblem
-    x0: float
-    start: str
-
-    def to_x(self, v: float) -> float:
-        return v
-
-    from_x = to_x
-
-
-def elliptic_plan(query: EllipticQuery) -> EllipticPlan:
-    """Problem and heuristic start (``choose_start``) for 0 < m < 1."""
+def elliptic_plan(query: EllipticQuery) -> Plan:
+    """Problem (it holds E(1, m)) and heuristic start (``choose_start``)
+    for 0 < m < 1; the solver variable is x itself."""
     problem = EllipticProblem(query)
     x0, label = choose_start(query, problem.complete)
-    return EllipticPlan(problem, x0, label)
-
-
-def _closed_form_report(root: float, note: str) -> SolveReport:
-    return SolveReport(root=root, iterations=0, trace=(), converged=True,
-                       reason=StopReason.RESIDUAL_TOL, notes=(note,))
+    return Plan(problem, x0, Variable.DIRECT, label)
 
 
 def invert_ellip_e(query: EllipticQuery,
@@ -235,15 +219,13 @@ def invert_ellip_e(query: EllipticQuery,
 
     m = 0 (f linear) and m = 1 (f = sin x - p) invert in closed form.
     Otherwise the SNM runs once from the heuristic start of
-    ``elliptic_plan``; the note records which start was used.
+    ``elliptic_plan``; the report's ``start`` records which start was used.
     """
     m, p = query.m, query.p
-    if m == 0.0:
-        return _closed_form_report(p * math.pi / 2, "closed-form=linear")
-    if m == 1.0:
-        return _closed_form_report(math.asin(p), "closed-form=arcsin")
+    if m == 0.0 or m == 1.0:
+        root = p * math.pi / 2 if m == 0.0 else math.asin(p)
+        return SolveReport(root, 0, (), True, StopReason.RESIDUAL_TOL, start="closed-form")
     if opts is None:
         opts = QUANTILE_OPTIONS
     plan = elliptic_plan(query)
-    report = solve(plan.problem, plan.x0, opts)
-    return report.with_root(report.root, f"start={plan.start}")
+    return solve(plan.problem, plan.x0, opts).with_plan(plan)

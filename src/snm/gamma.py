@@ -9,35 +9,32 @@ a start far out in the lower tail cannot land where f is flat.  For
 a < 1 the problem is transformed to z = log x, where Omega stays
 negative for every a > 0 and is strictly decreasing, and the start is
 that same lower bound of the root.  Each query runs one solve from its
-start.
+start; the report's ``variable`` is DIRECT or LOG and its ``start`` is
+"asymptotic" or "lower-bound".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     QUANTILE_OPTIONS,
     DerivativeVanishedError,
     Interval,
+    Plan,
     Problem,
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
+    Variable,
     solve,
 )
 from .special import _gamma_density, _normal_quantile, _reg_gamma, ln_gamma
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
-
-
-class GammaVariable(Enum):
-    DIRECT = "direct"
-    LOG = "log"
 
 
 @dataclass(frozen=True)
@@ -160,23 +157,6 @@ class GammaLogProblem(Problem):
         return _REAL_LINE
 
 
-class GammaPlan(NamedTuple):
-    """Prepared problem, its variable and the start x0 in that variable.
-
-    The problem holds ln Gamma(a), and ln Gamma(a+1) in the log variable.
-    """
-
-    problem: Problem
-    variable: GammaVariable
-    x0: float
-
-    def to_x(self, v: float) -> float:
-        return math.exp(v) if self.variable is GammaVariable.LOG else v
-
-    def from_x(self, x: float) -> float:
-        return math.log(x) if self.variable is GammaVariable.LOG else x
-
-
 def _wilson_hilferty_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
     """Wilson-Hilferty quantile (A&S 26.4.17), never below the root's lower bound.
 
@@ -191,22 +171,23 @@ def _wilson_hilferty_start(query: GammaQuantileQuery, ln_gamma_a: float) -> floa
     return max(a * c * c * c, lower)
 
 
-def gamma_start(query: GammaQuantileQuery) -> GammaPlan:
-    """Standard plan: (Direct, Wilson-Hilferty start) for a >= 1, else (Log, z0).
+def gamma_start(query: GammaQuantileQuery) -> Plan:
+    """Standard plan: (DIRECT, "asymptotic") for a >= 1, else (LOG, "lower-bound").
 
     For a >= 1 the start is ``_wilson_hilferty_start``: close to the root
     across both tails, so the direct iteration needs about two steps.
     For a < 1, z0 = (log p + log Gamma(a+1)) / a comes from the bound
     P(a, x) <= x^a / Gamma(a+1), so e^z0 never exceeds the root and the
-    iterates increase monotonically toward it.
+    iterates increase monotonically toward it.  The problem holds
+    ln Gamma(a), and ln Gamma(a+1) in the log variable.
     """
     if query.a >= 1.0:
         problem = GammaDirectProblem(query)
         x0 = _wilson_hilferty_start(query, problem.ln_gamma_a)
-        return GammaPlan(problem, GammaVariable.DIRECT, x0)
+        return Plan(problem, x0, Variable.DIRECT, "asymptotic")
     problem = GammaLogProblem(query)
     z0 = (math.log(query.p) + problem.ln_gamma_a1) / query.a
-    return GammaPlan(problem, GammaVariable.LOG, z0)
+    return Plan(problem, z0, Variable.LOG, "lower-bound")
 
 
 def invert_gamma(query: GammaQuantileQuery,
@@ -214,15 +195,13 @@ def invert_gamma(query: GammaQuantileQuery,
     """Solve P(a, x) = p for x: one solve from the ``gamma_start`` plan.
 
     Roots found in the log variable are mapped back with x = e^z before
-    reporting; the trace stays in the solver variable.
+    reporting; the trace stays in the solver variable.  A root e^z below
+    the smallest positive double is reported as 0 with ``root_underflow``.
     """
     if opts is None:
         opts = QUANTILE_OPTIONS
     plan = gamma_start(query)
-    report = solve(plan.problem, plan.x0, opts)
-    root = plan.to_x(report.root)
-    if plan.variable is GammaVariable.LOG:
-        if root == 0.0:
-            return report.with_root(root, "variable=log", "root-underflow")
-        return report.with_root(root, "variable=log")
-    return report.with_root(root, "variable=direct")
+    report = solve(plan.problem, plan.x0, opts).with_plan(plan)
+    if report.root == 0.0:
+        return report._replace(root_underflow=True)
+    return report

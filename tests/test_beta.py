@@ -10,7 +10,6 @@ from snm.beta import (
     BetaDirectProblem,
     BetaLogitProblem,
     BetaQuantileQuery,
-    BetaVariable,
     beta_b,
     beta_omega,
     beta_omega_logit,
@@ -21,7 +20,7 @@ from snm.beta import (
     _logit,
     _sigmoid,
 )
-from snm.core import Method, RESIDUAL_NOISE_FLOOR, SolveOptions, solve
+from snm.core import Method, RESIDUAL_NOISE_FLOOR, SolveOptions, Variable, solve
 from snm.special import ln_beta, reg_beta
 
 AB_GRID = (0.3, 0.5, 1.5, 2.0, 5.0, 30.0)
@@ -168,7 +167,7 @@ def _work_residual(query: BetaQuantileQuery) -> float:
                    SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR))
     assert report.converged, (query, report.reason)
     x_work = (_sigmoid(report.root)
-              if plan.variable is BetaVariable.LOGIT else report.root)
+              if plan.variable is Variable.LOGIT else report.root)
     w = plan.query
     return abs(reg_beta(x_work, w.a, w.b) - w.p)
 
@@ -215,9 +214,13 @@ def test_snm_beats_halley_for_shapes_above_one():
             assert n_snm <= n_hal, (a, b, p, n_snm, n_hal)
 
 
-def test_logit_path_notes_and_flags():
+def test_logit_path_fields_and_flags():
+    # Both shapes <= 1: the logit path from the heuristic lower-bound start,
+    # flipped only to keep the root in the left half.
     heur = invert_beta(BetaQuantileQuery(0.3, 0.6, 0.4))
-    assert "path=heuristic(a<=1,b<=1)" in heur.notes
+    assert (heur.variable, heur.flipped, heur.start) == (Variable.LOGIT, False, "lower-bound")
+    heur = invert_beta(BetaQuantileQuery(0.3, 0.7, 0.9))
+    assert (heur.variable, heur.flipped, heur.start) == (Variable.LOGIT, True, "lower-bound")
 
 
 def test_logit_omega_monotone_between_start_and_root():
@@ -226,7 +229,7 @@ def test_logit_omega_monotone_between_start_and_root():
     for a, b in itertools.product((0.05, 0.3, 0.5, 1.0), (1.5, 3.0, 30.0)):
         for p in P_GRID:
             plan = beta_plan(BetaQuantileQuery(a, b, p))
-            assert plan.variable is BetaVariable.LOGIT and not plan.flipped
+            assert plan.variable is Variable.LOGIT and not plan.flipped
             report = invert_beta(BetaQuantileQuery(a, b, p))
             assert report.converged, (a, b, p)
             lo, hi = sorted((plan.x0, plan.from_x(report.root)))
@@ -258,7 +261,8 @@ def test_tiny_shapes_end_in_root_underflow(a, b, p, root):
     report = invert_beta(BetaQuantileQuery(a, b, p))
     assert report.converged
     assert report.root == root
-    assert "root-underflow" in report.notes
+    assert report.root_underflow
+    assert report.variable is Variable.LOGIT and report.flipped == (root == 1.0)
     # The inverted tail is reached already at the smallest positive double.
     if root == 0.0:
         assert reg_beta(5e-324, a, b) >= p
@@ -295,7 +299,8 @@ def test_start_rounding_to_one_is_clamped_inside_the_domain(a, b, p):
     assert report.converged, report.reason
     assert report.root < 1.0
     assert report.root == 1.0 - 2.0 ** -53
-    assert report.notes == ("start=asymptotic",)
+    assert (report.variable, report.flipped, report.start, report.root_underflow) \
+        == (Variable.DIRECT, False, "asymptotic", False)
 
 
 def test_logit_saturation_reports_vanished_derivative():

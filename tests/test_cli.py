@@ -19,6 +19,9 @@ def test_invert_gamma_table(capsys):
     assert code == 0
     assert "1.67834699002" in out
     assert "converged   true" in out
+    for line in ("variable    direct", "flipped     false", "start       asymptotic",
+                 "underflow   false"):
+        assert line in out.splitlines()
 
 
 def test_invert_beta_uniform(capsys):
@@ -56,7 +59,10 @@ def test_json_keys_exact(capsys):
                     "--format", "json")
     payload = json.loads(out)
     assert set(payload.keys()) == {"root", "iterations", "evaluations",
-                                   "converged", "reason", "trace"}
+                                   "converged", "reason", "variable", "flipped",
+                                   "start", "root_underflow", "trace"}
+    assert (payload["variable"], payload["flipped"], payload["start"],
+            payload["root_underflow"]) == ("direct", False, "asymptotic", False)
     assert payload["trace"] == []
     assert payload["evaluations"] >= payload["iterations"] + 1
     assert payload["converged"] is True
@@ -142,6 +148,27 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invert", "cauchy", "--p", "0.5"])  # unknown problem
     assert exc.value.code == 2
+    for argv in (
+        # --x0 outside the domain, in x or in the solver variable
+        ["compare", "gamma", "--a", "0.5", "--p", "0.3", "--x0", "0"],
+        ["compare", "beta", "--a", "0.5", "--b", "3", "--p", "0.3", "--x0", "1"],
+        ["compare", "beta", "--a", "2", "--b", "3", "--p", "0.3", "--x0", "1.5"],
+        ["compare", "elliptic", "--m", "0.5", "--p", "0.3", "--x0", "2"],
+        # options that SolveOptions refuses
+        ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "0"],
+        ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "nan"],
+        ["invert", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
+        ["compare", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
+        # no method named
+        ["compare", "gamma", "--a", "2", "--p", "0.3", "--methods", ","],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["compare", "gamma", "--a", "2", "--p", "0.3", "--methods", ","])
+    assert capsys.readouterr().out == ""
 
 
 def test_solver_failure_exit_one(capsys):

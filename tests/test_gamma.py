@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from snm.core import QUANTILE_OPTIONS, Method, SnmError, SolveOptions, solve
+from snm.core import QUANTILE_OPTIONS, Method, SnmError, SolveOptions, Variable, solve
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
     GammaQuantileQuery,
-    GammaVariable,
     gamma_b,
     gamma_omega,
     gamma_omega_log,
@@ -116,7 +115,7 @@ def test_gamma_start_policy():
     for a in (1.0, 1.5, 2.0, 6.582065866777457, 30.0, 1e4):
         for p in (1e-15, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12):
             plan = gamma_start(GammaQuantileQuery(a, p))
-            assert plan.variable is GammaVariable.DIRECT
+            assert (plan.variable, plan.start) == (Variable.DIRECT, "asymptotic")
             assert isinstance(plan.problem, GammaDirectProblem)
             ln_gamma_a1 = plan.problem.ln_gamma_a + math.log(a)
             assert plan.x0 >= math.exp((math.log(p) + ln_gamma_a1) / a), (a, p)
@@ -137,7 +136,7 @@ def test_gamma_start_policy():
     # a < 1: log variable, start below the root.
     a, p = 0.5, 0.1
     plan = gamma_start(GammaQuantileQuery(a, p))
-    assert plan.variable is GammaVariable.LOG
+    assert (plan.variable, plan.start) == (Variable.LOG, "lower-bound")
     assert isinstance(plan.problem, GammaLogProblem)
     z0 = plan.x0
     assert z0 == pytest.approx((math.log(p) + ln_gamma(a + 1.0)) / a, rel=1e-15)
@@ -212,7 +211,7 @@ def test_extreme_ranges_converge():
                 assert abs(reg_gamma_p(a, report.root) - p) <= 1e-11, (a, p)
             else:
                 # Quantile below the smallest positive double.
-                assert "root-underflow" in report.notes
+                assert report.root_underflow
 
 
 def test_kernel_budget_exhaustion_is_typed():
@@ -232,6 +231,6 @@ def test_log_variable_extreme_z_reports_vanished_derivative():
 
 def test_log_variable_trace_mapped_root():
     report = invert_gamma(GammaQuantileQuery(0.5, 0.2))
-    assert "variable=log" in report.notes
+    assert report.variable is Variable.LOG and not report.root_underflow
     assert report.root > 0.0
     assert abs(reg_gamma_p(0.5, report.root) - 0.2) <= 1e-13

@@ -1,4 +1,4 @@
-"""Golden results: root bits, iteration count, stop reason and notes.
+"""Golden results: root bits, iteration count, stop reason and plan fields.
 
 Each entry pins one query on one solver path.  A change meant to be
 bit-identical must keep every entry; a change that moves rounding must
@@ -13,6 +13,11 @@ from the maximum of Omega to the Wilson-Hilferty and A&S 26.5.22 starts:
 the four gamma direct entries (2, 1, 0 and 343330013 ulps; the last was
 5.0e-8 off the true root and is now 6.6e-13 off) and the three beta direct
 entries (89, 1 and 0 ulps), whose note is now "start=asymptotic".
+The note strings became the typed report fields (variable, flipped,
+start, root_underflow) with no change to any root, iteration count or
+stop reason; the gamma entries gained their start labels, and the
+"flip=omega-monotonicity" and "path=heuristic" notes, functions of the
+shapes alone, were dropped.
 """
 
 import math
@@ -27,6 +32,7 @@ from snm import (
     Interval,
     Method,
     SolveOptions,
+    Variable,
     invert_beta,
     invert_ellip_e,
     invert_gamma,
@@ -95,34 +101,60 @@ CASES = {
     "solve cube newton": _solve(_cube_problem, Method.NEWTON),
 }
 
-# name -> (root.hex(), iterations, reason, notes)
+# name -> (root.hex(), iterations, reason, (variable, flipped, start, root_underflow))
 GOLDEN = {
-    "gamma direct a=2.5 p=0.3": ('0x1.7ffcfd5c9aa71p+0', 2, "ResidualTol", ('variable=direct',)),
-    "gamma direct upper a=5 p=0.99": ('0x1.735917be45becp+3', 2, "ResidualTol", ('variable=direct',)),
-    "gamma direct a=20 p=0.5": ('0x1.3aaec947689f6p+4', 1, "ResidualTol", ('variable=direct',)),
-    "gamma direct a=20 p=1e-10": ('0x1.8427e394b8c31p+1', 2, "ResidualTol", ('variable=direct',)),
-    "gamma log a=0.5 p=0.3": ('0x1.301203f7937b9p-4', 2, "ResidualTol", ('variable=log',)),
-    "gamma log a=0.2 p=0.9": ('0x1.35b5c1cbd2d36p-1', 2, "ResidualTol", ('variable=log',)),
-    "gamma log a=0.01 p=1e-5": ('0x0.0p+0', 0, "ResidualTol", ('variable=log', 'root-underflow')),
-    "beta direct 2,3 p=0.3": ('0x1.16ebd0ecac2c4p-2', 2, "ResidualTol", ('start=asymptotic',)),
-    "beta direct flipped 2,3 p=0.8": ('0x1.2a375adc0a65dp-1', 2, "ResidualTol", ('flip=symmetry', 'start=asymptotic')),
-    "beta direct 50,50 p=0.5": ('0x1.0000000000000p-1', 0, "ResidualTol", ('start=asymptotic',)),
-    "beta logit 0.5,3 p=0.2": ('0x1.7a9e125bd9495p-7', 2, "ResidualTol", ('start=lower-bound',)),
-    "beta logit flipped 3,0.5 p=0.4": ('0x1.c26b906c4bcecp-1', 2, "ResidualTol", ('flip=omega-monotonicity', 'flip=symmetry', 'start=lower-bound')),
-    "beta heuristic 0.5,0.5 p=0.3": ('0x1.a61b9f7154b47p-3', 2, "ResidualTol", ('start=lower-bound', 'path=heuristic(a<=1,b<=1)')),
-    "beta heuristic flipped 0.3,0.7 p=0.9": ('0x1.b549b8b247cc1p-1', 2, "ResidualTol", ('flip=symmetry', 'start=lower-bound', 'path=heuristic(a<=1,b<=1)')),
-    "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e3p-2', 1, "ResidualTol", ('start=low',)),
-    "elliptic high m=0.5 p=0.9": ('0x1.66d045d309310p+0', 1, "ResidualTol", ('start=high',)),
-    "elliptic arcsin m=0.97 p=0.3": ('0x1.4dfa5fd26b072p-2', 1, "ResidualTol", ('start=arcsin-guess',)),
-    "elliptic low m=0.81 p=0.7": ('0x1.f55eb027e5ba6p-1', 2, "ResidualTol", ('start=low',)),
-    "elliptic closed m=0 p=0.4": ('0x1.41b2f769cf0e0p-1', 0, "ResidualTol", ('closed-form=linear',)),
-    "elliptic closed m=1 p=0.4": ('0x1.a564ac0e73a34p-2', 0, "ResidualTol", ('closed-form=arcsin',)),
-    "solve tan snm": ('0x0.0p+0', 1, "ResidualTol", ()),
-    "solve tan halley": ('0x0.0p+0', 5, "ResidualTol", ()),
-    "solve tan newton": ('0x0.0p+0', 5, "ResidualTol", ()),
-    "solve cube snm": ('0x1.428a2f98d728bp+0', 3, "ResidualTol", ()),
-    "solve cube halley": ('0x1.428a2f98d728bp+0', 3, "ResidualTol", ()),
-    "solve cube newton": ('0x1.428a2f98d728bp+0', 5, "ResidualTol", ()),
+    "gamma direct a=2.5 p=0.3": ('0x1.7ffcfd5c9aa71p+0', 2, "ResidualTol",
+        (Variable.DIRECT, False, "asymptotic", False)),
+    "gamma direct upper a=5 p=0.99": ('0x1.735917be45becp+3', 2, "ResidualTol",
+        (Variable.DIRECT, False, "asymptotic", False)),
+    "gamma direct a=20 p=0.5": ('0x1.3aaec947689f6p+4', 1, "ResidualTol",
+        (Variable.DIRECT, False, "asymptotic", False)),
+    "gamma direct a=20 p=1e-10": ('0x1.8427e394b8c31p+1', 2, "ResidualTol",
+        (Variable.DIRECT, False, "asymptotic", False)),
+    "gamma log a=0.5 p=0.3": ('0x1.301203f7937b9p-4', 2, "ResidualTol",
+        (Variable.LOG, False, "lower-bound", False)),
+    "gamma log a=0.2 p=0.9": ('0x1.35b5c1cbd2d36p-1', 2, "ResidualTol",
+        (Variable.LOG, False, "lower-bound", False)),
+    "gamma log a=0.01 p=1e-5": ('0x0.0p+0', 0, "ResidualTol",
+        (Variable.LOG, False, "lower-bound", True)),
+    "beta direct 2,3 p=0.3": ('0x1.16ebd0ecac2c4p-2', 2, "ResidualTol",
+        (Variable.DIRECT, False, "asymptotic", False)),
+    "beta direct flipped 2,3 p=0.8": ('0x1.2a375adc0a65dp-1', 2, "ResidualTol",
+        (Variable.DIRECT, True, "asymptotic", False)),
+    "beta direct 50,50 p=0.5": ('0x1.0000000000000p-1', 0, "ResidualTol",
+        (Variable.DIRECT, False, "asymptotic", False)),
+    "beta logit 0.5,3 p=0.2": ('0x1.7a9e125bd9495p-7', 2, "ResidualTol",
+        (Variable.LOGIT, False, "lower-bound", False)),
+    "beta logit flipped 3,0.5 p=0.4": ('0x1.c26b906c4bcecp-1', 2, "ResidualTol",
+        (Variable.LOGIT, True, "lower-bound", False)),
+    "beta heuristic 0.5,0.5 p=0.3": ('0x1.a61b9f7154b47p-3', 2, "ResidualTol",
+        (Variable.LOGIT, False, "lower-bound", False)),
+    "beta heuristic flipped 0.3,0.7 p=0.9": ('0x1.b549b8b247cc1p-1', 2, "ResidualTol",
+        (Variable.LOGIT, True, "lower-bound", False)),
+    "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e3p-2', 1, "ResidualTol",
+        (Variable.DIRECT, False, "low", False)),
+    "elliptic high m=0.5 p=0.9": ('0x1.66d045d309310p+0', 1, "ResidualTol",
+        (Variable.DIRECT, False, "high", False)),
+    "elliptic arcsin m=0.97 p=0.3": ('0x1.4dfa5fd26b072p-2', 1, "ResidualTol",
+        (Variable.DIRECT, False, "arcsin-guess", False)),
+    "elliptic low m=0.81 p=0.7": ('0x1.f55eb027e5ba6p-1', 2, "ResidualTol",
+        (Variable.DIRECT, False, "low", False)),
+    "elliptic closed m=0 p=0.4": ('0x1.41b2f769cf0e0p-1', 0, "ResidualTol",
+        (Variable.DIRECT, False, "closed-form", False)),
+    "elliptic closed m=1 p=0.4": ('0x1.a564ac0e73a34p-2', 0, "ResidualTol",
+        (Variable.DIRECT, False, "closed-form", False)),
+    "solve tan snm": ('0x0.0p+0', 1, "ResidualTol",
+        (Variable.DIRECT, False, "", False)),
+    "solve tan halley": ('0x0.0p+0', 5, "ResidualTol",
+        (Variable.DIRECT, False, "", False)),
+    "solve tan newton": ('0x0.0p+0', 5, "ResidualTol",
+        (Variable.DIRECT, False, "", False)),
+    "solve cube snm": ('0x1.428a2f98d728bp+0', 3, "ResidualTol",
+        (Variable.DIRECT, False, "", False)),
+    "solve cube halley": ('0x1.428a2f98d728bp+0', 3, "ResidualTol",
+        (Variable.DIRECT, False, "", False)),
+    "solve cube newton": ('0x1.428a2f98d728bp+0', 5, "ResidualTol",
+        (Variable.DIRECT, False, "", False)),
 }
 
 
@@ -133,5 +165,6 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
     report = CASES[name]()
-    got = (report.root.hex(), report.iterations, report.reason.value, report.notes)
+    got = (report.root.hex(), report.iterations, report.reason.value,
+           (report.variable, report.flipped, report.start, report.root_underflow))
     assert got == GOLDEN[name]

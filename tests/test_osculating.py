@@ -1,5 +1,6 @@
 """Osculating-curve construction: fit conditions, root equivalence, eval."""
 
+import dataclasses
 import math
 
 import pytest
@@ -84,13 +85,13 @@ def test_eval_at_model_root_is_zero():
 
 def test_degenerate_line_model():
     # lam=0, b=0, c=1: y = (x - anchor) + a, Newton's tangent in disguise.
-    m = OsculatingModel(x_anchor=2.0, lam=0.0, a=0.25, b=0.0, c=1.0, d=1.0)
+    m = OsculatingModel(x_anchor=2.0, lam=0.0, a=0.25, b=0.0, c=1.0)
     assert osculating_eval(m, 3.0) == 1.25
     assert osculating_root(m) == 1.75
 
 
 def test_eval_pole_raises():
-    m = OsculatingModel(x_anchor=0.0, lam=0.0, a=1.0, b=1.0, c=-2.0, d=1.0)
+    m = OsculatingModel(x_anchor=0.0, lam=0.0, a=1.0, b=1.0, c=-2.0)
     with pytest.raises(PoleError):
         osculating_eval(m, 2.0)  # u = 2 makes b*u + c = 0
 
@@ -103,9 +104,7 @@ def test_gamma_figure_overlay():
     problem = GammaDirectProblem(GammaQuantileQuery(a, p))
     e = problem.evaluate(a + 1.0)
     snm_model = osculating_fit(e)
-    hal_model = OsculatingModel(x_anchor=snm_model.x_anchor, lam=0.0,
-                                a=snm_model.a, b=snm_model.b, c=snm_model.c,
-                                d=snm_model.d)
+    hal_model = dataclasses.replace(snm_model, lam=0.0)
     sum_snm = sum_hal = sum_newton = 0.0
     err_snm = err_snm_body = 0.0
     for i in range(71):

@@ -16,7 +16,6 @@ from snm.beta import (
     BetaDirectProblem,
     BetaLogitProblem,
     BetaQuantileQuery,
-    BetaVariable,
     _sigmoid,
     beta_b,
     beta_omega,
@@ -28,9 +27,11 @@ from snm.cli import main
 from snm.core import (
     QUANTILE_OPTIONS,
     RESIDUAL_NOISE_FLOOR,
+    STEP_REL_TOL,
     DerivativeVanishedError,
     Method,
     SolveOptions,
+    Variable,
     solve,
 )
 from snm.elliptic import (
@@ -216,12 +217,12 @@ def test_gamma_query_computes_ln_gamma_at_most_twice(monkeypatch):
 
 def test_beta_query_computes_ln_beta_once(monkeypatch):
     calls = _count_calls(monkeypatch, "ln_beta")
-    notes = set()
+    flipped = set()
     for query, kwargs in BETA_CASES:
         calls[0] = 0
-        notes.update(invert_beta(query, **kwargs).notes)
+        flipped.add(invert_beta(query, **kwargs).flipped)
         assert calls[0] == 1, (query, kwargs, calls[0])
-    assert "flip=symmetry" in notes
+    assert flipped == {False, True}
 
 
 def test_elliptic_query_computes_complete_integral_once(monkeypatch):
@@ -246,7 +247,7 @@ def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, case
         plan = make_plan(query)
         if report.evaluations == 0:
             # A beta root below the smallest double is known from the start.
-            assert "root-underflow" in report.notes and calls[0] == 0, query
+            assert report.root_underflow and calls[0] == 0, query
             continue
         assert calls[0] == 1, (query, kwargs, calls[0])
         own = solve(plan.problem, plan.x0, kwargs.get("opts", QUANTILE_OPTIONS))
@@ -257,6 +258,24 @@ def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, case
         unconverged += not report.converged
     # The capped cases end unconverged: no second solve rescues them.
     assert unconverged >= 1
+
+
+@pytest.mark.parametrize("invert, make_plan, cases", [
+    (invert_gamma, gamma_start, GAMMA_CASES),
+    (invert_beta, beta_plan, BETA_CASES),
+    (invert_ellip_e, elliptic_plan, ELLIPTIC_CASES),
+])
+def test_report_fields_are_the_plan_s_fields(invert, make_plan, cases):
+    for query, kwargs in cases:
+        report = invert(query, **kwargs)
+        plan = make_plan(query)
+        assert (report.variable, report.flipped, report.start) \
+            == (plan.variable, plan.flipped, plan.start), query
+        # Only a root below the smallest double is flagged, and it maps to 0 or 1.
+        if report.root_underflow:
+            assert report.root == (1.0 if plan.flipped else 0.0), query
+        else:
+            assert report.root not in (0.0, 1.0), query
 
 
 def test_invert_beta_agrees_with_compare_on_a_one_sided_newton_solve(capsys):
@@ -294,7 +313,7 @@ def _assert_quick_direct_solve(plan, report, query):
     # step-tolerance stop places the root only that closely.  Beta roots
     # near x = 1 with a >> b need it: there |f'| reaches ~1e3.
     e = plan.problem.evaluate(working.root)
-    step_tol = QUANTILE_OPTIONS.abs_tol + QUANTILE_OPTIONS.rel_tol * working.root
+    step_tol = QUANTILE_OPTIONS.abs_tol + STEP_REL_TOL * working.root
     assert abs(e.f) <= 1e-13 + e.fp * step_tol, (query, e.f)
 
 
@@ -309,6 +328,6 @@ def test_direct_starts_need_few_evaluations_and_no_fallback():
         query = BetaQuantileQuery(_log_uniform(rng, 1.0, 1e4),
                                   _log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
         plan = beta_plan(query)
-        assert plan.variable is BetaVariable.DIRECT, query
-        assert plan.notes[-1] == "start=asymptotic", query
+        assert plan.variable is Variable.DIRECT, query
+        assert plan.start == "asymptotic", query
         _assert_quick_direct_solve(plan, invert_beta(query), query)

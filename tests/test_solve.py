@@ -3,6 +3,7 @@ clamp, the immutable record types and the evaluation count."""
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -12,12 +13,15 @@ from snm.core import (
     FunctionProblem,
     Interval,
     IterationRecord,
+    STEP_REL_TOL,
     Method,
+    Plan,
     Problem,
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
     StopReason,
+    Variable,
     snm_step,
     solve,
     tan_problem,
@@ -145,6 +149,9 @@ def test_newton_method_runs():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(abs_tol=0.0)
+    for bad in ({"abs_tol": math.nan}, {"residual_tol": math.nan}):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
@@ -191,20 +198,35 @@ def test_record_field_order():
     assert IterationRecord._fields == ("n", "x", "f", "h", "omega", "step",
                                        "fallback_used")
     assert SolveReport._fields == ("root", "iterations", "trace", "converged",
-                                   "reason", "notes", "evaluations")
+                                   "reason", "evaluations", "variable", "flipped",
+                                   "start", "root_underflow")
+    assert Plan._fields == ("problem", "x0", "variable", "start", "flipped")
 
 
-def test_with_root_shares_trace_and_leaves_original():
+def test_with_plan_shares_trace_and_leaves_original():
     _, report = _records()
     before = tuple(report)
-    moved = report.with_root(2.5, "variable=log", "root-underflow")
+    plan = Plan(tan_problem(), 1.0, Variable.LOG, "lower-bound", flipped=True)
+    moved = report.with_plan(plan, root_underflow=True)
     assert moved is not report
     assert moved.trace is report.trace
-    assert moved.root == 2.5
-    assert moved.notes == report.notes + ("variable=log", "root-underflow")
+    assert moved.root == 1.0 - math.exp(report.root)
+    assert (moved.variable, moved.flipped, moved.start, moved.root_underflow) \
+        == (Variable.LOG, True, "lower-bound", True)
     assert (moved.iterations, moved.converged, moved.reason, moved.evaluations) == (
         report.iterations, report.converged, report.reason, report.evaluations)
     assert tuple(report) == before
+
+
+def test_plan_maps_invert_each_other():
+    # to_x and from_x are inverses for every variable, with and without the flip.
+    for variable, v in ((Variable.DIRECT, 0.25), (Variable.LOG, -1.5),
+                        (Variable.LOGIT, 2.0)):
+        for flipped in (False, True):
+            plan = Plan(tan_problem(), 0.0, variable, "", flipped)
+            assert plan.from_x(plan.to_x(v)) == pytest.approx(v, rel=1e-15, abs=1e-15)
+    assert Variable.LOGIT.value == "logit"
+    assert Plan(tan_problem(), 0.0, Variable.LOGIT, "").to_x(0.0) == 0.5
 
 
 def test_solve_options_frozen():
@@ -213,6 +235,10 @@ def test_solve_options_frozen():
         opts.max_iter = 5
     assert QUANTILE_OPTIONS.residual_tol == RESIDUAL_NOISE_FLOOR
     assert QUANTILE_OPTIONS == SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
+    # The relative step tolerance is a constant, not an option.
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+        "abs_tol", "residual_tol", "max_iter", "method"]
+    assert STEP_REL_TOL == 4 * sys.float_info.epsilon
 
 
 # ----------------------------------------------------------- evaluations

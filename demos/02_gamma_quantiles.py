@@ -36,10 +36,8 @@ def main() -> None:
     for a in (2.0, 5.0, 30.0, 100.0):
         for p in (0.1, 0.5, 0.9):
             problem = GammaDirectProblem(GammaQuantileQuery(a, p))
-            n_s = solve(problem, a + 1.0, SolveOptions(
-                method=Method.SNM, residual_tol=1e-14)).iterations
-            n_h = solve(problem, a + 1.0, SolveOptions(
-                method=Method.HALLEY, residual_tol=1e-14)).iterations
+            n_s = solve(problem, a + 1.0, SolveOptions(method=Method.SNM)).iterations
+            n_h = solve(problem, a + 1.0, SolveOptions(method=Method.HALLEY)).iterations
             print(f"  {a:6.0f} {p:5.2f}   {n_s:3d}  {n_h:6d}")
 
     print()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    QUANTILE_OPTIONS,
+    RESIDUAL_NOISE_FLOOR,
     DerivativeVanishedError,
     Interval,
     Plan,
@@ -158,6 +158,8 @@ class BetaDirectProblem(Problem):
     ``ln_b`` is ln B(a, b); it is computed here when the caller passes none.
     """
 
+    residual_tol = RESIDUAL_NOISE_FLOOR
+
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         self.query = query
         self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
@@ -180,6 +182,8 @@ class BetaDirectProblem(Problem):
 
 class BetaLogitProblem(Problem):
     """Same residual in z = log(x/(1-x)); B and Omega transformed; ``ln_b`` as above."""
+
+    residual_tol = RESIDUAL_NOISE_FLOOR
 
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         self.query = query
@@ -295,8 +299,6 @@ def invert_beta(query: BetaQuantileQuery,
     the smallest positive double (tiny shapes) is reported as converged
     at 0, or at 1 after a symmetry flip, with ``root_underflow`` set.
     """
-    if opts is None:
-        opts = QUANTILE_OPTIONS
     plan = beta_plan(query)
     work = plan.query
     if (plan.variable is Variable.LOGIT and _sigmoid(plan.x0) == 0.0

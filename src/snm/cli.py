@@ -6,7 +6,7 @@ Grammar::
                 [--method snm|halley|newton] [--trace]
                 [--format table|csv|json] [--tol T] [--max-iter N]
     snm compare (gamma|beta|elliptic) ... [--methods snm,halley,newton]
-                [--x0 X0] [--format ...]
+                [--x0 X0] [--format ...] [--tol T] [--max-iter N]
     snm osculate (gamma|beta|elliptic|tan) --x0 X0 --range LO:HI
                 --samples N [--curves function,snm,halley,newton]
                 [--format ...]
@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
-    QUANTILE_OPTIONS,
     Method,
     PoleError,
     Problem,
@@ -55,10 +54,9 @@ def _fmt(v: float, digits: int) -> str:
 
 def _build_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
                    method: str) -> SolveOptions:
-    """The library's quantile options with the command's tolerance, cap and method."""
+    """Solve options with the command's tolerance, cap and method."""
     try:
-        return replace(QUANTILE_OPTIONS, abs_tol=args.tol, max_iter=args.max_iter,
-                       method=Method(method))
+        return SolveOptions(abs_tol=args.tol, max_iter=args.max_iter, method=Method(method))
     except ValueError as exc:
         parser.error(f"--tol/--max-iter: {exc}")
 
@@ -318,9 +316,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=float, default=None, help="modulus m (elliptic)")
     sub.add_argument("--p", type=float, default=None, help="probability / fraction")
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sub.add_argument("--tol", type=float, default=1e-15,
-                     help="absolute step tolerance (default 1e-15)")
-    sub.add_argument("--max-iter", type=int, default=30, dest="max_iter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,6 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--x0", type=float, default=None,
                       help="common starting point (default: module policy)")
     cmp_.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
+    for sub in (inv, cmp_):  # osculate runs no solve
+        sub.add_argument("--tol", type=float, default=1e-15,
+                         help="absolute step tolerance (default 1e-15)")
+        sub.add_argument("--max-iter", type=int, default=30, dest="max_iter")
 
     osc = subs.add_parser("osculate", help="emit osculating-curve samples")
     osc.add_argument("problem", choices=("gamma", "beta", "elliptic", "tan"))

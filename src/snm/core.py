@@ -21,9 +21,9 @@ matching f and its first three derivatives at x_n, then solves y = 0.
 algebraically equivalent to the arctan step formula.
 
 Problems supply f, f', B and Omega in closed form through the
-:class:`Problem` contract; ``solve`` runs the iteration with step/residual
-stopping tests, an automatic Halley fallback where the hyperbolic branch
-is undefined, and a domain safeguard.
+:class:`Problem` contract, which also sets the residual stop; ``solve``
+runs the iteration with step/residual stopping tests, an automatic Halley
+fallback where the hyperbolic branch is undefined, and a domain safeguard.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ MACHINE_EPSILON = sys.float_info.epsilon
 # relative truncation error under 1e-18, below double rounding.
 SERIES_THRESHOLD = 1e-6
 
-# Residual stop used by the application solvers (and the CLI) in place of
-# the disabled library default: tens of ulps of a CDF value, under which
-# the kernels cannot distinguish the residual from rounding noise (long
+# The gamma and beta problems' residual stop (the elliptic problem scales
+# it by its target): tens of ulps of a CDF value, under which the kernels
+# cannot distinguish the residual from rounding noise (long
 # continued-fraction chains carry a few 1e-15 of it), while staying an
 # order of magnitude below the 1e-13 round-trip contracts.
 RESIDUAL_NOISE_FLOOR = 1e-14
@@ -185,11 +185,11 @@ class Problem(ABC):
     required for points strictly inside ``domain()`` unless the concrete
     problem supports endpoint evaluation.
 
-    ``residual_scale`` sets the size of |f| that counts as small: the
-    residual stop of ``solve`` is |f| <= residual_tol * residual_scale.
+    ``solve`` stops once |f| <= ``residual_tol``, which the application
+    problems set at their kernels' noise floor (at 0, only an exact zero).
     """
 
-    residual_scale: float = 1.0
+    residual_tol: float = 0.0
 
     @abstractmethod
     def evaluate(self, x: float) -> ProblemEvaluation:
@@ -244,20 +244,16 @@ class SolveOptions:
     """Driver configuration.
 
     The stopping rule is |step| <= abs_tol + STEP_REL_TOL * |x|, or
-    |f| <= residual_tol * problem.residual_scale (disabled at the default
-    0, where only an exact zero triggers it), or max_iter.
+    |f| <= problem.residual_tol, or max_iter.
     """
 
     abs_tol: float = 1e-15
-    residual_tol: float = 0.0
     max_iter: int = 30
     method: Method = Method.SNM
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:  # also refuses NaN
             raise ValueError("abs_tol must be positive")
-        if not self.residual_tol >= 0:
-            raise ValueError("residual_tol must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -358,16 +354,13 @@ class SolveReport(NamedTuple):
 
 
 _DEFAULT_OPTIONS = SolveOptions()
-# The options of the application solvers: the library default plus the
-# residual stop at the kernels' noise floor.
-QUANTILE_OPTIONS = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
 
 
-def gtan(lam: float, x: float, series_threshold: float = SERIES_THRESHOLD) -> float:
+def gtan(lam: float, x: float) -> float:
     """Generalized tangent: tan for lam > 0, identity at 0, tanh for lam < 0.
 
     Returns tan(sqrt(lam) x)/sqrt(lam), x, or tanh(sqrt(-lam) x)/sqrt(-lam).
-    Continuous in lam at 0; for |lam x^2| below ``series_threshold`` the
+    Continuous in lam at 0; for |lam x^2| below ``SERIES_THRESHOLD`` the
     odd series x (1 + w/3 + 2 w^2/15), w = lam x^2, is used.
 
     Raises:
@@ -375,7 +368,7 @@ def gtan(lam: float, x: float, series_threshold: float = SERIES_THRESHOLD) -> fl
             principal branch).
     """
     w = lam * x * x
-    if abs(w) < series_threshold:
+    if abs(w) < SERIES_THRESHOLD:
         return x * (1.0 + w / 3.0 + 2.0 / 15.0 * w * w)
     if lam > 0.0:
         s = math.sqrt(lam)
@@ -387,10 +380,10 @@ def gtan(lam: float, x: float, series_threshold: float = SERIES_THRESHOLD) -> fl
     return math.tanh(s * x) / s
 
 
-def gatan(lam: float, u: float, series_threshold: float = SERIES_THRESHOLD) -> float:
+def gatan(lam: float, u: float) -> float:
     """Inverse of ``gtan``: arctan / identity / arctanh by the sign of lam.
 
-    For |lam u^2| below ``series_threshold`` the odd series
+    For |lam u^2| below ``SERIES_THRESHOLD`` the odd series
     u (1 - w/3 + w^2/5), w = lam u^2, avoids cancellation.
 
     Raises:
@@ -399,7 +392,7 @@ def gatan(lam: float, u: float, series_threshold: float = SERIES_THRESHOLD) -> f
             applies a Halley fallback.
     """
     w = lam * u * u
-    if abs(w) < series_threshold:
+    if abs(w) < SERIES_THRESHOLD:
         return u * (1.0 - w / 3.0 + 0.2 * w * w)
     if lam > 0.0:
         s = math.sqrt(lam)
@@ -545,7 +538,7 @@ def solve(problem: Problem, x0: float,
     x = x0
     trace: list[IterationRecord] = []
     evaluations = 0
-    residual_tol = opts.residual_tol * problem.residual_scale
+    residual_tol = problem.residual_tol
 
     while True:
         evaluations += 1

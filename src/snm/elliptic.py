@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    QUANTILE_OPTIONS,
+    RESIDUAL_NOISE_FLOOR,
     Interval,
     Plan,
     Problem,
@@ -147,7 +147,7 @@ def _start_high(m: float, p: float, complete: float) -> float:
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    The residual stop is relative to the target p E(1, m): an absolute
+    ``residual_tol`` is relative to the target p E(1, m): an absolute
     stop would accept x ~ p E(1, m) unrefined once the target itself is
     below the tolerance (m near 1, small p).
     """
@@ -158,7 +158,8 @@ class EllipticProblem(Problem):
                              "and m = 1 endpoints invert in closed form")
         self.query = query
         self.complete = ellip_e_complete(query.m)
-        self.target = self.residual_scale = query.p * self.complete
+        self.target = query.p * self.complete
+        self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         if not 0.0 <= x <= math.pi / 2:
@@ -225,7 +226,5 @@ def invert_ellip_e(query: EllipticQuery,
     if m == 0.0 or m == 1.0:
         root = p * math.pi / 2 if m == 0.0 else math.asin(p)
         return SolveReport(root, 0, (), True, StopReason.RESIDUAL_TOL, start="closed-form")
-    if opts is None:
-        opts = QUANTILE_OPTIONS
     plan = elliptic_plan(query)
     return solve(plan.problem, plan.x0, opts).with_plan(plan)

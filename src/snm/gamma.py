@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    QUANTILE_OPTIONS,
+    RESIDUAL_NOISE_FLOOR,
     DerivativeVanishedError,
     Interval,
     Plan,
@@ -99,6 +99,8 @@ def _residual(query: GammaQuantileQuery, x: float,
 class GammaDirectProblem(Problem):
     """f(x) = P(a,x) - p (or q - Q(a,x)) on (0, inf)."""
 
+    residual_tol = RESIDUAL_NOISE_FLOOR
+
     def __init__(self, query: GammaQuantileQuery) -> None:
         self.query = query
         self.ln_gamma_a = ln_gamma(query.a)
@@ -120,6 +122,8 @@ class GammaDirectProblem(Problem):
 
 class GammaLogProblem(Problem):
     """Same residual in z = log x; B and Omega transformed accordingly."""
+
+    residual_tol = RESIDUAL_NOISE_FLOOR
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         self.query = query
@@ -198,8 +202,6 @@ def invert_gamma(query: GammaQuantileQuery,
     reporting; the trace stays in the solver variable.  A root e^z below
     the smallest positive double is reported as 0 with ``root_underflow``.
     """
-    if opts is None:
-        opts = QUANTILE_OPTIONS
     plan = gamma_start(query)
     report = solve(plan.problem, plan.x0, opts).with_plan(plan)
     if report.root == 0.0:

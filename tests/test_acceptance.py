@@ -13,7 +13,6 @@ import pytest
 
 from snm.core import (
     Method,
-    RESIDUAL_NOISE_FLOOR,
     SnmError,
     SolveOptions,
     halley_step,
@@ -50,7 +49,6 @@ from snm.special import (
     ellip_e_complete,
     ellip_e_inc,
     gamma_density,
-    integrate_adaptive,
     ln_beta,
     reg_beta,
     reg_gamma_p,
@@ -58,6 +56,7 @@ from snm.special import (
 )
 
 from conftest import family_evaluation, family_root, sample_family
+from quadrature import integrate_adaptive
 
 
 def _report(n: int, label: str) -> None:
@@ -129,10 +128,8 @@ def test_criterion_4_gamma_iteration_budget():
 def test_criterion_5_snm_iterations_at_most_halley_and_monotone():
     for a, p in GAMMA_BUDGET_GRID:
         problem = GammaDirectProblem(GammaQuantileQuery(a, p))
-        r_snm = solve(problem, a + 1.0, SolveOptions(
-            method=Method.SNM, residual_tol=RESIDUAL_NOISE_FLOOR))
-        r_hal = solve(problem, a + 1.0, SolveOptions(
-            method=Method.HALLEY, residual_tol=RESIDUAL_NOISE_FLOOR))
+        r_snm = solve(problem, a + 1.0, SolveOptions(method=Method.SNM))
+        r_hal = solve(problem, a + 1.0, SolveOptions(method=Method.HALLEY))
         assert r_snm.converged and r_hal.converged, (a, p)
         assert r_snm.iterations <= r_hal.iterations, (a, p)
         for rep in (r_snm, r_hal):
@@ -308,7 +305,7 @@ def test_criterion_11_round_trip_quantiles():
             assert report.converged, (a, b, p)
             plan = beta_plan(query)
             work = solve(plan.problem, plan.x0,
-                         SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR))
+                         SolveOptions())
             x_work = (_sigmoid(work.root) if plan.variable.value == "logit"
                       else work.root)
             assert abs(reg_beta(x_work, plan.query.a, plan.query.b)

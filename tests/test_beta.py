@@ -20,7 +20,7 @@ from snm.beta import (
     _logit,
     _sigmoid,
 )
-from snm.core import Method, RESIDUAL_NOISE_FLOOR, SolveOptions, Variable, solve
+from snm.core import Method, SolveOptions, Variable, solve
 from snm.special import ln_beta, reg_beta
 
 AB_GRID = (0.3, 0.5, 1.5, 2.0, 5.0, 30.0)
@@ -164,7 +164,7 @@ def _work_residual(query: BetaQuantileQuery) -> float:
     """
     plan = beta_plan(query)
     report = solve(plan.problem, plan.x0,
-                   SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR))
+                   SolveOptions())
     assert report.converged, (query, report.reason)
     x_work = (_sigmoid(report.root)
               if plan.variable is Variable.LOGIT else report.root)
@@ -207,10 +207,8 @@ def test_snm_beats_halley_for_shapes_above_one():
     for a, b in ((2.0, 2.0), (5.0, 2.0), (30.0, 7.0)):
         for p in (0.1, 0.4):
             plan = beta_plan(BetaQuantileQuery(a, b, p))
-            n_snm = solve(plan.problem, plan.x0, SolveOptions(
-                method=Method.SNM, residual_tol=RESIDUAL_NOISE_FLOOR)).iterations
-            n_hal = solve(plan.problem, plan.x0, SolveOptions(
-                method=Method.HALLEY, residual_tol=RESIDUAL_NOISE_FLOOR)).iterations
+            n_snm = solve(plan.problem, plan.x0, SolveOptions(method=Method.SNM)).iterations
+            n_hal = solve(plan.problem, plan.x0, SolveOptions(method=Method.HALLEY)).iterations
             assert n_snm <= n_hal, (a, b, p, n_snm, n_hal)
 
 

@@ -301,3 +301,10 @@ def test_osculate_usage_validation(capsys):
         main(["osculate", "gamma", "--a", "30", "--p", "0.5", "--x0", "-3",
               "--range", "15:50", "--samples", "10"])
     assert exc.value.code == 2
+    # osculate runs no solve, so it has no tolerance or iteration cap.
+    for extra in (["--tol", "1e-9"], ["--max-iter", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["osculate", "tan", "--x0", "1", "--range=-1:1", "--samples", "3"]
+                 + extra)
+        assert exc.value.code == 2, extra
+

@@ -258,7 +258,7 @@ def test_stop_is_relative_to_the_target():
     report = invert_ellip_e(EllipticQuery(m, p))
     assert report.converged and report.iterations >= 1
     target = p * ellip_e_complete(m)
-    assert EllipticProblem(EllipticQuery(m, p)).residual_scale == target
+    assert EllipticProblem(EllipticQuery(m, p)).residual_tol == RESIDUAL_NOISE_FLOOR * target
     assert abs(ellip_e_inc(report.root, m) - target) <= 1e-13 * target
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from snm.core import QUANTILE_OPTIONS, Method, SnmError, SolveOptions, Variable, solve
+from snm.core import Method, SnmError, SolveOptions, Variable, solve
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
@@ -167,17 +167,15 @@ def test_monotone_iterates_from_peak_start():
 
 
 def test_snm_iterations_never_exceed_halley():
-    # Identical options for both methods; the residual floor keeps the
-    # count free of noise-level final steps (a landing a few ulps off
-    # the root would otherwise flip a coin against the step tolerance).
-    from snm.core import RESIDUAL_NOISE_FLOOR
+    # Identical options for both methods; the problem's residual floor
+    # keeps the count free of noise-level final steps (a landing a few
+    # ulps off the root would otherwise flip a coin against the step
+    # tolerance).
     for a in (1.0, 2.0, 5.0, 30.0, 100.0):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             problem = GammaDirectProblem(GammaQuantileQuery(a, p))
-            n_snm = solve(problem, a + 1.0, SolveOptions(
-                method=Method.SNM, residual_tol=RESIDUAL_NOISE_FLOOR)).iterations
-            n_hal = solve(problem, a + 1.0, SolveOptions(
-                method=Method.HALLEY, residual_tol=RESIDUAL_NOISE_FLOOR)).iterations
+            n_snm = solve(problem, a + 1.0, SolveOptions(method=Method.SNM)).iterations
+            n_hal = solve(problem, a + 1.0, SolveOptions(method=Method.HALLEY)).iterations
             assert n_snm <= n_hal, (a, p, n_snm, n_hal)
 
 
@@ -196,7 +194,7 @@ def test_quantile_monotone_in_p():
 def test_numeric_start_override():
     # A caller's own start runs through the plan's problem and its x map.
     plan = gamma_start(GammaQuantileQuery(2.0, 0.5))
-    report = solve(plan.problem, plan.from_x(4.0), QUANTILE_OPTIONS)
+    report = solve(plan.problem, plan.from_x(4.0), SolveOptions())
     assert report.converged
     assert report.root == pytest.approx(1.6783469900166605, rel=1e-13)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from snm.core import StepUndefinedError, gatan, gtan, schwarzian_omega
+from snm.core import SERIES_THRESHOLD, StepUndefinedError, gatan, gtan, schwarzian_omega
 
 from conftest import family_derivatives
 
@@ -69,15 +69,21 @@ def test_series_branch_continuity(rng):
 
 
 def test_series_matches_closed_form_at_threshold(rng):
-    # Continuity across the series cutoff: both branches agree there.
+    # Continuity across the series cutoff: at each (lam, u), on either side
+    # of it, gatan/gtan agree with arctan/arctanh and tan/tanh of
+    # sqrt(|lam|) u, computed here.  The u just under the cutoff take the
+    # series branch.
     for lam in (1e-6, -1e-6, 3.3e-6, -3.3e-6):
-        for u in (0.9, -1.1, 0.5):
-            full = gatan(lam, u, series_threshold=1e-30)  # force closed form
-            ser = gatan(lam, u, series_threshold=1.0)     # force series
-            assert ser == pytest.approx(full, abs=4 * EPS * abs(u))
-            full_t = gtan(lam, u, series_threshold=1e-30)
-            ser_t = gtan(lam, u, series_threshold=1.0)
-            assert ser_t == pytest.approx(full_t, abs=4 * EPS * abs(u))
+        s = math.sqrt(abs(lam))
+        near = math.sqrt(0.999 * SERIES_THRESHOLD / abs(lam))
+        for u in (0.9, -1.1, 0.5, near, -near):
+            if lam > 0.0:
+                full, full_t = math.atan(s * u) / s, math.tan(s * u) / s
+            else:
+                full, full_t = math.atanh(s * u) / s, math.tanh(s * u) / s
+            assert gatan(lam, u) == pytest.approx(full, abs=4 * EPS * abs(u))
+            assert gtan(lam, u) == pytest.approx(full_t, abs=4 * EPS * abs(u))
+        assert abs(lam * near * near) < SERIES_THRESHOLD
 
 
 def test_schwarzian_omega_tan_at_zero():

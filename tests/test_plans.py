@@ -25,8 +25,6 @@ from snm.beta import (
 )
 from snm.cli import main
 from snm.core import (
-    QUANTILE_OPTIONS,
-    RESIDUAL_NOISE_FLOOR,
     STEP_REL_TOL,
     DerivativeVanishedError,
     Method,
@@ -168,7 +166,7 @@ def _count_calls(monkeypatch, name, owner=snm.special):
 # 30 steps and ends MaxIter.
 NEWTON_ONE_SIDED = BetaQuantileQuery(0.22527578378421423, 1.497837167475381,
                                      0.9999999999999892, 1.0769607723293331e-14)
-NEWTON_OPTIONS = SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR, method=Method.NEWTON)
+NEWTON_OPTIONS = SolveOptions(method=Method.NEWTON)
 
 # Each case takes a distinct path: variable, flip, deep tail, root
 # underflow, an iteration cap that the solve does not meet.
@@ -180,7 +178,7 @@ GAMMA_CASES = (
     (GammaQuantileQuery(0.7, 0.9), {}),
     (GammaQuantileQuery(0.05, 1e-15), {}),
     (GammaQuantileQuery(0.5, 0.3),
-     {"opts": SolveOptions(max_iter=1, residual_tol=RESIDUAL_NOISE_FLOOR)}),
+     {"opts": SolveOptions(max_iter=1)}),
 )
 BETA_CASES = (
     (BetaQuantileQuery(2.0, 3.0, 0.3), {}),
@@ -194,9 +192,9 @@ BETA_CASES = (
     (BetaQuantileQuery(1e17, 1.5, 0.3), {}),
     (NEWTON_ONE_SIDED, {"opts": NEWTON_OPTIONS}),
     (BetaQuantileQuery(0.5, 3.0, 0.2),
-     {"opts": SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)}),
+     {"opts": SolveOptions(max_iter=2)}),
     (BetaQuantileQuery(2.0, 3.0, 0.7),
-     {"opts": SolveOptions(max_iter=2, residual_tol=RESIDUAL_NOISE_FLOOR)}),
+     {"opts": SolveOptions(max_iter=2)}),
 )
 ELLIPTIC_CASES = (
     (EllipticQuery(0.5, 0.3), {}),
@@ -250,7 +248,7 @@ def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, case
             assert report.root_underflow and calls[0] == 0, query
             continue
         assert calls[0] == 1, (query, kwargs, calls[0])
-        own = solve(plan.problem, plan.x0, kwargs.get("opts", QUANTILE_OPTIONS))
+        own = solve(plan.problem, plan.x0, kwargs.get("opts"))
         assert report.root == plan.to_x(own.root), query
         assert (report.iterations, report.evaluations, report.reason, report.converged) \
             == (own.iterations, own.evaluations, own.reason, own.converged), query
@@ -289,6 +287,25 @@ def test_invert_beta_agrees_with_compare_on_a_one_sided_newton_solve(capsys):
     assert row["iterations"] == report.iterations
 
 
+# Queries whose solves end MaxIter without the residual stop, so options a
+# caller passes must keep the problem's stop.
+CALLER_OPTIONS_CASES = (
+    (invert_gamma, GammaQuantileQuery(0.09314440237587786, 0.9669482455993221)),
+    (invert_beta, BetaQuantileQuery(13.04976233800258, 0.08092678516569501,
+                                    0.0744345180978059)),
+    (invert_ellip_e, EllipticQuery(0.9999999997954024, 0.9979524840189656)),
+)
+
+
+@pytest.mark.parametrize("invert, query", CALLER_OPTIONS_CASES)
+def test_caller_options_keep_the_problem_s_residual_stop(invert, query):
+    default = invert(query)
+    assert default.converged, query
+    assert invert(query, SolveOptions()) == default, query
+    halley = invert(query, SolveOptions(method=Method.HALLEY))
+    assert halley.converged, (query, halley.reason)
+
+
 def _log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
@@ -301,7 +318,7 @@ def _tail_pair(rng):
 
 def _assert_quick_direct_solve(plan, report, query):
     # The public report is the plan's one solve, mapped back to x.
-    working = solve(plan.problem, plan.x0, QUANTILE_OPTIONS)
+    working = solve(plan.problem, plan.x0, SolveOptions())
     assert report.root == plan.to_x(working.root), query
     assert report.evaluations == working.evaluations, query
     assert working.converged, query
@@ -313,7 +330,7 @@ def _assert_quick_direct_solve(plan, report, query):
     # step-tolerance stop places the root only that closely.  Beta roots
     # near x = 1 with a >> b need it: there |f'| reaches ~1e3.
     e = plan.problem.evaluate(working.root)
-    step_tol = QUANTILE_OPTIONS.abs_tol + STEP_REL_TOL * working.root
+    step_tol = SolveOptions().abs_tol + STEP_REL_TOL * working.root
     assert abs(e.f) <= 1e-13 + e.fp * step_tol, (query, e.f)
 
 

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from snm.core import (
-    QUANTILE_OPTIONS,
     RESIDUAL_NOISE_FLOOR,
     FunctionProblem,
     Interval,
@@ -87,8 +86,13 @@ def test_max_iter_reported():
 
 
 def test_residual_tolerance_stop():
-    report = solve(shifted_tanh_problem(1.0), 1.0 + 1e-9,
-                   SolveOptions(residual_tol=1e-3))
+    # The residual stop belongs to the problem; the options have none.
+    with pytest.raises(TypeError):
+        SolveOptions(residual_tol=1e-3)
+    assert not hasattr(SolveOptions(), "residual_tol")
+    problem = shifted_tanh_problem(1.0)
+    problem.residual_tol = 1e-3
+    report = solve(problem, 1.0 + 1e-9, SolveOptions())
     assert report.converged
     assert report.reason is StopReason.RESIDUAL_TOL
     assert report.iterations == 0
@@ -149,9 +153,8 @@ def test_newton_method_runs():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(abs_tol=0.0)
-    for bad in ({"abs_tol": math.nan}, {"residual_tol": math.nan}):
-        with pytest.raises(ValueError):
-            SolveOptions(**bad)
+    with pytest.raises(ValueError):
+        SolveOptions(abs_tol=math.nan)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
@@ -233,11 +236,10 @@ def test_solve_options_frozen():
     opts = SolveOptions()
     with pytest.raises(dataclasses.FrozenInstanceError):
         opts.max_iter = 5
-    assert QUANTILE_OPTIONS.residual_tol == RESIDUAL_NOISE_FLOOR
-    assert QUANTILE_OPTIONS == SolveOptions(residual_tol=RESIDUAL_NOISE_FLOOR)
-    # The relative step tolerance is a constant, not an option.
+    # The relative step tolerance is a constant and the residual stop is
+    # the problem's, so neither is an option.
     assert [f.name for f in dataclasses.fields(SolveOptions)] == [
-        "abs_tol", "residual_tol", "max_iter", "method"]
+        "abs_tol", "max_iter", "method"]
     assert STEP_REL_TOL == 4 * sys.float_info.epsilon
 
 
@@ -266,13 +268,15 @@ def test_evaluations_count_every_evaluate_call():
 
 
 def test_residual_stop_scales_with_the_problem():
-    # The residual stop is |f| <= residual_tol * problem.residual_scale.
+    # The residual stop is |f| <= problem.residual_tol, for any options.
     line = FunctionProblem(lambda x: x - 1.0, lambda x: 1.0, lambda x: 0.0,
                            lambda x: 0.0, Interval(-math.inf, math.inf))
-    opts = SolveOptions(residual_tol=1e-6)
-    assert Problem.residual_scale == line.residual_scale == 1.0
-    loose = solve(line, 1.0 + 1e-9, opts)
+    assert not hasattr(SolveOptions(), "residual_tol")
+    assert Problem.residual_tol == line.residual_tol == 0.0
+    assert GammaDirectProblem.residual_tol == RESIDUAL_NOISE_FLOOR
+    line.residual_tol = 1e-6
+    loose = solve(line, 1.0 + 1e-9, SolveOptions())
     assert (loose.reason, loose.evaluations) == (StopReason.RESIDUAL_TOL, 1)
-    line.residual_scale = 1e-6
-    tight = solve(line, 1.0 + 1e-9, opts)
+    line.residual_tol = 1e-12
+    tight = solve(line, 1.0 + 1e-9, SolveOptions())
     assert tight.converged and tight.evaluations == 2 and tight.root == 1.0

@@ -12,13 +12,14 @@ from snm.special import (
     ellip_e_complete,
     ellip_e_inc,
     gamma_density,
-    integrate_adaptive,
     ln_beta,
     ln_gamma,
     reg_beta,
     reg_gamma_p,
     reg_gamma_q,
 )
+
+from quadrature import integrate_adaptive
 
 GAMMA_A_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 GAMMA_X_FACTORS = (0.01, 0.5, 1.0, 2.0, 10.0)

@@ -147,9 +147,10 @@ def _start_high(m: float, p: float, complete: float) -> float:
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    ``residual_tol`` is relative to the target p E(1, m): an absolute
-    stop would accept x ~ p E(1, m) unrefined once the target itself is
-    below the tolerance (m near 1, small p).
+    ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m),
+    so the stop is relative to the target: an absolute one would accept
+    x ~ p E(1, m) unrefined once the target itself is below the floor
+    (m near 1, small p).
     """
 
     def __init__(self, query: EllipticQuery) -> None:

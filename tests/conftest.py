@@ -4,6 +4,9 @@ Members y(x) = (gtan(lam, x) + A) / (B gtan(lam, x) + C) have Schwarzian
 derivative 2 lam everywhere, a closed-form root, and closed-form
 derivatives, so they provide independent expected values for the step
 formulas and the osculating-curve construction.
+
+``step_only`` turns a problem's residual stop off, for tests whose
+iteration counts and traces describe the step test alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from snm.core import ProblemEvaluation, gtan
+from snm.core import Problem, ProblemEvaluation, gtan
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,12 @@ class FamilyMember:
     c: float
     root: float
     x0: float
+
+
+def step_only(problem: Problem) -> Problem:
+    """The problem with residual_tol 0: solve stops on the step test only."""
+    problem.residual_tol = 0.0
+    return problem
 
 
 def family_root(lam: float, a: float) -> float:

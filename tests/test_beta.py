@@ -23,6 +23,8 @@ from snm.beta import (
 from snm.core import Method, SolveOptions, Variable, solve
 from snm.special import ln_beta, reg_beta
 
+from conftest import step_only
+
 AB_GRID = (0.3, 0.5, 1.5, 2.0, 5.0, 30.0)
 P_GRID = (0.01, 0.2, 0.5, 0.8, 0.99)
 
@@ -150,7 +152,7 @@ def test_invert_beta_known_value():
     assert abs(reg_beta(report.root, 2.0, 3.0) - 0.3) <= 1e-13
     # direct path, monotone iterates from the Omega maximum
     plan = beta_plan(BetaQuantileQuery(2.0, 3.0, 0.3))
-    rep = solve(plan.problem, plan.x0)
+    rep = solve(step_only(plan.problem), plan.x0)
     steps = [r.step for r in rep.trace]
     assert all(s <= 0 for s in steps) or all(s >= 0 for s in steps)
 
@@ -283,7 +285,7 @@ def test_flip_rules():
 def test_explicit_logit_variable_for_large_shapes():
     # The logit problem also serves a, b > 1, from the Omega maximum.
     a, b = 3.0, 4.0
-    report = solve(BetaLogitProblem(BetaQuantileQuery(a, b, 0.3)),
+    report = solve(step_only(BetaLogitProblem(BetaQuantileQuery(a, b, 0.3))),
                    _logit((a - 1.0) / (a + b - 2.0)))
     assert report.converged
     assert abs(reg_beta(_sigmoid(report.root), a, b) - 0.3) <= 1e-13

@@ -307,4 +307,3 @@ def test_osculate_usage_validation(capsys):
             main(["osculate", "tan", "--x0", "1", "--range=-1:1", "--samples", "3"]
                  + extra)
         assert exc.value.code == 2, extra
-

@@ -17,6 +17,8 @@ from snm.gamma import (
 )
 from snm.special import ln_gamma, reg_gamma_p
 
+from conftest import step_only
+
 A_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 30.0, 100.0)
 P_GRID = (0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
 
@@ -161,7 +163,8 @@ def test_invert_gamma_known_values():
 def test_monotone_iterates_from_peak_start():
     for a in (1.0, 2.0, 5.0, 30.0, 100.0):
         for p in (0.1, 0.5, 0.9):
-            report = solve(GammaDirectProblem(GammaQuantileQuery(a, p)), a + 1.0)
+            problem = step_only(GammaDirectProblem(GammaQuantileQuery(a, p)))
+            report = solve(problem, a + 1.0)
             steps = [r.step for r in report.trace]
             assert all(s <= 0 for s in steps) or all(s >= 0 for s in steps), (a, p)
 

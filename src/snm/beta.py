@@ -147,7 +147,11 @@ def beta_omega_logit(a: float, b: float, z: float) -> float:
     (1/4) (-(a+b)(a+b-2) x^2 + 2(a+b)(a-1) x - a^2).  Always negative;
     tends to -a^2/4 as z -> -inf and to -b^2/4 as z -> +inf.
     """
-    x = _sigmoid(z)
+    return _beta_omega_logit_x(a, b, _sigmoid(z))
+
+
+def _beta_omega_logit_x(a: float, b: float, x: float) -> float:
+    """beta_omega_logit from x = 1/(1 + e^-z)."""
     s = a + b
     return 0.25 * (-(s * (s - 2.0)) * x * x + 2.0 * s * (a - 1.0) * x - a * a)
 
@@ -204,7 +208,7 @@ class BetaLogitProblem(Problem):
             f=_reg_beta(x, q.a, q.b, self.ln_b) - q.p,
             fp=fp,
             big_b=(q.a + q.b) * x - q.a,
-            omega=beta_omega_logit(q.a, q.b, z),
+            omega=_beta_omega_logit_x(q.a, q.b, x),
         )
 
     def domain(self) -> Interval:

@@ -53,6 +53,11 @@ STEP_REL_TOL = 4 * MACHINE_EPSILON
 
 HALF_PI = math.pi / 2
 
+# Builds a NamedTuple from all of its fields without the Python frame of
+# its generated __new__; the solve loop makes one evaluation per
+# iteration and one record per step.
+_tuple_new = tuple.__new__
+
 
 class SnmError(Exception):
     """Base class for solver errors."""
@@ -166,7 +171,7 @@ class ProblemEvaluation(NamedTuple):
             h = math.copysign(math.inf, f) if f != 0.0 else 0.0
         else:
             h = f / denom
-        return cls(x, f, fp, big_b, omega, h)
+        return _tuple_new(cls, (x, f, fp, big_b, omega, h))
 
     @classmethod
     def from_derivatives(cls, x: float, f: float, fp: float, fpp: float,
@@ -174,7 +179,9 @@ class ProblemEvaluation(NamedTuple):
         """Construct an evaluation from raw derivatives f', f'', f'''."""
         if fp == 0.0 or not math.isfinite(fp):
             raise DerivativeVanishedError(f"f'({x}) = {fp}")
-        return cls.build(x, f, fp, -fpp / fp, schwarzian_omega(fp, fpp, fppp))
+        # B = -r and Omega as in ``schwarzian_omega``, sharing r = f''/f'.
+        r = fpp / fp
+        return cls.build(x, f, fp, -r, 0.5 * (fppp / fp - 1.5 * r * r))
 
 
 class Problem(ABC):
@@ -244,7 +251,9 @@ class SolveOptions:
     """Driver configuration.
 
     The stopping rule is |step| <= abs_tol + STEP_REL_TOL * |x|, or
-    |f| <= problem.residual_tol, or max_iter.
+    |f| <= problem.residual_tol, or max_iter.  ``method`` may also be
+    given by name ("snm", "halley" or "newton"); an unknown name raises
+    ValueError.
     """
 
     abs_tol: float = 1e-15
@@ -252,6 +261,7 @@ class SolveOptions:
     method: Method = Method.SNM
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "method", Method(self.method))
         if not self.abs_tol > 0:  # also refuses NaN
             raise ValueError("abs_tol must be positive")
         if self.max_iter < 1:
@@ -499,14 +509,6 @@ def osculating_eval(m: OsculatingModel, x: float) -> float:
     return (u + m.a) / den
 
 
-def _step_for(method: Method, e: ProblemEvaluation) -> float:
-    if method is Method.NEWTON:
-        return newton_step(e)
-    if method is Method.HALLEY:
-        return halley_step(e)
-    return snm_step(e)
-
-
 def _report(root: float, trace: list[IterationRecord], converged: bool,
             reason: StopReason, evaluations: int) -> SolveReport:
     return SolveReport(root, len(trace), tuple(trace), converged, reason, evaluations)
@@ -535,15 +537,28 @@ def solve(problem: Problem, x0: float,
     if not dom.contains(x0):
         raise ValueError(f"x0 = {x0} outside problem domain")
 
+    # Look the step functions up at call time, not import time, so that a
+    # rebound module attribute (a tracer's wrapper, say) is the one used.
+    halley = halley_step
+    if opts.method is Method.NEWTON:
+        step_fn = newton_step
+    elif opts.method is Method.HALLEY:
+        step_fn = halley
+    else:
+        step_fn = snm_step
+    evaluate = problem.evaluate
+    contains = dom.contains
+    abs_tol = opts.abs_tol
+    max_iter = opts.max_iter
+    residual_tol = problem.residual_tol
     x = x0
     trace: list[IterationRecord] = []
     evaluations = 0
-    residual_tol = problem.residual_tol
 
     while True:
         evaluations += 1
         try:
-            e = problem.evaluate(x)
+            e = evaluate(x)
         except DerivativeVanishedError:
             return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
 
@@ -553,9 +568,9 @@ def solve(problem: Problem, x0: float,
         fallback = False
         try:
             try:
-                raw = _step_for(opts.method, e)
+                raw = step_fn(e)
             except StepUndefinedError:
-                raw = halley_step(e)
+                raw = halley(e)
                 fallback = True
         except DegenerateStepError:
             return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
@@ -563,7 +578,7 @@ def solve(problem: Problem, x0: float,
         step = raw - x
         x_next = x + step
 
-        if not (math.isfinite(x_next) and dom.contains(x_next)):
+        if not (math.isfinite(x_next) and contains(x_next)):
             endpoint = dom.hi if x_next > x else dom.lo
             if math.isnan(x_next) or not math.isfinite(endpoint):
                 return _report(x, trace, False, StopReason.DOMAIN_EXIT, evaluations)
@@ -572,11 +587,11 @@ def solve(problem: Problem, x0: float,
             x_next = x + step
             fallback = True
 
-        if abs(step) <= opts.abs_tol + STEP_REL_TOL * abs(x):
+        if abs(step) <= abs_tol + STEP_REL_TOL * abs(x):
             return _report(x_next, trace, True, StopReason.STEP_TOL, evaluations)
 
-        trace.append(IterationRecord(len(trace) + 1, x, e.f, e.h, e.omega, step,
-                                     fallback))
+        trace.append(_tuple_new(IterationRecord, (len(trace) + 1, x, e.f, e.h,
+                                                  e.omega, step, fallback)))
         x = x_next
-        if len(trace) >= opts.max_iter:
+        if len(trace) >= max_iter:
             return _report(x, trace, False, StopReason.MAX_ITER, evaluations)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import snm.core
 from snm.core import (
     RESIDUAL_NOISE_FLOOR,
     FunctionProblem,
@@ -162,6 +163,21 @@ def test_options_validation():
         Interval(2.0, 1.0)
 
 
+def _cube_problem() -> FunctionProblem:
+    return FunctionProblem(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
+                           lambda x: 6.0 * x, lambda x: 6.0, Interval(0.0, math.inf))
+
+
+def test_method_given_by_name():
+    assert SolveOptions(method="newton").method is Method.NEWTON
+    by_name = solve(_cube_problem(), 3.0, SolveOptions(method="newton"))
+    assert by_name == solve(_cube_problem(), 3.0, SolveOptions(method=Method.NEWTON))
+    # Newton needs more steps than the SNM here, so the name was not ignored.
+    assert by_name.iterations > solve(_cube_problem(), 3.0).iterations
+    with pytest.raises(ValueError):
+        SolveOptions(method="bogus")
+
+
 def test_interval_contains_respects_openness():
     closed = Interval(0.0, 1.0, lo_open=False, hi_open=False)
     assert closed.contains(0.0) and closed.contains(1.0)
@@ -242,6 +258,50 @@ def test_solve_options_frozen():
     assert [f.name for f in dataclasses.fields(SolveOptions)] == [
         "abs_tol", "max_iter", "method"]
     assert STEP_REL_TOL == 4 * sys.float_info.epsilon
+
+
+# ------------------------------------------------------ step functions
+
+def _count_step_calls(monkeypatch) -> dict[str, list[float]]:
+    """Rebind the module's step functions to wrappers recording each x."""
+    calls: dict[str, list[float]] = {}
+    for name in ("snm_step", "halley_step", "newton_step"):
+        original = getattr(snm.core, name)
+        seen = calls[name] = []
+
+        def wrapper(e, original=original, seen=seen):
+            seen.append(e.x)
+            return original(e)
+
+        monkeypatch.setattr(snm.core, name, wrapper)
+    return calls
+
+
+def _steps_taken(report: SolveReport) -> int:
+    # Every evaluation reaches a step except one that meets the residual stop.
+    return report.evaluations - (report.reason is StopReason.RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("method, name", [
+    (Method.SNM, "snm_step"), (Method.HALLEY, "halley_step"),
+    (Method.NEWTON, "newton_step")])
+def test_solve_uses_the_step_functions_bound_at_call_time(monkeypatch, method, name):
+    calls = _count_step_calls(monkeypatch)
+    report = solve(_cube_problem(), 3.0, SolveOptions(method=method))
+    assert report.converged
+    assert len(calls[name]) == _steps_taken(report) >= 2
+    assert calls[name][:report.iterations] == [r.x for r in report.trace]
+    assert all(not seen for other, seen in calls.items() if other != name)
+
+
+def test_halley_fallback_uses_the_step_function_bound_at_call_time(monkeypatch):
+    # The problem of test_snm_fallback_to_halley_flagged.
+    calls = _count_step_calls(monkeypatch)
+    report = solve(GammaDirectProblem(GammaQuantileQuery(2.0, 0.9)), 1.0)
+    assert report.converged and report.trace[0].fallback_used
+    assert len(calls["snm_step"]) == _steps_taken(report)
+    assert calls["halley_step"] == [r.x for r in report.trace if r.fallback_used]
+    assert not calls["newton_step"]
 
 
 # ----------------------------------------------------------- evaluations

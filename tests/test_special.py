@@ -1,11 +1,15 @@
 """Special-function kernels against closed forms and the quadrature oracle."""
 
 import math
+import random
 
 import pytest
 
 from snm.special import (
+    _RD_Q_SCALE,
+    _RF_Q_SCALE,
     KernelError,
+    _ellip_e,
     bisect_root,
     carlson_rd,
     carlson_rf,
@@ -247,6 +251,66 @@ def test_carlson_domain_errors():
         carlson_rd(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         carlson_rd(1.0, 1.0, 0.0)
+
+
+def _fused_kernel_grid():
+    """(m, phi) pairs: uniform, m -> 1, tiny m, and phi at and near both ends."""
+    rng = random.Random(20260518)
+    ms = ([rng.random() for _ in range(30)]
+          + [1.0 - 10.0 ** -k for k in range(1, 13)]
+          + [1e-300, 1e-100, 1e-20, 1e-8, 1e-4])
+    phis = ([rng.uniform(0.0, math.pi / 2) for _ in range(30)]
+            + [0.0, 5e-324, 1e-300, 1e-100, 1e-8, 1e-4]
+            + [math.pi / 2 - d for d in (1e-4, 1e-8, 1e-12, 1e-15, 0.0)])
+    return [(m, phi) for m in ms if 0.0 < m < 1.0 for phi in phis]
+
+
+def _kernel_arguments(m, phi):
+    s = math.sin(phi)
+    c = math.cos(phi)
+    return s, c * c, 1.0 - (m * s) * (m * s)
+
+
+def _stop_steps(x, y, z):
+    """Duplication steps after which carlson_rf and carlson_rd each stop."""
+    a0f = (x + y + z) / 3.0
+    a0d = (x + y + 3.0 * z) / 5.0
+    qf = _RF_Q_SCALE * max(abs(a0f - x), abs(a0f - y), abs(a0f - z))
+    qd = _RD_Q_SCALE * max(abs(a0d - x), abs(a0d - y), abs(a0d - z))
+    af, ad, fac = a0f, a0d, 1.0
+    steps = 0
+    stop_f = stop_d = None
+    while stop_f is None or stop_d is None:
+        if stop_f is None and fac * qf < abs(af):
+            stop_f = steps
+        if stop_d is None and fac * qd < abs(ad):
+            stop_d = steps
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        af, ad = 0.25 * (af + lam), 0.25 * (ad + lam)
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        fac *= 0.25
+        steps += 1
+    return stop_f, stop_d
+
+
+def test_fused_ellip_e_matches_the_carlson_reference_bit_for_bit():
+    for m, phi in _fused_kernel_grid():
+        s, c2, w = _kernel_arguments(m, phi)
+        reference = (s * carlson_rf(c2, w, 1.0)
+                     - (m * m / 3.0) * (s * s * s) * carlson_rd(c2, w, 1.0))
+        assert _ellip_e(m, s, c2, w) == reference, (m, phi)
+
+
+def test_rf_never_stops_after_rd_on_elliptic_arguments():
+    # _ellip_e evaluates R_F's series inside the loop that R_D's test ends.
+    orders = set()
+    for m, phi in _fused_kernel_grid():
+        _, c2, w = _kernel_arguments(m, phi)
+        stop_f, stop_d = _stop_steps(c2, w, 1.0)
+        assert stop_f <= stop_d, (m, phi)
+        orders.add(stop_f < stop_d)
+    assert orders == {True, False}
 
 
 def test_ellip_e_inc_limits():

@@ -75,6 +75,11 @@ def beta_b(a: float, b: float, x: float) -> float:
     """B(x) = -(a-1)/x + (b-1)/(1-x) for the beta residual."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_b requires x in (0, 1), got {x}")
+    return _beta_b(a, b, x)
+
+
+def _beta_b(a: float, b: float, x: float) -> float:
+    """beta_b without the domain check."""
     return -(a - 1.0) / x + (b - 1.0) / (1.0 - x)
 
 
@@ -86,6 +91,11 @@ def beta_omega(a: float, b: float, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_omega requires x in (0, 1), got {x}")
+    return _beta_omega(a, b, x)
+
+
+def _beta_omega(a: float, b: float, x: float) -> float:
+    """beta_omega without the domain check."""
     y = 1.0 - x
     return ((a - 1.0) * (b - 1.0) / (2.0 * x * y)
             - 0.25 * (a * a - 1.0) / (x * x)
@@ -170,15 +180,10 @@ class BetaDirectProblem(Problem):
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         q = self.query
-        fp = math.exp((q.a - 1.0) * math.log(x) + (q.b - 1.0) * math.log1p(-x)
-                      - self.ln_b)
+        a, b, ln_b = q.a, q.b, self.ln_b
+        fp = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b)
         return ProblemEvaluation.build(
-            x=x,
-            f=_reg_beta(x, q.a, q.b, self.ln_b) - q.p,
-            fp=fp,
-            big_b=beta_b(q.a, q.b, x),
-            omega=beta_omega(q.a, q.b, x),
-        )
+            x, _reg_beta(x, a, b, ln_b) - q.p, fp, _beta_b(a, b, x), _beta_omega(a, b, x))
 
     def domain(self) -> Interval:
         return _UNIT_INTERVAL
@@ -202,14 +207,11 @@ class BetaLogitProblem(Problem):
             raise DerivativeVanishedError(f"beta logit derivative 0 at z={z}")
         # Chain rule with dx/dz = x(1-x): f_z' = x^a (1-x)^b / B(a,b),
         # B_z = (a+b) x - a.
-        fp = math.exp(q.a * math.log(x) + q.b * math.log1p(-x) - self.ln_b)
+        a, b, ln_b = q.a, q.b, self.ln_b
+        fp = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
         return ProblemEvaluation.build(
-            x=z,
-            f=_reg_beta(x, q.a, q.b, self.ln_b) - q.p,
-            fp=fp,
-            big_b=(q.a + q.b) * x - q.a,
-            omega=_beta_omega_logit_x(q.a, q.b, x),
-        )
+            z, _reg_beta(x, a, b, ln_b) - q.p, fp, (a + b) * x - a,
+            _beta_omega_logit_x(a, b, x))
 
     def domain(self) -> Interval:
         return _REAL_LINE

@@ -262,8 +262,8 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method(self.method))
-        if not self.abs_tol > 0:  # also refuses NaN
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < math.inf:  # also refuses NaN
+            raise ValueError("abs_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

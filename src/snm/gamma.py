@@ -63,6 +63,11 @@ def gamma_b(a: float, x: float) -> float:
     """B(x) = 1 + (1 - a)/x for the gamma residual."""
     if not (x > 0.0):
         raise ValueError(f"gamma_b requires x > 0, got {x}")
+    return _gamma_b(a, x)
+
+
+def _gamma_b(a: float, x: float) -> float:
+    """gamma_b without the domain check."""
     return 1.0 + (1.0 - a) / x
 
 
@@ -74,6 +79,11 @@ def gamma_omega(a: float, x: float) -> float:
     """
     if not (x > 0.0):
         raise ValueError(f"gamma_omega requires x > 0, got {x}")
+    return _gamma_omega(a, x)
+
+
+def _gamma_omega(a: float, x: float) -> float:
+    """gamma_omega without the domain check."""
     return -0.25 * (1.0 + 2.0 * (1.0 - a) / x + (a * a - 1.0) / (x * x))
 
 
@@ -82,9 +92,20 @@ def gamma_omega_log(a: float, z: float) -> float:
 
     With x = e^z: -(1/4) (x^2 - 2(a-1)x + a^2).  Negative for all x > 0
     whenever a > 0; maximum at z = log(a-1) for a > 1, strictly
-    decreasing on the whole real line for a < 1.
+    decreasing on the whole real line for a < 1.  -inf once e^z
+    overflows; a NaN z raises ValueError.
     """
-    x = math.exp(z)
+    if math.isnan(z):
+        raise ValueError("gamma_omega_log requires a number z, got nan")
+    try:
+        x = math.exp(z)
+    except OverflowError:
+        return -math.inf
+    return _gamma_omega_log_x(a, x)
+
+
+def _gamma_omega_log_x(a: float, x: float) -> float:
+    """gamma_omega_log from x = e^z."""
     return -0.25 * (x * x - 2.0 * (a - 1.0) * x + a * a)
 
 
@@ -106,15 +127,10 @@ class GammaDirectProblem(Problem):
         self.ln_gamma_a = ln_gamma(query.a)
 
     def evaluate(self, x: float) -> ProblemEvaluation:
-        q = self.query
-        f, arg = _residual(q, x, self.ln_gamma_a)
+        a = self.query.a
+        f, arg = _residual(self.query, x, self.ln_gamma_a)
         return ProblemEvaluation.build(
-            x=x,
-            f=f,
-            fp=_gamma_density(arg, x),
-            big_b=gamma_b(q.a, x),
-            omega=gamma_omega(q.a, x),
-        )
+            x, f, _gamma_density(arg, x), _gamma_b(a, x), _gamma_omega(a, x))
 
     def domain(self) -> Interval:
         return _POSITIVE_AXIS
@@ -132,6 +148,7 @@ class GammaLogProblem(Problem):
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
+        a = q.a
         if z > 700.0:
             # e^z overflows and the derivative e^(az - x) has long
             # underflowed; report the vanished derivative instead.
@@ -140,22 +157,16 @@ class GammaLogProblem(Problem):
         # Chain rule: B_z = x B(x) - 1 = x - a, f_z' = x f'(x) = x^a e^-x
         # / Gamma(a), formed from z directly so deep-tail z stays finite
         # even where x itself under/overflows.
-        fp = math.exp(q.a * z - x - self.ln_gamma_a)
+        fp = math.exp(a * z - x - self.ln_gamma_a)
         if z < -667.0:
             # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
             # (the next series term is below x ~ 1e-290).  Also dodges
             # the precision loss of log on a subnormal x inside the
             # kernel once x drops past 1e-308.
-            f = math.exp(q.a * z - self.ln_gamma_a1) - q.p
+            f = math.exp(a * z - self.ln_gamma_a1) - q.p
         else:
             f = _residual(q, x, self.ln_gamma_a)[0]
-        return ProblemEvaluation.build(
-            x=z,
-            f=f,
-            fp=fp,
-            big_b=x - q.a,
-            omega=gamma_omega_log(q.a, z),
-        )
+        return ProblemEvaluation.build(z, f, fp, x - a, _gamma_omega_log_x(a, x))
 
     def domain(self) -> Interval:
         return _REAL_LINE

@@ -10,6 +10,15 @@ compare command and of the tests, not part of the quantile API.
 
 All elliptic routines take the modulus m (the integrand is
 sqrt(1 - m^2 sin^2 t)), not the parameter m^2.
+
+Tables built once at import (the Horner coefficients of the log Gamma
+Taylor series, the Lanczos pairs) hold the same doubles that the loop
+computing them in place would give, and are applied in the same order,
+so a kernel returns the same bits as that reference loop.
+
+The public gamma and beta kernels refuse a NaN argument or an infinite
+shape with ``ValueError``; at x = inf the gamma kernels return their
+limits P = 1, Q = 0 and density 0.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# (k, c_k) for k = 1..8; the sum adds c_k / ((a - 1) + k).
+_LANCZOS_TERMS = tuple((float(k), c) for k, c in enumerate(_LANCZOS) if k)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -62,6 +74,8 @@ _ZETA_M1 = (
     2.3283118336765053e-10, 1.164155017270052e-10, 5.820772087902701e-11,
     2.9103850444971e-11, 1.4551921891041985e-11,
 )
+# Horner coefficients (zeta(k) - 1) / k of that series, k = 36 down to 2.
+_LNGAMMA_TAYLOR = tuple(_ZETA_M1[k - 2] / k for k in range(len(_ZETA_M1) + 1, 1, -1))
 
 
 class KernelError(SnmError, ArithmeticError):
@@ -70,10 +84,10 @@ class KernelError(SnmError, ArithmeticError):
 
 def _lngamma_near_two(t: float) -> float:
     """log Gamma(2 + t) for |t| <= 0.6 by its Taylor series."""
+    mt = -t
     acc = 0.0
-    for k in range(len(_ZETA_M1) + 1, 1, -1):
-        c = _ZETA_M1[k - 2] / k
-        acc = acc * (-t) + c
+    for c in _LNGAMMA_TAYLOR:
+        acc = acc * mt + c
     return t * ((1.0 - _EULER_GAMMA) + t * acc)
 
 
@@ -95,11 +109,12 @@ def ln_gamma(a: float) -> float:
         return _lngamma_near_two(a - 1.0) - math.log(a)
     if a <= 2.6:
         return _lngamma_near_two(a - 2.0)
+    am1 = a - 1.0
     acc = _LANCZOS[0]
-    for k in range(1, 9):
-        acc += _LANCZOS[k] / (a - 1.0 + k)
+    for k, c in _LANCZOS_TERMS:
+        acc += c / (am1 + k)
     t = a + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (a - 0.5) * math.log(t) - t + math.log(acc)
+    return _HALF_LOG_2PI + (a - 0.5) * math.log(t) - t + math.log(acc)
 
 
 # Stirling series for ln Gamma(a) - (a - 1/2) ln a + a - ln sqrt(2 pi),
@@ -151,6 +166,7 @@ def _gamma_series(a: float, x: float) -> float:
 
     Every term is positive, so the stop test needs no ``abs``.
     """
+    eps = _EPS
     term = 1.0 / a
     total = term
     ap = a
@@ -158,30 +174,39 @@ def _gamma_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if term < total * _EPS:
+        if term < total * eps:
             return total
     raise KernelError(f"gamma series did not converge for a={a}, x={x}")
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    """Continued fraction h (modified Lentz), Q(a,x) = h e^exponent; x >= a + 1."""
+    """Continued fraction h (modified Lentz), Q(a,x) = h e^exponent; x >= a + 1.
+
+    The counter i runs as a float (exact at these sizes).  The chained
+    guards ``-tiny < d < tiny`` decide as ``abs(d) < tiny`` does, NaN
+    included, without the call.
+    """
+    tiny = _TINY
+    eps = _EPS
     b = x + 1.0 - a
-    c = 1.0 / _TINY
+    c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_CF_ITER + 1):
+    i = 0.0
+    for _ in range(_MAX_CF_ITER):
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise KernelError(f"gamma continued fraction did not converge for a={a}, x={x}")
 
@@ -210,34 +235,42 @@ def _gamma_density(arg: float, x: float) -> float:
     return math.exp(arg) / x
 
 
+def _check_shape(name: str, a: float) -> None:
+    if not (0.0 < a < math.inf):
+        raise ValueError(f"{name} requires a finite a > 0, got {a}")
+
+
 def reg_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) in [0, 1]."""
-    if not (a > 0.0):
-        raise ValueError(f"reg_gamma_p requires a > 0, got {a}")
-    if x < 0.0:
+    """Regularized lower incomplete gamma P(a, x) in [0, 1]; 1 at x = inf."""
+    _check_shape("reg_gamma_p", a)
+    if not (x >= 0.0):  # also refuses NaN
         raise ValueError(f"reg_gamma_p requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     return _reg_gamma(a, x, ln_gamma(a))[0]
 
 
 def reg_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if not (a > 0.0):
-        raise ValueError(f"reg_gamma_q requires a > 0, got {a}")
-    if x < 0.0:
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x); 0 at x = inf."""
+    _check_shape("reg_gamma_q", a)
+    if not (x >= 0.0):
         raise ValueError(f"reg_gamma_q requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     return _reg_gamma(a, x, ln_gamma(a))[1]
 
 
 def gamma_density(a: float, x: float) -> float:
-    """d/dx P(a, x) = x^(a-1) e^(-x) / Gamma(a); 0 on underflow."""
-    if not (a > 0.0):
-        raise ValueError(f"gamma_density requires a > 0, got {a}")
+    """d/dx P(a, x) = x^(a-1) e^(-x) / Gamma(a); 0 on underflow and at x = inf."""
+    _check_shape("gamma_density", a)
     if not (x > 0.0):
         raise ValueError(f"gamma_density requires x > 0, got {x}")
+    if x == math.inf:
+        return 0.0
     return _gamma_density(_gamma_exponent(a, x, ln_gamma(a)), x)
 
 
@@ -247,7 +280,10 @@ def ln_beta(a: float, b: float) -> float:
     For max(a, b) >= 16 the log Gamma difference is expanded through the
     Stirling remainder, avoiding the cancellation of two large log Gamma
     values.  Symmetric bit for bit: ln_beta(a, b) == ln_beta(b, a).
+    Requires finite a, b > 0.
     """
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"ln_beta requires finite a, b > 0, got a={a}, b={b}")
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < 16.0:
         return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
@@ -261,12 +297,12 @@ def ln_beta(a: float, b: float) -> float:
 def _beta_exponent(a: float, b: float, x: float, ln_b: float) -> float:
     """a log x + b log(1-x) - ln B(a, b), given ln_b = ln B(a, b).
 
-    For min(a, b) >= 16 and x in the central bulk, the shifted form
+    For a, b >= 16 and x in the central bulk, the shifted form
         a log1p(y/a) + b log1p(-y/b) + (1/2) log(ab/(2 pi s)) + dS,
     y = x b - (1-x) a, s = a + b, keeps the absolute error near eps * |y|
     instead of eps * |ln B|.
     """
-    if min(a, b) >= 16.0:
+    if a >= 16.0 and b >= 16.0:
         s = a + b
         y = x * b - (1.0 - x) * a
         if y > -0.9 * a and -y > -0.9 * b:
@@ -278,38 +314,46 @@ def _beta_exponent(a: float, b: float, x: float, ln_b: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz).
+
+    Float counter, one shared a + 2m and chained guards, as in ``_gamma_cf``.
+    """
+    tiny = _TINY
+    eps = _EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
+    if -tiny < d < tiny:
+        d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_CF_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    m = 0.0
+    for _ in range(_MAX_CF_ITER):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise KernelError(f"beta continued fraction did not converge for a={a}, b={b}, x={x}")
 
@@ -321,9 +365,9 @@ def reg_beta(x: float, a: float, b: float) -> float:
     I_x(a,b) = 1 - I_(1-x)(b,a) when x > (a+1)/(a+b+2) so the fraction
     always runs in its fast-convergence region.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"reg_beta requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"reg_beta requires finite a, b > 0, got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:  # also refuses NaN
         raise ValueError(f"reg_beta requires x in [0, 1], got {x}")
     if x == 0.0:
         return 0.0

@@ -157,6 +157,7 @@ def test_usage_errors_exit_two(capsys):
         # options that SolveOptions refuses
         ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "0"],
         ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "nan"],
+        ["invert", "gamma", "--a", "2.5", "--p", "0.3", "--tol", "inf"],
         ["invert", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
         ["compare", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
         # no method named

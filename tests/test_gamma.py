@@ -90,6 +90,15 @@ def test_gamma_omega_log_values():
             assert gamma_omega_log(a, z) < 0.0
 
 
+def test_gamma_omega_log_beyond_overflow():
+    # e^z overflows past z ~ 709.78; Omega tends to -inf there.
+    assert gamma_omega_log(1.0, 800.0) == -math.inf
+    assert gamma_omega_log(0.5, math.inf) == -math.inf
+    assert gamma_omega_log(2.0, 709.0) == -math.inf  # x * x overflows
+    with pytest.raises(ValueError):
+        gamma_omega_log(1.0, math.nan)
+
+
 def test_problem_residual_at_known_median():
     problem = GammaDirectProblem(GammaQuantileQuery(2.0, 0.5))
     assert abs(problem.evaluate(1.6783469900166605).f) <= 1e-14

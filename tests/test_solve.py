@@ -157,6 +157,9 @@ def test_options_validation():
         SolveOptions(abs_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(abs_tol=math.nan)
+    # An infinite tolerance would accept the first step as converged.
+    with pytest.raises(ValueError):
+        SolveOptions(abs_tol=math.inf)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):

@@ -89,6 +89,23 @@ def test_reg_gamma_domain_errors():
         reg_gamma_q(-2.0, 1.0)
 
 
+def test_gamma_kernels_at_infinite_x():
+    for a in (0.3, 2.0, 50.0):
+        assert reg_gamma_p(a, math.inf) == 1.0
+        assert reg_gamma_q(a, math.inf) == 0.0
+        assert gamma_density(a, math.inf) == 0.0
+
+
+def test_gamma_kernels_refuse_nan_x_and_infinite_shape():
+    for kernel in (reg_gamma_p, reg_gamma_q, gamma_density):
+        with pytest.raises(ValueError):
+            kernel(2.0, math.nan)
+        with pytest.raises(ValueError):
+            kernel(math.inf, 1.0)
+        with pytest.raises(ValueError):
+            kernel(math.nan, 1.0)
+
+
 def test_p_plus_q_identity():
     for a in GAMMA_A_GRID:
         for k in GAMMA_X_FACTORS:
@@ -197,6 +214,18 @@ def test_reg_beta_domain_errors():
         reg_beta(1.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         reg_beta(0.5, 0.0, 1.0)
+
+
+def test_beta_kernels_refuse_infinite_shapes_and_nan():
+    for a, b in ((math.inf, 1.0), (0.5, math.inf), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            reg_beta(0.5, a, b)
+        with pytest.raises(ValueError):
+            ln_beta(a, b)
+        with pytest.raises(ValueError):
+            ln_beta(b, a)
+    with pytest.raises(ValueError):
+        reg_beta(math.nan, 2.0, 3.0)
 
 
 def test_reg_beta_symmetry_identity():

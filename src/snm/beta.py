@@ -35,6 +35,8 @@ from .core import (
     Variable,
     _logit,
     _sigmoid,
+    check_shape,
+    check_tails,
     solve,
 )
 from .special import _normal_quantile, _reg_beta, ln_beta
@@ -48,27 +50,17 @@ _X_MAX = 1.0 - 2.0 ** -53
 
 @dataclass(frozen=True)
 class BetaQuantileQuery:
-    """Shapes a, b > 0 with both tail probabilities carried explicitly."""
+    """Shapes a, b > 0 with both tail probabilities carried explicitly; q = 1 - p by default."""
 
     a: float
     b: float
     p: float
-    q: float
+    q: Optional[float] = None
 
-    def __init__(self, a: float, b: float, p: float,
-                 q: Optional[float] = None) -> None:
-        if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"shapes must be positive and finite, got a={a}, b={b}")
-        if q is None:
-            q = 1.0 - p
-        if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-            raise ValueError(f"p, q must lie in (0, 1), got p={p}, q={q}")
-        if abs(p + q - 1.0) > 1e-15:
-            raise ValueError(f"p + q must equal 1, got {p + q}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __post_init__(self) -> None:
+        check_shape("BetaQuantileQuery", self.a)
+        check_shape("BetaQuantileQuery", self.b)
+        object.__setattr__(self, "q", check_tails(self.p, self.q))
 
 
 def beta_b(a: float, b: float, x: float) -> float:

@@ -23,11 +23,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
     Method,
+    Plan,
     PoleError,
     Problem,
     SolveOptions,
@@ -61,23 +62,36 @@ def _build_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
         parser.error(f"--tol/--max-iter: {exc}")
 
 
-def _require(parser: argparse.ArgumentParser, args: argparse.Namespace,
-             names: Sequence[str]) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            parser.error(f"{args.problem} requires --{name}")
+class _Kind(NamedTuple):
+    """What the commands need to know about one problem name."""
+
+    flags: tuple[str, ...]  # required, in the order the query takes them
+    query: Callable  # builds the query from the flag values
+    direct: Callable  # query -> the problem in the x variable
+    shift: Callable  # direct problem -> offset back to the function's scale
+    invert: Optional[Callable] = None  # None: osculate only
+    plan: Optional[Callable] = None
+
+
+PROBLEMS = {
+    "gamma": _Kind(("a", "p"), GammaQuantileQuery, GammaDirectProblem,
+                   lambda problem: problem.query.p, invert_gamma, gamma_start),
+    "beta": _Kind(("a", "b", "p"), BetaQuantileQuery, BetaDirectProblem,
+                  lambda problem: problem.query.p, invert_beta, beta_plan),
+    "elliptic": _Kind(("m", "p"), EllipticQuery, EllipticProblem,
+                      lambda problem: problem.target, invert_ellip_e, elliptic_plan),
+    "tan": _Kind((), lambda: None, lambda query: tan_problem(), lambda problem: 0.0),
+}
+SOLVED = tuple(name for name, kind in PROBLEMS.items() if kind.invert)
 
 
 def _validated_query(parser, args):
+    kind = PROBLEMS[args.problem]
+    for name in kind.flags:
+        if getattr(args, name) is None:
+            parser.error(f"{args.problem} requires --{name}")
     try:
-        if args.problem == "gamma":
-            _require(parser, args, ["a", "p"])
-            return GammaQuantileQuery(args.a, args.p)
-        if args.problem == "beta":
-            _require(parser, args, ["a", "b", "p"])
-            return BetaQuantileQuery(args.a, args.b, args.p)
-        _require(parser, args, ["m", "p"])
-        return EllipticQuery(args.m, args.p)
+        return kind.query(*(getattr(args, name) for name in kind.flags))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -95,12 +109,7 @@ def _trace_rows(report: SolveReport) -> list[dict]:
 def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     query = _validated_query(parser, args)
     opts = _build_options(parser, args, args.method)
-    if args.problem == "gamma":
-        report = invert_gamma(query, opts)
-    elif args.problem == "beta":
-        report = invert_beta(query, opts)
-    else:
-        report = invert_ellip_e(query, opts)
+    report = PROBLEMS[args.problem].invert(query, opts)
 
     rows = _trace_rows(report) if args.trace else []
     if args.format == "json":
@@ -156,24 +165,24 @@ class CompareRow:
     errors: tuple[float, ...]
 
 
-def _compare_setup(query) -> tuple:
-    """The solver's plan, residual(x) and the oracle's bracket in x."""
+def _oracle_setup(query, plan: Plan) -> tuple:
+    """residual(x) of the query and the oracle's bracket in x."""
     if isinstance(query, GammaQuantileQuery):
-        plan = gamma_start(query)
         residual = lambda x: reg_gamma_p(query.a, x) - query.p
-        return plan, residual, (1e-150, max(4.0 * query.a + 100.0, 4.0 * plan.to_x(plan.x0)))
+        return residual, (1e-150, max(4.0 * query.a + 100.0, 4.0 * plan.to_x(plan.x0)))
     if isinstance(query, BetaQuantileQuery):
         residual = lambda x: reg_beta(x, query.a, query.b) - query.p
-        return beta_plan(query), residual, (1e-12, 1.0 - 1e-12)
-    plan = elliptic_plan(query)
+        return residual, (1e-12, 1.0 - 1e-12)
     residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
-    return plan, residual, (0.0, math.pi / 2)
+    return residual, (0.0, math.pi / 2)
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     query = _validated_query(parser, args)
-    if args.problem == "elliptic" and (args.m == 0.0 or args.m == 1.0):
-        parser.error("compare requires 0 < m < 1 (the endpoints invert in closed form)")
+    try:
+        plan = PROBLEMS[args.problem].plan(query)
+    except ValueError as exc:  # EllipticProblem refuses m = 0 and m = 1
+        parser.error(str(exc))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         parser.error("--methods names no method")
@@ -182,7 +191,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
     options = [_build_options(parser, args, name) for name in methods]
 
-    plan, residual, bracket = _compare_setup(query)
+    residual, bracket = _oracle_setup(query, plan)
     x0 = plan.x0
     if args.x0 is not None:
         # --x0 is in x; each plan maps it to its own solver variable.
@@ -240,18 +249,12 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 def _osculate_problem(parser, args) -> tuple[Problem, float]:
     """Problem in the x variable plus the additive shift to plotting scale."""
-    if args.problem == "tan":
-        return tan_problem(), 0.0
-    query = _validated_query(parser, args)
-    if args.problem == "gamma":
-        return GammaDirectProblem(query), query.p
-    if args.problem == "beta":
-        return BetaDirectProblem(query), query.p
+    kind = PROBLEMS[args.problem]
     try:
-        problem = EllipticProblem(query)
-    except ValueError as exc:
+        problem = kind.direct(_validated_query(parser, args))
+    except ValueError as exc:  # EllipticProblem refuses m = 0 and m = 1
         parser.error(str(exc))
-    return problem, problem.target
+    return problem, kind.shift(problem)
 
 
 def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -325,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     inv = subs.add_parser("invert", help="invert a distribution / integral")
-    inv.add_argument("problem", choices=("gamma", "beta", "elliptic"))
+    inv.add_argument("problem", choices=SOLVED)
     _add_common_flags(inv)
     inv.add_argument("--method", choices=("snm", "halley", "newton"), default="snm")
     inv.add_argument("--trace", action="store_true", help="emit the iteration trace")
 
     cmp_ = subs.add_parser("compare", help="compare methods on one problem")
-    cmp_.add_argument("problem", choices=("gamma", "beta", "elliptic"))
+    cmp_.add_argument("problem", choices=SOLVED)
     _add_common_flags(cmp_)
     cmp_.add_argument("--methods", default="snm,halley",
                       help="comma list from snm,halley,newton")
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-iter", type=int, default=30, dest="max_iter")
 
     osc = subs.add_parser("osculate", help="emit osculating-curve samples")
-    osc.add_argument("problem", choices=("gamma", "beta", "elliptic", "tan"))
+    osc.add_argument("problem", choices=tuple(PROBLEMS))
     _add_common_flags(osc)
     osc.add_argument("--x0", type=float, required=True, help="anchor point")
     osc.add_argument("--range", required=True,

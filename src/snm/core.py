@@ -83,6 +83,23 @@ class PoleError(SnmError):
     """An osculating curve was evaluated at one of its poles."""
 
 
+def check_shape(where: str, a: float) -> None:
+    """The one shape rule: refuse a shape that is not finite and > 0, NaN included."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"{where} requires a finite shape > 0, got {a}")
+
+
+def check_tails(p: float, q: Optional[float] = None) -> float:
+    """The one tail rule: q (1 - p unless given) and p in (0, 1), p + q = 1 to 1e-15."""
+    if q is None:
+        q = 1.0 - p
+    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
+        raise ValueError(f"p, q must lie in (0, 1), got p={p}, q={q}")
+    if abs(p + q - 1.0) > 1e-15:
+        raise ValueError(f"p + q must equal 1, got {p + q}")
+    return q
+
+
 class Method(str, Enum):
     SNM = "snm"
     HALLEY = "halley"

@@ -117,18 +117,16 @@ def ellip_start_low(m: float, p: float) -> float:
         StepUndefinedError: the arctanh argument reaches 1 (callers use
             the high start instead).
     """
-    return _start_low(m, p, ellip_e_complete(m))
+    return _start_low(m, p, EllipticProblem(EllipticQuery(m, p)).complete)
 
 
 def ellip_start_high(m: float, p: float) -> float:
     """One SNM step from x = pi/2; always lands inside (0, pi/2)."""
-    return _start_high(m, p, ellip_e_complete(m))
+    return _start_high(m, p, EllipticProblem(EllipticQuery(m, p)).complete)
 
 
 def _start_low(m: float, p: float, complete: float) -> float:
-    """ellip_start_low given complete = E(1, m)."""
-    if not (0.0 < m < 1.0 and 0.0 < p < 1.0):
-        raise ValueError("ellip_start_low requires m, p in (0, 1)")
+    """ellip_start_low given complete = E(1, m); m, p unchecked."""
     arg = m * p * complete / math.sqrt(2.0)
     if arg >= 1.0:
         raise StepUndefinedError(f"arctanh argument {arg} >= 1 in low start")
@@ -136,9 +134,7 @@ def _start_low(m: float, p: float, complete: float) -> float:
 
 
 def _start_high(m: float, p: float, complete: float) -> float:
-    """ellip_start_high given complete = E(1, m)."""
-    if not (0.0 < m < 1.0 and 0.0 < p < 1.0):
-        raise ValueError("ellip_start_high requires m, p in (0, 1)")
+    """ellip_start_high given complete = E(1, m); m, p unchecked."""
     w = 1.0 - m * m
     t = m * complete * (1.0 - p) / (math.sqrt(2.0) * w)
     return math.pi / 2 - math.sqrt(2.0 * w) / m * math.atan(t)
@@ -197,6 +193,8 @@ def choose_start(query: EllipticQuery,
     if m > 0.95:
         arg = min(1.0, max(0.0, p * complete))
         return math.asin(arg), "arcsin-guess"
+    if m == 0.0:
+        raise ValueError("choose_start requires m > 0; m = 0 inverts in closed form")
     try:
         low = _start_low(m, p, complete)
     except StepUndefinedError:

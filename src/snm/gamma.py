@@ -29,6 +29,8 @@ from .core import (
     SolveOptions,
     SolveReport,
     Variable,
+    check_shape,
+    check_tails,
     solve,
 )
 from .special import _gamma_density, _normal_quantile, _reg_gamma, ln_gamma
@@ -39,24 +41,15 @@ _REAL_LINE = Interval(-math.inf, math.inf)
 
 @dataclass(frozen=True)
 class GammaQuantileQuery:
-    """Shape a > 0 with both tail probabilities carried explicitly."""
+    """Shape a > 0 with both tail probabilities carried explicitly; q = 1 - p by default."""
 
     a: float
     p: float
-    q: float
+    q: Optional[float] = None
 
-    def __init__(self, a: float, p: float, q: Optional[float] = None) -> None:
-        if not (a > 0.0 and math.isfinite(a)):
-            raise ValueError(f"shape must be positive and finite, got {a}")
-        if q is None:
-            q = 1.0 - p
-        if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-            raise ValueError(f"p, q must lie in (0, 1), got p={p}, q={q}")
-        if abs(p + q - 1.0) > 1e-15:
-            raise ValueError(f"p + q must equal 1, got {p + q}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __post_init__(self) -> None:
+        check_shape("GammaQuantileQuery", self.a)
+        object.__setattr__(self, "q", check_tails(self.p, self.q))
 
 
 def gamma_b(a: float, x: float) -> float:

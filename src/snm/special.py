@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import SnmError
+from .core import SnmError, check_shape
 
 _EPS = 2.220446049250313e-16
 _MIN_NORMAL = 2.2250738585072014e-308
@@ -99,8 +99,7 @@ def ln_gamma(a: float) -> float:
     log Gamma(a) = log Gamma(a+1) - log(a) below 1.45); the same
     recursion for a < 0.45.  Exact at a = 1 and a = 2.
     """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise ValueError(f"ln_gamma requires a > 0, got {a}")
+    check_shape("ln_gamma", a)
     if a == 1.0 or a == 2.0:
         return 0.0
     if a < 0.45:
@@ -235,14 +234,9 @@ def _gamma_density(arg: float, x: float) -> float:
     return math.exp(arg) / x
 
 
-def _check_shape(name: str, a: float) -> None:
-    if not (0.0 < a < math.inf):
-        raise ValueError(f"{name} requires a finite a > 0, got {a}")
-
-
 def reg_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) in [0, 1]; 1 at x = inf."""
-    _check_shape("reg_gamma_p", a)
+    check_shape("reg_gamma_p", a)
     if not (x >= 0.0):  # also refuses NaN
         raise ValueError(f"reg_gamma_p requires x >= 0, got {x}")
     if x == 0.0:
@@ -254,7 +248,7 @@ def reg_gamma_p(a: float, x: float) -> float:
 
 def reg_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x); 0 at x = inf."""
-    _check_shape("reg_gamma_q", a)
+    check_shape("reg_gamma_q", a)
     if not (x >= 0.0):
         raise ValueError(f"reg_gamma_q requires x >= 0, got {x}")
     if x == 0.0:
@@ -266,7 +260,7 @@ def reg_gamma_q(a: float, x: float) -> float:
 
 def gamma_density(a: float, x: float) -> float:
     """d/dx P(a, x) = x^(a-1) e^(-x) / Gamma(a); 0 on underflow and at x = inf."""
-    _check_shape("gamma_density", a)
+    check_shape("gamma_density", a)
     if not (x > 0.0):
         raise ValueError(f"gamma_density requires x > 0, got {x}")
     if x == math.inf:
@@ -282,8 +276,8 @@ def ln_beta(a: float, b: float) -> float:
     values.  Symmetric bit for bit: ln_beta(a, b) == ln_beta(b, a).
     Requires finite a, b > 0.
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ValueError(f"ln_beta requires finite a, b > 0, got a={a}, b={b}")
+    check_shape("ln_beta", a)
+    check_shape("ln_beta", b)
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < 16.0:
         return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
@@ -365,8 +359,8 @@ def reg_beta(x: float, a: float, b: float) -> float:
     I_x(a,b) = 1 - I_(1-x)(b,a) when x > (a+1)/(a+b+2) so the fraction
     always runs in its fast-convergence region.
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ValueError(f"reg_beta requires finite a, b > 0, got a={a}, b={b}")
+    check_shape("reg_beta", a)
+    check_shape("reg_beta", b)
     if not 0.0 <= x <= 1.0:  # also refuses NaN
         raise ValueError(f"reg_beta requires x in [0, 1], got {x}")
     if x == 0.0:

@@ -1,5 +1,6 @@
 """Beta quantile module: formulas, cubic start, logit path, round trips."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -36,6 +37,20 @@ def test_query_validation():
         BetaQuantileQuery(1.0, 1.0, 1.0)
     q = BetaQuantileQuery(2.0, 3.0, 0.25)
     assert q.q == 0.75
+    for a, b in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError):
+            BetaQuantileQuery(a, b, 0.5)
+
+
+def test_query_is_a_frozen_dataclass():
+    # Fields, order, equality, hash and repr as the hand-written class had.
+    query = BetaQuantileQuery(2.0, 3.0, 0.25)
+    assert [f.name for f in dataclasses.fields(query)] == ["a", "b", "p", "q"]
+    assert query == BetaQuantileQuery(a=2.0, b=3.0, p=0.25, q=0.75)
+    assert hash(query) == hash(BetaQuantileQuery(2.0, 3.0, 0.25, 0.75))
+    assert repr(query) == "BetaQuantileQuery(a=2.0, b=3.0, p=0.25, q=0.75)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        query.q = 0.5
 
 
 def test_beta_b_values():

@@ -154,6 +154,9 @@ def test_usage_errors_exit_two(capsys):
         ["compare", "beta", "--a", "0.5", "--b", "3", "--p", "0.3", "--x0", "1"],
         ["compare", "beta", "--a", "2", "--b", "3", "--p", "0.3", "--x0", "1.5"],
         ["compare", "elliptic", "--m", "0.5", "--p", "0.3", "--x0", "2"],
+        # m = 0 and m = 1 invert in closed form; there is nothing to compare
+        ["compare", "elliptic", "--m", "0", "--p", "0.3"],
+        ["compare", "elliptic", "--m", "1", "--p", "0.3"],
         # options that SolveOptions refuses
         ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "0"],
         ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "nan"],

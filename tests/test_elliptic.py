@@ -114,6 +114,19 @@ def test_start_limits():
         math.pi / 2, abs=1e-11)
 
 
+def test_start_input_checks():
+    # The public starts check m and p; the private ones they call do not.
+    for m, p in ((0.0, 0.5), (1.0, 0.5), (math.nan, 0.5), (1.5, 0.5),
+                 (0.5, 0.0), (0.5, 1.0), (0.5, math.nan)):
+        for start in (ellip_start_low, ellip_start_high):
+            with pytest.raises(ValueError):
+                start(m, p)
+    # m = 0 inverts in closed form and has no SNM start; it is refused
+    # with ValueError, not a ZeroDivisionError from the start formula.
+    with pytest.raises(ValueError):
+        choose_start(EllipticQuery(0.0, 0.5))
+
+
 def test_starts_inside_interval_and_consistent():
     low = ellip_start_low(0.5, 0.5)
     high = ellip_start_high(0.5, 0.5)

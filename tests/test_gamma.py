@@ -1,5 +1,6 @@
 """Gamma quantile module: closed forms, starts, round trips, monotonicity."""
 
+import dataclasses
 import math
 
 import pytest
@@ -32,6 +33,20 @@ def test_query_validation():
         GammaQuantileQuery(2.0, 0.4, q=0.7)
     q = GammaQuantileQuery(2.0, 0.25)
     assert q.q == 0.75
+    for a in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GammaQuantileQuery(a, 0.5)
+
+
+def test_query_is_a_frozen_dataclass():
+    # Fields, order, equality, hash and repr as the hand-written class had.
+    query = GammaQuantileQuery(2.0, 0.25)
+    assert [f.name for f in dataclasses.fields(query)] == ["a", "p", "q"]
+    assert query == GammaQuantileQuery(a=2.0, p=0.25, q=0.75)
+    assert hash(query) == hash(GammaQuantileQuery(2.0, 0.25, 0.75))
+    assert repr(query) == "GammaQuantileQuery(a=2.0, p=0.25, q=0.75)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        query.p = 0.5
 
 
 def test_gamma_b_values():

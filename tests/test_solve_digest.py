@@ -1,0 +1,131 @@
+"""A sha256 pin of the whole solve layer over a seeded grid of queries.
+
+Every ``invert_*`` result on the grid is reduced to its root's float.hex,
+iteration and evaluation counts, stop reason, plan fields (variable,
+flipped, start, root_underflow) and every trace record, and the lot is
+hashed.  A refactor of the input checks, the plans or the kernels that is
+meant to keep the bits must keep the digest; a one-ulp change to any
+start, step or kernel value moves it.  Like ``test_golden.py`` it assumes
+the platform libm's ``exp``/``log`` bits.
+
+The grid is seeded and mixes log-uniform shapes with tail probabilities,
+plus fixed points for the branches a random draw rarely reaches;
+``test_every_plan_branch_is_reached`` checks that the grid reaches every
+plan branch, so a change of plan rules cannot leave one unpinned.
+"""
+
+import hashlib
+import math
+import random
+
+from snm import (
+    BetaQuantileQuery,
+    EllipticQuery,
+    GammaQuantileQuery,
+    Variable,
+    invert_beta,
+    invert_ellip_e,
+    invert_gamma,
+)
+
+# Recorded before the input rules moved into ``snm.core``; that move kept it.
+DIGEST = "750ad8fedcb4f3ff6aacdff23b57a4aedcaccfb7fb65a4c70f0ddedd394e1edc"
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _probability(rng):
+    # Central and tail probabilities on either side.
+    p = rng.choice((rng.uniform(0.001, 0.999), _log_uniform(rng, 1e-15, 1e-3)))
+    return p if rng.random() < 0.5 else 1.0 - p
+
+
+def _queries():
+    rng = random.Random("solve-digest")
+    out = []
+    for _ in range(150):
+        out.append(GammaQuantileQuery(_log_uniform(rng, 0.01, 300.0), _probability(rng)))
+        out.append(BetaQuantileQuery(_log_uniform(rng, 0.05, 200.0),
+                                     _log_uniform(rng, 0.05, 200.0), _probability(rng)))
+        out.append(EllipticQuery(rng.uniform(0.0, 1.0), rng.uniform(0.001, 0.999)))
+    out += [
+        GammaQuantileQuery(0.05, 1e-15),   # log start below z = -667
+        GammaQuantileQuery(1e-3, 0.3),     # root below the smallest double
+        BetaQuantileQuery(1e-4, 1e-4, 0.3),   # logit underflow shortcut
+        BetaQuantileQuery(0.5, 1e-3, 0.9),    # the same, flipped
+        BetaQuantileQuery(0.3, 0.7, 0.9),     # both shapes <= 1, flipped
+        BetaQuantileQuery(0.3, 0.7, 0.1),     # both shapes <= 1, not flipped
+        EllipticQuery(0.0, 0.3),
+        EllipticQuery(1.0, 0.3),
+        EllipticQuery(0.98, 0.4),
+        EllipticQuery(0.9, 0.7),
+    ]
+    return out
+
+
+def _invert(query):
+    if isinstance(query, GammaQuantileQuery):
+        return invert_gamma(query)
+    if isinstance(query, BetaQuantileQuery):
+        return invert_beta(query)
+    return invert_ellip_e(query)
+
+
+def _record(report):
+    parts = [report.root.hex(), report.iterations, report.evaluations,
+             report.reason.value, report.variable.value, report.flipped,
+             report.start, report.root_underflow]
+    for r in report.trace:
+        parts += [r.n, r.x.hex(), r.f.hex(), r.h.hex(), r.omega.hex(),
+                  r.step.hex(), r.fallback_used]
+    return repr(parts)
+
+
+def _results():
+    return [(query, _invert(query)) for query in _queries()]
+
+
+def _branch(query, report):
+    """The plan branch a result took, as a short label."""
+    if isinstance(query, GammaQuantileQuery):
+        if report.root_underflow:
+            return "gamma log underflow"
+        if report.variable is Variable.LOG:
+            # The last evaluation ran at z = log(root).
+            deep = report.root < math.exp(-667.0)
+            return "gamma log z<-667" if deep else "gamma log"
+        return "gamma direct"
+    if isinstance(query, BetaQuantileQuery):
+        if report.root_underflow and report.iterations == 0:
+            return "beta logit underflow"
+        if report.variable is Variable.DIRECT:
+            return f"beta direct flipped={report.flipped}"
+        if query.a > 1.0:
+            shapes = "a>1>=b"
+        elif query.b > 1.0:
+            shapes = "a<=1<b"
+        else:
+            shapes = "a,b<=1"
+        return f"beta logit {shapes} flipped={report.flipped}"
+    return f"elliptic {report.start}"
+
+
+def test_every_plan_branch_is_reached():
+    reached = {_branch(q, r) for q, r in _results()}
+    assert reached >= {
+        "gamma direct", "gamma log", "gamma log z<-667", "gamma log underflow",
+        "beta direct flipped=False", "beta direct flipped=True",
+        "beta logit a>1>=b flipped=True", "beta logit a<=1<b flipped=False",
+        "beta logit a,b<=1 flipped=True", "beta logit a,b<=1 flipped=False",
+        "beta logit underflow",
+        "elliptic low", "elliptic high", "elliptic arcsin-guess",
+        "elliptic closed-form",
+    }, reached
+
+
+def test_solve_layer_digest():
+    digest = hashlib.sha256(
+        "\n".join(_record(r) for _, r in _results()).encode()).hexdigest()
+    assert digest == DIGEST

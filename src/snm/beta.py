@@ -65,6 +65,8 @@ class BetaQuantileQuery:
 
 def beta_b(a: float, b: float, x: float) -> float:
     """B(x) = -(a-1)/x + (b-1)/(1-x) for the beta residual."""
+    check_shape("beta_b", a)
+    check_shape("beta_b", b)
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_b requires x in (0, 1), got {x}")
     return _beta_b(a, b, x)
@@ -81,6 +83,8 @@ def beta_omega(a: float, b: float, x: float) -> float:
     (a-1)(b-1)/(2x(1-x)) - (a^2-1)/(4x^2) - (b^2-1)/(4(1-x)^2); negative
     on all of (0, 1) when a > 1 and b > 1.
     """
+    check_shape("beta_omega", a)
+    check_shape("beta_omega", b)
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_omega requires x in (0, 1), got {x}")
     return _beta_omega(a, b, x)
@@ -112,6 +116,8 @@ def beta_xm(a: float, b: float) -> float:
     by Q(0) = -(a-1)(a+1) < 0 < Q(1) = (b-1)(b+1); solved by safeguarded
     Newton iteration rather than the closed-form cubic formulas.
     """
+    check_shape("beta_xm", a)
+    check_shape("beta_xm", b)
     if not (a > 1.0 and b > 1.0):
         raise ValueError(f"beta_xm requires a > 1 and b > 1, got a={a}, b={b}")
     g, h, i, j = beta_xm_coefficients(a, b)
@@ -147,8 +153,13 @@ def beta_omega_logit(a: float, b: float, z: float) -> float:
 
     With x = 1/(1 + e^-z):
     (1/4) (-(a+b)(a+b-2) x^2 + 2(a+b)(a-1) x - a^2).  Always negative;
-    tends to -a^2/4 as z -> -inf and to -b^2/4 as z -> +inf.
+    tends to -a^2/4 as z -> -inf and to -b^2/4 as z -> +inf.  A NaN z
+    raises ValueError.
     """
+    check_shape("beta_omega_logit", a)
+    check_shape("beta_omega_logit", b)
+    if math.isnan(z):
+        raise ValueError("beta_omega_logit requires a number z, got nan")
     return _beta_omega_logit_x(a, b, _sigmoid(z))
 
 

@@ -165,16 +165,41 @@ class CompareRow:
     errors: tuple[float, ...]
 
 
+# log x over all positive doubles, and over those below 1.
+_LOG_X_POSITIVE = (math.log(5e-324), math.log(sys.float_info.max))
+_LOG_X_UNIT = (math.log(5e-324), math.log(1.0 - 2.0 ** -53))
+
+
 def _oracle_setup(query, plan: Plan) -> tuple:
-    """residual(x) of the query and the oracle's bracket in x."""
+    """residual(x) of the query, the oracle's bracket in x and its wider
+    fallback bracket in log x (None where the first always holds the root)."""
     if isinstance(query, GammaQuantileQuery):
         residual = lambda x: reg_gamma_p(query.a, x) - query.p
-        return residual, (1e-150, max(4.0 * query.a + 100.0, 4.0 * plan.to_x(plan.x0)))
+        return (residual, (1e-150, max(4.0 * query.a + 100.0, 4.0 * plan.to_x(plan.x0))),
+                _LOG_X_POSITIVE)
     if isinstance(query, BetaQuantileQuery):
         residual = lambda x: reg_beta(x, query.a, query.b) - query.p
-        return residual, (1e-12, 1.0 - 1e-12)
+        return residual, (1e-12, 1.0 - 1e-12), _LOG_X_UNIT
     residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
-    return residual, (0.0, math.pi / 2)
+    return residual, (0.0, math.pi / 2), None
+
+
+def _oracle(residual, bracket, log_bracket) -> float:
+    """Bisection root of residual(x) in ``bracket``, else in log x over ``log_bracket``.
+
+    Raises ValueError when neither holds a sign change.
+    """
+    try:
+        return bisect_root(residual, *bracket, tol=1e-15)
+    except ValueError:
+        if log_bracket is None:
+            raise
+    lo, hi = log_bracket
+    try:
+        return math.exp(bisect_root(lambda t: residual(math.exp(t)), lo, hi, tol=1e-15))
+    except ValueError:
+        raise ValueError(f"the residual has no sign change for x in "
+                         f"[{math.exp(lo)!r}, {math.exp(hi)!r}]") from None
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -191,7 +216,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
     options = [_build_options(parser, args, name) for name in methods]
 
-    residual, bracket = _oracle_setup(query, plan)
+    residual, bracket, log_bracket = _oracle_setup(query, plan)
     x0 = plan.x0
     if args.x0 is not None:
         # --x0 is in x; each plan maps it to its own solver variable.
@@ -201,7 +226,11 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             x0 = math.nan  # log or logit of an x outside the domain
         if not plan.problem.domain().contains(x0):
             parser.error(f"--x0 {args.x0} outside the problem domain")
-    oracle = bisect_root(residual, bracket[0], bracket[1], tol=1e-15)
+    try:
+        oracle = _oracle(residual, bracket, log_bracket)
+    except ValueError as exc:
+        print(f"compare: no oracle root: {exc}", file=sys.stderr)
+        return 1
 
     rows = []
     failed = False

@@ -63,6 +63,8 @@ def ellip_omega(m: float, x: float) -> float:
     (m^2/4) (m^2 cos^4 x + (m^2-4) cos^2 x + 2(1-m^2)) / (1-m^2 sin^2 x)^2.
     Negative for x < x_c(m), positive beyond; singular at (m=1, x=pi/2).
     """
+    if not 0.0 <= m <= 1.0:
+        raise ValueError(f"ellip_omega requires m in [0, 1], got {m}")
     if not 0.0 <= x <= math.pi / 2:
         raise ValueError(f"ellip_omega requires x in [0, pi/2], got {x}")
     s = math.sin(x)

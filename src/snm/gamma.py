@@ -54,6 +54,7 @@ class GammaQuantileQuery:
 
 def gamma_b(a: float, x: float) -> float:
     """B(x) = 1 + (1 - a)/x for the gamma residual."""
+    check_shape("gamma_b", a)
     if not (x > 0.0):
         raise ValueError(f"gamma_b requires x > 0, got {x}")
     return _gamma_b(a, x)
@@ -70,6 +71,7 @@ def gamma_omega(a: float, x: float) -> float:
     -(1/4) (1 + 2(1-a)/x + (a^2-1)/x^2); for a >= 1 this is negative on
     (0, inf) with its maximum -1/(2(1+a)) at x = a + 1.
     """
+    check_shape("gamma_omega", a)
     if not (x > 0.0):
         raise ValueError(f"gamma_omega requires x > 0, got {x}")
     return _gamma_omega(a, x)
@@ -88,6 +90,7 @@ def gamma_omega_log(a: float, z: float) -> float:
     decreasing on the whole real line for a < 1.  -inf once e^z
     overflows; a NaN z raises ValueError.
     """
+    check_shape("gamma_omega_log", a)
     if math.isnan(z):
         raise ValueError("gamma_omega_log requires a number z, got nan")
     try:

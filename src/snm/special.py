@@ -215,13 +215,18 @@ def _reg_gamma(a: float, x: float, ln_gamma_a: float) -> tuple[float, float, flo
 
     Power series for x < a + 1, continued fraction otherwise, so each
     representation is used where it converges fast.  The exponent also
-    gives the density (``_gamma_density``).
+    gives the density (``_gamma_density``).  Where e^exponent underflows
+    to 0 on the fraction side, Q = 0 exactly and the fraction is not run:
+    once 1/b is subnormal (x above ~2^1022) its Lentz steps never settle.
     """
     arg = _gamma_exponent(a, x, ln_gamma_a)
     if x < a + 1.0:
         p = _gamma_series(a, x) * math.exp(arg)
         return p, 1.0 - p, arg
-    q = math.exp(arg) * _gamma_cf(a, x)
+    scale = math.exp(arg)
+    if scale == 0.0:
+        return 1.0, 0.0, arg
+    q = scale * _gamma_cf(a, x)
     return 1.0 - q, q, arg
 
 
@@ -403,12 +408,15 @@ _RD_Q_SCALE = (0.25 * _CARLSON_R) ** (-1.0 / 6.0)
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson symmetric integral R_F by the duplication algorithm.
 
-    Arguments must be >= 0 with at most one of them zero.
+    Arguments must be >= 0 (not NaN) with at most one of them zero; an
+    infinite argument gives the limit 0.
     """
-    if x < 0.0 or y < 0.0 or z < 0.0:
-        raise ValueError("carlson_rf requires nonnegative arguments")
+    if not (x >= 0.0 and y >= 0.0 and z >= 0.0):  # also refuses NaN
+        raise ValueError(f"carlson_rf requires nonnegative arguments, got {x}, {y}, {z}")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise ValueError("carlson_rf allows at most one zero argument")
+    if max(x, y, z) == math.inf:
+        return 0.0
     a0 = (x + y + z) / 3.0
     q = _RF_Q_SCALE * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     a = a0
@@ -434,14 +442,17 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 def carlson_rd(x: float, y: float, z: float) -> float:
     """Carlson symmetric integral R_D by the duplication algorithm.
 
-    Requires x, y >= 0 (not both zero) and z > 0.
+    Requires x, y >= 0 (not both zero) and z > 0, none NaN; an infinite
+    argument gives the limit 0.
     """
-    if x < 0.0 or y < 0.0:
-        raise ValueError("carlson_rd requires x, y >= 0")
+    if not (x >= 0.0 and y >= 0.0):  # also refuses NaN
+        raise ValueError(f"carlson_rd requires x, y >= 0, got {x}, {y}")
     if x == 0.0 and y == 0.0:
         raise ValueError("carlson_rd requires x, y not both zero")
     if not (z > 0.0):
         raise ValueError("carlson_rd requires z > 0")
+    if max(x, y, z) == math.inf:
+        return 0.0
     a0 = (x + y + 3.0 * z) / 5.0
     q = _RD_Q_SCALE * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     a = a0

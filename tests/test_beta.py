@@ -120,6 +120,23 @@ def test_beta_xm_domain():
         beta_xm(1.0, 2.0)
     with pytest.raises(ValueError):
         beta_xm(2.0, 0.5)
+    for a, b in ((math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            beta_xm(a, b)
+
+
+@pytest.mark.parametrize("fn", [beta_b, beta_omega, beta_omega_logit])
+def test_public_b_and_omega_refuse_bad_shapes(fn):
+    # The public forms check a and b as the query does; 0.5 is a valid x and z.
+    for a, b in ((math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf),
+                 (0.0, 2.0), (2.0, -1.0)):
+        with pytest.raises(ValueError):
+            fn(a, b, 0.5)
+
+
+def test_beta_omega_logit_refuses_nan_z():
+    with pytest.raises(ValueError):
+        beta_omega_logit(2.0, 3.0, math.nan)
 
 
 def test_beta_omega_logit_values():

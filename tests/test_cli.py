@@ -218,6 +218,26 @@ def test_compare_oracle_flag(capsys):
     assert "oracle_root" not in json.loads(out)
 
 
+def test_compare_oracle_outside_the_default_bracket(capsys):
+    # The root 1.33e-21 lies below the default bracket's 1e-12 end; the
+    # oracle bisects in log x instead.
+    argv = ("beta", "--a", "0.1", "--b", "5", "--p", "0.01")
+    _, out, _ = run(capsys, "invert", *argv, "--format", "json")
+    root = json.loads(out)["root"]
+    code, out, _ = run(capsys, "compare", *argv, "--format", "json", "--oracle")
+    assert code == 0
+    assert json.loads(out)["oracle_root"] == pytest.approx(root, rel=1e-13)
+
+
+def test_compare_without_an_oracle_root_exits_one(capsys):
+    # The root underflows (invert reports root_underflow): no positive
+    # double brackets it, so compare says so on one line and exits 1.
+    code, out, err = run(capsys, "compare", "gamma", "--a", "1e-3", "--p", "0.3")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "no sign change" in err
+
+
 def test_compare_rejects_unknown_method(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "gamma", "--a", "2", "--p", "0.5",

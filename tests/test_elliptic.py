@@ -68,6 +68,12 @@ def test_omega_singular_at_m_one_endpoint():
     assert ellip_omega(1.0, 1.5) < 0.0 or ellip_omega(1.0, 1.5) > 0.0
 
 
+def test_omega_refuses_modulus_outside_unit_interval():
+    for m in (2.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            ellip_omega(m, 0.5)
+
+
 def test_xc_limits_and_monotonicity():
     assert ellip_xc(1.0) == pytest.approx(math.pi / 2, abs=1e-12)
     assert ellip_xc(1e-9) == pytest.approx(math.pi / 4, abs=1e-12)

@@ -114,6 +114,14 @@ def test_gamma_omega_log_beyond_overflow():
         gamma_omega_log(1.0, math.nan)
 
 
+@pytest.mark.parametrize("fn", [gamma_b, gamma_omega, gamma_omega_log])
+def test_public_b_and_omega_refuse_bad_shapes(fn):
+    # The public forms check a as the query does; a point inside the domain.
+    for a in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            fn(a, 1.0)
+
+
 def test_problem_residual_at_known_median():
     problem = GammaDirectProblem(GammaQuantileQuery(2.0, 0.5))
     assert abs(problem.evaluate(1.6783469900166605).f) <= 1e-14

@@ -96,6 +96,15 @@ def test_gamma_kernels_at_infinite_x():
         assert gamma_density(a, math.inf) == 0.0
 
 
+def test_gamma_kernels_at_huge_finite_x():
+    # Past x ~ 2^1022 the continued fraction's 1/b is subnormal and its
+    # steps never settle; e^exponent has underflowed there, so P = 1, Q = 0.
+    for a in (0.5, 2.0, 300.0):
+        for x in (4e307, 9e307, 1e308, 1.2e308, 1.5e308, 1.7e308, 1.79e308):
+            assert reg_gamma_p(a, x) == 1.0, (a, x)
+            assert reg_gamma_q(a, x) == 0.0, (a, x)
+
+
 def test_gamma_kernels_refuse_nan_x_and_infinite_shape():
     for kernel in (reg_gamma_p, reg_gamma_q, gamma_density):
         with pytest.raises(ValueError):
@@ -269,6 +278,22 @@ def test_carlson_equal_arguments():
 def test_carlson_rf_degenerate():
     assert carlson_rf(0.0, 1.0, 1.0) == pytest.approx(math.pi / 2, rel=1e-14)
     assert carlson_rf(0.0, 4.0, 4.0) == pytest.approx(math.pi / 4, rel=1e-14)
+
+
+def test_carlson_rf_nan_and_infinite_arguments():
+    for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            carlson_rf(*args)
+    for args in ((math.inf, 1.0, 1.0), (0.0, 1.0, math.inf), (math.inf, math.inf, 2.0)):
+        assert carlson_rf(*args) == 0.0
+
+
+def test_carlson_rd_nan_and_infinite_arguments():
+    for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            carlson_rd(*args)
+    for args in ((math.inf, 1.0, 1.0), (0.0, math.inf, 1.0), (1.0, 1.0, math.inf)):
+        assert carlson_rd(*args) == 0.0
 
 
 def test_carlson_domain_errors():

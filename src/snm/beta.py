@@ -50,7 +50,7 @@ _X_MAX = 1.0 - 2.0 ** -53
 
 @dataclass(frozen=True)
 class BetaQuantileQuery:
-    """Shapes a, b > 0 with both tail probabilities carried explicitly; q = 1 - p by default."""
+    """Shapes a, b > 0 and both tail probabilities p, q; q = 1 - p by default."""
 
     a: float
     b: float

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
+from .beta import _X_MAX, _X_MIN, BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
     Method,
     Plan,
@@ -166,8 +166,8 @@ class CompareRow:
 
 
 # log x over all positive doubles, and over those below 1.
-_LOG_X_POSITIVE = (math.log(5e-324), math.log(sys.float_info.max))
-_LOG_X_UNIT = (math.log(5e-324), math.log(1.0 - 2.0 ** -53))
+_LOG_X_POSITIVE = (math.log(_X_MIN), math.log(sys.float_info.max))
+_LOG_X_UNIT = (math.log(_X_MIN), math.log(_X_MAX))
 
 
 def _oracle_setup(query, plan: Plan) -> tuple:

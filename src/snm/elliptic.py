@@ -116,6 +116,7 @@ def ellip_start_low(m: float, p: float) -> float:
     """One SNM step from x = 0: (sqrt(2)/m) arctanh(m p E(1,m)/sqrt(2)).
 
     Raises:
+        ValueError: m or p outside (0, 1).
         StepUndefinedError: the arctanh argument reaches 1 (callers use
             the high start instead).
     """
@@ -123,7 +124,7 @@ def ellip_start_low(m: float, p: float) -> float:
 
 
 def ellip_start_high(m: float, p: float) -> float:
-    """One SNM step from x = pi/2; always lands inside (0, pi/2)."""
+    """One SNM step from x = pi/2, for m, p in (0, 1); lands inside (0, pi/2)."""
     return _start_high(m, p, EllipticProblem(EllipticQuery(m, p)).complete)
 
 

@@ -41,7 +41,7 @@ _REAL_LINE = Interval(-math.inf, math.inf)
 
 @dataclass(frozen=True)
 class GammaQuantileQuery:
-    """Shape a > 0 with both tail probabilities carried explicitly; q = 1 - p by default."""
+    """Shape a > 0 and both tail probabilities p, q; q = 1 - p by default."""
 
     a: float
     p: float

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    DEEP_TAIL_Z,
+    MACHINE_EPSILON,
     RESIDUAL_NOISE_FLOOR,
     DerivativeVanishedError,
     Interval,
@@ -31,7 +33,6 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
-    StopReason,
     Variable,
     _logit,
     _sigmoid,
@@ -142,7 +143,7 @@ def beta_xm(a: float, b: float) -> float:
         x_new = x - qx / dq if dq != 0.0 else 0.5 * (lo + hi)
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4.0 * 2.220446049250313e-16 * abs(x):
+        if abs(x_new - x) <= 4.0 * MACHINE_EPSILON * abs(x):
             return x_new
         x = x_new
     return x
@@ -203,14 +204,19 @@ class BetaLogitProblem(Problem):
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
+        a, b, ln_b = q.a, q.b, self.ln_b
+        if z < DEEP_TAIL_Z:
+            # Deep tail: I_x = e^(az) / (a B(a,b)) from z, as x may be subnormal.
+            fp = math.exp(a * z - ln_b)
+            return ProblemEvaluation.build(
+                z, fp / a - q.p, fp, -a, _beta_omega_logit_x(a, b, 0.0))
         x = _sigmoid(z)
-        if x <= 0.0 or x >= 1.0:
-            # The sigmoid saturates in double arithmetic around |z| ~ 37;
+        if x == 1.0:
+            # The sigmoid saturates in double arithmetic around z ~ 37;
             # the chain-rule derivative x^a (1-x)^b has underflowed there.
             raise DerivativeVanishedError(f"beta logit derivative 0 at z={z}")
         # Chain rule with dx/dz = x(1-x): f_z' = x^a (1-x)^b / B(a,b),
         # B_z = (a+b) x - a.
-        a, b, ln_b = q.a, q.b, self.ln_b
         fp = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
         return ProblemEvaluation.build(
             z, _reg_beta(x, a, b, ln_b) - q.p, fp, (a + b) * x - a,
@@ -305,16 +311,8 @@ def invert_beta(query: BetaQuantileQuery,
     """Solve I_x(a, b) = p for x in (0, 1): one solve from the ``beta_plan``.
 
     The report records the plan's variable, flip and start.  A root below
-    the smallest positive double (tiny shapes) is reported as converged
-    at 0, or at 1 after a symmetry flip, with ``root_underflow`` set.
+    the smallest normal double (tiny shapes), or one that rounds to 1
+    after a symmetry flip, is reported with ``root_underflow`` set.
     """
     plan = beta_plan(query)
-    work = plan.query
-    if (plan.variable is Variable.LOGIT and _sigmoid(plan.x0) == 0.0
-            and _reg_beta(_X_MIN, work.a, work.b, plan.problem.ln_b) >= work.p):
-        # The start's x underflows, and I_x reaches p already at the
-        # smallest double, so the root lies below it as well.
-        return SolveReport(plan.x0, 0, (), True, StopReason.RESIDUAL_TOL).with_plan(
-            plan, root_underflow=True)
-    report = solve(plan.problem, plan.x0, opts)
-    return report.with_plan(plan)
+    return solve(plan.problem, plan.x0, opts).with_plan(plan)

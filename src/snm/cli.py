@@ -298,6 +298,8 @@ def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         parser.error("--range must look like LO:HI")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        parser.error("--range requires finite LO and HI")
     if not lo < hi:
         parser.error("--range requires LO < HI")
 

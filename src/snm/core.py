@@ -36,6 +36,11 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 MACHINE_EPSILON = sys.float_info.epsilon
+# The smallest normal double; below it a double keeps fewer significant bits.
+MIN_NORMAL = sys.float_info.min
+
+# Below this z the gamma log and beta logit residuals are their leading power term.
+DEEP_TAIL_Z = -667.0
 
 # |lam * u^2| below this uses the odd power series in gtan/gatan; keeps
 # relative truncation error under 1e-18, below double rounding.
@@ -358,8 +363,8 @@ class SolveReport(NamedTuple):
 
     ``evaluations`` counts the ``Problem.evaluate`` calls made.  The
     ``invert_*`` solvers copy the last four fields from their ``Plan``;
-    ``root_underflow`` marks a root below the smallest positive double,
-    reported as 0 (1 after a flip).
+    ``root_underflow`` marks a root x that has lost relative precision:
+    below the smallest normal double (0 included), or 1 after a flip.
     """
 
     root: float
@@ -373,11 +378,13 @@ class SolveReport(NamedTuple):
     start: str = ""
     root_underflow: bool = False
 
-    def with_plan(self, plan: Plan, root_underflow: bool = False) -> "SolveReport":
-        """A copy with the root mapped to x and the plan's fields; the trace is shared."""
-        return SolveReport(plan.to_x(self.root), self.iterations, self.trace,
-                           self.converged, self.reason, self.evaluations,
-                           plan.variable, plan.flipped, plan.start, root_underflow)
+    def with_plan(self, plan: Plan) -> "SolveReport":
+        """A copy with the root mapped to x and the plan's fields, sharing the trace;
+        the one ``root_underflow`` rule: x < ``MIN_NORMAL``, or x = 1 after a flip."""
+        x = plan.to_x(self.root)
+        return SolveReport(x, self.iterations, self.trace, self.converged, self.reason,
+                           self.evaluations, plan.variable, plan.flipped, plan.start,
+                           x < MIN_NORMAL or (plan.flipped and x == 1.0))
 
 
 _DEFAULT_OPTIONS = SolveOptions()

@@ -6,14 +6,18 @@ E(sin x, m) = int_0^x sqrt(1 - m^2 sin^2 t) dt and m is the modulus.
 Unlike the gamma/beta problems, Omega changes sign here: negative below
 a critical abscissa x_c(m) and positive above it, so a single iteration
 crosses between the hyperbolic and circular branches of the generalized
-arctangent.  For m <= 2/sqrt(7), Omega is increasing on (0, pi/2) and the
-one-step-from-pi/2 value g(pi/2) gives monotone convergence; for larger
-m, Omega dips to an interior minimum at x_e and the better of the two
-endpoint values g(0), g(pi/2) is chosen heuristically.  The residual is
-strictly increasing on [0, pi/2], so its root is unique and any converged
-solve has found it: each query runs one solve.  The report's ``start``
-names the start used ("low", "high" or "arcsin-guess"), or
-"closed-form" for m = 0 and m = 1.
+arctangent.  For m <= 2/sqrt(7), Omega is increasing on (0, pi/2); for
+larger m it dips to an interior minimum at x_e.  The start rule
+(``choose_start``) does not read that bound: for m > 0.95 it takes the
+arcsin guess arcsin(p E(1, m)); otherwise it takes the one-SNM-step value
+from x = 0 (the "low" start) when that lies below the one-step value from
+x = pi/2 (the "high" start) and p < 0.8, and the high start else.  On the
+``bulk`` bench sets of seeds 1-3 (1,500 queries) this rule takes 2.18
+evaluations per query, against 2.61 for the high start wherever m <= 0.95.
+The residual is strictly increasing on [0, pi/2], so its root is unique
+and any converged solve has found it: each query runs one solve.  The
+report's ``start`` names the start used ("low", "high" or
+"arcsin-guess"), or "closed-form" for m = 0 and m = 1.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    DEEP_TAIL_Z,
     RESIDUAL_NOISE_FLOOR,
     DerivativeVanishedError,
     Interval,
@@ -154,7 +155,7 @@ class GammaLogProblem(Problem):
         # / Gamma(a), formed from z directly so deep-tail z stays finite
         # even where x itself under/overflows.
         fp = math.exp(a * z - x - self.ln_gamma_a)
-        if z < -667.0:
+        if z < DEEP_TAIL_Z:
             # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
             # (the next series term is below x ~ 1e-290).  Also dodges
             # the precision loss of log on a subnormal x inside the
@@ -207,10 +208,7 @@ def invert_gamma(query: GammaQuantileQuery,
 
     Roots found in the log variable are mapped back with x = e^z before
     reporting; the trace stays in the solver variable.  A root e^z below
-    the smallest positive double is reported as 0 with ``root_underflow``.
+    the smallest normal double is reported with ``root_underflow``.
     """
     plan = gamma_start(query)
-    report = solve(plan.problem, plan.x0, opts).with_plan(plan)
-    if report.root == 0.0:
-        return report._replace(root_underflow=True)
-    return report
+    return solve(plan.problem, plan.x0, opts).with_plan(plan)

@@ -26,10 +26,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import SnmError, check_shape
+from .core import MACHINE_EPSILON, MIN_NORMAL, SnmError, check_shape
 
-_EPS = 2.220446049250313e-16
-_MIN_NORMAL = 2.2250738585072014e-308
 _TINY = 1e-300
 # Worst case sits at the series/fraction split x ~ a + 1, where the
 # continued fraction needs ~sqrt(a) and the series ~7.6 sqrt(a)
@@ -155,7 +153,7 @@ def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
         log_ratio = math.log1p((x - a) / a)
     else:
         ratio = x / a
-        log_ratio = math.log(ratio) if ratio >= _MIN_NORMAL else math.log(x) - math.log(a)
+        log_ratio = math.log(ratio) if ratio >= MIN_NORMAL else math.log(x) - math.log(a)
     return (a * log_ratio + (a - x)
             + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_remainder(a))
 
@@ -165,7 +163,7 @@ def _gamma_series(a: float, x: float) -> float:
 
     Every term is positive, so the stop test needs no ``abs``.
     """
-    eps = _EPS
+    eps = MACHINE_EPSILON
     term = 1.0 / a
     total = term
     ap = a
@@ -186,7 +184,7 @@ def _gamma_cf(a: float, x: float) -> float:
     included, without the call.
     """
     tiny = _TINY
-    eps = _EPS
+    eps = MACHINE_EPSILON
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
@@ -318,7 +316,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     Float counter, one shared a + 2m and chained guards, as in ``_gamma_cf``.
     """
     tiny = _TINY
-    eps = _EPS
+    eps = MACHINE_EPSILON
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0

@@ -21,7 +21,7 @@ from snm.beta import (
     _logit,
     _sigmoid,
 )
-from snm.core import Method, SolveOptions, Variable, solve
+from snm.core import MIN_NORMAL, Method, SolveOptions, Variable, solve
 from snm.special import ln_beta, reg_beta
 
 from conftest import step_only
@@ -336,12 +336,104 @@ def test_start_rounding_to_one_is_clamped_inside_the_domain(a, b, p):
 
 
 def test_logit_saturation_reports_vanished_derivative():
-    from snm.beta import BetaLogitProblem
     from snm.core import StopReason
-    for z0 in (50.0, -800.0):
-        report = solve(BetaLogitProblem(BetaQuantileQuery(0.5, 0.5, 0.2)), z0)
-        assert not report.converged
-        assert report.reason is StopReason.DERIVATIVE_VANISHED
+    problem = BetaLogitProblem(BetaQuantileQuery(0.5, 0.5, 0.2))
+    report = solve(problem, 50.0)
+    assert not report.converged
+    assert report.reason is StopReason.DERIVATIVE_VANISHED
+    # Far down the lower tail x = sigma(z) is 0, but the leading power
+    # term e^(az) / (a B) is evaluated from z itself.
+    e = problem.evaluate(-800.0)
+    fp = math.exp(-400.0 - problem.ln_b)
+    assert (e.f, e.fp, e.big_b, e.omega) == (fp / 0.5 - 0.2, fp, -0.5, -0.0625)
+
+
+# Starts in the subnormal band z0 in (-745, -708), where x = sigma(z)
+# keeps few significant bits: through the beta kernel at x they end MaxIter.
+SUBNORMAL_BAND = [
+    (0.0017745513613895013, 385.5803019308725, 0.2763487602690605),
+    (0.013005808178833338, 7288.7596348875795, 8.150487991816822e-05),
+    (2922.470827876954, 0.014264918133826337, 0.9999697194723455),
+    (0.0007583076909396173, 1.6387355736496565, 0.5768732785506532),
+    (0.010316469273260893, 0.0098246503462947, 0.00023351812040685422),
+    (0.001011517209297542, 1478.3663304859033, 0.4768995269578943),
+    (0.0002617143550390213, 135931.2779816406, 0.8287409514211911),
+]
+
+
+@pytest.mark.parametrize("a, b, p", SUBNORMAL_BAND)
+def test_subnormal_band_starts_solve_in_one_step(a, b, p):
+    plan = beta_plan(BetaQuantileQuery(a, b, p))
+    assert plan.variable is Variable.LOGIT and -745.0 < plan.x0 < -708.0
+    report = invert_beta(BetaQuantileQuery(a, b, p))
+    assert report.converged, report.reason
+    assert report.iterations == 1 and report.evaluations <= 2
+    # Each root is subnormal, or 1 after the flip.
+    assert report.root_underflow
+    assert (report.root == 1.0) if plan.flipped else (0.0 < report.root < MIN_NORMAL)
+
+
+@pytest.mark.parametrize("a, b, p", SUBNORMAL_BAND)
+def test_subnormal_band_roots_match_mpmath(a, b, p):
+    mpmath = pytest.importorskip("mpmath")
+    plan = beta_plan(BetaQuantileQuery(a, b, p))
+    z = solve(plan.problem, plan.x0).root
+    work = plan.query
+    with mpmath.workdps(40):
+        wa, wb, wp = mpmath.mpf(work.a), mpmath.mpf(work.b), mpmath.mpf(work.p)
+        exact = mpmath.findroot(
+            lambda t: mpmath.betainc(wa, wb, 0, 1 / (1 + mpmath.exp(-t)),
+                                     regularized=True) - wp, mpmath.mpf(z))
+        assert abs((z - exact) / exact) <= 2e-15
+
+
+@pytest.mark.parametrize("a, b", [(1e-4, 0.5), (1e-3, 3.0), (1e-2, 1e3), (0.3, 2.0)])
+def test_deep_tail_matches_the_kernel_at_the_switch(a, b):
+    # Just below z = -667 the power term and the kernel at x = sigma(z)
+    # agree: f where I_x is not swamped by p, f' and B_z for every shape.
+    p = 1e-15
+    problem = BetaLogitProblem(BetaQuantileQuery(a, b, p))
+    ln_b = problem.ln_b
+    for z in (-700.0, -690.5, -680.25, -667.0 - 2.0 ** -40):
+        e = problem.evaluate(z)
+        x = _sigmoid(z)
+        kernel_i = reg_beta(x, a, b)
+        fp = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
+        assert e.fp == pytest.approx(fp, rel=1e-15, abs=0.0), (z, e.fp, fp)
+        assert e.big_b == pytest.approx((a + b) * x - a, rel=1e-15, abs=0.0)
+        if kernel_i > 1e-3:
+            assert e.f == pytest.approx(kernel_i - p, rel=1e-15, abs=0.0), (z, e.f)
+
+
+def test_flipped_root_rounding_to_one_is_flagged():
+    # 1 - x is below ulp(1) here, so x rounds to 1, where I_1 = 1 != p.
+    report = invert_beta(BetaQuantileQuery(5.0, 0.1, 0.99))
+    assert report.converged and report.flipped
+    assert report.root == 1.0 and report.root_underflow
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_tiny_shape_fuzz_converges_and_flags_by_the_rule():
+    # One shape tiny, the other anywhere: many plans start below z = -667,
+    # some in the subnormal band.
+    rng = random.Random("beta-deep-tail")
+    deep = band = 0
+    for _ in range(2000):
+        tiny, other = _log_uniform(rng, 1e-4, 3e-2), _log_uniform(rng, 1e-3, 1e5)
+        a, b = (tiny, other) if rng.random() < 0.5 else (other, tiny)
+        query = BetaQuantileQuery(a, b, rng.uniform(0.001, 0.999))
+        plan = beta_plan(query)
+        report = invert_beta(query)
+        if plan.x0 < -667.0:
+            deep += 1
+            band += -745.0 < plan.x0 < -708.0
+            assert report.converged, (query, report.reason)
+        rule = report.root < MIN_NORMAL or (report.flipped and report.root == 1.0)
+        assert report.root_underflow == rule, (query, report.root)
+    assert deep >= 500 and band >= 5, (deep, band)
 
 
 def test_quantile_monotone_in_p():

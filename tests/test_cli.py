@@ -69,6 +69,15 @@ def test_json_keys_exact(capsys):
     assert payload["reason"] == "ResidualTol" or payload["reason"] == "StepTol"
 
 
+def test_json_flags_a_flipped_root_of_one(capsys):
+    # 1 - x is below ulp(1), so the root prints as 1, where I_1 = 1 != 0.99.
+    code, out, _ = run(capsys, "invert", "beta", "--a", "5", "--b", "0.1",
+                       "--p", "0.99", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["root"], payload["flipped"], payload["root_underflow"]) == (1.0, True, True)
+
+
 def test_trace_row_count_matches_iterations(capsys):
     _, out, _ = run(capsys, "invert", "gamma", "--a", "5", "--p", "0.25",
                     "--format", "json", "--trace")
@@ -325,6 +334,12 @@ def test_osculate_usage_validation(capsys):
         main(["osculate", "gamma", "--a", "30", "--p", "0.5", "--x0", "-3",
               "--range", "15:50", "--samples", "10"])
     assert exc.value.code == 2
+    # An infinite end would put nan or inf in every row.
+    for rng in ("0:inf", "-inf:1", "0:nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["osculate", "gamma", "--a", "2", "--p", "0.5", "--x0", "1",
+                  "--range", rng, "--samples", "3"])
+        assert exc.value.code == 2, rng
     # osculate runs no solve, so it has no tolerance or iteration cap.
     for extra in (["--tol", "1e-9"], ["--max-iter", "5"]):
         with pytest.raises(SystemExit) as exc:

@@ -25,6 +25,7 @@ from snm.beta import (
 )
 from snm.cli import main
 from snm.core import (
+    MIN_NORMAL,
     STEP_REL_TOL,
     DerivativeVanishedError,
     Method,
@@ -189,6 +190,8 @@ BETA_CASES = (
     (BetaQuantileQuery(0.3, 0.6, 0.4), {}),
     (BetaQuantileQuery(0.3, 0.6, 0.95), {}),
     (BetaQuantileQuery(1e-4, 1e-4, 0.3), {}),
+    (BetaQuantileQuery(0.0017745513613895013, 385.5803019308725, 0.2763487602690605), {}),
+    (BetaQuantileQuery(5.0, 0.1, 0.99), {}),
     (BetaQuantileQuery(1e17, 1.5, 0.3), {}),
     (NEWTON_ONE_SIDED, {"opts": NEWTON_OPTIONS}),
     (BetaQuantileQuery(0.5, 3.0, 0.2),
@@ -243,10 +246,6 @@ def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, case
         calls[0] = 0
         report = invert(query, **kwargs)
         plan = make_plan(query)
-        if report.evaluations == 0:
-            # A beta root below the smallest double is known from the start.
-            assert report.root_underflow and calls[0] == 0, query
-            continue
         assert calls[0] == 1, (query, kwargs, calls[0])
         own = solve(plan.problem, plan.x0, kwargs.get("opts"))
         assert report.root == plan.to_x(own.root), query
@@ -269,11 +268,11 @@ def test_report_fields_are_the_plan_s_fields(invert, make_plan, cases):
         plan = make_plan(query)
         assert (report.variable, report.flipped, report.start) \
             == (plan.variable, plan.flipped, plan.start), query
-        # Only a root below the smallest double is flagged, and it maps to 0 or 1.
-        if report.root_underflow:
-            assert report.root == (1.0 if plan.flipped else 0.0), query
-        else:
-            assert report.root not in (0.0, 1.0), query
+        # Flagged exactly when x is below the smallest normal double or is
+        # 1 after a flip.
+        assert report.root_underflow == (
+            report.root < MIN_NORMAL or (plan.flipped and report.root == 1.0)), query
+        assert report.root not in (0.0, 1.0) or report.root_underflow, query
 
 
 def test_invert_beta_agrees_with_compare_on_a_one_sided_newton_solve(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import snm.core
 from snm.core import (
+    MIN_NORMAL,
     RESIDUAL_NOISE_FLOOR,
     FunctionProblem,
     Interval,
@@ -230,15 +231,39 @@ def test_with_plan_shares_trace_and_leaves_original():
     _, report = _records()
     before = tuple(report)
     plan = Plan(tan_problem(), 1.0, Variable.LOG, "lower-bound", flipped=True)
-    moved = report.with_plan(plan, root_underflow=True)
+    moved = report.with_plan(plan)
     assert moved is not report
     assert moved.trace is report.trace
     assert moved.root == 1.0 - math.exp(report.root)
+    # The root of tan is 0, so x = 1 - e^0 = 0 and the flag rule holds.
+    assert moved.root == 0.0
     assert (moved.variable, moved.flipped, moved.start, moved.root_underflow) \
         == (Variable.LOG, True, "lower-bound", True)
     assert (moved.iterations, moved.converged, moved.reason, moved.evaluations) == (
         report.iterations, report.converged, report.reason, report.evaluations)
     assert tuple(report) == before
+
+
+@pytest.mark.parametrize("variable, v, flipped, underflow", [
+    (Variable.DIRECT, 0.0, False, True),
+    (Variable.DIRECT, MIN_NORMAL, False, False),
+    (Variable.DIRECT, MIN_NORMAL / 2, False, True),  # subnormal
+    (Variable.DIRECT, 0.5, False, False),
+    (Variable.DIRECT, 1.0, False, False),  # 1 unflipped is a normal double
+    (Variable.DIRECT, 0.0, True, True),  # 1 after the flip
+    (Variable.DIRECT, 2.0 ** -60, True, True),  # 1 - x rounds to 1
+    (Variable.DIRECT, 1.0, True, True),  # 0 after the flip
+    (Variable.LOG, -800.0, False, True),  # e^z is subnormal
+    (Variable.LOG, -700.0, False, False),
+    (Variable.LOGIT, -746.0, False, True),  # sigma(z) is 0
+    (Variable.LOGIT, -30.0, True, False),
+    (Variable.LOGIT, -40.0, True, True),  # 1 - sigma(z) rounds to 1
+])
+def test_with_plan_sets_root_underflow_by_one_rule(variable, v, flipped, underflow):
+    # The flag is set exactly when x < MIN_NORMAL or x is 1 after a flip.
+    report = SolveReport(v, 1, (), True, StopReason.STEP_TOL, 2)
+    moved = report.with_plan(Plan(tan_problem(), 0.0, variable, "", flipped))
+    assert moved.root_underflow is underflow, moved.root
 
 
 def test_plan_maps_invert_each_other():

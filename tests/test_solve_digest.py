@@ -23,13 +23,16 @@ from snm import (
     EllipticQuery,
     GammaQuantileQuery,
     Variable,
+    beta_plan,
     invert_beta,
     invert_ellip_e,
     invert_gamma,
 )
 
-# Recorded before the input rules moved into ``snm.core``; that move kept it.
-DIGEST = "750ad8fedcb4f3ff6aacdff23b57a4aedcaccfb7fb65a4c70f0ddedd394e1edc"
+# Re-recorded when ``root_underflow`` became the one rule of ``with_plan``
+# and the beta deep tail became a solve: 9 flipped roots of 1.0 gained the
+# flag, and the two tiny-shape beta records went from 0 to 1 evaluation.
+DIGEST = "9d5f12b5e74c2afb278b620608d8d42610663067d1776ad7779e90d9c18d9ea7"
 
 
 def _log_uniform(rng, lo, hi):
@@ -53,7 +56,7 @@ def _queries():
     out += [
         GammaQuantileQuery(0.05, 1e-15),   # log start below z = -667
         GammaQuantileQuery(1e-3, 0.3),     # root below the smallest double
-        BetaQuantileQuery(1e-4, 1e-4, 0.3),   # logit underflow shortcut
+        BetaQuantileQuery(1e-4, 1e-4, 0.3),   # logit start below z = -667, root 0
         BetaQuantileQuery(0.5, 1e-3, 0.9),    # the same, flipped
         BetaQuantileQuery(0.3, 0.7, 0.9),     # both shapes <= 1, flipped
         BetaQuantileQuery(0.3, 0.7, 0.1),     # both shapes <= 1, not flipped
@@ -98,8 +101,8 @@ def _branch(query, report):
             return "gamma log z<-667" if deep else "gamma log"
         return "gamma direct"
     if isinstance(query, BetaQuantileQuery):
-        if report.root_underflow and report.iterations == 0:
-            return "beta logit underflow"
+        if report.variable is Variable.LOGIT and beta_plan(query).x0 < -667.0:
+            return "beta logit z<-667"
         if report.variable is Variable.DIRECT:
             return f"beta direct flipped={report.flipped}"
         if query.a > 1.0:
@@ -119,7 +122,7 @@ def test_every_plan_branch_is_reached():
         "beta direct flipped=False", "beta direct flipped=True",
         "beta logit a>1>=b flipped=True", "beta logit a<=1<b flipped=False",
         "beta logit a,b<=1 flipped=True", "beta logit a,b<=1 flipped=False",
-        "beta logit underflow",
+        "beta logit z<-667",
         "elliptic low", "elliptic high", "elliptic arcsin-guess",
         "elliptic closed-form",
     }, reached

@@ -167,6 +167,10 @@ def beta_omega_logit(a: float, b: float, z: float) -> float:
 def _beta_omega_logit_x(a: float, b: float, x: float) -> float:
     """beta_omega_logit from x = 1/(1 + e^-z)."""
     s = a + b
+    if s > 1e150:
+        # s^2 overflows; scale by x first (the logit solve has a <= 1).
+        u = s * x
+        return 0.25 * (-(u * (u - 2.0 * x)) + 2.0 * u * (a - 1.0) - a * a)
     return 0.25 * (-(s * (s - 2.0)) * x * x + 2.0 * s * (a - 1.0) * x - a * a)
 
 
@@ -201,15 +205,17 @@ class BetaLogitProblem(Problem):
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         self.query = query
         self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
+        self.deep_tail_z = min(DEEP_TAIL_Z, math.log(MACHINE_EPSILON)
+                               + math.log(min(query.a, 1.0)) - math.log(query.a + query.b))
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
         a, b, ln_b = q.a, q.b, self.ln_b
-        if z < DEEP_TAIL_Z:
-            # Deep tail: I_x = e^(az) / (a B(a,b)) from z, as x may be subnormal.
+        if z < self.deep_tail_z:
+            # Deep tail: I_x = e^(az) / (a B(a,b)) from z, as x may be subnormal;
+            # the dropped terms are ~(a+b) e^z relative to f and f' (over a for B_z = -a).
             fp = math.exp(a * z - ln_b)
-            return ProblemEvaluation.build(
-                z, fp / a - q.p, fp, -a, _beta_omega_logit_x(a, b, 0.0))
+            return ProblemEvaluation.build(z, fp / a - q.p, fp, -a, -0.25 * a * a)
         x = _sigmoid(z)
         if x == 1.0:
             # The sigmoid saturates in double arithmetic around z ~ 37;

@@ -39,7 +39,7 @@ MACHINE_EPSILON = sys.float_info.epsilon
 # The smallest normal double; below it a double keeps fewer significant bits.
 MIN_NORMAL = sys.float_info.min
 
-# Below this z the gamma log and beta logit residuals are their leading power term.
+# Below this z the log and logit residuals are their leading power term (beta: a + b below ~1e274).
 DEEP_TAIL_Z = -667.0
 
 # |lam * u^2| below this uses the odd power series in gtan/gatan; keeps

@@ -21,7 +21,7 @@ from snm.beta import (
     _logit,
     _sigmoid,
 )
-from snm.core import MIN_NORMAL, Method, SolveOptions, Variable, solve
+from snm.core import DEEP_TAIL_Z, MIN_NORMAL, Method, SolveOptions, Variable, solve
 from snm.special import ln_beta, reg_beta
 
 from conftest import step_only
@@ -387,22 +387,69 @@ def test_subnormal_band_roots_match_mpmath(a, b, p):
         assert abs((z - exact) / exact) <= 2e-15
 
 
-@pytest.mark.parametrize("a, b", [(1e-4, 0.5), (1e-3, 3.0), (1e-2, 1e3), (0.3, 2.0)])
+@pytest.mark.parametrize("a, b", [(1e-4, 0.5), (1e-3, 3.0), (1e-2, 1e3), (0.3, 2.0),
+                                  (0.5, 1e285), (1e-3, 1e280)])
 def test_deep_tail_matches_the_kernel_at_the_switch(a, b):
-    # Just below z = -667 the power term and the kernel at x = sigma(z)
+    # Just below the switch the power term and the kernel at x = sigma(z)
     # agree: f where I_x is not swamped by p, f' and B_z for every shape.
+    # The switch is DEEP_TAIL_Z, lower where a + b is huge.
     p = 1e-15
     problem = BetaLogitProblem(BetaQuantileQuery(a, b, p))
     ln_b = problem.ln_b
-    for z in (-700.0, -690.5, -680.25, -667.0 - 2.0 ** -40):
+    top = problem.deep_tail_z
+    assert top == DEEP_TAIL_Z if b < 1e270 else -708.0 < top < DEEP_TAIL_Z - 10.0
+    for z in (-700.0, top - 6.5, top - 1.25, top - 2.0 ** -40):
         e = problem.evaluate(z)
         x = _sigmoid(z)
         kernel_i = reg_beta(x, a, b)
         fp = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
         assert e.fp == pytest.approx(fp, rel=1e-15, abs=0.0), (z, e.fp, fp)
         assert e.big_b == pytest.approx((a + b) * x - a, rel=1e-15, abs=0.0)
-        if kernel_i > 1e-3:
+        if kernel_i > 1e-9:
             assert e.f == pytest.approx(kernel_i - p, rel=1e-15, abs=0.0), (z, e.f)
+
+
+def _mp_logit_root(a, b, p, z):
+    """The root in z of I_x(a, b) = p, x = sigma(z), by mpmath Newton steps from z.
+
+    I_x = x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x), at 400 digits so
+    that ln B(a, b) resolves for shapes up to 1e308.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        a, b, p, z = (mpmath.mpf(v) for v in (a, b, p, z))
+        ln_b = mpmath.log(mpmath.beta(a, b))
+        for _ in range(3):
+            x = 1 / (1 + mpmath.exp(-z))
+            fp = mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - ln_b)
+            z -= (fp / a * mpmath.hyp2f1(a + b, 1, a + 1, x) - p) / fp
+        return z
+
+
+# a + b above ~1e274: the power term drops terms of about (a+b) e^z, so the
+# deep tail starts below DEEP_TAIL_Z.  (1e300, 0.5, 0.5) is the flipped
+# a > 1 >= b class; its root 1 - 2.3e-301 rounds to 1.
+HUGE_SHAPES = [
+    (0.5, 1e300, 0.5), (1e300, 0.5, 0.5), (0.5, 1e280, 0.3), (0.1, 1e300, 0.2),
+    (0.5, 1e300, 1e-6), (2e-3, 1e300, 0.01), (0.9, 1e305, 0.7),
+]
+
+
+@pytest.mark.parametrize("a, b, p", HUGE_SHAPES)
+def test_huge_shape_roots_match_mpmath(a, b, p):
+    query = BetaQuantileQuery(a, b, p)
+    plan = beta_plan(query)
+    report = invert_beta(query)
+    assert report.converged, report.reason
+    z = solve(plan.problem, plan.x0).root
+    work = plan.query
+    exact = _mp_logit_root(work.a, work.b, work.p, z)
+    assert abs((z - exact) / exact) <= 2e-15, (z, float(exact))
+    rule = report.root < MIN_NORMAL or (report.flipped and report.root == 1.0)
+    assert report.root_underflow == rule
+    if (a, b, p) == (0.5, 1e300, 0.5):
+        # b x = P^-1(1/2, 1/2) = 0.2275; the power term alone gives 1.96e-301.
+        assert report.root == pytest.approx(2.2746821155979e-301, rel=1e-12)
 
 
 def test_flipped_root_rounding_to_one_is_flagged():
@@ -427,7 +474,7 @@ def test_tiny_shape_fuzz_converges_and_flags_by_the_rule():
         query = BetaQuantileQuery(a, b, rng.uniform(0.001, 0.999))
         plan = beta_plan(query)
         report = invert_beta(query)
-        if plan.x0 < -667.0:
+        if plan.x0 < DEEP_TAIL_Z:
             deep += 1
             band += -745.0 < plan.x0 < -708.0
             assert report.converged, (query, report.reason)

@@ -28,6 +28,7 @@ from snm import (
     invert_ellip_e,
     invert_gamma,
 )
+from snm.core import DEEP_TAIL_Z
 
 # Re-recorded when ``root_underflow`` became the one rule of ``with_plan``
 # and the beta deep tail became a solve: 9 flipped roots of 1.0 gained the
@@ -54,9 +55,9 @@ def _queries():
                                      _log_uniform(rng, 0.05, 200.0), _probability(rng)))
         out.append(EllipticQuery(rng.uniform(0.0, 1.0), rng.uniform(0.001, 0.999)))
     out += [
-        GammaQuantileQuery(0.05, 1e-15),   # log start below z = -667
+        GammaQuantileQuery(0.05, 1e-15),   # log start below DEEP_TAIL_Z
         GammaQuantileQuery(1e-3, 0.3),     # root below the smallest double
-        BetaQuantileQuery(1e-4, 1e-4, 0.3),   # logit start below z = -667, root 0
+        BetaQuantileQuery(1e-4, 1e-4, 0.3),   # logit start below DEEP_TAIL_Z, root 0
         BetaQuantileQuery(0.5, 1e-3, 0.9),    # the same, flipped
         BetaQuantileQuery(0.3, 0.7, 0.9),     # both shapes <= 1, flipped
         BetaQuantileQuery(0.3, 0.7, 0.1),     # both shapes <= 1, not flipped
@@ -97,12 +98,12 @@ def _branch(query, report):
             return "gamma log underflow"
         if report.variable is Variable.LOG:
             # The last evaluation ran at z = log(root).
-            deep = report.root < math.exp(-667.0)
-            return "gamma log z<-667" if deep else "gamma log"
+            deep = report.root < math.exp(DEEP_TAIL_Z)
+            return "gamma log deep tail" if deep else "gamma log"
         return "gamma direct"
     if isinstance(query, BetaQuantileQuery):
-        if report.variable is Variable.LOGIT and beta_plan(query).x0 < -667.0:
-            return "beta logit z<-667"
+        if report.variable is Variable.LOGIT and beta_plan(query).x0 < DEEP_TAIL_Z:
+            return "beta logit deep tail"
         if report.variable is Variable.DIRECT:
             return f"beta direct flipped={report.flipped}"
         if query.a > 1.0:
@@ -118,11 +119,11 @@ def _branch(query, report):
 def test_every_plan_branch_is_reached():
     reached = {_branch(q, r) for q, r in _results()}
     assert reached >= {
-        "gamma direct", "gamma log", "gamma log z<-667", "gamma log underflow",
+        "gamma direct", "gamma log", "gamma log deep tail", "gamma log underflow",
         "beta direct flipped=False", "beta direct flipped=True",
         "beta logit a>1>=b flipped=True", "beta logit a<=1<b flipped=False",
         "beta logit a,b<=1 flipped=True", "beta logit a,b<=1 flipped=False",
-        "beta logit z<-667",
+        "beta logit deep tail",
         "elliptic low", "elliptic high", "elliptic arcsin-guess",
         "elliptic closed-form",
     }, reached

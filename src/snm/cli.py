@@ -12,6 +12,8 @@ Grammar::
                 [--format ...]
 
 Exit status: 0 on convergence, 1 on solver failure, 2 on usage errors.
+A typed solver or kernel error (``SnmError``) is a solver failure: one
+line on stderr, exit 1.
 Numbers are printed with 12 significant digits in table mode and 17
 (lossless round-trip) in csv/json.
 """
@@ -31,6 +33,7 @@ from .core import (
     Plan,
     PoleError,
     Problem,
+    SnmError,
     SolveOptions,
     SolveReport,
     osculating_eval,
@@ -392,11 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "invert":
-        return cmd_invert(parser, args)
-    if args.command == "compare":
-        return cmd_compare(parser, args)
-    return cmd_osculate(parser, args)
+    try:
+        if args.command == "invert":
+            return cmd_invert(parser, args)
+        if args.command == "compare":
+            return cmd_compare(parser, args)
+        return cmd_osculate(parser, args)
+    except SnmError as exc:
+        print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

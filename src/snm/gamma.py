@@ -1,16 +1,20 @@
 """Gamma-distribution quantiles by the Schwarzian-Newton iteration.
 
-Inverts P(a, x) = p (lower tail) or Q(a, x) = q (upper tail).  For
-a >= 1 the iteration runs in x directly, where Omega is negative on
-(0, inf) with a single maximum at x = a + 1.  It starts at the
-Wilson-Hilferty approximation of the quantile, raised where needed to
-the lower bound of the root that P(a, x) <= x^a / Gamma(a+1) gives, so
-a start far out in the lower tail cannot land where f is flat.  For
-a < 1 the problem is transformed to z = log x, where Omega stays
-negative for every a > 0 and is strictly decreasing, and the start is
-that same lower bound of the root.  Each query runs one solve from its
-start; the report's ``variable`` is DIRECT or LOG and its ``start`` is
-"asymptotic" or "lower-bound".
+Inverts P(a, x) = p (lower tail) or Q(a, x) = q (upper tail), whichever
+is the smaller, and stops once the residual is below 1e-14 times that
+tail, so tail roots keep their relative accuracy.  For a >= 1 the
+iteration runs in x directly, where Omega is negative on (0, inf) with
+a single maximum at x = a + 1.  It starts at the Wilson-Hilferty
+approximation of the quantile, raised where needed to the lower bound
+of the root that P(a, x) <= x^a / Gamma(a+1) gives, so a start far out
+in the lower tail cannot land where f is flat.  For a < 1 the problem is
+transformed to z = log x, where Omega stays negative for every a > 0 and
+is strictly decreasing.  The start is the closer of two bounds of the
+root: that same lower bound, or the upper bound that
+Q(a, x) <= x^(a-1) e^-x / Gamma(a) gives, which wins deep in the upper
+tail (see ``gamma_start``).  Each query runs one solve from its start;
+the report's ``variable`` is DIRECT or LOG and its ``start`` is
+"asymptotic", "lower-bound" or "upper-bound".
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _gamma_density, _normal_quantile, _reg_gamma, ln_gamma
+from .special import _gamma_density, _ln_gamma_1p, _normal_quantile, _reg_gamma, ln_gamma
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -106,26 +110,44 @@ def _gamma_omega_log_x(a: float, x: float) -> float:
     return -0.25 * (x * x - 2.0 * (a - 1.0) * x + a * a)
 
 
-def _residual(query: GammaQuantileQuery, x: float,
-              ln_gamma_a: float) -> tuple[float, float]:
-    """(residual, kernel exponent) at x > 0; the exponent also gives f'(x)."""
-    big_p, big_q, arg = _reg_gamma(query.a, x, ln_gamma_a)
-    # Invert P - p for p <= 1/2 and q - Q otherwise; same derivatives.
-    return (big_p - query.p if query.p <= 0.5 else query.q - big_q), arg
+class _GammaProblem(Problem):
+    """The residual both variables share: P - p for p <= 1/2, else q - Q.
 
-
-class GammaDirectProblem(Problem):
-    """f(x) = P(a,x) - p (or q - Q(a,x)) on (0, inf)."""
+    The residual stop is relative to the inverted tail: the class holds
+    the floor, and each query scales it to RESIDUAL_NOISE_FLOOR * min(p, q).
+    For a < 1 it also holds ln Gamma(1 + a), without rounding 1 + a, from
+    which the kernel forms an upper tail's Q to relative accuracy on its
+    series side (x < a + 1).
+    """
 
     residual_tol = RESIDUAL_NOISE_FLOOR
 
     def __init__(self, query: GammaQuantileQuery) -> None:
+        a = query.a
         self.query = query
-        self.ln_gamma_a = ln_gamma(query.a)
+        self.ln_gamma_a = ln_gamma(a)
+        self.ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 else None
+        self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
+
+    def _residual(self, x: float) -> tuple[float, float]:
+        """(residual, kernel exponent) at x > 0; the exponent also gives f'(x).
+
+        P - p for p <= 1/2 and q - Q otherwise; same derivatives.
+        """
+        query = self.query
+        if query.p <= 0.5:
+            big_p, _, arg = _reg_gamma(query.a, x, self.ln_gamma_a)
+            return big_p - query.p, arg
+        _, big_q, arg = _reg_gamma(query.a, x, self.ln_gamma_a, self.ln_gamma_1p)
+        return query.q - big_q, arg
+
+
+class GammaDirectProblem(_GammaProblem):
+    """f(x) = P(a,x) - p (or q - Q(a,x)) on (0, inf)."""
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         a = self.query.a
-        f, arg = _residual(self.query, x, self.ln_gamma_a)
+        f, arg = self._residual(x)
         return ProblemEvaluation.build(
             x, f, _gamma_density(arg, x), _gamma_b(a, x), _gamma_omega(a, x))
 
@@ -133,15 +155,13 @@ class GammaDirectProblem(Problem):
         return _POSITIVE_AXIS
 
 
-class GammaLogProblem(Problem):
+class GammaLogProblem(_GammaProblem):
     """Same residual in z = log x; B and Omega transformed accordingly."""
 
-    residual_tol = RESIDUAL_NOISE_FLOOR
-
     def __init__(self, query: GammaQuantileQuery) -> None:
-        self.query = query
-        self.ln_gamma_a = ln_gamma(query.a)
-        self.ln_gamma_a1 = ln_gamma(query.a + 1.0)
+        super().__init__(query)
+        self.ln_gamma_a1 = (ln_gamma(query.a + 1.0) if self.ln_gamma_1p is None
+                            else self.ln_gamma_1p)
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
@@ -162,7 +182,7 @@ class GammaLogProblem(Problem):
             # kernel once x drops past 1e-308.
             f = math.exp(a * z - self.ln_gamma_a1) - q.p
         else:
-            f = _residual(q, x, self.ln_gamma_a)[0]
+            f = self._residual(x)[0]
         return ProblemEvaluation.build(z, f, fp, x - a, _gamma_omega_log_x(a, x))
 
     def domain(self) -> Interval:
@@ -183,22 +203,70 @@ def _wilson_hilferty_start(query: GammaQuantileQuery, ln_gamma_a: float) -> floa
     return max(a * c * c * c, lower)
 
 
+def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
+    """An upper bound of the root for a < 1, from the tail bound on Q.
+
+    Q(a, x) <= x^(a-1) e^-x / Gamma(a) puts the root at or below the x_u
+    that solves (a - 1) ln x - x = ln q + ln Gamma(a), one x for every q.
+    In s = ln x that is H(s) = e^s + (1 - a) s - t = 0 with t = -(ln q +
+    ln Gamma(a)); H is increasing and convex, and H >= 0 at
+    s0 = ln max(t, 1), so Newton steps from s0 fall monotonically toward
+    ln x_u: every iterate is itself an upper bound.  Four steps.  (The
+    fixed-point form x <- t + (a - 1) ln x contracts only where
+    (1 - a)/x < 1; short of that, four of its steps can land far above
+    x_u, and ``gamma_start`` would then take this bound for a close one.)
+    """
+    t = -(ln_q + ln_gamma_a)
+    c = 1.0 - a
+    s = math.log(t) if t > 1.0 else 0.0
+    for _ in range(4):
+        x = math.exp(s)
+        s -= (x + c * s - t) / (x + c)
+    return math.exp(s)
+
+
 def gamma_start(query: GammaQuantileQuery) -> Plan:
-    """Standard plan: (DIRECT, "asymptotic") for a >= 1, else (LOG, "lower-bound").
+    """Standard plan: (DIRECT, "asymptotic") for a >= 1, else LOG from a bound.
 
     For a >= 1 the start is ``_wilson_hilferty_start``: close to the root
     across both tails, so the direct iteration needs about two steps.
-    For a < 1, z0 = (log p + log Gamma(a+1)) / a comes from the bound
-    P(a, x) <= x^a / Gamma(a+1), so e^z0 never exceeds the root and the
-    iterates increase monotonically toward it.  The problem holds
-    ln Gamma(a), and ln Gamma(a+1) in the log variable.
+
+    For a < 1 the iteration runs in z = log x from the closer of the
+    root's two analytic bounds (the closer-bound rule):
+
+    - the lower bound x_l = (p Gamma(a+1))^(1/a), from
+      P(a, x) <= x^a / Gamma(a+1), whose leading-term relative error is
+      about x (``start="lower-bound"``);
+    - the upper bound x_u of ``_upper_bound``, from
+      Q(a, x) <= x^(a-1) e^-x / Gamma(a), whose leading-term relative
+      error is about (1 - a)/x (``start="upper-bound"``).
+
+    It starts at z0 = ln x_u iff (1 - a)/x_u < x_l, else at z0 = ln x_l.
+    In z, Omega is negative and strictly decreasing for a < 1, so the
+    paper's convergence theorem gives monotonically increasing iterates
+    from any start left of the root: the lower bound always qualifies.
+    A start right of the root has no such guarantee (its first step can
+    overshoot far to the left), so the upper bound is taken only where
+    it is the tighter one, deep in the upper tail; used for every q < p
+    it ends many central queries at ``MaxIter``.  The problem holds
+    ln Gamma(a), and ln Gamma(a+1) in the log variable (for a < 1
+    without rounding a + 1).
     """
-    if query.a >= 1.0:
+    a = query.a
+    if a >= 1.0:
         problem = GammaDirectProblem(query)
         x0 = _wilson_hilferty_start(query, problem.ln_gamma_a)
         return Plan(problem, x0, Variable.DIRECT, "asymptotic")
     problem = GammaLogProblem(query)
-    z0 = (math.log(query.p) + problem.ln_gamma_a1) / query.a
+    z0 = (math.log(query.p) + problem.ln_gamma_a1) / a
+    x_l = math.exp(z0)
+    ln_q = math.log(query.q)
+    # x_u <= max(t, 1), the first Newton point, so the rule can only pick
+    # the upper bound when (1 - a)/max(t, 1) < x_l.
+    if (1.0 - a) / max(-(ln_q + problem.ln_gamma_a), 1.0) < x_l:
+        x_u = _upper_bound(a, ln_q, problem.ln_gamma_a)
+        if (1.0 - a) / x_u < x_l:
+            return Plan(problem, math.log(x_u), Variable.LOG, "upper-bound")
     return Plan(problem, z0, Variable.LOG, "lower-bound")
 
 

@@ -1,7 +1,9 @@
 """Self-contained special-function kernels.
 
-Regularized incomplete gamma (series + continued fraction), regularized
-incomplete beta (continued fraction with symmetry switch), Carlson
+Regularized incomplete gamma (series + continued fraction, and for a < 1
+a small-a form of Q on the series side), regularized incomplete beta
+(continued fraction with symmetry switch, and its gamma limit where
+1 - x rounds to 1), Carlson
 symmetric elliptic integrals by the duplication algorithm, and the
 incomplete elliptic integral of the second kind built on them.
 
@@ -24,7 +26,7 @@ limits P = 1, Q = 0 and density 0.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 from .core import MACHINE_EPSILON, MIN_NORMAL, SnmError, check_shape
 
@@ -87,6 +89,17 @@ def _lngamma_near_two(t: float) -> float:
     for c in _LNGAMMA_TAYLOR:
         acc = acc * mt + c
     return t * ((1.0 - _EULER_GAMMA) + t * acc)
+
+
+def _ln_gamma_1p(a: float) -> float:
+    """log Gamma(1 + a) for 0 < a < 1, without rounding 1 + a.
+
+    ``ln_gamma(a + 1.0)`` rounds its argument, an absolute error of up to
+    ~6e-17 in the value, which is large beside a small Q(a, x).
+    """
+    if a <= 0.6:
+        return _lngamma_near_two(a) - math.log1p(a)
+    return _lngamma_near_two(a - 1.0)
 
 
 def ln_gamma(a: float) -> float:
@@ -176,6 +189,30 @@ def _gamma_series(a: float, x: float) -> float:
     raise KernelError(f"gamma series did not converge for a={a}, x={x}")
 
 
+def _gamma_q_small_a(a: float, x: float, ln_gamma_1p: float) -> float:
+    """Q(a, x) for a < 1 and 0 < x < a + 1, to relative accuracy.
+
+    1 - P keeps only the absolute accuracy of P there.  With
+    P = x^a / Gamma(1+a) (1 + a S), S = sum_{n>=1} (-x)^n / (n! (a+n)),
+        Q = -expm1(a log x - ln Gamma(1+a) + log1p(a S)),
+    whose exponent is a sum of small terms (DiDonato & Morris, ACM TOMS
+    12, 1986); ``ln_gamma_1p`` is ln Gamma(1 + a).  For x < 2 the terms of
+    S alternate and shrink, so every partial sum is negative.
+    """
+    eps = MACHINE_EPSILON
+    term = -x
+    total = term / (a + 1.0)
+    n = 1.0
+    for _ in range(_MAX_SERIES_ITER):
+        n += 1.0
+        term *= -x / n
+        d = term / (a + n)
+        total += d
+        if -eps * total >= d >= eps * total:  # |d| <= eps |total|
+            return -math.expm1(a * math.log(x) - ln_gamma_1p + math.log1p(a * total))
+    raise KernelError(f"gamma small-a series did not converge for a={a}, x={x}")
+
+
 def _gamma_cf(a: float, x: float) -> float:
     """Continued fraction h (modified Lentz), Q(a,x) = h e^exponent; x >= a + 1.
 
@@ -208,7 +245,8 @@ def _gamma_cf(a: float, x: float) -> float:
     raise KernelError(f"gamma continued fraction did not converge for a={a}, x={x}")
 
 
-def _reg_gamma(a: float, x: float, ln_gamma_a: float) -> tuple[float, float, float]:
+def _reg_gamma(a: float, x: float, ln_gamma_a: float,
+               ln_gamma_1p: Optional[float] = None) -> tuple[float, float, float]:
     """(P(a, x), Q(a, x), exponent) for x > 0 from one series or fraction sum.
 
     Power series for x < a + 1, continued fraction otherwise, so each
@@ -216,9 +254,15 @@ def _reg_gamma(a: float, x: float, ln_gamma_a: float) -> tuple[float, float, flo
     gives the density (``_gamma_density``).  Where e^exponent underflows
     to 0 on the fraction side, Q = 0 exactly and the fraction is not run:
     once 1/b is subnormal (x above ~2^1022) its Lentz steps never settle.
+    On the series side Q is 1 - P, except that a caller that reads Q for
+    a < 1 gives ``ln_gamma_1p`` = ln Gamma(1 + a): then Q comes from
+    ``_gamma_q_small_a`` with its relative accuracy, and P is 1 - Q.
     """
     arg = _gamma_exponent(a, x, ln_gamma_a)
     if x < a + 1.0:
+        if ln_gamma_1p is not None:
+            q = _gamma_q_small_a(a, x, ln_gamma_1p)
+            return 1.0 - q, q, arg
         p = _gamma_series(a, x) * math.exp(arg)
         return p, 1.0 - p, arg
     scale = math.exp(arg)
@@ -258,7 +302,7 @@ def reg_gamma_q(a: float, x: float) -> float:
         return 1.0
     if x == math.inf:
         return 0.0
-    return _reg_gamma(a, x, ln_gamma(a))[1]
+    return _reg_gamma(a, x, ln_gamma(a), _ln_gamma_1p(a) if a < 1.0 else None)[1]
 
 
 def gamma_density(a: float, x: float) -> float:
@@ -374,9 +418,17 @@ def reg_beta(x: float, a: float, b: float) -> float:
 
 
 def _reg_beta(x: float, a: float, b: float, ln_b: float) -> float:
-    """I_x(a, b) for 0 < x < 1, given ln_b = ln B(a, b) (either orientation)."""
+    """I_x(a, b) for 0 < x < 1, given ln_b = ln B(a, b) (either orientation).
+
+    Past the switch the mirrored fraction needs 1 - x; where that rounds to
+    1 (x below 2^-54, so b above ~1.8e16 (a + 1)) both fractions fail, and
+    I_x(a, b) is the gamma limit P(a, u), u = (b + (a-1)/2) x.  It drops
+    about u x / 2 from u, below the rounding of u itself.
+    """
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(_beta_exponent(a, b, x, ln_b)) * _beta_cf(a, b, x) / a
+    if 1.0 - x == 1.0:
+        return _reg_gamma(a, (b + 0.5 * (a - 1.0)) * x, ln_gamma(a))[0]
     return 1.0 - math.exp(_beta_exponent(b, a, 1.0 - x, ln_b)) * _beta_cf(b, a, 1.0 - x) / b
 
 

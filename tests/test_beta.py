@@ -22,6 +22,7 @@ from snm.beta import (
     _sigmoid,
 )
 from snm.core import DEEP_TAIL_Z, MIN_NORMAL, Method, SolveOptions, Variable, solve
+from snm.gamma import GammaQuantileQuery, invert_gamma
 from snm.special import ln_beta, reg_beta
 
 from conftest import step_only
@@ -457,6 +458,61 @@ def test_flipped_root_rounding_to_one_is_flagged():
     report = invert_beta(BetaQuantileQuery(5.0, 0.1, 0.99))
     assert report.converged and report.flipped
     assert report.root == 1.0 and report.root_underflow
+
+
+# Past the mirrored-fraction switch (a+1)/(a+b+2) with 1 - x rounding to 1
+# (b above ~1.8e16 (a+1)), where both continued fractions fail.
+ONE_MINUS_X_LOST = [(0.27943915834916794, 2.925171694501003e+251), (0.05, 1e20),
+                    (3.5, 3e20), (300.0, 3e20)]
+
+
+@pytest.mark.parametrize("a, b", ONE_MINUS_X_LOST)
+def test_reg_beta_where_one_minus_x_rounds_to_one_is_continuous(a, b):
+    # On either side of the switch two independent evaluations meet: the
+    # direct fraction below it, the gamma limit above it.
+    switch = (a + 1.0) / (a + b + 2.0)
+    below, above = math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)
+    assert 1.0 - above == 1.0
+    assert reg_beta(above, a, b) == pytest.approx(reg_beta(below, a, b), rel=1e-14)
+    values = [reg_beta(y / b, a, b) for y in (a + 2.0, a + 5.0, a + 20.0, a + 100.0, 700.0)]
+    assert all(0.0 < v <= 1.0 for v in values)
+    assert values == sorted(values)
+
+
+@pytest.mark.parametrize("a, b", ONE_MINUS_X_LOST)
+def test_reg_beta_where_one_minus_x_rounds_to_one_matches_mpmath(a, b):
+    mpmath = pytest.importorskip("mpmath")
+    for y in (a + 2.0, a + 5.0, a + 20.0, a + 100.0):
+        x = y / b
+        assert 1.0 - x == 1.0 and x > (a + 1.0) / (a + b + 2.0)
+        # I_x = x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x); the digits
+        # must cover the cancellations of size b in ln B(a, b) and 2F1.
+        with mpmath.workdps(100 + int(1.2 * math.log10(b))):
+            am, bm, xm = (mpmath.mpf(v) for v in (a, b, x))
+            exact = (mpmath.exp(am * mpmath.log(xm) + bm * mpmath.log1p(-xm)
+                                - mpmath.log(mpmath.beta(am, bm)))
+                     / am * mpmath.hyp2f1(am + bm, 1, am + 1, xm))
+        got = reg_beta(x, a, b)
+        assert abs(got - exact) <= 1e-15 * exact, (y, got, float(exact))
+
+
+def test_huge_shape_flipped_query_converges():
+    # Flipped to working (a, b) = (0.279, 2.9e251), the solve passes x above
+    # the mirrored-fraction switch, where 1 - x rounds to 1; it used to raise
+    # a bare ValueError.
+    query = BetaQuantileQuery(2.925171694501003e+251, 0.27943915834916794,
+                              0.0004406312607439148)
+    report = invert_beta(query)
+    assert report.converged and report.flipped
+    assert report.root == 1.0 and report.root_underflow
+    plan = beta_plan(query)
+    work = plan.query
+    x = _sigmoid(solve(plan.problem, plan.x0).root)
+    # The root of the gamma limit Q(a, b x) = q.  The working problem
+    # inverts I_x = p ~ 1 - 4.4e-4 (the small tail q is not inverted), which
+    # leaves 3.7e-14 relative (50-digit mpmath).
+    limit = invert_gamma(GammaQuantileQuery(work.a, work.p, work.q)).root / work.b
+    assert abs(x - limit) <= 1e-13 * limit
 
 
 def _log_uniform(rng, lo, hi):

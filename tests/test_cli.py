@@ -191,6 +191,18 @@ def test_solver_failure_exit_one(capsys):
     assert "MaxIter" in err
 
 
+@pytest.mark.parametrize("command", ["invert", "compare"])
+def test_typed_solver_error_is_one_line_exit_one(capsys, command):
+    # The beta continued fraction raises KernelError at this shape; the
+    # CLI reports it on one stderr line instead of a traceback.
+    code, out, err = run(capsys, command, "beta", "--a", "0.5", "--b", "1e308",
+                         "--p", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"{command}: KernelError: ")
+
+
 def test_compare_orders_methods(capsys):
     code, out, _ = run(capsys, "compare", "gamma", "--a", "5", "--p", "0.5",
                        "--methods", "snm,halley,newton", "--format", "json")

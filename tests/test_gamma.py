@@ -2,21 +2,23 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 
-from snm.core import Method, SnmError, SolveOptions, Variable, solve
+from snm.core import MIN_NORMAL, Method, SnmError, SolveOptions, Variable, solve
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
     GammaQuantileQuery,
+    _upper_bound,
     gamma_b,
     gamma_omega,
     gamma_omega_log,
     gamma_start,
     invert_gamma,
 )
-from snm.special import ln_gamma, reg_gamma_p
+from snm.special import ln_gamma, reg_gamma_p, reg_gamma_q
 
 from conftest import step_only
 
@@ -267,3 +269,187 @@ def test_log_variable_trace_mapped_root():
     assert report.variable is Variable.LOG and not report.root_underflow
     assert report.root > 0.0
     assert abs(reg_gamma_p(0.5, report.root) - 0.2) <= 1e-13
+
+
+# ------------------------------------------------ the relative contract
+
+REL_TOL = 1e-12  # the contract: relative error in x
+
+
+def _tail_query(a, tail, upper):
+    """The query whose smaller tail is ``tail``, in the upper or lower tail."""
+    if upper:
+        return GammaQuantileQuery(a, 1.0 - tail, tail)
+    return GammaQuantileQuery(a, tail, 1.0 - tail)
+
+
+def _bisect_increasing(g, lo, hi):
+    """(lo, hi): adjacent doubles with g(lo) < 0 <= g(hi), g increasing."""
+    assert g(lo) < 0.0 <= g(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _bisect_root(query):
+    """The root bracketed by bisection in log x on the inverted tail's kernel."""
+    a, p, q = query.a, query.p, query.q
+    if p <= 0.5:
+        g = lambda t: reg_gamma_p(a, math.exp(t)) - p
+    else:
+        g = lambda t: q - reg_gamma_q(a, math.exp(t))
+    lo, hi = _bisect_increasing(g, math.log(1e-307), math.log(4.0 * a + 1000.0))
+    return math.exp(lo), math.exp(hi)
+
+
+def _relative_error(root, bracket):
+    lo, hi = bracket
+    return max(abs(root - lo), abs(root - hi)) / lo
+
+
+CONTRACT_SHAPES = (0.05, 0.3, 0.9, 1.0, 2.5, 20.0, 200.0)
+CONTRACT_TAILS = (1e-6, 1e-10, 1e-15)
+CONTRACT_GRID = [(a, tail, upper) for a in CONTRACT_SHAPES
+                 for tail in CONTRACT_TAILS for upper in (False, True)]
+
+
+@pytest.mark.parametrize("a, tail, upper", CONTRACT_GRID)
+def test_tail_roots_meet_the_relative_contract(a, tail, upper):
+    # The absolute 1e-14 stop accepted roots that miss 1e-12 in x at tails
+    # below ~1e-2; the stop is now relative to the inverted tail.
+    query = _tail_query(a, tail, upper)
+    report = invert_gamma(query)
+    assert report.converged, report.reason
+    assert _relative_error(report.root, _bisect_root(query)) <= REL_TOL
+
+
+@pytest.mark.parametrize("a, tail, upper", CONTRACT_GRID)
+def test_tail_roots_meet_the_relative_contract_against_mpmath(a, tail, upper):
+    mpmath = pytest.importorskip("mpmath")
+    query = _tail_query(a, tail, upper)
+    x = invert_gamma(query).root
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        if upper:
+            qm = mpmath.mpf(query.q)
+            residual = lambda t: qm - mpmath.gammainc(am, t, mpmath.inf, regularized=True)
+        else:
+            pm = mpmath.mpf(query.p)
+            residual = lambda t: mpmath.gammainc(am, 0, t, regularized=True) - pm
+        # The residual is increasing: the true root lies within REL_TOL of x
+        # iff it changes sign across that interval.
+        xm, d = mpmath.mpf(x), mpmath.mpf(REL_TOL)
+        assert residual(xm / (1 + d)) <= 0 <= residual(xm / (1 - d))
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_class_fuzz_converges_within_the_contract_in_few_iterations():
+    # The four classes: a < 1 or a >= 1, lower or upper tail.  Central and
+    # tail probabilities; a down to 0.01, where an a < 1 upper tail's Q
+    # comes from its small-a form on the series side.
+    rng = random.Random("gamma-classes")
+    seen = {}
+    for k in range(400):
+        small = k % 2 == 0
+        a = _log_uniform(rng, 0.01, 1.0) if small else _log_uniform(rng, 1.0, 500.0)
+        tail = (rng.uniform(1e-3, 0.5) if rng.random() < 0.5
+                else _log_uniform(rng, 1e-15, 1e-3))
+        upper = rng.random() < 0.5
+        query = _tail_query(a, tail, upper)
+        report = invert_gamma(query)
+        seen[small, upper] = seen.get((small, upper), 0) + 1
+        assert report.converged and report.iterations <= 4, (query, report.iterations)
+        if tail <= 1e-6:
+            assert report.iterations <= 3, (query, report.iterations)
+        if report.root_underflow:
+            assert report.root < MIN_NORMAL and small and not upper
+        else:
+            assert _relative_error(report.root, _bisect_root(query)) <= REL_TOL, query
+    assert len(seen) == 4 and min(seen.values()) >= 80, seen
+
+
+def _q_bound_root(a, q):
+    """The exact root of (a - 1) ln x - x = ln q + ln Gamma(a), by bisection in ln x."""
+    t = -(math.log(q) + ln_gamma(a))
+    lo, hi = _bisect_increasing(lambda s: math.exp(s) + (1.0 - a) * s - t,
+                                -1e6, math.log(max(t, 1.0)) + 1.0)
+    return math.exp(hi)
+
+
+def test_a_below_one_bounds_bracket_the_root():
+    # P(a, x) <= x^a / Gamma(a+1) and, for a < 1, Q(a, x) <= x^(a-1) e^-x
+    # / Gamma(a) put the root between the lower-bound start and the root
+    # of the Q bound's equation; Newton's steps from above stay above it.
+    # The slack covers rounding where a bound is tight (deep tails).
+    rng = random.Random("gamma-bounds")
+    checked = 0
+    for _ in range(300):
+        a = _log_uniform(rng, 0.01, 1.0)
+        tail = _log_uniform(rng, 1e-15, 0.5)
+        query = _tail_query(a, tail, rng.random() < 0.5)
+        if query.p <= 0.5 and reg_gamma_p(a, 1e-307) >= query.p:
+            continue  # the root lies below the normal doubles
+        checked += 1
+        root_lo, root_hi = _bisect_root(query)
+        ln_gamma_a1 = ln_gamma(a + 1.0)
+        lower = math.exp((math.log(query.p) + ln_gamma_a1) / a)
+        assert lower <= root_hi * (1.0 + 1e-13), query
+        exact_upper = _q_bound_root(a, query.q)
+        assert exact_upper >= root_lo * (1.0 - 1e-13), query
+        assert _upper_bound(a, math.log(query.q), ln_gamma(a)) >= exact_upper * (1.0 - 1e-15)
+    assert checked >= 200, checked
+
+
+def test_a_below_one_start_takes_the_closer_bound():
+    # Deep in the upper tail the Q bound is the tighter one; elsewhere the
+    # lower bound, from which the log-variable iterates rise monotonically.
+    # The last query's Q bound is x_u = 0.54, (1 - a)/x_u = 1.2: a Q-bound
+    # root stopped short of convergence (3.07) would claim the upper start
+    # and take 5 iterations from it.
+    for a, p, q, start in ((0.3, 1.0 - 1e-10, 1e-10, "upper-bound"),
+                           (0.9, 1.0 - 1e-6, 1e-6, "upper-bound"),
+                           (0.3, 0.7, 0.3, "lower-bound"),
+                           (0.3, 1e-10, 1.0 - 1e-10, "lower-bound"),
+                           (0.34184033815281933, 0.6812225391807587,
+                            0.3187774608192413, "lower-bound")):
+        query = GammaQuantileQuery(a, p, q)
+        plan = gamma_start(query)
+        report = invert_gamma(query)
+        assert (plan.variable, plan.start, report.start) == (Variable.LOG, start, start)
+        if start == "upper-bound":
+            assert math.exp(plan.x0) >= report.root
+            assert report.iterations <= 2
+        else:
+            assert math.exp(plan.x0) <= report.root
+
+
+def test_small_a_upper_tail_q_keeps_relative_accuracy():
+    # On the series side (x < a + 1) Q comes from its small-a form, not
+    # 1 - P; a relative stop there needs it.  These queries took up to 30
+    # iterations (MaxIter) with Q = 1 - P.
+    for a, p, q in ((0.013726018741068364, 0.9474961943776498, 0.052503805622350234),
+                    (0.015179535748938384, 0.9935262217484349, 0.0064737782515651415),
+                    (0.08630137185513322, 0.9808617705865, 0.01913822941349997)):
+        report = invert_gamma(GammaQuantileQuery(a, p, q))
+        assert report.converged and report.iterations <= 3, (a, report.iterations)
+        assert report.root < a + 1.0
+
+
+def test_small_a_q_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random("gamma-small-a-q")
+    for _ in range(200):
+        a = _log_uniform(rng, 1e-3, 1.0)
+        x = _log_uniform(rng, 1e-6, a + 1.0) * (1.0 - 1e-12)
+        with mpmath.workdps(40):
+            exact = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x), mpmath.inf,
+                                    regularized=True)
+        assert abs(reg_gamma_q(a, x) - exact) <= 1e-14 * exact, (a, x)

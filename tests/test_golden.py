@@ -18,6 +18,12 @@ start, root_underflow) with no change to any root, iteration count or
 stop reason; the gamma entries gained their start labels, and the
 "flip=omega-monotonicity" and "path=heuristic" notes, functions of the
 shapes alone, were dropped.
+Re-pinned when the gamma residual stop became relative to the inverted
+tail (1e-14 * min(p, q)) and an a < 1 upper tail took Q from its own
+small-a formula on the series side: "gamma direct a=20 p=1e-10" moved by
+-4483 ulps (2 -> 3 iterations), from 6.6e-13 to 2.9e-17 relative error
+against mpmath; "gamma log a=0.2 p=0.9" moved by +127 ulps (2 -> 3
+iterations), from -2.4e-14 to -2.1e-16.
 """
 
 import math
@@ -109,11 +115,11 @@ GOLDEN = {
         (Variable.DIRECT, False, "asymptotic", False)),
     "gamma direct a=20 p=0.5": ('0x1.3aaec947689f6p+4', 1, "ResidualTol",
         (Variable.DIRECT, False, "asymptotic", False)),
-    "gamma direct a=20 p=1e-10": ('0x1.8427e394b8c31p+1', 2, "ResidualTol",
+    "gamma direct a=20 p=1e-10": ('0x1.8427e394b7aaep+1', 3, "ResidualTol",
         (Variable.DIRECT, False, "asymptotic", False)),
     "gamma log a=0.5 p=0.3": ('0x1.301203f7937b9p-4', 2, "ResidualTol",
         (Variable.LOG, False, "lower-bound", False)),
-    "gamma log a=0.2 p=0.9": ('0x1.35b5c1cbd2d36p-1', 2, "ResidualTol",
+    "gamma log a=0.2 p=0.9": ('0x1.35b5c1cbd2db5p-1', 3, "ResidualTol",
         (Variable.LOG, False, "lower-bound", False)),
     "gamma log a=0.01 p=1e-5": ('0x0.0p+0', 0, "ResidualTol",
         (Variable.LOG, False, "lower-bound", True)),

@@ -33,7 +33,12 @@ from snm.core import DEEP_TAIL_Z
 # Re-recorded when ``root_underflow`` became the one rule of ``with_plan``
 # and the beta deep tail became a solve: 9 flipped roots of 1.0 gained the
 # flag, and the two tiny-shape beta records went from 0 to 1 evaluation.
-DIGEST = "9d5f12b5e74c2afb278b620608d8d42610663067d1776ad7779e90d9c18d9ea7"
+# Re-recorded when the gamma residual stop became relative to the inverted
+# tail, a < 1 upper tails gained the upper-bound start and their Q its
+# small-a form, and ln Gamma(a+1) stopped rounding a + 1 for a < 1: 59 of
+# the 152 gamma records moved (15 now start at the upper bound); no beta
+# or elliptic record moved.
+DIGEST = "3a78117894f1a0616275013e67211bf0c19dca5272b012860c696f4cf7943f1b"
 
 
 def _log_uniform(rng, lo, hi):
@@ -96,6 +101,8 @@ def _branch(query, report):
     if isinstance(query, GammaQuantileQuery):
         if report.root_underflow:
             return "gamma log underflow"
+        if report.start == "upper-bound":
+            return "gamma log upper-bound"
         if report.variable is Variable.LOG:
             # The last evaluation ran at z = log(root).
             deep = report.root < math.exp(DEEP_TAIL_Z)
@@ -120,6 +127,7 @@ def test_every_plan_branch_is_reached():
     reached = {_branch(q, r) for q, r in _results()}
     assert reached >= {
         "gamma direct", "gamma log", "gamma log deep tail", "gamma log underflow",
+        "gamma log upper-bound",
         "beta direct flipped=False", "beta direct flipped=True",
         "beta logit a>1>=b flipped=True", "beta logit a<=1<b flipped=False",
         "beta logit a,b<=1 flipped=True", "beta logit a,b<=1 flipped=False",

@@ -2,11 +2,12 @@
 
 For a, b > 1 the iteration runs in x, where Omega has a unique maximum
 (the root of a cubic, ``beta_xm``); it starts at the asymptotic quantile
-of Abramowitz & Stegun 26.5.22, raised where needed to the lower bound
-of the root from I_x(a, b) <= x^a / (a B(a, b)).  Otherwise it moves to
-z = log(x/(1-x)) where Omega is negative for every shape pair, flipping
-the problem through I_x(a,b) = 1 - I_(1-x)(b,a) whenever that yields the
-monotone-Omega configuration.
+of Abramowitz & Stegun 26.5.22, clamped between the bounds of the root
+from I_x(a, b) <= x^a / (a B(a, b)) and 1 - I_x(a, b) <= (1-x)^b / (b B(a, b)).
+Otherwise it moves to z = log(x/(1-x)) where Omega is negative for every
+shape pair, and starts from those bounds on the side of the root that
+Omega's monotonicity names: below it when Omega decreases (a <= 1 <= b),
+above it when Omega increases (a >= 1 >= b).
 """
 
 from snm import BetaQuantileQuery, beta_plan, beta_xm, invert_beta, reg_beta
@@ -33,8 +34,8 @@ def main() -> None:
         plan = beta_plan(BetaQuantileQuery(a, b, p))
         report = invert_beta(BetaQuantileQuery(a, b, p))
         print(f"  (a={a}, b={b}, p={p}): variable={plan.variable.value} "
-              f"flipped={plan.flipped}")
-        print(f"      root = {report.root:.17g}   start = {report.start}")
+              f"start={plan.start}")
+        print(f"      root = {report.root:.17g}")
 
     print()
     print("= Symmetry: quantile(a, b; p) + quantile(b, a; 1-p) = 1")

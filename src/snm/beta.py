@@ -1,19 +1,24 @@
 """Beta-distribution quantiles by the Schwarzian-Newton iteration.
 
-Inverts I_x(a, b) = p.  For a, b > 1 the iteration runs in x directly,
-where Omega is negative on (0, 1) with a single interior maximum (the
-unique (0,1)-root of a cubic, ``beta_xm``).  After the symmetry flip
-that makes p <= 1/2, it starts at the asymptotic quantile of
-Abramowitz & Stegun 26.5.22, raised where needed to the lower bound of
-the root that I_x(a, b) <= x^a / (a B(a, b)) gives for b >= 1.
-Otherwise the problem moves to the logit variable z = log(x/(1-x)),
-where Omega is negative for all shapes; the solver starts on the
-monotone side of Omega, applying the symmetry
-I_x(a,b) = 1 - I_(1-x)(b,a) first when that puts Omega in its
-decreasing configuration (or when p > 1/2).  Each query runs one solve
-from that start; the report's ``variable`` (DIRECT or LOGIT),
-``flipped`` and ``start`` ("asymptotic" or "lower-bound") record the
-plan.
+Inverts I_x(a, b) = p in the smaller tail: the residual is I - p for
+p <= 1/2 and q - (1 - I) otherwise, from a kernel that returns both
+values, each tail to relative accuracy where its fraction runs, and the
+stop is relative to that tail, as gamma's is.  Each tail is solved in
+place; no query is mirrored through I_x(a, b) = 1 - I_(1-x)(b, a).
+
+Two power bounds locate the root: x_p solves x^a / (a B) = p, a lower
+bound for b >= 1, and x_q solves (1-x)^b / (b B) = q, an upper bound for
+a >= 1.  For a, b > 1 the iteration runs in x directly, where Omega is
+negative on (0, 1) with a single interior maximum (the unique
+(0,1)-root of a cubic, ``beta_xm``); it starts at the asymptotic
+quantile of Abramowitz & Stegun 26.5.22, clamped between the bounds.
+Otherwise it runs in the logit variable z = log(x/(1-x)), where Omega is
+negative for all shapes, and starts on the side of the root that the
+paper's convergence theorem names for Omega's monotonicity: below it
+for a <= 1 <= b (Omega decreasing), above it for a >= 1 >= b (Omega
+increasing), from the closer bound.  Each query runs one solve from that
+start; the report's ``variable`` (DIRECT or LOGIT) and ``start``
+("asymptotic", "lower-bound" or "upper-bound") record the plan.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .core import (
     DEEP_TAIL_Z,
     MACHINE_EPSILON,
     RESIDUAL_NOISE_FLOOR,
-    DerivativeVanishedError,
     Interval,
     Plan,
     Problem,
@@ -47,6 +51,11 @@ _REAL_LINE = Interval(-math.inf, math.inf)
 # The smallest positive double and the largest double below 1.
 _X_MIN = 5e-324
 _X_MAX = 1.0 - 2.0 ** -53
+_LOG_X_MAX = math.log1p(-2.0 ** -53)
+_LOG_HALF = math.log(0.5)
+_LN_EPS = math.log(MACHINE_EPSILON)
+# min(a, 1) / (a + b) above this keeps the deep tail at DEEP_TAIL_Z.
+_DEEP_TAIL_RATIO = math.exp(DEEP_TAIL_Z - _LN_EPS)
 
 
 @dataclass(frozen=True)
@@ -152,112 +161,173 @@ def beta_xm(a: float, b: float) -> float:
 def beta_omega_logit(a: float, b: float, z: float) -> float:
     """Half the Schwarzian derivative in the logit variable.
 
-    With x = 1/(1 + e^-z):
-    (1/4) (-(a+b)(a+b-2) x^2 + 2(a+b)(a-1) x - a^2).  Always negative;
-    tends to -a^2/4 as z -> -inf and to -b^2/4 as z -> +inf.  A NaN z
-    raises ValueError.
+    With x = 1/(1 + e^-z), y = 1 - x and u = b x - a y:
+    -(u^2 + 2 (a+b) x y) / 4.  Always negative; tends to -a^2/4 as
+    z -> -inf and to -b^2/4 as z -> +inf.  A NaN z raises ValueError.
     """
     check_shape("beta_omega_logit", a)
     check_shape("beta_omega_logit", b)
     if math.isnan(z):
         raise ValueError("beta_omega_logit requires a number z, got nan")
-    return _beta_omega_logit_x(a, b, _sigmoid(z))
+    return _beta_omega_logit_x(a, b, _sigmoid(z), _sigmoid(-z))
 
 
-def _beta_omega_logit_x(a: float, b: float, x: float) -> float:
-    """beta_omega_logit from x = 1/(1 + e^-z)."""
-    s = a + b
-    if s > 1e150:
-        # s^2 overflows; scale by x first (the logit solve has a <= 1).
-        u = s * x
-        return 0.25 * (-(u * (u - 2.0 * x)) + 2.0 * u * (a - 1.0) - a * a)
-    return 0.25 * (-(s * (s - 2.0)) * x * x + 2.0 * s * (a - 1.0) * x - a * a)
+def _beta_omega_logit_x(a: float, b: float, x: float, y: float) -> float:
+    """beta_omega_logit from x = 1/(1 + e^-z) and y = 1/(1 + e^z).
+
+    Symmetric in (a, x) <-> (b, y), and finite for any shapes near the
+    root, where b x - a y stays small even when a + b is huge.
+    """
+    u = b * x - a * y
+    return -0.25 * (u * u + 2.0 * (a + b) * x * y)
 
 
-class BetaDirectProblem(Problem):
-    """f(x) = I_x(a,b) - p on (0, 1).
+class _BetaProblem(Problem):
+    """The residual both variables share: I - p for p <= 1/2, else q - J.
 
-    ``ln_b`` is ln B(a, b); it is computed here when the caller passes none.
+    The kernel returns the pair (I, J), J = 1 - I, with the tail on its
+    fraction's side of the switch (a+1)/(a+b+2) to relative accuracy, so
+    either tail can be inverted.  The stop is relative to the inverted
+    tail, RESIDUAL_NOISE_FLOOR * min(p, q), as gamma's is.  A residual
+    within RESIDUAL_NOISE_FLOOR of the tail the fraction computed at this
+    x (I below the switch, J above it) counts as 0: where the inverted
+    tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
+    is ln B(a, b); it is computed here when the caller passes none.
     """
 
     residual_tol = RESIDUAL_NOISE_FLOOR
 
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
+        a, b = query.a, query.b
         self.query = query
-        self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
+        self.ln_b = ln_beta(a, b) if ln_b is None else ln_b
+        self.switch = (a + 1.0) / (a + b + 2.0)
+        self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
+
+    def _residual(self, x: float, i: float, j: float) -> float:
+        query = self.query
+        f = i - query.p if query.p <= 0.5 else query.q - j
+        if abs(f) <= RESIDUAL_NOISE_FLOOR * (i if x < self.switch else j):
+            return 0.0
+        return f
+
+
+class BetaDirectProblem(_BetaProblem):
+    """f(x) = I_x(a,b) - p (or q - (1 - I_x(a,b))) on (0, 1)."""
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         q = self.query
         a, b, ln_b = q.a, q.b, self.ln_b
+        i, j = _reg_beta(x, 1.0 - x, a, b, ln_b)
         fp = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b)
         return ProblemEvaluation.build(
-            x, _reg_beta(x, a, b, ln_b) - q.p, fp, _beta_b(a, b, x), _beta_omega(a, b, x))
+            x, self._residual(x, i, j), fp, _beta_b(a, b, x), _beta_omega(a, b, x))
 
     def domain(self) -> Interval:
         return _UNIT_INTERVAL
 
 
-class BetaLogitProblem(Problem):
-    """Same residual in z = log(x/(1-x)); B and Omega transformed; ``ln_b`` as above."""
+def _deep_tail_z(a: float, s: float) -> float:
+    """The z below which I_x is e^(az) / (a B), s = a + b: DEEP_TAIL_Z, or
+    ln(eps min(a, 1) / s) where the dropped terms, ~s e^z, need it lower."""
+    t = min(a, 1.0)
+    if t >= _DEEP_TAIL_RATIO * s:
+        return DEEP_TAIL_Z
+    return _LN_EPS + math.log(t) - math.log(s)
 
-    residual_tol = RESIDUAL_NOISE_FLOOR
+
+class BetaLogitProblem(_BetaProblem):
+    """Same residual in z = log(x/(1-x)); B and Omega transformed.
+
+    x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
+    so neither tail is formed by subtraction, and f' from log x and log y.
+    Each deep tail evaluates its leading power term from z alone.
+    """
 
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
-        self.query = query
-        self.ln_b = ln_beta(query.a, query.b) if ln_b is None else ln_b
-        self.deep_tail_z = min(DEEP_TAIL_Z, math.log(MACHINE_EPSILON)
-                               + math.log(min(query.a, 1.0)) - math.log(query.a + query.b))
+        super().__init__(query, ln_b)
+        s = query.a + query.b
+        self.deep_tail_z = _deep_tail_z(query.a, s)
+        self.deep_tail_top = -_deep_tail_z(query.b, s)
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
         a, b, ln_b = q.a, q.b, self.ln_b
         if z < self.deep_tail_z:
-            # Deep tail: I_x = e^(az) / (a B(a,b)) from z, as x may be subnormal;
-            # the dropped terms are ~(a+b) e^z relative to f and f' (over a for B_z = -a).
+            # Deep lower tail: I_x = e^(az) / (a B(a,b)) from z, as x may be
+            # subnormal; the dropped terms are ~(a+b) e^z relative to f and
+            # f' (over a for B_z = -a).
             fp = math.exp(a * z - ln_b)
-            return ProblemEvaluation.build(z, fp / a - q.p, fp, -a, -0.25 * a * a)
-        x = _sigmoid(z)
-        if x == 1.0:
-            # The sigmoid saturates in double arithmetic around z ~ 37;
-            # the chain-rule derivative x^a (1-x)^b has underflowed there.
-            raise DerivativeVanishedError(f"beta logit derivative 0 at z={z}")
-        # Chain rule with dx/dz = x(1-x): f_z' = x^a (1-x)^b / B(a,b),
-        # B_z = (a+b) x - a.
-        fp = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
+            i = fp / a
+            return ProblemEvaluation.build(
+                z, self._residual(0.0, i, 1.0 - i), fp, -a, -0.25 * a * a)
+        if z > self.deep_tail_top:
+            # Its mirror: 1 - I_x = e^(-bz) / (b B(a,b)), B_z = b.
+            fp = math.exp(-b * z - ln_b)
+            j = fp / b
+            return ProblemEvaluation.build(
+                z, self._residual(1.0, 1.0 - j, j), fp, b, -0.25 * b * b)
+        # Chain rule with dx/dz = x y: f_z' = x^a y^b / B(a,b), B_z = b x - a y;
+        # t = e^-|z|: log x = -log1p(t) + min(z, 0), log y = -log1p(t) - max(z, 0).
+        t = math.exp(-abs(z))
+        d = 1.0 + t
+        ln_d = (a + b) * math.log1p(t)
+        if z >= 0.0:
+            x, y = 1.0 / d, t / d
+            fp = math.exp(-ln_d - b * z - ln_b)
+        else:
+            x, y = t / d, 1.0 / d
+            fp = math.exp(a * z - ln_d - ln_b)
+        # f_z' is the kernel's prefactor x^a y^b / B, and formed from z it
+        # keeps its precision where x or y is subnormal.
+        i, j = _reg_beta(x, y, a, b, ln_b, fp)
         return ProblemEvaluation.build(
-            z, _reg_beta(x, a, b, ln_b) - q.p, fp, (a + b) * x - a,
-            _beta_omega_logit_x(a, b, x))
+            z, self._residual(x, i, j), fp, b * x - a * y, _beta_omega_logit_x(a, b, x, y))
 
     def domain(self) -> Interval:
         return _REAL_LINE
 
 
-def _log_lower_bound(query: BetaQuantileQuery, ln_b: float) -> float:
-    """log x of the root of x^a / (a B(a, b)) = p.
+def _logit_of(log_x: float) -> float:
+    """logit x of x = e^log_x in (0, 1), never forming 1 - x by subtraction.
 
-    That power bounds I_x(a, b) from above for b >= 1, so this x never
-    exceeds the root; for b < 1 it is only a heuristic start.
+    Below 1/2 it is ``_logit`` of the rounded x (log x where x underflows),
+    the arithmetic a subnormal-band start has always had; above, minus
+    the logit of 1 - x = -expm1(log x).
     """
-    return (math.log(query.p) + math.log(query.a) + ln_b) / query.a
+    if log_x < _LOG_HALF:
+        x = math.exp(log_x)
+        return _logit(x) if x else log_x
+    return -_logit(-math.expm1(min(log_x, _LOG_X_MAX)))
 
 
-def _logit_lower_bound_start(query: BetaQuantileQuery, ln_b: float) -> float:
-    # Capped at x = 1/2 for b < 1, where the bound is only a heuristic.
-    log_x = _log_lower_bound(query, ln_b)
-    x = math.exp(min(log_x, 0.0))
-    if x == 0.0:
-        # x underflows; its logit is log x to double precision.
-        return log_x
-    return _logit(min(0.5, x))
+def _raised_log_bound(a: float, b: float, log_t: float) -> float:
+    """log of a lower bound of the root, raised from t = e^log_t, for b >= 1.
+
+    t solves t^a / (a B) = p.  For b >= 1, I_t <= G(t) = t^a (1-t)^b /
+    (a B (1 - c t)), c = (a+b)/(a+1), as the terms of 2F1(a+b, 1; a+1; t)
+    shrink at least by c t.  One fixed-point step of G = p gives
+    t1 = t ((1 - c t) / (1-t)^b)^(1/a); R = (1-t)^b / (1 - c t) decreases
+    up to the mean a/(a+b), so G(min(t1, mean)) <= p R(min(t1, mean)) / R(t)
+    <= p: still a lower bound, and deep in a tail with a >> b far closer.
+    """
+    t = math.exp(log_t)
+    mean = a / (a + b)
+    if not t < mean:
+        return log_t
+    c = (a + b) / (a + 1.0)
+    return min(log_t + (math.log1p(-c * t) - b * math.log1p(-t)) / a, math.log(mean))
 
 
-def _asymptotic_start(query: BetaQuantileQuery, ln_b: float) -> float:
-    """A&S 26.5.22 quantile for a, b > 1, never below the root's lower bound.
+def _asymptotic_start(query: BetaQuantileQuery, log_x_p: float, log_y_q: float) -> float:
+    """A&S 26.5.22 quantile for a, b > 1, clamped between the root's bounds.
 
-    Deep in the lower tail the normal approximation can fall far below
-    the root, where f is flat; the bound of ``_log_lower_bound`` is then
-    the better start.  A start that rounds to 1 (a huge, b small) is
-    clamped to the largest double below 1, inside the open domain.
+    In either tail the normal approximation can fall far outside the
+    root, where f is flat; it is then replaced by the power bound x_p or
+    x_q of ``beta_plan`` that it passed, raised toward the root
+    (``_raised_log_bound``, or its mirror).  A start that rounds to 1
+    (a huge, b small) is clamped to the largest double below 1, inside
+    the open domain.
     """
     a, b = query.a, query.b
     y = _normal_quantile(query.q, query.p)  # upper-tail quantile: Q(y) = p
@@ -267,58 +337,61 @@ def _asymptotic_start(query: BetaQuantileQuery, ln_b: float) -> float:
     h = 2.0 / (ra + rb)
     w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
     x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
-    return min(max(x, math.exp(_log_lower_bound(query, ln_b))), _X_MAX)
+    if x < math.exp(log_x_p):
+        x = math.exp(_raised_log_bound(a, b, log_x_p))
+    elif x > -math.expm1(log_y_q):
+        x = -math.expm1(_raised_log_bound(b, a, log_y_q))
+    return min(x, _X_MAX)
 
 
 def beta_plan(query: BetaQuantileQuery) -> Plan:
-    """Choose variable, symmetry flip and starting point for a query.
+    """Choose variable and starting point for a query.
 
-    a, b > 1 solve in x from ``_asymptotic_start``; every other shape
-    solves in the logit variable from the lower bound of the root.
-    Flip rules: a, b > 1 and p > 1/2 flips for residual accuracy (the
-    direct path is kept); a > 1 >= b flips so the logit Omega becomes
-    decreasing; both shapes <= 1 flip only to keep p <= 1/2.  The
-    configuration a <= 1 <= b is never flipped, since that would trade a
-    decreasing Omega for an increasing one.  The problem holds ln B(a, b)
-    and the working (possibly flipped) query.
+    Two power bounds locate the root: x_p solves x^a / (a B) = p and x_q
+    solves (1 - x)^b / (b B) = q.  I_x <= x^a / (a B) for b >= 1, so x_p
+    lies below the root iff b >= 1; 1 - I_x <= (1 - x)^b / (b B) for
+    a >= 1, so x_q lies above it iff a >= 1.
+
+    - a, b > 1 solve in x from ``_asymptotic_start``, clamped into
+      [x_p, x_q] (``start="asymptotic"``).
+    - Every other shape solves in the logit variable z, where Omega is
+      negative.  The paper's convergence theorem takes a start on the side
+      of the root that Omega's monotonicity names: for a <= 1 <= b Omega
+      decreases in z, both bounds lie below the root and the start is the
+      larger (``"lower-bound"``); for a >= 1 >= b Omega increases, both lie
+      above it and the start is the smaller (``"upper-bound"``).
+    - Both shapes < 1: neither power is a bound.  The start is x_p, capped
+      at 1/2, when I_(1/2) >= p, else x_q, capped at 1/2 from above, so
+      the start stays in the half that holds the root.
+
+    The problem holds ln B(a, b).
     """
     a, b, p, q = query.a, query.b, query.p, query.q
-    # ln_beta is symmetric, so one value serves the flipped query too.
     ln_b = ln_beta(a, b)
-
-    direct_ok = a > 1.0 and b > 1.0
-    if direct_ok:
-        flipped = p > 0.5
-    elif a > 1.0 and b <= 1.0:
-        flipped = True
-    elif a <= 1.0 and b <= 1.0:
-        # Keep the root in the left half: near x = 1 the quantile is
-        # quantized by ulp(1) (z steps of ulp(1)/(1-x) in the logit
-        # variable), while the left tail resolves down to e^-745.
-        flipped = _reg_beta(0.5, a, b, ln_b) < p
-    else:  # a <= 1 <= b: already the decreasing configuration
-        flipped = False
-    if flipped:
-        # The values were validated with the query; skip its __init__.
-        work = object.__new__(BetaQuantileQuery)
-        vars(work).update(a=b, b=a, p=q, q=p)
-    else:
-        work = query
-
-    if direct_ok:
-        return Plan(BetaDirectProblem(work, ln_b), _asymptotic_start(work, ln_b),
-                    Variable.DIRECT, "asymptotic", flipped)
-    return Plan(BetaLogitProblem(work, ln_b), _logit_lower_bound_start(work, ln_b),
-                Variable.LOGIT, "lower-bound", flipped)
+    log_x_p = (math.log(p) + math.log(a) + ln_b) / a
+    log_y_q = (math.log(q) + math.log(b) + ln_b) / b
+    if a > 1.0 and b > 1.0:
+        return Plan(BetaDirectProblem(query, ln_b), _asymptotic_start(query, log_x_p, log_y_q),
+                    Variable.DIRECT, "asymptotic")
+    problem = BetaLogitProblem(query, ln_b)
+    if a <= 1.0 <= b:
+        z_q = -_logit_of(log_y_q) if log_y_q < 0.0 else -math.inf
+        return Plan(problem, max(_logit_of(log_x_p), z_q), Variable.LOGIT, "lower-bound")
+    if b <= 1.0 <= a:
+        z_p = _logit_of(log_x_p) if log_x_p < 0.0 else math.inf
+        return Plan(problem, min(z_p, -_logit_of(log_y_q)), Variable.LOGIT, "upper-bound")
+    if _reg_beta(0.5, 0.5, a, b, ln_b)[0] < p:
+        return Plan(problem, -_logit_of(min(log_y_q, _LOG_HALF)), Variable.LOGIT, "upper-bound")
+    return Plan(problem, _logit_of(min(log_x_p, _LOG_HALF)), Variable.LOGIT, "lower-bound")
 
 
 def invert_beta(query: BetaQuantileQuery,
                 opts: Optional[SolveOptions] = None) -> SolveReport:
     """Solve I_x(a, b) = p for x in (0, 1): one solve from the ``beta_plan``.
 
-    The report records the plan's variable, flip and start.  A root below
-    the smallest normal double (tiny shapes), or one that rounds to 1
-    after a symmetry flip, is reported with ``root_underflow`` set.
+    The report records the plan's variable and start.  A root below the
+    smallest normal double (tiny shapes) is reported with
+    ``root_underflow`` set; a root of 1.0 means 1 - x < 2^-54.
     """
     plan = beta_plan(query)
     return solve(plan.problem, plan.x0, opts).with_plan(plan)

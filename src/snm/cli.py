@@ -49,7 +49,7 @@ TABLE_DIGITS = 12
 CSV_DIGITS = 17
 # The report fields of ``invert --format json``, in output order.
 JSON_KEYS = ("root", "iterations", "evaluations", "converged", "reason",
-             "variable", "flipped", "start", "root_underflow")
+             "variable", "start", "root_underflow")
 
 
 def _fmt(v: float, digits: int) -> str:
@@ -137,7 +137,6 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(f"converged   {str(report.converged).lower()}")
         print(f"reason      {report.reason.value}")
         print(f"variable    {report.variable.value}")
-        print(f"flipped     {str(report.flipped).lower()}")
         print(f"start       {report.start}")
         print(f"underflow   {str(report.root_underflow).lower()}")
         if args.trace:

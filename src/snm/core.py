@@ -22,7 +22,7 @@ algebraically equivalent to the arctan step formula.
 
 Problems supply f, f', B and Omega in closed form through the
 :class:`Problem` contract, which also sets the residual stop; ``solve``
-runs the iteration with step/residual stopping tests, an automatic Halley
+runs the iteration with step, residual and noise stops, an automatic Halley
 fallback where the hyperbolic branch is undefined, and a domain safeguard.
 """
 
@@ -39,22 +39,29 @@ MACHINE_EPSILON = sys.float_info.epsilon
 # The smallest normal double; below it a double keeps fewer significant bits.
 MIN_NORMAL = sys.float_info.min
 
-# Below this z the log and logit residuals are their leading power term (beta: a + b below ~1e274).
+# Below this z the log and logit residuals are their leading power term, and
+# above -DEEP_TAIL_Z the logit one's mirror (beta: a + b below ~1e274).
 DEEP_TAIL_Z = -667.0
 
 # |lam * u^2| below this uses the odd power series in gtan/gatan; keeps
 # relative truncation error under 1e-18, below double rounding.
 SERIES_THRESHOLD = 1e-6
 
-# The gamma and beta problems' residual stop (the elliptic problem scales
-# it by its target): tens of ulps of a CDF value, under which the kernels
-# cannot distinguish the residual from rounding noise (long
-# continued-fraction chains carry a few 1e-15 of it), while staying an
-# order of magnitude below the 1e-13 round-trip contracts.
+# The gamma and beta problems' residual stop, times the inverted tail
+# min(p, q) (the elliptic problem scales it by its target): tens of ulps
+# of that tail, under which the kernels cannot distinguish the residual
+# from rounding noise (long continued-fraction chains carry a few 1e-15
+# of it), while staying an order of magnitude below the 1e-13 round-trip
+# contracts.
 RESIDUAL_NOISE_FLOOR = 1e-14
 
 # Relative part of the step stop |step| <= abs_tol + STEP_REL_TOL * |x|.
 STEP_REL_TOL = 4 * MACHINE_EPSILON
+
+# The noise stop: a step that reverses the last one without being shorter
+# ends the solve when it is at most this many step tolerances long.  Far
+# from a root (a Halley bounce) steps are longer.
+NOISE_STEPS = 16.0
 
 HALF_PI = math.pi / 2
 
@@ -122,6 +129,7 @@ class Variable(str, Enum):
 class StopReason(str, Enum):
     STEP_TOL = "StepTol"
     RESIDUAL_TOL = "ResidualTol"
+    NOISE_FLOOR = "NoiseFloor"
     MAX_ITER = "MaxIter"
     DERIVATIVE_VANISHED = "DerivativeVanished"
     DOMAIN_EXIT = "DomainExit"
@@ -273,7 +281,8 @@ class SolveOptions:
     """Driver configuration.
 
     The stopping rule is |step| <= abs_tol + STEP_REL_TOL * |x|, or
-    |f| <= problem.residual_tol, or max_iter.  ``method`` may also be
+    |f| <= problem.residual_tol, or the noise stop of ``solve``, or
+    max_iter.  ``method`` may also be
     given by name ("snm", "halley" or "newton"); an unknown name raises
     ValueError.
     """
@@ -322,35 +331,29 @@ def _logit(x: float) -> float:
 class Plan(NamedTuple):
     """One prepared inversion: the problem, its start and how to read it.
 
-    ``x0`` is in the solver ``variable`` and ``start`` names its rule.
-    ``flipped`` marks the symmetry x -> 1 - x; ``query`` is the problem's
-    working query, the flipped one when ``flipped`` is set.
+    ``x0`` is in the solver ``variable`` and ``start`` names its rule;
+    ``query`` is the problem's query.
     """
 
     problem: Problem
     x0: float
     variable: Variable
     start: str
-    flipped: bool = False
 
     @property
     def query(self):
         return self.problem.query
 
     def to_x(self, v: float) -> float:
-        """Map a solver-variable value back to the x of the original query."""
+        """Map a solver-variable value back to x."""
         if self.variable is Variable.DIRECT:
-            x = v
-        elif self.variable is Variable.LOG:
-            x = math.exp(v)
-        else:
-            x = _sigmoid(v)
-        return 1.0 - x if self.flipped else x
+            return v
+        if self.variable is Variable.LOG:
+            return math.exp(v)
+        return _sigmoid(v)
 
     def from_x(self, x: float) -> float:
-        """Map an x of the original query to the solver variable."""
-        if self.flipped:
-            x = 1.0 - x
+        """Map an x to the solver variable."""
         if self.variable is Variable.LOG:
             return math.log(x)
         if self.variable is Variable.LOGIT:
@@ -362,9 +365,9 @@ class SolveReport(NamedTuple):
     """Result of a solve call; converged iff reason is a tolerance stop.
 
     ``evaluations`` counts the ``Problem.evaluate`` calls made.  The
-    ``invert_*`` solvers copy the last four fields from their ``Plan``;
-    ``root_underflow`` marks a root x that has lost relative precision:
-    below the smallest normal double (0 included), or 1 after a flip.
+    ``invert_*`` solvers copy ``variable`` and ``start`` from their
+    ``Plan``; ``root_underflow`` marks a root x below the smallest normal
+    double (0 included), which has lost relative precision.
     """
 
     root: float
@@ -374,17 +377,15 @@ class SolveReport(NamedTuple):
     reason: StopReason
     evaluations: int = 0
     variable: Variable = Variable.DIRECT
-    flipped: bool = False
     start: str = ""
     root_underflow: bool = False
 
     def with_plan(self, plan: Plan) -> "SolveReport":
         """A copy with the root mapped to x and the plan's fields, sharing the trace;
-        the one ``root_underflow`` rule: x < ``MIN_NORMAL``, or x = 1 after a flip."""
+        the one ``root_underflow`` rule: x < ``MIN_NORMAL``."""
         x = plan.to_x(self.root)
         return SolveReport(x, self.iterations, self.trace, self.converged, self.reason,
-                           self.evaluations, plan.variable, plan.flipped, plan.start,
-                           x < MIN_NORMAL or (plan.flipped and x == 1.0))
+                           self.evaluations, plan.variable, plan.start, x < MIN_NORMAL)
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -547,6 +548,12 @@ def solve(problem: Problem, x0: float,
     within tolerance it is applied to refine the root but not counted, so
     an exact method shows 1 iteration, not 2.
 
+    Besides the step and residual stops, a noise stop ends the solve,
+    converged with ``NOISE_FLOOR``, when a step reverses the previous one,
+    is no shorter than it, and is at most ``NOISE_STEPS`` step tolerances
+    long: the iterates then bounce on the residual's rounding noise.  The
+    root is the one of the two iterates with the smaller |f|.
+
     An undefined SNM step (hyperbolic branch out of range) is replaced by
     one Halley step and flagged in the trace.  A step leaving the domain
     is clamped to the midpoint between the current iterate and the
@@ -578,6 +585,7 @@ def solve(problem: Problem, x0: float,
     x = x0
     trace: list[IterationRecord] = []
     evaluations = 0
+    last_step = 0.0
 
     while True:
         evaluations += 1
@@ -611,11 +619,19 @@ def solve(problem: Problem, x0: float,
             x_next = x + step
             fallback = True
 
-        if abs(step) <= abs_tol + STEP_REL_TOL * abs(x):
+        step_tol = abs_tol + STEP_REL_TOL * abs(x)
+        if abs(step) <= step_tol:
             return _report(x_next, trace, True, StopReason.STEP_TOL, evaluations)
+        if step * last_step < 0.0 and abs(last_step) <= abs(step) <= NOISE_STEPS * step_tol:
+            # Back where the last step came from, no closer: the residual's
+            # rounding noise sets the steps.  Keep the better iterate.
+            last = trace[-1]
+            root = x if abs(e.f) <= abs(last.f) else last.x
+            return _report(root, trace, True, StopReason.NOISE_FLOOR, evaluations)
 
         trace.append(_tuple_new(IterationRecord, (len(trace) + 1, x, e.f, e.h,
                                                   e.omega, step, fallback)))
+        last_step = step
         x = x_next
         if len(trace) >= max_iter:
             return _report(x, trace, False, StopReason.MAX_ITER, evaluations)

@@ -38,7 +38,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _gamma_density, _ln_gamma_1p, _normal_quantile, _reg_gamma, ln_gamma
+from .special import _gamma_density, _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -125,7 +125,7 @@ class _GammaProblem(Problem):
     def __init__(self, query: GammaQuantileQuery) -> None:
         a = query.a
         self.query = query
-        self.ln_gamma_a = ln_gamma(a)
+        self.ln_gamma_a = _ln_gamma(a)
         self.ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 else None
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
 
@@ -160,7 +160,7 @@ class GammaLogProblem(_GammaProblem):
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         super().__init__(query)
-        self.ln_gamma_a1 = (ln_gamma(query.a + 1.0) if self.ln_gamma_1p is None
+        self.ln_gamma_a1 = (_ln_gamma(query.a + 1.0) if self.ln_gamma_1p is None
                             else self.ln_gamma_1p)
 
     def evaluate(self, z: float) -> ProblemEvaluation:

@@ -111,10 +111,15 @@ def ln_gamma(a: float) -> float:
     recursion for a < 0.45.  Exact at a = 1 and a = 2.
     """
     check_shape("ln_gamma", a)
+    return _ln_gamma(a)
+
+
+def _ln_gamma(a: float) -> float:
+    """ln_gamma without the shape check, for shapes already checked."""
     if a == 1.0 or a == 2.0:
         return 0.0
     if a < 0.45:
-        return ln_gamma(a + 1.0) - math.log(a)
+        return _ln_gamma(a + 1.0) - math.log(a)
     if a < 1.45:
         return _lngamma_near_two(a - 1.0) - math.log(a)
     if a <= 2.6:
@@ -290,7 +295,7 @@ def reg_gamma_p(a: float, x: float) -> float:
         return 0.0
     if x == math.inf:
         return 1.0
-    return _reg_gamma(a, x, ln_gamma(a))[0]
+    return _reg_gamma(a, x, _ln_gamma(a))[0]
 
 
 def reg_gamma_q(a: float, x: float) -> float:
@@ -302,7 +307,7 @@ def reg_gamma_q(a: float, x: float) -> float:
         return 1.0
     if x == math.inf:
         return 0.0
-    return _reg_gamma(a, x, ln_gamma(a), _ln_gamma_1p(a) if a < 1.0 else None)[1]
+    return _reg_gamma(a, x, _ln_gamma(a), _ln_gamma_1p(a) if a < 1.0 else None)[1]
 
 
 def gamma_density(a: float, x: float) -> float:
@@ -312,7 +317,7 @@ def gamma_density(a: float, x: float) -> float:
         raise ValueError(f"gamma_density requires x > 0, got {x}")
     if x == math.inf:
         return 0.0
-    return _gamma_density(_gamma_exponent(a, x, ln_gamma(a)), x)
+    return _gamma_density(_gamma_exponent(a, x, _ln_gamma(a)), x)
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -327,31 +332,35 @@ def ln_beta(a: float, b: float) -> float:
     check_shape("ln_beta", b)
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < 16.0:
-        return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+        return _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
     s = hi + lo
     # ln Gamma(s) - ln Gamma(hi), both arguments >= 16.
     diff = ((hi - 0.5) * math.log1p(lo / hi) + lo * math.log(s) - lo
             + _stirling_remainder(s) - _stirling_remainder(hi))
-    return ln_gamma(lo) - diff
+    return _ln_gamma(lo) - diff
 
 
-def _beta_exponent(a: float, b: float, x: float, ln_b: float) -> float:
-    """a log x + b log(1-x) - ln B(a, b), given ln_b = ln B(a, b).
+def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float) -> float:
+    """a log x + b log y - ln B(a, b), y = 1 - x, given ln_b = ln B(a, b).
 
-    For a, b >= 16 and x in the central bulk, the shifted form
-        a log1p(y/a) + b log1p(-y/b) + (1/2) log(ab/(2 pi s)) + dS,
-    y = x b - (1-x) a, s = a + b, keeps the absolute error near eps * |y|
+    The log is taken of the smaller of x and y, and log1p of minus it for
+    the other, so neither is formed by subtraction.  For a, b >= 16 and x
+    in the central bulk, the shifted form
+        a log1p(t/a) + b log1p(-t/b) + (1/2) log(ab/(2 pi s)) + dS,
+    t = x b - y a, s = a + b, keeps the absolute error near eps * |t|
     instead of eps * |ln B|.
     """
     if a >= 16.0 and b >= 16.0:
         s = a + b
-        y = x * b - (1.0 - x) * a
-        if y > -0.9 * a and -y > -0.9 * b:
-            return (a * math.log1p(y / a) + b * math.log1p(-y / b)
+        t = x * b - y * a
+        if t > -0.9 * a and -t > -0.9 * b:
+            return (a * math.log1p(t / a) + b * math.log1p(-t / b)
                     + 0.5 * math.log(a * b / (2.0 * math.pi * s))
                     + _stirling_remainder(s) - _stirling_remainder(a)
                     - _stirling_remainder(b))
-    return a * math.log(x) + b * math.log1p(-x) - ln_b
+    if x <= y:
+        return a * math.log(x) + b * math.log1p(-x) - ln_b
+    return a * math.log1p(-y) + b * math.log(y) - ln_b
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -414,22 +423,41 @@ def reg_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    return _reg_beta(x, a, b, ln_beta(a, b))
+    return _reg_beta(x, 1.0 - x, a, b, ln_beta(a, b))[0]
 
 
-def _reg_beta(x: float, a: float, b: float, ln_b: float) -> float:
-    """I_x(a, b) for 0 < x < 1, given ln_b = ln B(a, b) (either orientation).
+def _reg_beta(x: float, y: float, a: float, b: float, ln_b: float,
+              scale: Optional[float] = None) -> tuple[float, float]:
+    """(I_x(a, b), 1 - I_x(a, b)) for x, y = 1 - x in (0, 1), given ln_b = ln B(a, b).
 
-    Past the switch the mirrored fraction needs 1 - x; where that rounds to
-    1 (x below 2^-54, so b above ~1.8e16 (a + 1)) both fractions fail, and
-    I_x(a, b) is the gamma limit P(a, u), u = (b + (a-1)/2) x.  It drops
-    about u x / 2 from u, below the rounding of u itself.
+    The continued fraction runs in x below the switch (a+1)/(a+b+2) and in
+    y above it, and gives the value of its own side, I or 1 - I, to
+    relative accuracy; the other value is 1 minus it.  The side is decided
+    in the smaller of x and y, the one a caller holds exactly.  Both sides
+    share the prefactor x^a y^b / B(a, b).  A caller that has it from a
+    variable that holds x more exactly (the logit z, where x may be
+    subnormal) passes it as ``scale``; for a, b >= 16 the Stirling-shifted
+    exponent of ``_beta_exponent`` is the more exact and is used instead.
+
+    Where the other of x and y rounds to 1 (x below 2^-54 past the switch,
+    so b above ~1.8e16 (a + 1), or the mirror), both fractions fail, and
+    the pair is the gamma limit (P, Q)(a, u), u = (b + (a-1)/2) x, or its
+    mirror.  It drops about u x / 2 from u, below the rounding of u itself.
     """
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(_beta_exponent(a, b, x, ln_b)) * _beta_cf(a, b, x) / a
-    if 1.0 - x == 1.0:
-        return _reg_gamma(a, (b + 0.5 * (a - 1.0)) * x, ln_gamma(a))[0]
-    return 1.0 - math.exp(_beta_exponent(b, a, 1.0 - x, ln_b)) * _beta_cf(b, a, 1.0 - x) / b
+    if scale is None or (a >= 16.0 and b >= 16.0):
+        scale = math.exp(_beta_exponent(a, b, x, y, ln_b))
+    s = a + b + 2.0
+    if (x < (a + 1.0) / s) if x <= y else (y > (b + 1.0) / s):
+        if x == 1.0:
+            j, i, _ = _reg_gamma(b, (a + 0.5 * (b - 1.0)) * y, _ln_gamma(b))
+            return i, j
+        i = scale * _beta_cf(a, b, x) / a
+        return i, 1.0 - i
+    if y == 1.0:
+        i, j, _ = _reg_gamma(a, (b + 0.5 * (a - 1.0)) * x, _ln_gamma(a))
+        return i, j
+    j = scale * _beta_cf(b, a, y) / b
+    return 1.0 - j, j
 
 
 def _normal_quantile(p: float, q: float) -> float:

@@ -6,7 +6,11 @@ derivatives, so they provide independent expected values for the step
 formulas and the osculating-curve construction.
 
 ``step_only`` turns a problem's residual stop off, for tests whose
-iteration counts and traces describe the step test alone.
+iteration counts and traces describe the step test alone.  (A beta
+residual within its kernel's noise is 0 and still stops the solve.)
+
+``beta_bisection_root`` is an oracle for beta quantiles that shares only
+the kernel with the solver: plain bisection in the logit variable.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from snm.core import Problem, ProblemEvaluation, gtan
+from snm.core import Problem, ProblemEvaluation, _sigmoid, gtan
+from snm.special import _reg_beta, ln_beta
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,31 @@ def step_only(problem: Problem) -> Problem:
     """The problem with residual_tol 0: solve stops on the step test only."""
     problem.residual_tol = 0.0
     return problem
+
+
+def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
+    """The x of I_x(a, b) = p by bisection in z = logit x on [-700, 700].
+
+    The residual is the inverted tail's, I - p for p <= 1/2 and q - J
+    otherwise, from the kernel's pair at (sigma(z), sigma(-z)); bisection
+    runs until the midpoint is an end, so z is resolved to one ulp.
+    """
+    ln_b = ln_beta(a, b)
+
+    def residual(z: float) -> float:
+        i, j = _reg_beta(_sigmoid(z), _sigmoid(-z), a, b, ln_b)
+        return i - p if p <= 0.5 else q - j
+
+    lo, hi = -700.0, 700.0
+    assert residual(lo) < 0.0 < residual(hi), (a, b, p, q)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return _sigmoid(mid)
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def family_root(lam: float, a: float) -> float:

@@ -296,8 +296,9 @@ def test_criterion_11_round_trip_quantiles():
             report = invert_gamma(GammaQuantileQuery(a, p))
             assert report.converged, (a, p)
             assert abs(reg_gamma_p(a, report.root) - p) <= 1e-13, (a, p)
-    # beta, including the a or b < 1 logit path; residual measured on the
-    # solver's working (possibly symmetry-flipped) problem
+    # beta, including the a or b < 1 logit path; residual read on the side
+    # the double resolves: I_x(a, b) - p at x = sigma(z) <= 1/2, else
+    # I_y(b, a) - q at y = sigma(-z), which a root near 1 cannot carry
     for a, b in itertools.product((0.3, 0.5, 1.5, 2.0, 5.0, 30.0), repeat=2):
         for p in (0.01, 0.2, 0.5, 0.8, 0.99):
             query = BetaQuantileQuery(a, b, p)
@@ -306,10 +307,13 @@ def test_criterion_11_round_trip_quantiles():
             plan = beta_plan(query)
             work = solve(plan.problem, plan.x0,
                          SolveOptions())
-            x_work = (_sigmoid(work.root) if plan.variable.value == "logit"
-                      else work.root)
-            assert abs(reg_beta(x_work, plan.query.a, plan.query.b)
-                       - plan.query.p) <= 1e-13, (a, b, p)
+            if plan.variable.value == "logit":
+                x, y = _sigmoid(work.root), _sigmoid(-work.root)
+            else:
+                x, y = work.root, 1.0 - work.root
+            residual = (reg_beta(x, a, b) - p if x <= 0.5
+                        else reg_beta(y, b, a) - query.q)
+            assert abs(residual) <= 1e-13, (a, b, p)
     # elliptic
     for m in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
         for p in (0.05, 0.25, 0.5, 0.75, 0.95):

@@ -19,8 +19,7 @@ def test_invert_gamma_table(capsys):
     assert code == 0
     assert "1.67834699002" in out
     assert "converged   true" in out
-    for line in ("variable    direct", "flipped     false", "start       asymptotic",
-                 "underflow   false"):
+    for line in ("variable    direct", "start       asymptotic", "underflow   false"):
         assert line in out.splitlines()
 
 
@@ -59,23 +58,25 @@ def test_json_keys_exact(capsys):
                     "--format", "json")
     payload = json.loads(out)
     assert set(payload.keys()) == {"root", "iterations", "evaluations",
-                                   "converged", "reason", "variable", "flipped",
+                                   "converged", "reason", "variable",
                                    "start", "root_underflow", "trace"}
-    assert (payload["variable"], payload["flipped"], payload["start"],
-            payload["root_underflow"]) == ("direct", False, "asymptotic", False)
+    assert (payload["variable"], payload["start"], payload["root_underflow"]) \
+        == ("direct", "asymptotic", False)
     assert payload["trace"] == []
     assert payload["evaluations"] >= payload["iterations"] + 1
     assert payload["converged"] is True
     assert payload["reason"] == "ResidualTol" or payload["reason"] == "StepTol"
 
 
-def test_json_flags_a_flipped_root_of_one(capsys):
-    # 1 - x is below ulp(1), so the root prints as 1, where I_1 = 1 != 0.99.
+def test_json_reports_a_root_of_one_unflagged(capsys):
+    # 1 - x ~ 1e-21 is below 2^-54, so the root prints as 1: exact in x to
+    # 1e-16 relative, so not flagged.
     code, out, _ = run(capsys, "invert", "beta", "--a", "5", "--b", "0.1",
                        "--p", "0.99", "--format", "json")
     payload = json.loads(out)
     assert code == 0
-    assert (payload["root"], payload["flipped"], payload["root_underflow"]) == (1.0, True, True)
+    assert (payload["root"], payload["start"], payload["root_underflow"]) \
+        == (1.0, "upper-bound", False)
 
 
 def test_trace_row_count_matches_iterations(capsys):
@@ -113,7 +114,11 @@ def test_compare_respects_common_start(capsys):
 
 
 # compare --x0 rows in the log/logit variables, pinned to the values the
-# solvers gave before they prepared plans; the last case is a flipped query.
+# solvers gave before they prepared plans; the last case inverts the upper
+# side of its root from the a >= 1 >= b upper-bound start.  The beta rows
+# were re-pinned when the beta logit evaluation took x and 1 - x from one
+# exp(-|z|) and the last case stopped solving its mirror: every change is
+# below 2.3e-16 in x.
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
         {"method": "snm", "iterations": 3, "final_residual": 2.220446049250313e-16,
@@ -122,15 +127,15 @@ COMPARE_X0_ROWS = {
          "errors": [0.0025564621435086587, 7.969673825047874e-08, 6.938893903907228e-17]}],
     ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
         {"method": "snm", "iterations": 3, "final_residual": 8.326672684688674e-17,
-         "errors": [0.00018427585718359257, 6.795605744791544e-13, 8.153200337090993e-17]},
+         "errors": [0.0001842758571835839, 6.795605744791544e-13, 9.194034422677078e-17]},
         {"method": "halley", "iterations": 3, "final_residual": 8.326672684688674e-17,
          "errors": [0.0012043826670882062, 2.832387529568686e-07, 9.194034422677078e-17]}],
     ("beta", "--a", "3", "--b", "0.5", "--p", "0.2", "--x0", "0.9"): [
-        {"method": "snm", "iterations": 3, "final_residual": 5.551115123125783e-17,
-         "errors": [0.003423150059983615, 4.895623906264746e-10, 3.3306690738754696e-16]},
+        {"method": "snm", "iterations": 3, "final_residual": 3.885780586188048e-16,
+         "errors": [0.003423150059983837, 4.895622796041721e-10, 6.661338147750939e-16]},
         {"method": "halley", "iterations": 4, "final_residual": 5.551115123125783e-17,
-         "errors": [0.01642966237315069, 1.5355945221839917e-05, 1.2878587085651816e-14,
-                    7.771561172376096e-16]}],
+         "errors": [0.01642966237315069, 1.5355945221839917e-05, 1.2323475573339238e-14,
+                    3.3306690738754696e-16]}],
 }
 
 

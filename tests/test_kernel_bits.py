@@ -8,7 +8,7 @@ one ulp, fails here.  The points cover every branch: ln_gamma below 0.45,
 on [0.45, 1.45), on [1.45, 2.6], above 2.6 and at its exact zeros; both
 ln_beta forms; the gamma series and continued fraction on both sides of
 a = 16; the beta fraction on both sides of its symmetry switch and with
-the a, b >= 16 exponent.
+the a, b >= 16 exponent, which returns the pair (I, 1 - I).
 """
 
 import hashlib
@@ -80,16 +80,18 @@ REG_GAMMA = {
     (200.0, 190.0): ('0x1.f26022c7b4104p-3', '0x1.8367f74e12fbfp-1', '0x1.789ceed37c985p+0'),
 }
 
-# (x, a, b) -> I_x(a, b); the switch sits at x = (a + 1)/(a + b + 2).
+# (x, a, b) -> (I_x(a, b), 1 - I_x(a, b)); the switch sits at
+# x = (a + 1)/(a + b + 2).  The first value of each pair kept its bits when
+# the kernel began to return the pair.
 REG_BETA = {
-    (0.2, 2.0, 5.0): '0x1.60e94ee392e37p-2',
-    (0.8, 2.0, 5.0): '0x1.ff2e48e8a71dep-1',
-    (0.3, 0.5, 0.7): '0x1.cefa9a5429ce7p-2',
-    (0.9, 0.5, 0.7): '0x1.c47ffc73cb03bp-1',
-    (0.42, 20.0, 25.0): '0x1.8014ea75c275fp-2',
-    (0.5, 20.0, 25.0): '0x1.8c724e46d13fep-1',
-    (0.6, 40.0, 17.0): '0x1.a7550b0387cc0p-5',
-    (0.75, 40.0, 17.0): '0x1.90d2ecd4377b0p-1',
+    (0.2, 2.0, 5.0): ('0x1.60e94ee392e37p-2', '0x1.4f8b588e368e4p-1'),
+    (0.8, 2.0, 5.0): ('0x1.ff2e48e8a71dep-1', '0x1.a36e2eb1c434ep-10'),
+    (0.3, 0.5, 0.7): ('0x1.cefa9a5429ce7p-2', '0x1.1882b2d5eb18cp-1'),
+    (0.9, 0.5, 0.7): ('0x1.c47ffc73cb03bp-1', '0x1.dc001c61a7e27p-4'),
+    (0.42, 20.0, 25.0): ('0x1.8014ea75c275fp-2', '0x1.3ff58ac51ec50p-1'),
+    (0.5, 20.0, 25.0): ('0x1.8c724e46d13fep-1', '0x1.ce36c6e4bb008p-3'),
+    (0.6, 40.0, 17.0): ('0x1.a7550b0387cc0p-5', '0x1.e58aaf4fc7834p-1'),
+    (0.75, 40.0, 17.0): ('0x1.90d2ecd4377b0p-1', '0x1.bcb44caf2213fp-3'),
 }
 
 # (problem class, query arguments, point, (x, f, fp, big_b, omega, h)).
@@ -121,9 +123,11 @@ EVALUATIONS = (
     (BetaLogitProblem, (0.5, 3.0, 0.3), -1.5,
      ('-0x1.8000000000000p+0', '0x1.a2950dfa619d1p-2', '0x1.c0271673c67b6p-3',
       '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aefep+0')),
+    # Re-pinned when x and 1 - x came from one exp(-|z|) and f' from their
+    # logs: f moved by 8 ulps, f' by -2, Omega by -5 and h by 5.
     (BetaLogitProblem, (0.7, 0.4, 0.2), 2.0,
-     ('0x1.0000000000000p+1', '0x1.c61444d518033p-2', '0x1.086e5b9360f3dp-3',
-      '0x1.13546fa63d8bcp-2', '-0x1.368f31776a53bp-4', '0x1.2cbe71049a190p+1')),
+     ('0x1.0000000000000p+1', '0x1.c61444d51803bp-2', '0x1.086e5b9360f3bp-3',
+      '0x1.13546fa63d8bcp-2', '-0x1.368f31776a536p-4', '0x1.2cbe71049a195p+1')),
 )
 
 
@@ -145,7 +149,8 @@ def test_reg_gamma_bits():
 
 def test_reg_beta_bits():
     for (x, a, b), pinned in REG_BETA.items():
-        assert _reg_beta(x, a, b, ln_beta(a, b)).hex() == pinned, (x, a, b)
+        got = _reg_beta(x, 1.0 - x, a, b, ln_beta(a, b))
+        assert tuple(v.hex() for v in got) == pinned, (x, a, b)
 
 
 def test_problem_evaluation_bits():
@@ -173,7 +178,8 @@ def test_private_b_omega_helpers_equal_the_public_functions():
         assert _same(_gamma_omega_log_x(a, math.exp(z)), gamma_omega_log(a, z))
         assert _same(_beta_b(a, b, x), beta_b(a, b, x))
         assert _same(_beta_omega(a, b, x), beta_omega(a, b, x))
-        assert _same(_beta_omega_logit_x(a, b, _sigmoid(z)), beta_omega_logit(a, b, z))
+        assert _same(_beta_omega_logit_x(a, b, _sigmoid(z), _sigmoid(-z)),
+                     beta_omega_logit(a, b, z))
 
 
 def _grid_digest(kernel: str) -> str:
@@ -192,7 +198,7 @@ def _grid_digest(kernel: str) -> str:
         elif kernel == "reg_gamma":
             got = _reg_gamma(a, 2.0 * u * (a + 1.0), ln_gamma(a))
         elif kernel == "reg_beta":
-            got = (_reg_beta(u, a, b, ln_beta(a, b)),)
+            got = _reg_beta(u, 1.0 - u, a, b, ln_beta(a, b))
         else:  # the gamma and beta evaluations, near each distribution's bulk
             gamma = (GammaDirectProblem if a >= 1.0 else GammaLogProblem)(
                 GammaQuantileQuery(a, u))
@@ -212,6 +218,14 @@ def _grid_digest(kernel: str) -> str:
 # was re-recorded when the a < 1 upper-tail gamma residual took Q from
 # _gamma_q_small_a on the series side: 55 of the 400 gamma evaluations
 # (all a < 1 with p > 1/2) moved, by at most 1.1e-14 relative in q.
+# "reg_beta" and "evaluate" were re-recorded when the beta kernel began to
+# return the pair (I, 1 - I) from (x, 1 - x) and took the log of the
+# smaller of the two: 6 of the 400 I values moved (-38 to +9 ulps), where
+# the fraction's side variable is the larger one; the digest now covers
+# both values.  203 of the 400 beta evaluations moved: 180 of the 206
+# logit ones, whose x, 1 - x, f' and kernel prefactor now come from one
+# exp(-|z|) (f moved in 44, f' in 67, B and Omega in 133, h in 97), and
+# 23 of the 194 direct ones, in f (and h in 21); no gamma evaluation moved.
 GRID_DIGESTS = {
     "ln_gamma":
         "7521beb0260892d829c50b43c9580ae2f739b9f6817874591f96bff029b5480f",
@@ -220,9 +234,9 @@ GRID_DIGESTS = {
     "reg_gamma":
         "66ca0b67ec66618c2881108083a20be5150d970d38479d6bb0ba14213551471e",
     "reg_beta":
-        "8c7af46537e78292666f8daba3f15200dbaa0347a32f9b8e07854bd74b25e457",
+        "8f546504b1f1e64af277e1aa509b3dc0ae8d4bba1fda0fac6cb49b42da6020f5",
     "evaluate":
-        "75223ee1b0fc04448505901b17dd0b30a52d116ef90f1af917e79022706214eb",
+        "5f059734c9b51f5db8cdb71f18da0c2af56b31568109d7925caa2581b02a43a5",
 }
 
 

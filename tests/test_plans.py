@@ -62,6 +62,8 @@ from snm.special import (
     reg_gamma_q,
 )
 
+from conftest import beta_bisection_root
+
 GAMMA_SHAPES = (0.05, 0.3, 0.7, 1.0, 2.5, 15.9, 16.0, 150.0)
 BETA_SHAPES = (0.3, 1.0, 2.5, 20.0, 40.0)
 TAIL_P = (0.2, 0.8)  # both residual forms: P - p and q - Q
@@ -109,23 +111,53 @@ def test_gamma_log_evaluate_matches_public_kernels():
                                 x - a, gamma_omega_log(a, z))
 
 
+def _beta_residual(a, b, p, q, x, y):
+    """I_x(a, b) - p for p <= 1/2, else q - (1 - I_x(a, b)), y = 1 - x.
+
+    The public kernel runs in the smaller of x and y, the one that is
+    exact, through I_x(a, b) = 1 - I_y(b, a).
+    """
+    i, j = (reg_beta(x, a, b), None) if x <= y else (None, reg_beta(y, b, a))
+    if p <= 0.5:
+        return (1.0 - j if i is None else i) - p
+    return q - (1.0 - i if j is None else j)
+
+
 def test_beta_evaluate_matches_public_kernels():
+    # The lower-tail residual and every B and Omega are the public forms bit
+    # for bit.  The upper-tail residual takes 1 - I from the kernel's pair,
+    # where the public mirror I_(1-x)(b, a) may run its fraction on the
+    # other side, and the logit f' comes from log x and log(1 - x) as
+    # -log1p(e^-|z|) terms, so those agree to rounding.
     for a in BETA_SHAPES:
         for b in BETA_SHAPES:
+            ln_b = ln_beta(a, b)
             for p in TAIL_P:
                 query = BetaQuantileQuery(a, b, p)
                 direct = BetaDirectProblem(query)
                 logit = BetaLogitProblem(query)
                 for x in (0.01, 0.3, 0.5, 0.7, 0.99):
-                    fp = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
-                                  - ln_beta(a, b))
-                    _assert_matches(direct, x, reg_beta(x, a, b) - p, fp,
-                                    beta_b(a, b, x), beta_omega(a, b, x))
+                    fp = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b)
+                    e = direct.evaluate(x)
+                    assert (e.fp, e.big_b, e.omega) == (fp, beta_b(a, b, x), beta_omega(a, b, x))
+                    if p <= 0.5:
+                        assert e.f == reg_beta(x, a, b) - p, (a, b, p, x)
+                    f = _beta_residual(a, b, p, query.q, x, 1.0 - x)
+                    assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, x)
                 for z in (-30.0, -2.0, 0.0, 1.5, 30.0):
-                    x = _sigmoid(z)
-                    fp = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_beta(a, b))
-                    _assert_matches(logit, z, reg_beta(x, a, b) - p, fp,
-                                    (a + b) * x - a, beta_omega_logit(a, b, z))
+                    x, y = _sigmoid(z), _sigmoid(-z)
+                    fp = math.exp(a * math.log(x) + b * math.log(y) - ln_b)
+                    if fp == 0.0:
+                        with pytest.raises(DerivativeVanishedError):
+                            logit.evaluate(z)
+                        continue
+                    e = logit.evaluate(z)
+                    assert (e.big_b, e.omega) == (b * x - a * y, beta_omega_logit(a, b, z))
+                    # Both exponents round at a few eps times their terms.
+                    tol = 1e-14 * max(1.0, -math.log(fp))
+                    assert e.fp == pytest.approx(fp, rel=tol, abs=0.0), (a, b, z)
+                    f = _beta_residual(a, b, p, query.q, x, y)
+                    assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, z)
 
 
 def test_elliptic_evaluate_matches_public_kernels():
@@ -164,13 +196,33 @@ def _count_calls(monkeypatch, name, owner=snm.special):
     return calls
 
 
-# The Newton solve of this query stays on one side of the root for all
-# 30 steps and ends MaxIter.
-NEWTON_ONE_SIDED = BetaQuantileQuery(0.22527578378421423, 1.497837167475381,
-                                     0.9999999999999892, 1.0769607723293331e-14)
+# The 19 bench tail queries (seeds 1-3) whose Newton solves, started from
+# the lower bound of a flipped or an upper-tail query, stayed on one side
+# of the root for 30 steps and ended MaxIter while the residual was I - p.
+NEWTON_ONE_SIDED = [BetaQuantileQuery(*args) for args in (
+    (0.22527578378421423, 1.497837167475381, 0.9999999999999892, 1.0769607723293331e-14),
+    (1.1167770776305879, 0.1360109261762081, 1.5862547018054867e-15, 0.9999999999999984),
+    (0.37561224091523737, 2.003147750972968, 0.9999999999999977, 2.385961908137684e-15),
+    (0.9733265555241337, 80.10935457938187, 0.999999999999995, 4.9437519188385975e-15),
+    (4.4980439089288495, 0.5629992172898935, 3.7471547436456916e-15, 0.9999999999999962),
+    (2.422571210233598, 0.45876366230286375, 1.9828500660658375e-14, 0.9999999999999801),
+    (0.7099938123258794, 1.3529594375606826, 0.999999999999981, 1.896017822307528e-14),
+    (0.5866308416656499, 2.608563138736971, 0.999999999999991, 8.94893516593539e-15),
+    (10.02682048959469, 0.9850607366981144, 1.4262162865063518e-14, 0.9999999999999858),
+    (1.4145708619054553, 0.1943186830964685, 1.5195042322609917e-15, 0.9999999999999984),
+    (0.8843014310786672, 113.45804440501115, 0.9999999999999931, 6.9220785192293296e-15),
+    (0.7707896848895258, 4.315917600388234, 0.9999999999999752, 2.4809355944943586e-14),
+    (0.2618311840128747, 1.2670158356973076, 0.9999999999999798, 2.0201326585677905e-14),
+    (0.402468312704888, 1.0530883937725941, 0.9999999999999374, 6.266562051605782e-14),
+    (28.793159813931773, 0.5748093697070086, 2.112357579347369e-15, 0.9999999999999979),
+    (5.259066539601758, 0.26596662292019574, 1.035773151424572e-15, 0.999999999999999),
+    (3.551515309229023, 0.587390744567648, 4.9697092779517004e-14, 0.9999999999999503),
+    (0.32448025564940175, 6.87706139599427, 0.9999999999999979, 2.095713486957326e-15),
+    (1.2530368038308481, 0.2717691444287771, 3.674697748600955e-15, 0.9999999999999963),
+)]
 NEWTON_OPTIONS = SolveOptions(method=Method.NEWTON)
 
-# Each case takes a distinct path: variable, flip, deep tail, root
+# Each case takes a distinct path: variable, start, deep tail, root
 # underflow, an iteration cap that the solve does not meet.
 GAMMA_CASES = (
     (GammaQuantileQuery(2.5, 0.3), {}),
@@ -194,7 +246,7 @@ BETA_CASES = (
     (BetaQuantileQuery(0.0017745513613895013, 385.5803019308725, 0.2763487602690605), {}),
     (BetaQuantileQuery(5.0, 0.1, 0.99), {}),
     (BetaQuantileQuery(1e17, 1.5, 0.3), {}),
-    (NEWTON_ONE_SIDED, {"opts": NEWTON_OPTIONS}),
+    (NEWTON_ONE_SIDED[0], {"opts": NEWTON_OPTIONS}),
     (BetaQuantileQuery(0.5, 3.0, 0.2),
      {"opts": SolveOptions(max_iter=2)}),
     (BetaQuantileQuery(2.0, 3.0, 0.7),
@@ -210,7 +262,8 @@ ELLIPTIC_CASES = (
 
 
 def test_gamma_query_computes_ln_gamma_at_most_twice(monkeypatch):
-    calls = _count_calls(monkeypatch, "ln_gamma")
+    # The problems take ln Gamma unchecked, the query having checked a.
+    calls = _count_calls(monkeypatch, "_ln_gamma")
     for query, kwargs in GAMMA_CASES:
         calls[0] = 0
         invert_gamma(query, **kwargs)
@@ -219,12 +272,24 @@ def test_gamma_query_computes_ln_gamma_at_most_twice(monkeypatch):
 
 def test_beta_query_computes_ln_beta_once(monkeypatch):
     calls = _count_calls(monkeypatch, "ln_beta")
-    flipped = set()
+    starts = set()
     for query, kwargs in BETA_CASES:
         calls[0] = 0
-        flipped.add(invert_beta(query, **kwargs).flipped)
+        starts.add(invert_beta(query, **kwargs).start)
         assert calls[0] == 1, (query, kwargs, calls[0])
-    assert flipped == {False, True}
+    assert starts == {"asymptotic", "lower-bound", "upper-bound"}
+
+
+def test_solvers_do_not_recheck_the_query_s_shapes(monkeypatch):
+    # The query checks its shapes; ln Gamma is then taken unchecked, so a
+    # gamma solve checks none again and a beta solve only in ln_beta.
+    calls = _count_calls(monkeypatch, "check_shape", snm.core)
+    for (invert, cases), most in (((invert_gamma, GAMMA_CASES), 0),
+                                  ((invert_beta, BETA_CASES), 2)):
+        for query, kwargs in cases:
+            calls[0] = 0
+            invert(query, **kwargs)
+            assert calls[0] <= most, (query, calls[0])
 
 
 def test_elliptic_query_computes_complete_integral_once(monkeypatch):
@@ -267,23 +332,28 @@ def test_report_fields_are_the_plan_s_fields(invert, make_plan, cases):
     for query, kwargs in cases:
         report = invert(query, **kwargs)
         plan = make_plan(query)
-        assert (report.variable, report.flipped, report.start) \
-            == (plan.variable, plan.flipped, plan.start), query
-        # Flagged exactly when x is below the smallest normal double or is
-        # 1 after a flip.
-        assert report.root_underflow == (
-            report.root < MIN_NORMAL or (plan.flipped and report.root == 1.0)), query
-        assert report.root not in (0.0, 1.0) or report.root_underflow, query
+        assert (report.variable, report.start) == (plan.variable, plan.start), query
+        # Flagged exactly when x is below the smallest normal double.
+        assert report.root_underflow == (report.root < MIN_NORMAL), query
+        assert report.root != 0.0 or report.root_underflow, query
 
 
 def test_invert_beta_agrees_with_compare_on_a_one_sided_newton_solve(capsys):
-    a, b, p = NEWTON_ONE_SIDED.a, NEWTON_ONE_SIDED.b, NEWTON_ONE_SIDED.p
+    # Each tail is now solved in place from the bound on the side the
+    # convergence theorem names, so Newton crosses to the root: all 19
+    # converge, within 1e-12 of the bisection root.
+    for query in NEWTON_ONE_SIDED:
+        report = invert_beta(query, NEWTON_OPTIONS)
+        assert report.converged, (query, report.reason)
+        assert report.iterations <= 12, (query, report.iterations)
+        exact = beta_bisection_root(query.a, query.b, query.p, query.q)
+        assert abs(report.root - exact) <= 1e-12 * exact, (query, report.root, exact)
+    a, b, p = NEWTON_ONE_SIDED[0].a, NEWTON_ONE_SIDED[0].b, NEWTON_ONE_SIDED[0].p
     report = invert_beta(BetaQuantileQuery(a, b, p), NEWTON_OPTIONS)
-    assert (report.converged, report.reason.value, report.iterations) == (False, "MaxIter", 30)
     status = main(["compare", "beta", "--a", repr(a), "--b", repr(b), "--p", repr(p),
                    "--methods", "newton", "--format", "json"])
     row = json.loads(capsys.readouterr().out)["rows"][0]
-    assert status == 1
+    assert status == 0
     assert row["iterations"] == report.iterations
 
 

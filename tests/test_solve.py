@@ -3,6 +3,7 @@ clamp, the immutable record types and the evaluation count."""
 
 import dataclasses
 import math
+import struct
 import sys
 
 import pytest
@@ -222,57 +223,57 @@ def test_record_field_order():
     assert IterationRecord._fields == ("n", "x", "f", "h", "omega", "step",
                                        "fallback_used")
     assert SolveReport._fields == ("root", "iterations", "trace", "converged",
-                                   "reason", "evaluations", "variable", "flipped",
+                                   "reason", "evaluations", "variable",
                                    "start", "root_underflow")
-    assert Plan._fields == ("problem", "x0", "variable", "start", "flipped")
+    assert Plan._fields == ("problem", "x0", "variable", "start")
 
 
 def test_with_plan_shares_trace_and_leaves_original():
     _, report = _records()
     before = tuple(report)
-    plan = Plan(tan_problem(), 1.0, Variable.LOG, "lower-bound", flipped=True)
+    plan = Plan(tan_problem(), 1.0, Variable.LOG, "lower-bound")
     moved = report.with_plan(plan)
     assert moved is not report
     assert moved.trace is report.trace
-    assert moved.root == 1.0 - math.exp(report.root)
-    # The root of tan is 0, so x = 1 - e^0 = 0 and the flag rule holds.
-    assert moved.root == 0.0
-    assert (moved.variable, moved.flipped, moved.start, moved.root_underflow) \
-        == (Variable.LOG, True, "lower-bound", True)
+    assert moved.root == math.exp(report.root)
+    # The root of tan is 0, so x = e^0 = 1, a normal double.
+    assert moved.root == 1.0
+    assert (moved.variable, moved.start, moved.root_underflow) \
+        == (Variable.LOG, "lower-bound", False)
     assert (moved.iterations, moved.converged, moved.reason, moved.evaluations) == (
         report.iterations, report.converged, report.reason, report.evaluations)
     assert tuple(report) == before
 
 
-@pytest.mark.parametrize("variable, v, flipped, underflow", [
+@pytest.mark.parametrize("variable, v, converged, underflow", [
     (Variable.DIRECT, 0.0, False, True),
     (Variable.DIRECT, MIN_NORMAL, False, False),
     (Variable.DIRECT, MIN_NORMAL / 2, False, True),  # subnormal
     (Variable.DIRECT, 0.5, False, False),
-    (Variable.DIRECT, 1.0, False, False),  # 1 unflipped is a normal double
-    (Variable.DIRECT, 0.0, True, True),  # 1 after the flip
-    (Variable.DIRECT, 2.0 ** -60, True, True),  # 1 - x rounds to 1
-    (Variable.DIRECT, 1.0, True, True),  # 0 after the flip
+    (Variable.DIRECT, 1.0, False, False),  # exact in x to 1e-16 relative
+    (Variable.DIRECT, 0.0, True, True),
+    (Variable.DIRECT, 1.0, True, False),
     (Variable.LOG, -800.0, False, True),  # e^z is subnormal
     (Variable.LOG, -700.0, False, False),
     (Variable.LOGIT, -746.0, False, True),  # sigma(z) is 0
     (Variable.LOGIT, -30.0, True, False),
-    (Variable.LOGIT, -40.0, True, True),  # 1 - sigma(z) rounds to 1
+    (Variable.LOGIT, 40.0, True, False),  # sigma(z) rounds to 1
 ])
-def test_with_plan_sets_root_underflow_by_one_rule(variable, v, flipped, underflow):
-    # The flag is set exactly when x < MIN_NORMAL or x is 1 after a flip.
-    report = SolveReport(v, 1, (), True, StopReason.STEP_TOL, 2)
-    moved = report.with_plan(Plan(tan_problem(), 0.0, variable, "", flipped))
+def test_with_plan_sets_root_underflow_by_one_rule(variable, v, converged, underflow):
+    # The flag is set exactly when x < MIN_NORMAL, whether or not the solve
+    # converged in its variable.
+    report = SolveReport(v, 1, (), converged, StopReason.STEP_TOL, 2)
+    moved = report.with_plan(Plan(tan_problem(), 0.0, variable, ""))
     assert moved.root_underflow is underflow, moved.root
+    assert moved.converged is converged
 
 
 def test_plan_maps_invert_each_other():
-    # to_x and from_x are inverses for every variable, with and without the flip.
+    # to_x and from_x are inverses for every variable.
     for variable, v in ((Variable.DIRECT, 0.25), (Variable.LOG, -1.5),
                         (Variable.LOGIT, 2.0)):
-        for flipped in (False, True):
-            plan = Plan(tan_problem(), 0.0, variable, "", flipped)
-            assert plan.from_x(plan.to_x(v)) == pytest.approx(v, rel=1e-15, abs=1e-15)
+        plan = Plan(tan_problem(), 0.0, variable, "")
+        assert plan.from_x(plan.to_x(v)) == pytest.approx(v, rel=1e-15, abs=1e-15)
     assert Variable.LOGIT.value == "logit"
     assert Plan(tan_problem(), 0.0, Variable.LOGIT, "").to_x(0.0) == 0.5
 
@@ -368,3 +369,51 @@ def test_residual_stop_scales_with_the_problem():
     line.residual_tol = 1e-12
     tight = solve(line, 1.0 + 1e-9, SolveOptions())
     assert tight.converged and tight.evaluations == 2 and tight.root == 1.0
+
+
+def _noisy_expm1_problem(root: float) -> FunctionProblem:
+    # f = expm1(x - root) plus a deterministic +-1e-15 taken from the last
+    # mantissa bit of x: near the root every method bounces on the noise.
+    def noise(x):
+        return 1e-15 if struct.unpack("<q", struct.pack("<d", x))[0] & 1 else -1e-15
+
+    g = lambda x: math.exp(x - root)
+    return FunctionProblem(lambda x: math.expm1(x - root) + noise(x), g, g, g,
+                           Interval(-math.inf, math.inf))
+
+
+@pytest.mark.parametrize("method", ["snm", "halley", "newton"])
+def test_noise_stop_ends_a_bounce_on_rounding_noise(monkeypatch, method):
+    problem = _noisy_expm1_problem(0.5)
+    report = solve(problem, 0.8, SolveOptions(method=method))
+    assert report.converged and report.reason is StopReason.NOISE_FLOOR
+    assert abs(report.root - 0.5) <= 2e-15
+    # The better of the last two iterates: the one the last step came from,
+    # and the one it reached.
+    last = report.trace[-1]
+    candidates = (last.x, last.x + last.step)
+    assert report.root in candidates
+    assert abs(problem.evaluate(report.root).f) == min(
+        abs(problem.evaluate(x).f) for x in candidates)
+    # Without the noise stop the same solve runs out of iterations.
+    monkeypatch.setattr(snm.core, "NOISE_STEPS", 0.0)
+    assert solve(problem, 0.8, SolveOptions(method=method)).reason is StopReason.MAX_ITER
+
+
+def test_noise_stop_leaves_far_bounces_alone():
+    # A Halley solve on tan(s (x - r)) from far out bounces across the root
+    # with steps of order 1 before converging; the size bound keeps the
+    # noise stop out of it.
+    s, r = 0.27064784195844527, 0.7889669497863439
+    half = math.pi / (2.0 * s)
+    sec2 = lambda x: 1.0 + math.tan(s * (x - r)) ** 2
+    problem = FunctionProblem(
+        lambda x: math.tan(s * (x - r)), lambda x: s * sec2(x),
+        lambda x: 2.0 * s * s * math.tan(s * (x - r)) * sec2(x),
+        lambda x: 2.0 * s ** 3 * sec2(x) * (1.0 + 3.0 * math.tan(s * (x - r)) ** 2),
+        Interval(r - half, r + half))
+    report = solve(problem, 5.11795923395513, SolveOptions(method=Method.HALLEY))
+    steps = [t.step for t in report.trace]
+    assert any(u * v < 0.0 and abs(v) >= abs(u) for u, v in zip(steps, steps[1:]))
+    assert (report.iterations, report.reason) == (6, StopReason.RESIDUAL_TOL)
+    assert abs(report.root - r) <= 1e-15

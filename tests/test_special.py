@@ -10,6 +10,7 @@ from snm.special import (
     _RF_Q_SCALE,
     KernelError,
     _ellip_e,
+    _reg_beta,
     bisect_root,
     carlson_rd,
     carlson_rf,
@@ -242,6 +243,26 @@ def test_reg_beta_symmetry_identity():
         for b in (0.4, 1.5, 5.0, 30.0):
             for x in (0.05, 0.3, 0.5, 0.71, 0.95):
                 assert abs(reg_beta(x, a, b) + reg_beta(1.0 - x, b, a) - 1.0) <= 2e-15
+
+
+@pytest.mark.parametrize("a, b, x, y", [
+    (2.0, 5.0, 0.2, 0.8),
+    (0.5, 0.7, 0.9, 0.1),
+    (30.0, 40.0, 0.25, 0.75),
+    (0.3, 200.0, 1e-3, 0.999),
+    # 1 - x rounds to 1 past the switch: the gamma limit, and its mirror.
+    (0.27943915834916794, 2.925171694501003e+251, 1.8e-251, 1.0),
+    (2.925171694501003e+251, 0.27943915834916794, 1.0, 1.8e-251),
+])
+def test_pair_kernel_is_symmetric(a, b, x, y):
+    # (I, 1 - I) at (x, y; a, b) is (1 - I, I) at (y, x; b, a): one side
+    # rule, decided in the smaller variable, serves both orders.
+    ln_b = ln_beta(a, b)
+    i, j = _reg_beta(x, y, a, b, ln_b)
+    j_m, i_m = _reg_beta(y, x, b, a, ln_b)
+    assert i == pytest.approx(i_m, rel=1e-15, abs=0.0)
+    assert j == pytest.approx(j_m, rel=1e-15, abs=0.0)
+    assert 0.0 < min(i, j) and max(i, j) <= 1.0
 
 
 def test_reg_beta_monotone_in_x():

@@ -374,11 +374,15 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
         return Plan(BetaDirectProblem(query, ln_b), _asymptotic_start(query, log_x_p, log_y_q),
                     Variable.DIRECT, "asymptotic")
     problem = BetaLogitProblem(query, ln_b)
+    # A tail above 1/2 may stand for one closer to 1 (1 - 1e-300 is at best
+    # 1 - 2^-53), which moves its bound up: x_p down, x_q up in x.  That is
+    # safe for x_p as a lower or x_q as an upper bound, so the other kind is
+    # taken only from a tail of at most 1/2.
     if a <= 1.0 <= b:
-        z_q = -_logit_of(log_y_q) if log_y_q < 0.0 else -math.inf
+        z_q = -_logit_of(log_y_q) if q <= 0.5 and log_y_q < 0.0 else -math.inf
         return Plan(problem, max(_logit_of(log_x_p), z_q), Variable.LOGIT, "lower-bound")
     if b <= 1.0 <= a:
-        z_p = _logit_of(log_x_p) if log_x_p < 0.0 else math.inf
+        z_p = _logit_of(log_x_p) if p <= 0.5 and log_x_p < 0.0 else math.inf
         return Plan(problem, min(z_p, -_logit_of(log_y_q)), Variable.LOGIT, "upper-bound")
     if _reg_beta(0.5, 0.5, a, b, ln_b)[0] < p:
         return Plan(problem, -_logit_of(min(log_y_q, _LOG_HALF)), Variable.LOGIT, "upper-bound")

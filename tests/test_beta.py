@@ -648,3 +648,17 @@ def test_raised_bound_start_needs_no_fallback():
         assert report.converged and report.evaluations <= 3, (query, report.evaluations)
         assert not any(r.fallback_used for r in report.trace)
         assert abs(plan.x0 - report.root) <= 1e-4
+
+
+@pytest.mark.parametrize("a, b, p, q, root", [
+    (1.0, 1.0, 1e-300, 1.0 - 2.0 ** -53, 1e-300),
+    (1.0, 2.0, 1e-300, 1.0 - 2.0 ** -53, 5e-301),
+    (2.0, 1.0, 1.0 - 2.0 ** -53, 1e-300, 1.0),
+])
+def test_tiny_tail_with_its_rounded_complement(a, b, p, q, root):
+    # q = 1 - 2^-53 stands for 1 - 1e-300; the bound it gives on the far
+    # side (1 - x_q = 1.1e-16, or its mirror) is no bound of this root,
+    # so the start comes from the tiny tail's own bound.
+    report = invert_beta(BetaQuantileQuery(a, b, p, q))
+    assert report.converged, report.reason
+    assert report.root == pytest.approx(root, rel=1e-12)

@@ -394,8 +394,8 @@ def _assert_quick_direct_solve(plan, report, query):
     assert working.converged, query
     assert not any(r.fallback_used for r in working.trace), query
     assert working.evaluations <= 4, (query, working.evaluations)
-    # Round trip in the inverted tail, at the working root (mapping a
-    # flipped beta root back through 1 - x rounds it at ulp(1)): 1e-13,
+    # Round trip in the inverted tail, at the working root (the
+    # problem's own residual, which reads q - (1 - I) for p > 1/2): 1e-13,
     # plus the residual change across the step tolerance, since a
     # step-tolerance stop places the root only that closely.  Beta roots
     # near x = 1 with a >> b need it: there |f'| reaches ~1e3.

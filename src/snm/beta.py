@@ -91,7 +91,9 @@ def beta_omega(a: float, b: float, x: float) -> float:
     """Half the Schwarzian derivative of the beta residual in x.
 
     (a-1)(b-1)/(2x(1-x)) - (a^2-1)/(4x^2) - (b^2-1)/(4(1-x)^2); negative
-    on all of (0, 1) when a > 1 and b > 1.
+    on all of (0, 1) when a > 1 and b > 1.  Where x^2 underflows (x below
+    ~1.5e-162) it is the limit at x -> 0: +inf for a < 1, -inf for a > 1,
+    -(b^2-1)/4 for a = 1.
     """
     check_shape("beta_omega", a)
     check_shape("beta_omega", b)
@@ -103,8 +105,11 @@ def beta_omega(a: float, b: float, x: float) -> float:
 def _beta_omega(a: float, b: float, x: float) -> float:
     """beta_omega without the domain check."""
     y = 1.0 - x
+    xx = x * x
+    if xx == 0.0:  # then y == 1
+        return -0.25 * (b * b - 1.0) if a == 1.0 else math.copysign(math.inf, 1.0 - a)
     return ((a - 1.0) * (b - 1.0) / (2.0 * x * y)
-            - 0.25 * (a * a - 1.0) / (x * x)
+            - 0.25 * (a * a - 1.0) / xx
             - 0.25 * (b * b - 1.0) / (y * y))
 
 
@@ -194,8 +199,6 @@ class _BetaProblem(Problem):
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
     is ln B(a, b); it is computed here when the caller passes none.
     """
-
-    residual_tol = RESIDUAL_NOISE_FLOOR
 
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         a, b = query.a, query.b

@@ -95,6 +95,10 @@ class PoleError(SnmError):
     """An osculating curve was evaluated at one of its poles."""
 
 
+class OmegaNotFiniteError(SnmError, ValueError):
+    """Omega is not finite at an evaluation point, so no step is defined."""
+
+
 def check_shape(where: str, a: float) -> None:
     """The one shape rule: refuse a shape that is not finite and > 0, NaN included."""
     if not 0.0 < a < math.inf:
@@ -195,7 +199,7 @@ class ProblemEvaluation(NamedTuple):
         if fp == 0.0 or not math.isfinite(fp):
             raise DerivativeVanishedError(f"f'({x}) = {fp}")
         if not math.isfinite(omega):
-            raise ValueError(f"omega not finite at x={x}: {omega}")
+            raise OmegaNotFiniteError(f"omega not finite at x={x}: {omega}")
         denom = 0.5 * big_b * f + fp
         if denom == 0.0:
             h = math.copysign(math.inf, f) if f != 0.0 else 0.0
@@ -331,18 +335,13 @@ def _logit(x: float) -> float:
 class Plan(NamedTuple):
     """One prepared inversion: the problem, its start and how to read it.
 
-    ``x0`` is in the solver ``variable`` and ``start`` names its rule;
-    ``query`` is the problem's query.
+    ``x0`` is in the solver ``variable`` and ``start`` names its rule.
     """
 
     problem: Problem
     x0: float
     variable: Variable
     start: str
-
-    @property
-    def query(self):
-        return self.problem.query
 
     def to_x(self, v: float) -> float:
         """Map a solver-variable value back to x."""

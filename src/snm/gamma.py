@@ -74,7 +74,9 @@ def gamma_omega(a: float, x: float) -> float:
     """Half the Schwarzian derivative of the gamma residual in x.
 
     -(1/4) (1 + 2(1-a)/x + (a^2-1)/x^2); for a >= 1 this is negative on
-    (0, inf) with its maximum -1/(2(1+a)) at x = a + 1.
+    (0, inf) with its maximum -1/(2(1+a)) at x = a + 1.  Where x^2
+    underflows (x below ~1.5e-162) it is the limit at x -> 0: +inf for
+    a < 1, -inf for a > 1, -1/4 for a = 1.
     """
     check_shape("gamma_omega", a)
     if not (x > 0.0):
@@ -84,7 +86,10 @@ def gamma_omega(a: float, x: float) -> float:
 
 def _gamma_omega(a: float, x: float) -> float:
     """gamma_omega without the domain check."""
-    return -0.25 * (1.0 + 2.0 * (1.0 - a) / x + (a * a - 1.0) / (x * x))
+    xx = x * x
+    if xx == 0.0:
+        return -0.25 if a == 1.0 else math.copysign(math.inf, 1.0 - a)
+    return -0.25 * (1.0 + 2.0 * (1.0 - a) / x + (a * a - 1.0) / xx)
 
 
 def gamma_omega_log(a: float, z: float) -> float:
@@ -113,14 +118,11 @@ def _gamma_omega_log_x(a: float, x: float) -> float:
 class _GammaProblem(Problem):
     """The residual both variables share: P - p for p <= 1/2, else q - Q.
 
-    The residual stop is relative to the inverted tail: the class holds
-    the floor, and each query scales it to RESIDUAL_NOISE_FLOOR * min(p, q).
-    For a < 1 it also holds ln Gamma(1 + a), without rounding 1 + a, from
-    which the kernel forms an upper tail's Q to relative accuracy on its
-    series side (x < a + 1).
+    The residual stop is relative to the inverted tail, RESIDUAL_NOISE_FLOOR
+    * min(p, q).  For a < 1 the problem also holds ln Gamma(1 + a), without
+    rounding 1 + a, from which the kernel forms an upper tail's Q to
+    relative accuracy on its series side (x < a + 1).
     """
-
-    residual_tol = RESIDUAL_NOISE_FLOOR
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         a = query.a

@@ -21,7 +21,16 @@ from snm.beta import (
     _logit,
     _sigmoid,
 )
-from snm.core import DEEP_TAIL_Z, MIN_NORMAL, Method, SolveOptions, Variable, solve
+from snm.core import (
+    DEEP_TAIL_Z,
+    MIN_NORMAL,
+    Method,
+    OmegaNotFiniteError,
+    SnmError,
+    SolveOptions,
+    Variable,
+    solve,
+)
 from snm.gamma import GammaQuantileQuery, invert_gamma
 from snm.special import ln_beta, reg_beta
 
@@ -67,6 +76,25 @@ def test_beta_omega_values():
     for x in (0.2, 0.5, 0.8):
         assert beta_omega(1.0, 1.0, x) == 0.0
     assert beta_omega(2.0, 2.0, 0.5) == pytest.approx(-4.0, abs=1e-15)
+
+
+def test_beta_omega_where_x_squared_underflows():
+    # Below ~1.5e-162 x^2 rounds to 0 and y = 1 - x to 1; Omega is its
+    # limit at x -> 0: a signed infinity, or -(b^2 - 1)/4 at a = 1.
+    assert beta_omega(2.0, 3.0, 1e-300) == -math.inf
+    assert beta_omega(0.5, 3.0, 1e-300) == math.inf
+    assert beta_omega(1.0, 3.0, 1e-300) == -2.0
+    assert beta_omega(1.0, 3.0, 1e-300) == beta_omega(1.0, 3.0, 1e-100)
+    assert beta_omega(2.0, 3.0, 1e-160) == -math.inf
+
+
+def test_beta_tail_below_the_omega_underflow_is_a_typed_error():
+    # The direct solve steps towards a root of ~1e-200, where Omega is
+    # -inf; the evaluation refuses it with a typed error, not a
+    # ZeroDivisionError.
+    with pytest.raises(OmegaNotFiniteError) as exc:
+        invert_beta(BetaQuantileQuery(1.5, 3.0, 1e-300, 1 - 2**-53))
+    assert isinstance(exc.value, SnmError) and isinstance(exc.value, ValueError)
 
 
 def test_beta_omega_negative_for_shapes_above_one():

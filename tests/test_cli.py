@@ -118,7 +118,11 @@ def test_compare_respects_common_start(capsys):
 # side of its root from the a >= 1 >= b upper-bound start.  The beta rows
 # were re-pinned when the beta logit evaluation took x and 1 - x from one
 # exp(-|z|) and the last case stopped solving its mirror: every change is
-# below 2.3e-16 in x.
+# below 2.3e-16 in x.  They were re-pinned again when ln Gamma above 2.6
+# came from math.lgamma, which moves ln B(a, b) of both beta cases: every
+# iterate moved by at most 8.9e-16 in x, and the final errors against the
+# bisection oracle went from 9.2e-17 to 8.2e-17 (snm, first case),
+# 6.7e-16 to 3.3e-16 (snm) and 3.3e-16 to 2.2e-16 (halley, second case).
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
         {"method": "snm", "iterations": 3, "final_residual": 2.220446049250313e-16,
@@ -126,16 +130,16 @@ COMPARE_X0_ROWS = {
         {"method": "halley", "iterations": 3, "final_residual": 2.220446049250313e-16,
          "errors": [0.0025564621435086587, 7.969673825047874e-08, 6.938893903907228e-17]}],
     ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
-        {"method": "snm", "iterations": 3, "final_residual": 8.326672684688674e-17,
-         "errors": [0.0001842758571835839, 6.795605744791544e-13, 9.194034422677078e-17]},
-        {"method": "halley", "iterations": 3, "final_residual": 8.326672684688674e-17,
-         "errors": [0.0012043826670882062, 2.832387529568686e-07, 9.194034422677078e-17]}],
+        {"method": "snm", "iterations": 3, "final_residual": 0.0,
+         "errors": [0.0001842758571835735, 6.795501661382986e-13, 8.153200337090993e-17]},
+        {"method": "halley", "iterations": 3, "final_residual": 1.942890293094024e-16,
+         "errors": [0.0012043826670882062, 2.8323875296727696e-07, 9.194034422677078e-17]}],
     ("beta", "--a", "3", "--b", "0.5", "--p", "0.2", "--x0", "0.9"): [
         {"method": "snm", "iterations": 3, "final_residual": 3.885780586188048e-16,
-         "errors": [0.003423150059983837, 4.895622796041721e-10, 6.661338147750939e-16]},
-        {"method": "halley", "iterations": 4, "final_residual": 5.551115123125783e-17,
-         "errors": [0.01642966237315069, 1.5355945221839917e-05, 1.2323475573339238e-14,
-                    3.3306690738754696e-16]}],
+         "errors": [0.003423150059983393, 4.895616134703573e-10, 3.3306690738754696e-16]},
+        {"method": "halley", "iterations": 4, "final_residual": 3.885780586188048e-16,
+         "errors": [0.016429662373150467, 1.535594522095174e-05, 1.2656542480726785e-14,
+                    2.220446049250313e-16]}],
 }
 
 
@@ -336,6 +340,15 @@ def test_osculate_json_nulls(capsys):
     payload = json.loads(out)
     assert payload["columns"] == ["x", "snm"]
     assert any(row[1] is None for row in payload["rows"])
+
+
+def test_osculate_where_omega_is_infinite_is_a_solver_failure(capsys):
+    # At x0 = 1e-300, x^2 underflows and Omega is +inf for a = 0.5: one
+    # line on stderr and exit 1, not a traceback.
+    code, out, err = run(capsys, "osculate", "gamma", "--a", "0.5", "--p", "0.3",
+                         "--x0", "1e-300", "--range", "0:1", "--samples", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("osculate: OmegaNotFiniteError:") and err.count("\n") == 1
 
 
 def test_osculate_usage_validation(capsys):

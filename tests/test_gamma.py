@@ -116,6 +116,26 @@ def test_gamma_omega_log_beyond_overflow():
         gamma_omega_log(1.0, math.nan)
 
 
+def test_gamma_omega_where_x_squared_underflows():
+    # x^2 rounds to 0 below ~1.5e-162; Omega is then its limit at x -> 0,
+    # -(a^2 - 1)/(4 x^2) -> -inf for a > 1, +inf for a < 1, and -1/4 at a = 1.
+    assert gamma_omega(0.5, 1e-300) == math.inf
+    assert gamma_omega(2.0, 1e-300) == -math.inf
+    assert gamma_omega(1.0, 1e-300) == -0.25
+    assert gamma_omega(0.5, 5e-324) == math.inf
+    # Just above the underflow, x^2 is subnormal and the sum overflows alike.
+    assert gamma_omega(0.5, 1e-160) == math.inf
+    assert gamma_omega(2.0, 1e-160) == -math.inf
+
+
+def test_gamma_tail_below_the_omega_underflow():
+    # P(1, x) = 1 - e^-x, so the root of P = 1e-300 is 1e-300 to 5e-301
+    # relative; its evaluation sits where x^2 underflows, at Omega = -1/4.
+    report = invert_gamma(GammaQuantileQuery(1.0, 1e-300, 1 - 2**-53))
+    assert report.converged and not report.root_underflow
+    assert abs(report.root - 1e-300) <= 1e-12 * 1e-300
+
+
 @pytest.mark.parametrize("fn", [gamma_b, gamma_omega, gamma_omega_log])
 def test_public_b_and_omega_refuse_bad_shapes(fn):
     # The public forms check a as the query does; a point inside the domain.

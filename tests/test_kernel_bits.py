@@ -2,13 +2,20 @@
 
 Each value is the float.hex of the result of the straightforward loops the
 kernels are written against (a Taylor series that divides zeta(k) - 1 by k
-on every call, integer loop counters, ``abs`` guards).  The tabled and
-leaner kernels must return the same bits; any change of rounding, even
-one ulp, fails here.  The points cover every branch: ln_gamma below 0.45,
-on [0.45, 1.45), on [1.45, 2.6], above 2.6 and at its exact zeros; both
+on every call, integer loop counters, ``abs`` guards), with ln Gamma above
+2.6 taken from ``math.lgamma``.  The tabled and leaner kernels must return
+the same bits; any change of rounding, even one ulp, fails here.  The
+points cover every branch: ln_gamma below 0.45, on [0.45, 1.45), on
+[1.45, 2.6], above 2.6 (``math.lgamma``) and at its exact zeros; both
 ln_beta forms; the gamma series and continued fraction on both sides of
 a = 16; the beta fraction on both sides of its symmetry switch and with
-the a, b >= 16 exponent, which returns the pair (I, 1 - I).
+the a, b >= 16 exponent, which returns the pair (I, 1 - I).  Like
+``test_golden.py`` they assume the platform libm's ``exp``/``log`` bits,
+which ``math.lgamma`` uses too.
+
+Re-pinned when ln Gamma above 2.6 came from ``math.lgamma`` instead of a
+Lanczos sum (g = 7, n = 9): every moved pin below is closer to 40-digit
+mpmath than before, and no value at a <= 2.6 moved.
 """
 
 import hashlib
@@ -40,6 +47,9 @@ from snm.gamma import (
 )
 from snm.special import _reg_beta, _reg_gamma, ln_beta, ln_gamma
 
+# Moved by math.lgamma (ulps; relative error against mpmath before ->
+# after): 3.7 by -10 (1.7e-15 -> 1.2e-16), 17.5 by -2 (2.8e-16 ->
+# -1.6e-16), 250 by +1 (-1.4e-16 -> 5.9e-17); 2.61 kept its bits.
 LN_GAMMA = {
     0.001: '0x1.ba0f3807161acp+2',
     0.1: '0x1.2058e35f3deedp+1',
@@ -53,20 +63,23 @@ LN_GAMMA = {
     2.3: '0x1.3bc7ae538475ep-3',
     2.6: '0x1.6dfd602494c51p-2',
     2.61: '0x1.75b452da7cb58p-2',
-    3.7: '0x1.6d9625e359b92p+0',
-    17.5: '0x1.00a61f910a7fbp+5',
-    250.0: '0x1.1a2185764485ep+10',
+    3.7: '0x1.6d9625e359b88p+0',
+    17.5: '0x1.00a61f910a7f9p+5',
+    250.0: '0x1.1a2185764485fp+10',
     1.0: '0x0.0p+0',
     2.0: '0x0.0p+0',
 }
 
+# Moved by math.lgamma: (0.5, 3) by +32 ulps (relative error -8.3e-15 ->
+# -1.4e-15), (2.5, 7) by +4 (4.3e-16 -> -3.1e-16), (15.9, 0.2) by +32
+# (-3.3e-15 -> 3.2e-16), (40, 60) by +1 (3.5e-16 -> 1.4e-16).
 LN_BETA = {
-    (0.5, 3.0): '0x1.08598b59e39e0p-4',
-    (2.5, 7.0): '-0x1.34d357bf0cc8ap+2',
-    (15.9, 0.2): '0x1.f3a44155505e0p-1',
+    (0.5, 3.0): '0x1.08598b59e3a00p-4',
+    (2.5, 7.0): '-0x1.34d357bf0cc86p+2',
+    (15.9, 0.2): '0x1.f3a4415550600p-1',
     (20.0, 3.5): '-0x1.2fc3ad3bf8daap+3',
     (3.5, 20.0): '-0x1.2fc3ad3bf8daap+3',
-    (40.0, 60.0): '-0x1.0fdfdcf0053efp+6',
+    (40.0, 60.0): '-0x1.0fdfdcf0053eep+6',
 }
 
 # (a, x) -> (P, Q, exponent): series for x < a + 1, fraction otherwise.
@@ -82,10 +95,12 @@ REG_GAMMA = {
 
 # (x, a, b) -> (I_x(a, b), 1 - I_x(a, b)); the switch sits at
 # x = (a + 1)/(a + b + 2).  The first value of each pair kept its bits when
-# the kernel began to return the pair.
+# the kernel began to return the pair.  Moved through ln B by math.lgamma:
+# (0.2, 2, 5) I by -10 ulps (3.8e-15 -> 2.2e-15) and 1 - I by +6
+# (-2.1e-15 -> -1.1e-15), (0.8, 2, 5) 1 - I by -12 (5.6e-15 -> 4.0e-15).
 REG_BETA = {
-    (0.2, 2.0, 5.0): ('0x1.60e94ee392e37p-2', '0x1.4f8b588e368e4p-1'),
-    (0.8, 2.0, 5.0): ('0x1.ff2e48e8a71dep-1', '0x1.a36e2eb1c434ep-10'),
+    (0.2, 2.0, 5.0): ('0x1.60e94ee392e2dp-2', '0x1.4f8b588e368eap-1'),
+    (0.8, 2.0, 5.0): ('0x1.ff2e48e8a71dep-1', '0x1.a36e2eb1c4342p-10'),
     (0.3, 0.5, 0.7): ('0x1.cefa9a5429ce7p-2', '0x1.1882b2d5eb18cp-1'),
     (0.9, 0.5, 0.7): ('0x1.c47ffc73cb03bp-1', '0x1.dc001c61a7e27p-4'),
     (0.42, 20.0, 25.0): ('0x1.8014ea75c275fp-2', '0x1.3ff58ac51ec50p-1'),
@@ -95,6 +110,11 @@ REG_BETA = {
 }
 
 # (problem class, query arguments, point, (x, f, fp, big_b, omega, h)).
+# Moved through ln B by math.lgamma (ulps; relative error against mpmath):
+# BetaDirectProblem (2, 5, 0.3) at 0.2, f by -80 (2.9e-14 -> 1.7e-14), f'
+# by -10 (3.7e-15 -> 1.9e-15), h by -56; at 0.6, f' by -15 (3.5e-15 ->
+# 1.7e-15), h by +2; BetaLogitProblem (0.5, 3, 0.3) at -1.5, f by -4
+# (1.4e-15 -> 8.3e-16), f' by -3 (6.4e-16 -> 2.6e-16), h by -1.
 EVALUATIONS = (
     (GammaDirectProblem, (2.5, 0.3), 1.7,
      ('0x1.b333333333333p+0', '0x1.f73c356851a30p-5', '0x1.37ea49a463a30p-2',
@@ -112,17 +132,17 @@ EVALUATIONS = (
      ('-0x1.5e00000000000p+9', '-0x1.3242ca9fc583bp-2', '0x1.33b90ea0e0ab2p-17',
       '-0x1.47ae147ae147bp-7', '-0x1.a36e2eb1c432dp-16', '-0x1.8d8fd81e5e578p+7')),
     (BetaDirectProblem, (2.0, 5.0, 0.3), 0.2,
-     ('0x1.999999999999ap-3', '0x1.6db0dd82fd820p-5', '0x1.3a92a30553276p+1',
-      '0x0.0p+0', '-0x1.f3ffffffffffep+3', '0x1.2999999999a24p-6')),
+     ('0x1.999999999999ap-3', '0x1.6db0dd82fd7d0p-5', '0x1.3a92a3055326cp+1',
+      '0x0.0p+0', '-0x1.f3ffffffffffep+3', '0x1.29999999999ecp-6')),
     (BetaDirectProblem, (2.0, 5.0, 0.3), 0.6,
-     ('0x1.3333333333333p-1', '0x1.516db0dd82fd6p-1', '0x1.d7dbf487fcbb1p-2',
-      '0x1.0aaaaaaaaaaabp+3', '-0x1.f3ffffffffffep+4', '0x1.a4e42616b2867p-3')),
+     ('0x1.3333333333333p-1', '0x1.516db0dd82fd6p-1', '0x1.d7dbf487fcba2p-2',
+      '0x1.0aaaaaaaaaaabp+3', '-0x1.f3ffffffffffep+4', '0x1.a4e42616b2869p-3')),
     (BetaDirectProblem, (30.0, 20.0, 0.4), 0.58,
      ('0x1.28f5c28f5c28fp-1', '-0x1.44fa1cda0bba0p-6', '0x1.5a93b5ee438ecp+2',
       '-0x1.30c30c30c30c8p+2', '-0x1.9a824fde5f000p+6', '-0x1.dbf0880456d6fp-9')),
     (BetaLogitProblem, (0.5, 3.0, 0.3), -1.5,
-     ('-0x1.8000000000000p+0', '0x1.a2950dfa619d1p-2', '0x1.c0271673c67b6p-3',
-      '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aefep+0')),
+     ('-0x1.8000000000000p+0', '0x1.a2950dfa619cdp-2', '0x1.c0271673c67b3p-3',
+      '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aefdp+0')),
     # Re-pinned when x and 1 - x came from one exp(-|z|) and f' from their
     # logs: f moved by 8 ulps, f' by -2, Omega by -5 and h by 5.
     (BetaLogitProblem, (0.7, 0.4, 0.2), 2.0,
@@ -226,17 +246,27 @@ def _grid_digest(kernel: str) -> str:
 # logit ones, whose x, 1 - x, f' and kernel prefactor now come from one
 # exp(-|z|) (f moved in 44, f' in 67, B and Omega in 133, h in 97), and
 # 23 of the 194 direct ones, in f (and h in 21); no gamma evaluation moved.
+# All five were re-recorded when ln Gamma above 2.6 came from math.lgamma.
+# Against 40-digit mpmath, over the values that moved: "ln_gamma" 114 of
+# 400 (at most 48 ulps; worst absolute error 4.1e-13 -> 2.9e-13, relative
+# 6.3e-15 -> 1.1e-15); "ln_beta" 160 (103 closer, 57 farther; worst
+# absolute error 2.6e-13 -> 3.7e-13, at (178.8, 274.9), where ln B = -305.6
+# and both are within 5.5 ulps); "reg_gamma" 184 values at 68 points, through
+# the a < 16 exponent (worst relative error 1.7e-12 -> 5.6e-13);
+# "reg_beta" 209 values at 144 points (worst relative error 3.6e-13 ->
+# 2.5e-13); "evaluate" 617 values at 165 points (f, f' and h of 71 gamma
+# evaluations; f' of 152 beta evaluations, f of 122 and h of 130).
 GRID_DIGESTS = {
     "ln_gamma":
-        "7521beb0260892d829c50b43c9580ae2f739b9f6817874591f96bff029b5480f",
+        "d40d48e23f702148851fd86a6b91ae2706f870b055c0f2d08ae40e13ac89ea2d",
     "ln_beta":
-        "d01b7c1dd80bff6777f9ced3eb1001ad5c2d6fd27c0058b9fa19bd527d9000c7",
+        "dadf29a1d75b85c8adc6c6e4819b65d3a6c3c51d86d73bfb325364409d25c823",
     "reg_gamma":
-        "66ca0b67ec66618c2881108083a20be5150d970d38479d6bb0ba14213551471e",
+        "8eb030ca7c83e9a634c32a959b3b16d52187b9e079df7ba593603a446d332256",
     "reg_beta":
-        "8f546504b1f1e64af277e1aa509b3dc0ae8d4bba1fda0fac6cb49b42da6020f5",
+        "c1a15cdeda86fc2a1f7104c18cc898c290706d0a9736d63a17c9ce223be8a328",
     "evaluate":
-        "5f059734c9b51f5db8cdb71f18da0c2af56b31568109d7925caa2581b02a43a5",
+        "0126c1043dad67bd885d7125e47953d506dee141fac49d829302b702fa273712",
 }
 
 

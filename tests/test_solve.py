@@ -17,9 +17,11 @@ from snm.core import (
     IterationRecord,
     STEP_REL_TOL,
     Method,
+    OmegaNotFiniteError,
     Plan,
     Problem,
     ProblemEvaluation,
+    SnmError,
     SolveOptions,
     SolveReport,
     StopReason,
@@ -202,6 +204,13 @@ def test_evaluation_invariants():
     assert e.h * (0.5 * e.big_b * e.f + e.fp) == pytest.approx(e.f, abs=4e-16)
 
 
+def test_non_finite_omega_is_a_typed_error():
+    for omega in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OmegaNotFiniteError) as exc:
+            ProblemEvaluation.build(1.0, f=1.0, fp=1.0, big_b=0.0, omega=omega)
+        assert isinstance(exc.value, SnmError) and isinstance(exc.value, ValueError)
+
+
 # ------------------------------------------------------- record contract
 
 def _records():
@@ -362,7 +371,8 @@ def test_residual_stop_scales_with_the_problem():
     line = FunctionProblem(lambda x: x - 1.0, lambda x: 1.0, lambda x: 0.0,
                            lambda x: 0.0, Interval(-math.inf, math.inf))
     assert Problem.residual_tol == line.residual_tol == 0.0
-    assert GammaDirectProblem.residual_tol == RESIDUAL_NOISE_FLOOR
+    gamma = GammaDirectProblem(GammaQuantileQuery(2.0, 0.9))
+    assert gamma.residual_tol == RESIDUAL_NOISE_FLOOR * gamma.query.q
     line.residual_tol = 1e-6
     loose = solve(line, 1.0 + 1e-9, SolveOptions())
     assert (loose.reason, loose.evaluations) == (StopReason.RESIDUAL_TOL, 1)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Context, Decimal
 
 import pytest
 
@@ -42,7 +43,9 @@ def test_ln_gamma_exact_values():
 def test_ln_gamma_relative_accuracy():
     # Against math.lgamma over the contract range, including the zeros'
     # neighborhoods; the small absolute floor covers math.lgamma's own
-    # last-ulp error where ln Gamma itself is a few 1e-3.
+    # last-ulp error where ln Gamma itself is a few 1e-3.  Above 2.6
+    # ln_gamma is math.lgamma, so the independent references are the
+    # exact values and the mpmath bands below.
     for i in range(901):
         a = 10.0 ** (-3 + 9 * i / 900)
         ref = math.lgamma(a)
@@ -59,10 +62,61 @@ def test_ln_gamma_domain():
         ln_gamma(-1.5)
 
 
+# Exact references to 40 digits: the decimal module's ln of an exact
+# integer is correctly rounded.
+_CTX40 = Context(prec=40)
+_LN_PI = _CTX40.ln(Decimal("3.14159265358979323846264338327950288419716939937511"))
+
+
+def _assert_relative(got: float, ref: Decimal, bound: float, where) -> None:
+    assert abs(float((Decimal(got) - ref) / ref)) <= bound, where
+
+
 def test_ln_gamma_factorials():
-    for n in range(3, 15):
-        assert ln_gamma(float(n)) == pytest.approx(
-            math.log(math.factorial(n - 1)), rel=1e-14)
+    # ln Gamma(n) = ln (n-1)! for n = 3..170, the largest n whose
+    # Gamma(n) is a finite double.
+    for n in range(3, 171):
+        _assert_relative(ln_gamma(float(n)), _CTX40.ln(Decimal(math.factorial(n - 1))),
+                         1e-15, n)
+
+
+def test_ln_gamma_half_integers():
+    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!), for a = 0.5 .. 170.5.
+    for n in range(171):
+        ref = (_CTX40.ln(Decimal(math.factorial(2 * n)))
+               - _CTX40.ln(Decimal(4 ** n * math.factorial(n))) + _LN_PI / 2)
+        _assert_relative(ln_gamma(n + 0.5), ref, 1e-15, n + 0.5)
+
+
+# Above 2.6: (band, log-uniform, worst absolute and relative error allowed)
+# on 1,000 seeded points per band against 40-digit mpmath.  Each bound is
+# below the worst error that the Lanczos sum (g = 7, n = 9) this branch
+# replaced gave on the same points: 1.27e-14 and 5.5e-15, 1.18e-12 and
+# 5.3e-16, 2.0e-9 and 3.8e-16; math.lgamma gives 6.6e-15 and 3.5e-15,
+# 1.02e-12 and 2.9e-16, 1.83e-9 and 2.5e-16.
+LN_GAMMA_BANDS = (
+    ((2.6, 16.0), False, 1.2e-14, 5e-15),
+    ((16.0, 1e3), True, 1.1e-12, 5e-16),
+    ((1e3, 1e6), True, 1.9e-9, 3.5e-16),
+)
+
+
+@pytest.mark.parametrize("band, log_uniform, abs_bound, rel_bound", LN_GAMMA_BANDS,
+                         ids=("2.6-16", "16-1e3", "1e3-1e6"))
+def test_ln_gamma_against_mpmath_above_2_6(band, log_uniform, abs_bound, rel_bound):
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = band
+    rng = random.Random(f"ln-gamma-band:{lo}:{hi}")
+    worst_abs = worst_rel = 0.0
+    with mpmath.workdps(40):
+        for _ in range(1000):
+            a = (math.exp(rng.uniform(math.log(lo), math.log(hi))) if log_uniform
+                 else rng.uniform(lo, hi))
+            ref = mpmath.loggamma(a)
+            err = abs(mpmath.mpf(ln_gamma(a)) - ref)
+            worst_abs = max(worst_abs, float(err))
+            worst_rel = max(worst_rel, float(err / abs(ref)))
+    assert worst_abs <= abs_bound and worst_rel <= rel_bound, (worst_abs, worst_rel)
 
 
 # ------------------------------------------------------ incomplete gamma

@@ -42,10 +42,12 @@ def main() -> None:
 
     print()
     print("= a = 1 is the exponential distribution: Omega is constant,")
-    print("  so the method is exact and every quantile takes one iteration")
+    print("  so the method is exact: every quantile takes one step, which the")
+    print("  predicted stop applies without evaluating (and counting) it")
     for p in (0.1, 0.5, 0.9):
         report = invert_gamma(GammaQuantileQuery(1.0, p))
-        print(f"  p = {p}: root = {report.root:.17g}  iterations = {report.iterations}")
+        print(f"  p = {p}: root = {report.root:.17g}  iterations = {report.iterations}"
+              f"  evaluations = {report.evaluations}  reason = {report.reason.value}")
 
     print()
     print("= a < 1 runs in the log variable (see the report's fields)")

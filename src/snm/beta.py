@@ -93,7 +93,9 @@ def beta_omega(a: float, b: float, x: float) -> float:
     (a-1)(b-1)/(2x(1-x)) - (a^2-1)/(4x^2) - (b^2-1)/(4(1-x)^2); negative
     on all of (0, 1) when a > 1 and b > 1.  Where x^2 underflows (x below
     ~1.5e-162) it is the limit at x -> 0: +inf for a < 1, -inf for a > 1,
-    -(b^2-1)/4 for a = 1.
+    -(b^2-1)/4 for a = 1.  Where a shape's square overflows (a = 1e200,
+    x = 1e-150) the direct form is inf - inf; regrouped, it gives the same
+    limit at a small x and the finite value elsewhere.
     """
     check_shape("beta_omega", a)
     check_shape("beta_omega", b)
@@ -108,9 +110,17 @@ def _beta_omega(a: float, b: float, x: float) -> float:
     xx = x * x
     if xx == 0.0:  # then y == 1
         return -0.25 * (b * b - 1.0) if a == 1.0 else math.copysign(math.inf, 1.0 - a)
-    return ((a - 1.0) * (b - 1.0) / (2.0 * x * y)
-            - 0.25 * (a * a - 1.0) / xx
-            - 0.25 * (b * b - 1.0) / (y * y))
+    omega = ((a - 1.0) * (b - 1.0) / (2.0 * x * y)
+             - 0.25 * (a * a - 1.0) / xx
+             - 0.25 * (b * b - 1.0) / (y * y))
+    if omega != omega:
+        # inf - inf at a huge shape: the same Omega regrouped,
+        # -(1/4)((al/x - be/y)^2 + 2 al/x^2 + 2 be/y^2) with al = a - 1 and
+        # be = b - 1, whose terms do not cancel (at a small x, its limit).
+        al, be = a - 1.0, b - 1.0
+        t = al / x - be / y
+        return -0.25 * (t * t + 2.0 * al / xx + 2.0 * be / (y * y))
+    return omega
 
 
 def beta_xm_coefficients(a: float, b: float) -> tuple[float, float, float, float]:
@@ -226,6 +236,13 @@ class BetaDirectProblem(_BetaProblem):
         return ProblemEvaluation.build(
             x, self._residual(x, i, j), fp, _beta_b(a, b, x), _beta_omega(a, b, x))
 
+    def omega(self, x: float) -> float:
+        return _beta_omega(self.query.a, self.query.b, x)
+
+    def scale(self, x: float) -> float:
+        """The distance to the nearer end of (0, 1): x or 1 - x."""
+        return min(x, 1.0 - x)
+
     def domain(self) -> Interval:
         return _UNIT_INTERVAL
 
@@ -286,6 +303,23 @@ class BetaLogitProblem(_BetaProblem):
         i, j = _reg_beta(x, y, a, b, ln_b, fp)
         return ProblemEvaluation.build(
             z, self._residual(x, i, j), fp, b * x - a * y, _beta_omega_logit_x(a, b, x, y))
+
+    def omega(self, z: float) -> float:
+        a, b = self.query.a, self.query.b
+        if z < self.deep_tail_z:
+            return -0.25 * a * a
+        if z > self.deep_tail_top:
+            return -0.25 * b * b
+        # x and y as ``evaluate`` forms them, so the two Omegas agree bit for bit.
+        t = math.exp(-abs(z))
+        d = 1.0 + t
+        if z >= 0.0:
+            return _beta_omega_logit_x(a, b, 1.0 / d, t / d)
+        return _beta_omega_logit_x(a, b, t / d, 1.0 / d)
+
+    def scale(self, z: float) -> float:
+        """1: a step of dz moves x and 1 - x by a relative dz at most."""
+        return 1.0
 
     def domain(self) -> Interval:
         return _REAL_LINE

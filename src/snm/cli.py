@@ -49,7 +49,7 @@ TABLE_DIGITS = 12
 CSV_DIGITS = 17
 # The report fields of ``invert --format json``, in output order.
 JSON_KEYS = ("root", "iterations", "evaluations", "converged", "reason",
-             "variable", "start", "root_underflow")
+             "variable", "start", "root_underflow", "predicted_error")
 
 
 def _fmt(v: float, digits: int) -> str:
@@ -139,6 +139,7 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(f"variable    {report.variable.value}")
         print(f"start       {report.start}")
         print(f"underflow   {str(report.root_underflow).lower()}")
+        print(f"predicted   {_fmt(report.predicted_error, TABLE_DIGITS)}")
         if args.trace:
             header = f"{'n':>3} {'x':>19} {'f':>19} {'h':>19} {'omega':>19} {'step':>19} fb"
             print(header)

@@ -21,9 +21,11 @@ matching f and its first three derivatives at x_n, then solves y = 0.
 algebraically equivalent to the arctan step formula.
 
 Problems supply f, f', B and Omega in closed form through the
-:class:`Problem` contract, which also sets the residual stop; ``solve``
-runs the iteration with step, residual and noise stops, an automatic Halley
-fallback where the hyperbolic branch is undefined, and a domain safeguard.
+:class:`Problem` contract, which also sets the residual stop and may give
+Omega and a length scale without an evaluation; ``solve`` runs the
+iteration with step, residual, noise and predicted-error stops, an
+automatic Halley fallback where the hyperbolic branch is undefined, and a
+domain safeguard.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ class StopReason(str, Enum):
     STEP_TOL = "StepTol"
     RESIDUAL_TOL = "ResidualTol"
     NOISE_FLOOR = "NoiseFloor"
+    PREDICTED = "Predicted"
     MAX_ITER = "MaxIter"
     DERIVATIVE_VANISHED = "DerivativeVanished"
     DOMAIN_EXIT = "DomainExit"
@@ -228,9 +231,16 @@ class Problem(ABC):
 
     ``solve`` stops once |f| <= ``residual_tol``, which the application
     problems set at their kernels' noise floor (at 0, only an exact zero).
+
+    ``omega``, where a problem defines it, is Omega(x) in closed form,
+    bit-equal to ``evaluate(x).omega`` and without the kernel evaluation;
+    it never raises, but returns an infinity or NaN where Omega is not
+    finite.  With it an SNM solve may stop on its predicted error, which
+    is measured against ``scale(x)``, the problem's length scale at x.
     """
 
     residual_tol: float = 0.0
+    omega: Optional[Callable[[float], float]] = None
 
     @abstractmethod
     def evaluate(self, x: float) -> ProblemEvaluation:
@@ -239,6 +249,10 @@ class Problem(ABC):
     @abstractmethod
     def domain(self) -> Interval:
         ...
+
+    def scale(self, x: float) -> float:
+        """The length against which a predicted error is relative: |x|."""
+        return abs(x)
 
 
 class FunctionProblem(Problem):
@@ -285,8 +299,9 @@ class SolveOptions:
     """Driver configuration.
 
     The stopping rule is |step| <= abs_tol + STEP_REL_TOL * |x|, or
-    |f| <= problem.residual_tol, or the noise stop of ``solve``, or
-    max_iter.  ``method`` may also be
+    |f| <= problem.residual_tol, or the noise stop of ``solve``, or, for
+    SNM on a problem with an ``omega`` hook, a predicted next step within
+    STEP_REL_TOL * problem.scale(x), or max_iter.  ``method`` may also be
     given by name ("snm", "halley" or "newton"); an unknown name raises
     ValueError.
     """
@@ -367,6 +382,8 @@ class SolveReport(NamedTuple):
     ``invert_*`` solvers copy ``variable`` and ``start`` from their
     ``Plan``; ``root_underflow`` marks a root x below the smallest normal
     double (0 included), which has lost relative precision.
+    ``predicted_error`` is the error bound of a ``PREDICTED`` stop,
+    relative to the problem's scale, and 0.0 after any other stop.
     """
 
     root: float
@@ -378,13 +395,15 @@ class SolveReport(NamedTuple):
     variable: Variable = Variable.DIRECT
     start: str = ""
     root_underflow: bool = False
+    predicted_error: float = 0.0
 
     def with_plan(self, plan: Plan) -> "SolveReport":
         """A copy with the root mapped to x and the plan's fields, sharing the trace;
         the one ``root_underflow`` rule: x < ``MIN_NORMAL``."""
         x = plan.to_x(self.root)
         return SolveReport(x, self.iterations, self.trace, self.converged, self.reason,
-                           self.evaluations, plan.variable, plan.start, x < MIN_NORMAL)
+                           self.evaluations, plan.variable, plan.start, x < MIN_NORMAL,
+                           self.predicted_error)
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -534,18 +553,33 @@ def osculating_eval(m: OsculatingModel, x: float) -> float:
 
 
 def _report(root: float, trace: list[IterationRecord], converged: bool,
-            reason: StopReason, evaluations: int) -> SolveReport:
-    return SolveReport(root, len(trace), tuple(trace), converged, reason, evaluations)
+            reason: StopReason, evaluations: int,
+            predicted_error: float = 0.0) -> SolveReport:
+    return _tuple_new(SolveReport, (root, len(trace), tuple(trace), converged, reason,
+                                    evaluations, Variable.DIRECT, "", False, predicted_error))
 
 
 def solve(problem: Problem, x0: float,
           opts: Optional[SolveOptions] = None) -> SolveReport:
     """Iterate the selected method from x0 until a stopping test fires.
 
-    Counting rule: ``iterations`` (= len(trace)) is the number of applied
-    steps larger than the step tolerance.  When a proposed step falls
-    within tolerance it is applied to refine the root but not counted, so
-    an exact method shows 1 iteration, not 2.
+    Counting rule: ``iterations`` (= len(trace)) is the number of steps
+    recorded in the trace.  A final step that a stop accepts without
+    evaluating its end point (a step within tolerance, or a predicted one)
+    is applied to refine the root but not recorded, so a converged solve
+    reports ``evaluations == iterations + 1``.
+
+    The predicted stop (SNM only, and only where the problem has an
+    ``omega`` hook): after a step s from x that was neither a fallback nor
+    clamped, the paper's error constant Omega'/12 for the fourth-order
+    step, with Omega' from the two iterates, predicts the next step's
+    size K s^4, K = |Omega(x + s) - Omega(x)| / (12 |s|) (Traub's error
+    model for a method of order 4).  If K s^4 <= STEP_REL_TOL *
+    problem.scale(x + s), the solve applies s and stops converged with
+    ``PREDICTED`` and ``predicted_error`` = K s^4 / scale, without
+    evaluating x + s.  Where Omega is constant K is 0, so an exact SNM
+    solve reports 0 iterations and 1 evaluation.  An infinite or NaN
+    Omega(x + s) never stops the solve.
 
     Besides the step and residual stops, a noise stop ends the solve,
     converged with ``NOISE_FLOOR``, when a step reverses the previous one,
@@ -558,8 +592,7 @@ def solve(problem: Problem, x0: float,
     is clamped to the midpoint between the current iterate and the
     violated endpoint; a step to NaN, or past an infinite endpoint, ends
     the solve with ``DOMAIN_EXIT``.
-    ``evaluations`` counts every ``problem.evaluate`` call, so a converged
-    solve reports at least ``iterations + 1``.
+    ``evaluations`` counts every ``problem.evaluate`` call.
     """
     if opts is None:
         opts = _DEFAULT_OPTIONS
@@ -570,12 +603,14 @@ def solve(problem: Problem, x0: float,
     # Look the step functions up at call time, not import time, so that a
     # rebound module attribute (a tracer's wrapper, say) is the one used.
     halley = halley_step
+    predict = None
     if opts.method is Method.NEWTON:
         step_fn = newton_step
     elif opts.method is Method.HALLEY:
         step_fn = halley
     else:
         step_fn = snm_step
+        predict = problem.omega
     evaluate = problem.evaluate
     contains = dom.contains
     abs_tol = opts.abs_tol
@@ -627,6 +662,15 @@ def solve(problem: Problem, x0: float,
             last = trace[-1]
             root = x if abs(e.f) <= abs(last.f) else last.x
             return _report(root, trace, True, StopReason.NOISE_FLOOR, evaluations)
+        if predict is not None and not fallback:
+            # K s^4 = |Omega(x + s) - Omega(x)| |s|^3 / 12; products, as
+            # |s|**3 raises OverflowError where the product is inf.
+            size = abs(step)
+            bound = abs(predict(x_next) - e.omega) * size * size * size / 12.0
+            scale = problem.scale(x_next)
+            if bound <= STEP_REL_TOL * scale:
+                return _report(x_next, trace, True, StopReason.PREDICTED, evaluations,
+                               bound / scale if bound else 0.0)
 
         trace.append(_tuple_new(IterationRecord, (len(trace) + 1, x, e.f, e.h,
                                                   e.omega, step, fallback)))

@@ -76,7 +76,9 @@ def gamma_omega(a: float, x: float) -> float:
     -(1/4) (1 + 2(1-a)/x + (a^2-1)/x^2); for a >= 1 this is negative on
     (0, inf) with its maximum -1/(2(1+a)) at x = a + 1.  Where x^2
     underflows (x below ~1.5e-162) it is the limit at x -> 0: +inf for
-    a < 1, -inf for a > 1, -1/4 for a = 1.
+    a < 1, -inf for a > 1, -1/4 for a = 1.  Where a^2 overflows against a
+    small x (a = 1e200, x = 1e-150) the direct form is inf - inf;
+    regrouped, it gives the same limit.
     """
     check_shape("gamma_omega", a)
     if not (x > 0.0):
@@ -89,7 +91,14 @@ def _gamma_omega(a: float, x: float) -> float:
     xx = x * x
     if xx == 0.0:
         return -0.25 if a == 1.0 else math.copysign(math.inf, 1.0 - a)
-    return -0.25 * (1.0 + 2.0 * (1.0 - a) / x + (a * a - 1.0) / xx)
+    omega = -0.25 * (1.0 + 2.0 * (1.0 - a) / x + (a * a - 1.0) / xx)
+    if omega != omega:
+        # inf - inf at a huge a: the same Omega, -(1/4)((1 - al/x)^2 + 2 al/x^2)
+        # with al = a - 1, whose terms cannot cancel (-inf, its x -> 0 limit).
+        al = a - 1.0
+        t = 1.0 - al / x
+        return -0.25 * (t * t + 2.0 * al / xx)
+    return omega
 
 
 def gamma_omega_log(a: float, z: float) -> float:
@@ -153,6 +162,9 @@ class GammaDirectProblem(_GammaProblem):
         return ProblemEvaluation.build(
             x, f, _gamma_density(arg, x), _gamma_b(a, x), _gamma_omega(a, x))
 
+    def omega(self, x: float) -> float:
+        return _gamma_omega(self.query.a, x)
+
     def domain(self) -> Interval:
         return _POSITIVE_AXIS
 
@@ -186,6 +198,15 @@ class GammaLogProblem(_GammaProblem):
         else:
             f = self._residual(x)[0]
         return ProblemEvaluation.build(z, f, fp, x - a, _gamma_omega_log_x(a, x))
+
+    def omega(self, z: float) -> float:
+        if z > 709.0:  # e^z overflows past 709.78, x^2 long before
+            return -math.inf
+        return _gamma_omega_log_x(self.query.a, math.exp(z))
+
+    def scale(self, z: float) -> float:
+        """1: a step of dz moves x by a relative dz at most."""
+        return 1.0
 
     def domain(self) -> Interval:
         return _REAL_LINE

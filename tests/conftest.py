@@ -11,6 +11,7 @@ residual within its kernel's noise is 0 and still stops the solve.)
 
 ``beta_bisection_root`` is an oracle for beta quantiles that shares only
 the kernel with the solver: plain bisection in the logit variable.
+``gamma_bisection_root`` is its gamma twin, in the log variable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import pytest
 
 from snm.core import Problem, ProblemEvaluation, _sigmoid, gtan
-from snm.special import _reg_beta, ln_beta
+from snm.special import _reg_beta, ln_beta, reg_gamma_p, reg_gamma_q
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,29 @@ def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return _sigmoid(mid)
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def gamma_bisection_root(a: float, p: float, q: float) -> float:
+    """The x of P(a, x) = p by bisection in z = log x on [-745, ln(4a + 1000)].
+
+    The residual is the inverted tail's, P - p for p <= 1/2 and q - Q
+    otherwise, from the public kernels; bisection runs until the midpoint
+    is an end, so z is resolved to one ulp.
+    """
+    def residual(z: float) -> float:
+        x = math.exp(z)
+        return reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
+
+    lo, hi = -745.0, math.log(4.0 * a + 1000.0)
+    assert residual(lo) < 0.0 < residual(hi), (a, p, q)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.exp(mid)
         if residual(mid) < 0.0:
             lo = mid
         else:

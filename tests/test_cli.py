@@ -6,6 +6,7 @@ import math
 import pytest
 
 from snm.cli import build_parser, cmd_compare, main
+from snm.core import STEP_REL_TOL
 
 
 def run(capsys, *argv):
@@ -59,13 +60,16 @@ def test_json_keys_exact(capsys):
     payload = json.loads(out)
     assert set(payload.keys()) == {"root", "iterations", "evaluations",
                                    "converged", "reason", "variable",
-                                   "start", "root_underflow", "trace"}
+                                   "start", "root_underflow", "predicted_error",
+                                   "trace"}
     assert (payload["variable"], payload["start"], payload["root_underflow"]) \
         == ("direct", "asymptotic", False)
     assert payload["trace"] == []
-    assert payload["evaluations"] >= payload["iterations"] + 1
+    assert payload["evaluations"] == payload["iterations"] + 1
     assert payload["converged"] is True
-    assert payload["reason"] == "ResidualTol" or payload["reason"] == "StepTol"
+    # The start is one SNM step from the root; the predicted stop applies it.
+    assert payload["reason"] == "Predicted"
+    assert 0.0 <= payload["predicted_error"] <= STEP_REL_TOL
 
 
 def test_json_reports_a_root_of_one_unflagged(capsys):
@@ -123,20 +127,24 @@ def test_compare_respects_common_start(capsys):
 # iterate moved by at most 8.9e-16 in x, and the final errors against the
 # bisection oracle went from 9.2e-17 to 8.2e-17 (snm, first case),
 # 6.7e-16 to 3.3e-16 (snm) and 3.3e-16 to 2.2e-16 (halley, second case).
+# When SNM solves gained the predicted stop, each snm row lost its last
+# iteration: that step is now applied uncounted, without the evaluation
+# that used to confirm it, so its error (the third entry) is no longer
+# listed.  No root, final residual or other error moved.
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
-        {"method": "snm", "iterations": 3, "final_residual": 2.220446049250313e-16,
-         "errors": [0.00033917173066180806, 5.785649737077847e-14, 6.938893903907228e-17]},
+        {"method": "snm", "iterations": 2, "final_residual": 2.220446049250313e-16,
+         "errors": [0.00033917173066180806, 5.785649737077847e-14]},
         {"method": "halley", "iterations": 3, "final_residual": 2.220446049250313e-16,
          "errors": [0.0025564621435086587, 7.969673825047874e-08, 6.938893903907228e-17]}],
     ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
-        {"method": "snm", "iterations": 3, "final_residual": 0.0,
-         "errors": [0.0001842758571835735, 6.795501661382986e-13, 8.153200337090993e-17]},
+        {"method": "snm", "iterations": 2, "final_residual": 0.0,
+         "errors": [0.0001842758571835735, 6.795501661382986e-13]},
         {"method": "halley", "iterations": 3, "final_residual": 1.942890293094024e-16,
          "errors": [0.0012043826670882062, 2.8323875296727696e-07, 9.194034422677078e-17]}],
     ("beta", "--a", "3", "--b", "0.5", "--p", "0.2", "--x0", "0.9"): [
-        {"method": "snm", "iterations": 3, "final_residual": 3.885780586188048e-16,
-         "errors": [0.003423150059983393, 4.895616134703573e-10, 3.3306690738754696e-16]},
+        {"method": "snm", "iterations": 2, "final_residual": 3.885780586188048e-16,
+         "errors": [0.003423150059983393, 4.895616134703573e-10]},
         {"method": "halley", "iterations": 4, "final_residual": 3.885780586188048e-16,
          "errors": [0.016429662373150467, 1.535594522095174e-05, 1.2656542480726785e-14,
                     2.220446049250313e-16]}],
@@ -228,14 +236,19 @@ def test_compare_gamma_exactness_one_iteration(capsys):
     _, out, _ = run(capsys, "compare", "gamma", "--a", "1", "--p", "0.4",
                     "--methods", "snm", "--format", "json")
     rows = json.loads(out)["rows"]
-    assert rows[0]["iterations"] == 1
+    # Omega is constant at a = 1, so the one exact step is a predicted one,
+    # applied without the evaluation that would count it.
+    assert rows[0]["iterations"] == 0
+    assert rows[0]["final_residual"] <= 2e-16
 
 
 def test_compare_elliptic_two_iterations(capsys):
     _, out, _ = run(capsys, "compare", "elliptic", "--m", "0.6", "--p", "0.5",
                     "--methods", "snm", "--format", "json", "--tol", "1e-14")
     rows = json.loads(out)["rows"]
-    assert rows[0]["iterations"] == 2
+    # Two steps: the second is predicted and applied uncounted.
+    assert rows[0]["iterations"] == 1
+    assert rows[0]["final_residual"] <= 2e-16
 
 
 def test_compare_oracle_flag(capsys):

@@ -10,6 +10,7 @@ from snm.core import (
     RESIDUAL_NOISE_FLOOR,
     SolveOptions,
     StepUndefinedError,
+    StopReason,
     Variable,
     halley_step,
     snm_step,
@@ -25,6 +26,7 @@ from snm.elliptic import (
     ellip_start_low,
     ellip_xc,
     ellip_xe,
+    elliptic_plan,
     invert_ellip_e,
 )
 from snm.special import bisect_root, ellip_e_complete, ellip_e_inc
@@ -273,10 +275,14 @@ def test_every_query_converges_in_one_solve():
 def test_stop_is_relative_to_the_target():
     # m near 1, small p: the target p E(1, m) ~ 3e-4 is below the absolute
     # 1e-14 residual stop's scale, which used to accept the arcsin start
-    # unrefined (relative error 1.1e-11).  The stop scales with the target.
+    # unrefined (relative error 1.1e-11).  The stop scales with the target,
+    # so the start is refined: by one step, which the predicted stop applies
+    # without the evaluation that would count it.
     m, p = 0.9996858651919436, 0.000323509614793955
     report = invert_ellip_e(EllipticQuery(m, p))
-    assert report.converged and report.iterations >= 1
+    assert report.converged and report.root != elliptic_plan(EllipticQuery(m, p)).x0
+    assert (report.reason, report.iterations, report.evaluations) == (
+        StopReason.PREDICTED, 0, 1)
     target = p * ellip_e_complete(m)
     assert EllipticProblem(EllipticQuery(m, p)).residual_tol == RESIDUAL_NOISE_FLOOR * target
     assert abs(ellip_e_inc(report.root, m) - target) <= 1e-13 * target

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from snm.core import MIN_NORMAL, Method, SnmError, SolveOptions, Variable, solve
+from snm.core import MIN_NORMAL, Method, SnmError, SolveOptions, StopReason, Variable, solve
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
@@ -128,6 +128,14 @@ def test_gamma_omega_where_x_squared_underflows():
     assert gamma_omega(2.0, 1e-160) == -math.inf
 
 
+def test_gamma_omega_where_a_squared_overflows():
+    # a^2 overflows and 2(1 - a)/x is -inf: the direct form is inf - inf.
+    # Omega is its x -> 0 limit, -inf, as where x^2 underflows.
+    assert gamma_omega(1e200, 1e-150) == -math.inf
+    assert gamma_omega(1e300, 1e-10) == -math.inf
+    assert gamma_omega(1e200, 1.0) == -math.inf
+
+
 def test_gamma_tail_below_the_omega_underflow():
     # P(1, x) = 1 - e^-x, so the root of P = 1e-300 is 1e-300 to 5e-301
     # relative; its evaluation sits where x^2 underflows, at Omega = -1/4.
@@ -150,9 +158,13 @@ def test_problem_residual_at_known_median():
 
 
 def test_problem_exponential_case_one_step():
+    # Omega is constant at a = 1: the one SNM step is exact, and the
+    # predicted stop applies it without the evaluation that would count it.
     query = GammaQuantileQuery(1.0, 0.3)
     report = invert_gamma(query)
-    assert report.iterations == 1
+    assert (report.reason, report.iterations, report.evaluations) == (
+        StopReason.PREDICTED, 0, 1)
+    assert report.predicted_error == 0.0
     assert report.root == pytest.approx(-math.log(0.7), rel=1e-14)
 
 
@@ -237,8 +249,12 @@ def test_snm_iterations_never_exceed_halley():
 
 
 def test_exactness_counts_one_iteration_at_a_one():
+    # One exact step, applied uncounted by the predicted stop: 0 iterations
+    # and 1 evaluation.
     for p in P_GRID:
-        assert invert_gamma(GammaQuantileQuery(1.0, p)).iterations == 1
+        report = invert_gamma(GammaQuantileQuery(1.0, p))
+        assert (report.reason, report.iterations, report.evaluations) == (
+            StopReason.PREDICTED, 0, 1), p
 
 
 def test_quantile_monotone_in_p():
@@ -278,7 +294,6 @@ def test_kernel_budget_exhaustion_is_typed():
 
 def test_log_variable_extreme_z_reports_vanished_derivative():
     # Wild points fail loudly-but-gracefully instead of overflowing.
-    from snm.core import StopReason
     report = solve(GammaLogProblem(GammaQuantileQuery(0.5, 0.2)), 705.0)
     assert not report.converged
     assert report.reason is StopReason.DERIVATIVE_VANISHED

@@ -247,17 +247,21 @@ BETA_CASES = (
     (BetaQuantileQuery(5.0, 0.1, 0.99), {}),
     (BetaQuantileQuery(1e17, 1.5, 0.3), {}),
     (NEWTON_ONE_SIDED[0], {"opts": NEWTON_OPTIONS}),
+    # Capped below the one iteration each takes (the predicted stop applies
+    # its second step uncounted), so they end MaxIter.
     (BetaQuantileQuery(0.5, 3.0, 0.2),
-     {"opts": SolveOptions(max_iter=2)}),
+     {"opts": SolveOptions(max_iter=1)}),
     (BetaQuantileQuery(2.0, 3.0, 0.7),
-     {"opts": SolveOptions(max_iter=2)}),
+     {"opts": SolveOptions(max_iter=1)}),
 )
 ELLIPTIC_CASES = (
     (EllipticQuery(0.5, 0.3), {}),
     (EllipticQuery(0.5, 0.9), {}),
     (EllipticQuery(0.97, 0.6), {}),
     (EllipticQuery(0.8356946940637837, 0.6632687675887856), {}),
-    (EllipticQuery(0.5, 0.3), {"opts": SolveOptions(max_iter=1)}),
+    # (0.5, 0.3) converges in 0 iterations, so no cap binds it; this query
+    # takes one.
+    (EllipticQuery(0.81, 0.7), {"opts": SolveOptions(max_iter=1)}),
 )
 
 
@@ -315,8 +319,10 @@ def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, case
         assert calls[0] == 1, (query, kwargs, calls[0])
         own = solve(plan.problem, plan.x0, kwargs.get("opts"))
         assert report.root == plan.to_x(own.root), query
-        assert (report.iterations, report.evaluations, report.reason, report.converged) \
-            == (own.iterations, own.evaluations, own.reason, own.converged), query
+        assert (report.iterations, report.evaluations, report.reason, report.converged,
+                report.predicted_error) \
+            == (own.iterations, own.evaluations, own.reason, own.converged,
+                own.predicted_error), query
         assert report.trace == own.trace, query
         unconverged += not report.converged
     # The capped cases end unconverged: no second solve rescues them.

@@ -233,7 +233,7 @@ def test_record_field_order():
                                        "fallback_used")
     assert SolveReport._fields == ("root", "iterations", "trace", "converged",
                                    "reason", "evaluations", "variable",
-                                   "start", "root_underflow")
+                                   "start", "root_underflow", "predicted_error")
     assert Plan._fields == ("problem", "x0", "variable", "start")
 
 

@@ -2,8 +2,8 @@
 
 Every ``invert_*`` result on the grid is reduced to its root's float.hex,
 iteration and evaluation counts, stop reason, plan fields (variable,
-start, root_underflow) and every trace record, and the lot is
-hashed.  A refactor of the input checks, the plans or the kernels that is
+start, root_underflow), predicted error bound and every trace record, and
+the lot is hashed.  A refactor of the input checks, the plans or the kernels that is
 meant to keep the bits must keep the digest; a one-ulp change to any
 start, step or kernel value moves it.  Like ``test_golden.py`` it assumes
 the platform libm's ``exp``/``log`` bits.
@@ -52,7 +52,15 @@ from snm.core import DEEP_TAIL_Z
 # from 3.9e-15 to 2.7e-15 (gamma) and from 7.5e-14 to 1.8e-14 (beta).  Four
 # beta records changed stop reason between StepTol and ResidualTol, and
 # one, (175.98, 14.757, p = 0.272), takes 2 iterations instead of 1.
-DIGEST = "0f05468f7999ef8523716497592897e142b5698a419b7f27be48043dd10b0ea9"
+# Re-recorded when SNM solves gained the predicted stop and the records its
+# bound: 396 of the 456 records moved, as 396 solves that ended StepTol
+# (3 gamma, 8 beta) or ResidualTol now end "Predicted" one evaluation
+# earlier; evaluations on the grid fell from 1,090 to 694.  Five roots
+# moved: two gamma upper tails (a ~ 2.35, q ~ 4e-11) by -4 and -7 ulps,
+# relative error against 50-digit mpmath -4.5e-19 -> -5.1e-16 and 4.5e-17
+# -> -8.3e-16, and three beta roots by +1, -1 and +1 ulp (errors within
+# 1.5e-16 either side).  No elliptic root moved.
+DIGEST = "fb3ca5a05ad2232eae99bb65f1672fa4a6326fede7ea3b36cc00c61fec6c631d"
 
 
 def _log_uniform(rng, lo, hi):
@@ -99,7 +107,7 @@ def _invert(query):
 def _record(report):
     parts = [report.root.hex(), report.iterations, report.evaluations,
              report.reason.value, report.variable.value,
-             report.start, report.root_underflow]
+             report.start, report.root_underflow, report.predicted_error.hex()]
     for r in report.trace:
         parts += [r.n, r.x.hex(), r.f.hex(), r.h.hex(), r.omega.hex(),
                   r.step.hex(), r.fallback_used]

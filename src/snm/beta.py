@@ -44,7 +44,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _normal_quantile, _reg_beta, ln_beta
+from .special import _beta_exponent, _normal_quantile, _reg_beta, ln_beta
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -226,15 +226,17 @@ class _BetaProblem(Problem):
 
 
 class BetaDirectProblem(_BetaProblem):
-    """f(x) = I_x(a,b) - p (or q - (1 - I_x(a,b))) on (0, 1)."""
+    """f(x) = I_x(a,b) - p (or q - (1 - I_x(a,b))) on (0, 1); f' is the
+    kernel's prefactor over x (1 - x), with Stirling's terms for a, b >= 16."""
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         q = self.query
-        a, b, ln_b = q.a, q.b, self.ln_b
-        i, j = _reg_beta(x, 1.0 - x, a, b, ln_b)
-        fp = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b)
-        return ProblemEvaluation.build(
-            x, self._residual(x, i, j), fp, _beta_b(a, b, x), _beta_omega(a, b, x))
+        a, b = q.a, q.b
+        y = 1.0 - x
+        scale = math.exp(_beta_exponent(a, b, x, y, self.ln_b))
+        i, j = _reg_beta(x, y, a, b, scale)
+        return ProblemEvaluation.build(x, self._residual(x, i, j), scale / (x * y),
+                                       _beta_b(a, b, x), _beta_omega(a, b, x))
 
     def omega(self, x: float) -> float:
         return _beta_omega(self.query.a, self.query.b, x)
@@ -260,7 +262,7 @@ class BetaLogitProblem(_BetaProblem):
     """Same residual in z = log(x/(1-x)); B and Omega transformed.
 
     x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
-    so neither tail is formed by subtraction, and f' from log x and log y.
+    so neither tail is formed by subtraction; f' is the kernel's prefactor.
     Each deep tail evaluates its leading power term from z alone.
     """
 
@@ -300,7 +302,7 @@ class BetaLogitProblem(_BetaProblem):
             fp = math.exp(a * z - ln_d - ln_b)
         # f_z' is the kernel's prefactor x^a y^b / B, and formed from z it
         # keeps its precision where x or y is subnormal.
-        i, j = _reg_beta(x, y, a, b, ln_b, fp)
+        i, j = _reg_beta(x, y, a, b, fp)
         return ProblemEvaluation.build(
             z, self._residual(x, i, j), fp, b * x - a * y, _beta_omega_logit_x(a, b, x, y))
 
@@ -310,12 +312,8 @@ class BetaLogitProblem(_BetaProblem):
             return -0.25 * a * a
         if z > self.deep_tail_top:
             return -0.25 * b * b
-        # x and y as ``evaluate`` forms them, so the two Omegas agree bit for bit.
-        t = math.exp(-abs(z))
-        d = 1.0 + t
-        if z >= 0.0:
-            return _beta_omega_logit_x(a, b, 1.0 / d, t / d)
-        return _beta_omega_logit_x(a, b, t / d, 1.0 / d)
+        # The sigmoids round as ``evaluate``'s x and y, so the Omegas agree bit for bit.
+        return _beta_omega_logit_x(a, b, _sigmoid(z), _sigmoid(-z))
 
     def scale(self, z: float) -> float:
         """1: a step of dz moves x and 1 - x by a relative dz at most."""
@@ -421,7 +419,7 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     if b <= 1.0 <= a:
         z_p = _logit_of(log_x_p) if p <= 0.5 and log_x_p < 0.0 else math.inf
         return Plan(problem, min(z_p, -_logit_of(log_y_q)), Variable.LOGIT, "upper-bound")
-    if _reg_beta(0.5, 0.5, a, b, ln_b)[0] < p:
+    if _reg_beta(0.5, 0.5, a, b, math.exp(_beta_exponent(a, b, 0.5, 0.5, ln_b)))[0] < p:
         return Plan(problem, -_logit_of(min(log_y_q, _LOG_HALF)), Variable.LOGIT, "upper-bound")
     return Plan(problem, _logit_of(min(log_x_p, _LOG_HALF)), Variable.LOGIT, "lower-bound")
 

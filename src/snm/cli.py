@@ -43,7 +43,7 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import bisect_root, ellip_e_inc, reg_beta, reg_gamma_p
+from .special import bisect_root, ellip_e_inc, reg_beta, reg_gamma_p, reg_gamma_q
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -174,14 +174,17 @@ _LOG_X_UNIT = (math.log(_X_MIN), math.log(_X_MAX))
 
 
 def _oracle_setup(query, plan: Plan) -> tuple:
-    """residual(x) of the query, the oracle's bracket in x and its wider
+    """residual(x) of the query (of the smaller tail, as the solvers', so that
+    it resolves an upper tail), the oracle's bracket in x and its wider
     fallback bracket in log x (None where the first always holds the root)."""
     if isinstance(query, GammaQuantileQuery):
-        residual = lambda x: reg_gamma_p(query.a, x) - query.p
-        return (residual, (1e-150, max(4.0 * query.a + 100.0, 4.0 * plan.to_x(plan.x0))),
+        a, p, q = query.a, query.p, query.q
+        residual = lambda x: reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
+        return (residual, (1e-150, max(4.0 * a + 100.0, 4.0 * plan.to_x(plan.x0))),
                 _LOG_X_POSITIVE)
     if isinstance(query, BetaQuantileQuery):
-        residual = lambda x: reg_beta(x, query.a, query.b) - query.p
+        a, b, p, q = query.a, query.b, query.p, query.q
+        residual = lambda x: reg_beta(x, a, b) - p if p <= 0.5 else q - reg_beta(1.0 - x, b, a)
         return residual, (1e-12, 1.0 - 1e-12), _LOG_X_UNIT
     residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
     return residual, (0.0, math.pi / 2), None

@@ -382,8 +382,9 @@ class SolveReport(NamedTuple):
     ``invert_*`` solvers copy ``variable`` and ``start`` from their
     ``Plan``; ``root_underflow`` marks a root x below the smallest normal
     double (0 included), which has lost relative precision.
-    ``predicted_error`` is the error bound of a ``PREDICTED`` stop,
-    relative to the problem's scale, and 0.0 after any other stop.
+    ``predicted_error`` is Traub's model of the SNM truncation error of a
+    ``PREDICTED`` stop, relative to the problem's scale (0.0 after any
+    other stop); blind to the kernel's rounding, it certifies nothing.
     """
 
     root: float

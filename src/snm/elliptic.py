@@ -125,12 +125,20 @@ def ellip_start_low(m: float, p: float) -> float:
         StepUndefinedError: the arctanh argument reaches 1 (callers use
             the high start instead).
     """
-    return _start_low(m, p, EllipticProblem(EllipticQuery(m, p)).complete)
+    return _start_low(m, p, _checked_complete(EllipticQuery(m, p)))
 
 
 def ellip_start_high(m: float, p: float) -> float:
     """One SNM step from x = pi/2, for m, p in (0, 1); lands inside (0, pi/2)."""
-    return _start_high(m, p, EllipticProblem(EllipticQuery(m, p)).complete)
+    return _start_high(m, p, _checked_complete(EllipticQuery(m, p)))
+
+
+def _checked_complete(query: EllipticQuery) -> float:
+    """E(1, m) for the SNM problem and starts, which require 0 < m < 1."""
+    if not 0.0 < query.m < 1.0:
+        raise ValueError("EllipticProblem requires 0 < m < 1; the m = 0 "
+                         "and m = 1 endpoints invert in closed form")
+    return ellip_e_complete(query.m)
 
 
 def _start_low(m: float, p: float, complete: float) -> float:
@@ -158,11 +166,8 @@ class EllipticProblem(Problem):
     """
 
     def __init__(self, query: EllipticQuery) -> None:
-        if not 0.0 < query.m < 1.0:
-            raise ValueError("EllipticProblem requires 0 < m < 1; the m = 0 "
-                             "and m = 1 endpoints invert in closed form")
         self.query = query
-        self.complete = ellip_e_complete(query.m)
+        self.complete = _checked_complete(query)
         self.target = query.p * self.complete
         self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
@@ -183,7 +188,8 @@ class EllipticProblem(Problem):
         )
 
     def omega(self, x: float) -> float:
-        return ellip_omega(self.query.m, x)
+        m, s, c = self.query.m, math.sin(x), math.cos(x)
+        return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
 
     def scale(self, x: float) -> float:
         """The distance to the nearer end of [0, pi/2]."""

@@ -38,7 +38,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _gamma_density, _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma
+from .special import _gamma_exponent, _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -140,27 +140,24 @@ class _GammaProblem(Problem):
         self.ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 else None
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
 
-    def _residual(self, x: float) -> tuple[float, float]:
-        """(residual, kernel exponent) at x > 0; the exponent also gives f'(x).
-
-        P - p for p <= 1/2 and q - Q otherwise; same derivatives.
-        """
+    def _residual(self, x: float, scale: float) -> float:
+        """P - p for p <= 1/2, else q - Q, at x > 0, from the kernel's prefactor."""
         query = self.query
         if query.p <= 0.5:
-            big_p, _, arg = _reg_gamma(query.a, x, self.ln_gamma_a)
-            return big_p - query.p, arg
-        _, big_q, arg = _reg_gamma(query.a, x, self.ln_gamma_a, self.ln_gamma_1p)
-        return query.q - big_q, arg
+            return _reg_gamma(query.a, x, scale)[0] - query.p
+        return query.q - _reg_gamma(query.a, x, scale, self.ln_gamma_1p)[1]
 
 
 class GammaDirectProblem(_GammaProblem):
-    """f(x) = P(a,x) - p (or q - Q(a,x)) on (0, inf)."""
+    """f(x) = P(a,x) - p (or q - Q(a,x)) on (0, inf); f' is the prefactor over x."""
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         a = self.query.a
-        f, arg = self._residual(x)
+        arg = _gamma_exponent(a, x, self.ln_gamma_a)
+        scale = math.exp(arg)
+        fp = 0.0 if arg < -745.0 else scale / x  # as ``gamma_density``
         return ProblemEvaluation.build(
-            x, f, _gamma_density(arg, x), _gamma_b(a, x), _gamma_omega(a, x))
+            x, self._residual(x, scale), fp, _gamma_b(a, x), _gamma_omega(a, x))
 
     def omega(self, x: float) -> float:
         return _gamma_omega(self.query.a, x)
@@ -186,8 +183,8 @@ class GammaLogProblem(_GammaProblem):
             raise DerivativeVanishedError(f"gamma log-variable derivative 0 at z={z}")
         x = math.exp(z)
         # Chain rule: B_z = x B(x) - 1 = x - a, f_z' = x f'(x) = x^a e^-x
-        # / Gamma(a), formed from z directly so deep-tail z stays finite
-        # even where x itself under/overflows.
+        # / Gamma(a), the kernel's prefactor, formed from z directly so
+        # deep-tail z stays finite even where x itself under/overflows.
         fp = math.exp(a * z - x - self.ln_gamma_a)
         if z < DEEP_TAIL_Z:
             # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
@@ -196,7 +193,7 @@ class GammaLogProblem(_GammaProblem):
             # kernel once x drops past 1e-308.
             f = math.exp(a * z - self.ln_gamma_a1) - q.p
         else:
-            f = self._residual(x)[0]
+            f = self._residual(x, fp)
         return ProblemEvaluation.build(z, f, fp, x - a, _gamma_omega_log_x(a, x))
 
     def omega(self, z: float) -> float:

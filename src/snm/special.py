@@ -18,9 +18,12 @@ import, hold the same doubles that the loop computing them in place
 would give, and are applied in the same order, so ``ln_gamma`` returns
 the same bits as that reference loop.
 
-The public gamma and beta kernels refuse a NaN argument or an infinite
-shape with ``ValueError``; at x = inf the gamma kernels return their
-limits P = 1, Q = 0 and density 0.
+The private gamma and beta kernels take their prefactor x^a e^-x /
+Gamma(a) or x^a (1-x)^b / B(a, b) from the caller, which forms it once
+per evaluation and reads the density off it, as BRCOMP of DiDonato &
+Morris (ACM TOMS 18, 1992) does.  The public kernels form it from x and
+refuse a NaN argument or an infinite shape with ``ValueError``; at
+x = inf the gamma kernels return their limits P = 1, Q = 0 and density 0.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
 
 
 def _gamma_series(a: float, x: float) -> float:
-    """Lower-tail power series S, P(a,x) = S e^exponent; requires 0 < x < a + 1.
+    """Lower-tail power series S, P(a,x) = S times the prefactor; requires 0 < x < a + 1.
 
     Every term is positive, so the stop test needs no ``abs``.
     """
@@ -198,7 +201,7 @@ def _gamma_q_small_a(a: float, x: float, ln_gamma_1p: float) -> float:
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    """Continued fraction h (modified Lentz), Q(a,x) = h e^exponent; x >= a + 1.
+    """Continued fraction h (modified Lentz), Q(a,x) = h times the prefactor; x >= a + 1.
 
     The counter i runs as a float (exact at these sizes).  The chained
     guards ``-tiny < d < tiny`` decide as ``abs(d) < tiny`` does, NaN
@@ -229,40 +232,30 @@ def _gamma_cf(a: float, x: float) -> float:
     raise KernelError(f"gamma continued fraction did not converge for a={a}, x={x}")
 
 
-def _reg_gamma(a: float, x: float, ln_gamma_a: float,
-               ln_gamma_1p: Optional[float] = None) -> tuple[float, float, float]:
-    """(P(a, x), Q(a, x), exponent) for x > 0 from one series or fraction sum.
+def _reg_gamma(a: float, x: float, scale: float,
+               ln_gamma_1p: Optional[float] = None) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for x > 0 from one series or fraction sum.
 
+    ``scale`` is the prefactor x^a e^-x / Gamma(a), the density times x.
     Power series for x < a + 1, continued fraction otherwise, so each
-    representation is used where it converges fast.  The exponent also
-    gives the density (``_gamma_density``).  Where e^exponent underflows
-    to 0 on the fraction side, Q = 0 exactly and the fraction is not run:
-    once 1/b is subnormal (x above ~2^1022) its Lentz steps never settle.
-    On the series side Q is 1 - P, except that a caller that reads Q for
-    a < 1 gives ``ln_gamma_1p`` = ln Gamma(1 + a): then Q comes from
-    ``_gamma_q_small_a`` with its relative accuracy, and P is 1 - Q.
+    representation is used where it converges fast.  Where the prefactor
+    underflows to 0 on the fraction side, Q = 0 exactly and the fraction
+    is not run: once 1/b is subnormal (x above ~2^1022) its Lentz steps
+    never settle.  On the series side Q is 1 - P,
+    except that a caller that reads Q for a < 1 gives ``ln_gamma_1p`` =
+    ln Gamma(1 + a): then Q comes from ``_gamma_q_small_a`` with its
+    relative accuracy, and P is 1 - Q.
     """
-    arg = _gamma_exponent(a, x, ln_gamma_a)
     if x < a + 1.0:
         if ln_gamma_1p is not None:
             q = _gamma_q_small_a(a, x, ln_gamma_1p)
-            return 1.0 - q, q, arg
-        p = _gamma_series(a, x) * math.exp(arg)
-        return p, 1.0 - p, arg
-    scale = math.exp(arg)
+            return 1.0 - q, q
+        p = _gamma_series(a, x) * scale
+        return p, 1.0 - p
     if scale == 0.0:
-        return 1.0, 0.0, arg
+        return 1.0, 0.0
     q = scale * _gamma_cf(a, x)
-    return 1.0 - q, q, arg
-
-
-def _gamma_density(arg: float, x: float) -> float:
-    """x^(a-1) e^(-x) / Gamma(a) from arg = _gamma_exponent(a, x); 0 on underflow."""
-    if arg < -745.0:
-        return 0.0
-    # exp(arg)/x rather than exp(arg - log x): x^(a-1) can be huge while
-    # the density itself stays representable (tiny x, small a).
-    return math.exp(arg) / x
+    return 1.0 - q, q
 
 
 def reg_gamma_p(a: float, x: float) -> float:
@@ -274,7 +267,7 @@ def reg_gamma_p(a: float, x: float) -> float:
         return 0.0
     if x == math.inf:
         return 1.0
-    return _reg_gamma(a, x, _ln_gamma(a))[0]
+    return _reg_gamma(a, x, math.exp(_gamma_exponent(a, x, _ln_gamma(a))))[0]
 
 
 def reg_gamma_q(a: float, x: float) -> float:
@@ -286,7 +279,8 @@ def reg_gamma_q(a: float, x: float) -> float:
         return 1.0
     if x == math.inf:
         return 0.0
-    return _reg_gamma(a, x, _ln_gamma(a), _ln_gamma_1p(a) if a < 1.0 else None)[1]
+    scale = math.exp(_gamma_exponent(a, x, _ln_gamma(a)))
+    return _reg_gamma(a, x, scale, _ln_gamma_1p(a) if a < 1.0 else None)[1]
 
 
 def gamma_density(a: float, x: float) -> float:
@@ -296,7 +290,10 @@ def gamma_density(a: float, x: float) -> float:
         raise ValueError(f"gamma_density requires x > 0, got {x}")
     if x == math.inf:
         return 0.0
-    return _gamma_density(_gamma_exponent(a, x, _ln_gamma(a)), x)
+    arg = _gamma_exponent(a, x, _ln_gamma(a))
+    # exp(arg)/x rather than exp(arg - log x): x^(a-1) can be huge while
+    # the density itself stays representable (tiny x, small a).
+    return 0.0 if arg < -745.0 else math.exp(arg) / x
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -402,39 +399,36 @@ def reg_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    return _reg_beta(x, 1.0 - x, a, b, ln_beta(a, b))[0]
+    y = 1.0 - x
+    return _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))[0]
 
 
-def _reg_beta(x: float, y: float, a: float, b: float, ln_b: float,
-              scale: Optional[float] = None) -> tuple[float, float]:
-    """(I_x(a, b), 1 - I_x(a, b)) for x, y = 1 - x in (0, 1), given ln_b = ln B(a, b).
+def _reg_beta(x: float, y: float, a: float, b: float, scale: float) -> tuple[float, float]:
+    """(I_x(a, b), 1 - I_x(a, b)) for x, y = 1 - x in (0, 1).
 
-    The continued fraction runs in x below the switch (a+1)/(a+b+2) and in
-    y above it, and gives the value of its own side, I or 1 - I, to
-    relative accuracy; the other value is 1 minus it.  The side is decided
-    in the smaller of x and y, the one a caller holds exactly.  Both sides
-    share the prefactor x^a y^b / B(a, b).  A caller that has it from a
-    variable that holds x more exactly (the logit z, where x may be
-    subnormal) passes it as ``scale``; for a, b >= 16 the Stirling-shifted
-    exponent of ``_beta_exponent`` is the more exact and is used instead.
+    ``scale`` is the prefactor x^a y^b / B(a, b) that both sides share,
+    the density times x y.  The continued fraction runs in x
+    below the switch (a+1)/(a+b+2) and in y above it, and gives the value
+    of its own side, I or 1 - I, to relative accuracy; the other value is
+    1 minus it.  The side is decided in the smaller of x and y, the one a
+    caller holds exactly.
 
     Where the other of x and y rounds to 1 (x below 2^-54 past the switch,
     so b above ~1.8e16 (a + 1), or the mirror), both fractions fail, and
     the pair is the gamma limit (P, Q)(a, u), u = (b + (a-1)/2) x, or its
     mirror.  It drops about u x / 2 from u, below the rounding of u itself.
     """
-    if scale is None or (a >= 16.0 and b >= 16.0):
-        scale = math.exp(_beta_exponent(a, b, x, y, ln_b))
     s = a + b + 2.0
     if (x < (a + 1.0) / s) if x <= y else (y > (b + 1.0) / s):
         if x == 1.0:
-            j, i, _ = _reg_gamma(b, (a + 0.5 * (b - 1.0)) * y, _ln_gamma(b))
+            u = (a + 0.5 * (b - 1.0)) * y
+            j, i = _reg_gamma(b, u, math.exp(_gamma_exponent(b, u, _ln_gamma(b))))
             return i, j
         i = scale * _beta_cf(a, b, x) / a
         return i, 1.0 - i
     if y == 1.0:
-        i, j, _ = _reg_gamma(a, (b + 0.5 * (a - 1.0)) * x, _ln_gamma(a))
-        return i, j
+        u = (b + 0.5 * (a - 1.0)) * x
+        return _reg_gamma(a, u, math.exp(_gamma_exponent(a, u, _ln_gamma(a))))
     j = scale * _beta_cf(b, a, y) / b
     return 1.0 - j, j
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import pytest
 
 from snm.core import Problem, ProblemEvaluation, _sigmoid, gtan
-from snm.special import _reg_beta, ln_beta, reg_gamma_p, reg_gamma_q
+from snm.special import _beta_exponent, _reg_beta, ln_beta, reg_gamma_p, reg_gamma_q
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
     ln_b = ln_beta(a, b)
 
     def residual(z: float) -> float:
-        i, j = _reg_beta(_sigmoid(z), _sigmoid(-z), a, b, ln_b)
+        x, y = _sigmoid(z), _sigmoid(-z)
+        i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_b)))
         return i - p if p <= 0.5 else q - j
 
     lo, hi = -700.0, 700.0

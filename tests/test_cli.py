@@ -272,6 +272,21 @@ def test_compare_oracle_outside_the_default_bracket(capsys):
     assert json.loads(out)["oracle_root"] == pytest.approx(root, rel=1e-13)
 
 
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--a", "5", "--p", "0.9999999999"),
+    ("beta", "--a", "3", "--b", "4", "--p", "0.99999999999"),
+])
+def test_compare_oracle_resolves_an_upper_tail(capsys, argv):
+    # P - p cannot resolve q = 1e-10 (gamma) or 1e-11 (beta): the oracle
+    # solves q - Q instead, as the solvers do, so it agrees with invert.
+    _, out, _ = run(capsys, "invert", *argv, "--format", "json")
+    root = json.loads(out)["root"]
+    code, out, _ = run(capsys, "compare", *argv, "--format", "json", "--oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle_root"] == pytest.approx(root, rel=1e-12)
+
+
 def test_compare_without_an_oracle_root_exits_one(capsys):
     # The root underflows (invert reports root_underflow): no positive
     # double brackets it, so compare says so on one line and exits 1.

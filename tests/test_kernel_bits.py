@@ -45,7 +45,7 @@ from snm.gamma import (
     gamma_omega,
     gamma_omega_log,
 )
-from snm.special import _reg_beta, _reg_gamma, ln_beta, ln_gamma
+from snm.special import _beta_exponent, _gamma_exponent, _reg_beta, _reg_gamma, ln_beta, ln_gamma
 
 # Moved by math.lgamma (ulps; relative error against mpmath before ->
 # after): 3.7 by -10 (1.7e-15 -> 1.2e-16), 17.5 by -2 (2.8e-16 ->
@@ -82,7 +82,9 @@ LN_BETA = {
     (40.0, 60.0): '-0x1.0fdfdcf0053eep+6',
 }
 
-# (a, x) -> (P, Q, exponent): series for x < a + 1, fraction otherwise.
+# (a, x) -> (P, Q, exponent): series for x < a + 1, fraction otherwise.  The
+# kernel takes its prefactor e^exponent from the caller, as the problems
+# pass theirs, and returns (P, Q).
 REG_GAMMA = {
     (2.5, 1.0): ('0x1.34f37283a59adp-3', '0x1.b2c3235f16995p-1', '-0x1.48e0fa02699fap+0'),
     (2.5, 6.0): ('0x1.ee304bc8d9bc5p-1', '0x1.1cfb4372643abp-5', '-0x1.ce271aebd49f6p+0'),
@@ -115,6 +117,11 @@ REG_BETA = {
 # by -10 (3.7e-15 -> 1.9e-15), h by -56; at 0.6, f' by -15 (3.5e-15 ->
 # 1.7e-15), h by +2; BetaLogitProblem (0.5, 3, 0.3) at -1.5, f by -4
 # (1.4e-15 -> 8.3e-16), f' by -3 (6.4e-16 -> 2.6e-16), h by -1.
+# Moved when BetaDirectProblem's f' became the kernel's prefactor over
+# x (1 - x): (2, 5, 0.3) at 0.2, f' by -1 (1.9e-15 -> 1.7e-15), h by +1
+# (1.5e-14 both); at 0.6, f' by +8 (1.7e-15 -> 2.7e-15), h by -1 (-3.7e-16
+# -> -5.0e-16); (30, 20, 0.4) at 0.58, f' by -12 (1.7e-15 -> -2.7e-16), h
+# by -17 (4.9e-15 -> 6.9e-15, the error of f).
 EVALUATIONS = (
     (GammaDirectProblem, (2.5, 0.3), 1.7,
      ('0x1.b333333333333p+0', '0x1.f73c356851a30p-5', '0x1.37ea49a463a30p-2',
@@ -132,14 +139,14 @@ EVALUATIONS = (
      ('-0x1.5e00000000000p+9', '-0x1.3242ca9fc583bp-2', '0x1.33b90ea0e0ab2p-17',
       '-0x1.47ae147ae147bp-7', '-0x1.a36e2eb1c432dp-16', '-0x1.8d8fd81e5e578p+7')),
     (BetaDirectProblem, (2.0, 5.0, 0.3), 0.2,
-     ('0x1.999999999999ap-3', '0x1.6db0dd82fd7d0p-5', '0x1.3a92a3055326cp+1',
-      '0x0.0p+0', '-0x1.f3ffffffffffep+3', '0x1.29999999999ecp-6')),
+     ('0x1.999999999999ap-3', '0x1.6db0dd82fd7d0p-5', '0x1.3a92a3055326bp+1',
+      '0x0.0p+0', '-0x1.f3ffffffffffep+3', '0x1.29999999999edp-6')),
     (BetaDirectProblem, (2.0, 5.0, 0.3), 0.6,
-     ('0x1.3333333333333p-1', '0x1.516db0dd82fd6p-1', '0x1.d7dbf487fcba2p-2',
-      '0x1.0aaaaaaaaaaabp+3', '-0x1.f3ffffffffffep+4', '0x1.a4e42616b2869p-3')),
+     ('0x1.3333333333333p-1', '0x1.516db0dd82fd6p-1', '0x1.d7dbf487fcbaap-2',
+      '0x1.0aaaaaaaaaaabp+3', '-0x1.f3ffffffffffep+4', '0x1.a4e42616b2868p-3')),
     (BetaDirectProblem, (30.0, 20.0, 0.4), 0.58,
-     ('0x1.28f5c28f5c28fp-1', '-0x1.44fa1cda0bba0p-6', '0x1.5a93b5ee438ecp+2',
-      '-0x1.30c30c30c30c8p+2', '-0x1.9a824fde5f000p+6', '-0x1.dbf0880456d6fp-9')),
+     ('0x1.28f5c28f5c28fp-1', '-0x1.44fa1cda0bba0p-6', '0x1.5a93b5ee438e0p+2',
+      '-0x1.30c30c30c30c8p+2', '-0x1.9a824fde5f000p+6', '-0x1.dbf0880456d80p-9')),
     (BetaLogitProblem, (0.5, 3.0, 0.3), -1.5,
      ('-0x1.8000000000000p+0', '0x1.a2950dfa619cdp-2', '0x1.c0271673c67b3p-3',
       '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aefdp+0')),
@@ -161,15 +168,25 @@ def test_ln_beta_bits():
         assert ln_beta(a, b).hex() == pinned, (a, b)
 
 
+def _reg_gamma_and_exponent(a: float, x: float) -> tuple[float, float, float]:
+    arg = _gamma_exponent(a, x, ln_gamma(a))
+    return _reg_gamma(a, x, math.exp(arg)) + (arg,)
+
+
+def _reg_beta_pair(x: float, a: float, b: float) -> tuple[float, float]:
+    y = 1.0 - x
+    return _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))
+
+
 def test_reg_gamma_bits():
     for (a, x), pinned in REG_GAMMA.items():
-        got = _reg_gamma(a, x, ln_gamma(a))
+        got = _reg_gamma_and_exponent(a, x)
         assert tuple(v.hex() for v in got) == pinned, (a, x)
 
 
 def test_reg_beta_bits():
     for (x, a, b), pinned in REG_BETA.items():
-        got = _reg_beta(x, 1.0 - x, a, b, ln_beta(a, b))
+        got = _reg_beta_pair(x, a, b)
         assert tuple(v.hex() for v in got) == pinned, (x, a, b)
 
 
@@ -216,9 +233,9 @@ def _grid_digest(kernel: str) -> str:
         elif kernel == "ln_beta":
             got = (ln_beta(a, b),)
         elif kernel == "reg_gamma":
-            got = _reg_gamma(a, 2.0 * u * (a + 1.0), ln_gamma(a))
+            got = _reg_gamma_and_exponent(a, 2.0 * u * (a + 1.0))
         elif kernel == "reg_beta":
-            got = _reg_beta(u, 1.0 - u, a, b, ln_beta(a, b))
+            got = _reg_beta_pair(u, a, b)
         else:  # the gamma and beta evaluations, near each distribution's bulk
             gamma = (GammaDirectProblem if a >= 1.0 else GammaLogProblem)(
                 GammaQuantileQuery(a, u))
@@ -256,6 +273,12 @@ def _grid_digest(kernel: str) -> str:
 # "reg_beta" 209 values at 144 points (worst relative error 3.6e-13 ->
 # 2.5e-13); "evaluate" 617 values at 165 points (f, f' and h of 71 gamma
 # evaluations; f' of 152 beta evaluations, f of 122 and h of 130).
+# "evaluate" was re-recorded when BetaDirectProblem's f' became the kernel's
+# prefactor over x (1 - x): f' moved at 176 of the 194 direct points (at
+# most 2,144 ulps; 80 closer to mpmath, 96 farther; worst relative error
+# 2.7e-13 -> 3.0e-14, median 2.0e-15 -> 1.4e-15) and h at 125 of them (at
+# most 724 ulps; worst 2.5e-12 both, median 2.9e-15 -> 2.0e-15); f, B and
+# Omega kept their bits, and no gamma or logit evaluation moved.
 GRID_DIGESTS = {
     "ln_gamma":
         "d40d48e23f702148851fd86a6b91ae2706f870b055c0f2d08ae40e13ac89ea2d",
@@ -266,7 +289,7 @@ GRID_DIGESTS = {
     "reg_beta":
         "c1a15cdeda86fc2a1f7104c18cc898c290706d0a9736d63a17c9ce223be8a328",
     "evaluate":
-        "0126c1043dad67bd885d7125e47953d506dee141fac49d829302b702fa273712",
+        "2d93f84179a0145fa9cfabff9bbe4600436ed07284faef4a29e2a4e6b3952317",
 }
 
 

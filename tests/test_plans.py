@@ -26,6 +26,7 @@ from snm.beta import (
 from snm.cli import main
 from snm.core import (
     DEEP_TAIL_Z,
+    MACHINE_EPSILON,
     MIN_NORMAL,
     STEP_REL_TOL,
     DerivativeVanishedError,
@@ -52,6 +53,11 @@ from snm.gamma import (
     invert_gamma,
 )
 from snm.special import (
+    _beta_exponent,
+    _gamma_exponent,
+    _ln_gamma_1p,
+    _reg_beta,
+    _reg_gamma,
     ellip_e_complete,
     ellip_e_inc,
     gamma_density,
@@ -83,6 +89,24 @@ def _gamma_residual(a, p, q, x):
     return reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
 
 
+# One prefactor per evaluation: each problem forms the kernel's prefactor
+# once, in its own variable, passes it to the kernel and reads f' off it:
+#   gamma in x      f' = x^a e^-x / Gamma(a) / x
+#   gamma in log x  f' = x^a e^-x / Gamma(a), formed from z
+#   beta in x       f' = x^a y^b / B(a, b) / (x y)
+#   beta in logit   f' = x^a y^b / B(a, b), formed from z
+# so f is the kernel's residual at that very f' (times x, or x y) bit for
+# bit.  Where the prefactor is formed from x, as the public kernels form
+# it, f, f' and the public forms agree bit for bit too.
+
+
+def _gamma_kernel_residual(a, p, q, x, scale):
+    """The residual the gamma problems read from the kernel given its prefactor."""
+    if p <= 0.5:
+        return _reg_gamma(a, x, scale)[0] - p
+    return q - _reg_gamma(a, x, scale, _ln_gamma_1p(a) if a < 1.0 else None)[1]
+
+
 def test_gamma_direct_evaluate_matches_public_kernels():
     for a in GAMMA_SHAPES:
         for p in TAIL_P:
@@ -90,9 +114,12 @@ def test_gamma_direct_evaluate_matches_public_kernels():
             problem = GammaDirectProblem(query)
             for factor in (0.01, 0.5, 1.0, 1.5, 3.0, 10.0):
                 for x in (a * factor, a + 1.0):
-                    _assert_matches(problem, x, _gamma_residual(a, p, query.q, x),
-                                    gamma_density(a, x), gamma_b(a, x),
-                                    gamma_omega(a, x))
+                    arg = _gamma_exponent(a, x, ln_gamma(a))
+                    scale = math.exp(arg)
+                    fp = 0.0 if arg < -745.0 else scale / x
+                    f = _gamma_kernel_residual(a, p, query.q, x, scale)
+                    assert (f, fp) == (_gamma_residual(a, p, query.q, x), gamma_density(a, x))
+                    _assert_matches(problem, x, f, fp, gamma_b(a, x), gamma_omega(a, x))
 
 
 def test_gamma_log_evaluate_matches_public_kernels():
@@ -103,12 +130,18 @@ def test_gamma_log_evaluate_matches_public_kernels():
             for z in (-700.0, math.log(a) - 3.0, math.log(a), math.log(a + 1.0),
                       math.log(a) + 1.5):
                 x = math.exp(z)
+                fp = math.exp(a * z - x - ln_gamma(a))
                 if z < DEEP_TAIL_Z:
                     f = math.exp(a * z - ln_gamma(a + 1.0)) - p
                 else:
-                    f = _gamma_residual(a, p, query.q, x)
-                _assert_matches(problem, z, f, math.exp(a * z - x - ln_gamma(a)),
-                                x - a, gamma_omega_log(a, z))
+                    f = _gamma_kernel_residual(a, p, query.q, x, fp)
+                    # The public kernels form the prefactor from x, not z (with
+                    # Stirling's terms for a >= 16): they agree to the rounding
+                    # of the exponent's terms.
+                    tol = 4.0 * MACHINE_EPSILON * (abs(a * z) + x + abs(ln_gamma(a)))
+                    assert f == pytest.approx(_gamma_residual(a, p, query.q, x),
+                                              rel=0.0, abs=tol), (a, p, z)
+                _assert_matches(problem, z, f, fp, x - a, gamma_omega_log(a, z))
 
 
 def _beta_residual(a, b, p, q, x, y):
@@ -124,11 +157,11 @@ def _beta_residual(a, b, p, q, x, y):
 
 
 def test_beta_evaluate_matches_public_kernels():
-    # The lower-tail residual and every B and Omega are the public forms bit
-    # for bit.  The upper-tail residual takes 1 - I from the kernel's pair,
-    # where the public mirror I_(1-x)(b, a) may run its fraction on the
-    # other side, and the logit f' comes from log x and log(1 - x) as
-    # -log1p(e^-|z|) terms, so those agree to rounding.
+    # The lower-tail direct residual and every B and Omega are the public
+    # forms bit for bit.  The upper-tail residual takes 1 - I from the
+    # kernel's pair, where the public mirror I_(1-x)(b, a) may run its
+    # fraction on the other side, and the logit prefactor comes from z,
+    # so those agree with the public forms to rounding.
     for a in BETA_SHAPES:
         for b in BETA_SHAPES:
             ln_b = ln_beta(a, b)
@@ -137,12 +170,15 @@ def test_beta_evaluate_matches_public_kernels():
                 direct = BetaDirectProblem(query)
                 logit = BetaLogitProblem(query)
                 for x in (0.01, 0.3, 0.5, 0.7, 0.99):
-                    fp = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b)
+                    y = 1.0 - x
+                    scale = math.exp(_beta_exponent(a, b, x, y, ln_b))
                     e = direct.evaluate(x)
-                    assert (e.fp, e.big_b, e.omega) == (fp, beta_b(a, b, x), beta_omega(a, b, x))
+                    assert (e.f, e.fp, e.big_b, e.omega) == (
+                        direct._residual(x, *_reg_beta(x, y, a, b, scale)), scale / (x * y),
+                        beta_b(a, b, x), beta_omega(a, b, x)), (a, b, p, x)
                     if p <= 0.5:
                         assert e.f == reg_beta(x, a, b) - p, (a, b, p, x)
-                    f = _beta_residual(a, b, p, query.q, x, 1.0 - x)
+                    f = _beta_residual(a, b, p, query.q, x, y)
                     assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, x)
                 for z in (-30.0, -2.0, 0.0, 1.5, 30.0):
                     x, y = _sigmoid(z), _sigmoid(-z)
@@ -152,12 +188,47 @@ def test_beta_evaluate_matches_public_kernels():
                             logit.evaluate(z)
                         continue
                     e = logit.evaluate(z)
-                    assert (e.big_b, e.omega) == (b * x - a * y, beta_omega_logit(a, b, z))
+                    i, j = _reg_beta(x, y, a, b, e.fp)
+                    assert (e.f, e.big_b, e.omega) == (
+                        logit._residual(x, i, j),
+                        b * x - a * y, beta_omega_logit(a, b, z)), (a, b, p, z)
                     # Both exponents round at a few eps times their terms.
+                    terms = abs(a * math.log(x)) + abs(b * math.log(y)) + abs(ln_b)
                     tol = 1e-14 * max(1.0, -math.log(fp))
                     assert e.fp == pytest.approx(fp, rel=tol, abs=0.0), (a, b, z)
+                    # That rounding reaches the value the fraction computes
+                    # (the public forms use Stirling's terms for a, b >= 16).
+                    side = i if x < logit.switch else j
+                    tol = 4e-16 + 4.0 * MACHINE_EPSILON * terms * side
                     f = _beta_residual(a, b, p, query.q, x, y)
-                    assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, z)
+                    assert e.f == pytest.approx(f, rel=0.0, abs=tol), (a, b, p, z)
+
+
+def test_direct_f_prime_against_mpmath_at_large_shapes():
+    # f' is the prefactor e^arg over x (gamma) or x (1 - x) (beta), so its
+    # relative error is the absolute error of arg, which the Stirling forms
+    # for shapes >= 16 keep to a few eps times (1 + |arg|).  A second
+    # exponent without them was off by up to 1,000 such units at a = b = 300.
+    mp = pytest.importorskip("mpmath")
+    eps = MACHINE_EPSILON
+    shapes = (16.0, 17.3, 40.0, 150.0, 300.0)
+    with mp.workdps(40):
+        for a in shapes + (1000.0,):
+            problem = GammaDirectProblem(GammaQuantileQuery(a, 0.3))
+            for x in (a * f for f in (0.3, 0.6, 0.9, 1.0, 1.1, 1.5, 2.5)):
+                prefactor = mp.mpf(x) ** a * mp.exp(-mp.mpf(x)) / mp.gamma(a)
+                err = abs(problem.evaluate(x).fp / (prefactor / x) - 1)
+                assert err <= 32.0 * eps * (1.0 + abs(mp.log(prefactor))), (a, x, err)
+        for a in shapes:
+            for b in shapes:
+                problem = BetaDirectProblem(BetaQuantileQuery(a, b, 0.3))
+                mean = a / (a + b)
+                sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+                for x in (mean + k * sd for k in (-4, -2, -1, 0, 1, 2, 4)):
+                    xm = mp.mpf(x)
+                    prefactor = xm ** a * (1 - xm) ** b / mp.beta(a, b)
+                    err = abs(problem.evaluate(x).fp / (prefactor / (xm * (1 - xm))) - 1)
+                    assert err <= 32.0 * eps * (1.0 + abs(mp.log(prefactor))), (a, b, x, err)
 
 
 def test_elliptic_evaluate_matches_public_kernels():

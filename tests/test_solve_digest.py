@@ -60,7 +60,14 @@ from snm.core import DEEP_TAIL_Z
 # relative error against 50-digit mpmath -4.5e-19 -> -5.1e-16 and 4.5e-17
 # -> -8.3e-16, and three beta roots by +1, -1 and +1 ulp (errors within
 # 1.5e-16 either side).  No elliptic root moved.
-DIGEST = "fb3ca5a05ad2232eae99bb65f1672fa4a6326fede7ea3b36cc00c61fec6c631d"
+# Re-recorded when BetaDirectProblem's f' became the kernel's prefactor over
+# x (1 - x): 47 of the 154 beta records moved, 43 only in their trace's h
+# and 4 also in a step and the predicted bound; no gamma or elliptic record
+# moved, and every iteration and evaluation count and stop reason kept its
+# value.  Three roots moved, by +3, -1 and -6 ulps;
+# against 50-digit mpmath their relative errors went from -7.5e-17,
+# -2.2e-16 and 8.2e-16 to 4.5e-16, -3.7e-16 and 2.3e-17.
+DIGEST = "e34a65da9d5e22b46445b23b6e7b5d9d874ed8cd8bf21219a5ba857228fb9f82"
 
 
 def _log_uniform(rng, lo, hi):

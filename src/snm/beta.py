@@ -262,8 +262,8 @@ class BetaLogitProblem(_BetaProblem):
     """Same residual in z = log(x/(1-x)); B and Omega transformed.
 
     x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
-    so neither tail is formed by subtraction; f' is the kernel's prefactor.
-    Each deep tail evaluates its leading power term from z alone.
+    so neither tail is formed by subtraction; f' is the kernel's prefactor
+    from z (at a, b >= 16 too, not Stirling's).  Deep tails use z alone.
     """
 
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:

@@ -174,9 +174,8 @@ _LOG_X_UNIT = (math.log(_X_MIN), math.log(_X_MAX))
 
 
 def _oracle_setup(query, plan: Plan) -> tuple:
-    """residual(x) of the query (of the smaller tail, as the solvers', so that
-    it resolves an upper tail), the oracle's bracket in x and its wider
-    fallback bracket in log x (None where the first always holds the root)."""
+    """residual(x) of the smaller tail (beta's mirror where 1 - x is exact),
+    the bracket in x, and the fallback in log x (None if the first holds)."""
     if isinstance(query, GammaQuantileQuery):
         a, p, q = query.a, query.p, query.q
         residual = lambda x: reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
@@ -184,7 +183,8 @@ def _oracle_setup(query, plan: Plan) -> tuple:
                 _LOG_X_POSITIVE)
     if isinstance(query, BetaQuantileQuery):
         a, b, p, q = query.a, query.b, query.p, query.q
-        residual = lambda x: reg_beta(x, a, b) - p if p <= 0.5 else q - reg_beta(1.0 - x, b, a)
+        residual = lambda x: (reg_beta(x, a, b) - p if p <= 0.5 or x < 0.5
+                              else q - reg_beta(1.0 - x, b, a))
         return residual, (1e-12, 1.0 - 1e-12), _LOG_X_UNIT
     residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
     return residual, (0.0, math.pi / 2), None

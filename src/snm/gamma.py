@@ -38,7 +38,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _gamma_exponent, _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma
+from .special import _gamma_prefactor, _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -153,9 +153,7 @@ class GammaDirectProblem(_GammaProblem):
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         a = self.query.a
-        arg = _gamma_exponent(a, x, self.ln_gamma_a)
-        scale = math.exp(arg)
-        fp = 0.0 if arg < -745.0 else scale / x  # as ``gamma_density``
+        scale, fp = _gamma_prefactor(a, x, self.ln_gamma_a)
         return ProblemEvaluation.build(
             x, self._residual(x, scale), fp, _gamma_b(a, x), _gamma_omega(a, x))
 

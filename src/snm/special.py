@@ -3,9 +3,9 @@
 Regularized incomplete gamma (series + continued fraction, and for a < 1
 a small-a form of Q on the series side), regularized incomplete beta
 (continued fraction with symmetry switch, and its gamma limit where
-1 - x rounds to 1), Carlson
-symmetric elliptic integrals by the duplication algorithm, and the
-incomplete elliptic integral of the second kind built on them.
+1 - x rounds to 1), Carlson symmetric elliptic integrals by the
+duplication algorithm, and the incomplete elliptic integral of the
+second kind built on them.
 
 ``bisect_root`` is plain interval bisection, the oracle of the CLI's
 compare command and of the tests, not part of the quantile API.
@@ -258,6 +258,13 @@ def _reg_gamma(a: float, x: float, scale: float,
     return 1.0 - q, q
 
 
+def _gamma_prefactor(a: float, x: float, ln_gamma_a: float) -> tuple[float, float]:
+    """(x^a e^-x / Gamma(a), d/dx P = that over x or 0 on underflow) for x > 0."""
+    arg = _gamma_exponent(a, x, ln_gamma_a)
+    scale = math.exp(arg)
+    return scale, 0.0 if arg < -745.0 else scale / x
+
+
 def reg_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) in [0, 1]; 1 at x = inf."""
     check_shape("reg_gamma_p", a)
@@ -290,10 +297,7 @@ def gamma_density(a: float, x: float) -> float:
         raise ValueError(f"gamma_density requires x > 0, got {x}")
     if x == math.inf:
         return 0.0
-    arg = _gamma_exponent(a, x, _ln_gamma(a))
-    # exp(arg)/x rather than exp(arg - log x): x^(a-1) can be huge while
-    # the density itself stays representable (tiny x, small a).
-    return 0.0 if arg < -745.0 else math.exp(arg) / x
+    return _gamma_prefactor(a, x, _ln_gamma(a))[1]
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -407,11 +411,10 @@ def _reg_beta(x: float, y: float, a: float, b: float, scale: float) -> tuple[flo
     """(I_x(a, b), 1 - I_x(a, b)) for x, y = 1 - x in (0, 1).
 
     ``scale`` is the prefactor x^a y^b / B(a, b) that both sides share,
-    the density times x y.  The continued fraction runs in x
-    below the switch (a+1)/(a+b+2) and in y above it, and gives the value
-    of its own side, I or 1 - I, to relative accuracy; the other value is
-    1 minus it.  The side is decided in the smaller of x and y, the one a
-    caller holds exactly.
+    the density times x y.  The continued fraction runs in x below the
+    switch (a+1)/(a+b+2) and in y above it, and gives the value of its own
+    side, I or 1 - I, to relative accuracy; the other value is 1 minus it.
+    The side is decided in the smaller of x and y, which a caller holds exactly.
 
     Where the other of x and y rounds to 1 (x below 2^-54 past the switch,
     so b above ~1.8e16 (a + 1), or the mirror), both fractions fail, and
@@ -422,8 +425,7 @@ def _reg_beta(x: float, y: float, a: float, b: float, scale: float) -> tuple[flo
     if (x < (a + 1.0) / s) if x <= y else (y > (b + 1.0) / s):
         if x == 1.0:
             u = (a + 0.5 * (b - 1.0)) * y
-            j, i = _reg_gamma(b, u, math.exp(_gamma_exponent(b, u, _ln_gamma(b))))
-            return i, j
+            return _reg_gamma(b, u, math.exp(_gamma_exponent(b, u, _ln_gamma(b))))[::-1]
         i = scale * _beta_cf(a, b, x) / a
         return i, 1.0 - i
     if y == 1.0:

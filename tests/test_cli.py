@@ -269,22 +269,25 @@ def test_compare_oracle_outside_the_default_bracket(capsys):
     root = json.loads(out)["root"]
     code, out, _ = run(capsys, "compare", *argv, "--format", "json", "--oracle")
     assert code == 0
-    assert json.loads(out)["oracle_root"] == pytest.approx(root, rel=1e-13)
+    assert json.loads(out)["oracle_root"] == pytest.approx(root, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("argv", [
     ("gamma", "--a", "5", "--p", "0.9999999999"),
     ("beta", "--a", "3", "--b", "4", "--p", "0.99999999999"),
+    ("beta", "--a", "0.01", "--b", "1", "--p", "0.6"),
 ])
 def test_compare_oracle_resolves_an_upper_tail(capsys, argv):
     # P - p cannot resolve q = 1e-10 (gamma) or 1e-11 (beta): the oracle
     # solves q - Q instead, as the solvers do, so it agrees with invert.
+    # That mirror needs 1 - x exact: the root 0.6^100 = 6.5e-23 of the
+    # third query is found in I_x - p, where 1 - x would round to 1.
     _, out, _ = run(capsys, "invert", *argv, "--format", "json")
     root = json.loads(out)["root"]
     code, out, _ = run(capsys, "compare", *argv, "--format", "json", "--oracle")
     assert code == 0
     payload = json.loads(out)
-    assert payload["oracle_root"] == pytest.approx(root, rel=1e-12)
+    assert payload["oracle_root"] == pytest.approx(root, rel=1e-12, abs=0.0)
 
 
 def test_compare_without_an_oracle_root_exits_one(capsys):

@@ -43,7 +43,8 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import bisect_root, ellip_e_inc, reg_beta, reg_gamma_p, reg_gamma_q
+from .special import (_beta_exponent, _reg_beta, bisect_root, ellip_e_inc, ln_beta,
+                      reg_gamma_p, reg_gamma_q)
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -141,14 +142,10 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(f"underflow   {str(report.root_underflow).lower()}")
         print(f"predicted   {_fmt(report.predicted_error, TABLE_DIGITS)}")
         if args.trace:
-            header = f"{'n':>3} {'x':>19} {'f':>19} {'h':>19} {'omega':>19} {'step':>19} fb"
-            print(header)
+            print(f"{'n':>3} {'x':>19} {'f':>19} {'h':>19} {'omega':>19} {'step':>19} fb")
             for r in rows:
-                print(f"{r['n']:>3} {_fmt(r['x'], TABLE_DIGITS):>19} "
-                      f"{_fmt(r['f'], TABLE_DIGITS):>19} {_fmt(r['h'], TABLE_DIGITS):>19} "
-                      f"{_fmt(r['omega'], TABLE_DIGITS):>19} "
-                      f"{_fmt(r['step'], TABLE_DIGITS):>19} "
-                      f"{'*' if r['fallback_used'] else '-'}")
+                cells = [f"{_fmt(r[k], TABLE_DIGITS):>19}" for k in ("x", "f", "h", "omega", "step")]
+                print(f"{r['n']:>3} {' '.join(cells)} {'*' if r['fallback_used'] else '-'}")
 
     if not report.converged:
         print(f"solver failed: {report.reason.value}", file=sys.stderr)
@@ -174,8 +171,8 @@ _LOG_X_UNIT = (math.log(_X_MIN), math.log(_X_MAX))
 
 
 def _oracle_setup(query, plan: Plan) -> tuple:
-    """residual(x) of the smaller tail (beta's mirror where 1 - x is exact),
-    the bracket in x, and the fallback in log x (None if the first holds)."""
+    """residual(x) of the smaller tail (beta's from the kernel's pair, as the
+    solvers'), the bracket in x, and the fallback in log x (None if the first holds)."""
     if isinstance(query, GammaQuantileQuery):
         a, p, q = query.a, query.p, query.q
         residual = lambda x: reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
@@ -183,8 +180,11 @@ def _oracle_setup(query, plan: Plan) -> tuple:
                 _LOG_X_POSITIVE)
     if isinstance(query, BetaQuantileQuery):
         a, b, p, q = query.a, query.b, query.p, query.q
-        residual = lambda x: (reg_beta(x, a, b) - p if p <= 0.5 or x < 0.5
-                              else q - reg_beta(1.0 - x, b, a))
+        ln_b = ln_beta(a, b)
+
+        def residual(x: float) -> float:
+            i, j = _reg_beta(x, 1.0 - x, a, b, math.exp(_beta_exponent(a, b, x, 1.0 - x, ln_b)))
+            return i - p if p <= 0.5 else q - j
         return residual, (1e-12, 1.0 - 1e-12), _LOG_X_UNIT
     residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
     return residual, (0.0, math.pi / 2), None

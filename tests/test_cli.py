@@ -276,12 +276,14 @@ def test_compare_oracle_outside_the_default_bracket(capsys):
     ("gamma", "--a", "5", "--p", "0.9999999999"),
     ("beta", "--a", "3", "--b", "4", "--p", "0.99999999999"),
     ("beta", "--a", "0.01", "--b", "1", "--p", "0.6"),
+    ("beta", "--a", "2", "--b", "1000", "--p", "0.99999999"),
 ])
 def test_compare_oracle_resolves_an_upper_tail(capsys, argv):
     # P - p cannot resolve q = 1e-10 (gamma) or 1e-11 (beta): the oracle
     # solves q - Q instead, as the solvers do, so it agrees with invert.
-    # That mirror needs 1 - x exact: the root 0.6^100 = 6.5e-23 of the
-    # third query is found in I_x - p, where 1 - x would round to 1.
+    # Beta takes 1 - I from the kernel's pair at x: I_x - p cannot resolve
+    # q = 1e-8 at the root 0.0213 either, and the mirror I_(1-x)(b, a)
+    # reads 1 where 1 - x rounds to 1 (the root 0.6^100 = 6.5e-23).
     _, out, _ = run(capsys, "invert", *argv, "--format", "json")
     root = json.loads(out)["root"]
     code, out, _ = run(capsys, "compare", *argv, "--format", "json", "--oracle")

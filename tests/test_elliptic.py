@@ -297,3 +297,22 @@ def test_relative_stop_against_mpmath():
         target = mpmath.mpf(p) * mpmath.ellipe(m2)
         exact = mpmath.findroot(lambda x: mpmath.ellipe(x, m2) - target, mpmath.mpf(root))
         assert abs(root - exact) <= 1e-14 * exact
+
+
+@pytest.mark.xfail(strict=True, reason="near m = 1, p = 1 the residual E(x) - p E(1, m) "
+                   "cancels two values near 1 while f' ~ sqrt(1 - m^2): this root is "
+                   "1.0e-10 off")
+def test_ill_conditioned_corner_meets_the_contract():
+    # The residual's rounding, ~eps, moves the root by ~eps / sqrt(1 - m^2).
+    # A residual formed from the complementary amplitude pi/2 - x would not
+    # cancel.
+    mpmath = pytest.importorskip("mpmath")
+    m, p = 1.0 - 1e-12, 1.0 - 1e-10
+    report = invert_ellip_e(EllipticQuery(m, p))
+    assert report.converged
+    with mpmath.workdps(40):
+        m2 = mpmath.mpf(m) ** 2
+        target = mpmath.mpf(p) * mpmath.ellipe(m2)
+        exact = mpmath.findroot(lambda x: mpmath.ellipe(x, m2) - target,
+                                mpmath.mpf(report.root))
+        assert abs(report.root - exact) <= 1e-12 * exact

@@ -377,6 +377,21 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
         assert calls[0] == 1, (query, kwargs, calls[0])
 
 
+def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
+    # E(1, m) comes from the AGM, so the only duplications are the solve's
+    # own evaluations of E(sin x, m).
+    calls = _count_calls(monkeypatch, "_ellip_e")
+    evaluations = 0
+    for query, kwargs in ELLIPTIC_CASES:
+        calls[0] = 0
+        elliptic_plan(query)
+        assert calls[0] == 0, query
+        report = invert_ellip_e(query, **kwargs)
+        assert calls[0] == report.evaluations, (query, kwargs, calls[0])
+        evaluations += report.evaluations
+    assert evaluations > 0
+
+
 @pytest.mark.parametrize("invert, make_plan, cases", [
     (invert_gamma, gamma_start, GAMMA_CASES),
     (invert_beta, beta_plan, BETA_CASES),

@@ -451,8 +451,44 @@ def test_ellip_e_inc_limits():
 
 def test_ellip_e_complete_value():
     assert ellip_e_complete(0.5) == pytest.approx(1.4674622093394272, abs=1e-14)
-    assert ellip_e_complete(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert ellip_e_complete(0.0) == math.pi / 2
     assert ellip_e_complete(1.0) == 1.0
+
+
+def _agm_moduli(name, n):
+    """Seeded moduli: uniform in (0, 1), 1 - m log-uniform in [1e-15, 1e-2],
+    m log-uniform in [1e-300, 1e-2], and the extremes of both ends."""
+    rng = random.Random(name)
+    out = [5e-324, 1e-300, 1.0 - 1e-15, 1.0 - 2.0 ** -53]
+    for _ in range(n):
+        out.append(rng.random())
+        out.append(1.0 - math.exp(rng.uniform(math.log(1e-15), math.log(1e-2))))
+        out.append(math.exp(rng.uniform(math.log(1e-300), math.log(1e-2))))
+    return out
+
+
+def test_ellip_e_complete_agrees_with_the_carlson_integral():
+    for m in _agm_moduli("agm-carlson", 300):
+        carlson = ellip_e_inc(math.pi / 2, m)
+        assert ellip_e_complete(m) == pytest.approx(carlson, rel=2e-14, abs=0.0), m
+
+
+@pytest.mark.parametrize("m", (math.nan, -0.1, 1.1))
+def test_ellip_e_complete_domain_errors(m):
+    with pytest.raises(ValueError, match="ellip_e_complete"):
+        ellip_e_complete(m)
+
+
+def test_ellip_e_complete_against_mpmath():
+    # 2104 moduli; the AGM's worst is 2.0e-15, and ellip_e_inc(pi/2, m)
+    # is off by up to 9.8e-15 on them.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in _agm_moduli("agm-mpmath", 700):
+            ref = mpmath.ellipe(mpmath.mpf(m) ** 2)
+            worst = max(worst, float(abs((ellip_e_complete(m) - ref) / ref)))
+    assert worst <= 5e-15, worst
 
 
 def test_ellip_e_inc_against_quadrature_oracle():

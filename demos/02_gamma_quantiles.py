@@ -1,9 +1,12 @@
 """Gamma-distribution quantiles: monotone convergence and iteration counts.
 
-For shape a >= 1 the solver starts at the Wilson-Hilferty approximation
-of the quantile, raised where needed to the lower bound of the root
-from P(a, x) <= x^a / Gamma(a+1), and takes one to three iterations in
-either tail; for a < 1 it works in z = log x from that lower bound.  The
+For shape a >= 1 the solver starts at Temme's uniform asymptotic
+inversion of the quantile with two correction terms, never below the
+lower bound x_l of the root from P(a, x) <= x^a / Gamma(a+1), and at
+x_l itself deep in the lower tail.  For a >= 10 that start is close
+enough for the solve to end after one evaluation, in either tail; near
+a = 1 it takes one or two iterations.  For a < 1 it works in z = log x
+from the lower bound.  The
 SNM-vs-Halley table starts every solve at x = a + 1 instead, the maximum
 of the half-Schwarzian Omega, from which convergence is monotone: three
 iterations reach double precision across the central probability range.

@@ -4,16 +4,16 @@ Inverts P(a, x) = p (lower tail) or Q(a, x) = q (upper tail), whichever
 is the smaller, and stops once the residual is below 1e-14 times that
 tail, so tail roots keep their relative accuracy.  For a >= 1 the
 iteration runs in x directly, where Omega is negative on (0, inf) with
-a single maximum at x = a + 1.  It starts at the Wilson-Hilferty
-approximation of the quantile, raised where needed to the lower bound
-of the root that P(a, x) <= x^a / Gamma(a+1) gives, so a start far out
-in the lower tail cannot land where f is flat.  For a < 1 the problem is
-transformed to z = log x, where Omega stays negative for every a > 0 and
-is strictly decreasing.  The start is the closer of two bounds of the
-root: that same lower bound, or the upper bound that
-Q(a, x) <= x^(a-1) e^-x / Gamma(a) gives, which wins deep in the upper
-tail (see ``gamma_start``).  Each query runs one solve from its start;
-the report's ``variable`` is DIRECT or LOG and its ``start`` is
+a single maximum at x = a + 1.  It starts at Temme's uniform asymptotic
+inversion of the quantile with two correction terms, never below the
+lower bound x_l of the root that P(a, x) <= x^a / Gamma(a+1) gives, and
+at x_l itself where x_l < 1e-6 (a + 1) (see ``_temme_start``).  For
+a < 1 the problem is transformed to z = log x, where Omega stays
+negative for every a > 0 and is strictly decreasing.  The start is the
+closer of two bounds of the root: that same lower bound, or the upper
+bound that Q(a, x) <= x^(a-1) e^-x / Gamma(a) gives, which wins deep in
+the upper tail (see ``gamma_start``).  Each query runs one solve from
+its start; the report's ``variable`` is DIRECT or LOG and its ``start`` is
 "asymptotic", "lower-bound" or "upper-bound".
 """
 
@@ -207,18 +207,63 @@ class GammaLogProblem(_GammaProblem):
         return _REAL_LINE
 
 
-def _wilson_hilferty_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
-    """Wilson-Hilferty quantile (A&S 26.4.17), never below the root's lower bound.
+def _temme_lambda(eta: float) -> tuple[float, float]:
+    """(lambda, lambda - 1) with lambda - 1 - ln lambda = eta^2/2, sign(lambda - 1) = sign(eta).
+
+    For |eta| <= 1 the series of lambda - 1 in eta (relative error 1.6e-5 at
+    eta = -1, 1.2e-8 at |eta| = 0.5), then one Newton step unless
+    |eta| < 0.05; further out, Newton from 1 + t + ln(1 + t) (eta > 0) or
+    e^(-1 - t), t = eta^2/2, both left of the root of the convex residual.
+    """
+    t = 0.5 * eta * eta
+    if abs(eta) <= 1.0:
+        d = eta * (1.0 + eta * (1.0 / 3.0 + eta * (1.0 / 36.0 + eta * (
+            -1.0 / 270.0 + eta * (1.0 / 4320.0 + eta * (
+                1.0 / 17010.0 - eta * (139.0 / 5443200.0)))))))
+        if abs(eta) < 0.05:
+            return 1.0 + d, d
+        lam, steps = 1.0 + d, 1
+    else:
+        lam = 1.0 + t + math.log1p(t) if eta > 0.0 else math.exp(-1.0 - t)
+        steps = 16
+    for _ in range(steps):
+        step = (lam - 1.0 - math.log(lam) - t) * lam / (lam - 1.0)
+        lam -= step
+        if abs(step) <= 1e-5 * lam:  # quadratic: the error left is below 1e-10
+            break
+    return lam, lam - 1.0
+
+
+def _temme_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
+    """Temme's uniform asymptotic inversion, never below the root's lower bound.
+
+    x0 = a lambda(eta), eta = eta0 + eps1/a + eps2/a^2, eta0 = Phi^-1(p)/sqrt(a)
+    (Temme, Math. Comp. 58, 1992; Gil, Segura & Temme, SIAM J. Sci. Comput.
+    34, 2012).  With L = ln(eta/(lambda - 1)) at eta0, lambda' = eta lambda /
+    (lambda - 1) and L' = 1/eta - lambda'/(lambda - 1): eps1 = L/eta,
+    eps1' = (L' - eps1)/eta, eps2 = (eps1' + L' eps1 - eps1^2/2 - 1/12)/eta;
+    for |eta0| < 1e-3, where those forms cancel, their series.
 
     P(a, x) <= x^a / Gamma(a+1) puts the root at or above
-    (p Gamma(a+1))^(1/a); the cube root of the normal approximation can
-    fall far below it (or below 0) in the lower tail at small a.
+    x_l = (p Gamma(a+1))^(1/a), within about x_l/(a + 1) of it; where
+    x_l < 1e-6 (a + 1) that bound is the start, else max(x0, x_l).
     """
     a = query.a
-    y = _normal_quantile(query.p, query.q)
-    c = 1.0 - 1.0 / (9.0 * a) + y / (3.0 * math.sqrt(a))
     lower = math.exp((math.log(query.p) + ln_gamma_a + math.log(a)) / a)
-    return max(a * c * c * c, lower)
+    if lower < 1e-6 * (a + 1.0):
+        return lower
+    eta = _normal_quantile(query.p, query.q) / math.sqrt(a)
+    if abs(eta) < 1e-3:
+        eps1 = -1.0 / 3.0 + eta * (1.0 / 36.0 + eta * (1.0 / 1620.0 - eta * (7.0 / 6480.0)))
+        eps2 = -7.0 / 405.0 + eta * (-7.0 / 2592.0 + eta * (533.0 / 204120.0))
+    else:
+        lam, d = _temme_lambda(eta)
+        ln_ratio = math.log(eta / d)
+        d_ln_ratio = 1.0 / eta - eta * lam / (d * d)
+        eps1 = ln_ratio / eta
+        d_eps1 = (d_ln_ratio - eps1) / eta
+        eps2 = (d_eps1 + d_ln_ratio * eps1 - 0.5 * eps1 * eps1 - 1.0 / 12.0) / eta
+    return max(a * _temme_lambda(eta + (eps1 + eps2 / a) / a)[0], lower)
 
 
 def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
@@ -246,8 +291,11 @@ def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
 def gamma_start(query: GammaQuantileQuery) -> Plan:
     """Standard plan: (DIRECT, "asymptotic") for a >= 1, else LOG from a bound.
 
-    For a >= 1 the start is ``_wilson_hilferty_start``: close to the root
-    across both tails, so the direct iteration needs about two steps.
+    For a >= 1 the start is ``_temme_start``: Temme's asymptotic inversion
+    with two corrections, or deep in the lower tail the lower bound x_l.
+    On the benchmark query sets, both tails, its relative error has median
+    5e-8 (at most 2e-5) for a >= 10 and 3e-5 for 3 <= a < 10, so those
+    solves mostly end after one evaluation; near a = 1 it is about 1e-3.
 
     For a < 1 the iteration runs in z = log x from the closer of the
     root's two analytic bounds (the closer-bound rule):
@@ -273,7 +321,7 @@ def gamma_start(query: GammaQuantileQuery) -> Plan:
     a = query.a
     if a >= 1.0:
         problem = GammaDirectProblem(query)
-        x0 = _wilson_hilferty_start(query, problem.ln_gamma_a)
+        x0 = _temme_start(query, problem.ln_gamma_a)
         return Plan(problem, x0, Variable.DIRECT, "asymptotic")
     problem = GammaLogProblem(query)
     z0 = (math.log(query.p) + problem.ln_gamma_a1) / a

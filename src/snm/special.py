@@ -35,6 +35,11 @@ from typing import Callable, Optional
 
 from .core import MACHINE_EPSILON, MIN_NORMAL, SnmError, check_shape
 
+try:  # NormalDist().inv_cdf's own function, without the ~5 ms statistics import
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without the C accelerator
+    from statistics import _normal_dist_inv_cdf
+
 _TINY = 1e-300
 # Worst case sits at the series/fraction split x ~ a + 1, where the
 # continued fraction needs ~sqrt(a) and the series ~7.6 sqrt(a)
@@ -438,18 +443,8 @@ def _reg_beta(x: float, y: float, a: float, b: float, scale: float) -> tuple[flo
 
 
 def _normal_quantile(p: float, q: float) -> float:
-    """Standard normal quantile Phi^-1(p), q = 1 - p, to |error| < 4.5e-4.
-
-    The rational approximation of Abramowitz & Stegun 26.2.23, taken from
-    the smaller tail, so it is odd in p - 1/2 and exactly 0 at p = q.
-    Only good enough to seed the quantile solvers.
-    """
-    if p == q:
-        return 0.0
-    t = math.sqrt(-2.0 * math.log(min(p, q)))
-    y = t - ((2.515517 + t * (0.802853 + t * 0.010328))
-             / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))))
-    return -y if p < q else y
+    """Phi^-1(p), q = 1 - p, as ``statistics.NormalDist().inv_cdf`` of the smaller tail."""
+    return _normal_dist_inv_cdf(p, 0.0, 1.0) if p <= q else -_normal_dist_inv_cdf(q, 0.0, 1.0)
 
 
 # Relative error targets for the Carlson duplication loops; the series

@@ -202,7 +202,9 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_solver_failure_exit_one(capsys):
-    code, _, err = run(capsys, "invert", "gamma", "--a", "5", "--p", "0.5",
+    # An a < 1 solve runs in log x from a bound of the root, so it needs more
+    # than one iteration (an a >= 1 solve can end after its first evaluation).
+    code, _, err = run(capsys, "invert", "gamma", "--a", "0.5", "--p", "0.3",
                        "--max-iter", "1")
     assert code == 1
     assert "MaxIter" in err

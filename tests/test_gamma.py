@@ -20,10 +20,17 @@ from snm.gamma import (
 )
 from snm.special import ln_gamma, reg_gamma_p, reg_gamma_q
 
-from conftest import step_only
+from conftest import gamma_bisection_root, step_only
 
 A_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 30.0, 100.0)
 P_GRID = (0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
+# (a, p, q) with a ~ 1 and p ~ 2e-14 (``tails`` queries): the roots are
+# ~1e-13, where the solver's absolute step tolerance 1e-15 is a relative 1e-2.
+HAZARD_TINY_ROOTS = (
+    (1.0693493319136773, 2.516392053490935e-14, 0.9999999999999748),
+    (1.0602933246145407, 2.052722905181949e-14, 0.9999999999999795),
+    (1.024624177225431, 2.8504124359267774e-14, 0.9999999999999715),
+)
 
 
 def test_query_validation():
@@ -177,29 +184,38 @@ def test_log_problem_same_residual_as_direct():
 
 
 def test_gamma_start_policy():
-    # a >= 1: direct variable, started at the Wilson-Hilferty quantile, never
-    # below the lower bound (p Gamma(a+1))^(1/a) of the root, and below the
-    # Omega maximum a + 1 across the lower tail.
+    # a >= 1: direct variable, started at Temme's asymptotic inversion, never
+    # below the lower bound x_l = (p Gamma(a+1))^(1/a) of the root, below the
+    # Omega maximum a + 1 across the lower tail, and for a >= 10 within 1e-5
+    # of the root, close enough for the solve to end after one evaluation.
     for a in (1.0, 1.5, 2.0, 6.582065866777457, 30.0, 1e4):
         for p in (1e-15, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12):
-            plan = gamma_start(GammaQuantileQuery(a, p))
+            query = GammaQuantileQuery(a, p)
+            plan = gamma_start(query)
             assert (plan.variable, plan.start) == (Variable.DIRECT, "asymptotic")
             assert isinstance(plan.problem, GammaDirectProblem)
             ln_gamma_a1 = plan.problem.ln_gamma_a + math.log(a)
             assert plan.x0 >= math.exp((math.log(p) + ln_gamma_a1) / a), (a, p)
             if p <= 0.5:
                 assert plan.x0 <= a + 1.0, (a, p)
-    # Near the median the start is within a few parts in 1e4 of the root.
+            if a >= 10.0:
+                root = invert_gamma(query).root
+                assert abs(plan.x0 - root) <= 1e-5 * root, (a, p)
+    # Near the median the start is within a few parts in 1e3 of the root.
     for a in (1.0, 2.0, 30.0):
         plan = gamma_start(GammaQuantileQuery(a, 0.5))
         root = invert_gamma(GammaQuantileQuery(a, 0.5)).root
-        assert abs(plan.x0 - root) <= 2e-2 * root, a
-    # Where the normal approximation falls far below the root the start is
-    # the bound itself, which f does not meet with a flat residual.
-    a, p = 6.582065866777457, 2.6020706234195834e-14
-    plan = gamma_start(GammaQuantileQuery(a, p))
-    assert plan.x0 == math.exp((math.log(p) + plan.problem.ln_gamma_a + math.log(a)) / a)
-    report = invert_gamma(GammaQuantileQuery(a, p))
+        assert abs(plan.x0 - root) <= 1e-2 * root, a
+    # Where x_l < 1e-6 (a + 1) the start is x_l itself, within about
+    # x_l/(a + 1) of the root; at these a ~ 1, p ~ 2e-14 points the
+    # asymptotic start would end a solve up to 1.75e-12 off (see
+    # test_step_stop_hazard_near_a_tiny_root).
+    for a, p, q in HAZARD_TINY_ROOTS:
+        plan = gamma_start(GammaQuantileQuery(a, p, q))
+        assert plan.x0 == math.exp((math.log(p) + plan.problem.ln_gamma_a + math.log(a)) / a)
+    # The Wilson-Hilferty start fell far below the root here; the solve
+    # converges without a fallback step.
+    report = invert_gamma(GammaQuantileQuery(6.582065866777457, 2.6020706234195834e-14))
     assert report.converged and not any(r.fallback_used for r in report.trace)
     # a < 1: log variable, start below the root.
     a, p = 0.5, 0.1
@@ -209,6 +225,56 @@ def test_gamma_start_policy():
     z0 = plan.x0
     assert z0 == pytest.approx((math.log(p) + ln_gamma(a + 1.0)) / a, rel=1e-15)
     assert reg_gamma_p(a, math.exp(z0)) <= p
+
+
+@pytest.mark.parametrize("a, p, q", HAZARD_TINY_ROOTS)
+def test_step_stop_hazard_near_a_tiny_root(a, p, q):
+    report = invert_gamma(GammaQuantileQuery(a, p, q))
+    root = gamma_bisection_root(a, p, q)
+    assert report.converged
+    assert abs(report.root - root) <= 1e-12 * root
+
+
+@pytest.mark.xfail(strict=True, reason="the absolute step stop: abs_tol 1e-15 accepts an "
+                                       "unevaluated step of 8e-16 at x ~ 2e-13")
+def test_a_solve_from_near_a_tiny_root_meets_the_contract():
+    # From this start one SNM step of 8e-16 ends the solve on StepTol,
+    # 1.75e-12 off the root; the start rule steps round it with x_l.
+    a, p, q = HAZARD_TINY_ROOTS[0]
+    report = solve(GammaDirectProblem(GammaQuantileQuery(a, p, q)), 1.9817080300081725e-13)
+    root = gamma_bisection_root(a, p, q)
+    assert abs(report.root - root) <= 1e-12 * root
+
+
+def test_constant_omega_upper_tail_meets_the_contract():
+    # Q(1, x) = e^-x: the root is ln(1e20).  A start at 62.86 (the
+    # Wilson-Hilferty one) ended Predicted 1.4e-11 off.
+    report = invert_gamma(GammaQuantileQuery(1.0, 1.0 - 2.0 ** -53, 1e-20))
+    assert report.converged
+    assert abs(report.root - math.log(1e20)) <= 1e-12 * math.log(1e20)
+
+
+@pytest.mark.xfail(strict=True, reason="a predicted stop on a constant Omega: K = 0 from an "
+                                       "ill-conditioned step reports predicted_error 0")
+def test_a_predicted_stop_on_a_constant_omega_meets_the_contract():
+    # At a = 1 Omega is -1/4 everywhere, so the error model predicts no
+    # error after any step; from x0 = 62.86, where h = 1.9999998, the atanh
+    # step itself is 1.4e-11 off.
+    query = GammaQuantileQuery(1.0, 1.0 - 2.0 ** -53, 1e-20)
+    report = solve(GammaDirectProblem(query), 62.86473575633391)
+    assert abs(report.root - math.log(1e20)) <= 1e-12 * math.log(1e20)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.572002440782614, 4.6, 30.0, 1e3])
+@pytest.mark.parametrize("q", [1e-20, 1e-100, 1e-300])
+def test_deep_upper_tail(a, q):
+    # An explicit q far below 2^-53 with p = 1 - 2^-53: each query converges
+    # within 1e-12 of the log-space bisection root.
+    p = 1.0 - 2.0 ** -53
+    report = invert_gamma(GammaQuantileQuery(a, p, q))
+    root = gamma_bisection_root(a, p, q)
+    assert report.converged, report.reason
+    assert abs(report.root - root) <= 1e-12 * root
 
 
 def test_invert_gamma_round_trip():

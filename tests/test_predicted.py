@@ -156,14 +156,16 @@ def test_halley_and_newton_are_never_predicted(method):
 def test_a_non_finite_predicted_omega_never_stops(value):
     # The same solve with no hook and with a hook returning ``value`` takes
     # the same steps to the same root; with the problem's own hook it stops
-    # one evaluation earlier on the predicted error.
-    plan = gamma_start(GammaQuantileQuery(2.5, 0.3))
-    none = solve(_Hooked(plan.problem, None), plan.x0)
-    bad = solve(_Hooked(plan.problem, lambda x: value), plan.x0)
+    # one evaluation earlier on the predicted error.  The start x0 = 1.4 is
+    # 7% below the root 1.49995, so the solve takes more than one step.
+    problem = gamma_start(GammaQuantileQuery(2.5, 0.3)).problem
+    x0 = 1.4
+    none = solve(_Hooked(problem, None), x0)
+    bad = solve(_Hooked(problem, lambda x: value), x0)
     assert (bad.root, bad.iterations, bad.evaluations, bad.reason) == (
         none.root, none.iterations, none.evaluations, none.reason)
     assert none.reason is StopReason.RESIDUAL_TOL
-    own = solve(_Hooked(plan.problem, plan.problem.omega), plan.x0)
+    own = solve(_Hooked(problem, problem.omega), x0)
     assert own.reason is StopReason.PREDICTED
     assert own.evaluations == none.evaluations - 1
 
@@ -171,10 +173,10 @@ def test_a_non_finite_predicted_omega_never_stops(value):
 def test_a_predicted_report_is_the_step_from_its_last_evaluation():
     # The root is x + s for the SNM step s from the last evaluated iterate,
     # and predicted_error is |Omega(x + s) - Omega(x)| |s|^3 / 12 over the
-    # scale at x + s; the step is applied but not counted.
-    plan = gamma_start(GammaQuantileQuery(20.0, 1e-10))
-    problem = plan.problem
-    report = solve(problem, plan.x0)
+    # scale at x + s; the step is applied but not counted.  The start
+    # x0 = 2.8 is 8% below the root 3.03247, so the trace is not empty.
+    problem = gamma_start(GammaQuantileQuery(20.0, 1e-10)).problem
+    report = solve(problem, 2.8)
     assert report.reason is StopReason.PREDICTED
     assert report.evaluations == report.iterations + 1 == len(report.trace) + 1
     last = report.trace[-1]

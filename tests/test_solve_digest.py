@@ -73,7 +73,15 @@ from snm.core import DEEP_TAIL_Z
 # ulps; no iteration or evaluation count, stop reason or start moved.
 # Against 40-digit mpmath the median relative error of the moved roots
 # fell from 2.8e-16 to 1.4e-16 and the worst from 5.1e-15 to 4.9e-15.
-DIGEST = "9f256e63cb912e4d140db9b599497e61a566641af79cee164ae11dcbad4d44bc"
+# Re-recorded when the direct gamma start became Temme's asymptotic
+# inversion and both asymptotic starts took their normal quantile from
+# statistics.NormalDist: 82 gamma direct and 52 beta direct records moved,
+# no elliptic record.  Gamma evaluations on the grid fell from 249 to 198
+# (48 solves lost one or two), beta from 256 to 254.  56 gamma roots moved,
+# by -15 to +31 ulps, and 32 beta roots, by -9 to +9; against 50-digit
+# mpmath the worst relative error of the moved roots went from 2.7e-15 to
+# 3.9e-15 (gamma) and from 5.8e-15 to 4.4e-15 (beta).
+DIGEST = "a84e7d34534849d7064b62f6c36e02df8857c8bb10e4978955434443f8b350fe"
 
 
 def _log_uniform(rng, lo, hi):

@@ -4,9 +4,9 @@ Grammar::
 
     snm invert  (gamma|beta|elliptic) --p P [--a A] [--b B] [--m M]
                 [--method snm|halley|newton] [--trace]
-                [--format table|csv|json] [--tol T] [--max-iter N]
+                [--format table|csv|json] [--max-iter N]
     snm compare (gamma|beta|elliptic) ... [--methods snm,halley,newton]
-                [--x0 X0] [--format ...] [--tol T] [--max-iter N]
+                [--x0 X0] [--format ...] [--max-iter N]
     snm osculate (gamma|beta|elliptic|tan) --x0 X0 --range LO:HI
                 --samples N [--curves function,snm,halley,newton]
                 [--format ...]
@@ -59,11 +59,11 @@ def _fmt(v: float, digits: int) -> str:
 
 def _build_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
                    method: str) -> SolveOptions:
-    """Solve options with the command's tolerance, cap and method."""
+    """Solve options with the command's iteration cap and method."""
     try:
-        return SolveOptions(abs_tol=args.tol, max_iter=args.max_iter, method=Method(method))
+        return SolveOptions(max_iter=args.max_iter, method=Method(method))
     except ValueError as exc:
-        parser.error(f"--tol/--max-iter: {exc}")
+        parser.error(f"--max-iter: {exc}")
 
 
 class _Kind(NamedTuple):
@@ -172,12 +172,11 @@ _LOG_X_UNIT = (math.log(_X_MIN), math.log(_X_MAX))
 
 def _oracle_setup(query, plan: Plan) -> tuple:
     """residual(x) of the smaller tail (beta's from the kernel's pair, as the
-    solvers'), the bracket in x, and the fallback in log x (None if the first holds)."""
+    solvers'), the bracket it is bisected over and the map from there to x."""
     if isinstance(query, GammaQuantileQuery):
         a, p, q = query.a, query.p, query.q
         residual = lambda x: reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
-        return (residual, (1e-150, max(4.0 * a + 100.0, 4.0 * plan.to_x(plan.x0))),
-                _LOG_X_POSITIVE)
+        return residual, _LOG_X_POSITIVE, math.exp
     if isinstance(query, BetaQuantileQuery):
         a, b, p, q = query.a, query.b, query.p, query.q
         ln_b = ln_beta(a, b)
@@ -185,27 +184,23 @@ def _oracle_setup(query, plan: Plan) -> tuple:
         def residual(x: float) -> float:
             i, j = _reg_beta(x, 1.0 - x, a, b, math.exp(_beta_exponent(a, b, x, 1.0 - x, ln_b)))
             return i - p if p <= 0.5 else q - j
-        return residual, (1e-12, 1.0 - 1e-12), _LOG_X_UNIT
+        return residual, _LOG_X_UNIT, math.exp
     residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
-    return residual, (0.0, math.pi / 2), None
+    return residual, (0.0, math.pi / 2), float
 
 
-def _oracle(residual, bracket, log_bracket) -> float:
-    """Bisection root of residual(x) in ``bracket``, else in log x over ``log_bracket``.
+def _oracle(residual, bracket, to_x) -> float:
+    """Bisection root of residual(to_x(t)) over t in ``bracket``, down to
+    adjacent doubles (in log x, relative at any root size), mapped to x.
 
-    Raises ValueError when neither holds a sign change.
+    Raises ValueError when the bracket holds no sign change.
     """
+    lo, hi = bracket
     try:
-        return bisect_root(residual, *bracket, tol=1e-15)
-    except ValueError:
-        if log_bracket is None:
-            raise
-    lo, hi = log_bracket
-    try:
-        return math.exp(bisect_root(lambda t: residual(math.exp(t)), lo, hi, tol=1e-15))
+        return to_x(bisect_root(lambda t: residual(to_x(t)), lo, hi, tol=0.0))
     except ValueError:
         raise ValueError(f"the residual has no sign change for x in "
-                         f"[{math.exp(lo)!r}, {math.exp(hi)!r}]") from None
+                         f"[{to_x(lo)!r}, {to_x(hi)!r}]") from None
 
 
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -222,7 +217,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
     options = [_build_options(parser, args, name) for name in methods]
 
-    residual, bracket, log_bracket = _oracle_setup(query, plan)
+    residual, bracket, to_x = _oracle_setup(query, plan)
     x0 = plan.x0
     if args.x0 is not None:
         # --x0 is in x; each plan maps it to its own solver variable.
@@ -233,7 +228,7 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if not plan.problem.domain().contains(x0):
             parser.error(f"--x0 {args.x0} outside the problem domain")
     try:
-        oracle = _oracle(residual, bracket, log_bracket)
+        oracle = _oracle(residual, bracket, to_x)
     except ValueError as exc:
         print(f"compare: no oracle root: {exc}", file=sys.stderr)
         return 1
@@ -379,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="common starting point (default: module policy)")
     cmp_.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     for sub in (inv, cmp_):  # osculate runs no solve
-        sub.add_argument("--tol", type=float, default=1e-15,
-                         help="absolute step tolerance (default 1e-15)")
         sub.add_argument("--max-iter", type=int, default=30, dest="max_iter")
 
     osc = subs.add_parser("osculate", help="emit osculating-curve samples")

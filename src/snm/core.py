@@ -57,7 +57,8 @@ SERIES_THRESHOLD = 1e-6
 # contracts.
 RESIDUAL_NOISE_FLOOR = 1e-14
 
-# Relative part of the step stop |step| <= abs_tol + STEP_REL_TOL * |x|.
+# The step stop |step| <= STEP_REL_TOL * |x|, relative as the solvers'
+# contract is; a root at exactly 0 ends on the residual stop instead.
 STEP_REL_TOL = 4 * MACHINE_EPSILON
 
 # The noise stop: a step that reverses the last one without being shorter
@@ -298,22 +299,16 @@ def tan_problem() -> FunctionProblem:
 class SolveOptions:
     """Driver configuration.
 
-    The stopping rule is |step| <= abs_tol + STEP_REL_TOL * |x|, or
-    |f| <= problem.residual_tol, or the noise stop of ``solve``, or, for
-    SNM on a problem with an ``omega`` hook, a predicted next step within
-    STEP_REL_TOL * problem.scale(x), or max_iter.  ``method`` may also be
-    given by name ("snm", "halley" or "newton"); an unknown name raises
-    ValueError.
+    The stops are the solver's and the problem's (see ``solve``).
+    ``method`` may also be given by name ("snm", "halley" or "newton");
+    an unknown name raises ValueError.
     """
 
-    abs_tol: float = 1e-15
     max_iter: int = 30
     method: Method = Method.SNM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method(self.method))
-        if not 0 < self.abs_tol < math.inf:  # also refuses NaN
-            raise ValueError("abs_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -582,11 +577,14 @@ def solve(problem: Problem, x0: float,
     solve reports 0 iterations and 1 evaluation.  An infinite or NaN
     Omega(x + s) never stops the solve.
 
-    Besides the step and residual stops, a noise stop ends the solve,
-    converged with ``NOISE_FLOOR``, when a step reverses the previous one,
-    is no shorter than it, and is at most ``NOISE_STEPS`` step tolerances
-    long: the iterates then bounce on the residual's rounding noise.  The
-    root is the one of the two iterates with the smaller |f|.
+    The step stop is relative, |step| <= STEP_REL_TOL * |x|, so no step
+    long against a tiny root is accepted unevaluated.  Besides it and the
+    residual stop |f| <= ``problem.residual_tol``, a noise stop ends the
+    solve, converged with ``NOISE_FLOOR``, when a step reverses the
+    previous one, is no shorter than it, and is at most ``NOISE_STEPS``
+    step tolerances long: the iterates then bounce on the residual's
+    rounding noise.  The root is the one of the two iterates with the
+    smaller |f|.
 
     An undefined SNM step (hyperbolic branch out of range) is replaced by
     one Halley step and flagged in the trace.  A step leaving the domain
@@ -614,7 +612,6 @@ def solve(problem: Problem, x0: float,
         predict = problem.omega
     evaluate = problem.evaluate
     contains = dom.contains
-    abs_tol = opts.abs_tol
     max_iter = opts.max_iter
     residual_tol = problem.residual_tol
     x = x0
@@ -654,7 +651,7 @@ def solve(problem: Problem, x0: float,
             x_next = x + step
             fallback = True
 
-        step_tol = abs_tol + STEP_REL_TOL * abs(x)
+        step_tol = STEP_REL_TOL * abs(x)
         if abs(step) <= step_tol:
             return _report(x_next, trace, True, StopReason.STEP_TOL, evaluations)
         if step * last_step < 0.0 and abs(last_step) <= abs(step) <= NOISE_STEPS * step_tol:

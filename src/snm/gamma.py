@@ -7,14 +7,14 @@ iteration runs in x directly, where Omega is negative on (0, inf) with
 a single maximum at x = a + 1.  It starts at Temme's uniform asymptotic
 inversion of the quantile with two correction terms, never below the
 lower bound x_l of the root that P(a, x) <= x^a / Gamma(a+1) gives, and
-at x_l itself where x_l < 1e-6 (a + 1) (see ``_temme_start``).  For
-a < 1 the problem is transformed to z = log x, where Omega stays
-negative for every a > 0 and is strictly decreasing.  The start is the
-closer of two bounds of the root: that same lower bound, or the upper
-bound that Q(a, x) <= x^(a-1) e^-x / Gamma(a) gives, which wins deep in
-the upper tail (see ``gamma_start``).  Each query runs one solve from
-its start; the report's ``variable`` is DIRECT or LOG and its ``start`` is
-"asymptotic", "lower-bound" or "upper-bound".
+at x_l itself, the closer start, where x_l < 1e-6 (a + 1) (see
+``_temme_start``).  For a < 1 the problem is transformed to z = log x,
+where Omega stays negative for every a > 0 and is strictly decreasing.
+The start is the closer of two bounds of the root: that same lower
+bound, or the upper bound that Q(a, x) <= x^(a-1) e^-x / Gamma(a) gives,
+which wins deep in the upper tail (see ``gamma_start``).  Each query
+runs one solve from its start; the report's ``variable`` is DIRECT or
+LOG and its ``start`` is "asymptotic", "lower-bound" or "upper-bound".
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ def _temme_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
 
     P(a, x) <= x^a / Gamma(a+1) puts the root at or above
     x_l = (p Gamma(a+1))^(1/a), within about x_l/(a + 1) of it; where
-    x_l < 1e-6 (a + 1) that bound is the start, else max(x0, x_l).
+    x_l < 1e-6 (a + 1) that bound is the start, the closer one there
+    (it saves evaluations), else max(x0, x_l).
     """
     a = query.a
     lower = math.exp((math.log(query.p) + ln_gamma_a + math.log(a)) / a)

@@ -666,14 +666,15 @@ def test_formerly_failing_queries_meet_the_contract(a, b, p, q):
     assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
 
 
-def test_huge_b_upper_tail_starts_at_its_root():
+def test_huge_b_upper_tail_solves_in_place():
     # Flipped for p > 1/2, the root 1 - 2.7e-19 of the working query
-    # rounded to 1 and the solve ended DerivativeVanished.  Solved in place,
-    # the start x_q = -expm1(log y_q) is the root: b x = P^-1(30, 0.7).
+    # rounded to 1 and the solve ended DerivativeVanished.  Solved in place
+    # from x_q = -expm1(log y_q), 1.8e-4 above the root, one step ends on
+    # its predicted error; the root is b x = P^-1(30, 0.7) to O(a/b).
     report = invert_beta(BetaQuantileQuery(30.0, 1e20, 0.7))
-    assert report.converged and report.iterations == 0, report.reason
+    assert report.converged and report.evaluations <= 2, report.reason
     limit = invert_gamma(GammaQuantileQuery(30.0, 0.7)).root / 1e20
-    assert report.root == pytest.approx(limit, rel=1e-12)
+    assert report.root == pytest.approx(limit, rel=1e-14)
 
 
 def test_raised_bound_start_needs_no_fallback():

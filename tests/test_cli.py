@@ -8,6 +8,8 @@ import pytest
 from snm.cli import build_parser, cmd_compare, main
 from snm.core import STEP_REL_TOL
 
+from conftest import gamma_bisection_root
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -131,23 +133,30 @@ def test_compare_respects_common_start(capsys):
 # iteration: that step is now applied uncounted, without the evaluation
 # that used to confirm it, so its error (the third entry) is no longer
 # listed.  No root, final residual or other error moved.
+# Re-pinned when the oracle bisected gamma and beta in log x down to
+# adjacent doubles instead of in x to 1e-15: the oracle roots moved by
+# -1.2e-16, -6.6e-17 and -2.2e-16, so every error moved by as much; no
+# iterate, iteration count or final residual moved.  Against 40-digit
+# mpmath the first two oracle roots got closer (9.1e-17 -> 2.9e-17 and
+# 7.8e-17 -> 1.2e-17) and the third, where the residual's rounding sets
+# the sign changes, moved from 1.3e-16 to 3.3e-16 off.
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
         {"method": "snm", "iterations": 2, "final_residual": 2.220446049250313e-16,
-         "errors": [0.00033917173066180806, 5.785649737077847e-14]},
+         "errors": [0.00033917173066168316, 5.773159728050814e-14]},
         {"method": "halley", "iterations": 3, "final_residual": 2.220446049250313e-16,
-         "errors": [0.0025564621435086587, 7.969673825047874e-08, 6.938893903907228e-17]}],
+         "errors": [0.0025564621435087836, 7.969673837537883e-08, 5.551115123125783e-17]}],
     ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
         {"method": "snm", "iterations": 2, "final_residual": 0.0,
-         "errors": [0.0001842758571835735, 6.795501661382986e-13]},
+         "errors": [0.00018427585718350757, 6.794842466462114e-13]},
         {"method": "halley", "iterations": 3, "final_residual": 1.942890293094024e-16,
-         "errors": [0.0012043826670882062, 2.8323875296727696e-07, 9.194034422677078e-17]}],
+         "errors": [0.0012043826670882721, 2.8323875303319646e-07, 2.6020852139652106e-17]}],
     ("beta", "--a", "3", "--b", "0.5", "--p", "0.2", "--x0", "0.9"): [
         {"method": "snm", "iterations": 2, "final_residual": 3.885780586188048e-16,
-         "errors": [0.003423150059983393, 4.895616134703573e-10]},
+         "errors": [0.003423150059983615, 4.895618355149622e-10]},
         {"method": "halley", "iterations": 4, "final_residual": 3.885780586188048e-16,
-         "errors": [0.016429662373150467, 1.535594522095174e-05, 1.2656542480726785e-14,
-                    2.220446049250313e-16]}],
+         "errors": [0.01642966237315069, 1.5355945221173783e-05, 1.2878587085651816e-14,
+                    4.440892098500626e-16]}],
 }
 
 
@@ -183,10 +192,10 @@ def test_usage_errors_exit_two(capsys):
         # m = 0 and m = 1 invert in closed form; there is nothing to compare
         ["compare", "elliptic", "--m", "0", "--p", "0.3"],
         ["compare", "elliptic", "--m", "1", "--p", "0.3"],
-        # options that SolveOptions refuses
-        ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "0"],
-        ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "nan"],
-        ["invert", "gamma", "--a", "2.5", "--p", "0.3", "--tol", "inf"],
+        # the step stop is the solver's: there is no tolerance flag
+        ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "1e-9"],
+        ["compare", "gamma", "--a", "2", "--p", "0.3", "--tol", "1e-9"],
+        # an iteration cap that SolveOptions refuses
         ["invert", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
         ["compare", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
         # no method named
@@ -246,7 +255,7 @@ def test_compare_gamma_exactness_one_iteration(capsys):
 
 def test_compare_elliptic_two_iterations(capsys):
     _, out, _ = run(capsys, "compare", "elliptic", "--m", "0.6", "--p", "0.5",
-                    "--methods", "snm", "--format", "json", "--tol", "1e-14")
+                    "--methods", "snm", "--format", "json")
     rows = json.loads(out)["rows"]
     # Two steps: the second is predicted and applied uncounted.
     assert rows[0]["iterations"] == 1
@@ -264,8 +273,8 @@ def test_compare_oracle_flag(capsys):
 
 
 def test_compare_oracle_outside_the_default_bracket(capsys):
-    # The root 1.33e-21 lies below the default bracket's 1e-12 end; the
-    # oracle bisects in log x instead.
+    # The root 1.33e-21 lies far below 1e-12; the oracle bisects in log x,
+    # so it resolves the root relative to its size.
     argv = ("beta", "--a", "0.1", "--b", "5", "--p", "0.01")
     _, out, _ = run(capsys, "invert", *argv, "--format", "json")
     root = json.loads(out)["root"]
@@ -292,6 +301,17 @@ def test_compare_oracle_resolves_an_upper_tail(capsys, argv):
     assert code == 0
     payload = json.loads(out)
     assert payload["oracle_root"] == pytest.approx(root, rel=1e-12, abs=0.0)
+
+
+def test_compare_oracle_resolves_a_tiny_root(capsys):
+    # Bisection in x to 1e-15 absolute put this 6.09e-14 root 1.5e-3 off;
+    # in log x down to adjacent doubles it is relative at any size.
+    a, p = 1.024624177225431, 2.8504124359267774e-14
+    code, out, _ = run(capsys, "compare", "gamma", "--a", repr(a), "--p", repr(p),
+                       "--format", "json", "--oracle")
+    assert code == 0
+    root = gamma_bisection_root(a, p, 1.0 - p)
+    assert abs(json.loads(out)["oracle_root"] - root) <= 1e-12 * root
 
 
 def test_compare_without_an_oracle_root_exits_one(capsys):
@@ -405,7 +425,8 @@ def test_osculate_usage_validation(capsys):
             main(["osculate", "gamma", "--a", "2", "--p", "0.5", "--x0", "1",
                   "--range", rng, "--samples", "3"])
         assert exc.value.code == 2, rng
-    # osculate runs no solve, so it has no tolerance or iteration cap.
+    # No command takes a tolerance; osculate runs no solve, so it has no
+    # iteration cap either.
     for extra in (["--tol", "1e-9"], ["--max-iter", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(["osculate", "tan", "--x0", "1", "--range=-1:1", "--samples", "3"]

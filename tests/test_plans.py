@@ -490,11 +490,12 @@ def _assert_quick_direct_solve(plan, report, query):
     assert working.evaluations <= 4, (query, working.evaluations)
     # Round trip in the inverted tail, at the working root (the
     # problem's own residual, which reads q - (1 - I) for p > 1/2): 1e-13,
-    # plus the residual change across the step tolerance, since a
-    # step-tolerance stop places the root only that closely.  Beta roots
-    # near x = 1 with a >> b need it: there |f'| reaches ~1e3.
+    # plus the residual change across 1e-15 + a step tolerance, the width
+    # of the solver's former absolute step stop (the relative one places
+    # the root at least that closely).  Beta roots near x = 1 with a >> b
+    # need it: there |f'| reaches ~1e3.
     e = plan.problem.evaluate(working.root)
-    step_tol = SolveOptions().abs_tol + STEP_REL_TOL * working.root
+    step_tol = 1e-15 + STEP_REL_TOL * working.root
     assert abs(e.f) <= 1e-13 + e.fp * step_tol, (query, e.f)
 
 

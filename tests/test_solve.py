@@ -157,17 +157,23 @@ def test_newton_method_runs():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(abs_tol=math.nan)
-    # An infinite tolerance would accept the first step as converged.
-    with pytest.raises(ValueError):
-        SolveOptions(abs_tol=math.inf)
+    # The step stop is relative and the solver's own: no tolerance option.
+    with pytest.raises(TypeError):
+        SolveOptions(abs_tol=1e-15)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("x0", [1.2, -0.7, 1e-3, 1e-200, -5e-324])
+def test_a_root_at_zero_converges(method, x0):
+    # The step stop |step| <= STEP_REL_TOL * |x| has no absolute floor;
+    # at a root of 0 the residual stop ends each solve, at tan 0 = 0.
+    report = solve(tan_problem(), x0, SolveOptions(method=method))
+    assert report.converged, report.reason
+    assert report.root == 0.0
 
 
 def _cube_problem() -> FunctionProblem:
@@ -291,10 +297,9 @@ def test_solve_options_frozen():
     opts = SolveOptions()
     with pytest.raises(dataclasses.FrozenInstanceError):
         opts.max_iter = 5
-    # The relative step tolerance is a constant and the residual stop is
+    # The step tolerance is a relative constant and the residual stop is
     # the problem's, so neither is an option.
-    assert [f.name for f in dataclasses.fields(SolveOptions)] == [
-        "abs_tol", "max_iter", "method"]
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["max_iter", "method"]
     assert STEP_REL_TOL == 4 * sys.float_info.epsilon
 
 

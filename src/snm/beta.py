@@ -16,9 +16,12 @@ Otherwise it runs in the logit variable z = log(x/(1-x)), where Omega is
 negative for all shapes, and starts on the side of the root that the
 paper's convergence theorem names for Omega's monotonicity: below it
 for a <= 1 <= b (Omega decreasing), above it for a >= 1 >= b (Omega
-increasing), from the closer bound.  Each query runs one solve from that
-start; the report's ``variable`` (DIRECT or LOGIT) and ``start``
-("asymptotic", "lower-bound" or "upper-bound") record the plan.
+increasing), from the closer bound.  For a, b < 1 the bounds swap sides,
+x_q <= root <= x_p, and name the half of (0, 1) that holds the root
+unless 1/2 lies between them; only then is I_(1/2) computed.  Each query
+runs one solve from that start; the report's ``variable`` (DIRECT or
+LOGIT) and ``start`` ("asymptotic", "lower-bound" or "upper-bound")
+record the plan.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
-    Variable,
+    _DIRECT,
+    _LOGIT,
     _logit,
     _sigmoid,
+    _tuple_new,
     check_shape,
     check_tails,
     solve,
@@ -395,9 +400,11 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
       decreases in z, both bounds lie below the root and the start is the
       larger (``"lower-bound"``); for a >= 1 >= b Omega increases, both lie
       above it and the start is the smaller (``"upper-bound"``).
-    - Both shapes < 1: neither power is a bound.  The start is x_p, capped
-      at 1/2, when I_(1/2) >= p, else x_q, capped at 1/2 from above, so
-      the start stays in the half that holds the root.
+    - Both shapes < 1: (1 - t)^(b-1) >= 1 and t^(a-1) >= 1 reverse both
+      bounds, x_q <= root <= x_p.  x_p <= 1/2 (from p <= 1/2) puts the root
+      below 1/2, x_q >= 1/2 (from q <= 1/2) above it; else one kernel call,
+      I_(1/2) >= p, decides.  The start stays in that half: x_p capped at
+      1/2 below it, else x_q capped at 1/2 from above.
 
     The problem holds ln B(a, b).
     """
@@ -406,8 +413,9 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     log_x_p = (math.log(p) + math.log(a) + ln_b) / a
     log_y_q = (math.log(q) + math.log(b) + ln_b) / b
     if a > 1.0 and b > 1.0:
-        return Plan(BetaDirectProblem(query, ln_b), _asymptotic_start(query, log_x_p, log_y_q),
-                    Variable.DIRECT, "asymptotic")
+        return _tuple_new(Plan, (BetaDirectProblem(query, ln_b),
+                                 _asymptotic_start(query, log_x_p, log_y_q),
+                                 _DIRECT, "asymptotic"))
     problem = BetaLogitProblem(query, ln_b)
     # A tail above 1/2 may stand for one closer to 1 (1 - 1e-300 is at best
     # 1 - 2^-53), which moves its bound up: x_p down, x_q up in x.  That is
@@ -415,13 +423,18 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     # taken only from a tail of at most 1/2.
     if a <= 1.0 <= b:
         z_q = -_logit_of(log_y_q) if q <= 0.5 and log_y_q < 0.0 else -math.inf
-        return Plan(problem, max(_logit_of(log_x_p), z_q), Variable.LOGIT, "lower-bound")
+        return _tuple_new(Plan, (problem, max(_logit_of(log_x_p), z_q), _LOGIT, "lower-bound"))
     if b <= 1.0 <= a:
         z_p = _logit_of(log_x_p) if p <= 0.5 and log_x_p < 0.0 else math.inf
-        return Plan(problem, min(z_p, -_logit_of(log_y_q)), Variable.LOGIT, "upper-bound")
-    if _reg_beta(0.5, 0.5, a, b, math.exp(_beta_exponent(a, b, 0.5, 0.5, ln_b)))[0] < p:
-        return Plan(problem, -_logit_of(min(log_y_q, _LOG_HALF)), Variable.LOGIT, "upper-bound")
-    return Plan(problem, _logit_of(min(log_x_p, _LOG_HALF)), Variable.LOGIT, "lower-bound")
+        return _tuple_new(Plan, (problem, min(z_p, -_logit_of(log_y_q)), _LOGIT, "upper-bound"))
+    # Both shapes < 1: x_q <= root <= x_p; I_(1/2) only where 1/2 is between.
+    below = p <= 0.5 and log_x_p <= _LOG_HALF
+    if not below and not (q <= 0.5 and log_y_q <= _LOG_HALF):
+        below = _reg_beta(0.5, 0.5, a, b, math.exp(_beta_exponent(a, b, 0.5, 0.5, ln_b)))[0] >= p
+    if below:
+        return _tuple_new(Plan, (problem, _logit_of(min(log_x_p, _LOG_HALF)), _LOGIT,
+                                 "lower-bound"))
+    return _tuple_new(Plan, (problem, -_logit_of(min(log_y_q, _LOG_HALF)), _LOGIT, "upper-bound"))
 
 
 def invert_beta(query: BetaQuantileQuery,

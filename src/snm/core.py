@@ -143,6 +143,17 @@ class StopReason(str, Enum):
     DOMAIN_EXIT = "DomainExit"
 
 
+# The members, bound once: on CPython 3.11 reading ``StopReason.PREDICTED``
+# is a descriptor call (~0.15 us) and a module constant a dict lookup, and
+# a quantile query's solve, report and plan read six or seven of them.
+_HALLEY, _NEWTON = Method.HALLEY, Method.NEWTON
+_DIRECT, _LOG, _LOGIT = Variable.DIRECT, Variable.LOG, Variable.LOGIT
+_STEP_TOL, _RESIDUAL_TOL, _NOISE_FLOOR, _PREDICTED = (
+    StopReason.STEP_TOL, StopReason.RESIDUAL_TOL, StopReason.NOISE_FLOOR, StopReason.PREDICTED)
+_MAX_ITER, _DERIVATIVE_VANISHED, _DOMAIN_EXIT = (
+    StopReason.MAX_ITER, StopReason.DERIVATIVE_VANISHED, StopReason.DOMAIN_EXIT)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Solver domain with open/closed endpoint semantics.
@@ -355,17 +366,17 @@ class Plan(NamedTuple):
 
     def to_x(self, v: float) -> float:
         """Map a solver-variable value back to x."""
-        if self.variable is Variable.DIRECT:
+        if self.variable is _DIRECT:
             return v
-        if self.variable is Variable.LOG:
+        if self.variable is _LOG:
             return math.exp(v)
         return _sigmoid(v)
 
     def from_x(self, x: float) -> float:
         """Map an x to the solver variable."""
-        if self.variable is Variable.LOG:
+        if self.variable is _LOG:
             return math.log(x)
-        if self.variable is Variable.LOGIT:
+        if self.variable is _LOGIT:
             return _logit(x)
         return x
 
@@ -397,9 +408,9 @@ class SolveReport(NamedTuple):
         """A copy with the root mapped to x and the plan's fields, sharing the trace;
         the one ``root_underflow`` rule: x < ``MIN_NORMAL``."""
         x = plan.to_x(self.root)
-        return SolveReport(x, self.iterations, self.trace, self.converged, self.reason,
-                           self.evaluations, plan.variable, plan.start, x < MIN_NORMAL,
-                           self.predicted_error)
+        return _tuple_new(SolveReport, (x, self.iterations, self.trace, self.converged,
+                                        self.reason, self.evaluations, plan.variable,
+                                        plan.start, x < MIN_NORMAL, self.predicted_error))
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -552,7 +563,7 @@ def _report(root: float, trace: list[IterationRecord], converged: bool,
             reason: StopReason, evaluations: int,
             predicted_error: float = 0.0) -> SolveReport:
     return _tuple_new(SolveReport, (root, len(trace), tuple(trace), converged, reason,
-                                    evaluations, Variable.DIRECT, "", False, predicted_error))
+                                    evaluations, _DIRECT, "", False, predicted_error))
 
 
 def solve(problem: Problem, x0: float,
@@ -596,16 +607,20 @@ def solve(problem: Problem, x0: float,
     if opts is None:
         opts = _DEFAULT_OPTIONS
     dom = problem.domain()
-    if not dom.contains(x0):
+    # lo < x < hi holds inside any interval and fails for NaN and the
+    # infinities; only at an endpoint is ``contains`` asked.
+    lo, hi = dom.lo, dom.hi
+    if not (lo < x0 < hi or dom.contains(x0)):
         raise ValueError(f"x0 = {x0} outside problem domain")
 
     # Look the step functions up at call time, not import time, so that a
     # rebound module attribute (a tracer's wrapper, say) is the one used.
     halley = halley_step
     predict = None
-    if opts.method is Method.NEWTON:
+    method = opts.method
+    if method is _NEWTON:
         step_fn = newton_step
-    elif opts.method is Method.HALLEY:
+    elif method is _HALLEY:
         step_fn = halley
     else:
         step_fn = snm_step
@@ -624,10 +639,10 @@ def solve(problem: Problem, x0: float,
         try:
             e = evaluate(x)
         except DerivativeVanishedError:
-            return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
+            return _report(x, trace, False, _DERIVATIVE_VANISHED, evaluations)
 
         if abs(e.f) <= residual_tol:
-            return _report(x, trace, True, StopReason.RESIDUAL_TOL, evaluations)
+            return _report(x, trace, True, _RESIDUAL_TOL, evaluations)
 
         fallback = False
         try:
@@ -637,37 +652,37 @@ def solve(problem: Problem, x0: float,
                 raw = halley(e)
                 fallback = True
         except DegenerateStepError:
-            return _report(x, trace, False, StopReason.DERIVATIVE_VANISHED, evaluations)
+            return _report(x, trace, False, _DERIVATIVE_VANISHED, evaluations)
 
         step = raw - x
         x_next = x + step
 
-        if not (math.isfinite(x_next) and contains(x_next)):
-            endpoint = dom.hi if x_next > x else dom.lo
+        if not (lo < x_next < hi or (math.isfinite(x_next) and contains(x_next))):
+            endpoint = hi if x_next > x else lo
             if math.isnan(x_next) or not math.isfinite(endpoint):
-                return _report(x, trace, False, StopReason.DOMAIN_EXIT, evaluations)
+                return _report(x, trace, False, _DOMAIN_EXIT, evaluations)
             x_next = 0.5 * (x + endpoint)
             step = x_next - x
             x_next = x + step
             fallback = True
 
+        size = abs(step)
         step_tol = STEP_REL_TOL * abs(x)
-        if abs(step) <= step_tol:
-            return _report(x_next, trace, True, StopReason.STEP_TOL, evaluations)
-        if step * last_step < 0.0 and abs(last_step) <= abs(step) <= NOISE_STEPS * step_tol:
+        if size <= step_tol:
+            return _report(x_next, trace, True, _STEP_TOL, evaluations)
+        if step * last_step < 0.0 and abs(last_step) <= size <= NOISE_STEPS * step_tol:
             # Back where the last step came from, no closer: the residual's
             # rounding noise sets the steps.  Keep the better iterate.
             last = trace[-1]
             root = x if abs(e.f) <= abs(last.f) else last.x
-            return _report(root, trace, True, StopReason.NOISE_FLOOR, evaluations)
+            return _report(root, trace, True, _NOISE_FLOOR, evaluations)
         if predict is not None and not fallback:
             # K s^4 = |Omega(x + s) - Omega(x)| |s|^3 / 12; products, as
             # |s|**3 raises OverflowError where the product is inf.
-            size = abs(step)
             bound = abs(predict(x_next) - e.omega) * size * size * size / 12.0
             scale = problem.scale(x_next)
             if bound <= STEP_REL_TOL * scale:
-                return _report(x_next, trace, True, StopReason.PREDICTED, evaluations,
+                return _report(x_next, trace, True, _PREDICTED, evaluations,
                                bound / scale if bound else 0.0)
 
         trace.append(_tuple_new(IterationRecord, (len(trace) + 1, x, e.f, e.h,
@@ -675,4 +690,4 @@ def solve(problem: Problem, x0: float,
         last_step = step
         x = x_next
         if len(trace) >= max_iter:
-            return _report(x, trace, False, StopReason.MAX_ITER, evaluations)
+            return _report(x, trace, False, _MAX_ITER, evaluations)

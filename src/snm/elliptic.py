@@ -36,8 +36,9 @@ from .core import (
     SolveOptions,
     SolveReport,
     StepUndefinedError,
-    StopReason,
-    Variable,
+    _DIRECT,
+    _RESIDUAL_TOL,
+    _tuple_new,
     solve,
 )
 from .special import _ellip_e, ellip_e_complete
@@ -179,13 +180,8 @@ class EllipticProblem(Problem):
         c = math.cos(x)
         c2 = c * c
         w = 1.0 - (m * s) * (m * s)
-        return ProblemEvaluation.build(
-            x=x,
-            f=_ellip_e(m, s, c2, w) - self.target,
-            fp=math.sqrt(w),
-            big_b=m * m * s * c / w,
-            omega=_ellip_omega(m, c2, w),
-        )
+        return ProblemEvaluation.build(x, _ellip_e(m, s, c2, w) - self.target, math.sqrt(w),
+                                       m * m * s * c / w, _ellip_omega(m, c2, w))
 
     def omega(self, x: float) -> float:
         m, s, c = self.query.m, math.sin(x), math.cos(x)
@@ -231,7 +227,7 @@ def elliptic_plan(query: EllipticQuery) -> Plan:
     for 0 < m < 1; the solver variable is x itself."""
     problem = EllipticProblem(query)
     x0, label = choose_start(query, problem.complete)
-    return Plan(problem, x0, Variable.DIRECT, label)
+    return _tuple_new(Plan, (problem, x0, _DIRECT, label))
 
 
 def invert_ellip_e(query: EllipticQuery,
@@ -245,6 +241,8 @@ def invert_ellip_e(query: EllipticQuery,
     m, p = query.m, query.p
     if m == 0.0 or m == 1.0:
         root = p * math.pi / 2 if m == 0.0 else math.asin(p)
-        return SolveReport(root, 0, (), True, StopReason.RESIDUAL_TOL, start="closed-form")
+        # No solve; with_plan gives the report its fields and root_underflow rule.
+        closed = Plan(None, root, _DIRECT, "closed-form")
+        return SolveReport(root, 0, (), True, _RESIDUAL_TOL).with_plan(closed)
     plan = elliptic_plan(query)
     return solve(plan.problem, plan.x0, opts).with_plan(plan)

@@ -33,7 +33,9 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
-    Variable,
+    _DIRECT,
+    _LOG,
+    _tuple_new,
     check_shape,
     check_tails,
     solve,
@@ -323,7 +325,7 @@ def gamma_start(query: GammaQuantileQuery) -> Plan:
     if a >= 1.0:
         problem = GammaDirectProblem(query)
         x0 = _temme_start(query, problem.ln_gamma_a)
-        return Plan(problem, x0, Variable.DIRECT, "asymptotic")
+        return _tuple_new(Plan, (problem, x0, _DIRECT, "asymptotic"))
     problem = GammaLogProblem(query)
     z0 = (math.log(query.p) + problem.ln_gamma_a1) / a
     x_l = math.exp(z0)
@@ -333,8 +335,8 @@ def gamma_start(query: GammaQuantileQuery) -> Plan:
     if (1.0 - a) / max(-(ln_q + problem.ln_gamma_a), 1.0) < x_l:
         x_u = _upper_bound(a, ln_q, problem.ln_gamma_a)
         if (1.0 - a) / x_u < x_l:
-            return Plan(problem, math.log(x_u), Variable.LOG, "upper-bound")
-    return Plan(problem, z0, Variable.LOG, "lower-bound")
+            return _tuple_new(Plan, (problem, math.log(x_u), _LOG, "upper-bound"))
+    return _tuple_new(Plan, (problem, z0, _LOG, "lower-bound"))
 
 
 def invert_gamma(query: GammaQuantileQuery,

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import snm.beta
 from snm.beta import (
     BetaDirectProblem,
     BetaLogitProblem,
@@ -33,7 +34,7 @@ from snm.core import (
     solve,
 )
 from snm.gamma import GammaQuantileQuery, invert_gamma
-from snm.special import ln_beta, reg_beta
+from snm.special import _beta_exponent, _reg_beta, ln_beta, reg_beta
 
 from conftest import beta_bisection_root, step_only
 
@@ -703,3 +704,76 @@ def test_tiny_tail_with_its_rounded_complement(a, b, p, q, root):
     report = invert_beta(BetaQuantileQuery(a, b, p, q))
     assert report.converged, report.reason
     assert report.root == pytest.approx(root, rel=1e-12)
+
+
+def _both_below_one_queries(n=300):
+    # Shapes log-uniform in [0.05, 1), either tail, the smaller tail
+    # log-uniform in [1e-15, 1/2].
+    rng = random.Random("beta-both-below-one")
+    out = []
+    for _ in range(n):
+        a, b = (math.exp(rng.uniform(math.log(0.05), 0.0)) for _ in range(2))
+        tail = math.exp(rng.uniform(math.log(1e-15), math.log(0.5)))
+        p, q = (tail, 1.0 - tail) if rng.random() < 0.5 else (1.0 - tail, tail)
+        out.append(BetaQuantileQuery(a, b, p, q))
+    return out
+
+
+def _power_bounds(query):
+    """log x_p, from x^a / (a B) = p, and log(1 - x_q), from (1 - x)^b / (b B) = q."""
+    a, b, p, q = query.a, query.b, query.p, query.q
+    ln_b = ln_beta(a, b)
+    return ((math.log(p) + math.log(a) + ln_b) / a, (math.log(q) + math.log(b) + ln_b) / b)
+
+
+def _half_is_below_the_root(query):
+    """The kernel's side: I_(1/2) < p."""
+    a, b = query.a, query.b
+    scale = math.exp(_beta_exponent(a, b, 0.5, 0.5, ln_beta(a, b)))
+    return _reg_beta(0.5, 0.5, a, b, scale)[0] < query.p
+
+
+def test_both_below_one_roots_lie_in_the_power_bracket():
+    # For a, b < 1, (1 - t)^(b-1) >= 1 and t^(a-1) >= 1 make I_x >= x^a / (a B)
+    # and 1 - I_x >= (1 - x)^b / (b B): x_q <= root <= x_p.  Near x = 0 (or 1)
+    # a bound is tight, I_x = x^a / (a B) (1 + O(x)), and meets the root to
+    # rounding (1.1e-13 relative at a = 0.05), so the test allows the 1e-12
+    # relative accuracy of the solvers' contract.
+    for query in _both_below_one_queries():
+        log_x_p, log_y_q = _power_bounds(query)
+        root = beta_bisection_root(query.a, query.b, query.p, query.q)
+        assert -math.expm1(log_y_q) <= root * (1.0 + 1e-12), query
+        assert root <= math.exp(log_x_p) * (1.0 + 1e-12), query
+
+
+def test_the_bracket_s_side_agrees_with_the_kernel_s():
+    decided = 0
+    for query in _both_below_one_queries():
+        log_x_p, log_y_q = _power_bounds(query)
+        below = query.p <= 0.5 and log_x_p <= math.log(0.5)
+        above = query.q <= 0.5 and log_y_q <= math.log(0.5)
+        start = beta_plan(query).start
+        assert start == ("upper-bound" if _half_is_below_the_root(query) else "lower-bound")
+        if below or above:
+            decided += 1
+            assert above == _half_is_below_the_root(query), query
+    assert 0 < decided < 300, decided
+
+
+def test_a_tail_at_most_1e_minus_6_plans_without_the_kernel(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _reg_beta(*args)
+
+    monkeypatch.setattr(snm.beta, "_reg_beta", counted)
+    planned = 0
+    for query in _both_below_one_queries():
+        if min(query.p, query.q) <= 1e-6:
+            beta_plan(query)
+            planned += 1
+    assert planned > 50 and calls[0] == 0, (planned, calls[0])
+    # Between the bounds the kernel decides, through the patched name.
+    beta_plan(BetaQuantileQuery(0.5, 0.5, 0.48))
+    assert calls[0] == 1

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from snm.core import (
+    MIN_NORMAL,
     Method,
     RESIDUAL_NOISE_FLOOR,
     SolveOptions,
@@ -158,6 +159,18 @@ def test_invert_degenerate_modulus_one():
     report = invert_ellip_e(EllipticQuery(1.0, 0.42))
     assert report.converged
     assert report.root == math.asin(0.42)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+@pytest.mark.parametrize("p", [1e-320, 0.3])
+def test_closed_form_reports_flag_a_subnormal_root(m, p):
+    # The one root_underflow rule, x < MIN_NORMAL, holds for closed forms too.
+    report = invert_ellip_e(EllipticQuery(m, p))
+    assert report.root == (p * math.pi / 2 if m == 0.0 else math.asin(p))
+    assert (report.converged, report.reason, report.variable, report.start,
+            report.evaluations) == (True, StopReason.RESIDUAL_TOL, Variable.DIRECT,
+                                    "closed-form", 0)
+    assert report.root_underflow is (p < MIN_NORMAL) is (report.root < MIN_NORMAL)
 
 
 def test_invert_known_value():

@@ -69,6 +69,7 @@ from snm.special import (
 )
 
 from conftest import beta_bisection_root
+from test_solve_digest import _queries as digest_queries
 
 GAMMA_SHAPES = (0.05, 0.3, 0.7, 1.0, 2.5, 15.9, 16.0, 150.0)
 BETA_SHAPES = (0.3, 1.0, 2.5, 20.0, 40.0)
@@ -415,6 +416,30 @@ def test_each_query_is_the_plan_s_one_solve(monkeypatch, invert, make_plan, case
         unconverged += not report.converged
     # The capped cases end unconverged: no second solve rescues them.
     assert unconverged >= 1
+
+
+def test_each_report_is_its_plan_s_solve_with_the_plan():
+    # On the solve digest's grid, which reaches every plan branch of the
+    # three solvers, invert_* is solve(plan.problem, plan.x0).with_plan(plan)
+    # field for field, and with_plan keeps the solve's trace tuple.
+    plans = {GammaQuantileQuery: (invert_gamma, gamma_start),
+             BetaQuantileQuery: (invert_beta, beta_plan),
+             EllipticQuery: (invert_ellip_e, elliptic_plan)}
+    checked = 0
+    for query in digest_queries():
+        if isinstance(query, EllipticQuery) and query.m in (0.0, 1.0):
+            continue  # closed form: no plan and no solve
+        invert, make_plan = plans[type(query)]
+        report = invert(query)
+        plan = make_plan(query)
+        own = solve(plan.problem, plan.x0)
+        expected = own.with_plan(plan)
+        assert expected.trace is own.trace, query
+        assert report.root.hex() == expected.root.hex(), query
+        assert report.predicted_error.hex() == expected.predicted_error.hex(), query
+        assert report[1:9] == expected[1:9], query
+        checked += 1
+    assert checked > 450
 
 
 @pytest.mark.parametrize("invert, make_plan, cases", [

@@ -283,6 +283,13 @@ def test_with_plan_sets_root_underflow_by_one_rule(variable, v, converged, under
     assert moved.converged is converged
 
 
+def test_the_hot_path_reads_no_enum_member():
+    # A member read (StopReason.PREDICTED) is a descriptor call; the solve,
+    # its report and the map back to x compare against module constants.
+    for fn in (snm.core.solve, snm.core._report, Plan.to_x, SolveReport.with_plan):
+        assert not {"StopReason", "Variable", "Method"} & set(fn.__code__.co_names), fn
+
+
 def test_plan_maps_invert_each_other():
     # to_x and from_x are inverses for every variable.
     for variable, v in ((Variable.DIRECT, 0.25), (Variable.LOG, -1.5),

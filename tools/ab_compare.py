@@ -1,0 +1,185 @@
+"""In-process interleaved A/B timing of two snm source trees on a bench query set.
+
+Usage, from the root of a source checkout (mpmath installed, as for the bench):
+
+    python3 tools/ab_compare.py BASE HEAD --workload tails --seed 1
+    python3 tools/ab_compare.py ../base . --workload bulk --seed 7 --passes 16 --rounds 6
+
+BASE and HEAD are checkout roots, each holding ``src/snm``.  Separate
+processes on a shared machine drift by tens of percent between runs, so
+both trees run in one process: each tree's ``snm`` is copied to a
+temporary directory under its own package name (``snm_base``,
+``snm_head``) and imported side by side.  The query set is built once per
+tree by loading this checkout's ``bench/workloads.py`` with its ``snm``
+bound to that tree, so a tree's queries only ever meet that tree's
+classes and enums.  Each pass times every query
+once on both trees, back to back, the order alternating from query to
+query and pass to pass; a query's time is its minimum over the passes.
+
+Per round it prints, for BASE, HEAD and the change: ``us_per_query``,
+``query_us_p50`` and ``query_us_p99`` over the workload's main queries,
+each solver's µs per query (control queries included, as in
+``bench/run.py``) and its evaluations per query, and how many roots
+(by their bits) and evaluation counts of the two trees agree.  With
+``--rounds`` above 1 it ends with each metric's per-round changes and
+BASE's quartiles across the rounds.  It reads the bench directory and
+writes nothing there (no bytecode is cached).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import math
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+QUERIES_PER_CLASS = 500  # as bench/run.py
+TREES = ("base", "head")
+
+
+def load_tree(root: Path, name: str, into: Path):
+    """Import ``root``/src/snm as the package ``snm_<name>`` from a copy in ``into``."""
+    package = f"snm_{name}"
+    shutil.copytree(root / "src" / "snm", into / package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(package)
+
+
+def load_workloads(bench: Path, snm_package, name: str):
+    """Execute bench/workloads.py as a new module whose ``import snm`` is ``snm_package``."""
+    spec = importlib.util.spec_from_file_location(f"workloads_{name}", bench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    saved = sys.modules.get("snm")
+    sys.modules["snm"] = snm_package
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["snm"]
+        else:
+            sys.modules["snm"] = saved
+    return module
+
+
+def _outcome(out) -> tuple:
+    """(root bits, evaluations) of a report, or the exception's type name."""
+    if isinstance(out, Exception):
+        return (type(out).__name__, None)
+    return (out.root.hex(), out.evaluations)
+
+
+def time_round(sets: list[list], passes: int) -> tuple[list[list[float]], list[list[tuple]]]:
+    """Per-query minimum time (µs) per tree, and each query's first outcome per tree."""
+    n = len(sets[0])
+    best = [[math.inf] * n for _ in sets]
+    outcomes: list[list] = [[None] * n for _ in sets]
+    clock = time.perf_counter_ns
+    for k in range(passes):
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(n):
+                for t in ((0, 1) if (i + k) % 2 == 0 else (1, 0)):
+                    q = sets[t][i]
+                    obj = q.make()
+                    t0 = clock()
+                    try:
+                        out = q.call(obj)
+                    except Exception as exc:
+                        out = exc
+                    t1 = clock()
+                    if t1 - t0 < best[t][i]:
+                        best[t][i] = t1 - t0
+                    if k == 0:
+                        outcomes[t][i] = _outcome(out)
+        finally:
+            gc.enable()
+    return [[ns / 1000.0 for ns in row] for row in best], outcomes
+
+
+def metrics(queries: list, us: list[float], outcomes: list[tuple], solvers) -> dict:
+    """The bench's end-to-end times, plus evaluations per query per solver."""
+    main = [u for q, u in zip(queries, us) if not q.control]
+    out = {"us_per_query": statistics.fmean(main),
+           "query_us_p50": statistics.median(main),
+           "query_us_p99": statistics.quantiles(main, n=100)[98]}
+    for solver in solvers:
+        idx = [i for i, q in enumerate(queries) if q.solver == solver]
+        out[f"{solver}.us_per_query"] = statistics.fmean(us[i] for i in idx)
+        evals = [outcomes[i][1] for i in idx if outcomes[i][1] is not None]
+        out[f"{solver}.evaluations_per_query"] = statistics.fmean(evals) if evals else math.nan
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout root of the A tree")
+    parser.add_argument("head", type=Path, help="checkout root of the B tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--passes", type=int, default=16)
+    parser.add_argument("--rounds", type=int, default=1)
+    args = parser.parse_args(argv)
+    for root in (args.base, args.head):
+        if not (root / "src" / "snm" / "__init__.py").is_file():
+            parser.error(f"no src/snm under {root}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        packages = [load_tree(root.resolve(), name, Path(tmp))
+                    for root, name in zip((args.base, args.head), TREES)]
+        mods = [load_workloads(BENCH, pkg, name) for pkg, name in zip(packages, TREES)]
+        if args.workload not in mods[0].WORKLOADS:
+            parser.error(f"unknown workload {args.workload!r}")
+        full = [m.generate(args.workload, args.seed, QUERIES_PER_CLASS) for m in mods]
+        if [q.label for q in full[0]] != [q.label for q in full[1]]:
+            raise RuntimeError("the two trees built different query sets")
+        # Queries a tree refuses at construction are left out, as in the bench.
+        keep = []
+        for i in range(len(full[0])):
+            try:
+                for qs in full:
+                    qs[i].make()
+            except ValueError:
+                continue
+            keep.append(i)
+        sets = [[qs[i] for i in keep] for qs in full]
+        solvers = mods[0].SOLVERS
+
+        print(f"workload {args.workload} seed {args.seed}: {len(keep)} queries, "
+              f"{args.passes} passes per round; base {args.base}, head {args.head}")
+        history: dict[str, list[tuple[float, float]]] = {}
+        for r in range(args.rounds):
+            us, outcomes = time_round(sets, args.passes)
+            m = [metrics(sets[t], us[t], outcomes[t], solvers) for t in range(2)]
+            same_root = sum(a[0] == b[0] for a, b in zip(*outcomes))
+            same_evals = sum(a[1] == b[1] for a, b in zip(*outcomes))
+            print(f"round {r + 1}: roots identical {same_root}/{len(keep)}, "
+                  f"evaluations identical {same_evals}/{len(keep)}")
+            print(f"  {'metric':32s} {'base':>10s} {'head':>10s} {'change':>8s}")
+            for name in m[0]:
+                a, b = m[0][name], m[1][name]
+                history.setdefault(name, []).append((a, b))
+                print(f"  {name:32s} {a:10.4g} {b:10.4g} {100.0 * (b / a - 1.0):+7.1f}%")
+        if args.rounds > 1:
+            print("per-round change (%) and base quartiles across rounds:")
+            for name, pairs in history.items():
+                changes = " ".join(f"{100.0 * (b / a - 1.0):+.1f}" for a, b in pairs)
+                q1, q2, q3 = statistics.quantiles([a for a, _ in pairs], n=4)
+                print(f"  {name:32s} {changes}  base q1/median/q3 {q1:.4g}/{q2:.4g}/{q3:.4g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

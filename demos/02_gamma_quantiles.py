@@ -1,16 +1,20 @@
 """Gamma-distribution quantiles: monotone convergence and iteration counts.
 
-For shape a >= 1 the solver starts at Temme's uniform asymptotic
+The solver works in z = log x for every shape, where Omega is negative.
+For shape a >= 1 it starts at the log of Temme's uniform asymptotic
 inversion of the quantile with two correction terms, never below the
 lower bound x_l of the root from P(a, x) <= x^a / Gamma(a+1), and at
 x_l itself deep in the lower tail.  For a >= 10 that start is close
 enough for the solve to end after one evaluation, in either tail; near
-a = 1 it takes one or two iterations.  For a < 1 it works in z = log x
-from the lower bound.  The
-SNM-vs-Halley table starts every solve at x = a + 1 instead, the maximum
-of the half-Schwarzian Omega, from which convergence is monotone: three
-iterations reach double precision across the central probability range.
+a = 1 it takes one or two iterations.  For a < 1 it starts from the
+lower bound.  The SNM-vs-Halley table solves the paper's problem in x
+from x = a + 1 instead, the maximum of the half-Schwarzian Omega, from
+which convergence is monotone: three iterations reach double precision
+across the central probability range.
 """
+
+import math
+
 
 from snm import (
     GammaQuantileQuery,
@@ -28,9 +32,9 @@ def main() -> None:
     query = GammaQuantileQuery(2.0, 0.5)
     report = invert_gamma(query)
     print(f"  root = {report.root:.17g}   iterations = {report.iterations}")
-    for rec in report.trace:
-        print(f"    iterate {rec.n}: x = {rec.x:.15f}  f = {rec.f:+.3e}  "
-              f"step = {rec.step:+.3e}")
+    for rec in report.trace:  # in the solver variable z = log x
+        print(f"    iterate {rec.n}: x = {math.exp(rec.x):.15f}  f = {rec.f:+.3e}  "
+              f"step in z = {rec.step:+.3e}")
     print(f"  round trip: P(2, root) = {reg_gamma_p(2.0, report.root):.17g}")
 
     print()
@@ -44,16 +48,19 @@ def main() -> None:
             print(f"  {a:6.0f} {p:5.2f}   {n_s:3d}  {n_h:6d}")
 
     print()
-    print("= a = 1 is the exponential distribution: Omega is constant,")
-    print("  so the method is exact: every quantile takes one step, which the")
-    print("  predicted stop applies without evaluating (and counting) it")
+    print("= a = 1 is the exponential distribution: Omega in x is constant,")
+    print("  so the method in x is exact: from the plan's start every quantile")
+    print("  takes one step, which the predicted stop applies without")
+    print("  evaluating (and counting) it")
     for p in (0.1, 0.5, 0.9):
-        report = invert_gamma(GammaQuantileQuery(1.0, p))
+        query = GammaQuantileQuery(1.0, p)
+        plan = gamma_start(query)
+        report = solve(GammaDirectProblem(query), plan.to_x(plan.x0))
         print(f"  p = {p}: root = {report.root:.17g}  iterations = {report.iterations}"
               f"  evaluations = {report.evaluations}  reason = {report.reason.value}")
 
     print()
-    print("= a < 1 runs in the log variable (see the report's fields)")
+    print("= a < 1 runs in the log variable too, from a bound (see the report's fields)")
     plan = gamma_start(GammaQuantileQuery(0.5, 0.2))
     report = invert_gamma(GammaQuantileQuery(0.5, 0.2))
     print(f"  start: variable = {plan.variable.value}, z0 = {plan.x0:.6f}")

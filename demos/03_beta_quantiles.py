@@ -1,13 +1,14 @@
 """Beta-distribution quantiles: the asymptotic start and the logit path.
 
-For a, b > 1 the iteration runs in x, where Omega has a unique maximum
-(the root of a cubic, ``beta_xm``); it starts at the asymptotic quantile
-of Abramowitz & Stegun 26.5.22, clamped between the bounds of the root
-from I_x(a, b) <= x^a / (a B(a, b)) and 1 - I_x(a, b) <= (1-x)^b / (b B(a, b)).
-Otherwise it moves to z = log(x/(1-x)) where Omega is negative for every
-shape pair, and starts from those bounds on the side of the root that
-Omega's monotonicity names: below it when Omega decreases (a <= 1 <= b),
-above it when Omega increases (a >= 1 >= b).
+Every query solves in z = log(x/(1-x)), where Omega is negative for
+every shape pair.  (In x, for a, b > 1, Omega has a unique maximum, the
+root of a cubic, ``beta_xm``.)  For a, b > 1 the start is the asymptotic
+quantile of Abramowitz & Stegun 26.5.22, formed in z and clamped between
+the bounds of the root from I_x(a, b) <= x^a / (a B(a, b)) and
+1 - I_x(a, b) <= (1-x)^b / (b B(a, b)).  Otherwise it starts from those
+bounds on the side of the root that Omega's monotonicity names: below it
+when Omega decreases (a <= 1 <= b), above it when Omega increases
+(a >= 1 >= b).
 """
 
 from snm import BetaQuantileQuery, beta_plan, beta_xm, invert_beta, reg_beta
@@ -29,8 +30,8 @@ def main() -> None:
           f"iterations = {report.iterations}")
 
     print()
-    print("= Small shapes route through the logit variable")
-    for a, b, p in ((0.5, 3.0, 0.2), (3.0, 0.5, 0.2), (0.3, 0.6, 0.4)):
+    print("= Every shape pair solves in the logit variable")
+    for a, b, p in ((2.0, 3.0, 0.3), (0.5, 3.0, 0.2), (3.0, 0.5, 0.2), (0.3, 0.6, 0.4)):
         plan = beta_plan(BetaQuantileQuery(a, b, p))
         report = invert_beta(BetaQuantileQuery(a, b, p))
         print(f"  (a={a}, b={b}, p={p}): variable={plan.variable.value} "

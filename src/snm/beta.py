@@ -6,22 +6,20 @@ values, each tail to relative accuracy where its fraction runs, and the
 stop is relative to that tail, as gamma's is.  Each tail is solved in
 place; no query is mirrored through I_x(a, b) = 1 - I_(1-x)(b, a).
 
-Two power bounds locate the root: x_p solves x^a / (a B) = p, a lower
-bound for b >= 1, and x_q solves (1-x)^b / (b B) = q, an upper bound for
-a >= 1.  For a, b > 1 the iteration runs in x directly, where Omega is
-negative on (0, 1) with a single interior maximum (the unique
-(0,1)-root of a cubic, ``beta_xm``); it starts at the asymptotic
-quantile of Abramowitz & Stegun 26.5.22, clamped between the bounds.
-Otherwise it runs in the logit variable z = log(x/(1-x)), where Omega is
-negative for all shapes, and starts on the side of the root that the
-paper's convergence theorem names for Omega's monotonicity: below it
-for a <= 1 <= b (Omega decreasing), above it for a >= 1 >= b (Omega
-increasing), from the closer bound.  For a, b < 1 the bounds swap sides,
-x_q <= root <= x_p, and name the half of (0, 1) that holds the root
-unless 1/2 lies between them; only then is I_(1/2) computed.  Each query
-runs one solve from that start; the report's ``variable`` (DIRECT or
-LOGIT) and ``start`` ("asymptotic", "lower-bound" or "upper-bound")
-record the plan.
+Every query solves in the logit variable z = log(x/(1-x)), where Omega
+is negative for all shapes.  Two power bounds locate the root: x_p
+solves x^a / (a B) = p, a lower bound for b >= 1, and x_q solves
+(1-x)^b / (b B) = q, an upper bound for a >= 1.  For a, b > 1 the start
+is the asymptotic quantile of Abramowitz & Stegun 26.5.22, formed in z
+and clamped between the bounds.  Otherwise it lies on the side of the
+root that the paper's convergence theorem names for Omega's
+monotonicity: below it for a <= 1 <= b (Omega decreasing), above it for
+a >= 1 >= b (Omega increasing), from the closer bound.  For a, b < 1 the
+bounds swap sides, x_q <= root <= x_p, and name the half of (0, 1) that
+holds the root unless 1/2 lies between them; only then is I_(1/2)
+computed.  The report's ``variable`` is LOGIT and its ``start``
+"asymptotic", "lower-bound" or "upper-bound".  ``BetaDirectProblem`` is
+the paper's problem in x, which no plan uses.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
-    _DIRECT,
     _LOGIT,
     _logit,
     _sigmoid,
@@ -53,9 +50,7 @@ from .special import _beta_exponent, _normal_quantile, _reg_beta, ln_beta
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
-# The smallest positive double and the largest double below 1.
-_X_MIN = 5e-324
-_X_MAX = 1.0 - 2.0 ** -53
+# log of the largest double below 1.
 _LOG_X_MAX = math.log1p(-2.0 ** -53)
 _LOG_HALF = math.log(0.5)
 _LN_EPS = math.log(MACHINE_EPSILON)
@@ -212,15 +207,20 @@ class _BetaProblem(Problem):
     within RESIDUAL_NOISE_FLOOR of the tail the fraction computed at this
     x (I below the switch, J above it) counts as 0: where the inverted
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
-    is ln B(a, b); it is computed here when the caller passes none.
+    is ln B(a, b); it is computed here when the caller passes none.  The
+    deep-tail bounds in z and the Stirling flag serve the logit evaluation.
     """
 
     def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
         a, b = query.a, query.b
+        s = a + b
         self.query = query
         self.ln_b = ln_beta(a, b) if ln_b is None else ln_b
-        self.switch = (a + 1.0) / (a + b + 2.0)
+        self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
+        self.stirling = a >= 16.0 and b >= 16.0
+        self.deep_tail_z = _deep_tail_z(a, s)
+        self.deep_tail_top = -_deep_tail_z(b, s)
 
     def _residual(self, x: float, i: float, j: float) -> float:
         query = self.query
@@ -267,15 +267,10 @@ class BetaLogitProblem(_BetaProblem):
     """Same residual in z = log(x/(1-x)); B and Omega transformed.
 
     x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
-    so neither tail is formed by subtraction; f' is the kernel's prefactor
-    from z (at a, b >= 16 too, not Stirling's).  Deep tails use z alone.
+    so neither tail is formed by subtraction; f' is the kernel's prefactor,
+    from z, or for a, b >= 16 from Stirling's shifted exponent, whose error
+    is not ~eps (a + b).  Deep tails use z alone.
     """
-
-    def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
-        super().__init__(query, ln_b)
-        s = query.a + query.b
-        self.deep_tail_z = _deep_tail_z(query.a, s)
-        self.deep_tail_top = -_deep_tail_z(query.b, s)
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
@@ -298,15 +293,13 @@ class BetaLogitProblem(_BetaProblem):
         # t = e^-|z|: log x = -log1p(t) + min(z, 0), log y = -log1p(t) - max(z, 0).
         t = math.exp(-abs(z))
         d = 1.0 + t
-        ln_d = (a + b) * math.log1p(t)
-        if z >= 0.0:
-            x, y = 1.0 / d, t / d
-            fp = math.exp(-ln_d - b * z - ln_b)
-        else:
-            x, y = t / d, 1.0 / d
-            fp = math.exp(a * z - ln_d - ln_b)
+        x, y = (1.0 / d, t / d) if z >= 0.0 else (t / d, 1.0 / d)
         # f_z' is the kernel's prefactor x^a y^b / B, and formed from z it
         # keeps its precision where x or y is subnormal.
+        if self.stirling:
+            fp = math.exp(_beta_exponent(a, b, x, y, ln_b))
+        else:
+            fp = math.exp((a * z if z < 0.0 else -b * z) - (a + b) * math.log1p(t) - ln_b)
         i, j = _reg_beta(x, y, a, b, fp)
         return ProblemEvaluation.build(
             z, self._residual(x, i, j), fp, b * x - a * y, _beta_omega_logit_x(a, b, x, y))
@@ -317,8 +310,11 @@ class BetaLogitProblem(_BetaProblem):
             return -0.25 * a * a
         if z > self.deep_tail_top:
             return -0.25 * b * b
-        # The sigmoids round as ``evaluate``'s x and y, so the Omegas agree bit for bit.
-        return _beta_omega_logit_x(a, b, _sigmoid(z), _sigmoid(-z))
+        # x and y as ``evaluate`` forms them, so the Omegas agree bit for bit.
+        t = math.exp(-abs(z))
+        d = 1.0 + t
+        x, y = (1.0 / d, t / d) if z >= 0.0 else (t / d, 1.0 / d)
+        return _beta_omega_logit_x(a, b, x, y)
 
     def scale(self, z: float) -> float:
         """1: a step of dz moves x and 1 - x by a relative dz at most."""
@@ -360,14 +356,13 @@ def _raised_log_bound(a: float, b: float, log_t: float) -> float:
 
 
 def _asymptotic_start(query: BetaQuantileQuery, log_x_p: float, log_y_q: float) -> float:
-    """A&S 26.5.22 quantile for a, b > 1, clamped between the root's bounds.
+    """A&S 26.5.22 quantile for a, b > 1 in z, clamped between the root's bounds.
 
-    In either tail the normal approximation can fall far outside the
-    root, where f is flat; it is then replaced by the power bound x_p or
-    x_q of ``beta_plan`` that it passed, raised toward the root
-    (``_raised_log_bound``, or its mirror).  A start that rounds to 1
-    (a huge, b small) is clamped to the largest double below 1, inside
-    the open domain.
+    Its x = a / (a + b e^(2w)) is z = ln(a/b) - 2w.  In either tail the
+    normal approximation can fall far outside the root, where f is flat;
+    it is then replaced by the power bound x_p or x_q of ``beta_plan``
+    that it passed, each raised toward the root (``_raised_log_bound``, or
+    its mirror).  Formed in z, the start keeps 1 - x where x rounds to 1.
     """
     a, b = query.a, query.b
     y = _normal_quantile(query.q, query.p)  # upper-tail quantile: Q(y) = p
@@ -376,26 +371,26 @@ def _asymptotic_start(query: BetaQuantileQuery, log_x_p: float, log_y_q: float) 
     rb = 1.0 / (2.0 * b - 1.0)
     h = 2.0 / (ra + rb)
     w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
-    x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
-    if x < math.exp(log_x_p):
-        x = math.exp(_raised_log_bound(a, b, log_x_p))
-    elif x > -math.expm1(log_y_q):
-        x = -math.expm1(_raised_log_bound(b, a, log_y_q))
-    return min(x, _X_MAX)
+    z_mean = math.log(a / b)  # the logit of the mean a / (a + b)
+    z = z_mean - 2.0 * w
+    # The bound on the far side of the mean needs no raising: past the mean
+    # it cannot bind, and short of it the raised bound is the bound itself.
+    if z < z_mean:
+        return max(_logit_of(_raised_log_bound(a, b, log_x_p)), min(z, -_logit_of(log_y_q)))
+    return min(-_logit_of(_raised_log_bound(b, a, log_y_q)), max(z, _logit_of(log_x_p)))
 
 
 def beta_plan(query: BetaQuantileQuery) -> Plan:
-    """Choose variable and starting point for a query.
+    """Choose the start of a query's solve in the logit variable z.
 
     Two power bounds locate the root: x_p solves x^a / (a B) = p and x_q
     solves (1 - x)^b / (b B) = q.  I_x <= x^a / (a B) for b >= 1, so x_p
     lies below the root iff b >= 1; 1 - I_x <= (1 - x)^b / (b B) for
     a >= 1, so x_q lies above it iff a >= 1.
 
-    - a, b > 1 solve in x from ``_asymptotic_start``, clamped into
-      [x_p, x_q] (``start="asymptotic"``).
-    - Every other shape solves in the logit variable z, where Omega is
-      negative.  The paper's convergence theorem takes a start on the side
+    - a, b > 1 start at ``_asymptotic_start``, clamped into [x_p, x_q]
+      (``start="asymptotic"``).
+    - Otherwise the paper's convergence theorem takes a start on the side
       of the root that Omega's monotonicity names: for a <= 1 <= b Omega
       decreases in z, both bounds lie below the root and the start is the
       larger (``"lower-bound"``); for a >= 1 >= b Omega increases, both lie
@@ -412,11 +407,10 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     ln_b = ln_beta(a, b)
     log_x_p = (math.log(p) + math.log(a) + ln_b) / a
     log_y_q = (math.log(q) + math.log(b) + ln_b) / b
-    if a > 1.0 and b > 1.0:
-        return _tuple_new(Plan, (BetaDirectProblem(query, ln_b),
-                                 _asymptotic_start(query, log_x_p, log_y_q),
-                                 _DIRECT, "asymptotic"))
     problem = BetaLogitProblem(query, ln_b)
+    if a > 1.0 and b > 1.0:
+        return _tuple_new(Plan, (problem, _asymptotic_start(query, log_x_p, log_y_q),
+                                 _LOGIT, "asymptotic"))
     # A tail above 1/2 may stand for one closer to 1 (1 - 1e-300 is at best
     # 1 - 2^-53), which moves its bound up: x_p down, x_q up in x.  That is
     # safe for x_p as a lower or x_q as an upper bound, so the other kind is

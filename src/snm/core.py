@@ -109,11 +109,15 @@ def check_shape(where: str, a: float) -> None:
 
 
 def check_tails(p: float, q: Optional[float] = None) -> float:
-    """The one tail rule: q (1 - p unless given) and p in (0, 1), p + q = 1 to 1e-15."""
+    """The one tail rule: q (1 - p unless given) and p in (0, 1], p + q = 1 to 1e-15.
+
+    A tail given alone may be 1: p = 1e-20 has q = 1.0, and q = 1e-300 is given
+    with p = 1.0.  The p + q check refuses p = q = 1.
+    """
     if q is None:
         q = 1.0 - p
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError(f"p, q must lie in (0, 1), got p={p}, q={q}")
+    if not (0.0 < p <= 1.0 and 0.0 < q <= 1.0):
+        raise ValueError(f"p, q must lie in (0, 1], got p={p}, q={q}")
     if abs(p + q - 1.0) > 1e-15:
         raise ValueError(f"p + q must equal 1, got {p + q}")
     return q

@@ -2,19 +2,15 @@
 
 Inverts P(a, x) = p (lower tail) or Q(a, x) = q (upper tail), whichever
 is the smaller, and stops once the residual is below 1e-14 times that
-tail, so tail roots keep their relative accuracy.  For a >= 1 the
-iteration runs in x directly, where Omega is negative on (0, inf) with
-a single maximum at x = a + 1.  It starts at Temme's uniform asymptotic
-inversion of the quantile with two correction terms, never below the
-lower bound x_l of the root that P(a, x) <= x^a / Gamma(a+1) gives, and
-at x_l itself, the closer start, where x_l < 1e-6 (a + 1) (see
-``_temme_start``).  For a < 1 the problem is transformed to z = log x,
-where Omega stays negative for every a > 0 and is strictly decreasing.
-The start is the closer of two bounds of the root: that same lower
-bound, or the upper bound that Q(a, x) <= x^(a-1) e^-x / Gamma(a) gives,
-which wins deep in the upper tail (see ``gamma_start``).  Each query
-runs one solve from its start; the report's ``variable`` is DIRECT or
-LOG and its ``start`` is "asymptotic", "lower-bound" or "upper-bound".
+tail, so tail roots keep their relative accuracy.  Every query solves in
+z = log x, where Omega is negative for every a > 0: strictly decreasing
+for a <= 1, with a single maximum at z = log(a - 1) for a > 1.  For
+a >= 1 the start is the log of Temme's uniform asymptotic inversion with
+two correction terms (``_temme_start``); for a < 1 it is the closer of
+two analytic bounds of the root (``gamma_start``).  The report's
+``variable`` is LOG and its ``start`` "asymptotic", "lower-bound" or
+"upper-bound".  ``GammaDirectProblem`` is the paper's problem in x, which
+no plan uses.
 """
 
 from __future__ import annotations
@@ -33,14 +29,14 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
-    _DIRECT,
     _LOG,
     _tuple_new,
     check_shape,
     check_tails,
     solve,
 )
-from .special import _gamma_prefactor, _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma
+from .special import (_gamma_exponent, _gamma_prefactor, _ln_gamma, _ln_gamma_1p,
+                      _normal_quantile, _reg_gamma)
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -130,9 +126,10 @@ class _GammaProblem(Problem):
     """The residual both variables share: P - p for p <= 1/2, else q - Q.
 
     The residual stop is relative to the inverted tail, RESIDUAL_NOISE_FLOOR
-    * min(p, q).  For a < 1 the problem also holds ln Gamma(1 + a), without
-    rounding 1 + a, from which the kernel forms an upper tail's Q to
-    relative accuracy on its series side (x < a + 1).
+    * min(p, q).  The problem holds ln Gamma(a) and ln Gamma(a + 1); for
+    a < 1 the latter is ``ln_gamma_1p``, without rounding 1 + a, from which
+    the kernel forms an upper tail's Q to relative accuracy on its series
+    side (x < a + 1).
     """
 
     def __init__(self, query: GammaQuantileQuery) -> None:
@@ -140,6 +137,7 @@ class _GammaProblem(Problem):
         self.query = query
         self.ln_gamma_a = _ln_gamma(a)
         self.ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 else None
+        self.ln_gamma_a1 = self.ln_gamma_a + math.log(a) if a >= 1.0 else self.ln_gamma_1p
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
 
     def _residual(self, x: float, scale: float) -> float:
@@ -169,11 +167,6 @@ class GammaDirectProblem(_GammaProblem):
 class GammaLogProblem(_GammaProblem):
     """Same residual in z = log x; B and Omega transformed accordingly."""
 
-    def __init__(self, query: GammaQuantileQuery) -> None:
-        super().__init__(query)
-        self.ln_gamma_a1 = (_ln_gamma(query.a + 1.0) if self.ln_gamma_1p is None
-                            else self.ln_gamma_1p)
-
     def evaluate(self, z: float) -> ProblemEvaluation:
         q = self.query
         a = q.a
@@ -184,8 +177,12 @@ class GammaLogProblem(_GammaProblem):
         x = math.exp(z)
         # Chain rule: B_z = x B(x) - 1 = x - a, f_z' = x f'(x) = x^a e^-x
         # / Gamma(a), the kernel's prefactor, formed from z directly so
-        # deep-tail z stays finite even where x itself under/overflows.
-        fp = math.exp(a * z - x - self.ln_gamma_a)
+        # deep-tail z stays finite even where x itself under/overflows;
+        # at a >= 16 by Stirling's shifted exponent, whose error is not ~eps a.
+        if a < 16.0 or z < DEEP_TAIL_Z:
+            fp = math.exp(a * z - x - self.ln_gamma_a)
+        else:
+            fp = math.exp(_gamma_exponent(a, x, self.ln_gamma_a))
         if z < DEEP_TAIL_Z:
             # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
             # (the next series term is below x ~ 1e-290).  Also dodges
@@ -236,8 +233,8 @@ def _temme_lambda(eta: float) -> tuple[float, float]:
     return lam, lam - 1.0
 
 
-def _temme_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
-    """Temme's uniform asymptotic inversion, never below the root's lower bound.
+def _temme_start(query: GammaQuantileQuery, z_l: float) -> float:
+    """log of Temme's uniform asymptotic inversion, never below the root's lower bound.
 
     x0 = a lambda(eta), eta = eta0 + eps1/a + eps2/a^2, eta0 = Phi^-1(p)/sqrt(a)
     (Temme, Math. Comp. 58, 1992; Gil, Segura & Temme, SIAM J. Sci. Comput.
@@ -247,14 +244,13 @@ def _temme_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
     for |eta0| < 1e-3, where those forms cancel, their series.
 
     P(a, x) <= x^a / Gamma(a+1) puts the root at or above
-    x_l = (p Gamma(a+1))^(1/a), within about x_l/(a + 1) of it; where
-    x_l < 1e-6 (a + 1) that bound is the start, the closer one there
+    x_l = (p Gamma(a+1))^(1/a) = e^z_l, within about x_l/(a + 1) of it;
+    where x_l < 1e-6 (a + 1) that bound is the start, the closer one there
     (it saves evaluations), else max(x0, x_l).
     """
     a = query.a
-    lower = math.exp((math.log(query.p) + ln_gamma_a + math.log(a)) / a)
-    if lower < 1e-6 * (a + 1.0):
-        return lower
+    if math.exp(z_l) < 1e-6 * (a + 1.0):
+        return z_l
     eta = _normal_quantile(query.p, query.q) / math.sqrt(a)
     if abs(eta) < 1e-3:
         eps1 = -1.0 / 3.0 + eta * (1.0 / 36.0 + eta * (1.0 / 1620.0 - eta * (7.0 / 6480.0)))
@@ -266,7 +262,7 @@ def _temme_start(query: GammaQuantileQuery, ln_gamma_a: float) -> float:
         eps1 = ln_ratio / eta
         d_eps1 = (d_ln_ratio - eps1) / eta
         eps2 = (d_eps1 + d_ln_ratio * eps1 - 0.5 * eps1 * eps1 - 1.0 / 12.0) / eta
-    return max(a * _temme_lambda(eta + (eps1 + eps2 / a) / a)[0], lower)
+    return max(math.log(a * _temme_lambda(eta + (eps1 + eps2 / a) / a)[0]), z_l)
 
 
 def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
@@ -292,16 +288,17 @@ def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
 
 
 def gamma_start(query: GammaQuantileQuery) -> Plan:
-    """Standard plan: (DIRECT, "asymptotic") for a >= 1, else LOG from a bound.
+    """Standard plan: every query solves in z = log x (``Variable.LOG``).
 
-    For a >= 1 the start is ``_temme_start``: Temme's asymptotic inversion
-    with two corrections, or deep in the lower tail the lower bound x_l.
-    On the benchmark query sets, both tails, its relative error has median
-    5e-8 (at most 2e-5) for a >= 10 and 3e-5 for 3 <= a < 10, so those
-    solves mostly end after one evaluation; near a = 1 it is about 1e-3.
+    For a >= 1 the start is the log of ``_temme_start``: Temme's asymptotic
+    inversion with two corrections, or deep in the lower tail the lower
+    bound x_l (``start="asymptotic"``).  On the benchmark query sets, both
+    tails, its relative error has median 5e-8 (at most 2e-5) for a >= 10
+    and 3e-5 for 3 <= a < 10, so those solves mostly end after one
+    evaluation; near a = 1 it is about 1e-3.
 
-    For a < 1 the iteration runs in z = log x from the closer of the
-    root's two analytic bounds (the closer-bound rule):
+    For a < 1 the start is the closer of the root's two analytic bounds
+    (the closer-bound rule):
 
     - the lower bound x_l = (p Gamma(a+1))^(1/a), from
       P(a, x) <= x^a / Gamma(a+1), whose leading-term relative error is
@@ -318,16 +315,13 @@ def gamma_start(query: GammaQuantileQuery) -> Plan:
     overshoot far to the left), so the upper bound is taken only where
     it is the tighter one, deep in the upper tail; used for every q < p
     it ends many central queries at ``MaxIter``.  The problem holds
-    ln Gamma(a), and ln Gamma(a+1) in the log variable (for a < 1
-    without rounding a + 1).
+    ln Gamma(a) and ln Gamma(a+1) (for a < 1 without rounding a + 1).
     """
     a = query.a
-    if a >= 1.0:
-        problem = GammaDirectProblem(query)
-        x0 = _temme_start(query, problem.ln_gamma_a)
-        return _tuple_new(Plan, (problem, x0, _DIRECT, "asymptotic"))
     problem = GammaLogProblem(query)
     z0 = (math.log(query.p) + problem.ln_gamma_a1) / a
+    if a >= 1.0:
+        return _tuple_new(Plan, (problem, _temme_start(query, z0), _LOG, "asymptotic"))
     x_l = math.exp(z0)
     ln_q = math.log(query.q)
     # x_u <= max(t, 1), the first Newton point, so the rule can only pick

@@ -26,8 +26,6 @@ from snm.core import (
     DEEP_TAIL_Z,
     MIN_NORMAL,
     Method,
-    OmegaNotFiniteError,
-    SnmError,
     SolveOptions,
     StopReason,
     Variable,
@@ -99,13 +97,21 @@ def test_beta_omega_where_a_shape_squared_overflows():
     assert beta_omega(1e200, 1e200, 0.5) == pytest.approx(-4e200, rel=1e-15)
 
 
-def test_beta_tail_below_the_omega_underflow_is_a_typed_error():
-    # The direct solve steps towards a root of ~1e-200, where Omega is
-    # -inf; the evaluation refuses it with a typed error, not a
-    # ZeroDivisionError.
-    with pytest.raises(OmegaNotFiniteError) as exc:
-        invert_beta(BetaQuantileQuery(1.5, 3.0, 1e-300, 1 - 2**-53))
-    assert isinstance(exc.value, SnmError) and isinstance(exc.value, ValueError)
+def test_beta_tails_where_omega_in_x_is_not_finite_converge():
+    # Solved in x, the first three roots lie where Omega(x) is -inf (x^2
+    # underflows or (a^2 - 1)/x^2 overflows) and raised OmegaNotFiniteError;
+    # (30, 1e4) and its mirror crept down from a start 80x off and ended
+    # MaxIter.  In the logit variable Omega is finite and every one
+    # converges.  A subnormal p = 1e-315 holds only ~8 digits, and the
+    # residual is flat to them, so that root is checked to 1e-8.
+    for a, b, p, q in ((1.5, 3.0, 1e-300, 1 - 2**-53), (1.5, 3.0, 1e-315, 1 - 2**-53),
+                       (2.0, 5.0, 1e-310, 1 - 2**-53), (30.0, 1e4, 1e-300, 1 - 2**-53),
+                       (1e4, 30.0, 1 - 2**-53, 1e-300)):
+        report = invert_beta(BetaQuantileQuery(a, b, p, q))
+        assert report.converged, (a, b, p, report.reason)
+        exact = beta_bisection_root(a, b, p, q)
+        tol = 1e-12 if min(p, q) >= MIN_NORMAL else 1e-8
+        assert abs(report.root - exact) <= tol * exact, (a, b, p, report.root, exact)
 
 
 def test_beta_omega_negative_for_shapes_above_one():
@@ -350,10 +356,10 @@ def test_side_rules():
         assert (plan.variable, plan.start) == (Variable.LOGIT, start), query
         z = solve(plan.problem, plan.x0).root
         assert (plan.x0 <= z) if start == "lower-bound" else (plan.x0 >= z), query
-    # Both shapes > 1 solve in x in either tail.
+    # Both shapes > 1 solve in z too, from the asymptotic start, in either tail.
     for p in (0.4, 0.6):
         plan = beta_plan(BetaQuantileQuery(2.0, 3.0, p))
-        assert (plan.variable, plan.start) == (Variable.DIRECT, "asymptotic")
+        assert (plan.variable, plan.start) == (Variable.LOGIT, "asymptotic")
 
 
 def test_explicit_logit_variable_for_large_shapes():
@@ -367,14 +373,19 @@ def test_explicit_logit_variable_for_large_shapes():
 
 @pytest.mark.parametrize("a, b, p", [(1e17, 1.5, 0.3), (1e18, 2.0, 0.5)])
 def test_start_rounding_to_one_is_clamped_inside_the_domain(a, b, p):
-    # The asymptotic start rounds to x = 1 for a huge a; clamped to the
-    # largest double below 1, the solve converges there.
-    report = invert_beta(BetaQuantileQuery(a, b, p))
+    # The asymptotic start rounds to x = 1 for a huge a.  Formed in z it
+    # stays inside the domain, and the solve resolves 1 - x = sigma(-z)
+    # where x itself is 1.0: 1 - I_x(a, b) = I_y(b, a) is the gamma limit
+    # Q(b, u) at u = (a + (b - 1)/2) y, to O(y).
+    query = BetaQuantileQuery(a, b, p)
+    plan = beta_plan(query)
+    assert (plan.variable, plan.start) == (Variable.LOGIT, "asymptotic")
+    assert math.isfinite(plan.x0) and plan.to_x(plan.x0) == 1.0
+    report = solve(plan.problem, plan.x0)
     assert report.converged, report.reason
-    assert report.root < 1.0
-    assert report.root == 1.0 - 2.0 ** -53
-    assert (report.variable, report.start, report.root_underflow) \
-        == (Variable.DIRECT, "asymptotic", False)
+    limit = invert_gamma(GammaQuantileQuery(b, query.q, query.p)).root / (a + 0.5 * (b - 1.0))
+    assert _sigmoid(-report.root) == pytest.approx(limit, rel=1e-13)
+    assert (invert_beta(query).root, invert_beta(query).root_underflow) == (1.0, False)
 
 
 def test_logit_solves_past_the_sigmoid_saturation():
@@ -689,7 +700,7 @@ def test_raised_bound_start_needs_no_fallback():
         report = solve(plan.problem, plan.x0)
         assert report.converged and report.evaluations <= 3, (query, report.evaluations)
         assert not any(r.fallback_used for r in report.trace)
-        assert abs(plan.x0 - report.root) <= 1e-4
+        assert abs(plan.to_x(plan.x0) - plan.to_x(report.root)) <= 1e-4
 
 
 @pytest.mark.parametrize("a, b, p, q, root", [
@@ -704,6 +715,90 @@ def test_tiny_tail_with_its_rounded_complement(a, b, p, q, root):
     report = invert_beta(BetaQuantileQuery(a, b, p, q))
     assert report.converged, report.reason
     assert report.root == pytest.approx(root, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.3, 5.0), (5.0, 0.3), (1.5, 3.0), (2.0, 5.0),
+                                  (30.0, 1e4)])
+@pytest.mark.parametrize("tail", [1e-20, 1e-100, 1e-300])
+@pytest.mark.parametrize("upper", [False, True], ids=["p", "q"])
+def test_a_tail_given_alone_meets_the_contract(a, b, tail, upper):
+    # p given alone (q rounds to 1), or q with p = 1.0, for every plan
+    # class: the root is within 1e-12 of the logit-space bisection root.
+    # Deep in a tail I_x = x^a / (a B) (or 1 - I_x = (1-x)^b / (b B)) to
+    # (a + b) e^-|z| relative, and the root in z is that term's to
+    # rounding; there x may underflow (the report says so) or 1 - x fall
+    # below 2^-54 (the root is 1.0), so z is checked, to 1e-12 absolute.
+    query = BetaQuantileQuery(a, b, 1.0, tail) if upper else BetaQuantileQuery(a, b, tail)
+    report = invert_beta(query)
+    assert report.converged, report.reason
+    ln_b = ln_beta(a, b)
+    if upper:
+        z_lead = -(math.log(tail) + math.log(b) + ln_b) / b
+    else:
+        z_lead = (math.log(tail) + math.log(a) + ln_b) / a
+    if abs(z_lead) > 40.0:
+        plan = beta_plan(query)
+        assert abs(solve(plan.problem, plan.x0).root - z_lead) <= 1e-12, z_lead
+    if z_lead < math.log(MIN_NORMAL) - 1.0:
+        assert report.root_underflow
+    elif z_lead < 690.0:
+        exact = beta_bisection_root(a, b, query.p, query.q)
+        assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 1.5), (1.5, 3.0), (200.0, 1.5), (2.0, 5.0), (5.0, 2.0)])
+@pytest.mark.parametrize("q", [1e-100, 1e-300])
+def test_deep_upper_tail_starts_in_z(a, b, q):
+    # 1 - x is below 2^-53.  The A&S start, clamped by the raised upper
+    # bound, is formed in z, so it need not walk out from logit(1 - 2^-53)
+    # = 36.7 (14 to 20 evaluations from there, or MaxIter at (5, 2)).
+    report = invert_beta(BetaQuantileQuery(a, b, 1.0, q))
+    assert report.converged, report.reason
+    assert report.evaluations <= 3, report.evaluations
+    assert (report.root, report.variable) == (1.0, Variable.LOGIT)
+
+
+@pytest.mark.parametrize("a", [1e6, 1e8])
+def test_large_equal_shapes_match_the_bisection_root(a):
+    # The logit problem forms its prefactor with Stirling's shifted exponent
+    # at a, b >= 16; from z directly, its ~eps (a + b) error put (1e6, 1e6)
+    # 6.8e-13 and (1e8, 1e8) 1.7e-11 off.
+    report = invert_beta(BetaQuantileQuery(a, a, 0.3))
+    exact = beta_bisection_root(a, a, 0.3, 0.7)
+    assert report.converged, report.reason
+    assert abs(report.root - exact) <= 1e-14 * exact, (report.root, exact)
+
+
+def _a_two_root(b, q):
+    """The x of 1 - I_x(2, b) = (1 - x)^b (1 + b x) = q, by bisection in x.
+
+    The closed form shares nothing with the kernel.  Its exponent's two
+    terms cancel where b x is small, so it serves p >= 0.3 only.
+    """
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if q - math.exp(b * math.log1p(-mid) + math.log1p(b * mid)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("b, p", [
+    *itertools.product((1e4, 1e5, 3e5, 1e6), (0.3, 0.5, 0.7, 0.99)),
+    pytest.param(1e7, 0.99, marks=pytest.mark.xfail(
+        strict=True, reason="2.3e-11 off: the kernel's eps * b bias past its symmetry switch "
+                            "(ROADMAP item 5)")),
+])
+def test_a_equal_two_roots_match_the_closed_form(b, p):
+    # A wrong root reported as converged: solved in x, (2, 3e5, 0.99) was
+    # 1.2e-12 and (2, 1e6, 0.99) 3.2e-12 off this closed form.
+    report = invert_beta(BetaQuantileQuery(2.0, b, p))
+    exact = _a_two_root(b, 1.0 - p)
+    assert report.converged, report.reason
+    assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
 
 
 def _both_below_one_queries(n=300):

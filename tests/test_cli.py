@@ -6,7 +6,6 @@ import math
 import pytest
 
 from snm.cli import build_parser, cmd_compare, main
-from snm.core import STEP_REL_TOL
 
 from conftest import gamma_bisection_root
 
@@ -22,7 +21,7 @@ def test_invert_gamma_table(capsys):
     assert code == 0
     assert "1.67834699002" in out
     assert "converged   true" in out
-    for line in ("variable    direct", "start       asymptotic", "underflow   false"):
+    for line in ("variable    log", "start       asymptotic", "underflow   false"):
         assert line in out.splitlines()
 
 
@@ -65,13 +64,14 @@ def test_json_keys_exact(capsys):
                                    "start", "root_underflow", "predicted_error",
                                    "trace"}
     assert (payload["variable"], payload["start"], payload["root_underflow"]) \
-        == ("direct", "asymptotic", False)
+        == ("log", "asymptotic", False)
     assert payload["trace"] == []
     assert payload["evaluations"] == payload["iterations"] + 1
     assert payload["converged"] is True
-    # The start is one SNM step from the root; the predicted stop applies it.
-    assert payload["reason"] == "Predicted"
-    assert 0.0 <= payload["predicted_error"] <= STEP_REL_TOL
+    # The start is one SNM step from the root in log x; the evaluation
+    # after it meets the residual stop, so no error is predicted.
+    assert payload["reason"] == "ResidualTol"
+    assert payload["predicted_error"] == 0.0
 
 
 def test_json_reports_a_root_of_one_unflagged(capsys):
@@ -247,10 +247,14 @@ def test_compare_gamma_exactness_one_iteration(capsys):
     _, out, _ = run(capsys, "compare", "gamma", "--a", "1", "--p", "0.4",
                     "--methods", "snm", "--format", "json")
     rows = json.loads(out)["rows"]
-    # Omega is constant at a = 1, so the one exact step is a predicted one,
-    # applied without the evaluation that would count it.
-    assert rows[0]["iterations"] == 0
-    assert rows[0]["final_residual"] <= 2e-16
+    # Omega is constant at a = 1 in x, not in the plan's log x: one step
+    # is counted, and the second, predicted, is applied without the
+    # evaluation that would count it.  (In x the step is exact and
+    # uncounted: test_gamma.test_exactness_counts_one_iteration_at_a_one.)
+    # The predicted stop in z is relative to x: the root is 2 ulps off
+    # -log(0.6), a residual of 2^-52.
+    assert rows[0]["iterations"] == 1
+    assert rows[0]["final_residual"] <= 2.0 ** -52
 
 
 def test_compare_elliptic_two_iterations(capsys):

@@ -165,10 +165,12 @@ def test_problem_residual_at_known_median():
 
 
 def test_problem_exponential_case_one_step():
-    # Omega is constant at a = 1: the one SNM step is exact, and the
+    # Omega is constant at a = 1 in x: the one SNM step is exact, and the
     # predicted stop applies it without the evaluation that would count it.
+    # (The plan solves in log x, where Omega is not constant.)
     query = GammaQuantileQuery(1.0, 0.3)
-    report = invert_gamma(query)
+    plan = gamma_start(query)
+    report = solve(GammaDirectProblem(query), plan.to_x(plan.x0))
     assert (report.reason, report.iterations, report.evaluations) == (
         StopReason.PREDICTED, 0, 1)
     assert report.predicted_error == 0.0
@@ -184,34 +186,35 @@ def test_log_problem_same_residual_as_direct():
 
 
 def test_gamma_start_policy():
-    # a >= 1: direct variable, started at Temme's asymptotic inversion, never
-    # below the lower bound x_l = (p Gamma(a+1))^(1/a) of the root, below the
-    # Omega maximum a + 1 across the lower tail, and for a >= 10 within 1e-5
-    # of the root, close enough for the solve to end after one evaluation.
+    # a >= 1: log variable, started at the log of Temme's asymptotic
+    # inversion, never below the lower bound x_l = (p Gamma(a+1))^(1/a) of
+    # the root, below the Omega maximum a + 1 of x across the lower tail,
+    # and for a >= 10 within 1e-5 of the root, close enough for the solve
+    # to end after one evaluation.
     for a in (1.0, 1.5, 2.0, 6.582065866777457, 30.0, 1e4):
         for p in (1e-15, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12):
             query = GammaQuantileQuery(a, p)
             plan = gamma_start(query)
-            assert (plan.variable, plan.start) == (Variable.DIRECT, "asymptotic")
-            assert isinstance(plan.problem, GammaDirectProblem)
-            ln_gamma_a1 = plan.problem.ln_gamma_a + math.log(a)
-            assert plan.x0 >= math.exp((math.log(p) + ln_gamma_a1) / a), (a, p)
+            assert (plan.variable, plan.start) == (Variable.LOG, "asymptotic")
+            assert isinstance(plan.problem, GammaLogProblem)
+            assert plan.x0 >= (math.log(p) + plan.problem.ln_gamma_a1) / a, (a, p)
+            x0 = plan.to_x(plan.x0)
             if p <= 0.5:
-                assert plan.x0 <= a + 1.0, (a, p)
+                assert x0 <= a + 1.0, (a, p)
             if a >= 10.0:
                 root = invert_gamma(query).root
-                assert abs(plan.x0 - root) <= 1e-5 * root, (a, p)
+                assert abs(x0 - root) <= 1e-5 * root, (a, p)
     # Near the median the start is within a few parts in 1e3 of the root.
     for a in (1.0, 2.0, 30.0):
         plan = gamma_start(GammaQuantileQuery(a, 0.5))
         root = invert_gamma(GammaQuantileQuery(a, 0.5)).root
-        assert abs(plan.x0 - root) <= 1e-2 * root, a
+        assert abs(plan.to_x(plan.x0) - root) <= 1e-2 * root, a
     # Where x_l < 1e-6 (a + 1) the start is x_l itself, within about
     # x_l/(a + 1) of the root; at these a ~ 1, p ~ 2e-14 points each solve
     # from it takes 1 evaluation, and from the asymptotic start 2.
     for a, p, q in HAZARD_TINY_ROOTS:
         plan = gamma_start(GammaQuantileQuery(a, p, q))
-        assert plan.x0 == math.exp((math.log(p) + plan.problem.ln_gamma_a + math.log(a)) / a)
+        assert plan.x0 == (math.log(p) + plan.problem.ln_gamma_a1) / a
     # The Wilson-Hilferty start fell far below the root here; the solve
     # converges without a fallback step.
     report = invert_gamma(GammaQuantileQuery(6.582065866777457, 2.6020706234195834e-14))
@@ -265,6 +268,48 @@ def test_a_predicted_stop_on_a_constant_omega_meets_the_contract():
     assert abs(report.root - math.log(1e20)) <= 1e-12 * math.log(1e20)
 
 
+def test_a_tail_may_be_given_alone():
+    # p and q lie in (0, 1]: a tail below ~1.1e-16 given alone has a
+    # complement that rounds to 1.  0, NaN and p = q = 1 stay refused.
+    assert GammaQuantileQuery(2.0, 1e-20).q == 1.0
+    assert GammaQuantileQuery(2.0, 1.0, 1e-300).q == 1e-300
+    for p, q in ((1.0, None), (1.0, 1.0), (math.nan, None), (1e-20, 0.0), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            GammaQuantileQuery(2.0, p, q)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 30.0])
+@pytest.mark.parametrize("tail", [1e-20, 1e-100, 1e-300])
+@pytest.mark.parametrize("upper", [False, True], ids=["p", "q"])
+def test_a_tail_given_alone_meets_the_contract(a, tail, upper):
+    # p given alone (q rounds to 1), or q with p = 1.0: the root is within
+    # 1e-12 of the log-space bisection root.  Deep in the lower tail
+    # P = x^a / Gamma(a+1) to O(x) relative, and the root in z = log x is
+    # that term's to rounding; where it underflows, the report says so.
+    query = GammaQuantileQuery(a, 1.0, tail) if upper else GammaQuantileQuery(a, tail)
+    report = invert_gamma(query)
+    assert report.converged, report.reason
+    z_lead = (math.log(tail) + ln_gamma(a + 1.0)) / a
+    if not upper and z_lead < -40.0:
+        plan = gamma_start(query)
+        assert abs(solve(plan.problem, plan.x0).root - z_lead) <= 1e-12
+    if not upper and z_lead < math.log(MIN_NORMAL) - 1.0:
+        assert report.root_underflow
+        return
+    exact = gamma_bisection_root(a, query.p, query.q)
+    assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
+
+
+@pytest.mark.parametrize("a", [1e6, 1e7])
+def test_large_shape_roots_match_the_bisection_root(a):
+    # The log problem forms its prefactor with Stirling's shifted exponent at
+    # a >= 16; from z directly, its ~eps a error put a = 1e7 1.0e-12 off.
+    report = invert_gamma(GammaQuantileQuery(a, 0.3))
+    exact = gamma_bisection_root(a, 0.3, 0.7)
+    assert report.converged, report.reason
+    assert abs(report.root - exact) <= 1e-14 * exact, (report.root, exact)
+
+
 @pytest.mark.parametrize("a", [1.0, 1.5, 2.572002440782614, 4.6, 30.0, 1e3])
 @pytest.mark.parametrize("q", [1e-20, 1e-100, 1e-300])
 def test_deep_upper_tail(a, q):
@@ -315,12 +360,16 @@ def test_snm_iterations_never_exceed_halley():
 
 
 def test_exactness_counts_one_iteration_at_a_one():
-    # One exact step, applied uncounted by the predicted stop: 0 iterations
-    # and 1 evaluation.
+    # In x, from the plan's start: one exact step, applied uncounted by the
+    # predicted stop, 0 iterations and 1 evaluation.  The plan's own solve
+    # in log x, where Omega is not constant, takes at most 2 evaluations.
     for p in P_GRID:
-        report = invert_gamma(GammaQuantileQuery(1.0, p))
+        query = GammaQuantileQuery(1.0, p)
+        plan = gamma_start(query)
+        report = solve(GammaDirectProblem(query), plan.to_x(plan.x0))
         assert (report.reason, report.iterations, report.evaluations) == (
             StopReason.PREDICTED, 0, 1), p
+        assert invert_gamma(query).evaluations <= 2, p
 
 
 def test_quantile_monotone_in_p():
@@ -335,7 +384,7 @@ def test_numeric_start_override():
     plan = gamma_start(GammaQuantileQuery(2.0, 0.5))
     report = solve(plan.problem, plan.from_x(4.0), SolveOptions())
     assert report.converged
-    assert report.root == pytest.approx(1.6783469900166605, rel=1e-13)
+    assert plan.to_x(report.root) == pytest.approx(1.6783469900166605, rel=1e-13)
 
 
 def test_extreme_ranges_converge():

@@ -1,7 +1,7 @@
 """Prepared plans: fused evaluations match the public kernels bit for bit,
 per-query constants are computed once per query, each query runs the
-plan's one solve, and the direct-variable starts are close enough that
-the solves need no fallback."""
+plan's one solve, and the asymptotic starts are close enough that the
+solves need no fallback."""
 
 import functools
 import json
@@ -130,14 +130,19 @@ def test_gamma_log_evaluate_matches_public_kernels():
             for z in (-700.0, math.log(a) - 3.0, math.log(a), math.log(a + 1.0),
                       math.log(a) + 1.5):
                 x = math.exp(z)
-                fp = math.exp(a * z - x - ln_gamma(a))
                 if z < DEEP_TAIL_Z:
+                    fp = math.exp(a * z - x - ln_gamma(a))
                     f = math.exp(a * z - ln_gamma(a + 1.0)) - p
+                elif a >= 16.0:
+                    # Stirling's shifted exponent, as the public kernels form
+                    # it: the residual is theirs bit for bit.
+                    fp = _gamma_prefactor(a, x, ln_gamma(a))[0]
+                    f = _gamma_residual(a, p, query.q, x)
                 else:
+                    fp = math.exp(a * z - x - ln_gamma(a))
                     f = _gamma_kernel_residual(a, p, query.q, x, fp)
-                    # The public kernels form the prefactor from x, not z (with
-                    # Stirling's terms for a >= 16): they agree to the rounding
-                    # of the exponent's terms.
+                    # The public kernels form the prefactor from x, not z:
+                    # they agree to the rounding of the exponent's terms.
                     tol = 4.0 * MACHINE_EPSILON * (abs(a * z) + x + abs(ln_gamma(a)))
                     assert f == pytest.approx(_gamma_residual(a, p, query.q, x),
                                               rel=0.0, abs=tol), (a, p, z)
@@ -160,8 +165,8 @@ def test_beta_evaluate_matches_public_kernels():
     # The lower-tail direct residual and every B and Omega are the public
     # forms bit for bit.  The upper-tail residual takes 1 - I from the
     # kernel's pair, where the public mirror I_(1-x)(b, a) may run its
-    # fraction on the other side, and the logit prefactor comes from z,
-    # so those agree with the public forms to rounding.
+    # fraction on the other side, and below shape 16 the logit prefactor
+    # comes from z, so those agree with the public forms to rounding.
     for a in BETA_SHAPES:
         for b in BETA_SHAPES:
             ln_b = ln_beta(a, b)
@@ -182,7 +187,9 @@ def test_beta_evaluate_matches_public_kernels():
                     assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, x)
                 for z in (-30.0, -2.0, 0.0, 1.5, 30.0):
                     x, y = _sigmoid(z), _sigmoid(-z)
-                    fp = math.exp(a * math.log(x) + b * math.log(y) - ln_b)
+                    # The public kernels' prefactor, with Stirling's terms for
+                    # a, b >= 16.  The logit problem forms it from z below 16.
+                    fp = math.exp(_beta_exponent(a, b, x, y, ln_b))
                     if fp == 0.0:
                         with pytest.raises(DerivativeVanishedError):
                             logit.evaluate(z)
@@ -192,19 +199,14 @@ def test_beta_evaluate_matches_public_kernels():
                     assert (e.f, e.big_b, e.omega) == (
                         logit._residual(x, i, j),
                         b * x - a * y, beta_omega_logit(a, b, z)), (a, b, p, z)
-                    # Both exponents round at a few eps times their terms.
-                    tol = 1e-14 * max(1.0, -math.log(fp))
-                    assert e.fp == pytest.approx(fp, rel=tol, abs=0.0), (a, b, z)
-                    # For a, b >= 16 that rounding reaches the value the
-                    # fraction computes: the public forms use Stirling's terms
-                    # there.  Below, both take the same prefactor.
-                    tol = 4e-16
                     if a >= 16.0 and b >= 16.0:
-                        terms = abs(a * math.log(x)) + abs(b * math.log(y)) + abs(ln_b)
-                        side = i if x < logit.switch else j
-                        tol += 4.0 * MACHINE_EPSILON * terms * side
+                        assert e.fp == fp, (a, b, z)
+                    else:
+                        # Both exponents round at a few eps times their terms.
+                        tol = 1e-14 * max(1.0, -math.log(fp))
+                        assert e.fp == pytest.approx(fp, rel=tol, abs=0.0), (a, b, z)
                     f = _beta_residual(a, b, p, query.q, x, y)
-                    assert e.f == pytest.approx(f, rel=0.0, abs=tol), (a, b, p, z)
+                    assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, z)
 
 
 def test_direct_f_prime_against_mpmath_at_large_shapes():
@@ -525,8 +527,9 @@ def _assert_quick_direct_solve(plan, report, query):
 
 
 def test_direct_starts_need_few_evaluations_and_no_fallback():
-    # Seeded fuzz over the direct-variable paths: the bound-clamped
-    # asymptotic starts converge in at most 3 steps across both tails.
+    # Seeded fuzz over the classes that once solved in x (gamma a >= 1,
+    # beta a, b > 1), now in log and logit x: the bound-clamped asymptotic
+    # starts converge in at most 3 steps across both tails.
     rng = random.Random(5)
     for _ in range(1000):
         query = GammaQuantileQuery(_log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
@@ -535,6 +538,5 @@ def test_direct_starts_need_few_evaluations_and_no_fallback():
         query = BetaQuantileQuery(_log_uniform(rng, 1.0, 1e4),
                                   _log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
         plan = beta_plan(query)
-        assert plan.variable is Variable.DIRECT, query
-        assert plan.start == "asymptotic", query
+        assert (plan.variable, plan.start) == (Variable.LOGIT, "asymptotic"), query
         _assert_quick_direct_solve(plan, invert_beta(query), query)

@@ -46,7 +46,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _beta_exponent, _normal_quantile, _reg_beta, ln_beta
+from .special import _beta_exponent, _normal_quantile, _reg_beta, bisect_root, ln_beta
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -79,11 +79,6 @@ def beta_b(a: float, b: float, x: float) -> float:
     check_shape("beta_b", b)
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_b requires x in (0, 1), got {x}")
-    return _beta_b(a, b, x)
-
-
-def _beta_b(a: float, b: float, x: float) -> float:
-    """beta_b without the domain check."""
     return -(a - 1.0) / x + (b - 1.0) / (1.0 - x)
 
 
@@ -101,11 +96,6 @@ def beta_omega(a: float, b: float, x: float) -> float:
     check_shape("beta_omega", b)
     if not 0.0 < x < 1.0:
         raise ValueError(f"beta_omega requires x in (0, 1), got {x}")
-    return _beta_omega(a, b, x)
-
-
-def _beta_omega(a: float, b: float, x: float) -> float:
-    """beta_omega without the domain check."""
     y = 1.0 - x
     xx = x * x
     if xx == 0.0:  # then y == 1
@@ -138,39 +128,15 @@ def beta_xm(a: float, b: float) -> float:
     """Abscissa of the maximum of Omega on (0, 1), for a > 1, b > 1.
 
     The cubic G x^3 + H x^2 + I x + J has exactly one real root, bracketed
-    by Q(0) = -(a-1)(a+1) < 0 < Q(1) = (b-1)(b+1); solved by safeguarded
-    Newton iteration rather than the closed-form cubic formulas.
+    by Q(0) = -(a-1)(a+1) < 0 < Q(1) = (b-1)(b+1); solved by bisection to
+    adjacent doubles rather than by the closed-form cubic formulas.
     """
     check_shape("beta_xm", a)
     check_shape("beta_xm", b)
     if not (a > 1.0 and b > 1.0):
         raise ValueError(f"beta_xm requires a > 1 and b > 1, got a={a}, b={b}")
     g, h, i, j = beta_xm_coefficients(a, b)
-
-    def cubic(x: float) -> float:
-        return ((g * x + h) * x + i) * x + j
-
-    def cubic_prime(x: float) -> float:
-        return (3.0 * g * x + 2.0 * h) * x + i
-
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    for _ in range(100):
-        qx = cubic(x)
-        if qx > 0.0:
-            hi = x
-        elif qx < 0.0:
-            lo = x
-        else:
-            return x
-        dq = cubic_prime(x)
-        x_new = x - qx / dq if dq != 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4.0 * MACHINE_EPSILON * abs(x):
-            return x_new
-        x = x_new
-    return x
+    return bisect_root(lambda x: ((g * x + h) * x + i) * x + j, 0.0, 1.0, tol=0.0)
 
 
 def beta_omega_logit(a: float, b: float, z: float) -> float:
@@ -207,15 +173,15 @@ class _BetaProblem(Problem):
     within RESIDUAL_NOISE_FLOOR of the tail the fraction computed at this
     x (I below the switch, J above it) counts as 0: where the inverted
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
-    is ln B(a, b); it is computed here when the caller passes none.  The
-    deep-tail bounds in z and the Stirling flag serve the logit evaluation.
+    is ln B(a, b).  The deep-tail bounds in z and the Stirling flag serve
+    the logit evaluation.
     """
 
-    def __init__(self, query: BetaQuantileQuery, ln_b: Optional[float] = None) -> None:
+    def __init__(self, query: BetaQuantileQuery) -> None:
         a, b = query.a, query.b
         s = a + b
         self.query = query
-        self.ln_b = ln_beta(a, b) if ln_b is None else ln_b
+        self.ln_b = ln_beta(a, b)
         self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
         self.stirling = a >= 16.0 and b >= 16.0
@@ -241,10 +207,10 @@ class BetaDirectProblem(_BetaProblem):
         scale = math.exp(_beta_exponent(a, b, x, y, self.ln_b))
         i, j = _reg_beta(x, y, a, b, scale)
         return ProblemEvaluation.build(x, self._residual(x, i, j), scale / (x * y),
-                                       _beta_b(a, b, x), _beta_omega(a, b, x))
+                                       beta_b(a, b, x), beta_omega(a, b, x))
 
     def omega(self, x: float) -> float:
-        return _beta_omega(self.query.a, self.query.b, x)
+        return beta_omega(self.query.a, self.query.b, x)
 
     def scale(self, x: float) -> float:
         """The distance to the nearer end of (0, 1): x or 1 - x."""
@@ -404,10 +370,10 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     The problem holds ln B(a, b).
     """
     a, b, p, q = query.a, query.b, query.p, query.q
-    ln_b = ln_beta(a, b)
+    problem = BetaLogitProblem(query)
+    ln_b = problem.ln_b
     log_x_p = (math.log(p) + math.log(a) + ln_b) / a
     log_y_q = (math.log(q) + math.log(b) + ln_b) / b
-    problem = BetaLogitProblem(query, ln_b)
     if a > 1.0 and b > 1.0:
         return _tuple_new(Plan, (problem, _asymptotic_start(query, log_x_p, log_y_q),
                                  _LOGIT, "asymptotic"))

@@ -250,9 +250,10 @@ class Problem(ABC):
 
     ``omega``, where a problem defines it, is Omega(x) in closed form,
     bit-equal to ``evaluate(x).omega`` and without the kernel evaluation;
-    it never raises, but returns an infinity or NaN where Omega is not
-    finite.  With it an SNM solve may stop on its predicted error, which
-    is measured against ``scale(x)``, the problem's length scale at x.
+    it never raises at a point of the domain, but returns an infinity or
+    NaN where Omega is not finite there.  With it an SNM solve may stop on
+    its predicted error, which is measured against ``scale(x)``, the
+    problem's length scale at x.
     """
 
     residual_tol: float = 0.0
@@ -598,8 +599,9 @@ def solve(problem: Problem, x0: float,
     solve, converged with ``NOISE_FLOOR``, when a step reverses the
     previous one, is no shorter than it, and is at most ``NOISE_STEPS``
     step tolerances long: the iterates then bounce on the residual's
-    rounding noise.  The root is the one of the two iterates with the
-    smaller |f|.
+    rounding noise, as Halley and Newton quantile solves can near their
+    root (SNM ones reach another stop first).  The root is the one of the
+    two iterates with the smaller |f|.
 
     An undefined SNM step (hyperbolic branch out of range) is replaced by
     one Halley step and flagged in the trace.  A step leaving the domain

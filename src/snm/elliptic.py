@@ -35,7 +35,6 @@ from .core import (
     ProblemEvaluation,
     SolveOptions,
     SolveReport,
-    StepUndefinedError,
     _DIRECT,
     _RESIDUAL_TOL,
     _tuple_new,
@@ -121,10 +120,12 @@ def ellip_xe(m: float) -> float:
 def ellip_start_low(m: float, p: float) -> float:
     """One SNM step from x = 0: (sqrt(2)/m) arctanh(m p E(1,m)/sqrt(2)).
 
+    For m, p in (0, 1) the arctanh argument is below 0.75 (its maximum,
+    0.7459, is near m = 0.909), so the step is finite; for p near 1 it
+    may pass pi/2.
+
     Raises:
         ValueError: m or p outside (0, 1).
-        StepUndefinedError: the arctanh argument reaches 1 (callers use
-            the high start instead).
     """
     return _start_low(m, p, _checked_complete(EllipticQuery(m, p)))
 
@@ -143,11 +144,9 @@ def _checked_complete(query: EllipticQuery) -> float:
 
 
 def _start_low(m: float, p: float, complete: float) -> float:
-    """ellip_start_low given complete = E(1, m); m, p unchecked."""
-    arg = m * p * complete / math.sqrt(2.0)
-    if arg >= 1.0:
-        raise StepUndefinedError(f"arctanh argument {arg} >= 1 in low start")
-    return math.sqrt(2.0) / m * math.atanh(arg)
+    """ellip_start_low given complete = E(1, m); m, p unchecked.  Its arctanh
+    argument is below 0.833 for m, p < 1, as E(1, m) <= (pi/2)(1 - m^2/4)."""
+    return math.sqrt(2.0) / m * math.atanh(m * p * complete / math.sqrt(2.0))
 
 
 def _start_high(m: float, p: float, complete: float) -> float:
@@ -212,10 +211,7 @@ def choose_start(query: EllipticQuery,
         return math.asin(arg), "arcsin-guess"
     if m == 0.0:
         raise ValueError("choose_start requires m > 0; m = 0 inverts in closed form")
-    try:
-        low = _start_low(m, p, complete)
-    except StepUndefinedError:
-        return _start_high(m, p, complete), "high"
+    low = _start_low(m, p, complete)
     high = _start_high(m, p, complete)
     if low < high and p < 0.8:
         return low, "low"

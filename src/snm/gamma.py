@@ -60,11 +60,6 @@ def gamma_b(a: float, x: float) -> float:
     check_shape("gamma_b", a)
     if not (x > 0.0):
         raise ValueError(f"gamma_b requires x > 0, got {x}")
-    return _gamma_b(a, x)
-
-
-def _gamma_b(a: float, x: float) -> float:
-    """gamma_b without the domain check."""
     return 1.0 + (1.0 - a) / x
 
 
@@ -81,11 +76,6 @@ def gamma_omega(a: float, x: float) -> float:
     check_shape("gamma_omega", a)
     if not (x > 0.0):
         raise ValueError(f"gamma_omega requires x > 0, got {x}")
-    return _gamma_omega(a, x)
-
-
-def _gamma_omega(a: float, x: float) -> float:
-    """gamma_omega without the domain check."""
     xx = x * x
     if xx == 0.0:
         return -0.25 if a == 1.0 else math.copysign(math.inf, 1.0 - a)
@@ -155,10 +145,10 @@ class GammaDirectProblem(_GammaProblem):
         a = self.query.a
         scale, fp = _gamma_prefactor(a, x, self.ln_gamma_a)
         return ProblemEvaluation.build(
-            x, self._residual(x, scale), fp, _gamma_b(a, x), _gamma_omega(a, x))
+            x, self._residual(x, scale), fp, gamma_b(a, x), gamma_omega(a, x))
 
     def omega(self, x: float) -> float:
-        return _gamma_omega(self.query.a, x)
+        return gamma_omega(self.query.a, x)
 
     def domain(self) -> Interval:
         return _POSITIVE_AXIS

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import snm.beta
+import snm.core
 from snm.beta import (
     BetaDirectProblem,
     BetaLogitProblem,
@@ -133,7 +134,7 @@ def test_beta_omega_discriminant_positive_numerator():
 
 def test_beta_xm_symmetric_is_half():
     for ab in (1.5, 2.0, 6.0, 30.0):
-        assert beta_xm(ab, ab) == pytest.approx(0.5, abs=1e-14)
+        assert beta_xm(ab, ab) == 0.5
 
 
 def test_beta_xm_coefficients_2_2():
@@ -158,7 +159,7 @@ def test_beta_xm_cubic_residual_random():
         g, h, i, j = beta_xm_coefficients(a, b)
         x = beta_xm(a, b)
         q = ((g * x + h) * x + i) * x + j
-        assert abs(q) <= 1e-12 * max(abs(g), abs(h), abs(i), abs(j))
+        assert abs(q) <= 1e-15 * max(abs(g), abs(h), abs(i), abs(j))
 
 
 def test_beta_xm_domain():
@@ -701,6 +702,21 @@ def test_raised_bound_start_needs_no_fallback():
         assert report.converged and report.evaluations <= 3, (query, report.evaluations)
         assert not any(r.fallback_used for r in report.trace)
         assert abs(plan.to_x(plan.x0) - plan.to_x(report.root)) <= 1e-4
+
+
+def test_halley_bounce_on_the_fraction_s_noise_ends_on_the_noise_stop(monkeypatch):
+    # SNM solves of the bench sets never end on the noise stop; Halley and
+    # Newton ones near the fraction's switch do.  This Halley solve bounces
+    # on the residual's rounding noise and, without the stop, runs out of
+    # iterations.
+    a, b, p, q = 3.057314209574788, 195.36347862360583, 0.8848220344305574, 0.1151779655694426
+    query = BetaQuantileQuery(a, b, p, q)
+    report = invert_beta(query, SolveOptions(method="halley"))
+    assert report.converged and report.reason is StopReason.NOISE_FLOOR
+    assert report.evaluations == 4
+    assert abs(report.root - beta_bisection_root(a, b, p, q)) <= 1e-12
+    monkeypatch.setattr(snm.core, "NOISE_STEPS", 0.0)
+    assert invert_beta(query, SolveOptions(method="halley")).reason is StopReason.MAX_ITER
 
 
 @pytest.mark.parametrize("a, b, p, q, root", [

@@ -148,6 +148,19 @@ def test_starts_inside_interval_and_consistent():
     assert r1.root == pytest.approx(r2.root, abs=1e-13)
 
 
+def test_low_start_is_defined_for_every_modulus():
+    # The low start's arctanh argument m p E(1, m) / sqrt(2) peaks at 0.7459
+    # near m = 0.909, so no m, p in (0, 1) reaches the pole at 1 and the
+    # start needs no fallback.  p = 1 - 2^-53 is the largest p.  There the
+    # step may pass pi/2 (by 4e-10 at m = 5e-5); below p = 0.8, where
+    # ``choose_start`` may take it, it stays inside (0, pi/2).
+    p = 1.0 - 2.0 ** -53
+    for m in [i / 20000 for i in range(1, 20000)] + [1.0 - 2.0 ** -53]:
+        assert m * p * ellip_e_complete(m) / math.sqrt(2.0) < 0.75, m
+        assert 0.0 < ellip_start_low(m, p) < math.inf, m
+        assert 0.0 < ellip_start_low(m, 0.8) < math.pi / 2, m
+
+
 def test_invert_linear_case():
     report = invert_ellip_e(EllipticQuery(0.0, 0.3))
     assert report.converged

@@ -26,11 +26,7 @@ from snm.beta import (
     BetaDirectProblem,
     BetaLogitProblem,
     BetaQuantileQuery,
-    _beta_b,
-    _beta_omega,
     _beta_omega_logit_x,
-    beta_b,
-    beta_omega,
     beta_omega_logit,
 )
 from snm.core import _sigmoid
@@ -38,11 +34,7 @@ from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
     GammaQuantileQuery,
-    _gamma_b,
-    _gamma_omega,
     _gamma_omega_log_x,
-    gamma_b,
-    gamma_omega,
     gamma_omega_log,
 )
 from snm.special import _beta_exponent, _gamma_exponent, _reg_beta, _reg_gamma, ln_beta, ln_gamma
@@ -207,14 +199,8 @@ def test_private_b_omega_helpers_equal_the_public_functions():
     for _ in range(2000):
         a = math.exp(rng.uniform(-5.0, 6.0))
         b = math.exp(rng.uniform(-5.0, 6.0))
-        x = rng.uniform(1e-6, 1.0 - 1e-6)
-        xg = math.exp(rng.uniform(-20.0, 8.0))
         z = rng.uniform(-40.0, 6.0)
-        assert _same(_gamma_b(a, xg), gamma_b(a, xg))
-        assert _same(_gamma_omega(a, xg), gamma_omega(a, xg))
         assert _same(_gamma_omega_log_x(a, math.exp(z)), gamma_omega_log(a, z))
-        assert _same(_beta_b(a, b, x), beta_b(a, b, x))
-        assert _same(_beta_omega(a, b, x), beta_omega(a, b, x))
         assert _same(_beta_omega_logit_x(a, b, _sigmoid(z), _sigmoid(-z)),
                      beta_omega_logit(a, b, z))
 

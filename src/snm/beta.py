@@ -46,7 +46,8 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import _beta_exponent, _normal_quantile, _reg_beta, bisect_root, ln_beta
+from .special import (_beta_exponent, _beta_stirling, _normal_quantile, _reg_beta, bisect_root,
+                      ln_beta)
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -173,8 +174,9 @@ class _BetaProblem(Problem):
     within RESIDUAL_NOISE_FLOOR of the tail the fraction computed at this
     x (I below the switch, J above it) counts as 0: where the inverted
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
-    is ln B(a, b).  The deep-tail bounds in z and the Stirling flag serve
-    the logit evaluation.
+    is ln B(a, b), and ``stirling`` for a, b >= 16 the constants of the
+    kernel exponent's Stirling form.  The deep-tail bounds in z serve the
+    logit evaluation.
     """
 
     def __init__(self, query: BetaQuantileQuery) -> None:
@@ -184,7 +186,7 @@ class _BetaProblem(Problem):
         self.ln_b = ln_beta(a, b)
         self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
-        self.stirling = a >= 16.0 and b >= 16.0
+        self.stirling = _beta_stirling(a, b) if a >= 16.0 and b >= 16.0 else None
         self.deep_tail_z = _deep_tail_z(a, s)
         self.deep_tail_top = -_deep_tail_z(b, s)
 
@@ -204,7 +206,7 @@ class BetaDirectProblem(_BetaProblem):
         q = self.query
         a, b = q.a, q.b
         y = 1.0 - x
-        scale = math.exp(_beta_exponent(a, b, x, y, self.ln_b))
+        scale = math.exp(_beta_exponent(a, b, x, y, self.ln_b, self.stirling))
         i, j = _reg_beta(x, y, a, b, scale)
         return ProblemEvaluation.build(x, self._residual(x, i, j), scale / (x * y),
                                        beta_b(a, b, x), beta_omega(a, b, x))
@@ -263,7 +265,7 @@ class BetaLogitProblem(_BetaProblem):
         # f_z' is the kernel's prefactor x^a y^b / B, and formed from z it
         # keeps its precision where x or y is subnormal.
         if self.stirling:
-            fp = math.exp(_beta_exponent(a, b, x, y, ln_b))
+            fp = math.exp(_beta_exponent(a, b, x, y, ln_b, self.stirling))
         else:
             fp = math.exp((a * z if z < 0.0 else -b * z) - (a + b) * math.log1p(t) - ln_b)
         i, j = _reg_beta(x, y, a, b, fp)

@@ -35,8 +35,8 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import (_gamma_exponent, _gamma_prefactor, _ln_gamma, _ln_gamma_1p,
-                      _normal_quantile, _reg_gamma)
+from .special import (_gamma_exponent, _gamma_prefactor, _gamma_stirling, _ln_gamma,
+                      _ln_gamma_1p, _normal_quantile, _reg_gamma)
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
@@ -119,7 +119,8 @@ class _GammaProblem(Problem):
     * min(p, q).  The problem holds ln Gamma(a) and ln Gamma(a + 1); for
     a < 1 the latter is ``ln_gamma_1p``, without rounding 1 + a, from which
     the kernel forms an upper tail's Q to relative accuracy on its series
-    side (x < a + 1).
+    side (x < a + 1).  For a >= 16 it also holds the constants of the
+    kernel exponent's Stirling form, ``stirling``.
     """
 
     def __init__(self, query: GammaQuantileQuery) -> None:
@@ -128,6 +129,7 @@ class _GammaProblem(Problem):
         self.ln_gamma_a = _ln_gamma(a)
         self.ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 else None
         self.ln_gamma_a1 = self.ln_gamma_a + math.log(a) if a >= 1.0 else self.ln_gamma_1p
+        self.stirling = _gamma_stirling(a) if a >= 16.0 else None
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
 
     def _residual(self, x: float, scale: float) -> float:
@@ -172,7 +174,7 @@ class GammaLogProblem(_GammaProblem):
         if a < 16.0 or z < DEEP_TAIL_Z:
             fp = math.exp(a * z - x - self.ln_gamma_a)
         else:
-            fp = math.exp(_gamma_exponent(a, x, self.ln_gamma_a))
+            fp = math.exp(_gamma_exponent(a, x, self.ln_gamma_a, self.stirling))
         if z < DEEP_TAIL_Z:
             # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
             # (the next series term is below x ~ 1e-290).  Also dodges

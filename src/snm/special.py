@@ -140,7 +140,13 @@ def _stirling_remainder(a: float) -> float:
         _STIRLING[2] + inv2 * (_STIRLING[3] + inv2 * _STIRLING[4]))))
 
 
-def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
+def _gamma_stirling(a: float) -> tuple[float, float]:
+    """((1/2) log(a/(2 pi)), S(a)), the constants of ``_gamma_exponent`` for a >= 16."""
+    return 0.5 * math.log(a / (2.0 * math.pi)), _stirling_remainder(a)
+
+
+def _gamma_exponent(a: float, x: float, ln_gamma_a: float,
+                    stirling: Optional[tuple[float, float]] = None) -> float:
     """a log x - x - ln Gamma(a), computed without large-argument cancellation.
 
     ``ln_gamma_a`` is ln Gamma(a); it is read only for a < 16.  For a >= 16
@@ -148,11 +154,12 @@ def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
         a log x - x - ln Gamma(a)
             = a log(x/a) + (a - x) + (1/2) log(a/(2 pi)) - S(a)
     (S the Stirling remainder) keeps the absolute error near |x-a| * eps
-    instead of a log(x) * eps, which matters already at a ~ 100.  log(x/a)
-    is taken as log1p((x-a)/a) for x >= a/2, where x - a is exact; below
-    a/2 that difference would round x away, so log(x/a) is used, or
-    log x - log a once x/a would be subnormal.  Below a/2 every form has
-    absolute error near a * eps.
+    instead of a log(x) * eps, which matters already at a ~ 100; a caller
+    that evaluates at one a many times passes its two constants,
+    ``_gamma_stirling(a)``.  log(x/a) is taken as log1p((x-a)/a) for
+    x >= a/2, where x - a is exact; below a/2 that difference would round
+    x away, so log(x/a) is used, or log x - log a once x/a would be
+    subnormal.  Below a/2 every form has absolute error near a * eps.
     """
     if a < 16.0:
         return a * math.log(x) - x - ln_gamma_a
@@ -161,8 +168,8 @@ def _gamma_exponent(a: float, x: float, ln_gamma_a: float) -> float:
     else:
         ratio = x / a
         log_ratio = math.log(ratio) if ratio >= MIN_NORMAL else math.log(x) - math.log(a)
-    return (a * log_ratio + (a - x)
-            + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_remainder(a))
+    half_log, remainder = stirling or _gamma_stirling(a)
+    return a * log_ratio + (a - x) + half_log - remainder
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -327,24 +334,32 @@ def ln_beta(a: float, b: float) -> float:
     return _ln_gamma(lo) - diff
 
 
-def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float) -> float:
+def _beta_stirling(a: float, b: float) -> tuple[float, float, float, float]:
+    """The constants of ``_beta_exponent``'s shifted form for a, b >= 16:
+    ((1/2) log(ab/(2 pi s)), S(s), S(a), S(b)), s = a + b."""
+    s = a + b
+    return (0.5 * math.log(a * b / (2.0 * math.pi * s)), _stirling_remainder(s),
+            _stirling_remainder(a), _stirling_remainder(b))
+
+
+def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float,
+                   stirling: Optional[tuple[float, float, float, float]] = None) -> float:
     """a log x + b log y - ln B(a, b), y = 1 - x, given ln_b = ln B(a, b).
 
     The log is taken of the smaller of x and y, and log1p of minus it for
     the other, so neither is formed by subtraction.  For a, b >= 16 and x
     in the central bulk, the shifted form
         a log1p(t/a) + b log1p(-t/b) + (1/2) log(ab/(2 pi s)) + dS,
-    t = x b - y a, s = a + b, keeps the absolute error near eps * |t|
-    instead of eps * |ln B|.
+    t = x b - y a, s = a + b, dS = S(s) - S(a) - S(b), keeps the absolute
+    error near eps * |t| instead of eps * |ln B|; a caller that evaluates
+    at one (a, b) many times passes its constants, ``_beta_stirling(a, b)``.
     """
     if a >= 16.0 and b >= 16.0:
-        s = a + b
         t = x * b - y * a
         if t > -0.9 * a and -t > -0.9 * b:
+            half_log, s_s, s_a, s_b = stirling or _beta_stirling(a, b)
             return (a * math.log1p(t / a) + b * math.log1p(-t / b)
-                    + 0.5 * math.log(a * b / (2.0 * math.pi * s))
-                    + _stirling_remainder(s) - _stirling_remainder(a)
-                    - _stirling_remainder(b))
+                    + half_log + s_s - s_a - s_b)
     if x <= y:
         return a * math.log(x) + b * math.log1p(-x) - ln_b
     return a * math.log1p(-y) + b * math.log(y) - ln_b

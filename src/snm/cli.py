@@ -2,14 +2,19 @@
 
 Grammar::
 
-    snm invert  (gamma|beta|elliptic) --p P [--a A] [--b B] [--m M]
+    snm invert  (gamma|beta|elliptic) --p P [--q Q] [--a A] [--b B] [--m M]
                 [--method snm|halley|newton] [--trace]
                 [--format table|csv|json] [--max-iter N]
+    snm invert  (gamma|beta) --q Q ...
     snm compare (gamma|beta|elliptic) ... [--methods snm,halley,newton]
                 [--x0 X0] [--format ...] [--max-iter N]
     snm osculate (gamma|beta|elliptic|tan) --x0 X0 --range LO:HI
                 --samples N [--curves function,snm,halley,newton]
                 [--format ...]
+
+``--q`` is the upper tail of gamma and beta: given alone it sets
+p = 1 - q, which may round to 1.0 (q = 1e-20), as the query classes
+allow; given with ``--p`` the pair must sum to 1.
 
 Exit status: 0 on convergence, 1 on solver failure, 2 on usage errors.
 A typed solver or kernel error (``SnmError``) is a solver failure: one
@@ -87,15 +92,24 @@ PROBLEMS = {
     "tan": _Kind((), lambda: None, lambda query: tan_problem(), lambda problem: 0.0),
 }
 SOLVED = tuple(name for name, kind in PROBLEMS.items() if kind.invert)
+# The problems whose queries take the upper tail q as well as p.
+TWO_TAILED = ("gamma", "beta")
 
 
 def _validated_query(parser, args):
     kind = PROBLEMS[args.problem]
+    q = getattr(args, "q", None)  # osculate takes no --q
+    if q is not None:
+        if args.problem not in TWO_TAILED:
+            parser.error(f"--q applies to gamma and beta, not {args.problem}")
+        if args.p is None:
+            args.p = 1.0 - q
     for name in kind.flags:
         if getattr(args, name) is None:
             parser.error(f"{args.problem} requires --{name}")
+    tails = {} if q is None else {"q": q}
     try:
-        return kind.query(*(getattr(args, name) for name in kind.flags))
+        return kind.query(*(getattr(args, name) for name in kind.flags), **tails)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -375,6 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     for sub in (inv, cmp_):  # osculate runs no solve
         sub.add_argument("--max-iter", type=int, default=30, dest="max_iter")
+        sub.add_argument("--q", type=float, default=None,
+                         help="upper tail 1 - p (gamma/beta); alone, p = 1 - q")
 
     osc = subs.add_parser("osculate", help="emit osculating-curve samples")
     osc.add_argument("problem", choices=tuple(PROBLEMS))

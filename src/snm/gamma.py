@@ -119,16 +119,20 @@ class _GammaProblem(Problem):
     * min(p, q).  The problem holds ln Gamma(a) and ln Gamma(a + 1); for
     a < 1 the latter is ``ln_gamma_1p``, without rounding 1 + a, from which
     the kernel forms an upper tail's Q to relative accuracy on its series
-    side (x < a + 1).  For a >= 16 it also holds the constants of the
+    side (x < a + 1), and ln Gamma(a) is ln Gamma(1 + a) - ln a.  For a >= 16 it also holds the constants of the
     kernel exponent's Stirling form, ``stirling``.
     """
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         a = query.a
         self.query = query
-        self.ln_gamma_a = _ln_gamma(a)
-        self.ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 else None
-        self.ln_gamma_a1 = self.ln_gamma_a + math.log(a) if a >= 1.0 else self.ln_gamma_1p
+        if a < 1.0:
+            self.ln_gamma_1p = self.ln_gamma_a1 = _ln_gamma_1p(a)
+            self.ln_gamma_a = self.ln_gamma_1p - math.log(a)
+        else:
+            self.ln_gamma_1p = None
+            self.ln_gamma_a = _ln_gamma(a)
+            self.ln_gamma_a1 = self.ln_gamma_a + math.log(a)
         self.stirling = _gamma_stirling(a) if a >= 16.0 else None
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
 

@@ -5,9 +5,11 @@ a small-a form of Q on the series side), regularized incomplete beta
 (continued fraction with symmetry switch, and its gamma limit where
 1 - x rounds to 1), Carlson symmetric elliptic integrals by the
 duplication algorithm, and the incomplete elliptic integral of the
-second kind built on them; the complete one, E(1, m), by Gauss's
-arithmetic-geometric mean (DLMF 19.8.6), within 2.1e-15 relative of
-40-digit mpmath, where ``ellip_e_inc(pi/2, m)`` is off by up to 1.1e-14.
+second kind built on them.  The complete one, E(1, m), has two branches:
+for k'^2 = (1 - m)(1 + m) <= 0.05 (m >= 0.9747) the k' series of DLMF
+19.12.2 to 12 terms, within 1.2e-16 relative of 40-digit mpmath; below,
+Gauss's arithmetic-geometric mean (DLMF 19.8.6), within 2.1e-15, where
+``ellip_e_inc(pi/2, m)`` is off by up to 1.1e-14.
 
 ``bisect_root`` is plain interval bisection, the oracle of the CLI's
 compare command and of the tests, not part of the quantile API.
@@ -15,10 +17,13 @@ compare command and of the tests, not part of the quantile API.
 All elliptic routines take the modulus m (the integrand is
 sqrt(1 - m^2 sin^2 t)), not the parameter m^2.
 
-The Horner coefficients of the log Gamma Taylor series, tabled once at
-import, hold the same doubles that the loop computing them in place
-would give, and are applied in the same order, so ``ln_gamma`` returns
-the same bits as that reference loop.
+ln Gamma on [0.45, 2.6], and ln Gamma(1 + a) for 0 < a < 1, come from
+ln Gamma(2 + t), t in [-0.55, 0.6], as t ((1 - gamma) + t g(t)): exactly 0
+at a = 1 and 2 and relative near those zeros.  g is a table of 4 pieces
+of 12 polynomial coefficients (``tools/fit_lngamma.py``), which replaced
+the 35-term Taylor series in zeta(k) - 1 at about a third of its cost.
+Over (0, 2.6] its worst relative error against 40-digit mpmath is the
+series' own, 5.5e-16.
 
 The private gamma and beta kernels take their prefactor x^a e^-x /
 Gamma(a) or x^a (1-x)^b / B(a, b) from the caller, which forms it once
@@ -49,26 +54,36 @@ _MAX_SERIES_ITER = 30000
 
 _EULER_GAMMA = 0.5772156649015329
 
-# zeta(k) - 1 for k = 2..36; coefficients of the log Gamma(2+t) Taylor
-# series, which keeps the relative error near the zeros of log Gamma
-# (a = 1, 2) at the eps level, where ``math.lgamma`` only bounds the
-# absolute error (to ~1.2e-15, a relative error of up to ~0.8).
-_ZETA_M1 = (
-    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
-    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
-    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
-    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
-    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
-    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
-    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
-    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
-    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
-    1.862659723513049e-09, 9.313274324196682e-10, 4.656629065033784e-10,
-    2.3283118336765053e-10, 1.164155017270052e-10, 5.820772087902701e-11,
-    2.9103850444971e-11, 1.4551921891041985e-11,
+# ln Gamma(2 + t) = t ((1 - gamma) + t g(t)) on [-0.55, 0.6], which keeps
+# the relative error near the zeros of ln Gamma (a = 1, 2) at the eps
+# level, where ``math.lgamma`` only bounds the absolute error (to
+# ~1.2e-15, a relative error of up to ~0.8).  g is piecewise polynomial:
+# on each of four equal pieces, (centre c, then the coefficients of g in
+# u = t - c, lowest order first), fitted by Chebyshev interpolation at
+# 50 digits; tools/fit_lngamma.py regenerates the table.  The inner edges
+# are -0.2625, 0.025 and 0.3125.
+_LNGAMMA_PIECES = (
+    (-0.40625,
+     0.3538154417492933, -0.0887112542878807, 0.03352038750007426,
+     -0.01503194523358552, 0.007378209139525261, -0.0038219680589899013,
+     0.002050111734827722, -0.001126438932001868, 0.0006296888071522382,
+     -0.00035670735539576777, 0.00020848465841510872, -0.0001203376839999829),
+    (-0.11875000000000001,
+     0.3307683127458759, -0.07257331061519631, 0.02347808793597655,
+     -0.008945505945559862, 0.0037211253354547348, -0.0016325647442871117,
+     0.0007417286769550162, -0.00034527970744636943, 0.0001635821755029011,
+     -7.854707260325624e-05, 3.868826002516841e-05, -1.8931565417026068e-05),
+    (0.16875,
+     0.31165410432376106, -0.06098611392081126, 0.01728404393460849,
+     -0.0057307782533137655, 0.002069256000688354, -0.0007873693556312016,
+     0.00031021192392005365, -0.00012523962523019818, 5.14712353058074e-05,
+     -2.144297153466511e-05, 9.130735304409046e-06, -3.877383708924914e-06),
+    (0.45625,
+     0.29542579419576737, -0.05229582706791404, 0.013207691353574077,
+     -0.0038796606768257643, 0.0012380686228551034, -0.00041595883905799986,
+     0.00014465982760791853, -5.1552577179871846e-05, 1.87047282561981e-05,
+     -6.880291539462793e-06, 2.5807020035460994e-06, -9.678443749440842e-07),
 )
-# Horner coefficients (zeta(k) - 1) / k of that series, k = 36 down to 2.
-_LNGAMMA_TAYLOR = tuple(_ZETA_M1[k - 2] / k for k in range(len(_ZETA_M1) + 1, 1, -1))
 
 
 class KernelError(SnmError, ArithmeticError):
@@ -76,12 +91,16 @@ class KernelError(SnmError, ArithmeticError):
 
 
 def _lngamma_near_two(t: float) -> float:
-    """log Gamma(2 + t) for |t| <= 0.6 by its Taylor series."""
-    mt = -t
-    acc = 0.0
-    for c in _LNGAMMA_TAYLOR:
-        acc = acc * mt + c
-    return t * ((1.0 - _EULER_GAMMA) + t * acc)
+    """log Gamma(2 + t) for -0.55 <= t <= 0.6 from the table; exactly 0 at t = 0."""
+    if t < 0.025:
+        piece = _LNGAMMA_PIECES[0] if t < -0.2625 else _LNGAMMA_PIECES[1]
+    else:
+        piece = _LNGAMMA_PIECES[2] if t < 0.3125 else _LNGAMMA_PIECES[3]
+    c, g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11 = piece
+    u = t - c
+    g = g0 + u * (g1 + u * (g2 + u * (g3 + u * (g4 + u * (g5 + u * (
+        g6 + u * (g7 + u * (g8 + u * (g9 + u * (g10 + u * g11))))))))))
+    return t * ((1.0 - _EULER_GAMMA) + t * g)
 
 
 def _ln_gamma_1p(a: float) -> float:
@@ -99,7 +118,7 @@ def ln_gamma(a: float) -> float:
     """log Gamma(a) for a > 0.
 
     ``math.lgamma`` for a > 2.6, where ln Gamma > 0.35 keeps its absolute
-    error relative; the Taylor series around the zero at a = 2 on
+    error relative; the ln Gamma(2 + t) table around the zero at a = 2 on
     [0.45, 2.6] (reached through the recursion
     log Gamma(a) = log Gamma(a+1) - log(a) below 1.45); the same
     recursion for a < 0.45.  Exact at a = 1 and a = 2.
@@ -629,24 +648,49 @@ def _ellip_e(m: float, s: float, c2: float, w: float) -> float:
     return s * rf - (m * m / 3.0) * (s * s * s) * rd
 
 
+_LN_4 = math.log(4.0)
+
+
 def ellip_e_complete(m: float) -> float:
     """Complete elliptic integral of the second kind, modulus m in [0, 1].
 
-    Gauss's arithmetic-geometric mean (DLMF 19.8.6): E = pi/(2a) (1 - sum
-    2^(n-1) c_n^2) over the levels a, g, c = (a+g)/2, sqrt(a g), (a-g)/2
-    from 1, sqrt(1-m^2), m.  Its first term 1 - m^2/2 is taken as
-    (1 + (1-m)(1+m))/2, free of the rounding of m^2 where 1 - sum cancels
-    (m near 1).  Within 2.1e-15 relative of 40-digit mpmath over 6,500
-    moduli; exact at m = 0 and m = 1.
+    Two branches, exact at m = 0 and m = 1:
+
+    - For k'^2 = (1-m)(1+m) <= 0.05 (m >= 0.9747), the k' series (DLMF
+      19.12.2), E = 1 + sum_n a_n k'^(2n) (ln(4/k') - d_n), with
+      a_n = prod_{j<n} ((2j-1)/(2j))^2 (2n-1)/(2n) and
+      d_n = sum_{j<n} 2/((2j-1) 2j) + 1/((2n-1) 2n), taken to n = 12 (the
+      truncation is below 1e-18 relative) as two Horner sums in k'^2 whose
+      coefficients a_n and a_n d_n are written out, correctly rounded.
+      Within 1.2e-16 relative of 40-digit mpmath over 3,000 moduli there.
+    - Elsewhere Gauss's arithmetic-geometric mean (DLMF 19.8.6):
+      E = pi/(2a) (1 - sum 2^(n-1) c_n^2) over the levels a, g, c =
+      (a+g)/2, sqrt(a g), (a-g)/2 from 1, k', m.  Its first term
+      1 - m^2/2 is taken as (1 + k'^2)/2, free of the rounding of m^2.
+      Within 2.1e-15 relative of 40-digit mpmath over 6,500 moduli; near
+      m = 1, where 1 - sum cancels and it takes up to 9 levels, it reached
+      1.9e-15, which the k' series replaces.
     """
     if not 0.0 <= m <= 1.0:  # also refuses NaN
         raise ValueError(f"ellip_e_complete requires m in [0, 1], got {m}")
     if m == 1.0:
         return 1.0
     g2 = (1.0 - m) * (1.0 + m)
+    if g2 <= 0.05:
+        series = g2 * (0.5 + g2 * (0.1875 + g2 * (0.1171875 + g2 * (0.08544921875 + g2 * (
+            0.067291259765625 + g2 * (0.055515289306640625 + g2 * (
+                0.047254085540771484 + g2 * (0.04113636910915375 + g2 * (
+                    0.03642282681539655 + g2 * (0.032679369614925236 + g2 * (
+                        0.02963424653717084 + g2 * 0.027108600525480142)))))))))))
+        shift = g2 * (0.25 + g2 * (0.203125 + g2 * (0.140625 + g2 * (0.10691324869791667 + g2 * (
+            0.08614349365234375 + g2 * (0.07210578918457031 + g2 * (
+                0.06199338436126709 + g2 * (0.05436488067997353 + g2 * (
+                    0.048406362059592666 + g2 * (0.04362405740343208 + g2 * (
+                        0.03970121666819371 + g2 * 0.036425376655683704)))))))))))
+        return 1.0 + ((_LN_4 - 0.5 * math.log(g2)) * series - shift)
     a, g, c = 1.0, math.sqrt(g2), m
     rest, power = 0.5 * (1.0 + g2), 0.5
-    for _ in range(10):  # m = 1 - 2^-53, the slowest below 1, takes 9 levels
+    for _ in range(10):  # k'^2 > 0.05 takes at most 6 levels
         if c <= MACHINE_EPSILON * a:
             break
         a, g, c = 0.5 * (a + g), math.sqrt(a * g), 0.5 * (a - g)

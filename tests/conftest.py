@@ -12,6 +12,8 @@ residual within its kernel's noise is 0 and still stops the solve.)
 ``beta_bisection_root`` is an oracle for beta quantiles that shares only
 the kernel with the solver: plain bisection in the logit variable.
 ``gamma_bisection_root`` is its gamma twin, in the log variable.
+``elliptic_bisection_root`` bisects the complementary amplitude of the
+elliptic inversion, whose residual does not cancel as p -> 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import pytest
 
 from snm.core import Problem, ProblemEvaluation, _sigmoid, gtan
-from snm.special import _beta_exponent, _reg_beta, ln_beta, reg_gamma_p, reg_gamma_q
+from snm.special import (_beta_exponent, _reg_beta, carlson_rd, carlson_rf, ellip_e_complete,
+                         ln_beta, reg_gamma_p, reg_gamma_q)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,37 @@ def gamma_bisection_root(a: float, p: float, q: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return math.exp(mid)
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def elliptic_bisection_root(m: float, p: float) -> float:
+    """The amplitude x of E(sin x, m) = p E(1, m), for 0 < m < 1 and p > 1/2.
+
+    Bisection in psi = pi/2 - x of C(psi) - (1 - p) E(1, m), with
+    C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m):
+    in Carlson's form, with c = cos psi, s = sin psi and w = k'^2 + m^2 s^2,
+    C = k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2)).
+    Neither side cancels near the root, so the root is resolved to its
+    rounding in x even where k' and 1 - p are tiny, unlike a bisection of
+    E(sin x, m) - p E(1, m), which cancels two values near 1 there.
+    """
+    g2 = (1.0 - m) * (1.0 + m)
+    target = (1.0 - p) * ellip_e_complete(m)
+
+    def residual(psi: float) -> float:
+        s, c = math.sin(psi), math.cos(psi)
+        w = g2 + m * m * s * s
+        return g2 * (s * carlson_rf(g2 * c * c, w, g2) + m * m / 3.0 * s ** 3
+                     * carlson_rd(g2 * c * c, w, g2)) - target
+
+    lo, hi = 0.0, math.pi / 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.pi / 2 - mid
         if residual(mid) < 0.0:
             lo = mid
         else:

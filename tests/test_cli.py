@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from snm import BetaQuantileQuery, GammaQuantileQuery, invert_beta, invert_gamma
 from snm.cli import build_parser, cmd_compare, main
 
 from conftest import gamma_bisection_root
@@ -208,6 +209,52 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit):
         main(["compare", "gamma", "--a", "2", "--p", "0.3", "--methods", ","])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, query", [
+    (("gamma", "--a", "2", "--q", "1e-20"), GammaQuantileQuery(2.0, 1.0, 1e-20)),
+    (("beta", "--a", "1.5", "--b", "3", "--q", "1e-300"),
+     BetaQuantileQuery(1.5, 3.0, 1.0, 1e-300)),
+    (("gamma", "--a", "0.5", "--q", "1e-100"), GammaQuantileQuery(0.5, 1.0, 1e-100)),
+])
+def test_invert_an_upper_tail_given_alone(capsys, argv, query):
+    # p = 1 - q rounds to 1.0, which --p cannot say: --q alone gives the
+    # query the tail itself, as the query classes take it.
+    code, out, _ = run(capsys, "invert", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    solver = invert_gamma if isinstance(query, GammaQuantileQuery) else invert_beta
+    assert payload["converged"] is True
+    assert payload["root"] == solver(query).root
+
+
+def test_invert_takes_p_and_q_together(capsys):
+    _, alone, _ = run(capsys, "invert", "gamma", "--a", "3", "--p", "0.25", "--format", "json")
+    code, both, _ = run(capsys, "invert", "gamma", "--a", "3", "--p", "0.25", "--q", "0.75",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(both)["root"] == json.loads(alone)["root"]
+
+
+def test_compare_an_upper_tail_given_alone(capsys):
+    code, out, _ = run(capsys, "compare", "gamma", "--a", "2", "--q", "1e-20",
+                       "--format", "json", "--oracle")
+    assert code == 0
+    root = gamma_bisection_root(2.0, 1.0, 1e-20)
+    assert abs(json.loads(out)["oracle_root"] - root) <= 1e-12 * root
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "gamma", "--a", "2", "--p", "0.3", "--q", "0.6"],  # p + q != 1
+    ["invert", "gamma", "--a", "2", "--q", "0"],                  # q out of range
+    ["invert", "elliptic", "--m", "0.5", "--q", "0.3"],           # no upper tail
+    ["compare", "elliptic", "--m", "0.5", "--p", "0.5", "--q", "0.5"],
+    ["osculate", "gamma", "--a", "2", "--q", "0.5", "--x0", "1", "--range", "0:2"],
+])
+def test_q_usage_errors_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_solver_failure_exit_one(capsys):

@@ -32,7 +32,7 @@ from snm.elliptic import (
 )
 from snm.special import bisect_root, ellip_e_complete, ellip_e_inc
 
-from conftest import step_only
+from conftest import elliptic_bisection_root, step_only
 
 M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 P_GRID = tuple(0.05 * i for i in range(1, 20))
@@ -293,7 +293,7 @@ def test_every_query_converges_in_one_solve():
         report = invert_ellip_e(EllipticQuery(m, p))
         assert report.converged, (m, p)
         assert report.evaluations == report.iterations + 1, (m, p)
-        assert report.start in ("low", "high", "arcsin-guess"), (m, p)
+        assert report.start in ("low", "high", "arcsin-guess", "complementary"), (m, p)
         round_trip = ellip_e_inc(report.root, m) / ellip_e_complete(m)
         assert abs(round_trip - p) <= 1e-13, (m, p)
 
@@ -325,20 +325,90 @@ def test_relative_stop_against_mpmath():
         assert abs(root - exact) <= 1e-14 * exact
 
 
-@pytest.mark.xfail(strict=True, reason="near m = 1, p = 1 the residual E(x) - p E(1, m) "
-                   "cancels two values near 1 while f' ~ sqrt(1 - m^2): this root is "
-                   "1.0e-10 off")
 def test_ill_conditioned_corner_meets_the_contract():
-    # The residual's rounding, ~eps, moves the root by ~eps / sqrt(1 - m^2).
-    # A residual formed from the complementary amplitude pi/2 - x would not
-    # cancel.
+    # The residual E(x) - p E(1, m) cancels two values near 1 and its
+    # rounding, ~eps, moves the root by ~eps / sqrt(1 - m^2).  Once a strict
+    # xfail (1.0e-10 off from the arcsin guess); the complementary start
+    # lands 1.1e-13 off the root, and the residual stop accepts it there.
     mpmath = pytest.importorskip("mpmath")
     m, p = 1.0 - 1e-12, 1.0 - 1e-10
     report = invert_ellip_e(EllipticQuery(m, p))
-    assert report.converged
+    assert report.converged and report.start == "complementary"
     with mpmath.workdps(40):
         m2 = mpmath.mpf(m) ** 2
         target = mpmath.mpf(p) * mpmath.ellipe(m2)
         exact = mpmath.findroot(lambda x: mpmath.ellipe(x, m2) - target,
                                 mpmath.mpf(report.root))
         assert abs(report.root - exact) <= 1e-12 * exact
+
+
+def _corner_grid(n: int) -> list[tuple[float, float]]:
+    """m = 1 - 10^U[-12, -1.3] and 1 - p = 10^U[-12, -2], seeded."""
+    rng = random.Random("elliptic-corner")
+    return [(1.0 - 10.0 ** rng.uniform(-12.0, -1.3), 1.0 - 10.0 ** rng.uniform(-12.0, -2.0))
+            for _ in range(n)]
+
+
+def test_corner_start_raises_nothing():
+    # Every m in (0.95, 1) and p in (1/2, 1), the ends included as nearly as
+    # doubles allow: the rule's model is bounded to s = sin(pi/2 - x) <= 0.4,
+    # and beyond that the arcsin guess is kept.
+    ms = (math.nextafter(0.95, 1.0), 0.95 + 1e-9, 0.96, 0.9747, 0.975, 0.99,
+          1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53)
+    ps = (math.nextafter(0.5, 1.0), 0.6, 0.9, 0.95, 0.99, 1.0 - 1e-8, 1.0 - 2.0 ** -53)
+    rng = random.Random("elliptic-corner-domain")
+    points = [(m, p) for m in ms for p in ps]
+    points += [(math.nextafter(0.95, 1.0) + 0.05 * rng.random(), 0.5 + 0.5 * rng.random())
+               for _ in range(2000)]
+    labels = set()
+    for m, p in points:
+        query = EllipticQuery(m, p)
+        x0, label = choose_start(query)
+        assert 0.0 < x0 <= math.pi / 2, (m, p)
+        labels.add(label)
+        assert invert_ellip_e(query).converged, (m, p)
+    assert labels == {"complementary", "arcsin-guess"}
+
+
+def test_corner_start_ends_after_one_evaluation():
+    # The arcsin guess took 1.2-1.3 evaluations per query here; the
+    # complementary start lands within the predicted stop's reach.
+    evaluations = []
+    for m, p in _corner_grid(2000):
+        report = invert_ellip_e(EllipticQuery(m, p))
+        assert report.converged and report.start == "complementary", (m, p)
+        evaluations.append(report.evaluations)
+    assert max(evaluations) <= 2
+    assert evaluations.count(2) <= 0.05 * len(evaluations)
+
+
+def _resolved_by_the_stop(m: float, p: float, root: float) -> bool:
+    """Whether the residual stop, |f| <= RESIDUAL_NOISE_FLOOR p E(1, m), pins
+    the root to 1e-13 relative through f' = sqrt(1 - m^2 sin^2 x)."""
+    slope = math.sqrt((1.0 - m) * (1.0 + m) + (m * math.cos(root)) ** 2)
+    return RESIDUAL_NOISE_FLOOR * p * ellip_e_complete(m) <= 1e-13 * root * slope
+
+
+def test_corner_roots_meet_the_contract_where_the_stop_resolves_them():
+    grid = _corner_grid(200)
+    checked = 0
+    for m, p in grid:
+        root = elliptic_bisection_root(m, p)
+        if _resolved_by_the_stop(m, p, root):
+            checked += 1
+            got = invert_ellip_e(EllipticQuery(m, p)).root
+            assert abs(got - root) <= 1e-12 * root, (m, p)
+    assert checked >= 0.15 * len(grid)
+
+
+@pytest.mark.xfail(strict=True, reason="deeper in the corner the residual stop accepts "
+                   "roots up to 8e-10 off: E(x) - p E(1, m) cancels, and f' is tiny")
+def test_corner_roots_meet_the_contract():
+    # 1 - m and 1 - p below ~1e-6: a residual within the stop's tolerance
+    # moves the root by up to tol / f', beyond 1e-12.  A residual formed
+    # from the complementary amplitude (as ``elliptic_bisection_root``'s)
+    # would not cancel.
+    for m, p in _corner_grid(200):
+        root = elliptic_bisection_root(m, p)
+        got = invert_ellip_e(EllipticQuery(m, p)).root
+        assert abs(got - root) <= 1e-12 * root, (m, p)

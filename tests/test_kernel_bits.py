@@ -15,7 +15,10 @@ which ``math.lgamma`` uses too.
 
 Re-pinned when ln Gamma above 2.6 came from ``math.lgamma`` instead of a
 Lanczos sum (g = 7, n = 9): every moved pin below is closer to 40-digit
-mpmath than before, and no value at a <= 2.6 moved.
+mpmath than before, and no value at a <= 2.6 moved.  When ln Gamma(2 + t)
+on [-0.55, 0.6] came from a piecewise table instead of the Taylor series
+(the straightforward loop above), no single pin below moved; three of the
+grid digests did (see ``GRID_DIGESTS``).
 """
 
 import hashlib
@@ -265,17 +268,26 @@ def _grid_digest(kernel: str) -> str:
 # 2.7e-13 -> 3.0e-14, median 2.0e-15 -> 1.4e-15) and h at 125 of them (at
 # most 724 ulps; worst 2.5e-12 both, median 2.9e-15 -> 2.0e-15); f, B and
 # Omega kept their bits, and no gamma or logit evaluation moved.
+# "ln_gamma", "ln_beta" and "evaluate" were re-recorded when ln Gamma(2 + t)
+# on [-0.55, 0.6] came from a piecewise table (4 pieces of 12 coefficients)
+# instead of the 35-term Taylor series, and the a < 1 gamma problems took
+# ln Gamma(a) as ln Gamma(1 + a) - ln a: "ln_gamma" moved at 2 of 400 points,
+# by +1 ulp each (relative error against 40-digit mpmath 3.9e-17 ->
+# -9.4e-17 at a = 1.6548, -7.2e-17 -> 4.9e-17 at a = 0.7266); "ln_beta" at 1,
+# (1.1614, 0.7669), by +1 ulp (1.6e-17 -> 2.1e-16); "evaluate" 20 values at
+# 8 points, all a < 1 gamma evaluations: f at 6 (-4 to +6 ulps), f' at 7 (-3
+# to +4) and h at 7 (-4 to +4).  "reg_gamma" and "reg_beta" kept their bits.
 GRID_DIGESTS = {
     "ln_gamma":
-        "d40d48e23f702148851fd86a6b91ae2706f870b055c0f2d08ae40e13ac89ea2d",
+        "f921dec87af482cd8cf56bb66cfee80da76e3c8624c4cc9ebfbed00d73f3425a",
     "ln_beta":
-        "dadf29a1d75b85c8adc6c6e4819b65d3a6c3c51d86d73bfb325364409d25c823",
+        "7e9f5e2b01c04aa72d05edc23c3ccf1e4f75d87a382cb13a4611c43cda561489",
     "reg_gamma":
         "8eb030ca7c83e9a634c32a959b3b16d52187b9e079df7ba593603a446d332256",
     "reg_beta":
         "c1a15cdeda86fc2a1f7104c18cc898c290706d0a9736d63a17c9ce223be8a328",
     "evaluate":
-        "2d93f84179a0145fa9cfabff9bbe4600436ed07284faef4a29e2a4e6b3952317",
+        "088daf681259ffcaf44495b80c900e33a02e6fc429e84fb52ceb55a15d792c40",
 }
 
 

@@ -96,7 +96,15 @@ from snm.core import DEEP_TAIL_Z
 # (gamma) and from 254 to 253 (beta).  Against 40-digit mpmath the worst
 # relative error of the moved roots went from 3.9e-15 to 7.3e-15 (gamma,
 # two ResidualTol stops near a = 2) and from 4.4e-15 to 4.8e-15 (beta).
-DIGEST = "a55225ec33cf25b8f78ec11534960e92fdf5cb456843bc7275a0c4582c58058d"
+# Re-recorded when ln Gamma(2 + t) came from a piecewise table, E(1, m) near
+# m = 1 from its k' series and the elliptic start for m > 0.95, p > 1/2
+# from the complementary amplitude, with two fixed points added for that
+# start ((0.9999, 0.999) and (0.99, 1 - 1e-6), 2 and 1 evaluations from the
+# arcsin guess, 1 each now; relative error against 40-digit mpmath 1.8e-14
+# -> -7.7e-15 and -6.7e-15 -> -6.4e-18).  On the 462 earlier points no gamma
+# or beta record moved, and 1 elliptic record: (0.98, 0.4), whose E(1, m)
+# now comes from the k' series, by -1 ulp in its root (3.6e-16 -> 2.3e-16).
+DIGEST = "8980755a814fe001605921ee1255120ee3454d6942bad29d0c10394ca27c503f"
 
 
 def _log_uniform(rng, lo, hi):
@@ -130,6 +138,8 @@ def _queries():
         EllipticQuery(1.0, 0.3),
         EllipticQuery(0.98, 0.4),
         EllipticQuery(0.9, 0.7),
+        EllipticQuery(0.9999, 0.999),         # complementary start, s0 = sqrt(2T)
+        EllipticQuery(0.99, 1.0 - 1e-6),      # complementary start, s0 = T/b
     ]
     return out
 
@@ -194,7 +204,7 @@ def test_every_plan_branch_is_reached():
         "beta logit a,b<=1 upper-bound", "beta logit a,b<=1 lower-bound",
         "beta logit deep tail", "beta logit upper deep tail",
         "elliptic low", "elliptic high", "elliptic arcsin-guess",
-        "elliptic closed-form",
+        "elliptic complementary", "elliptic closed-form",
     }, reached
 
 

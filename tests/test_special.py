@@ -3,6 +3,7 @@
 import math
 import random
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,9 @@ from snm.special import (
     _RF_Q_SCALE,
     KernelError,
     _beta_exponent,
+    _LN_4,
     _ellip_e,
+    _ln_gamma_1p,
     _reg_beta,
     bisect_root,
     carlson_rd,
@@ -27,6 +30,7 @@ from snm.special import (
 )
 
 from quadrature import integrate_adaptive
+from series_reference import (ellip_e_agm, ln_gamma_1p_series, ln_gamma_series)
 
 GAMMA_A_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 GAMMA_X_FACTORS = (0.01, 0.5, 1.0, 2.0, 10.0)
@@ -118,6 +122,50 @@ def test_ln_gamma_against_mpmath_above_2_6(band, log_uniform, abs_bound, rel_bou
             worst_abs = max(worst_abs, float(err))
             worst_rel = max(worst_rel, float(err / abs(ref)))
     assert worst_abs <= abs_bound and worst_rel <= rel_bound, (worst_abs, worst_rel)
+
+
+def _ln_gamma_table_grid(step: float) -> list[float]:
+    """(0, 2.6] every ``step``, plus each piece edge of the ln Gamma(2 + t)
+    table reached as t = a - 2, a - 1 or a (ln Gamma(1 + a)), and the
+    doubles either side of it."""
+    points = {k * step for k in range(1, round(2.6 / step) + 1)}
+    for edge in (-0.55, -0.2625, 0.025, 0.3125, 0.6):
+        for a in (2.0 + edge, 1.0 + edge, edge):
+            if 0.0 < a <= 2.6:
+                points |= {math.nextafter(a, 0.0), a, math.nextafter(a, 3.0)}
+    return sorted(a for a in points | {1.0, 2.0} if a <= 2.6)
+
+
+def test_ln_gamma_table_matches_the_taylor_series():
+    # The piecewise table against the 35-term Taylor series it replaced:
+    # both are within 5.6e-16 relative of mpmath here, and differ by their
+    # roundings, up to 5.3e-16 (ln Gamma) and 9.6e-16 (ln Gamma(1 + a),
+    # whose ln Gamma(2 + a) - log1p(a) loses a bit near a = 0.58).
+    eps = 2.0 ** -52
+    for a in _ln_gamma_table_grid(1e-4):
+        if a in (1.0, 2.0):
+            assert ln_gamma(a) == 0.0
+            continue
+        ref = ln_gamma_series(a)
+        assert abs(ln_gamma(a) - ref) <= 4.0 * eps * abs(ref), a
+        if a < 1.0:
+            ref = ln_gamma_1p_series(a)
+            assert abs(_ln_gamma_1p(a) - ref) <= 6.0 * eps * abs(ref), a
+
+
+def test_ln_gamma_table_against_mpmath():
+    # No worse than the Taylor series on the same points, near the zeros
+    # at a = 1 and 2 included.
+    mpmath = pytest.importorskip("mpmath")
+    worst_table = worst_series = 0.0
+    with mpmath.workdps(40):
+        for a in _ln_gamma_table_grid(1e-3):
+            if a in (1.0, 2.0):
+                continue
+            ref = mpmath.loggamma(a)
+            worst_table = max(worst_table, float(abs((ln_gamma(a) - ref) / ref)))
+            worst_series = max(worst_series, float(abs((ln_gamma_series(a) - ref) / ref)))
+    assert worst_table <= worst_series, (worst_table, worst_series)
 
 
 # ------------------------------------------------------ incomplete gamma
@@ -489,6 +537,64 @@ def test_ellip_e_complete_against_mpmath():
             ref = mpmath.ellipe(mpmath.mpf(m) ** 2)
             worst = max(worst, float(abs((ellip_e_complete(m) - ref) / ref)))
     assert worst <= 5e-15, worst
+
+
+def _switch_moduli() -> list[float]:
+    """Moduli on both sides of the k' series switch, k'^2 = 0.05, and on to 1."""
+    rng = random.Random("k-prime-switch")
+    edge = math.sqrt(0.95)
+    out = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0), 0.975,
+           1.0 - 2.0 ** -53]
+    out += [edge + rng.uniform(-0.05, 0.02) for _ in range(500)]
+    out += [1.0 - math.exp(rng.uniform(math.log(1e-16), math.log(0.025))) for _ in range(500)]
+    return out
+
+
+def test_ellip_e_complete_is_the_agm_below_the_switch_and_near_it_above():
+    # The AGM's own error near m = 1 reaches 2.0e-15; the k' series is
+    # within 1.2e-16 of mpmath there.
+    for m in _switch_moduli() + [k / 1000 for k in range(1000)]:
+        g2 = (1.0 - m) * (1.0 + m)
+        if g2 > 0.05:
+            assert ellip_e_complete(m) == ellip_e_agm(m), m
+        else:
+            assert ellip_e_complete(m) == pytest.approx(ellip_e_agm(m), rel=2.5e-15, abs=0.0), m
+
+
+def _k_prime_series_exact(g2: float, ln_term: float, terms: int = 40) -> Fraction:
+    """1 + sum_n a_n g2^n (L - d_n) in exact rationals, L = ``ln_term``."""
+    total, prod, partial = Fraction(1), Fraction(1), Fraction(0)
+    g, power, ln = Fraction(g2), Fraction(1), Fraction(ln_term)
+    for n in range(1, terms + 1):
+        ratio = Fraction(2 * n - 1, 2 * n)
+        step = Fraction(1, (2 * n - 1) * 2 * n)
+        power *= g
+        total += prod * ratio * power * (ln - partial - step)
+        prod *= ratio * ratio
+        partial += 2 * step
+    return total
+
+
+def test_ellip_e_complete_k_prime_series_matches_its_recursion():
+    # The written-out coefficients a_n and a_n d_n and the 12-term cut,
+    # against the defining recursion summed exactly to 40 terms with the
+    # same L = ln(4/k'): within one ulp of E, which lies in [1, 1.08].
+    for m in _switch_moduli():
+        g2 = (1.0 - m) * (1.0 + m)
+        if g2 <= 0.05:
+            exact = _k_prime_series_exact(g2, _LN_4 - 0.5 * math.log(g2))
+            assert abs(Fraction(ellip_e_complete(m)) - exact) <= Fraction(2.0 ** -52), m
+
+
+def test_ellip_e_complete_near_one_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in _switch_moduli():
+            if m >= 0.975:
+                ref = mpmath.ellipe(mpmath.mpf(m) ** 2)
+                worst = max(worst, float(abs((ellip_e_complete(m) - ref) / ref)))
+    assert worst <= 2e-16, worst
 
 
 def test_ellip_e_inc_against_quadrature_oracle():

@@ -106,7 +106,9 @@ def _validated_query(parser, args):
             args.p = 1.0 - q
     for name in kind.flags:
         if getattr(args, name) is None:
-            parser.error(f"{args.problem} requires --{name}")
+            takes_q = hasattr(args, "q") and args.problem in TWO_TAILED
+            either = " or --q" if name == "p" and takes_q else ""
+            parser.error(f"{args.problem} requires --{name}{either}")
     tails = {} if q is None else {"q": q}
     try:
         return kind.query(*(getattr(args, name) for name in kind.flags), **tails)

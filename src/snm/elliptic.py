@@ -250,11 +250,11 @@ def choose_start(query: EllipticQuery,
     the integral from x to pi/2, where s0 <= 0.4.  On the ``tails`` bench
     sets of seeds 1, 2, 3 and 7 it ends 97-99% of its solves after one
     evaluation (1.012-1.032 per query), where the arcsin guess ended
-    58-65% (1.42-1.53).  Otherwise m > 0.95 uses
-    arcsin(p E(1,m)) from the degenerate relation E(sin x, 1) = sin x; for
-    m <= 0.95 the low start wins when it is below the high start and
-    p < 0.8, since Omega varies slowly near 0.  ``complete`` is E(1, m),
-    computed here unless the caller has it.
+    58-65% (1.42-1.53).  Otherwise m > 0.95 uses arcsin(p E(1,m)) from
+    the degenerate relation E(sin x, 1) = sin x.  For m <= 0.95 the low
+    start wins when it is below the high start and p < 0.8, since Omega
+    varies slowly near 0.  ``complete`` is E(1, m), computed here unless
+    the caller has it.
     """
     m, p = query.m, query.p
     if complete is None:

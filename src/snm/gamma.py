@@ -119,8 +119,9 @@ class _GammaProblem(Problem):
     * min(p, q).  The problem holds ln Gamma(a) and ln Gamma(a + 1); for
     a < 1 the latter is ``ln_gamma_1p``, without rounding 1 + a, from which
     the kernel forms an upper tail's Q to relative accuracy on its series
-    side (x < a + 1), and ln Gamma(a) is ln Gamma(1 + a) - ln a.  For a >= 16 it also holds the constants of the
-    kernel exponent's Stirling form, ``stirling``.
+    side (x < a + 1), and ln Gamma(a) is ln Gamma(1 + a) - ln a.  For
+    a >= 16 it also holds the constants of the kernel exponent's Stirling
+    form, ``stirling``.
     """
 
     def __init__(self, query: GammaQuantileQuery) -> None:

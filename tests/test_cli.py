@@ -257,6 +257,15 @@ def test_q_usage_errors_exit_two(capsys, argv):
     assert exc.value.code == 2
 
 
+def test_a_missing_tail_names_both_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["invert", "gamma", "--a", "2"])
+    assert "gamma requires --p or --q" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # osculate takes no --q
+        main(["osculate", "gamma", "--a", "2", "--x0", "1", "--range", "0:2"])
+    assert capsys.readouterr().err.rstrip().endswith("gamma requires --p")
+
+
 def test_solver_failure_exit_one(capsys):
     # An a < 1 solve runs in log x from a bound of the root, so it needs more
     # than one iteration (an a >= 1 solve can end after its first evaluation).

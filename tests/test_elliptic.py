@@ -368,6 +368,8 @@ def test_corner_start_raises_nothing():
         labels.add(label)
         assert invert_ellip_e(query).converged, (m, p)
     assert labels == {"complementary", "arcsin-guess"}
+    # At m = 1 (k' = 0) the arcsin guess is the root itself.
+    assert choose_start(EllipticQuery(1.0, 0.9)) == (math.asin(0.9), "arcsin-guess")
 
 
 def test_corner_start_ends_after_one_evaluation():

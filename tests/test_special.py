@@ -30,7 +30,7 @@ from snm.special import (
 )
 
 from quadrature import integrate_adaptive
-from series_reference import (ellip_e_agm, ln_gamma_1p_series, ln_gamma_series)
+from series_reference import ellip_e_agm, ln_gamma_1p_series, ln_gamma_series
 
 GAMMA_A_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 GAMMA_X_FACTORS = (0.01, 0.5, 1.0, 2.0, 10.0)

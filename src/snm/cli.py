@@ -35,12 +35,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
     Method,
-    Plan,
     PoleError,
     Problem,
     SnmError,
     SolveOptions,
     SolveReport,
+    _sigmoid,
     osculating_eval,
     osculating_fit,
     solve,
@@ -48,8 +48,8 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import (_beta_exponent, _reg_beta, bisect_root, ellip_e_inc, ln_beta,
-                      reg_gamma_p, reg_gamma_q)
+from .special import (_beta_exponent, _reg_beta, bisect_root, carlson_rd, carlson_rf,
+                      ellip_e_complete, ellip_e_inc, ln_beta, reg_gamma_p, reg_gamma_q)
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -71,6 +71,89 @@ def _build_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
         parser.error(f"--max-iter: {exc}")
 
 
+# --------------------------------------------------------------- oracles
+
+def _gamma_residual(a: float, p: float, q: float) -> Callable[[float], float]:
+    """The smaller tail's residual at x: P(a, x) - p for p <= 1/2, else q - Q(a, x)."""
+    if p <= 0.5:
+        return lambda x: reg_gamma_p(a, x) - p
+    return lambda x: q - reg_gamma_q(a, x)
+
+
+def _beta_residual(a: float, b: float, p: float, q: float) -> Callable[..., float]:
+    """The smaller tail's residual at x, I - p for p <= 1/2, else q - J, from
+    the kernel's pair (I, J) at (x, y), as the solvers form it; y defaults to
+    1 - x.  A solver root in logit x may round to x = 1, where the kernel
+    cannot take log y: there (I, J) = (1, 0)."""
+    ln_b = ln_beta(a, b)
+
+    def residual(x: float, y: Optional[float] = None) -> float:
+        y = 1.0 - x if y is None else y
+        if y == 0.0:
+            i, j = 1.0, 0.0
+        else:
+            i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_b)))
+        return i - p if p <= 0.5 else q - j
+    return residual
+
+
+def _elliptic_residual(m: float, p: float) -> Callable[[float], float]:
+    """E(sin x, m) - p E(1, m) at the amplitude x."""
+    target = p * ellip_e_complete(m)
+    return lambda x: ellip_e_inc(x, m) - target
+
+
+# The oracles bisect the smaller tail's residual down to adjacent doubles
+# (``bisect_root`` with tol 0), in a variable where the bracket reaches
+# every root a double can hold and the residual does not cancel.  No
+# double brackets the root (it underflows, say): ValueError, "no sign
+# change".  The tests share them.
+
+def gamma_bisection_root(a: float, p: float, q: float) -> float:
+    """The x of P(a, x) = p (Q(a, x) = q for p > 1/2), bisected in log x
+    over all positive doubles, so it is relative at any root size."""
+    residual = _gamma_residual(a, p, q)
+    return math.exp(bisect_root(lambda z: residual(math.exp(z)), math.log(5e-324),
+                                math.log(sys.float_info.max), tol=0.0))
+
+
+def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
+    """The x of I_x(a, b) = p (1 - I_x(a, b) = q for p > 1/2), bisected in
+    z = logit x on [-745, 745], which reaches every double x in (0, 1), from
+    the kernel's pair at (sigma(z), sigma(-z)): 1 - x is held exactly, and
+    log x could not reach a root where x rounds to 1."""
+    residual = _beta_residual(a, b, p, q)
+    return _sigmoid(bisect_root(lambda z: residual(_sigmoid(z), _sigmoid(-z)),
+                                -745.0, 745.0, tol=0.0))
+
+
+def elliptic_bisection_root(m: float, p: float) -> float:
+    """The amplitude x of E(sin x, m) = p E(1, m), for 0 < m < 1.
+
+    For p <= 1/2 bisection in x on [0, pi/2].  For p > 1/2 bisection in
+    psi = pi/2 - x of C(psi) - (1 - p) E(1, m), with
+    C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m):
+    in Carlson's form, with c = cos psi, s = sin psi and w = k'^2 + m^2 s^2,
+    C = k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2)).
+    Neither side cancels near the root, so the root is resolved to its
+    rounding in x even where k' and 1 - p are tiny, unlike a bisection of
+    E(sin x, m) - p E(1, m), which cancels two values near 1 there.
+    """
+    if p <= 0.5:
+        return bisect_root(_elliptic_residual(m, p), 0.0, math.pi / 2, tol=0.0)
+    g2 = (1.0 - m) * (1.0 + m)
+    target = (1.0 - p) * ellip_e_complete(m)
+
+    def residual(psi: float) -> float:
+        s, c = math.sin(psi), math.cos(psi)
+        w = g2 + m * m * s * s
+        return g2 * (s * carlson_rf(g2 * c * c, w, g2) + m * m / 3.0 * s ** 3
+                     * carlson_rd(g2 * c * c, w, g2)) - target
+    return math.pi / 2 - bisect_root(residual, 0.0, math.pi / 2, tol=0.0)
+
+
+# -------------------------------------------------------------- problems
+
 class _Kind(NamedTuple):
     """What the commands need to know about one problem name."""
 
@@ -80,15 +163,21 @@ class _Kind(NamedTuple):
     shift: Callable  # direct problem -> offset back to the function's scale
     invert: Optional[Callable] = None  # None: osculate only
     plan: Optional[Callable] = None
+    # compare's, from the query's floats (flags, then q where it has one):
+    oracle: Optional[Callable] = None  # -> the bisection root in x
+    residual: Optional[Callable] = None  # -> the smaller tail's residual at x
 
 
 PROBLEMS = {
     "gamma": _Kind(("a", "p"), GammaQuantileQuery, GammaDirectProblem,
-                   lambda problem: problem.query.p, invert_gamma, gamma_start),
+                   lambda problem: problem.query.p, invert_gamma, gamma_start,
+                   gamma_bisection_root, _gamma_residual),
     "beta": _Kind(("a", "b", "p"), BetaQuantileQuery, BetaDirectProblem,
-                  lambda problem: problem.query.p, invert_beta, beta_plan),
+                  lambda problem: problem.query.p, invert_beta, beta_plan,
+                  beta_bisection_root, _beta_residual),
     "elliptic": _Kind(("m", "p"), EllipticQuery, EllipticProblem,
-                      lambda problem: problem.target, invert_ellip_e, elliptic_plan),
+                      lambda problem: problem.target, invert_ellip_e, elliptic_plan,
+                      elliptic_bisection_root, _elliptic_residual),
     "tan": _Kind((), lambda: None, lambda query: tan_problem(), lambda problem: 0.0),
 }
 SOLVED = tuple(name for name, kind in PROBLEMS.items() if kind.invert)
@@ -181,48 +270,11 @@ class CompareRow:
     errors: tuple[float, ...]
 
 
-# log x over all positive doubles, and over those below 1.
-_LOG_X_POSITIVE = (math.log(5e-324), math.log(sys.float_info.max))
-_LOG_X_UNIT = (math.log(5e-324), math.log1p(-2.0 ** -53))
-
-
-def _oracle_setup(query, plan: Plan) -> tuple:
-    """residual(x) of the smaller tail (beta's from the kernel's pair, as the
-    solvers'), the bracket it is bisected over and the map from there to x."""
-    if isinstance(query, GammaQuantileQuery):
-        a, p, q = query.a, query.p, query.q
-        residual = lambda x: reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
-        return residual, _LOG_X_POSITIVE, math.exp
-    if isinstance(query, BetaQuantileQuery):
-        a, b, p, q = query.a, query.b, query.p, query.q
-        ln_b = ln_beta(a, b)
-
-        def residual(x: float) -> float:
-            i, j = _reg_beta(x, 1.0 - x, a, b, math.exp(_beta_exponent(a, b, x, 1.0 - x, ln_b)))
-            return i - p if p <= 0.5 else q - j
-        return residual, _LOG_X_UNIT, math.exp
-    residual = lambda x: ellip_e_inc(x, query.m) - plan.problem.target
-    return residual, (0.0, math.pi / 2), float
-
-
-def _oracle(residual, bracket, to_x) -> float:
-    """Bisection root of residual(to_x(t)) over t in ``bracket``, down to
-    adjacent doubles (in log x, relative at any root size), mapped to x.
-
-    Raises ValueError when the bracket holds no sign change.
-    """
-    lo, hi = bracket
-    try:
-        return to_x(bisect_root(lambda t: residual(to_x(t)), lo, hi, tol=0.0))
-    except ValueError:
-        raise ValueError(f"the residual has no sign change for x in "
-                         f"[{to_x(lo)!r}, {to_x(hi)!r}]") from None
-
-
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    kind = PROBLEMS[args.problem]
     query = _validated_query(parser, args)
     try:
-        plan = PROBLEMS[args.problem].plan(query)
+        plan = kind.plan(query)
     except ValueError as exc:  # EllipticProblem refuses m = 0 and m = 1
         parser.error(str(exc))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -233,7 +285,9 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
     options = [_build_options(parser, args, name) for name in methods]
 
-    residual, bracket, to_x = _oracle_setup(query, plan)
+    floats = [getattr(query, name) for name in kind.flags]
+    if args.problem in TWO_TAILED:
+        floats.append(query.q)
     x0 = plan.x0
     if args.x0 is not None:
         # --x0 is in x; each plan maps it to its own solver variable.
@@ -244,11 +298,12 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if not plan.problem.domain().contains(x0):
             parser.error(f"--x0 {args.x0} outside the problem domain")
     try:
-        oracle = _oracle(residual, bracket, to_x)
+        oracle = kind.oracle(*floats)
     except ValueError as exc:
         print(f"compare: no oracle root: {exc}", file=sys.stderr)
         return 1
 
+    residual = kind.residual(*floats)
     rows = []
     failed = False
     for name, opts in zip(methods, options):

@@ -11,8 +11,10 @@ for k'^2 = (1 - m)(1 + m) <= 0.05 (m >= 0.9747) the k' series of DLMF
 Gauss's arithmetic-geometric mean (DLMF 19.8.6), within 2.1e-15, where
 ``ellip_e_inc(pi/2, m)`` is off by up to 1.1e-14.
 
-``bisect_root`` is plain interval bisection, the oracle of the CLI's
-compare command and of the tests, not part of the quantile API.
+``bisect_root`` is plain interval bisection, not part of the quantile
+API.  With tol 0 it runs down to adjacent doubles: ``beta_xm`` solves its
+cubic so, and the root oracles in ``snm.cli`` (one per solver, which
+``snm compare`` and the tests share) bisect each residual so.
 
 All elliptic routines take the modulus m (the integrand is
 sqrt(1 - m^2 sin^2 t)), not the parameter m^2.
@@ -701,9 +703,12 @@ def ellip_e_complete(m: float) -> float:
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
                 tol: float = 1e-15, max_iter: int = 200) -> float:
-    """Plain bisection to |hi - lo| <= tol (test oracle).
+    """Plain bisection to |hi - lo| <= tol, or with tol 0 until the
+    midpoint is an end (adjacent doubles), in at most max_iter halvings.
 
-    Requires a sign change on [lo, hi].
+    Returns an end or a midpoint where f is exactly 0, else the midpoint
+    of the final bracket.  Raises ValueError ("no sign change") unless f changes sign
+    on [lo, hi].
     """
     flo = f(lo)
     fhi = f(hi)

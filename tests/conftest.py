@@ -9,11 +9,13 @@ formulas and the osculating-curve construction.
 iteration counts and traces describe the step test alone.  (A beta
 residual within its kernel's noise is 0 and still stops the solve.)
 
-``beta_bisection_root`` is an oracle for beta quantiles that shares only
-the kernel with the solver: plain bisection in the logit variable.
-``gamma_bisection_root`` is its gamma twin, in the log variable.
-``elliptic_bisection_root`` bisects the complementary amplitude of the
-elliptic inversion, whose residual does not cancel as p -> 1.
+``gamma_bisection_root``, ``beta_bisection_root`` and
+``elliptic_bisection_root`` are the root oracles of ``snm compare``,
+imported here for the tests.  Each shares only the kernels with its
+solver: bisection of the smaller tail's residual down to adjacent doubles,
+in log x (gamma), in logit x (beta), and in x, or for p > 1/2 in the
+complementary amplitude pi/2 - x, whose residual does not cancel as
+p -> 1 (elliptic).
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from snm.core import Problem, ProblemEvaluation, _sigmoid, gtan
-from snm.special import (_beta_exponent, _reg_beta, carlson_rd, carlson_rf, ellip_e_complete,
-                         ln_beta, reg_gamma_p, reg_gamma_q)
+from snm.cli import beta_bisection_root, elliptic_bisection_root, gamma_bisection_root  # noqa: F401
+from snm.core import Problem, ProblemEvaluation, gtan
 
 
 @dataclass(frozen=True)
@@ -43,86 +44,6 @@ def step_only(problem: Problem) -> Problem:
     """The problem with residual_tol 0: solve stops on the step test only."""
     problem.residual_tol = 0.0
     return problem
-
-
-def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
-    """The x of I_x(a, b) = p by bisection in z = logit x on [-700, 700].
-
-    The residual is the inverted tail's, I - p for p <= 1/2 and q - J
-    otherwise, from the kernel's pair at (sigma(z), sigma(-z)); bisection
-    runs until the midpoint is an end, so z is resolved to one ulp.
-    """
-    ln_b = ln_beta(a, b)
-
-    def residual(z: float) -> float:
-        x, y = _sigmoid(z), _sigmoid(-z)
-        i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_b)))
-        return i - p if p <= 0.5 else q - j
-
-    lo, hi = -700.0, 700.0
-    assert residual(lo) < 0.0 < residual(hi), (a, b, p, q)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return _sigmoid(mid)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
-def gamma_bisection_root(a: float, p: float, q: float) -> float:
-    """The x of P(a, x) = p by bisection in z = log x on [-745, ln(4a + 1000)].
-
-    The residual is the inverted tail's, P - p for p <= 1/2 and q - Q
-    otherwise, from the public kernels; bisection runs until the midpoint
-    is an end, so z is resolved to one ulp.
-    """
-    def residual(z: float) -> float:
-        x = math.exp(z)
-        return reg_gamma_p(a, x) - p if p <= 0.5 else q - reg_gamma_q(a, x)
-
-    lo, hi = -745.0, math.log(4.0 * a + 1000.0)
-    assert residual(lo) < 0.0 < residual(hi), (a, p, q)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return math.exp(mid)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
-def elliptic_bisection_root(m: float, p: float) -> float:
-    """The amplitude x of E(sin x, m) = p E(1, m), for 0 < m < 1 and p > 1/2.
-
-    Bisection in psi = pi/2 - x of C(psi) - (1 - p) E(1, m), with
-    C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m):
-    in Carlson's form, with c = cos psi, s = sin psi and w = k'^2 + m^2 s^2,
-    C = k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2)).
-    Neither side cancels near the root, so the root is resolved to its
-    rounding in x even where k' and 1 - p are tiny, unlike a bisection of
-    E(sin x, m) - p E(1, m), which cancels two values near 1 there.
-    """
-    g2 = (1.0 - m) * (1.0 + m)
-    target = (1.0 - p) * ellip_e_complete(m)
-
-    def residual(psi: float) -> float:
-        s, c = math.sin(psi), math.cos(psi)
-        w = g2 + m * m * s * s
-        return g2 * (s * carlson_rf(g2 * c * c, w, g2) + m * m / 3.0 * s ** 3
-                     * carlson_rd(g2 * c * c, w, g2)) - target
-
-    lo, hi = 0.0, math.pi / 2
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return math.pi / 2 - mid
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
 
 
 def family_root(lam: float, a: float) -> float:

@@ -8,8 +8,6 @@ import pytest
 from snm import BetaQuantileQuery, GammaQuantileQuery, invert_beta, invert_gamma
 from snm.cli import build_parser, cmd_compare, main
 
-from conftest import gamma_bisection_root
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -141,6 +139,12 @@ def test_compare_respects_common_start(capsys):
 # mpmath the first two oracle roots got closer (9.1e-17 -> 2.9e-17 and
 # 7.8e-17 -> 1.2e-17) and the third, where the residual's rounding sets
 # the sign changes, moved from 1.3e-16 to 3.3e-16 off.
+# Re-pinned when beta's oracle moved to logit x, with the kernel's pair at
+# (sigma(z), sigma(-z)): the oracle roots moved 9 ulps, 0x1.7a9e125bd949ep-7
+# to 0x1.7a9e125bd9495p-7 (1.1e-15 -> 2.9e-16 relative off 50-digit
+# mpmath), and 1 ulp, 0x1.7c8855bc70c24p-1 to 0x1.7c8855bc70c25p-1 (4.2e-16
+# -> 2.7e-16), and the errors with them; no iterate, iteration count or
+# final residual moved.
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
         {"method": "snm", "iterations": 2, "final_residual": 2.220446049250313e-16,
@@ -149,15 +153,15 @@ COMPARE_X0_ROWS = {
          "errors": [0.0025564621435087836, 7.969673837537883e-08, 5.551115123125783e-17]}],
     ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
         {"method": "snm", "iterations": 2, "final_residual": 0.0,
-         "errors": [0.00018427585718350757, 6.794842466462114e-13]},
+         "errors": [0.00018427585718349196, 6.794686341349276e-13]},
         {"method": "halley", "iterations": 3, "final_residual": 1.942890293094024e-16,
-         "errors": [0.0012043826670882721, 2.8323875303319646e-07, 2.6020852139652106e-17]}],
+         "errors": [0.0012043826670882878, 2.8323875304880897e-07, 1.0408340855860843e-17]}],
     ("beta", "--a", "3", "--b", "0.5", "--p", "0.2", "--x0", "0.9"): [
         {"method": "snm", "iterations": 2, "final_residual": 3.885780586188048e-16,
-         "errors": [0.003423150059983615, 4.895618355149622e-10]},
+         "errors": [0.003423150059983504, 4.895617244926598e-10]},
         {"method": "halley", "iterations": 4, "final_residual": 3.885780586188048e-16,
-         "errors": [0.01642966237315069, 1.5355945221173783e-05, 1.2878587085651816e-14,
-                    4.440892098500626e-16]}],
+         "errors": [0.016429662373150578, 1.535594522106276e-05, 1.27675647831893e-14,
+                    3.3306690738754696e-16]}],
 }
 
 
@@ -240,7 +244,7 @@ def test_compare_an_upper_tail_given_alone(capsys):
     code, out, _ = run(capsys, "compare", "gamma", "--a", "2", "--q", "1e-20",
                        "--format", "json", "--oracle")
     assert code == 0
-    root = gamma_bisection_root(2.0, 1.0, 1e-20)
+    root = invert_gamma(GammaQuantileQuery(2.0, 1.0, 1e-20)).root
     assert abs(json.loads(out)["oracle_root"] - root) <= 1e-12 * root
 
 
@@ -333,8 +337,8 @@ def test_compare_oracle_flag(capsys):
 
 
 def test_compare_oracle_outside_the_default_bracket(capsys):
-    # The root 1.33e-21 lies far below 1e-12; the oracle bisects in log x,
-    # so it resolves the root relative to its size.
+    # The root 1.33e-21 lies far below 1e-12; the oracle bisects in logit
+    # x, which is log x there, so it resolves the root relative to its size.
     argv = ("beta", "--a", "0.1", "--b", "5", "--p", "0.01")
     _, out, _ = run(capsys, "invert", *argv, "--format", "json")
     root = json.loads(out)["root"]
@@ -348,13 +352,15 @@ def test_compare_oracle_outside_the_default_bracket(capsys):
     ("beta", "--a", "3", "--b", "4", "--p", "0.99999999999"),
     ("beta", "--a", "0.01", "--b", "1", "--p", "0.6"),
     ("beta", "--a", "2", "--b", "1000", "--p", "0.99999999"),
+    ("beta", "--a", "1.5", "--b", "3", "--q", "1e-300"),  # the root rounds to 1
 ])
 def test_compare_oracle_resolves_an_upper_tail(capsys, argv):
     # P - p cannot resolve q = 1e-10 (gamma) or 1e-11 (beta): the oracle
     # solves q - Q instead, as the solvers do, so it agrees with invert.
     # Beta takes 1 - I from the kernel's pair at x: I_x - p cannot resolve
     # q = 1e-8 at the root 0.0213 either, and the mirror I_(1-x)(b, a)
-    # reads 1 where 1 - x rounds to 1 (the root 0.6^100 = 6.5e-23).
+    # reads 1 where 1 - x rounds to 1 (the root 0.6^100 = 6.5e-23).  In
+    # logit x the oracle also reaches a root where x rounds to 1 (q = 1e-300).
     _, out, _ = run(capsys, "invert", *argv, "--format", "json")
     root = json.loads(out)["root"]
     code, out, _ = run(capsys, "compare", *argv, "--format", "json", "--oracle")
@@ -370,8 +376,25 @@ def test_compare_oracle_resolves_a_tiny_root(capsys):
     code, out, _ = run(capsys, "compare", "gamma", "--a", repr(a), "--p", repr(p),
                        "--format", "json", "--oracle")
     assert code == 0
-    root = gamma_bisection_root(a, p, 1.0 - p)
+    root = invert_gamma(GammaQuantileQuery(a, p)).root
     assert abs(json.loads(out)["oracle_root"] - root) <= 1e-12 * root
+
+
+def test_compare_oracle_resolves_the_elliptic_corner(capsys):
+    # With 1 - m and 1 - p both small, E(sin x, m) - p E(1, m) cancels two
+    # values near 1, and a bisection of it is 8.75e-11 off here; the
+    # complementary amplitude's residual does not cancel.
+    mpmath = pytest.importorskip("mpmath")
+    m, p = 0.999999999999, 0.9999999999
+    code, out, _ = run(capsys, "compare", "elliptic", "--m", repr(m), "--p", repr(p),
+                       "--oracle", "--format", "json")
+    assert code == 0
+    oracle = json.loads(out)["oracle_root"]
+    with mpmath.workdps(40):
+        m2 = mpmath.mpf(m) ** 2
+        target = mpmath.mpf(p) * mpmath.ellipe(m2)
+        exact = mpmath.findroot(lambda x: mpmath.ellipe(x, m2) - target, mpmath.mpf(oracle))
+        assert abs(oracle - exact) <= 1e-12
 
 
 def test_compare_without_an_oracle_root_exits_one(capsys):

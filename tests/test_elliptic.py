@@ -30,18 +30,12 @@ from snm.elliptic import (
     elliptic_plan,
     invert_ellip_e,
 )
-from snm.special import bisect_root, ellip_e_complete, ellip_e_inc
+from snm.special import ellip_e_complete, ellip_e_inc
 
 from conftest import elliptic_bisection_root, step_only
 
 M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 P_GRID = tuple(0.05 * i for i in range(1, 20))
-
-
-def oracle_root(m: float, p: float) -> float:
-    target = p * ellip_e_complete(m)
-    return bisect_root(lambda x: ellip_e_inc(x, m) - target, 0.0, math.pi / 2,
-                       tol=1e-16, max_iter=200)
 
 
 def test_query_validation():
@@ -239,7 +233,7 @@ def test_two_iterations_reach_oracle():
             problem = EllipticProblem(EllipticQuery(m, p))
             for _ in range(2):
                 x = snm_step(problem.evaluate(x))
-            assert abs(x - oracle_root(m, p)) <= 1e-14, (m, p)
+            assert abs(x - elliptic_bisection_root(m, p)) <= 1e-14, (m, p)
 
 
 def test_near_one_modulus_uses_arcsin_guess():

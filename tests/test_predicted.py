@@ -41,9 +41,8 @@ from snm.core import (
 )
 from snm.elliptic import EllipticProblem
 from snm.gamma import GammaDirectProblem, GammaLogProblem
-from snm.special import ellip_e_complete, ellip_e_inc
 
-from conftest import beta_bisection_root, gamma_bisection_root
+from conftest import beta_bisection_root, elliptic_bisection_root, gamma_bisection_root
 
 REL_TOL = 1e-12  # the contract: relative error in x
 
@@ -227,25 +226,12 @@ def _beta_class(name, upper):
             beta_bisection_root(a, b, p, q))
 
 
-def _elliptic_bisection_root(m, p):
-    target = p * ellip_e_complete(m)
-    lo, hi = 0.0, math.pi / 2
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if ellip_e_inc(mid, m) < target:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _elliptic_class():
     rng = random.Random("predicted:elliptic")
     for _ in range(QUERIES_PER_CLASS):
         m, p = rng.uniform(1e-6, 1.0 - 1e-6), rng.uniform(0.001, 0.999)
         yield EllipticQuery(m, p), elliptic_plan, lambda m=m, p=p: (
-            _elliptic_bisection_root(m, p))
+            elliptic_bisection_root(m, p))
 
 
 CLASSES = {

@@ -29,17 +29,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
 from .core import (
-    Method,
     PoleError,
-    Problem,
     SnmError,
     SolveOptions,
-    SolveReport,
     _sigmoid,
     osculating_eval,
     osculating_fit,
@@ -60,15 +57,6 @@ JSON_KEYS = ("root", "iterations", "evaluations", "converged", "reason",
 
 def _fmt(v: float, digits: int) -> str:
     return f"{v:.{digits}g}"
-
-
-def _build_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                   method: str) -> SolveOptions:
-    """Solve options with the command's iteration cap and method."""
-    try:
-        return SolveOptions(max_iter=args.max_iter, method=Method(method))
-    except ValueError as exc:
-        parser.error(f"--max-iter: {exc}")
 
 
 # --------------------------------------------------------------- oracles
@@ -130,7 +118,10 @@ def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
 def elliptic_bisection_root(m: float, p: float) -> float:
     """The amplitude x of E(sin x, m) = p E(1, m), for 0 < m < 1.
 
-    For p <= 1/2 bisection in x on [0, pi/2].  For p > 1/2 bisection in
+    For p <= 1/2 bisection in x on [T/2, min(pi/2, 2T/k')], T = p E(1, m),
+    k'^2 = 1 - m^2, which holds the root as k' <= dE(sin x, m)/dx <= 1: its
+    ends are a fixed ratio apart, so the halvings reach adjacent doubles at
+    any root size.  For p > 1/2 bisection in
     psi = pi/2 - x of C(psi) - (1 - p) E(1, m), with
     C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m):
     in Carlson's form, with c = cos psi, s = sin psi and w = k'^2 + m^2 s^2,
@@ -139,9 +130,11 @@ def elliptic_bisection_root(m: float, p: float) -> float:
     rounding in x even where k' and 1 - p are tiny, unlike a bisection of
     E(sin x, m) - p E(1, m), which cancels two values near 1 there.
     """
-    if p <= 0.5:
-        return bisect_root(_elliptic_residual(m, p), 0.0, math.pi / 2, tol=0.0)
     g2 = (1.0 - m) * (1.0 + m)
+    if p <= 0.5:
+        t = p * ellip_e_complete(m)
+        return bisect_root(_elliptic_residual(m, p), 0.5 * t,
+                           min(math.pi / 2, 2.0 * t / math.sqrt(g2)), tol=0.0)
     target = (1.0 - p) * ellip_e_complete(m)
 
     def residual(psi: float) -> float:
@@ -207,20 +200,11 @@ def _validated_query(parser, args):
 
 # ---------------------------------------------------------------- invert
 
-def _trace_rows(report: SolveReport) -> list[dict]:
-    return [
-        {"n": r.n, "x": r.x, "f": r.f, "h": r.h, "omega": r.omega,
-         "step": r.step, "fallback_used": r.fallback_used}
-        for r in report.trace
-    ]
-
-
 def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     query = _validated_query(parser, args)
-    opts = _build_options(parser, args, args.method)
-    report = PROBLEMS[args.problem].invert(query, opts)
+    report = PROBLEMS[args.problem].invert(query, SolveOptions(args.max_iter, args.method))
 
-    rows = _trace_rows(report) if args.trace else []
+    rows = [r._asdict() for r in report.trace] if args.trace else []
     if args.format == "json":
         # The str enums (reason, variable) encode as their values.
         payload = {k: getattr(report, k) for k in JSON_KEYS}
@@ -260,16 +244,6 @@ def cmd_invert(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 # --------------------------------------------------------------- compare
 
-@dataclass(frozen=True)
-class CompareRow:
-    """One method's result: iteration count, final residual, error decay."""
-
-    method: str
-    iterations: int
-    final_residual: float
-    errors: tuple[float, ...]
-
-
 def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = PROBLEMS[args.problem]
     query = _validated_query(parser, args)
@@ -283,7 +257,6 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     for name in methods:
         if name not in ("snm", "halley", "newton"):
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
-    options = [_build_options(parser, args, name) for name in methods]
 
     floats = [getattr(query, name) for name in kind.flags]
     if args.problem in TWO_TAILED:
@@ -304,25 +277,19 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         return 1
 
     residual = kind.residual(*floats)
+    # One row per method: its iteration count, the residual at its root and
+    # the error of each iterate, as ``--format json`` prints them.
     rows = []
     failed = False
-    for name, opts in zip(methods, options):
-        report = solve(plan.problem, x0, opts)
+    for name in methods:
+        report = solve(plan.problem, x0, SolveOptions(args.max_iter, name))
         failed = failed or not report.converged
-        iterates = [plan.to_x(r.x + r.step) for r in report.trace]
-        rows.append(CompareRow(
-            method=name,
-            iterations=report.iterations,
-            final_residual=abs(residual(plan.to_x(report.root))),
-            errors=tuple(abs(x - oracle) for x in iterates),
-        ))
+        rows.append({"method": name, "iterations": report.iterations,
+                     "final_residual": abs(residual(plan.to_x(report.root))),
+                     "errors": [abs(plan.to_x(r.x + r.step) - oracle) for r in report.trace]})
 
     if args.format == "json":
-        payload: dict = {"rows": [
-            {"method": r.method, "iterations": r.iterations,
-             "final_residual": r.final_residual, "errors": list(r.errors)}
-            for r in rows
-        ]}
+        payload: dict = {"rows": rows}
         if args.oracle:
             payload["oracle_root"] = oracle
         print(json.dumps(payload))
@@ -331,32 +298,22 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             print(f"# oracle_root,{_fmt(oracle, CSV_DIGITS)}")
         print("method,iterations,final_residual,iter_errors")
         for row in rows:
-            errs = ";".join(_fmt(e, CSV_DIGITS) for e in row.errors)
-            print(f"{row.method},{row.iterations},"
-                  f"{_fmt(row.final_residual, CSV_DIGITS)},{errs}")
+            errs = ";".join(_fmt(e, CSV_DIGITS) for e in row["errors"])
+            print(f"{row['method']},{row['iterations']},"
+                  f"{_fmt(row['final_residual'], CSV_DIGITS)},{errs}")
     else:
         if args.oracle:
             print(f"oracle_root {_fmt(oracle, TABLE_DIGITS)}")
         print(f"{'method':<8} {'iters':>5} {'final_residual':>16}  per-iteration error")
         for row in rows:
-            errs = " ".join(_fmt(e, 3) for e in row.errors)
-            print(f"{row.method:<8} {row.iterations:>5} "
-                  f"{_fmt(row.final_residual, TABLE_DIGITS):>16}  {errs}")
+            errs = " ".join(_fmt(e, 3) for e in row["errors"])
+            print(f"{row['method']:<8} {row['iterations']:>5} "
+                  f"{_fmt(row['final_residual'], TABLE_DIGITS):>16}  {errs}")
 
     return 1 if failed else 0
 
 
 # -------------------------------------------------------------- osculate
-
-def _osculate_problem(parser, args) -> tuple[Problem, float]:
-    """Problem in the x variable plus the additive shift to plotting scale."""
-    kind = PROBLEMS[args.problem]
-    try:
-        problem = kind.direct(_validated_query(parser, args))
-    except ValueError as exc:  # EllipticProblem refuses m = 0 and m = 1
-        parser.error(str(exc))
-    return problem, kind.shift(problem)
-
 
 def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     curves = [c.strip() for c in args.curves.split(",") if c.strip()]
@@ -375,7 +332,13 @@ def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     if not lo < hi:
         parser.error("--range requires LO < HI")
 
-    problem, shift = _osculate_problem(parser, args)
+    # The problem in x, and the shift back to the function's own scale.
+    kind = PROBLEMS[args.problem]
+    try:
+        problem = kind.direct(_validated_query(parser, args))
+    except ValueError as exc:  # EllipticProblem refuses m = 0 and m = 1
+        parser.error(str(exc))
+    shift = kind.shift(problem)
     if not problem.domain().contains(args.x0):
         parser.error(f"--x0 {args.x0} outside the problem domain")
     e0 = problem.evaluate(args.x0)
@@ -464,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_iter", 1) < 1:  # osculate runs no solve
+        parser.error("--max-iter: max_iter must be >= 1")
     try:
         if args.command == "invert":
             return cmd_invert(parser, args)

@@ -13,13 +13,14 @@ solves a closed-form model of the complementary amplitude pi/2 - x (the
 "complementary" start, ``_start_complementary``), whose equation does not
 cancel as p -> 1; beyond that model's range, and for p <= 1/2, it takes
 the arcsin guess arcsin(p E(1, m)).  For m <= 0.95 it takes the
-one-SNM-step value from x = 0 (the "low" start) when that lies below the
-one-step value from x = pi/2 (the "high" start) and p < 0.8, and the high
-start else.  On the ``bulk`` bench sets of seeds 1-3 (1,500 queries) this
-rule takes 1.248 evaluations per query, against 1.665 for the high start
-wherever m <= 0.95 (with the predicted stop of ``core.solve``); on the
-``tails`` sets of seeds 1, 2, 3 and 7, 1.006-1.016, where the arcsin
-guess for every m > 0.95 took 1.210-1.264.
+one-SNM-step value from x = 0 (the "low" start) when p < 0.8 and that
+lies below the one-step value from x = pi/2 (the "high" start), or the
+high start is not positive; else the high start.  On the ``bulk`` bench
+sets of seeds 1-3 (1,500 queries) this rule takes 1.248 evaluations per
+query, against 1.665 for the high start wherever m <= 0.95 (with the
+predicted stop of ``core.solve``); on the ``tails`` sets of seeds 1, 2, 3
+and 7, 1.006-1.016, where the arcsin guess for every m > 0.95 took
+1.210-1.264.
 The residual is strictly increasing on [0, pi/2], so its root is unique
 and any converged solve has found it: each query runs one solve.  The
 report's ``start`` names the start used ("low", "high", "arcsin-guess" or
@@ -253,8 +254,9 @@ def choose_start(query: EllipticQuery,
     58-65% (1.42-1.53).  Otherwise m > 0.95 uses arcsin(p E(1,m)) from
     the degenerate relation E(sin x, 1) = sin x.  For m <= 0.95 the low
     start wins when it is below the high start and p < 0.8, since Omega
-    varies slowly near 0.  ``complete`` is E(1, m), computed here unless
-    the caller has it.
+    varies slowly near 0, and where the high start is not positive (for p
+    < 0.8).  ``complete`` is E(1, m), computed here unless the caller has
+    it.
     """
     m, p = query.m, query.p
     if complete is None:
@@ -270,7 +272,9 @@ def choose_start(query: EllipticQuery,
         raise ValueError("choose_start requires m > 0; m = 0 inverts in closed form")
     low = _start_low(m, p, complete)
     high = _start_high(m, p, complete)
-    if low < high and p < 0.8:
+    # Below m ~ 2e-8 the high start cancels to 0 or below for a small p,
+    # where the low start is p E(1, m) to within rounding.
+    if p < 0.8 and (low < high or not high > 0.0):
         return low, "low"
     return high, "high"
 

@@ -9,13 +9,16 @@ formulas and the osculating-curve construction.
 iteration counts and traces describe the step test alone.  (A beta
 residual within its kernel's noise is 0 and still stops the solve.)
 
+``log_uniform`` draws the seeded fuzzes' log-uniform values, and
+``cube_problem`` is x^3 - 2, a problem whose Schwarzian is not constant.
+
 ``gamma_bisection_root``, ``beta_bisection_root`` and
 ``elliptic_bisection_root`` are the root oracles of ``snm compare``,
 imported here for the tests.  Each shares only the kernels with its
 solver: bisection of the smaller tail's residual down to adjacent doubles,
-in log x (gamma), in logit x (beta), and in x, or for p > 1/2 in the
-complementary amplitude pi/2 - x, whose residual does not cancel as
-p -> 1 (elliptic).
+in log x (gamma), in logit x (beta), and in x from a bracket a fixed ratio
+wide, or for p > 1/2 in the complementary amplitude pi/2 - x, whose
+residual does not cancel as p -> 1 (elliptic).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import pytest
 
 from snm.cli import beta_bisection_root, elliptic_bisection_root, gamma_bisection_root  # noqa: F401
-from snm.core import Problem, ProblemEvaluation, gtan
+from snm.core import FunctionProblem, Interval, Problem, ProblemEvaluation, gtan
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,16 @@ def step_only(problem: Problem) -> Problem:
     """The problem with residual_tol 0: solve stops on the step test only."""
     problem.residual_tol = 0.0
     return problem
+
+
+def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def cube_problem() -> FunctionProblem:
+    """f(x) = x^3 - 2 on (0, inf): non-constant Schwarzian, root 2^(1/3)."""
+    return FunctionProblem(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
+                           lambda x: 6.0 * x, lambda x: 6.0, Interval(0.0, math.inf))
 
 
 def family_root(lam: float, a: float) -> float:

@@ -35,7 +35,7 @@ from snm.core import (
 from snm.gamma import GammaQuantileQuery, invert_gamma
 from snm.special import _beta_exponent, _reg_beta, ln_beta, reg_beta
 
-from conftest import beta_bisection_root, step_only
+from conftest import beta_bisection_root, log_uniform, step_only
 
 AB_GRID = (0.3, 0.5, 1.5, 2.0, 5.0, 30.0)
 P_GRID = (0.01, 0.2, 0.5, 0.8, 0.99)
@@ -586,17 +586,13 @@ def test_huge_shape_upper_query_converges():
     assert abs(y - limit) <= 1e-13 * limit
 
 
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 def test_tiny_shape_fuzz_converges_and_flags_by_the_rule():
     # One shape tiny, the other anywhere: many plans start in a deep tail,
     # |z| > 667, some in the subnormal band.
     rng = random.Random("beta-deep-tail")
     deep = band = 0
     for _ in range(2000):
-        tiny, other = _log_uniform(rng, 1e-4, 3e-2), _log_uniform(rng, 1e-3, 1e5)
+        tiny, other = log_uniform(rng, 1e-4, 3e-2), log_uniform(rng, 1e-3, 1e5)
         a, b = (tiny, other) if rng.random() < 0.5 else (other, tiny)
         query = BetaQuantileQuery(a, b, rng.uniform(0.001, 0.999))
         plan = beta_plan(query)
@@ -622,8 +618,8 @@ def test_mirror_roots_agree():
     rng = random.Random("beta-mirror")
     compared = 0
     for _ in range(400):
-        a, b = _log_uniform(rng, 0.05, 200.0), _log_uniform(rng, 0.05, 200.0)
-        t = _log_uniform(rng, 1e-15, 0.5)
+        a, b = log_uniform(rng, 0.05, 200.0), log_uniform(rng, 0.05, 200.0)
+        t = log_uniform(rng, 1e-15, 0.5)
         p, q = (t, 1.0 - t) if rng.random() < 0.5 else (1.0 - t, t)
         x = invert_beta(BetaQuantileQuery(a, b, p, q))
         y = invert_beta(BetaQuantileQuery(b, a, q, p))
@@ -656,8 +652,8 @@ def test_each_class_and_tail_meets_the_contract(shapes, tail):
     rng = random.Random(f"beta-class:{shapes}:{tail}")
     (a_lo, a_hi), (b_lo, b_hi) = SHAPE_CLASSES[shapes]
     for _ in range(60):
-        a, b = _log_uniform(rng, a_lo, a_hi), _log_uniform(rng, b_lo, b_hi)
-        t = _log_uniform(rng, 1e-15, 0.5)
+        a, b = log_uniform(rng, a_lo, a_hi), log_uniform(rng, b_lo, b_hi)
+        t = log_uniform(rng, 1e-15, 0.5)
         p, q = (t, 1.0 - t) if tail == "lower" else (1.0 - t, t)
         report = invert_beta(BetaQuantileQuery(a, b, p, q))
         assert report.converged and report.iterations <= 5, (a, b, p, q, report.reason)

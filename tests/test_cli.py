@@ -1,10 +1,13 @@
 """CLI integration: grammar, formats, exit codes, osculating output."""
 
 import json
-import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import snm
 from snm import BetaQuantileQuery, GammaQuantileQuery, invert_beta, invert_gamma
 from snm.cli import build_parser, cmd_compare, main
 
@@ -118,33 +121,9 @@ def test_compare_respects_common_start(capsys):
     assert far["final_residual"] <= 1e-13
 
 
-# compare --x0 rows in the log/logit variables, pinned to the values the
-# solvers gave before they prepared plans; the last case inverts the upper
-# side of its root from the a >= 1 >= b upper-bound start.  The beta rows
-# were re-pinned when the beta logit evaluation took x and 1 - x from one
-# exp(-|z|) and the last case stopped solving its mirror: every change is
-# below 2.3e-16 in x.  They were re-pinned again when ln Gamma above 2.6
-# came from math.lgamma, which moves ln B(a, b) of both beta cases: every
-# iterate moved by at most 8.9e-16 in x, and the final errors against the
-# bisection oracle went from 9.2e-17 to 8.2e-17 (snm, first case),
-# 6.7e-16 to 3.3e-16 (snm) and 3.3e-16 to 2.2e-16 (halley, second case).
-# When SNM solves gained the predicted stop, each snm row lost its last
-# iteration: that step is now applied uncounted, without the evaluation
-# that used to confirm it, so its error (the third entry) is no longer
-# listed.  No root, final residual or other error moved.
-# Re-pinned when the oracle bisected gamma and beta in log x down to
-# adjacent doubles instead of in x to 1e-15: the oracle roots moved by
-# -1.2e-16, -6.6e-17 and -2.2e-16, so every error moved by as much; no
-# iterate, iteration count or final residual moved.  Against 40-digit
-# mpmath the first two oracle roots got closer (9.1e-17 -> 2.9e-17 and
-# 7.8e-17 -> 1.2e-17) and the third, where the residual's rounding sets
-# the sign changes, moved from 1.3e-16 to 3.3e-16 off.
-# Re-pinned when beta's oracle moved to logit x, with the kernel's pair at
-# (sigma(z), sigma(-z)): the oracle roots moved 9 ulps, 0x1.7a9e125bd949ep-7
-# to 0x1.7a9e125bd9495p-7 (1.1e-15 -> 2.9e-16 relative off 50-digit
-# mpmath), and 1 ulp, 0x1.7c8855bc70c24p-1 to 0x1.7c8855bc70c25p-1 (4.2e-16
-# -> 2.7e-16), and the errors with them; no iterate, iteration count or
-# final residual moved.
+# compare --x0 rows in the log/logit variables; the last case inverts the
+# upper side of its root from the a >= 1 >= b upper-bound start.  CHANGES.md
+# records each re-pin.
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
         {"method": "snm", "iterations": 2, "final_residual": 2.220446049250313e-16,
@@ -175,44 +154,167 @@ def test_compare_x0_in_solver_variable_leaves_args_untouched(capsys):
         assert vars(args) == before, argv
 
 
-def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["invert", "gamma", "--a", "2"])  # missing --p
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["invert", "beta", "--a", "2", "--p", "0.5"])  # missing --b
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["invert", "gamma", "--a", "2", "--p", "1.5"])  # p out of range
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["invert", "cauchy", "--p", "0.5"])  # unknown problem
-    assert exc.value.code == 2
-    for argv in (
-        # --x0 outside the domain, in x or in the solver variable
-        ["compare", "gamma", "--a", "0.5", "--p", "0.3", "--x0", "0"],
-        ["compare", "beta", "--a", "0.5", "--b", "3", "--p", "0.3", "--x0", "1"],
-        ["compare", "beta", "--a", "2", "--b", "3", "--p", "0.3", "--x0", "1.5"],
-        ["compare", "elliptic", "--m", "0.5", "--p", "0.3", "--x0", "2"],
-        # m = 0 and m = 1 invert in closed form; there is nothing to compare
-        ["compare", "elliptic", "--m", "0", "--p", "0.3"],
-        ["compare", "elliptic", "--m", "1", "--p", "0.3"],
-        # the step stop is the solver's: there is no tolerance flag
-        ["invert", "gamma", "--a", "2", "--p", "0.3", "--tol", "1e-9"],
-        ["compare", "gamma", "--a", "2", "--p", "0.3", "--tol", "1e-9"],
-        # an iteration cap that SolveOptions refuses
-        ["invert", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
-        ["compare", "gamma", "--a", "2", "--p", "0.3", "--max-iter", "0"],
-        # no method named
-        ["compare", "gamma", "--a", "2", "--p", "0.3", "--methods", ","],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["compare", "gamma", "--a", "2", "--p", "0.3", "--methods", ","])
-    assert capsys.readouterr().out == ""
+# Commands with their exact exit status: 0 on convergence, 1 on a solver
+# failure, 2 on a usage error.  Any other exception fails the test.
+EXIT_STATUS = [
+    # The README "Command line" examples.
+    ("invert gamma --a 2 --p 0.5", 0),
+    ("invert beta --a 2 --b 3 --p 0.3 --trace", 0),
+    ("invert elliptic --m 0.5 --p 0.5 --format json", 0),
+    ("compare gamma --a 5 --p 0.5 --methods snm,halley,newton", 0),
+    ("osculate gamma --a 30 --p 0.5 --x0 31 --range 15:50 --samples 200 --format csv", 0),
+    ("osculate tan --x0 1.0 --range=-1.4:1.4 --samples 29 --curves function,snm", 0),
+    # A tiny root (1.3e-21) and one that underflows, so no oracle root.
+    ("compare beta --a 0.1 --b 5 --p 0.01", 0),
+    ("compare gamma --a 1e-3 --p 0.3", 1),
+    # The beta continued fraction does not converge: a KernelError.
+    ("invert beta --a 0.5 --b 1e308 --p 0.5", 1),
+    ("invert beta --a 5 --b 0.1 --p 0.99 --format json", 0),
+    # An anchor where x^2 underflows and Omega is infinite.
+    ("osculate gamma --a 0.5 --p 0.3 --x0 1e-300 --range 0:1 --samples 3", 1),
+    ("invert gamma --a 1 --p 0.5 --format json", 0),
+    # An upper-tail oracle (q - Q) and the Stirling beta prefactor (a, b >= 16).
+    ("compare gamma --a 5 --p 0.9999999999 --oracle", 0),
+    ("compare beta --a 40 --b 60 --p 0.3", 0),
+    # m near 1, where E(1, m) takes the most AGM levels.
+    ("invert elliptic --m 0.999999999999 --p 0.999 --format json", 0),
+    ("compare elliptic --m 0.999999 --p 0.999999 --oracle", 0),
+    # The gamma start at a large shape and in an upper tail.
+    ("invert gamma --a 1e4 --p 1e-15 --format json", 0),
+    ("compare gamma --a 200 --p 0.999999999999 --oracle", 0),
+    # All three methods from a start near a 6.1e-14 root: a relative step
+    # stop, and an oracle in log x.
+    ("compare gamma --a 1.024624177225431 --p 2.8504124359267774e-14 --x0 2.9e-13"
+     " --oracle --methods snm,halley,newton", 0),
+    # Tails given alone through --p (1e-300 and 1e-20) and through --q.
+    ("compare beta --a 1.5 --b 3 --p 1e-300 --oracle", 0),
+    ("invert gamma --a 2 --p 1e-20 --format json", 0),
+    # The elliptic complementary start in the m -> 1, p -> 1 corner, and a
+    # modulus on the switch between the AGM and the k' series of E(1, m).
+    ("invert elliptic --m 0.999999 --p 0.9995 --format json", 0),
+    ("compare elliptic --m 0.9999 --p 0.999 --oracle", 0),
+    ("invert elliptic --m 0.975 --p 0.9", 0),
+    ("invert gamma --a 2 --q 1e-20 --format json", 0),
+    ("invert beta --a 1.5 --b 3 --q 1e-300", 0),
+    # The elliptic oracle in x (p <= 1/2) and in the complementary amplitude.
+    ("compare elliptic --m 0.5 --p 0.3 --oracle", 0),
+    ("compare elliptic --m 0.999999999999 --p 0.9999999999 --oracle --format json", 0),
+    # A tiny modulus and p, where the high start cancels to 0 or below and
+    # the low start is taken; the oracle's root is 2.6e-137.
+    ("invert elliptic --m 7.083934405581968e-10 --p 1.644471410137576e-137", 0),
+    ("compare elliptic --m 7.083934405581968e-10 --p 1.644471410137576e-137 --oracle", 0),
+    # Usage errors: a missing or out-of-range flag, an unknown problem.
+    ("invert gamma --a 2", 2),
+    ("invert beta --a 2 --p 0.5", 2),
+    ("invert gamma --a 2 --p 1.5", 2),
+    ("invert cauchy --p 0.5", 2),
+    # --x0 outside the domain, in x or in the solver variable.
+    ("compare gamma --a 0.5 --p 0.3 --x0 0", 2),
+    ("compare beta --a 0.5 --b 3 --p 0.3 --x0 1", 2),
+    ("compare beta --a 2 --b 3 --p 0.3 --x0 1.5", 2),
+    ("compare elliptic --m 0.5 --p 0.3 --x0 2", 2),
+    # m = 0 and m = 1 invert in closed form: there is nothing to compare or
+    # osculate.
+    ("compare elliptic --m 0 --p 0.3", 2),
+    ("compare elliptic --m 1 --p 0.3", 2),
+    ("osculate elliptic --m 0 --p 0.3 --x0 0.5 --range 0:1.5 --samples 4", 2),
+    # The step stop is the solver's: there is no tolerance flag.
+    ("invert gamma --a 2 --p 0.3 --tol 1e-9", 2),
+    ("compare gamma --a 2 --p 0.3 --tol 1e-9", 2),
+    # An iteration cap below 1, and no method named.
+    ("invert gamma --a 2 --p 0.3 --max-iter 0", 2),
+    ("compare gamma --a 2 --p 0.3 --max-iter 0", 2),
+    ("compare gamma --a 2 --p 0.3 --methods ,", 2),
+    # An unknown curve, and a range that is not increasing.
+    ("osculate gamma --a 2 --p 0.5 --x0 1 --range 0:2 --curves function,bogus", 2),
+    ("osculate gamma --a 2 --p 0.5 --x0 1 --range 2:1", 2),
+]
+
+
+@pytest.mark.parametrize("command, status", EXIT_STATUS,
+                         ids=[command.replace(" ", "_") for command, _ in EXIT_STATUS])
+def test_exit_status(capsys, command, status):
+    try:
+        code = main(command.split())
+    except SystemExit as exc:  # parser.error
+        code = exc.code
+    assert code == status
+    if status == 2:  # a usage error is found before anything is printed
+        assert capsys.readouterr().out == ""
+
+
+def test_the_module_entry_point_exits_with_main_status(capsys):
+    argv = ["invert", "gamma", "--a", "0.5", "--p", "0.3", "--max-iter", "1"]
+    src = os.path.dirname(os.path.dirname(snm.__file__))
+    done = subprocess.run([sys.executable, "-m", "snm.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+# The exact stdout of one command per output path that the other tests read
+# only in part: compare in csv and as a table, invert --trace rows in csv and
+# in the table, and the osculate table.
+OUTPUT = {
+    "compare gamma --a 5 --p 0.5 --methods snm,halley,newton --format csv --oracle": (
+        "# oracle_root,4.670908882795981\n"
+        "method,iterations,final_residual,iter_errors\n"
+        "snm,0,1.1102230246251565e-16,\n"
+        "halley,2,4.4408920985006262e-16,2.1138646388862981e-13;0\n"
+        "newton,2,4.4408920985006262e-16,1.1417897738397187e-09;0\n"
+    ),
+    "compare beta --a 2 --b 3 --p 0.3 --oracle": (
+        "oracle_root 0.272383942075\n"
+        "method   iters   final_residual  per-iteration error\n"
+        "snm          1 1.11022302463e-16  8.66e-11\n"
+        "halley       2 1.11022302463e-16  1.51e-07 0\n"
+    ),
+    "invert gamma --a 5 --p 0.25 --format csv --trace --method halley": (
+        "n,x,f,h,omega,step,fallback_used\n"
+        "1,1.2144458329162222,-3.2058286620922916e-05,-5.150944674220204e-05,"
+        "-2.3497211528334017,5.1509446742148413e-05,false\n"
+        "2,1.2144973423629644,-6.6752159355587537e-14,-1.072490983911588e-13,"
+        "-2.3496663681471115,1.0724754417879012e-13,false\n"
+    ),
+    "invert beta --a 2 --b 3 --p 0.3 --trace --method newton": (
+        "root        0.272383942075\n"
+        "iterations  3\n"
+        "converged   true\n"
+        "reason      ResidualTol\n"
+        "variable    logit\n"
+        "start       asymptotic\n"
+        "underflow   false\n"
+        "predicted   0\n"
+        "  n                   x                   f                   h"
+        "               omega                step fb\n"
+        "  1     -0.966912175113    0.00539364370604     0.0156479567174"
+        "     -0.595877499549    -0.0155721116977 -\n"
+        "  2     -0.982484286811   2.62740895944e-05   7.66065649569e-05"
+        "     -0.597256999848  -7.66046929173e-05 -\n"
+        "  3     -0.982560891504   6.42076836144e-10    1.8721296829e-09"
+        "     -0.597263939269  -1.87212967351e-09 -\n"
+    ),
+    "osculate elliptic --m 0.5 --p 0.3 --x0 0.5 --range 0:1.5 --samples 4": (
+        "                  x            function                 snm"
+        "              halley              newton\n"
+        "                  0                   0   -0.00065105103323"
+        "   -0.00435174202274    0.00957977617505\n"
+        "                0.5      0.495001703016      0.495001703016"
+        "      0.495001703016      0.495001703016\n"
+        "                  1      0.964876454269      0.963937213663"
+        "      0.967248366813      0.980423629858\n"
+        "                1.5       1.40613374098       1.39003225105"
+        "        1.4145371121        1.4658455567\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT, ids=lambda command: command.replace(" ", "_"))
+def test_output_is_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == OUTPUT[command]
 
 
 @pytest.mark.parametrize("argv, query", [

@@ -9,6 +9,7 @@ from snm.core import (
     MIN_NORMAL,
     Method,
     RESIDUAL_NOISE_FLOOR,
+    SnmError,
     SolveOptions,
     StepUndefinedError,
     StopReason,
@@ -32,7 +33,7 @@ from snm.elliptic import (
 )
 from snm.special import ellip_e_complete, ellip_e_inc
 
-from conftest import elliptic_bisection_root, step_only
+from conftest import elliptic_bisection_root, log_uniform, step_only
 
 M_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 P_GRID = tuple(0.05 * i for i in range(1, 20))
@@ -256,6 +257,10 @@ def test_start_selection_heuristic():
     q = EllipticQuery(0.5, 0.9)
     x0, label = choose_start(q)
     assert label == "high"
+    # So does a high start that cancels to 0 or below (a tiny m and p).
+    q = EllipticQuery(7.083934405581968e-10, 1.644471410137576e-137)
+    assert ellip_start_high(q.m, q.p) <= 0.0
+    assert choose_start(q) == (ellip_start_low(q.m, q.p), "low")
 
 
 def test_report_records_start():
@@ -290,6 +295,38 @@ def test_every_query_converges_in_one_solve():
         assert report.start in ("low", "high", "arcsin-guess", "complementary"), (m, p)
         round_trip = ellip_e_inc(report.root, m) / ellip_e_complete(m)
         assert abs(round_trip - p) <= 1e-13, (m, p)
+
+
+def _tiny_modulus_queries() -> list[tuple[float, float]]:
+    """A decade grid of m <= 1e-8 and small p, where the high start cancels
+    to 0 or below, and a slice of a log-uniform fuzz down to 1e-300."""
+    grid = [(10.0 ** k, 10.0 ** j) for k in range(-300, -7) for j in range(-300, -5, 7)]
+    rng = random.Random("ellip-tiny")
+    fuzz = [(log_uniform(rng, 1e-300, 0.95), log_uniform(rng, 1e-300, 0.999))
+            for _ in range(2000)]
+    return grid + fuzz
+
+
+def test_every_start_stays_in_the_amplitude_range():
+    # Where p E(1, m) < 1e-8 the root is p E(1, m) (1 + O(m^2 x^2)), so
+    # p E(1, m) to the double: there it stands in for the oracle's bisection.
+    for m, p in _tiny_modulus_queries():
+        try:
+            report = invert_ellip_e(EllipticQuery(m, p))
+        except SnmError:
+            continue
+        assert report.converged, (m, p)
+        target = p * ellip_e_complete(m)
+        root = target if target < 1e-8 else elliptic_bisection_root(m, p)
+        assert abs(report.root - root) <= 1e-12 * root, (m, p)
+
+
+@pytest.mark.parametrize("m", [1e-9, 0.5, 0.9, 0.999999])
+def test_the_oracle_reaches_a_tiny_root(m):
+    # The root of E(sin x, m) = p E(1, m) is p E(1, m) to the double here.
+    for k in range(30, 301, 10):
+        target = 10.0 ** -k * ellip_e_complete(m)
+        assert abs(elliptic_bisection_root(m, 10.0 ** -k) - target) <= 1e-15 * target, k
 
 
 def test_stop_is_relative_to_the_target():

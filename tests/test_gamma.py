@@ -20,7 +20,7 @@ from snm.gamma import (
 )
 from snm.special import ln_gamma, reg_gamma_p, reg_gamma_q
 
-from conftest import gamma_bisection_root, step_only
+from conftest import gamma_bisection_root, log_uniform, step_only
 
 A_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 30.0, 100.0)
 P_GRID = (0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
@@ -497,10 +497,6 @@ def test_tail_roots_meet_the_relative_contract_against_mpmath(a, tail, upper):
         assert residual(xm / (1 + d)) <= 0 <= residual(xm / (1 - d))
 
 
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 def test_class_fuzz_converges_within_the_contract_in_few_iterations():
     # The four classes: a < 1 or a >= 1, lower or upper tail.  Central and
     # tail probabilities; a down to 0.01, where an a < 1 upper tail's Q
@@ -509,9 +505,9 @@ def test_class_fuzz_converges_within_the_contract_in_few_iterations():
     seen = {}
     for k in range(400):
         small = k % 2 == 0
-        a = _log_uniform(rng, 0.01, 1.0) if small else _log_uniform(rng, 1.0, 500.0)
+        a = log_uniform(rng, 0.01, 1.0) if small else log_uniform(rng, 1.0, 500.0)
         tail = (rng.uniform(1e-3, 0.5) if rng.random() < 0.5
-                else _log_uniform(rng, 1e-15, 1e-3))
+                else log_uniform(rng, 1e-15, 1e-3))
         upper = rng.random() < 0.5
         query = _tail_query(a, tail, upper)
         report = invert_gamma(query)
@@ -542,8 +538,8 @@ def test_a_below_one_bounds_bracket_the_root():
     rng = random.Random("gamma-bounds")
     checked = 0
     for _ in range(300):
-        a = _log_uniform(rng, 0.01, 1.0)
-        tail = _log_uniform(rng, 1e-15, 0.5)
+        a = log_uniform(rng, 0.01, 1.0)
+        tail = log_uniform(rng, 1e-15, 0.5)
         query = _tail_query(a, tail, rng.random() < 0.5)
         if query.p <= 0.5 and reg_gamma_p(a, 1e-307) >= query.p:
             continue  # the root lies below the normal doubles
@@ -597,8 +593,8 @@ def test_small_a_q_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random("gamma-small-a-q")
     for _ in range(200):
-        a = _log_uniform(rng, 1e-3, 1.0)
-        x = _log_uniform(rng, 1e-6, a + 1.0) * (1.0 - 1e-12)
+        a = log_uniform(rng, 1e-3, 1.0)
+        x = log_uniform(rng, 1e-6, a + 1.0) * (1.0 - 1e-12)
         with mpmath.workdps(40):
             exact = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x), mpmath.inf,
                                     regularized=True)

@@ -2,83 +2,17 @@
 
 Each entry pins one query on one solver path.  A change meant to be
 bit-identical must keep every entry; a change that moves rounding must
-re-pin the entries it moves and say by how many ulps.  Re-pinned:
-"gamma direct a=20 p=1e-10" moved by 2 ulps when the a >= 16 gamma
-exponent switched from log1p((x-a)/a) to log(x/a) below x = a/2.
-Renamed: "elliptic retry m=0.81 p=0.7" became "elliptic low m=0.81 p=0.7"
-when the elliptic alternate-start retry was removed; its root bits and
-iteration count did not move, and the one solve runs from the low start.
-Re-pinned when the direct gamma (a >= 1) and beta (a, b > 1) solves moved
-from the maximum of Omega to the Wilson-Hilferty and A&S 26.5.22 starts:
-the four gamma direct entries (2, 1, 0 and 343330013 ulps; the last was
-5.0e-8 off the true root and is now 6.6e-13 off) and the three beta direct
-entries (89, 1 and 0 ulps), whose note is now "start=asymptotic".
-The note strings became the typed report fields (variable, then a flip
-flag, start, root_underflow) with no change to any root, iteration count or
-stop reason; the gamma entries gained their start labels, and the
-"flip=omega-monotonicity" and "path=heuristic" notes, functions of the
-shapes alone, were dropped.
-Re-pinned when the gamma residual stop became relative to the inverted
-tail (1e-14 * min(p, q)) and an a < 1 upper tail took Q from its own
-small-a formula on the series side: "gamma direct a=20 p=1e-10" moved by
--4483 ulps (2 -> 3 iterations), from 6.6e-13 to 2.9e-17 relative error
-against mpmath; "gamma log a=0.2 p=0.9" moved by +127 ulps (2 -> 3
-iterations), from -2.4e-14 to -2.1e-16.
-When beta stopped flipping its queries (x -> 1 - x, a <-> b) and solved
-each tail in place, the report lost its ``flipped`` field and every entry
-its slot.  The three entries named "flipped" keep their names, which now
-say which queries the old flip served; each is solved in its own tail,
-and the last two start from the upper bound of their root.  The logit
-evaluation now takes x, 1 - x and the kernel's prefactor from z, which
-moved three roots: "beta logit 0.5,3 p=0.2" by -6 ulps (relative error
-against mpmath -2.9e-16 -> -1.2e-15), "beta logit flipped 3,0.5 p=0.4"
-by -1 (2.7e-16 -> 1.4e-16) and "beta heuristic 0.5,0.5 p=0.3" by -8
-(4.5e-16 -> -6.2e-16).  No iteration count or stop reason moved, and no
-other root.
-When ln Gamma above 2.6 came from ``math.lgamma``, ln B(a, b) moved and
-with it three beta roots: "beta direct 2,3 p=0.3" by -5 ulps (relative
-error against mpmath 1.5e-15 -> 4.6e-16), "beta direct flipped 2,3 p=0.8"
-by +4 (9.3e-16 -> 1.7e-16) and "beta logit 0.5,3 p=0.2" by +6 (1.2e-15 ->
-2.9e-16).  No iteration count or stop reason moved, and no other root.
-When SNM solves gained the predicted stop, 15 gamma, beta and elliptic
-entries became "Predicted" with one iteration fewer: the confirming
-evaluation that ended them on their residual is gone.  "elliptic arcsin
-m=0.97 p=0.3" still ends on its residual.  No root moved by a bit.
-When E(1, m) came from Gauss's arithmetic-geometric mean instead of the
-Carlson duplication at phi = pi/2, the target p E(1, m) moved by ulps and
-with it one root: "elliptic arcsin m=0.97 p=0.3" by -3 ulps (relative
-error against 40-digit mpmath -1.3e-15 -> -1.8e-15).  No iteration count
-or stop reason moved, and no gamma or beta root.
-When the direct gamma start became Temme's asymptotic inversion, the four
-gamma direct entries moved: "gamma direct a=2.5 p=0.3" by +34 ulps, now
-ending on its residual (relative error against 50-digit mpmath -3.8e-18
--> 5.0e-15); "gamma direct a=20 p=0.5" by +1 (6.1e-18 -> 1.9e-16, 0
-iterations on both); "gamma direct a=20 p=1e-10" by -1 (2.9e-17 ->
--1.2e-16, 2 -> 0 iterations); "gamma direct upper a=5 p=0.99" kept its
-root (8.5e-17) and went from 1 iteration to 0.  The beta direct entries,
-whose A&S 26.5.22 start now takes its normal quantile from
-``statistics.NormalDist`` instead of A&S 26.2.23, did not move.
-When every gamma query came to solve in log x and every beta query in
-logit x, the "direct" entries (the names keep the class they were solved
-in) became LOG or LOGIT and four roots moved: "gamma direct a=2.5 p=0.3"
-by -35 ulps, now ending Predicted after 0 iterations instead of on its
-residual after 1 (relative error against 50-digit mpmath 5.0e-15 ->
--1.5e-16); "gamma direct upper a=5 p=0.99" by +1 (8.5e-17 -> 2.4e-16);
-"gamma direct a=20 p=1e-10" by -1 (-1.2e-16 -> -2.6e-16); "beta direct
-flipped 2,3 p=0.8" by +1 (-1.7e-16 -> 2.2e-17).  The other three kept
-their roots, iteration counts and stop reasons.
+re-pin the entries it moves and say by how many ulps.  CHANGES.md records
+each re-pin.  An entry keeps the name it was first pinned under ("direct",
+"flipped"), though its query may now take another path.
 """
-
-import math
 
 import pytest
 
 from snm import (
     BetaQuantileQuery,
     EllipticQuery,
-    FunctionProblem,
     GammaQuantileQuery,
-    Interval,
     Method,
     SolveOptions,
     Variable,
@@ -89,12 +23,7 @@ from snm import (
     tan_problem,
 )
 
-
-def _cube_problem() -> FunctionProblem:
-    # f(x) = x^3 - 2: non-constant Schwarzian, root 2^(1/3).
-    return FunctionProblem(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
-                           lambda x: 6.0 * x, lambda x: 6.0,
-                           Interval(0.0, math.inf))
+from conftest import cube_problem
 
 
 def _solve(make, method):
@@ -145,9 +74,9 @@ CASES = {
     "solve tan snm": _solve(tan_problem, Method.SNM),
     "solve tan halley": _solve(tan_problem, Method.HALLEY),
     "solve tan newton": _solve(tan_problem, Method.NEWTON),
-    "solve cube snm": _solve(_cube_problem, Method.SNM),
-    "solve cube halley": _solve(_cube_problem, Method.HALLEY),
-    "solve cube newton": _solve(_cube_problem, Method.NEWTON),
+    "solve cube snm": _solve(cube_problem, Method.SNM),
+    "solve cube halley": _solve(cube_problem, Method.HALLEY),
+    "solve cube newton": _solve(cube_problem, Method.NEWTON),
 }
 
 # name -> (root.hex(), iterations, reason, (variable, start, root_underflow))

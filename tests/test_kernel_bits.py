@@ -13,12 +13,7 @@ the a, b >= 16 exponent, which returns the pair (I, 1 - I).  Like
 ``test_golden.py`` they assume the platform libm's ``exp``/``log`` bits,
 which ``math.lgamma`` uses too.
 
-Re-pinned when ln Gamma above 2.6 came from ``math.lgamma`` instead of a
-Lanczos sum (g = 7, n = 9): every moved pin below is closer to 40-digit
-mpmath than before, and no value at a <= 2.6 moved.  When ln Gamma(2 + t)
-on [-0.55, 0.6] came from a piecewise table instead of the Taylor series
-(the straightforward loop above), no single pin below moved; three of the
-grid digests did (see ``GRID_DIGESTS``).
+CHANGES.md records each re-pin.
 """
 
 import hashlib
@@ -42,9 +37,6 @@ from snm.gamma import (
 )
 from snm.special import _beta_exponent, _gamma_exponent, _reg_beta, _reg_gamma, ln_beta, ln_gamma
 
-# Moved by math.lgamma (ulps; relative error against mpmath before ->
-# after): 3.7 by -10 (1.7e-15 -> 1.2e-16), 17.5 by -2 (2.8e-16 ->
-# -1.6e-16), 250 by +1 (-1.4e-16 -> 5.9e-17); 2.61 kept its bits.
 LN_GAMMA = {
     0.001: '0x1.ba0f3807161acp+2',
     0.1: '0x1.2058e35f3deedp+1',
@@ -65,9 +57,6 @@ LN_GAMMA = {
     2.0: '0x0.0p+0',
 }
 
-# Moved by math.lgamma: (0.5, 3) by +32 ulps (relative error -8.3e-15 ->
-# -1.4e-15), (2.5, 7) by +4 (4.3e-16 -> -3.1e-16), (15.9, 0.2) by +32
-# (-3.3e-15 -> 3.2e-16), (40, 60) by +1 (3.5e-16 -> 1.4e-16).
 LN_BETA = {
     (0.5, 3.0): '0x1.08598b59e3a00p-4',
     (2.5, 7.0): '-0x1.34d357bf0cc86p+2',
@@ -145,8 +134,6 @@ EVALUATIONS = (
     (BetaLogitProblem, (0.5, 3.0, 0.3), -1.5,
      ('-0x1.8000000000000p+0', '0x1.a2950dfa619cdp-2', '0x1.c0271673c67b3p-3',
       '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aefdp+0')),
-    # Re-pinned when x and 1 - x came from one exp(-|z|) and f' from their
-    # logs: f moved by 8 ulps, f' by -2, Omega by -5 and h by 5.
     (BetaLogitProblem, (0.7, 0.4, 0.2), 2.0,
      ('0x1.0000000000000p+1', '0x1.c61444d51803bp-2', '0x1.086e5b9360f3bp-3',
       '0x1.13546fa63d8bcp-2', '-0x1.368f31776a536p-4', '0x1.2cbe71049a195p+1')),
@@ -240,43 +227,7 @@ def _grid_digest(kernel: str) -> str:
     return hashlib.sha256(";".join(out).encode()).hexdigest()
 
 
-# Digests of _grid_digest, recorded with the reference loops.  "evaluate"
-# was re-recorded when the a < 1 upper-tail gamma residual took Q from
-# _gamma_q_small_a on the series side: 55 of the 400 gamma evaluations
-# (all a < 1 with p > 1/2) moved, by at most 1.1e-14 relative in q.
-# "reg_beta" and "evaluate" were re-recorded when the beta kernel began to
-# return the pair (I, 1 - I) from (x, 1 - x) and took the log of the
-# smaller of the two: 6 of the 400 I values moved (-38 to +9 ulps), where
-# the fraction's side variable is the larger one; the digest now covers
-# both values.  203 of the 400 beta evaluations moved: 180 of the 206
-# logit ones, whose x, 1 - x, f' and kernel prefactor now come from one
-# exp(-|z|) (f moved in 44, f' in 67, B and Omega in 133, h in 97), and
-# 23 of the 194 direct ones, in f (and h in 21); no gamma evaluation moved.
-# All five were re-recorded when ln Gamma above 2.6 came from math.lgamma.
-# Against 40-digit mpmath, over the values that moved: "ln_gamma" 114 of
-# 400 (at most 48 ulps; worst absolute error 4.1e-13 -> 2.9e-13, relative
-# 6.3e-15 -> 1.1e-15); "ln_beta" 160 (103 closer, 57 farther; worst
-# absolute error 2.6e-13 -> 3.7e-13, at (178.8, 274.9), where ln B = -305.6
-# and both are within 5.5 ulps); "reg_gamma" 184 values at 68 points, through
-# the a < 16 exponent (worst relative error 1.7e-12 -> 5.6e-13);
-# "reg_beta" 209 values at 144 points (worst relative error 3.6e-13 ->
-# 2.5e-13); "evaluate" 617 values at 165 points (f, f' and h of 71 gamma
-# evaluations; f' of 152 beta evaluations, f of 122 and h of 130).
-# "evaluate" was re-recorded when BetaDirectProblem's f' became the kernel's
-# prefactor over x (1 - x): f' moved at 176 of the 194 direct points (at
-# most 2,144 ulps; 80 closer to mpmath, 96 farther; worst relative error
-# 2.7e-13 -> 3.0e-14, median 2.0e-15 -> 1.4e-15) and h at 125 of them (at
-# most 724 ulps; worst 2.5e-12 both, median 2.9e-15 -> 2.0e-15); f, B and
-# Omega kept their bits, and no gamma or logit evaluation moved.
-# "ln_gamma", "ln_beta" and "evaluate" were re-recorded when ln Gamma(2 + t)
-# on [-0.55, 0.6] came from a piecewise table (4 pieces of 12 coefficients)
-# instead of the 35-term Taylor series, and the a < 1 gamma problems took
-# ln Gamma(a) as ln Gamma(1 + a) - ln a: "ln_gamma" moved at 2 of 400 points,
-# by +1 ulp each (relative error against 40-digit mpmath 3.9e-17 ->
-# -9.4e-17 at a = 1.6548, -7.2e-17 -> 4.9e-17 at a = 0.7266); "ln_beta" at 1,
-# (1.1614, 0.7669), by +1 ulp (1.6e-17 -> 2.1e-16); "evaluate" 20 values at
-# 8 points, all a < 1 gamma evaluations: f at 6 (-4 to +6 ulps), f' at 7 (-3
-# to +4) and h at 7 (-4 to +4).  "reg_gamma" and "reg_beta" kept their bits.
+# Digests of _grid_digest, recorded with the reference loops.
 GRID_DIGESTS = {
     "ln_gamma":
         "f921dec87af482cd8cf56bb66cfee80da76e3c8624c4cc9ebfbed00d73f3425a",

@@ -68,7 +68,7 @@ from snm.special import (
     reg_gamma_q,
 )
 
-from conftest import beta_bisection_root
+from conftest import beta_bisection_root, log_uniform
 from test_solve_digest import _queries as digest_queries
 
 GAMMA_SHAPES = (0.05, 0.3, 0.7, 1.0, 2.5, 15.9, 16.0, 150.0)
@@ -497,13 +497,9 @@ def test_caller_options_keep_the_problem_s_residual_stop(invert, query):
     assert halley.converged, (query, halley.reason)
 
 
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 def _tail_pair(rng):
     """(p, q) with the smaller tail log-uniform in [1e-15, 0.5], on either side."""
-    t = _log_uniform(rng, 1e-15, 0.5)
+    t = log_uniform(rng, 1e-15, 0.5)
     return (t, 1.0 - t) if rng.random() < 0.5 else (1.0 - t, t)
 
 
@@ -532,11 +528,11 @@ def test_direct_starts_need_few_evaluations_and_no_fallback():
     # starts converge in at most 3 steps across both tails.
     rng = random.Random(5)
     for _ in range(1000):
-        query = GammaQuantileQuery(_log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
+        query = GammaQuantileQuery(log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
         _assert_quick_direct_solve(gamma_start(query), invert_gamma(query), query)
     for _ in range(1000):
-        query = BetaQuantileQuery(_log_uniform(rng, 1.0, 1e4),
-                                  _log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
+        query = BetaQuantileQuery(log_uniform(rng, 1.0, 1e4),
+                                  log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
         plan = beta_plan(query)
         assert (plan.variable, plan.start) == (Variable.LOGIT, "asymptotic"), query
         _assert_quick_direct_solve(plan, invert_beta(query), query)

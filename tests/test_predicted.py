@@ -32,7 +32,6 @@ from snm.beta import BetaDirectProblem, BetaLogitProblem
 from snm.core import (
     STEP_REL_TOL,
     FunctionProblem,
-    Interval,
     Problem,
     StepUndefinedError,
     halley_step,
@@ -42,13 +41,10 @@ from snm.core import (
 from snm.elliptic import EllipticProblem
 from snm.gamma import GammaDirectProblem, GammaLogProblem
 
-from conftest import beta_bisection_root, elliptic_bisection_root, gamma_bisection_root
+from conftest import (beta_bisection_root, cube_problem, elliptic_bisection_root,
+                      gamma_bisection_root, log_uniform)
 
 REL_TOL = 1e-12  # the contract: relative error in x
-
-
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
 # ------------------------------------------------------------------ hooks
@@ -126,15 +122,10 @@ class _Hooked(Problem):
         return self.inner.scale(x)
 
 
-def _cube_problem() -> FunctionProblem:
-    return FunctionProblem(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
-                           lambda x: 6.0 * x, lambda x: 6.0, Interval(0.0, math.inf))
-
-
 def test_a_problem_without_a_hook_is_never_predicted():
     # FunctionProblem has no omega hook: its solves keep the stops they had.
     assert FunctionProblem.omega is None and Problem.omega is None
-    for problem, x0 in ((tan_problem(), 1.0), (_cube_problem(), 3.0)):
+    for problem, x0 in ((tan_problem(), 1.0), (cube_problem(), 3.0)):
         report = solve(problem, x0)
         assert report.converged and report.reason is not StopReason.PREDICTED
         assert report.predicted_error == 0.0
@@ -192,7 +183,7 @@ def test_a_predicted_report_is_the_step_from_its_last_evaluation():
 # ------------------------------------------------------------------ fuzz
 
 def _tail_pair(rng, upper):
-    t = _log_uniform(rng, 1e-15, 0.5)
+    t = log_uniform(rng, 1e-15, 0.5)
     return (1.0 - t, t) if upper else (t, 1.0 - t)
 
 
@@ -210,7 +201,7 @@ def _gamma_class(name, upper):
     rng = random.Random(f"predicted:gamma:{name}:{upper}")
     lo, hi = GAMMA_SHAPES[name]
     for _ in range(QUERIES_PER_CLASS):
-        a = _log_uniform(rng, lo, hi)
+        a = log_uniform(rng, lo, hi)
         p, q = _tail_pair(rng, upper)
         yield GammaQuantileQuery(a, p, q), gamma_start, lambda a=a, p=p, q=q: (
             gamma_bisection_root(a, p, q))
@@ -220,7 +211,7 @@ def _beta_class(name, upper):
     rng = random.Random(f"predicted:beta:{name}:{upper}")
     (a_lo, a_hi), (b_lo, b_hi) = BETA_SHAPES[name]
     for _ in range(QUERIES_PER_CLASS):
-        a, b = _log_uniform(rng, a_lo, a_hi), _log_uniform(rng, b_lo, b_hi)
+        a, b = log_uniform(rng, a_lo, a_hi), log_uniform(rng, b_lo, b_hi)
         p, q = _tail_pair(rng, upper)
         yield BetaQuantileQuery(a, b, p, q), beta_plan, lambda a=a, b=b, p=p, q=q: (
             beta_bisection_root(a, b, p, q))

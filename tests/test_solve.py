@@ -12,6 +12,7 @@ import snm.core
 from snm.core import (
     MIN_NORMAL,
     RESIDUAL_NOISE_FLOOR,
+    DegenerateStepError,
     FunctionProblem,
     Interval,
     IterationRecord,
@@ -26,13 +27,14 @@ from snm.core import (
     SolveReport,
     StopReason,
     Variable,
+    osculating_fit,
     snm_step,
     solve,
     tan_problem,
 )
 from snm.gamma import GammaDirectProblem, GammaQuantileQuery
 
-from conftest import step_only
+from conftest import cube_problem, step_only
 
 
 def shifted_tanh_problem(root: float = 1.0) -> FunctionProblem:
@@ -114,6 +116,21 @@ def test_derivative_vanished():
     assert report.root == 0.0
 
 
+def test_a_degenerate_step_ends_derivative_vanished():
+    # f = 2, f' = 1, f'' = 1: (B/2) f + f' = 0, so h is infinite and the
+    # SNM and Halley steps are undefined; D = 2 f'^2 - f f'' = 0 too.
+    problem = FunctionProblem(lambda x: 2.0, lambda x: 1.0, lambda x: 1.0,
+                              lambda x: 0.0, Interval(-1.0, 1.0))
+    for method in (Method.SNM, Method.HALLEY):
+        report = solve(problem, 0.0, SolveOptions(method=method))
+        assert (report.reason, report.converged, report.evaluations) \
+            == (StopReason.DERIVATIVE_VANISHED, False, 1), method
+    report = solve(problem, 0.0, SolveOptions(method=Method.NEWTON))
+    assert (report.reason, report.converged) == (StopReason.MAX_ITER, False)
+    with pytest.raises(DegenerateStepError):
+        osculating_fit(problem.evaluate(0.0))
+
+
 def test_domain_exit_on_overflowing_step():
     # A subnormal slope sends the Newton step to -inf; the domain has no
     # finite endpoint to clamp toward, so the solve stops where it was.
@@ -176,17 +193,12 @@ def test_a_root_at_zero_converges(method, x0):
     assert report.root == 0.0
 
 
-def _cube_problem() -> FunctionProblem:
-    return FunctionProblem(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x,
-                           lambda x: 6.0 * x, lambda x: 6.0, Interval(0.0, math.inf))
-
-
 def test_method_given_by_name():
     assert SolveOptions(method="newton").method is Method.NEWTON
-    by_name = solve(_cube_problem(), 3.0, SolveOptions(method="newton"))
-    assert by_name == solve(_cube_problem(), 3.0, SolveOptions(method=Method.NEWTON))
+    by_name = solve(cube_problem(), 3.0, SolveOptions(method="newton"))
+    assert by_name == solve(cube_problem(), 3.0, SolveOptions(method=Method.NEWTON))
     # Newton needs more steps than the SNM here, so the name was not ignored.
-    assert by_name.iterations > solve(_cube_problem(), 3.0).iterations
+    assert by_name.iterations > solve(cube_problem(), 3.0).iterations
     with pytest.raises(ValueError):
         SolveOptions(method="bogus")
 
@@ -337,7 +349,7 @@ def _steps_taken(report: SolveReport) -> int:
     (Method.NEWTON, "newton_step")])
 def test_solve_uses_the_step_functions_bound_at_call_time(monkeypatch, method, name):
     calls = _count_step_calls(monkeypatch)
-    report = solve(_cube_problem(), 3.0, SolveOptions(method=method))
+    report = solve(cube_problem(), 3.0, SolveOptions(method=method))
     assert report.converged
     assert len(calls[name]) == _steps_taken(report) >= 2
     assert calls[name][:report.iterations] == [r.x for r in report.trace]

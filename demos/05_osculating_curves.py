@@ -11,8 +11,6 @@ The same data is available from the command line:
     snm osculate gamma --a 30 --p 0.5 --x0 31 --range 15:50 --samples 200
 """
 
-from dataclasses import replace
-
 from snm import (
     GammaQuantileQuery,
     PoleError,
@@ -31,7 +29,7 @@ def main() -> None:
     e = problem.evaluate(a + 1.0)
 
     model = osculating_fit(e)
-    halley_model = replace(model, lam=0.0)
+    halley_model = model._replace(lam=0.0)
     print(f"= Models fitted to the gamma(30) CDF residual at x = {e.x}")
     print(f"  lam = Omega(x0) = {model.lam:.15f}")
     print(f"  A = {model.a:.6e}  B = {model.b:.6e}  C = {model.c:.6e}")

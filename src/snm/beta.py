@@ -25,8 +25,7 @@ the paper's problem in x, which no plan uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DEEP_TAIL_Z,
@@ -39,6 +38,7 @@ from .core import (
     SolveOptions,
     SolveReport,
     _LOGIT,
+    _Checked,
     _logit,
     _sigmoid,
     _tuple_new,
@@ -59,19 +59,23 @@ _LN_EPS = math.log(MACHINE_EPSILON)
 _DEEP_TAIL_RATIO = math.exp(DEEP_TAIL_Z - _LN_EPS)
 
 
-@dataclass(frozen=True)
-class BetaQuantileQuery:
-    """Shapes a, b > 0 and both tail probabilities p, q; q = 1 - p by default."""
-
+class _BetaQuantileFields(NamedTuple):
     a: float
     b: float
     p: float
-    q: Optional[float] = None
+    q: float
 
-    def __post_init__(self) -> None:
-        check_shape("BetaQuantileQuery", self.a)
-        check_shape("BetaQuantileQuery", self.b)
-        object.__setattr__(self, "q", check_tails(self.p, self.q))
+
+class BetaQuantileQuery(_Checked, _BetaQuantileFields):
+    """Shapes a, b > 0 and both tail probabilities p, q; q = 1 - p by default."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, p: float,
+                q: Optional[float] = None) -> BetaQuantileQuery:
+        check_shape("BetaQuantileQuery", a)
+        check_shape("BetaQuantileQuery", b)
+        return _tuple_new(cls, (a, b, p, check_tails(p, q)))
 
 
 def beta_b(a: float, b: float, x: float) -> float:
@@ -176,23 +180,25 @@ class _BetaProblem(Problem):
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
     is ln B(a, b), and ``stirling`` for a, b >= 16 the constants of the
     kernel exponent's Stirling form.  The deep-tail bounds in z serve the
-    logit evaluation.
+    logit evaluation.  It holds the query's fields as ``a``, ``b``, ``p``
+    and ``q``, read once.
     """
 
     def __init__(self, query: BetaQuantileQuery) -> None:
-        a, b = query.a, query.b
-        s = a + b
         self.query = query
+        a, b, p, q = query
+        self.a, self.b, self.p, self.q = a, b, p, q
+        s = a + b
         self.ln_b = ln_beta(a, b)
         self.switch = (a + 1.0) / (s + 2.0)
-        self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
+        self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
         self.stirling = _beta_stirling(a, b) if a >= 16.0 and b >= 16.0 else None
         self.deep_tail_z = _deep_tail_z(a, s)
         self.deep_tail_top = -_deep_tail_z(b, s)
 
     def _residual(self, x: float, i: float, j: float) -> float:
-        query = self.query
-        f = i - query.p if query.p <= 0.5 else query.q - j
+        p = self.p
+        f = i - p if p <= 0.5 else self.q - j
         if abs(f) <= RESIDUAL_NOISE_FLOOR * (i if x < self.switch else j):
             return 0.0
         return f
@@ -203,8 +209,7 @@ class BetaDirectProblem(_BetaProblem):
     kernel's prefactor over x (1 - x), with Stirling's terms for a, b >= 16."""
 
     def evaluate(self, x: float) -> ProblemEvaluation:
-        q = self.query
-        a, b = q.a, q.b
+        a, b = self.a, self.b
         y = 1.0 - x
         scale = math.exp(_beta_exponent(a, b, x, y, self.ln_b, self.stirling))
         i, j = _reg_beta(x, y, a, b, scale)
@@ -212,7 +217,7 @@ class BetaDirectProblem(_BetaProblem):
                                        beta_b(a, b, x), beta_omega(a, b, x))
 
     def omega(self, x: float) -> float:
-        return beta_omega(self.query.a, self.query.b, x)
+        return beta_omega(self.a, self.b, x)
 
     def scale(self, x: float) -> float:
         """The distance to the nearer end of (0, 1): x or 1 - x."""
@@ -241,8 +246,7 @@ class BetaLogitProblem(_BetaProblem):
     """
 
     def evaluate(self, z: float) -> ProblemEvaluation:
-        q = self.query
-        a, b, ln_b = q.a, q.b, self.ln_b
+        a, b, ln_b = self.a, self.b, self.ln_b
         if z < self.deep_tail_z:
             # Deep lower tail: I_x = e^(az) / (a B(a,b)) from z, as x may be
             # subnormal; the dropped terms are ~(a+b) e^z relative to f and
@@ -273,7 +277,7 @@ class BetaLogitProblem(_BetaProblem):
             z, self._residual(x, i, j), fp, b * x - a * y, _beta_omega_logit_x(a, b, x, y))
 
     def omega(self, z: float) -> float:
-        a, b = self.query.a, self.query.b
+        a, b = self.a, self.b
         if z < self.deep_tail_z:
             return -0.25 * a * a
         if z > self.deep_tail_top:
@@ -323,7 +327,8 @@ def _raised_log_bound(a: float, b: float, log_t: float) -> float:
     return min(log_t + (math.log1p(-c * t) - b * math.log1p(-t)) / a, math.log(mean))
 
 
-def _asymptotic_start(query: BetaQuantileQuery, log_x_p: float, log_y_q: float) -> float:
+def _asymptotic_start(a: float, b: float, p: float, q: float,
+                      log_x_p: float, log_y_q: float) -> float:
     """A&S 26.5.22 quantile for a, b > 1 in z, clamped between the root's bounds.
 
     Its x = a / (a + b e^(2w)) is z = ln(a/b) - 2w.  In either tail the
@@ -332,8 +337,7 @@ def _asymptotic_start(query: BetaQuantileQuery, log_x_p: float, log_y_q: float) 
     that it passed, each raised toward the root (``_raised_log_bound``, or
     its mirror).  Formed in z, the start keeps 1 - x where x rounds to 1.
     """
-    a, b = query.a, query.b
-    y = _normal_quantile(query.q, query.p)  # upper-tail quantile: Q(y) = p
+    y = _normal_quantile(q, p)  # upper-tail quantile: Q(y) = p
     lam = (y * y - 3.0) / 6.0
     ra = 1.0 / (2.0 * a - 1.0)
     rb = 1.0 / (2.0 * b - 1.0)
@@ -371,13 +375,13 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
 
     The problem holds ln B(a, b).
     """
-    a, b, p, q = query.a, query.b, query.p, query.q
     problem = BetaLogitProblem(query)
+    a, b, p, q = problem.a, problem.b, problem.p, problem.q
     ln_b = problem.ln_b
     log_x_p = (math.log(p) + math.log(a) + ln_b) / a
     log_y_q = (math.log(q) + math.log(b) + ln_b) / b
     if a > 1.0 and b > 1.0:
-        return _tuple_new(Plan, (problem, _asymptotic_start(query, log_x_p, log_y_q),
+        return _tuple_new(Plan, (problem, _asymptotic_start(a, b, p, q, log_x_p, log_y_q),
                                  _LOGIT, "asymptotic"))
     # A tail above 1/2 may stand for one closer to 1 (1 - 1e-300 is at best
     # 1 - 2^-53), which moves its bound up: x_p down, x_q up in x.  That is

@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .beta import BetaDirectProblem, BetaQuantileQuery, beta_plan, invert_beta
@@ -343,7 +342,7 @@ def cmd_osculate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         parser.error(f"--x0 {args.x0} outside the problem domain")
     e0 = problem.evaluate(args.x0)
     snm_model = osculating_fit(e0)
-    halley_model = replace(snm_model, lam=0.0)
+    halley_model = snm_model._replace(lam=0.0)
 
     def cell(name: str, x: float) -> Optional[float]:
         try:

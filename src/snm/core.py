@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -72,6 +71,23 @@ HALF_PI = math.pi / 2
 # its generated __new__; the solve loop makes one evaluation per
 # iteration and one record per step.
 _tuple_new = tuple.__new__
+
+
+class _Checked:
+    """Mixin for a NamedTuple whose ``__new__`` checks its fields.
+
+    ``_make`` (and so ``_replace``), pickle and copy all build through
+    ``__new__``, so none of them can make an unchecked record.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class SnmError(Exception):
@@ -158,21 +174,26 @@ _MAX_ITER, _DERIVATIVE_VANISHED, _DOMAIN_EXIT = (
     StopReason.MAX_ITER, StopReason.DERIVATIVE_VANISHED, StopReason.DOMAIN_EXIT)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _IntervalFields(NamedTuple):
+    lo: float
+    hi: float
+    lo_open: bool
+    hi_open: bool
+
+
+class Interval(_Checked, _IntervalFields):
     """Solver domain with open/closed endpoint semantics.
 
     Endpoints may be infinite; ``lo < hi`` is required.
     """
 
-    lo: float
-    hi: float
-    lo_open: bool = True
-    hi_open: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} >= hi={self.hi}")
+    def __new__(cls, lo: float, hi: float, lo_open: bool = True,
+                hi_open: bool = True) -> Interval:
+        if not lo < hi:
+            raise ValueError(f"empty interval: lo={lo} >= hi={hi}")
+        return _tuple_new(cls, (lo, hi, lo_open, hi_open))
 
     def contains(self, x: float) -> bool:
         if math.isnan(x):
@@ -311,8 +332,12 @@ def tan_problem() -> FunctionProblem:
     )
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class _SolveOptionsFields(NamedTuple):
+    max_iter: int
+    method: Method
+
+
+class SolveOptions(_Checked, _SolveOptionsFields):
     """Driver configuration.
 
     The stops are the solver's and the problem's (see ``solve``).
@@ -320,13 +345,13 @@ class SolveOptions:
     an unknown name raises ValueError.
     """
 
-    max_iter: int = 30
-    method: Method = Method.SNM
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "method", Method(self.method))
-        if self.max_iter < 1:
+    def __new__(cls, max_iter: int = 30, method: Method = Method.SNM) -> SolveOptions:
+        method = Method(method)
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        return _tuple_new(cls, (max_iter, method))
 
 
 class IterationRecord(NamedTuple):
@@ -507,8 +532,7 @@ def snm_step(e: ProblemEvaluation) -> float:
     return e.x - gatan(e.omega, e.h)
 
 
-@dataclass(frozen=True)
-class OsculatingModel:
+class OsculatingModel(NamedTuple):
     """Constants of the tangent curve (gtan(lam,u) + a)/(b gtan(lam,u) + c).
 
     Anchored at ``x_anchor`` (u = x - x_anchor); matches the source

@@ -30,8 +30,7 @@ report's ``start`` names the start used ("low", "high", "arcsin-guess" or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     RESIDUAL_NOISE_FLOOR,
@@ -43,6 +42,7 @@ from .core import (
     SolveReport,
     _DIRECT,
     _RESIDUAL_TOL,
+    _Checked,
     _tuple_new,
     solve,
 )
@@ -54,18 +54,22 @@ MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
 _AMPLITUDE_RANGE = Interval(0.0, math.pi / 2, lo_open=False, hi_open=False)
 
 
-@dataclass(frozen=True)
-class EllipticQuery:
-    """Modulus m in [0, 1] and target fraction p in (0, 1)."""
-
+class _EllipticFields(NamedTuple):
     m: float
     p: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.m <= 1.0:
-            raise ValueError(f"modulus must lie in [0, 1], got {self.m}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"fraction must lie in (0, 1), got {self.p}")
+
+class EllipticQuery(_Checked, _EllipticFields):
+    """Modulus m in [0, 1] and target fraction p in (0, 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: float, p: float) -> EllipticQuery:
+        if not 0.0 <= m <= 1.0:
+            raise ValueError(f"modulus must lie in [0, 1], got {m}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"fraction must lie in (0, 1), got {p}")
+        return _tuple_new(cls, (m, p))
 
 
 def ellip_omega(m: float, x: float) -> float:
@@ -133,20 +137,22 @@ def ellip_start_low(m: float, p: float) -> float:
     Raises:
         ValueError: m or p outside (0, 1).
     """
-    return _start_low(m, p, _checked_complete(EllipticQuery(m, p)))
+    EllipticQuery(m, p)  # checks m and p
+    return _start_low(m, p, _checked_complete(m))
 
 
 def ellip_start_high(m: float, p: float) -> float:
     """One SNM step from x = pi/2, for m, p in (0, 1); lands inside (0, pi/2)."""
-    return _start_high(m, p, _checked_complete(EllipticQuery(m, p)))
+    EllipticQuery(m, p)  # checks m and p
+    return _start_high(m, p, _checked_complete(m))
 
 
-def _checked_complete(query: EllipticQuery) -> float:
+def _checked_complete(m: float) -> float:
     """E(1, m) for the SNM problem and starts, which require 0 < m < 1."""
-    if not 0.0 < query.m < 1.0:
+    if not 0.0 < m < 1.0:
         raise ValueError("EllipticProblem requires 0 < m < 1; the m = 0 "
                          "and m = 1 endpoints invert in closed form")
-    return ellip_e_complete(query.m)
+    return ellip_e_complete(m)
 
 
 def _start_low(m: float, p: float, complete: float) -> float:
@@ -210,19 +216,22 @@ class EllipticProblem(Problem):
     ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m),
     so the stop is relative to the target: an absolute one would accept
     x ~ p E(1, m) unrefined once the target itself is below the floor
-    (m near 1, small p).
+    (m near 1, small p).  It holds the query's fields as ``m`` and ``p``,
+    read once.
     """
 
     def __init__(self, query: EllipticQuery) -> None:
         self.query = query
-        self.complete = _checked_complete(query)
-        self.target = query.p * self.complete
+        m, p = query
+        self.m, self.p = m, p
+        self.complete = _checked_complete(m)
+        self.target = p * self.complete
         self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         if not 0.0 <= x <= math.pi / 2:
             raise ValueError(f"EllipticProblem requires x in [0, pi/2], got {x}")
-        m = self.query.m
+        m = self.m
         s = math.sin(x)
         c = math.cos(x)
         c2 = c * c
@@ -231,7 +240,7 @@ class EllipticProblem(Problem):
                                        m * m * s * c / w, _ellip_omega(m, c2, w))
 
     def omega(self, x: float) -> float:
-        m, s, c = self.query.m, math.sin(x), math.cos(x)
+        m, s, c = self.m, math.sin(x), math.cos(x)
         return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
 
     def scale(self, x: float) -> float:
@@ -258,9 +267,12 @@ def choose_start(query: EllipticQuery,
     < 0.8).  ``complete`` is E(1, m), computed here unless the caller has
     it.
     """
-    m, p = query.m, query.p
-    if complete is None:
-        complete = ellip_e_complete(m)
+    m, p = query
+    return _choose_start(m, p, ellip_e_complete(m) if complete is None else complete)
+
+
+def _choose_start(m: float, p: float, complete: float) -> tuple[float, str]:
+    """``choose_start`` from the query's fields and E(1, m)."""
     if m > 0.95:
         if p > 0.5 and m < 1.0:
             x0 = _start_complementary(m, p, complete)
@@ -283,7 +295,7 @@ def elliptic_plan(query: EllipticQuery) -> Plan:
     """Problem (it holds E(1, m)) and heuristic start (``choose_start``)
     for 0 < m < 1; the solver variable is x itself."""
     problem = EllipticProblem(query)
-    x0, label = choose_start(query, problem.complete)
+    x0, label = _choose_start(problem.m, problem.p, problem.complete)
     return _tuple_new(Plan, (problem, x0, _DIRECT, label))
 
 
@@ -295,7 +307,7 @@ def invert_ellip_e(query: EllipticQuery,
     Otherwise the SNM runs once from the heuristic start of
     ``elliptic_plan``; the report's ``start`` records which start was used.
     """
-    m, p = query.m, query.p
+    m, p = query
     if m == 0.0 or m == 1.0:
         root = p * math.pi / 2 if m == 0.0 else math.asin(p)
         # No solve; with_plan gives the report its fields and root_underflow rule.

@@ -16,8 +16,7 @@ no plan uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DEEP_TAIL_Z,
@@ -30,6 +29,7 @@ from .core import (
     SolveOptions,
     SolveReport,
     _LOG,
+    _Checked,
     _tuple_new,
     check_shape,
     check_tails,
@@ -42,17 +42,20 @@ _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class GammaQuantileQuery:
-    """Shape a > 0 and both tail probabilities p, q; q = 1 - p by default."""
-
+class _GammaQuantileFields(NamedTuple):
     a: float
     p: float
-    q: Optional[float] = None
+    q: float
 
-    def __post_init__(self) -> None:
-        check_shape("GammaQuantileQuery", self.a)
-        object.__setattr__(self, "q", check_tails(self.p, self.q))
+
+class GammaQuantileQuery(_Checked, _GammaQuantileFields):
+    """Shape a > 0 and both tail probabilities p, q; q = 1 - p by default."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, p: float, q: Optional[float] = None) -> GammaQuantileQuery:
+        check_shape("GammaQuantileQuery", a)
+        return _tuple_new(cls, (a, p, check_tails(p, q)))
 
 
 def gamma_b(a: float, x: float) -> float:
@@ -121,12 +124,14 @@ class _GammaProblem(Problem):
     the kernel forms an upper tail's Q to relative accuracy on its series
     side (x < a + 1), and ln Gamma(a) is ln Gamma(1 + a) - ln a.  For
     a >= 16 it also holds the constants of the kernel exponent's Stirling
-    form, ``stirling``.
+    form, ``stirling``.  It holds the query's fields as ``a``, ``p`` and
+    ``q``, read once.
     """
 
     def __init__(self, query: GammaQuantileQuery) -> None:
-        a = query.a
         self.query = query
+        a, p, q = query
+        self.a, self.p, self.q = a, p, q
         if a < 1.0:
             self.ln_gamma_1p = self.ln_gamma_a1 = _ln_gamma_1p(a)
             self.ln_gamma_a = self.ln_gamma_1p - math.log(a)
@@ -135,27 +140,27 @@ class _GammaProblem(Problem):
             self.ln_gamma_a = _ln_gamma(a)
             self.ln_gamma_a1 = self.ln_gamma_a + math.log(a)
         self.stirling = _gamma_stirling(a) if a >= 16.0 else None
-        self.residual_tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
+        self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
 
     def _residual(self, x: float, scale: float) -> float:
         """P - p for p <= 1/2, else q - Q, at x > 0, from the kernel's prefactor."""
-        query = self.query
-        if query.p <= 0.5:
-            return _reg_gamma(query.a, x, scale)[0] - query.p
-        return query.q - _reg_gamma(query.a, x, scale, self.ln_gamma_1p)[1]
+        p = self.p
+        if p <= 0.5:
+            return _reg_gamma(self.a, x, scale)[0] - p
+        return self.q - _reg_gamma(self.a, x, scale, self.ln_gamma_1p)[1]
 
 
 class GammaDirectProblem(_GammaProblem):
     """f(x) = P(a,x) - p (or q - Q(a,x)) on (0, inf); f' is the prefactor over x."""
 
     def evaluate(self, x: float) -> ProblemEvaluation:
-        a = self.query.a
+        a = self.a
         scale, fp = _gamma_prefactor(a, x, self.ln_gamma_a)
         return ProblemEvaluation.build(
             x, self._residual(x, scale), fp, gamma_b(a, x), gamma_omega(a, x))
 
     def omega(self, x: float) -> float:
-        return gamma_omega(self.query.a, x)
+        return gamma_omega(self.a, x)
 
     def domain(self) -> Interval:
         return _POSITIVE_AXIS
@@ -165,8 +170,7 @@ class GammaLogProblem(_GammaProblem):
     """Same residual in z = log x; B and Omega transformed accordingly."""
 
     def evaluate(self, z: float) -> ProblemEvaluation:
-        q = self.query
-        a = q.a
+        a = self.a
         if z > 700.0:
             # e^z overflows and the derivative e^(az - x) has long
             # underflowed; report the vanished derivative instead.
@@ -185,7 +189,7 @@ class GammaLogProblem(_GammaProblem):
             # (the next series term is below x ~ 1e-290).  Also dodges
             # the precision loss of log on a subnormal x inside the
             # kernel once x drops past 1e-308.
-            f = math.exp(a * z - self.ln_gamma_a1) - q.p
+            f = math.exp(a * z - self.ln_gamma_a1) - self.p
         else:
             f = self._residual(x, fp)
         return ProblemEvaluation.build(z, f, fp, x - a, _gamma_omega_log_x(a, x))
@@ -193,7 +197,7 @@ class GammaLogProblem(_GammaProblem):
     def omega(self, z: float) -> float:
         if z > 709.0:  # e^z overflows past 709.78, x^2 long before
             return -math.inf
-        return _gamma_omega_log_x(self.query.a, math.exp(z))
+        return _gamma_omega_log_x(self.a, math.exp(z))
 
     def scale(self, z: float) -> float:
         """1: a step of dz moves x by a relative dz at most."""
@@ -230,7 +234,7 @@ def _temme_lambda(eta: float) -> tuple[float, float]:
     return lam, lam - 1.0
 
 
-def _temme_start(query: GammaQuantileQuery, z_l: float) -> float:
+def _temme_start(a: float, p: float, q: float, z_l: float) -> float:
     """log of Temme's uniform asymptotic inversion, never below the root's lower bound.
 
     x0 = a lambda(eta), eta = eta0 + eps1/a + eps2/a^2, eta0 = Phi^-1(p)/sqrt(a)
@@ -245,10 +249,9 @@ def _temme_start(query: GammaQuantileQuery, z_l: float) -> float:
     where x_l < 1e-6 (a + 1) that bound is the start, the closer one there
     (it saves evaluations), else max(x0, x_l).
     """
-    a = query.a
     if math.exp(z_l) < 1e-6 * (a + 1.0):
         return z_l
-    eta = _normal_quantile(query.p, query.q) / math.sqrt(a)
+    eta = _normal_quantile(p, q) / math.sqrt(a)
     if abs(eta) < 1e-3:
         eps1 = -1.0 / 3.0 + eta * (1.0 / 36.0 + eta * (1.0 / 1620.0 - eta * (7.0 / 6480.0)))
         eps2 = -7.0 / 405.0 + eta * (-7.0 / 2592.0 + eta * (533.0 / 204120.0))
@@ -314,13 +317,13 @@ def gamma_start(query: GammaQuantileQuery) -> Plan:
     it ends many central queries at ``MaxIter``.  The problem holds
     ln Gamma(a) and ln Gamma(a+1) (for a < 1 without rounding a + 1).
     """
-    a = query.a
     problem = GammaLogProblem(query)
-    z0 = (math.log(query.p) + problem.ln_gamma_a1) / a
+    a, p, q = problem.a, problem.p, problem.q
+    z0 = (math.log(p) + problem.ln_gamma_a1) / a
     if a >= 1.0:
-        return _tuple_new(Plan, (problem, _temme_start(query, z0), _LOG, "asymptotic"))
+        return _tuple_new(Plan, (problem, _temme_start(a, p, q, z0), _LOG, "asymptotic"))
     x_l = math.exp(z0)
-    ln_q = math.log(query.q)
+    ln_q = math.log(q)
     # x_u <= max(t, 1), the first Newton point, so the rule can only pick
     # the upper bound when (1 - a)/max(t, 1) < x_l.
     if (1.0 - a) / max(-(ln_q + problem.ln_gamma_a), 1.0) < x_l:

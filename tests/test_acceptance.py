@@ -55,7 +55,7 @@ from snm.special import (
     reg_gamma_q,
 )
 
-from conftest import family_evaluation, family_root, sample_family, step_only
+from conftest import family_evaluation, sample_family, step_only
 from quadrature import integrate_adaptive
 
 

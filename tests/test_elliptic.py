@@ -7,11 +7,8 @@ import pytest
 
 from snm.core import (
     MIN_NORMAL,
-    Method,
     RESIDUAL_NOISE_FLOOR,
     SnmError,
-    SolveOptions,
-    StepUndefinedError,
     StopReason,
     Variable,
     halley_step,

@@ -1,6 +1,5 @@
 """Gamma quantile module: closed forms, starts, round trips, monotonicity."""
 
-import dataclasses
 import math
 import random
 
@@ -50,11 +49,11 @@ def test_query_validation():
 def test_query_is_a_frozen_dataclass():
     # Fields, order, equality, hash and repr as the hand-written class had.
     query = GammaQuantileQuery(2.0, 0.25)
-    assert [f.name for f in dataclasses.fields(query)] == ["a", "p", "q"]
+    assert list(query._fields) == ["a", "p", "q"]
     assert query == GammaQuantileQuery(a=2.0, p=0.25, q=0.75)
     assert hash(query) == hash(GammaQuantileQuery(2.0, 0.25, 0.75))
     assert repr(query) == "GammaQuantileQuery(a=2.0, p=0.25, q=0.75)"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         query.p = 0.5
 
 

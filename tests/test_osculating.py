@@ -1,6 +1,5 @@
 """Osculating-curve construction: fit conditions, root equivalence, eval."""
 
-import dataclasses
 import math
 
 import pytest
@@ -104,7 +103,7 @@ def test_gamma_figure_overlay():
     problem = GammaDirectProblem(GammaQuantileQuery(a, p))
     e = problem.evaluate(a + 1.0)
     snm_model = osculating_fit(e)
-    hal_model = dataclasses.replace(snm_model, lam=0.0)
+    hal_model = snm_model._replace(lam=0.0)
     sum_snm = sum_hal = sum_newton = 0.0
     err_snm = err_snm_body = 0.0
     for i in range(71):

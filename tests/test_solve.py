@@ -1,8 +1,9 @@
 """Driver behavior: stopping reasons, trace consistency, the domain
 clamp, the immutable record types and the evaluation count."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import struct
 import sys
 
@@ -32,6 +33,8 @@ from snm.core import (
     solve,
     tan_problem,
 )
+from snm.beta import BetaQuantileQuery
+from snm.elliptic import EllipticQuery
 from snm.gamma import GammaDirectProblem, GammaQuantileQuery
 
 from conftest import cube_problem, step_only
@@ -314,12 +317,49 @@ def test_plan_maps_invert_each_other():
 
 def test_solve_options_frozen():
     opts = SolveOptions()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         opts.max_iter = 5
     # The step tolerance is a relative constant and the residual stop is
     # the problem's, so neither is an option.
-    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["max_iter", "method"]
+    assert list(SolveOptions._fields) == ["max_iter", "method"]
     assert STEP_REL_TOL == 4 * sys.float_info.epsilon
+
+
+def test_checked_records_rebuild_through_their_checks():
+    # _replace, _make, copy and pickle all go through the record's own
+    # checks: none of them builds a record its constructor would refuse.
+    with pytest.raises(ValueError):
+        GammaQuantileQuery(2.0, 0.25)._replace(p=0.5)  # q stays 0.75
+    with pytest.raises(ValueError):
+        BetaQuantileQuery(2.0, 3.0, 0.25)._replace(b=-1.0)
+    with pytest.raises(ValueError):
+        EllipticQuery(0.5, 0.3)._replace(m=2.0)
+    with pytest.raises(ValueError):
+        Interval(0.0, 1.0)._replace(hi=-1.0)
+    with pytest.raises(ValueError):
+        SolveOptions()._replace(max_iter=0)
+    with pytest.raises(ValueError):
+        SolveOptions()._replace(method="bisection")
+    assert SolveOptions()._replace(method="halley").method is Method.HALLEY
+    with pytest.raises(ValueError):
+        GammaQuantileQuery._make((2.0, 0.25, 0.5))
+    with pytest.raises(ValueError):
+        Interval._make((1.0, 0.0, True, True))
+    assert SolveOptions._make((5, "newton")) == SolveOptions(5, Method.NEWTON)
+    records = (GammaQuantileQuery(2.0, 0.25), BetaQuantileQuery(2.0, 3.0, 0.3, 0.7),
+               EllipticQuery(0.5, 0.3), Interval(0.0, 1.0, lo_open=False),
+               SolveOptions(7, "halley"))
+    for record in records:
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(record) and twin == record
+    # A record whose fields fail the checks does not survive a copy.
+    bad = tuple.__new__(Interval, (1.0, 0.0, True, True))
+    for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(ValueError):
+            rebuild(bad)
 
 
 # ------------------------------------------------------ step functions

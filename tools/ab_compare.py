@@ -4,6 +4,7 @@ Usage, from the root of a source checkout (mpmath installed, as for the bench):
 
     python3 tools/ab_compare.py BASE HEAD --workload tails --seed 1
     python3 tools/ab_compare.py ../base . --workload bulk --seed 7 --passes 16 --rounds 6
+    python3 tools/ab_compare.py ../base . --setup --pairs 25
 
 BASE and HEAD are checkout roots, each holding ``src/snm``.  Separate
 processes on a shared machine drift by tens of percent between runs, so
@@ -24,6 +25,14 @@ each solver's µs per query (control queries included, as in
 ``--rounds`` above 1 it ends with each metric's per-round changes and
 BASE's quartiles across the rounds.  It reads the bench directory and
 writes nothing there (no bytecode is cached).
+
+``--setup`` times ``setup_s`` instead: ``bench/run.py``'s ``SETUP_CODE``
+(a fresh ``python -I`` imports the tree's ``snm`` and calls each solver
+once) for BASE and HEAD in interleaved fresh interpreters, ``--pairs``
+pairs (at least the bench's sample count, 21), the order alternating from
+pair to pair.  One unrecorded run per tree first caches its bytecode, as
+a bench run's first sample does.  It prints each tree's quartiles and
+median, the change of the medians, and in how many pairs HEAD was faster.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import importlib.util
 import math
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -70,6 +80,45 @@ def load_workloads(bench: Path, snm_package, name: str):
         else:
             sys.modules["snm"] = saved
     return module
+
+
+def load_bench_run(bench: Path):
+    """bench/run.py as a module; its top level only defines names."""
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def setup_pairs(roots: list[Path], code: str, pairs: int) -> list[list[float]]:
+    """Seconds of ``code`` per tree, over interleaved fresh interpreters."""
+    commands = [[sys.executable, "-I", "-c", code.format(src=str(root / "src"))]
+                for root in roots]
+
+    def sample(command: list[str]) -> float:
+        out = subprocess.run(command, capture_output=True, text=True, check=True, timeout=60)
+        return float(out.stdout.strip().splitlines()[-1])
+
+    for command in commands:  # caches the tree's bytecode; not recorded
+        sample(command)
+    times: list[list[float]] = [[] for _ in roots]
+    for k in range(pairs):
+        for t in ((0, 1) if k % 2 == 0 else (1, 0)):
+            times[t].append(sample(commands[t]))
+    return times
+
+
+def report_setup(times: list[list[float]]) -> None:
+    """Each tree's quartiles (ms), the change of the medians and the pairs HEAD won."""
+    print(f"  {'tree':6s} {'q1 ms':>8s} {'median':>8s} {'q3 ms':>8s}")
+    medians = []
+    for name, samples in zip(TREES, times):
+        q1, q2, q3 = statistics.quantiles(samples, n=4)
+        medians.append(q2)
+        print(f"  {name:6s} {1e3 * q1:8.2f} {1e3 * q2:8.2f} {1e3 * q3:8.2f}")
+    faster = sum(h < b for b, h in zip(*times))
+    print(f"  median change {100.0 * (medians[1] / medians[0] - 1.0):+.1f}%, "
+          f"head faster in {faster}/{len(times[0])} pairs")
 
 
 def _outcome(out) -> tuple:
@@ -126,14 +175,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout root of the A tree")
     parser.add_argument("head", type=Path, help="checkout root of the B tree")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--passes", type=int, default=16)
     parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--setup", action="store_true",
+                        help="time bench/run.py's SETUP_CODE in fresh interpreters")
+    parser.add_argument("--pairs", type=int, default=25,
+                        help="--setup pairs of runs (at least bench/run.py's SETUP_REPEATS)")
     args = parser.parse_args(argv)
     for root in (args.base, args.head):
         if not (root / "src" / "snm" / "__init__.py").is_file():
             parser.error(f"no src/snm under {root}")
+    if args.setup:
+        bench_run = load_bench_run(BENCH)
+        if args.pairs < bench_run.SETUP_REPEATS:
+            parser.error(f"--pairs must be at least {bench_run.SETUP_REPEATS}")
+        print(f"setup_s: {args.pairs} interleaved pairs of fresh interpreters; "
+              f"base {args.base}, head {args.head}")
+        roots = [args.base.resolve(), args.head.resolve()]
+        report_setup(setup_pairs(roots, bench_run.SETUP_CODE, args.pairs))
+        return 0
+    if args.workload is None or args.seed is None:
+        parser.error("--workload and --seed are required without --setup")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)

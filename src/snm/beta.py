@@ -25,7 +25,8 @@ the paper's problem in x, which no plan uses.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .core import (
     DEEP_TAIL_Z,
@@ -59,14 +60,7 @@ _LN_EPS = math.log(MACHINE_EPSILON)
 _DEEP_TAIL_RATIO = math.exp(DEEP_TAIL_Z - _LN_EPS)
 
 
-class _BetaQuantileFields(NamedTuple):
-    a: float
-    b: float
-    p: float
-    q: float
-
-
-class BetaQuantileQuery(_Checked, _BetaQuantileFields):
+class BetaQuantileQuery(_Checked, namedtuple("BetaQuantileQuery", "a b p q")):
     """Shapes a, b > 0 and both tail probabilities p, q; q = 1 - p by default."""
 
     __slots__ = ()
@@ -186,7 +180,7 @@ class _BetaProblem(Problem):
 
     def __init__(self, query: BetaQuantileQuery) -> None:
         self.query = query
-        a, b, p, q = query
+        a, b, p, q = query.a, query.b, query.p, query.q
         self.a, self.b, self.p, self.q = a, b, p, q
         s = a + b
         self.ln_b = ln_beta(a, b)

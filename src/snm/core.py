@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -74,7 +75,10 @@ _tuple_new = tuple.__new__
 
 
 class _Checked:
-    """Mixin for a NamedTuple whose ``__new__`` checks its fields.
+    """Mixin for a namedtuple whose ``__new__`` checks its fields.
+
+    A checked record is ``class R(_Checked, namedtuple("R", "a b"))``
+    with its own ``__new__``; the namedtuple base only carries the fields.
 
     ``_make`` (and so ``_replace``), pickle and copy all build through
     ``__new__``, so none of them can make an unchecked record.
@@ -174,14 +178,7 @@ _MAX_ITER, _DERIVATIVE_VANISHED, _DOMAIN_EXIT = (
     StopReason.MAX_ITER, StopReason.DERIVATIVE_VANISHED, StopReason.DOMAIN_EXIT)
 
 
-class _IntervalFields(NamedTuple):
-    lo: float
-    hi: float
-    lo_open: bool
-    hi_open: bool
-
-
-class Interval(_Checked, _IntervalFields):
+class Interval(_Checked, namedtuple("Interval", "lo hi lo_open hi_open")):
     """Solver domain with open/closed endpoint semantics.
 
     Endpoints may be infinite; ``lo < hi`` is required.
@@ -332,12 +329,7 @@ def tan_problem() -> FunctionProblem:
     )
 
 
-class _SolveOptionsFields(NamedTuple):
-    max_iter: int
-    method: Method
-
-
-class SolveOptions(_Checked, _SolveOptionsFields):
+class SolveOptions(_Checked, namedtuple("SolveOptions", "max_iter method")):
     """Driver configuration.
 
     The stops are the solver's and the problem's (see ``solve``).
@@ -443,7 +435,9 @@ class SolveReport(NamedTuple):
                                         plan.start, x < MIN_NORMAL, self.predicted_error))
 
 
-_DEFAULT_OPTIONS = SolveOptions()
+# solve's defaults as scalars: on CPython 3.11 a namedtuple field read is
+# an unspecialised descriptor call (~15 ns), and most solves pass no options.
+_DEFAULT_MAX_ITER, _DEFAULT_METHOD = SolveOptions()
 
 
 def gtan(lam: float, x: float) -> float:
@@ -635,7 +629,9 @@ def solve(problem: Problem, x0: float,
     ``evaluations`` counts every ``problem.evaluate`` call.
     """
     if opts is None:
-        opts = _DEFAULT_OPTIONS
+        max_iter, method = _DEFAULT_MAX_ITER, _DEFAULT_METHOD
+    else:
+        max_iter, method = opts.max_iter, opts.method
     dom = problem.domain()
     # lo < x < hi holds inside any interval and fails for NaN and the
     # infinities; only at an endpoint is ``contains`` asked.
@@ -647,7 +643,6 @@ def solve(problem: Problem, x0: float,
     # rebound module attribute (a tracer's wrapper, say) is the one used.
     halley = halley_step
     predict = None
-    method = opts.method
     if method is _NEWTON:
         step_fn = newton_step
     elif method is _HALLEY:
@@ -657,7 +652,6 @@ def solve(problem: Problem, x0: float,
         predict = problem.omega
     evaluate = problem.evaluate
     contains = dom.contains
-    max_iter = opts.max_iter
     residual_tol = problem.residual_tol
     x = x0
     trace: list[IterationRecord] = []

@@ -30,7 +30,8 @@ report's ``start`` names the start used ("low", "high", "arcsin-guess" or
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .core import (
     RESIDUAL_NOISE_FLOOR,
@@ -54,12 +55,7 @@ MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
 _AMPLITUDE_RANGE = Interval(0.0, math.pi / 2, lo_open=False, hi_open=False)
 
 
-class _EllipticFields(NamedTuple):
-    m: float
-    p: float
-
-
-class EllipticQuery(_Checked, _EllipticFields):
+class EllipticQuery(_Checked, namedtuple("EllipticQuery", "m p")):
     """Modulus m in [0, 1] and target fraction p in (0, 1)."""
 
     __slots__ = ()
@@ -216,16 +212,14 @@ class EllipticProblem(Problem):
     ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m),
     so the stop is relative to the target: an absolute one would accept
     x ~ p E(1, m) unrefined once the target itself is below the floor
-    (m near 1, small p).  It holds the query's fields as ``m`` and ``p``,
-    read once.
+    (m near 1, small p).  It holds the modulus as ``m``, read once.
     """
 
     def __init__(self, query: EllipticQuery) -> None:
         self.query = query
-        m, p = query
-        self.m, self.p = m, p
+        self.m = m = query.m
         self.complete = _checked_complete(m)
-        self.target = p * self.complete
+        self.target = query.p * self.complete
         self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
     def evaluate(self, x: float) -> ProblemEvaluation:
@@ -267,12 +261,9 @@ def choose_start(query: EllipticQuery,
     < 0.8).  ``complete`` is E(1, m), computed here unless the caller has
     it.
     """
-    m, p = query
-    return _choose_start(m, p, ellip_e_complete(m) if complete is None else complete)
-
-
-def _choose_start(m: float, p: float, complete: float) -> tuple[float, str]:
-    """``choose_start`` from the query's fields and E(1, m)."""
+    m, p = query.m, query.p
+    if complete is None:
+        complete = ellip_e_complete(m)
     if m > 0.95:
         if p > 0.5 and m < 1.0:
             x0 = _start_complementary(m, p, complete)
@@ -295,7 +286,7 @@ def elliptic_plan(query: EllipticQuery) -> Plan:
     """Problem (it holds E(1, m)) and heuristic start (``choose_start``)
     for 0 < m < 1; the solver variable is x itself."""
     problem = EllipticProblem(query)
-    x0, label = _choose_start(problem.m, problem.p, problem.complete)
+    x0, label = choose_start(query, problem.complete)
     return _tuple_new(Plan, (problem, x0, _DIRECT, label))
 
 
@@ -307,8 +298,9 @@ def invert_ellip_e(query: EllipticQuery,
     Otherwise the SNM runs once from the heuristic start of
     ``elliptic_plan``; the report's ``start`` records which start was used.
     """
-    m, p = query
+    m = query.m
     if m == 0.0 or m == 1.0:
+        p = query.p
         root = p * math.pi / 2 if m == 0.0 else math.asin(p)
         # No solve; with_plan gives the report its fields and root_underflow rule.
         closed = Plan(None, root, _DIRECT, "closed-form")

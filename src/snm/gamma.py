@@ -16,7 +16,8 @@ no plan uses.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .core import (
     DEEP_TAIL_Z,
@@ -42,13 +43,7 @@ _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 _REAL_LINE = Interval(-math.inf, math.inf)
 
 
-class _GammaQuantileFields(NamedTuple):
-    a: float
-    p: float
-    q: float
-
-
-class GammaQuantileQuery(_Checked, _GammaQuantileFields):
+class GammaQuantileQuery(_Checked, namedtuple("GammaQuantileQuery", "a p q")):
     """Shape a > 0 and both tail probabilities p, q; q = 1 - p by default."""
 
     __slots__ = ()
@@ -130,7 +125,7 @@ class _GammaProblem(Problem):
 
     def __init__(self, query: GammaQuantileQuery) -> None:
         self.query = query
-        a, p, q = query
+        a, p, q = query.a, query.p, query.q
         self.a, self.p, self.q = a, p, q
         if a < 1.0:
             self.ln_gamma_1p = self.ln_gamma_a1 = _ln_gamma_1p(a)

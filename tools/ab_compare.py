@@ -4,7 +4,7 @@ Usage, from the root of a source checkout (mpmath installed, as for the bench):
 
     python3 tools/ab_compare.py BASE HEAD --workload tails --seed 1
     python3 tools/ab_compare.py ../base . --workload bulk --seed 7 --passes 16 --rounds 6
-    python3 tools/ab_compare.py ../base . --setup --pairs 25
+    python3 tools/ab_compare.py ../base . --setup
 
 BASE and HEAD are checkout roots, each holding ``src/snm``.  Separate
 processes on a shared machine drift by tens of percent between runs, so
@@ -28,9 +28,9 @@ writes nothing there (no bytecode is cached).
 
 ``--setup`` times ``setup_s`` instead: ``bench/run.py``'s ``SETUP_CODE``
 (a fresh ``python -I`` imports the tree's ``snm`` and calls each solver
-once) for BASE and HEAD in interleaved fresh interpreters, ``--pairs``
-pairs (at least the bench's sample count, 21), the order alternating from
-pair to pair.  One unrecorded run per tree first caches its bytecode, as
+once) for BASE and HEAD in 25 interleaved pairs of fresh interpreters
+(more than the bench's 21 samples), the order alternating from pair to
+pair.  One unrecorded run per tree first caches its bytecode, as
 a bench run's first sample does.  It prints each tree's quartiles and
 median, the change of the medians, and in how many pairs HEAD was faster.
 """
@@ -55,6 +55,7 @@ sys.dont_write_bytecode = True
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 QUERIES_PER_CLASS = 500  # as bench/run.py
 TREES = ("base", "head")
+SETUP_PAIRS = 25  # >= bench/run.py's SETUP_REPEATS
 
 
 def load_tree(root: Path, name: str, into: Path):
@@ -90,7 +91,7 @@ def load_bench_run(bench: Path):
     return module
 
 
-def setup_pairs(roots: list[Path], code: str, pairs: int) -> list[list[float]]:
+def setup_pairs(roots: list[Path], code: str) -> list[list[float]]:
     """Seconds of ``code`` per tree, over interleaved fresh interpreters."""
     commands = [[sys.executable, "-I", "-c", code.format(src=str(root / "src"))]
                 for root in roots]
@@ -102,7 +103,7 @@ def setup_pairs(roots: list[Path], code: str, pairs: int) -> list[list[float]]:
     for command in commands:  # caches the tree's bytecode; not recorded
         sample(command)
     times: list[list[float]] = [[] for _ in roots]
-    for k in range(pairs):
+    for k in range(SETUP_PAIRS):
         for t in ((0, 1) if k % 2 == 0 else (1, 0)):
             times[t].append(sample(commands[t]))
     return times
@@ -181,20 +182,15 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--setup", action="store_true",
                         help="time bench/run.py's SETUP_CODE in fresh interpreters")
-    parser.add_argument("--pairs", type=int, default=25,
-                        help="--setup pairs of runs (at least bench/run.py's SETUP_REPEATS)")
     args = parser.parse_args(argv)
     for root in (args.base, args.head):
         if not (root / "src" / "snm" / "__init__.py").is_file():
             parser.error(f"no src/snm under {root}")
     if args.setup:
-        bench_run = load_bench_run(BENCH)
-        if args.pairs < bench_run.SETUP_REPEATS:
-            parser.error(f"--pairs must be at least {bench_run.SETUP_REPEATS}")
-        print(f"setup_s: {args.pairs} interleaved pairs of fresh interpreters; "
+        print(f"setup_s: {SETUP_PAIRS} interleaved pairs of fresh interpreters; "
               f"base {args.base}, head {args.head}")
         roots = [args.base.resolve(), args.head.resolve()]
-        report_setup(setup_pairs(roots, bench_run.SETUP_CODE, args.pairs))
+        report_setup(setup_pairs(roots, load_bench_run(BENCH).SETUP_CODE))
         return 0
     if args.workload is None or args.seed is None:
         parser.error("--workload and --seed are required without --setup")

@@ -1,13 +1,14 @@
 """Gamma-distribution quantiles: monotone convergence and iteration counts.
 
 The solver works in z = log x for every shape, where Omega is negative.
-For shape a >= 1 it starts at the log of Temme's uniform asymptotic
-inversion of the quantile with two correction terms, never below the
-lower bound x_l of the root from P(a, x) <= x^a / Gamma(a+1), and at
-x_l itself deep in the lower tail.  For a >= 10 that start is close
-enough for the solve to end after one evaluation, in either tail; near
-a = 1 it takes one or two iterations.  For a < 1 it starts from the
-lower bound.  The SNM-vs-Halley table solves the paper's problem in x
+Deep enough in the lower tail it starts, for every a, on the reverted
+lower-tail series from the lower bound x_l of the root, from
+P(a, x) <= x^a / Gamma(a+1).  Elsewhere, for shape a >= 1 it starts at
+the log of Temme's uniform asymptotic inversion of the quantile with two
+correction terms, never below x_l.  Both are close enough for the solve
+to end after one evaluation, for a >= 10 in either tail; near a = 1 the
+asymptotic start takes one or two iterations.  For a < 1 it starts from
+the closer of two bounds of the root.  The SNM-vs-Halley table solves the paper's problem in x
 from x = a + 1 instead, the maximum of the half-Schwarzian Omega, from
 which convergence is monotone: three iterations reach double precision
 across the central probability range.
@@ -60,9 +61,10 @@ def main() -> None:
               f"  evaluations = {report.evaluations}  reason = {report.reason.value}")
 
     print()
-    print("= a < 1 runs in the log variable too, from a bound (see the report's fields)")
-    plan = gamma_start(GammaQuantileQuery(0.5, 0.2))
-    report = invert_gamma(GammaQuantileQuery(0.5, 0.2))
+    print("= a < 1 runs in the log variable too, at a central p from a bound")
+    print("  (see the report's fields)")
+    plan = gamma_start(GammaQuantileQuery(0.5, 0.5))
+    report = invert_gamma(GammaQuantileQuery(0.5, 0.5))
     print(f"  start: variable = {plan.variable.value}, z0 = {plan.x0:.6f}")
     print(f"  root = {report.root:.17g}   variable = {report.variable.value}  "
           f"start = {report.start}")

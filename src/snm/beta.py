@@ -406,4 +406,4 @@ def invert_beta(query: BetaQuantileQuery,
     ``root_underflow`` set; a root of 1.0 means 1 - x < 2^-54.
     """
     plan = beta_plan(query)
-    return solve(plan.problem, plan.x0, opts).with_plan(plan)
+    return solve(plan.problem, plan.x0, opts, plan)

@@ -44,8 +44,9 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import (_beta_exponent, _reg_beta, bisect_root, carlson_rd, carlson_rf,
-                      ellip_e_complete, ellip_e_inc, ln_beta, reg_gamma_p, reg_gamma_q)
+from .special import (_beta_exponent, _gamma_exponent, _ln_gamma_1p, _reg_beta, _reg_gamma,
+                      bisect_root, carlson_rd, carlson_rf, ellip_e_complete, ellip_e_inc,
+                      ln_beta, ln_gamma)
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -61,10 +62,27 @@ def _fmt(v: float, digits: int) -> str:
 # --------------------------------------------------------------- oracles
 
 def _gamma_residual(a: float, p: float, q: float) -> Callable[[float], float]:
-    """The smaller tail's residual at x: P(a, x) - p for p <= 1/2, else q - Q(a, x)."""
+    """The smaller tail's residual at x: P(a, x) - p for p <= 1/2, else q - Q(a, x).
+
+    Below x = 1 with a < 16 the kernel's prefactor x^a e^-x / Gamma(a) is
+    formed from x ** a, not from exp(a ln x - x - ln Gamma(a)), whose
+    rounding of a ln x is |a ln x| eps relative (8e-14 at a = 1,
+    x = 1e-300); elsewhere it is the kernel's.
+    """
+    ln_gamma_a = ln_gamma(a)
+    ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 and p > 0.5 else None
+
+    def tails(x: float) -> tuple[float, float]:
+        if x == 0.0:  # a compare root that underflowed
+            return 0.0, 1.0
+        if x < 1.0 and a < 16.0:
+            scale = x ** a * math.exp(-x - ln_gamma_a)
+        else:
+            scale = math.exp(_gamma_exponent(a, x, ln_gamma_a))
+        return _reg_gamma(a, x, scale, ln_gamma_1p)
     if p <= 0.5:
-        return lambda x: reg_gamma_p(a, x) - p
-    return lambda x: q - reg_gamma_q(a, x)
+        return lambda x: tails(x)[0] - p
+    return lambda x: q - tails(x)[1]
 
 
 def _beta_residual(a: float, b: float, p: float, q: float) -> Callable[..., float]:
@@ -90,6 +108,9 @@ def _elliptic_residual(m: float, p: float) -> Callable[[float], float]:
     return lambda x: ellip_e_inc(x, m) - target
 
 
+_TINY = 5e-324  # the smallest subnormal
+_HUGE = sys.float_info.max / 4.0
+
 # The oracles bisect the smaller tail's residual down to adjacent doubles
 # (``bisect_root`` with tol 0), in a variable where the bracket reaches
 # every root a double can hold and the residual does not cancel.  No
@@ -97,11 +118,23 @@ def _elliptic_residual(m: float, p: float) -> Callable[[float], float]:
 # change".  The tests share them.
 
 def gamma_bisection_root(a: float, p: float, q: float) -> float:
-    """The x of P(a, x) = p (Q(a, x) = q for p > 1/2), bisected in log x
-    over all positive doubles, so it is relative at any root size."""
+    """The x of P(a, x) = p (Q(a, x) = q for p > 1/2), bisected in x.
+
+    P(a, x) <= x^a / Gamma(a + 1) puts the root at or above
+    x_l = (p Gamma(a + 1))^(1/a).  The bracket starts at [x_l/2, 2 x_l]
+    and moves by factors of 4 until the residual changes sign across it,
+    so it is always a fixed ratio wide and the halvings reach adjacent
+    doubles at any root size.  Its low end stops at the smallest
+    subnormal, where a root that underflows has no sign change left.
+    """
     residual = _gamma_residual(a, p, q)
-    return math.exp(bisect_root(lambda z: residual(math.exp(z)), math.log(5e-324),
-                                math.log(sys.float_info.max), tol=0.0))
+    x_l = math.exp((math.log(p) + ln_gamma(a + 1.0)) / a)
+    lo, hi = max(0.5 * x_l, _TINY), max(2.0 * x_l, 4.0 * _TINY)
+    while residual(lo) > 0.0 and lo > _TINY:
+        lo, hi = max(0.25 * lo, _TINY), lo
+    while residual(hi) < 0.0 and hi < _HUGE:
+        lo, hi = hi, 4.0 * hi
+    return bisect_root(residual, lo, hi, tol=0.0)
 
 
 def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:

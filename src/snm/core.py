@@ -427,12 +427,21 @@ class SolveReport(NamedTuple):
     predicted_error: float = 0.0
 
     def with_plan(self, plan: Plan) -> "SolveReport":
-        """A copy with the root mapped to x and the plan's fields, sharing the trace;
-        the one ``root_underflow`` rule: x < ``MIN_NORMAL``."""
-        x = plan.to_x(self.root)
-        return _tuple_new(SolveReport, (x, self.iterations, self.trace, self.converged,
-                                        self.reason, self.evaluations, plan.variable,
-                                        plan.start, x < MIN_NORMAL, self.predicted_error))
+        """A copy with the root mapped to x and the plan's fields, sharing the trace."""
+        return _planned_report(plan, self.root, self.iterations, self.trace, self.converged,
+                               self.reason, self.evaluations, self.predicted_error)
+
+
+def _planned_report(plan: Plan, v: float, iterations: int, trace: tuple,
+                    converged: bool, reason: StopReason, evaluations: int,
+                    predicted_error: float) -> SolveReport:
+    """The report of a solve from ``plan`` ending at v in the solver variable:
+    the root mapped to x, the plan's fields, and the one ``root_underflow``
+    rule, x < ``MIN_NORMAL``."""
+    x = plan.to_x(v)
+    return _tuple_new(SolveReport, (x, iterations, trace, converged, reason, evaluations,
+                                    plan.variable, plan.start, x < MIN_NORMAL,
+                                    predicted_error))
 
 
 # solve's defaults as scalars: on CPython 3.11 a namedtuple field read is
@@ -583,15 +592,22 @@ def osculating_eval(m: OsculatingModel, x: float) -> float:
 
 
 def _report(root: float, trace: list[IterationRecord], converged: bool,
-            reason: StopReason, evaluations: int,
+            reason: StopReason, evaluations: int, plan: Optional[Plan],
             predicted_error: float = 0.0) -> SolveReport:
-    return _tuple_new(SolveReport, (root, len(trace), tuple(trace), converged, reason,
-                                    evaluations, _DIRECT, "", False, predicted_error))
+    if plan is None:
+        return _tuple_new(SolveReport, (root, len(trace), tuple(trace), converged, reason,
+                                        evaluations, _DIRECT, "", False, predicted_error))
+    return _planned_report(plan, root, len(trace), tuple(trace), converged, reason,
+                           evaluations, predicted_error)
 
 
-def solve(problem: Problem, x0: float,
-          opts: Optional[SolveOptions] = None) -> SolveReport:
+def solve(problem: Problem, x0: float, opts: Optional[SolveOptions] = None,
+          plan: Optional[Plan] = None) -> SolveReport:
     """Iterate the selected method from x0 until a stopping test fires.
+
+    With a ``plan`` (the one that gave ``problem`` and x0), the report is
+    ``with_plan(plan)`` of the plain one, built once: the root mapped to x
+    and the plan's ``variable``, ``start`` and ``root_underflow``.
 
     Counting rule: ``iterations`` (= len(trace)) is the number of steps
     recorded in the trace.  A final step that a stop accepts without
@@ -663,10 +679,10 @@ def solve(problem: Problem, x0: float,
         try:
             e = evaluate(x)
         except DerivativeVanishedError:
-            return _report(x, trace, False, _DERIVATIVE_VANISHED, evaluations)
+            return _report(x, trace, False, _DERIVATIVE_VANISHED, evaluations, plan)
 
         if abs(e.f) <= residual_tol:
-            return _report(x, trace, True, _RESIDUAL_TOL, evaluations)
+            return _report(x, trace, True, _RESIDUAL_TOL, evaluations, plan)
 
         fallback = False
         try:
@@ -676,7 +692,7 @@ def solve(problem: Problem, x0: float,
                 raw = halley(e)
                 fallback = True
         except DegenerateStepError:
-            return _report(x, trace, False, _DERIVATIVE_VANISHED, evaluations)
+            return _report(x, trace, False, _DERIVATIVE_VANISHED, evaluations, plan)
 
         step = raw - x
         x_next = x + step
@@ -684,7 +700,7 @@ def solve(problem: Problem, x0: float,
         if not (lo < x_next < hi or (math.isfinite(x_next) and contains(x_next))):
             endpoint = hi if x_next > x else lo
             if math.isnan(x_next) or not math.isfinite(endpoint):
-                return _report(x, trace, False, _DOMAIN_EXIT, evaluations)
+                return _report(x, trace, False, _DOMAIN_EXIT, evaluations, plan)
             x_next = 0.5 * (x + endpoint)
             step = x_next - x
             x_next = x + step
@@ -693,20 +709,20 @@ def solve(problem: Problem, x0: float,
         size = abs(step)
         step_tol = STEP_REL_TOL * abs(x)
         if size <= step_tol:
-            return _report(x_next, trace, True, _STEP_TOL, evaluations)
+            return _report(x_next, trace, True, _STEP_TOL, evaluations, plan)
         if step * last_step < 0.0 and abs(last_step) <= size <= NOISE_STEPS * step_tol:
             # Back where the last step came from, no closer: the residual's
             # rounding noise sets the steps.  Keep the better iterate.
             last = trace[-1]
             root = x if abs(e.f) <= abs(last.f) else last.x
-            return _report(root, trace, True, _NOISE_FLOOR, evaluations)
+            return _report(root, trace, True, _NOISE_FLOOR, evaluations, plan)
         if predict is not None and not fallback:
             # K s^4 = |Omega(x + s) - Omega(x)| |s|^3 / 12; products, as
             # |s|**3 raises OverflowError where the product is inf.
             bound = abs(predict(x_next) - e.omega) * size * size * size / 12.0
             scale = problem.scale(x_next)
             if bound <= STEP_REL_TOL * scale:
-                return _report(x_next, trace, True, _PREDICTED, evaluations,
+                return _report(x_next, trace, True, _PREDICTED, evaluations, plan,
                                bound / scale if bound else 0.0)
 
         trace.append(_tuple_new(IterationRecord, (len(trace) + 1, x, e.f, e.h,
@@ -714,4 +730,4 @@ def solve(problem: Problem, x0: float,
         last_step = step
         x = x_next
         if len(trace) >= max_iter:
-            return _report(x, trace, False, _MAX_ITER, evaluations)
+            return _report(x, trace, False, _MAX_ITER, evaluations, plan)

@@ -306,4 +306,4 @@ def invert_ellip_e(query: EllipticQuery,
         closed = Plan(None, root, _DIRECT, "closed-form")
         return SolveReport(root, 0, (), True, _RESIDUAL_TOL).with_plan(closed)
     plan = elliptic_plan(query)
-    return solve(plan.problem, plan.x0, opts).with_plan(plan)
+    return solve(plan.problem, plan.x0, opts, plan)

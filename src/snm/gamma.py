@@ -4,13 +4,15 @@ Inverts P(a, x) = p (lower tail) or Q(a, x) = q (upper tail), whichever
 is the smaller, and stops once the residual is below 1e-14 times that
 tail, so tail roots keep their relative accuracy.  Every query solves in
 z = log x, where Omega is negative for every a > 0: strictly decreasing
-for a <= 1, with a single maximum at z = log(a - 1) for a > 1.  For
-a >= 1 the start is the log of Temme's uniform asymptotic inversion with
-two correction terms (``_temme_start``); for a < 1 it is the closer of
-two analytic bounds of the root (``gamma_start``).  The report's
-``variable`` is LOG and its ``start`` "asymptotic", "lower-bound" or
-"upper-bound".  ``GammaDirectProblem`` is the paper's problem in x, which
-no plan uses.
+for a <= 1, with a single maximum at z = log(a - 1) for a > 1.  Deep
+enough in the lower tail, for every a, the start is the reverted
+lower-tail series (``_series_start``); elsewhere for a >= 1 it is the
+log of Temme's uniform asymptotic inversion with two correction terms
+(``_temme_start``), and for a < 1 the closer of two analytic bounds of
+the root, the upper one moved by an asymptotic step (``gamma_start``).
+The report's ``variable`` is LOG and its ``start`` "series",
+"asymptotic", "lower-bound" or "upper-bound".  ``GammaDirectProblem`` is
+the paper's problem in x, which no plan uses.
 """
 
 from __future__ import annotations
@@ -237,19 +239,20 @@ def _temme_start(a: float, p: float, q: float, z_l: float) -> float:
     34, 2012).  With L = ln(eta/(lambda - 1)) at eta0, lambda' = eta lambda /
     (lambda - 1) and L' = 1/eta - lambda'/(lambda - 1): eps1 = L/eta,
     eps1' = (L' - eps1)/eta, eps2 = (eps1' + L' eps1 - eps1^2/2 - 1/12)/eta;
-    for |eta0| < 1e-3, where those forms cancel, their series.
+    for |eta0| < 1e-3, where those forms cancel, their series (and a fresh
+    solve of lambda(eta)).  Elsewhere lambda at eta is one Newton step from
+    the second-order Taylor polynomial of lambda at eta0, lambda'' =
+    (lambda - eta lambda'/(lambda - 1))/(lambda - 1): one log, where a
+    fresh solve takes one to four.
 
     P(a, x) <= x^a / Gamma(a+1) puts the root at or above
-    x_l = (p Gamma(a+1))^(1/a) = e^z_l, within about x_l/(a + 1) of it;
-    where x_l < 1e-6 (a + 1) that bound is the start, the closer one there
-    (it saves evaluations), else max(x0, x_l).
+    x_l = (p Gamma(a+1))^(1/a) = e^z_l: the start is max(x0, x_l).
     """
-    if math.exp(z_l) < 1e-6 * (a + 1.0):
-        return z_l
     eta = _normal_quantile(p, q) / math.sqrt(a)
     if abs(eta) < 1e-3:
         eps1 = -1.0 / 3.0 + eta * (1.0 / 36.0 + eta * (1.0 / 1620.0 - eta * (7.0 / 6480.0)))
         eps2 = -7.0 / 405.0 + eta * (-7.0 / 2592.0 + eta * (533.0 / 204120.0))
+        lam = _temme_lambda(eta + (eps1 + eps2 / a) / a)[0]
     else:
         lam, d = _temme_lambda(eta)
         ln_ratio = math.log(eta / d)
@@ -257,11 +260,43 @@ def _temme_start(a: float, p: float, q: float, z_l: float) -> float:
         eps1 = ln_ratio / eta
         d_eps1 = (d_ln_ratio - eps1) / eta
         eps2 = (d_eps1 + d_ln_ratio * eps1 - 0.5 * eps1 * eps1 - 1.0 / 12.0) / eta
-    return max(math.log(a * _temme_lambda(eta + (eps1 + eps2 / a) / a)[0]), z_l)
+        step = (eps1 + eps2 / a) / a
+        t = 0.5 * (eta + step) ** 2
+        d_lam = eta * lam / d
+        lam += step * (d_lam + 0.5 * step * (lam - eta * d_lam / d) / d)
+        lam -= (lam - 1.0 - math.log(lam) - t) * lam / (lam - 1.0)
+    return max(math.log(a * lam), z_l)
 
 
-def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
-    """An upper bound of the root for a < 1, from the tail bound on Q.
+# The series start serves the queries whose x_l/(a + 1) is at most this.
+SERIES_REACH = 0.06
+
+
+def _series_start(a: float, z_l: float, u: float) -> float:
+    """log of the reverted lower-tail series, from u = x_l/(a + 1), x_l = e^z_l.
+
+    P(a, x) = x^a S(x) / Gamma(a+1), S(x) = sum_k a (-x)^k / (k! (a+k)),
+    so x_l^a = p Gamma(a+1) = x^a S(x); reverted, x = x_l (1 + c1 x_l +
+    c2 x_l^2 + c3 x_l^3 + c4 x_l^4 + ...) with c_k = c_k' / (a + 1)^k and
+    c1' = 1, c2' = (3a + 5)/(2(a + 2)), c3' = (8a^2 + 33a + 31)/(3(a + 2)(a + 3)),
+    c4' = (125a^4 + 1179a^3 + 3971a^2 + 5661a + 2888)/(24(a + 2)^2(a + 3)(a + 4))
+    (DiDonato & Morris, ACM TOMS 12, 1986; Gil, Segura & Temme, SIAM J.
+    Sci. Comput. 34, 2012).  For u <= ``SERIES_REACH`` the omitted terms
+    are below 1e-5 of x (c5 (a + 1)^5 rises from 3.8 at a = 0 to 10.8 as
+    a grows).
+    """
+    a2 = a + 2.0
+    a3 = a + 3.0
+    c2 = (3.0 * a + 5.0) / (2.0 * a2)
+    c3 = (8.0 * a + 33.0) * a + 31.0
+    c4 = (((125.0 * a + 1179.0) * a + 3971.0) * a + 5661.0) * a + 2888.0
+    c3 /= 3.0 * a2 * a3
+    c4 /= 24.0 * a2 * a2 * a3 * (a + 4.0)
+    return z_l + math.log1p(u * (1.0 + u * (c2 + u * (c3 + u * c4))))
+
+
+def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> tuple[float, float]:
+    """The upper bound of the root for a < 1 from the tail bound on Q, and a closer start.
 
     Q(a, x) <= x^(a-1) e^-x / Gamma(a) puts the root at or below the x_u
     that solves (a - 1) ln x - x = ln q + ln Gamma(a), one x for every q.
@@ -272,6 +307,11 @@ def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
     fixed-point form x <- t + (a - 1) ln x contracts only where
     (1 - a)/x < 1; short of that, four of its steps can land far above
     x_u, and ``gamma_start`` would then take this bound for a close one.)
+
+    Returns (x_u, s): s is ln x_u moved by one more Newton step, with H's
+    derivative, on H(s) = log1p(u), u = (a-1)/x (1 + (a-2)/x (1 + (a-3)/x)):
+    the asymptotic series Q = x^(a-1) e^-x (1 + u + ...) / Gamma(a) (DLMF
+    8.11.2) to three terms, where |u| < 1/2; else s = ln x_u.
     """
     t = -(ln_q + ln_gamma_a)
     c = 1.0 - a
@@ -279,52 +319,63 @@ def _upper_bound(a: float, ln_q: float, ln_gamma_a: float) -> float:
     for _ in range(4):
         x = math.exp(s)
         s -= (x + c * s - t) / (x + c)
-    return math.exp(s)
+    x = math.exp(s)
+    u = (a - 1.0) / x * (1.0 + (a - 2.0) / x * (1.0 + (a - 3.0) / x))
+    if abs(u) < 0.5:
+        return x, s - (x + c * s - math.log1p(u) - t) / (x + c)
+    return x, s
 
 
 def gamma_start(query: GammaQuantileQuery) -> Plan:
     """Standard plan: every query solves in z = log x (``Variable.LOG``).
 
-    For a >= 1 the start is the log of ``_temme_start``: Temme's asymptotic
-    inversion with two corrections, or deep in the lower tail the lower
-    bound x_l (``start="asymptotic"``).  On the benchmark query sets, both
-    tails, its relative error has median 5e-8 (at most 2e-5) for a >= 10
-    and 3e-5 for 3 <= a < 10, so those solves mostly end after one
-    evaluation; near a = 1 it is about 1e-3.
+    P(a, x) <= x^a / Gamma(a+1) puts the root at or above
+    x_l = (p Gamma(a+1))^(1/a).  Where x_l <= ``SERIES_REACH`` (a + 1), for
+    every a, the start is the reverted lower-tail series of
+    ``_series_start`` (``start="series"``), within 1e-5 of the root.
 
-    For a < 1 the start is the closer of the root's two analytic bounds
-    (the closer-bound rule):
+    Elsewhere, for a >= 1 the start is the log of ``_temme_start``: Temme's
+    asymptotic inversion with two corrections (``start="asymptotic"``).
+    On the benchmark query sets, both tails, its relative error has median
+    5e-8 (at most 2e-5) for a >= 10 and 3e-5 for 3 <= a < 10, so those
+    solves mostly end after one evaluation; near a = 1 it is about 1e-3.
 
-    - the lower bound x_l = (p Gamma(a+1))^(1/a), from
-      P(a, x) <= x^a / Gamma(a+1), whose leading-term relative error is
-      about x (``start="lower-bound"``);
+    For a < 1 it is the closer of the root's two analytic bounds (the
+    closer-bound rule):
+
+    - the lower bound x_l, whose leading-term relative error is about x
+      (``start="lower-bound"``);
     - the upper bound x_u of ``_upper_bound``, from
       Q(a, x) <= x^(a-1) e^-x / Gamma(a), whose leading-term relative
       error is about (1 - a)/x (``start="upper-bound"``).
 
-    It starts at z0 = ln x_u iff (1 - a)/x_u < x_l, else at z0 = ln x_l.
-    In z, Omega is negative and strictly decreasing for a < 1, so the
-    paper's convergence theorem gives monotonically increasing iterates
-    from any start left of the root: the lower bound always qualifies.
-    A start right of the root has no such guarantee (its first step can
-    overshoot far to the left), so the upper bound is taken only where
-    it is the tighter one, deep in the upper tail; used for every q < p
-    it ends many central queries at ``MaxIter``.  The problem holds
-    ln Gamma(a) and ln Gamma(a+1) (for a < 1 without rounding a + 1).
+    It takes the upper side iff (1 - a)/x_u < x_l, and then starts at
+    ``_upper_bound``'s asymptotic step from ln x_u.  In z, Omega is
+    negative and strictly decreasing for a < 1, so the paper's convergence
+    theorem gives monotonically increasing iterates from any start left of
+    the root: the lower bound always qualifies.  A start right of the root
+    has no such guarantee (its first step can overshoot far to the left),
+    so the upper side is taken only where the bound is the tighter one,
+    deep in the upper tail; used for every q < p it ends many central
+    queries at ``MaxIter``.  The problem holds ln Gamma(a) and
+    ln Gamma(a+1) (for a < 1 without rounding a + 1).
     """
     problem = GammaLogProblem(query)
     a, p, q = problem.a, problem.p, problem.q
     z0 = (math.log(p) + problem.ln_gamma_a1) / a
+    x_l = math.exp(z0)
+    u = x_l / (a + 1.0)
+    if u <= SERIES_REACH:
+        return _tuple_new(Plan, (problem, _series_start(a, z0, u), _LOG, "series"))
     if a >= 1.0:
         return _tuple_new(Plan, (problem, _temme_start(a, p, q, z0), _LOG, "asymptotic"))
-    x_l = math.exp(z0)
     ln_q = math.log(q)
     # x_u <= max(t, 1), the first Newton point, so the rule can only pick
     # the upper bound when (1 - a)/max(t, 1) < x_l.
     if (1.0 - a) / max(-(ln_q + problem.ln_gamma_a), 1.0) < x_l:
-        x_u = _upper_bound(a, ln_q, problem.ln_gamma_a)
+        x_u, s = _upper_bound(a, ln_q, problem.ln_gamma_a)
         if (1.0 - a) / x_u < x_l:
-            return _tuple_new(Plan, (problem, math.log(x_u), _LOG, "upper-bound"))
+            return _tuple_new(Plan, (problem, s, _LOG, "upper-bound"))
     return _tuple_new(Plan, (problem, z0, _LOG, "lower-bound"))
 
 
@@ -337,4 +388,4 @@ def invert_gamma(query: GammaQuantileQuery,
     the smallest normal double is reported with ``root_underflow``.
     """
     plan = gamma_start(query)
-    return solve(plan.problem, plan.x0, opts).with_plan(plan)
+    return solve(plan.problem, plan.x0, opts, plan)

@@ -126,10 +126,10 @@ def test_compare_respects_common_start(capsys):
 # records each re-pin.
 COMPARE_X0_ROWS = {
     ("gamma", "--a", "0.5", "--p", "0.3", "--x0", "0.2"): [
-        {"method": "snm", "iterations": 2, "final_residual": 2.220446049250313e-16,
-         "errors": [0.00033917173066168316, 5.773159728050814e-14]},
-        {"method": "halley", "iterations": 3, "final_residual": 2.220446049250313e-16,
-         "errors": [0.0025564621435087836, 7.969673837537883e-08, 5.551115123125783e-17]}],
+        {"method": "snm", "iterations": 2, "final_residual": 1.6653345369377348e-16,
+         "errors": [0.0003391717306616554, 5.770384170489251e-14]},
+        {"method": "halley", "iterations": 3, "final_residual": 1.6653345369377348e-16,
+         "errors": [0.0025564621435088114, 7.96967384031344e-08, 8.326672684688674e-17]}],
     ("beta", "--a", "0.5", "--b", "3", "--p", "0.2", "--x0", "0.05"): [
         {"method": "snm", "iterations": 2, "final_residual": 0.0,
          "errors": [0.00018427585718349196, 6.794686341349276e-13]},
@@ -183,7 +183,7 @@ EXIT_STATUS = [
     ("invert gamma --a 1e4 --p 1e-15 --format json", 0),
     ("compare gamma --a 200 --p 0.999999999999 --oracle", 0),
     # All three methods from a start near a 6.1e-14 root: a relative step
-    # stop, and an oracle in log x.
+    # stop, and the bisection oracle at a root that small.
     ("compare gamma --a 1.024624177225431 --p 2.8504124359267774e-14 --x0 2.9e-13"
      " --oracle --methods snm,halley,newton", 0),
     # Tails given alone through --p (1e-300 and 1e-20) and through --q.
@@ -244,7 +244,7 @@ def test_exit_status(capsys, command, status):
 
 
 def test_the_module_entry_point_exits_with_main_status(capsys):
-    argv = ["invert", "gamma", "--a", "0.5", "--p", "0.3", "--max-iter", "1"]
+    argv = ["invert", "gamma", "--a", "0.5", "--p", "0.5", "--max-iter", "1"]
     src = os.path.dirname(os.path.dirname(snm.__file__))
     done = subprocess.run([sys.executable, "-m", "snm.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
@@ -272,10 +272,10 @@ OUTPUT = {
     ),
     "invert gamma --a 5 --p 0.25 --format csv --trace --method halley": (
         "n,x,f,h,omega,step,fallback_used\n"
-        "1,1.2144458329162222,-3.2058286620922916e-05,-5.150944674220204e-05,"
-        "-2.3497211528334017,5.1509446742148413e-05,false\n"
-        "2,1.2144973423629644,-6.6752159355587537e-14,-1.072490983911588e-13,"
-        "-2.3496663681471115,1.0724754417879012e-13,false\n"
+        "1,1.2144458325277825,-3.2058528366907257e-05,-5.1509835182334598e-05,"
+        "-2.3497211532465863,5.1509835182317332e-05,false\n"
+        "2,1.2144973423629648,-6.6613381477509392e-14,-1.0702612729263245e-13,"
+        "-2.3496663681471111,1.0702549957386509e-13,false\n"
     ),
     "invert beta --a 2 --b 3 --p 0.3 --trace --method newton": (
         "root        0.272383942075\n"
@@ -373,9 +373,10 @@ def test_a_missing_tail_names_both_flags(capsys):
 
 
 def test_solver_failure_exit_one(capsys):
-    # An a < 1 solve runs in log x from a bound of the root, so it needs more
-    # than one iteration (an a >= 1 solve can end after its first evaluation).
-    code, _, err = run(capsys, "invert", "gamma", "--a", "0.5", "--p", "0.3",
+    # An a < 1 solve at a central p runs in log x from the lower bound x_l,
+    # past the series start's reach, so it needs more than one iteration
+    # (from the series or an asymptotic start one evaluation can end it).
+    code, _, err = run(capsys, "invert", "gamma", "--a", "0.5", "--p", "0.5",
                        "--max-iter", "1")
     assert code == 1
     assert "MaxIter" in err

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
     GammaQuantileQuery,
+    SERIES_REACH,
+    _series_start,
     _upper_bound,
     gamma_b,
     gamma_omega,
@@ -185,47 +188,58 @@ def test_log_problem_same_residual_as_direct():
 
 
 def test_gamma_start_policy():
-    # a >= 1: log variable, started at the log of Temme's asymptotic
-    # inversion, never below the lower bound x_l = (p Gamma(a+1))^(1/a) of
-    # the root, below the Omega maximum a + 1 of x across the lower tail,
-    # and for a >= 10 within 1e-5 of the root, close enough for the solve
-    # to end after one evaluation.
+    # a >= 1: log variable, never below the lower bound
+    # x_l = (p Gamma(a+1))^(1/a) of the root, below the Omega maximum a + 1
+    # of x across the lower tail.  Where x_l <= SERIES_REACH (a + 1) the
+    # start is the reverted lower-tail series, elsewhere the log of Temme's
+    # asymptotic inversion.  The series start, and for a >= 10 the
+    # asymptotic one, are within 1e-5 of the root, close enough for the
+    # solve to end after one evaluation.
     for a in (1.0, 1.5, 2.0, 6.582065866777457, 30.0, 1e4):
         for p in (1e-15, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12):
             query = GammaQuantileQuery(a, p)
             plan = gamma_start(query)
-            assert (plan.variable, plan.start) == (Variable.LOG, "asymptotic")
+            z_l = (math.log(p) + plan.problem.ln_gamma_a1) / a
+            series = math.exp(z_l) <= SERIES_REACH * (a + 1.0)
+            assert (plan.variable, plan.start) \
+                == (Variable.LOG, "series" if series else "asymptotic"), (a, p)
             assert isinstance(plan.problem, GammaLogProblem)
-            assert plan.x0 >= (math.log(p) + plan.problem.ln_gamma_a1) / a, (a, p)
+            assert plan.x0 >= z_l, (a, p)
             x0 = plan.to_x(plan.x0)
             if p <= 0.5:
                 assert x0 <= a + 1.0, (a, p)
-            if a >= 10.0:
-                root = invert_gamma(query).root
-                assert abs(x0 - root) <= 1e-5 * root, (a, p)
+            if series or a >= 10.0:
+                report = invert_gamma(query)
+                assert abs(x0 - report.root) <= 1e-5 * report.root, (a, p)
+                assert report.evaluations == 1, (a, p)
     # Near the median the start is within a few parts in 1e3 of the root.
     for a in (1.0, 2.0, 30.0):
         plan = gamma_start(GammaQuantileQuery(a, 0.5))
         root = invert_gamma(GammaQuantileQuery(a, 0.5)).root
         assert abs(plan.to_x(plan.x0) - root) <= 1e-2 * root, a
-    # Where x_l < 1e-6 (a + 1) the start is x_l itself, within about
-    # x_l/(a + 1) of the root; at these a ~ 1, p ~ 2e-14 points each solve
-    # from it takes 1 evaluation, and from the asymptotic start 2.
+    # At these a ~ 1, p ~ 2e-14 points the series start is the root to a
+    # few ulps; from the asymptotic start each solve took 2 evaluations.
     for a, p, q in HAZARD_TINY_ROOTS:
         plan = gamma_start(GammaQuantileQuery(a, p, q))
-        assert plan.x0 == (math.log(p) + plan.problem.ln_gamma_a1) / a
+        root = gamma_bisection_root(a, p, q)
+        assert plan.start == "series"
+        assert abs(plan.to_x(plan.x0) - root) <= 1e-14 * root
     # The Wilson-Hilferty start fell far below the root here; the solve
     # converges without a fallback step.
     report = invert_gamma(GammaQuantileQuery(6.582065866777457, 2.6020706234195834e-14))
     assert report.converged and not any(r.fallback_used for r in report.trace)
-    # a < 1: log variable, start below the root.
-    a, p = 0.5, 0.1
+    # a < 1 past the series' reach: log variable, start at x_l, below the
+    # root.  Inside it, the series start, above x_l.
+    a, p = 0.5, 0.5
     plan = gamma_start(GammaQuantileQuery(a, p))
     assert (plan.variable, plan.start) == (Variable.LOG, "lower-bound")
     assert isinstance(plan.problem, GammaLogProblem)
     z0 = plan.x0
     assert z0 == pytest.approx((math.log(p) + ln_gamma(a + 1.0)) / a, rel=1e-15)
     assert reg_gamma_p(a, math.exp(z0)) <= p
+    plan = gamma_start(GammaQuantileQuery(a, 0.1))
+    assert (plan.variable, plan.start) == (Variable.LOG, "series")
+    assert plan.x0 > (math.log(0.1) + ln_gamma(a + 1.0)) / a
 
 
 @pytest.mark.parametrize("a, p, q", HAZARD_TINY_ROOTS)
@@ -282,7 +296,7 @@ def test_a_tail_may_be_given_alone():
 @pytest.mark.parametrize("upper", [False, True], ids=["p", "q"])
 def test_a_tail_given_alone_meets_the_contract(a, tail, upper):
     # p given alone (q rounds to 1), or q with p = 1.0: the root is within
-    # 1e-12 of the log-space bisection root.  Deep in the lower tail
+    # 1e-12 of the bisection root.  Deep in the lower tail
     # P = x^a / Gamma(a+1) to O(x) relative, and the root in z = log x is
     # that term's to rounding; where it underflows, the report says so.
     query = GammaQuantileQuery(a, 1.0, tail) if upper else GammaQuantileQuery(a, tail)
@@ -313,7 +327,7 @@ def test_large_shape_roots_match_the_bisection_root(a):
 @pytest.mark.parametrize("q", [1e-20, 1e-100, 1e-300])
 def test_deep_upper_tail(a, q):
     # An explicit q far below 2^-53 with p = 1 - 2^-53: each query converges
-    # within 1e-12 of the log-space bisection root.
+    # within 1e-12 of the bisection root.
     p = 1.0 - 2.0 ** -53
     report = invert_gamma(GammaQuantileQuery(a, p, q))
     root = gamma_bisection_root(a, p, q)
@@ -359,13 +373,14 @@ def test_snm_iterations_never_exceed_halley():
 
 
 def test_exactness_counts_one_iteration_at_a_one():
-    # In x, from the plan's start: one exact step, applied uncounted by the
-    # predicted stop, 0 iterations and 1 evaluation.  The plan's own solve
-    # in log x, where Omega is not constant, takes at most 2 evaluations.
+    # In x, from x0 = 1: one exact step, applied uncounted by the predicted
+    # stop, 0 iterations and 1 evaluation.  (The plan's series start at
+    # p = 0.001 is so close that the residual stop ends the solve first.)
+    # The plan's own solve in log x, where Omega is not constant, takes at
+    # most 2 evaluations.
     for p in P_GRID:
         query = GammaQuantileQuery(1.0, p)
-        plan = gamma_start(query)
-        report = solve(GammaDirectProblem(query), plan.to_x(plan.x0))
+        report = solve(GammaDirectProblem(query), 1.0)
         assert (report.reason, report.iterations, report.evaluations) == (
             StopReason.PREDICTED, 0, 1), p
         assert invert_gamma(query).evaluations <= 2, p
@@ -549,20 +564,106 @@ def test_a_below_one_bounds_bracket_the_root():
         assert lower <= root_hi * (1.0 + 1e-13), query
         exact_upper = _q_bound_root(a, query.q)
         assert exact_upper >= root_lo * (1.0 - 1e-13), query
-        assert _upper_bound(a, math.log(query.q), ln_gamma(a)) >= exact_upper * (1.0 - 1e-15)
+        x_u, _ = _upper_bound(a, math.log(query.q), ln_gamma(a))
+        assert x_u >= exact_upper * (1.0 - 1e-15)
     assert checked >= 200, checked
 
 
+def _reverted_series(a, terms):
+    """Exact c_1..c_terms of x = r (1 + c_1 r + c_2 r^2 + ...), r^a = x^a S(x).
+
+    S(x) = sum_k a (-x)^k / (k! (a + k)) = P(a, x) Gamma(a+1) / x^a; T =
+    S^(1/a) by J. C. P. Miller's power recurrence, then r = x T(x) reverted
+    by fixed-point substitution x <- r - sum_k t_k x^(k+1), all in Fractions.
+    """
+    n = terms + 1
+    s = [Fraction((-1) ** k) * a / (math.factorial(k) * (a + k)) for k in range(n + 1)]
+    t = [Fraction(1)]
+    for m in range(1, n + 1):
+        t.append(sum(((1 / a + 1) * k - m) * s[k] * t[m - k] for k in range(1, m + 1)) / m)
+
+    def times(u, v):
+        out = [Fraction(0)] * (n + 1)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v[:n + 1 - i]):
+                out[i + j] += ui * vj
+        return out
+
+    x = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 1)
+    for _ in range(n):
+        new, power = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 1), times(x, x)
+        for k in range(1, n):
+            new = [c - t[k] * v for c, v in zip(new, power)]
+            power = times(power, x)
+        x = new
+    return x[2:terms + 2]
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(1), Fraction(17, 4)])
+def test_series_start_coefficients_are_the_reverted_series(a):
+    # The closed forms of c1..c4 in ``_series_start`` against an exact
+    # reversion of P(a, x) Gamma(a+1) = x^a S(x) at a rational a.
+    c = _reverted_series(a, 4)
+    assert c == [1 / (a + 1),
+                 (3 * a + 5) / (2 * (a + 1) ** 2 * (a + 2)),
+                 (8 * a ** 2 + 33 * a + 31) / (3 * (a + 1) ** 3 * (a + 2) * (a + 3)),
+                 (125 * a ** 4 + 1179 * a ** 3 + 3971 * a ** 2 + 5661 * a + 2888)
+                 / (24 * (a + 1) ** 4 * (a + 2) ** 2 * (a + 3) * (a + 4))]
+    # The library's start is ln r + log1p(r (c1 + r (c2 + r (c3 + r c4)))).
+    for r in (Fraction(1, 1000), Fraction(1, 20)):
+        u = r / (a + 1)
+        expected = math.log(r) + math.log1p(float(r * (c[0] + r * (c[1] + r * (c[2] + r * c[3])))))
+        got = _series_start(float(a), math.log(r), float(u))
+        assert got == pytest.approx(expected, rel=4e-16, abs=4e-16), (a, r)
+
+
+def test_tails_shaped_gamma_classes_end_after_one_evaluation():
+    # Seeded draws shaped like the bench's tails: shapes log-uniform in
+    # [0.05, 200], the smaller tail log-uniform in [1e-15, 1e-6], either
+    # side.  The a < 1 upper tail (asymptotic step on the Q bound, 1.989
+    # evaluations before it) averages at most 1.02 evaluations and every
+    # series start 1; every root is within 1e-12 of the bisection root.
+    rng = random.Random("gamma-tails-classes")
+    evaluations = {"a<1 upper": [], "series": []}
+    for _ in range(600):
+        a = log_uniform(rng, 0.05, 200.0)
+        tail = log_uniform(rng, 1e-15, 1e-6)
+        upper = rng.random() < 0.5
+        query = _tail_query(a, tail, upper)
+        report = invert_gamma(query)
+        exact = gamma_bisection_root(a, query.p, query.q)
+        assert report.converged and abs(report.root - exact) <= 1e-12 * exact, query
+        if a < 1.0 and upper:
+            evaluations["a<1 upper"].append(report.evaluations)
+        if report.start == "series":
+            evaluations["series"].append(report.evaluations)
+    upper, series = evaluations["a<1 upper"], evaluations["series"]
+    assert len(upper) >= 50 and len(series) >= 150, (len(upper), len(series))
+    assert sum(upper) <= 1.02 * len(upper), sum(upper) / len(upper)
+    assert set(series) == {1}
+
+
+@pytest.mark.parametrize("p", [1e-100, 1e-200, 1e-300])
+def test_the_bisection_root_is_exact_at_a_one(p):
+    # P(1, x) = 1 - e^-x: the root is -log1p(-p).  Bisected in x from a
+    # bracket a fixed ratio wide, it is resolved to adjacent doubles; in
+    # log x it stopped up to 9.0e-14 off at p = 1e-300.
+    exact = -math.log1p(-p)
+    assert abs(gamma_bisection_root(1.0, p, 1.0 - p) - exact) <= math.ulp(exact)
+
+
 def test_a_below_one_start_takes_the_closer_bound():
-    # Deep in the upper tail the Q bound is the tighter one; elsewhere the
-    # lower bound, from which the log-variable iterates rise monotonically.
-    # The last query's Q bound is x_u = 0.54, (1 - a)/x_u = 1.2: a Q-bound
-    # root stopped short of convergence (3.07) would claim the upper start
-    # and take 5 iterations from it.
+    # Deep in the upper tail the Q bound is the tighter one, and the start
+    # is its asymptotic step, one evaluation from the root; elsewhere the
+    # lower bound, from which the log-variable iterates rise monotonically,
+    # or deep in the lower tail the series start.  The fifth query's Q bound
+    # is x_u = 0.54, (1 - a)/x_u = 1.2: a Q-bound root stopped short of
+    # convergence (3.07) would claim the upper start and take 5 iterations
+    # from it.
     for a, p, q, start in ((0.3, 1.0 - 1e-10, 1e-10, "upper-bound"),
                            (0.9, 1.0 - 1e-6, 1e-6, "upper-bound"),
                            (0.3, 0.7, 0.3, "lower-bound"),
-                           (0.3, 1e-10, 1.0 - 1e-10, "lower-bound"),
+                           (0.3, 1e-10, 1.0 - 1e-10, "series"),
                            (0.34184033815281933, 0.6812225391807587,
                             0.3187774608192413, "lower-bound")):
         query = GammaQuantileQuery(a, p, q)
@@ -570,8 +671,13 @@ def test_a_below_one_start_takes_the_closer_bound():
         report = invert_gamma(query)
         assert (plan.variable, plan.start, report.start) == (Variable.LOG, start, start)
         if start == "upper-bound":
-            assert math.exp(plan.x0) >= report.root
-            assert report.iterations <= 2
+            x_u, _ = _upper_bound(a, math.log(q), ln_gamma(a))
+            assert x_u >= report.root
+            assert abs(math.exp(plan.x0) - report.root) <= 1e-6 * report.root
+            assert report.evaluations == 1
+        elif start == "series":
+            assert abs(math.exp(plan.x0) - report.root) <= 1e-6 * report.root
+            assert report.evaluations == 1
         else:
             assert math.exp(plan.x0) <= report.root
 

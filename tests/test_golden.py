@@ -45,6 +45,10 @@ CASES = {
         lambda: invert_gamma(GammaQuantileQuery(0.2, 0.9)),
     "gamma log a=0.01 p=1e-5":
         lambda: invert_gamma(GammaQuantileQuery(0.01, 1e-5)),
+    "gamma log a=0.5 p=0.5":
+        lambda: invert_gamma(GammaQuantileQuery(0.5, 0.5)),
+    "gamma log upper a=0.5 q=1e-10":
+        lambda: invert_gamma(GammaQuantileQuery(0.5, 1.0 - 1e-10, 1e-10)),
     "beta direct 2,3 p=0.3":
         lambda: invert_beta(BetaQuantileQuery(2.0, 3.0, 0.3)),
     "beta direct flipped 2,3 p=0.8":
@@ -87,14 +91,18 @@ GOLDEN = {
         (Variable.LOG, "asymptotic", False)),
     "gamma direct a=20 p=0.5": ('0x1.3aaec947689f7p+4', 0, "Predicted",
         (Variable.LOG, "asymptotic", False)),
-    "gamma direct a=20 p=1e-10": ('0x1.8427e394b7aacp+1', 0, "Predicted",
+    "gamma direct a=20 p=1e-10": ('0x1.8427e394b7aadp+1', 0, "Predicted",
         (Variable.LOG, "asymptotic", False)),
-    "gamma log a=0.5 p=0.3": ('0x1.301203f7937b9p-4', 1, "Predicted",
-        (Variable.LOG, "lower-bound", False)),
+    "gamma log a=0.5 p=0.3": ('0x1.301203f7937bdp-4', 0, "Predicted",
+        (Variable.LOG, "series", False)),
     "gamma log a=0.2 p=0.9": ('0x1.35b5c1cbd2db5p-1', 2, "Predicted",
         (Variable.LOG, "lower-bound", False)),
     "gamma log a=0.01 p=1e-5": ('0x0.0p+0', 0, "ResidualTol",
-        (Variable.LOG, "lower-bound", True)),
+        (Variable.LOG, "series", True)),
+    "gamma log a=0.5 p=0.5": ('0x1.d1dada8c3b2bbp-3', 1, "Predicted",
+        (Variable.LOG, "lower-bound", False)),
+    "gamma log upper a=0.5 q=1e-10": ('0x1.4e9257b6eded2p+4', 0, "Predicted",
+        (Variable.LOG, "upper-bound", False)),
     "beta direct 2,3 p=0.3": ('0x1.16ebd0ecac2bfp-2', 1, "Predicted",
         (Variable.LOGIT, "asymptotic", False)),
     "beta direct flipped 2,3 p=0.8": ('0x1.2a375adc0a662p-1', 1, "Predicted",

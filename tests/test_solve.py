@@ -298,10 +298,23 @@ def test_with_plan_sets_root_underflow_by_one_rule(variable, v, converged, under
     assert moved.converged is converged
 
 
+def test_solve_with_a_plan_reports_as_with_plan():
+    # Given the plan, solve builds the mapped report itself, once: field for
+    # field the plain report's with_plan, at every stop reason reached here.
+    problem = tan_problem()
+    for variable in Variable:
+        plan = Plan(problem, 1.0, variable, "lower-bound")
+        for opts in (None, SolveOptions(max_iter=1), SolveOptions(method=Method.HALLEY),
+                     SolveOptions(method=Method.NEWTON)):
+            plain = solve(problem, 1.0, opts)
+            assert solve(problem, 1.0, opts, plan) == plain.with_plan(plan), (variable, opts)
+
+
 def test_the_hot_path_reads_no_enum_member():
     # A member read (StopReason.PREDICTED) is a descriptor call; the solve,
     # its report and the map back to x compare against module constants.
-    for fn in (snm.core.solve, snm.core._report, Plan.to_x, SolveReport.with_plan):
+    for fn in (snm.core.solve, snm.core._report, snm.core._planned_report, Plan.to_x,
+               SolveReport.with_plan):
         assert not {"StopReason", "Variable", "Method"} & set(fn.__code__.co_names), fn
 
 

@@ -33,7 +33,7 @@ from snm.core import DEEP_TAIL_Z
 from conftest import log_uniform
 
 # CHANGES.md records each re-recording.
-DIGEST = "8980755a814fe001605921ee1255120ee3454d6942bad29d0c10394ca27c503f"
+DIGEST = "70ae91d283838e4577f0873474f7590bf5649f9661f827a0770afd5c5b321b93"
 
 
 def _probability(rng):
@@ -123,7 +123,7 @@ def test_every_plan_branch_is_reached():
     reached = {_branch(q, r) for q, r in _results()}
     assert reached >= {
         "gamma log asymptotic", "gamma log lower-bound", "gamma log deep tail",
-        "gamma log underflow", "gamma log upper-bound",
+        "gamma log underflow", "gamma log upper-bound", "gamma log series",
         "beta asymptotic lower", "beta asymptotic upper",
         "beta logit a>1>=b upper-bound", "beta logit a<=1<b lower-bound",
         "beta logit a,b<=1 upper-bound", "beta logit a,b<=1 lower-bound",

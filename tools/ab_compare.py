@@ -20,8 +20,9 @@ query and pass to pass; a query's time is its minimum over the passes.
 Per round it prints, for BASE, HEAD and the change: ``us_per_query``,
 ``query_us_p50`` and ``query_us_p99`` over the workload's main queries,
 each solver's µs per query (control queries included, as in
-``bench/run.py``) and its evaluations per query, and how many roots
-(by their bits) and evaluation counts of the two trees agree.  With
+``bench/run.py``) and its evaluations per query, how many roots (by
+their bits) and evaluation counts of the two trees agree, and each
+tree's evaluations per query by solver and start label.  With
 ``--rounds`` above 1 it ends with each metric's per-round changes and
 BASE's quartiles across the rounds.  It reads the bench directory and
 writes nothing there (no bytecode is cached).
@@ -123,10 +124,10 @@ def report_setup(times: list[list[float]]) -> None:
 
 
 def _outcome(out) -> tuple:
-    """(root bits, evaluations) of a report, or the exception's type name."""
+    """(root bits, evaluations, start label) of a report, or the exception's type name."""
     if isinstance(out, Exception):
-        return (type(out).__name__, None)
-    return (out.root.hex(), out.evaluations)
+        return (type(out).__name__, None, None)
+    return (out.root.hex(), out.evaluations, out.start)
 
 
 def time_round(sets: list[list], passes: int) -> tuple[list[list[float]], list[list[tuple]]]:
@@ -170,6 +171,21 @@ def metrics(queries: list, us: list[float], outcomes: list[tuple], solvers) -> d
         evals = [outcomes[i][1] for i in idx if outcomes[i][1] is not None]
         out[f"{solver}.evaluations_per_query"] = statistics.fmean(evals) if evals else math.nan
     return out
+
+
+def report_starts(queries: list, outcomes: list[list[tuple]]) -> None:
+    """Evaluations per query per solver and start label, for each tree."""
+    counts: dict[tuple[str, str], list[list[int]]] = {}
+    for t, tree in enumerate(outcomes):
+        for q, (_, evals, start) in zip(queries, tree):
+            if evals is not None:
+                cell = counts.setdefault((q.solver, start), [[0, 0], [0, 0]])[t]
+                cell[0] += 1
+                cell[1] += evals
+    print(f"  {'evaluations per query by start':32s} {'base':>14s} {'head':>14s}")
+    for (solver, start), cells in sorted(counts.items()):
+        text = [f"{e / n:.3f} ({n})" if n else "-" for n, e in cells]
+        print(f"  {solver + ' ' + (start or '-'):32s} {text[0]:>14s} {text[1]:>14s}")
 
 
 def main(argv=None) -> int:
@@ -232,6 +248,7 @@ def main(argv=None) -> int:
                 a, b = m[0][name], m[1][name]
                 history.setdefault(name, []).append((a, b))
                 print(f"  {name:32s} {a:10.4g} {b:10.4g} {100.0 * (b / a - 1.0):+7.1f}%")
+            report_starts(sets[0], outcomes)
         if args.rounds > 1:
             print("per-round change (%) and base quartiles across rounds:")
             for name, pairs in history.items():

@@ -39,6 +39,7 @@ from .core import (
     SolveOptions,
     SolveReport,
     _LOGIT,
+    _REAL_LINE,
     _Checked,
     _logit,
     _sigmoid,
@@ -47,11 +48,10 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import (_beta_exponent, _beta_stirling, _normal_quantile, _reg_beta, bisect_root,
-                      ln_beta)
+from .special import (_STIRLING_MIN, _beta_exponent, _beta_stirling, _normal_quantile, _reg_beta,
+                      bisect_root, ln_beta)
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
-_REAL_LINE = Interval(-math.inf, math.inf)
 # log of the largest double below 1.
 _LOG_X_MAX = math.log1p(-2.0 ** -53)
 _LOG_HALF = math.log(0.5)
@@ -135,7 +135,7 @@ def beta_xm(a: float, b: float) -> float:
     if not (a > 1.0 and b > 1.0):
         raise ValueError(f"beta_xm requires a > 1 and b > 1, got a={a}, b={b}")
     g, h, i, j = beta_xm_coefficients(a, b)
-    return bisect_root(lambda x: ((g * x + h) * x + i) * x + j, 0.0, 1.0, tol=0.0)
+    return bisect_root(lambda x: ((g * x + h) * x + i) * x + j, 0.0, 1.0)
 
 
 def beta_omega_logit(a: float, b: float, z: float) -> float:
@@ -179,14 +179,14 @@ class _BetaProblem(Problem):
     """
 
     def __init__(self, query: BetaQuantileQuery) -> None:
-        self.query = query
         a, b, p, q = query.a, query.b, query.p, query.q
         self.a, self.b, self.p, self.q = a, b, p, q
         s = a + b
         self.ln_b = ln_beta(a, b)
         self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
-        self.stirling = _beta_stirling(a, b) if a >= 16.0 and b >= 16.0 else None
+        stirling = a >= _STIRLING_MIN and b >= _STIRLING_MIN
+        self.stirling = _beta_stirling(a, b) if stirling else None
         self.deep_tail_z = _deep_tail_z(a, s)
         self.deep_tail_top = -_deep_tail_z(b, s)
 

@@ -44,9 +44,9 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import (_beta_exponent, _gamma_exponent, _ln_gamma_1p, _reg_beta, _reg_gamma,
-                      bisect_root, carlson_rd, carlson_rf, ellip_e_complete, ellip_e_inc,
-                      ln_beta, ln_gamma)
+from .special import (_STIRLING_MIN, _beta_exponent, _gamma_exponent, _ln_gamma_1p, _reg_beta,
+                      _reg_gamma, bisect_root, carlson_rd, carlson_rf, ellip_e_complete,
+                      ellip_e_inc, ln_beta, ln_gamma)
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -75,7 +75,7 @@ def _gamma_residual(a: float, p: float, q: float) -> Callable[[float], float]:
     def tails(x: float) -> tuple[float, float]:
         if x == 0.0:  # a compare root that underflowed
             return 0.0, 1.0
-        if x < 1.0 and a < 16.0:
+        if x < 1.0 and a < _STIRLING_MIN:
             scale = x ** a * math.exp(-x - ln_gamma_a)
         else:
             scale = math.exp(_gamma_exponent(a, x, ln_gamma_a))
@@ -112,10 +112,10 @@ _TINY = 5e-324  # the smallest subnormal
 _HUGE = sys.float_info.max / 4.0
 
 # The oracles bisect the smaller tail's residual down to adjacent doubles
-# (``bisect_root`` with tol 0), in a variable where the bracket reaches
-# every root a double can hold and the residual does not cancel.  No
-# double brackets the root (it underflows, say): ValueError, "no sign
-# change".  The tests share them.
+# (``bisect_root``), in a variable where the bracket reaches every root a
+# double can hold and the residual does not cancel.  No double brackets
+# the root (it underflows, say): ValueError, "no sign change".  The tests
+# share them.
 
 def gamma_bisection_root(a: float, p: float, q: float) -> float:
     """The x of P(a, x) = p (Q(a, x) = q for p > 1/2), bisected in x.
@@ -134,7 +134,7 @@ def gamma_bisection_root(a: float, p: float, q: float) -> float:
         lo, hi = max(0.25 * lo, _TINY), lo
     while residual(hi) < 0.0 and hi < _HUGE:
         lo, hi = hi, 4.0 * hi
-    return bisect_root(residual, lo, hi, tol=0.0)
+    return bisect_root(residual, lo, hi)
 
 
 def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
@@ -143,8 +143,7 @@ def beta_bisection_root(a: float, b: float, p: float, q: float) -> float:
     the kernel's pair at (sigma(z), sigma(-z)): 1 - x is held exactly, and
     log x could not reach a root where x rounds to 1."""
     residual = _beta_residual(a, b, p, q)
-    return _sigmoid(bisect_root(lambda z: residual(_sigmoid(z), _sigmoid(-z)),
-                                -745.0, 745.0, tol=0.0))
+    return _sigmoid(bisect_root(lambda z: residual(_sigmoid(z), _sigmoid(-z)), -745.0, 745.0))
 
 
 def elliptic_bisection_root(m: float, p: float) -> float:
@@ -166,7 +165,7 @@ def elliptic_bisection_root(m: float, p: float) -> float:
     if p <= 0.5:
         t = p * ellip_e_complete(m)
         return bisect_root(_elliptic_residual(m, p), 0.5 * t,
-                           min(math.pi / 2, 2.0 * t / math.sqrt(g2)), tol=0.0)
+                           min(math.pi / 2, 2.0 * t / math.sqrt(g2)))
     target = (1.0 - p) * ellip_e_complete(m)
 
     def residual(psi: float) -> float:
@@ -174,7 +173,7 @@ def elliptic_bisection_root(m: float, p: float) -> float:
         w = g2 + m * m * s * s
         return g2 * (s * carlson_rf(g2 * c * c, w, g2) + m * m / 3.0 * s ** 3
                      * carlson_rd(g2 * c * c, w, g2)) - target
-    return math.pi / 2 - bisect_root(residual, 0.0, math.pi / 2, tol=0.0)
+    return math.pi / 2 - bisect_root(residual, 0.0, math.pi / 2)
 
 
 # -------------------------------------------------------------- problems
@@ -195,10 +194,10 @@ class _Kind(NamedTuple):
 
 PROBLEMS = {
     "gamma": _Kind(("a", "p"), GammaQuantileQuery, GammaDirectProblem,
-                   lambda problem: problem.query.p, invert_gamma, gamma_start,
+                   lambda problem: problem.p, invert_gamma, gamma_start,
                    gamma_bisection_root, _gamma_residual),
     "beta": _Kind(("a", "b", "p"), BetaQuantileQuery, BetaDirectProblem,
-                  lambda problem: problem.query.p, invert_beta, beta_plan,
+                  lambda problem: problem.p, invert_beta, beta_plan,
                   beta_bisection_root, _beta_residual),
     "elliptic": _Kind(("m", "p"), EllipticQuery, EllipticProblem,
                       lambda problem: problem.target, invert_ellip_e, elliptic_plan,

@@ -208,6 +208,9 @@ class Interval(_Checked, namedtuple("Interval", "lo hi lo_open hi_open")):
         return True
 
 
+_REAL_LINE = Interval(-math.inf, math.inf)  # the log and logit variables' domain
+
+
 class ProblemEvaluation(NamedTuple):
     """Everything one SNM/Halley/Newton step needs at a point.
 

@@ -98,12 +98,10 @@ def ellip_xc(m: float) -> float:
     is 0/0 as m -> 0 and cancels catastrophically below m ~ 1e-3; it is
     evaluated in the algebraically identical rationalized form
     cos^2 x_c = 4(1-m^2) / (4 - m^2 + sqrt(9 m^4 + 16(1-m^2))), with the
-    limit pi/4 returned below m = 1e-8.
+    limit pi/4 returned below m = 1e-8 (m = 0 included).
     """
-    if not 0.0 < m <= 1.0:
-        if m == 0.0:
-            return math.pi / 4
-        raise ValueError(f"ellip_xc requires m in (0, 1], got {m}")
+    if not 0.0 <= m <= 1.0:  # also refuses NaN
+        raise ValueError(f"ellip_xc requires m in [0, 1], got {m}")
     if m < 1e-8:
         return math.pi / 4
     m2 = m * m
@@ -216,7 +214,6 @@ class EllipticProblem(Problem):
     """
 
     def __init__(self, query: EllipticQuery) -> None:
-        self.query = query
         self.m = m = query.m
         self.complete = _checked_complete(m)
         self.target = query.p * self.complete

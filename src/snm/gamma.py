@@ -32,17 +32,17 @@ from .core import (
     SolveOptions,
     SolveReport,
     _LOG,
+    _REAL_LINE,
     _Checked,
     _tuple_new,
     check_shape,
     check_tails,
     solve,
 )
-from .special import (_gamma_exponent, _gamma_prefactor, _gamma_stirling, _ln_gamma,
-                      _ln_gamma_1p, _normal_quantile, _reg_gamma)
+from .special import (_STIRLING_MIN, _gamma_exponent, _gamma_prefactor, _gamma_stirling,
+                      _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma)
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
-_REAL_LINE = Interval(-math.inf, math.inf)
 
 
 class GammaQuantileQuery(_Checked, namedtuple("GammaQuantileQuery", "a p q")):
@@ -126,7 +126,6 @@ class _GammaProblem(Problem):
     """
 
     def __init__(self, query: GammaQuantileQuery) -> None:
-        self.query = query
         a, p, q = query.a, query.p, query.q
         self.a, self.p, self.q = a, p, q
         if a < 1.0:
@@ -136,7 +135,7 @@ class _GammaProblem(Problem):
             self.ln_gamma_1p = None
             self.ln_gamma_a = _ln_gamma(a)
             self.ln_gamma_a1 = self.ln_gamma_a + math.log(a)
-        self.stirling = _gamma_stirling(a) if a >= 16.0 else None
+        self.stirling = _gamma_stirling(a) if a >= _STIRLING_MIN else None
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
 
     def _residual(self, x: float, scale: float) -> float:
@@ -177,7 +176,7 @@ class GammaLogProblem(_GammaProblem):
         # / Gamma(a), the kernel's prefactor, formed from z directly so
         # deep-tail z stays finite even where x itself under/overflows;
         # at a >= 16 by Stirling's shifted exponent, whose error is not ~eps a.
-        if a < 16.0 or z < DEEP_TAIL_Z:
+        if a < _STIRLING_MIN or z < DEEP_TAIL_Z:
             fp = math.exp(a * z - x - self.ln_gamma_a)
         else:
             fp = math.exp(_gamma_exponent(a, x, self.ln_gamma_a, self.stirling))

@@ -12,9 +12,9 @@ Gauss's arithmetic-geometric mean (DLMF 19.8.6), within 2.1e-15, where
 ``ellip_e_inc(pi/2, m)`` is off by up to 1.1e-14.
 
 ``bisect_root`` is plain interval bisection, not part of the quantile
-API.  With tol 0 it runs down to adjacent doubles: ``beta_xm`` solves its
-cubic so, and the root oracles in ``snm.cli`` (one per solver, which
-``snm compare`` and the tests share) bisect each residual so.
+API, with no tolerance: it runs down to adjacent doubles.  ``beta_xm``
+solves its cubic so, and the root oracles in ``snm.cli`` (one per solver,
+which ``snm compare`` and the tests share) bisect each residual so.
 
 All elliptic routines take the modulus m (the integrand is
 sqrt(1 - m^2 sin^2 t)), not the parameter m^2.
@@ -143,7 +143,8 @@ def _ln_gamma(a: float) -> float:
 
 
 # Stirling series for ln Gamma(a) - (a - 1/2) ln a + a - ln sqrt(2 pi),
-# truncated after a^-9; usable for a >= 16 (truncation < 2e-16 there).
+# truncated after a^-9; every Stirling form serves a >= 16 (truncation < 2e-16).
+_STIRLING_MIN = 16.0
 _STIRLING = (
     1.0 / 12.0,
     -1.0 / 360.0,
@@ -182,7 +183,7 @@ def _gamma_exponent(a: float, x: float, ln_gamma_a: float,
     x away, so log(x/a) is used, or log x - log a once x/a would be
     subnormal.  Below a/2 every form has absolute error near a * eps.
     """
-    if a < 16.0:
+    if a < _STIRLING_MIN:
         return a * math.log(x) - x - ln_gamma_a
     if x >= 0.5 * a:
         log_ratio = math.log1p((x - a) / a)
@@ -346,7 +347,7 @@ def ln_beta(a: float, b: float) -> float:
     check_shape("ln_beta", a)
     check_shape("ln_beta", b)
     hi, lo = (a, b) if a >= b else (b, a)
-    if hi < 16.0:
+    if hi < _STIRLING_MIN:
         return _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
     s = hi + lo
     # ln Gamma(s) - ln Gamma(hi), both arguments >= 16.
@@ -375,7 +376,7 @@ def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float,
     error near eps * |t| instead of eps * |ln B|; a caller that evaluates
     at one (a, b) many times passes its constants, ``_beta_stirling(a, b)``.
     """
-    if a >= 16.0 and b >= 16.0:
+    if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
         t = x * b - y * a
         if t > -0.9 * a and -t > -0.9 * b:
             half_log, s_s, s_a, s_b = stirling or _beta_stirling(a, b)
@@ -701,14 +702,16 @@ def ellip_e_complete(m: float) -> float:
     return math.pi / (2.0 * a) * rest
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-15, max_iter: int = 200) -> float:
-    """Plain bisection to |hi - lo| <= tol, or with tol 0 until the
-    midpoint is an end (adjacent doubles), in at most max_iter halvings.
+_BISECT_MAX_HALVINGS = 200
 
-    Returns an end or a midpoint where f is exactly 0, else the midpoint
-    of the final bracket.  Raises ValueError ("no sign change") unless f changes sign
-    on [lo, hi].
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Plain bisection until the midpoint is an end (adjacent doubles), or
+    after 200 halvings (a root within ~2^-200 (hi - lo) of 0 needs more).
+
+    Returns an end or a midpoint where f is exactly 0, else the final
+    midpoint, one of the two ends.  Raises ValueError ("no sign change")
+    unless f changes sign on [lo, hi].
     """
     flo = f(lo)
     fhi = f(hi)
@@ -718,7 +721,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -728,7 +731,5 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         if (fm > 0) == (fhi > 0):
             hi, fhi = mid, fm
         else:
-            lo, flo = mid, fm
-        if hi - lo <= tol:
-            break
+            lo = mid
     return 0.5 * (lo + hi)

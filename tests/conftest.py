@@ -15,10 +15,11 @@ residual within its kernel's noise is 0 and still stops the solve.)
 ``gamma_bisection_root``, ``beta_bisection_root`` and
 ``elliptic_bisection_root`` are the root oracles of ``snm compare``,
 imported here for the tests.  Each shares only the kernels with its
-solver: bisection of the smaller tail's residual down to adjacent doubles,
-in log x (gamma), in logit x (beta), and in x from a bracket a fixed ratio
-wide, or for p > 1/2 in the complementary amplitude pi/2 - x, whose
-residual does not cancel as p -> 1 (elliptic).
+solver: ``snm.special.bisect_root`` of the smaller tail's residual down to
+adjacent doubles, in x from a bracket a fixed ratio wide (gamma), in logit
+x (beta), and in x from a bracket a fixed ratio wide, or for p > 1/2 in
+the complementary amplitude pi/2 - x, whose residual does not cancel as
+p -> 1 (elliptic).
 """
 
 from __future__ import annotations

@@ -94,7 +94,7 @@ def test_criterion_2_tan_counterexample():
 
 def test_criterion_3_fourth_order_error_constant():
     a, p = 5.0, 0.5
-    alpha = bisect_root(lambda x: reg_gamma_p(a, x) - p, 1.0, 20.0, tol=1e-15)
+    alpha = bisect_root(lambda x: reg_gamma_p(a, x) - p, 1.0, 20.0)
     problem = GammaDirectProblem(GammaQuantileQuery(a, p))
     h = 1e-5
     omega_prime = (gamma_omega(a, alpha + h) - gamma_omega(a, alpha - h)) / (2 * h)
@@ -182,8 +182,7 @@ def test_criterion_7_elliptic_two_iteration_accuracy():
             p = 0.05 * pi
             query = EllipticQuery(m, p)
             target = p * ellip_e_complete(m)
-            oracle = bisect_root(lambda x: ellip_e_inc(x, m) - target,
-                                 0.0, math.pi / 2, tol=1e-16, max_iter=200)
+            oracle = bisect_root(lambda x: ellip_e_inc(x, m) - target, 0.0, math.pi / 2)
             x, _ = choose_start(query)
             problem = EllipticProblem(query)
             for _ in range(2):

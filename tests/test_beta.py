@@ -9,6 +9,7 @@ import pytest
 import snm.beta
 import snm.core
 from snm.beta import (
+    BetaDirectProblem,
     BetaLogitProblem,
     BetaQuantileQuery,
     beta_b,
@@ -24,6 +25,7 @@ from snm.beta import (
 from snm.core import (
     DEEP_TAIL_Z,
     MIN_NORMAL,
+    Interval,
     Method,
     SolveOptions,
     StopReason,
@@ -31,7 +33,7 @@ from snm.core import (
     solve,
 )
 from snm.gamma import GammaQuantileQuery, invert_gamma
-from snm.special import _beta_exponent, _reg_beta, ln_beta, reg_beta
+from snm.special import _beta_exponent, _reg_beta, bisect_root, ln_beta, reg_beta
 
 from conftest import beta_bisection_root, log_uniform, step_only
 
@@ -179,9 +181,23 @@ def test_public_b_and_omega_refuse_bad_shapes(fn):
             fn(a, b, 0.5)
 
 
+@pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_omega_refuses_points_outside_the_domain(x):
+    with pytest.raises(ValueError):
+        beta_omega(2.0, 3.0, x)
+
+
 def test_beta_omega_logit_refuses_nan_z():
     with pytest.raises(ValueError):
         beta_omega_logit(2.0, 3.0, math.nan)
+
+
+def test_problem_domains():
+    query = BetaQuantileQuery(2.0, 3.0, 0.3)
+    direct = BetaDirectProblem(query).domain()
+    assert direct == Interval(0.0, 1.0, lo_open=True, hi_open=True)
+    assert not direct.contains(0.0) and not direct.contains(1.0) and direct.contains(0.5)
+    assert BetaLogitProblem(query).domain() == Interval(-math.inf, math.inf)
 
 
 def test_beta_omega_logit_values():
@@ -783,17 +799,12 @@ def _a_two_root(b, q):
     """The x of 1 - I_x(2, b) = (1 - x)^b (1 + b x) = q, by bisection in x.
 
     The closed form shares nothing with the kernel.  Its exponent's two
-    terms cancel where b x is small, so it serves p >= 0.3 only.
+    terms cancel where b x is small, so it serves p >= 0.3 only.  At x = 1
+    it is 0, where log1p(-x) has no value.
     """
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if q - math.exp(b * math.log1p(-mid) + math.log1p(b * mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    def residual(x):
+        return q - math.exp(b * math.log1p(-x) + math.log1p(b * x)) if x < 1.0 else q
+    return bisect_root(residual, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("b, p", [

@@ -474,7 +474,8 @@ def test_compare_oracle_resolves_an_upper_tail(capsys, argv):
 
 def test_compare_oracle_resolves_a_tiny_root(capsys):
     # Bisection in x to 1e-15 absolute put this 6.09e-14 root 1.5e-3 off;
-    # in log x down to adjacent doubles it is relative at any size.
+    # down to adjacent doubles, from a bracket a fixed ratio wide, it is
+    # relative at any size.
     a, p = 1.024624177225431, 2.8504124359267774e-14
     code, out, _ = run(capsys, "compare", "gamma", "--a", repr(a), "--p", repr(p),
                        "--format", "json", "--oracle")

@@ -69,7 +69,20 @@ def test_omega_refuses_modulus_outside_unit_interval():
             ellip_omega(m, 0.5)
 
 
+def test_omega_refuses_amplitude_outside_the_range():
+    for x in (-1e-300, -0.5, math.pi / 2 + 1e-15, 2.0, math.nan):
+        with pytest.raises(ValueError):
+            ellip_omega(0.5, x)
+
+
+def test_xc_refuses_modulus_outside_unit_interval():
+    for m in (-1e-300, -0.5, 1.0 + 1e-15, 2.0, math.nan):
+        with pytest.raises(ValueError):
+            ellip_xc(m)
+
+
 def test_xc_limits_and_monotonicity():
+    assert ellip_xc(0.0) == math.pi / 4
     assert ellip_xc(1.0) == pytest.approx(math.pi / 2, abs=1e-12)
     assert ellip_xc(1e-9) == pytest.approx(math.pi / 4, abs=1e-12)
     assert ellip_xc(1e-6) == pytest.approx(math.pi / 4, abs=1e-10)

@@ -20,7 +20,7 @@ from snm.gamma import (
     gamma_start,
     invert_gamma,
 )
-from snm.special import ln_gamma, reg_gamma_p, reg_gamma_q
+from snm.special import bisect_root, ln_gamma, reg_gamma_p, reg_gamma_q
 
 from conftest import gamma_bisection_root, log_uniform, step_only
 
@@ -159,6 +159,12 @@ def test_public_b_and_omega_refuse_bad_shapes(fn):
     for a in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
             fn(a, 1.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_omega_refuses_points_outside_the_domain(x):
+    with pytest.raises(ValueError):
+        gamma_omega(2.0, x)
 
 
 def test_problem_residual_at_known_median():
@@ -447,33 +453,10 @@ def _tail_query(a, tail, upper):
     return GammaQuantileQuery(a, tail, 1.0 - tail)
 
 
-def _bisect_increasing(g, lo, hi):
-    """(lo, hi): adjacent doubles with g(lo) < 0 <= g(hi), g increasing."""
-    assert g(lo) < 0.0 <= g(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return lo, hi
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _bisect_root(query):
-    """The root bracketed by bisection in log x on the inverted tail's kernel."""
-    a, p, q = query.a, query.p, query.q
-    if p <= 0.5:
-        g = lambda t: reg_gamma_p(a, math.exp(t)) - p
-    else:
-        g = lambda t: q - reg_gamma_q(a, math.exp(t))
-    lo, hi = _bisect_increasing(g, math.log(1e-307), math.log(4.0 * a + 1000.0))
-    return math.exp(lo), math.exp(hi)
-
-
-def _relative_error(root, bracket):
-    lo, hi = bracket
-    return max(abs(root - lo), abs(root - hi)) / lo
+def _within_contract(root, query):
+    """Whether root is within the 1e-12 contract of the query's bisection root."""
+    exact = gamma_bisection_root(query.a, query.p, query.q)
+    return abs(root - exact) <= REL_TOL * exact
 
 
 CONTRACT_SHAPES = (0.05, 0.3, 0.9, 1.0, 2.5, 20.0, 200.0)
@@ -489,7 +472,7 @@ def test_tail_roots_meet_the_relative_contract(a, tail, upper):
     query = _tail_query(a, tail, upper)
     report = invert_gamma(query)
     assert report.converged, report.reason
-    assert _relative_error(report.root, _bisect_root(query)) <= REL_TOL
+    assert _within_contract(report.root, query)
 
 
 @pytest.mark.parametrize("a, tail, upper", CONTRACT_GRID)
@@ -532,16 +515,44 @@ def test_class_fuzz_converges_within_the_contract_in_few_iterations():
         if report.root_underflow:
             assert report.root < MIN_NORMAL and small and not upper
         else:
-            assert _relative_error(report.root, _bisect_root(query)) <= REL_TOL, query
+            assert _within_contract(report.root, query), query
     assert len(seen) == 4 and min(seen.values()) >= 80, seen
 
 
+def test_small_shape_fuzz_meets_the_contract():
+    # Shapes log-uniform in [1e-3, 10^-1.5], below the class fuzz's 0.01,
+    # where the residual stop bounds the error in log x only by ~1e-14/a.
+    # Every query converges; every root that does not underflow is within
+    # 1e-12 of the bisection root.
+    rng = random.Random("gamma-small-shape")
+    checked = 0
+    for _ in range(400):
+        a = log_uniform(rng, 1e-3, 10.0 ** -1.5)
+        tail = (rng.uniform(1e-3, 0.5) if rng.random() < 0.5
+                else log_uniform(rng, 1e-15, 1e-3))
+        upper = rng.random() < 0.5
+        query = _tail_query(a, tail, upper)
+        report = invert_gamma(query)
+        assert report.converged, (query, report.reason)
+        if report.root_underflow:
+            assert report.root < MIN_NORMAL and not upper, query
+        else:
+            checked += 1
+            assert _within_contract(report.root, query), query
+    assert checked >= 250, checked
+
+
 def _q_bound_root(a, q):
-    """The exact root of (a - 1) ln x - x = ln q + ln Gamma(a), by bisection in ln x."""
+    """The exact root of (a - 1) ln x - x = ln q + ln Gamma(a), by bisection in s = ln x.
+
+    The upper end of the adjacent doubles that bracket it: the first s where
+    e^s + (1 - a) s - t >= 0.  An exact 0 counts as above the root, so the
+    halvings run on to that end.
+    """
     t = -(math.log(q) + ln_gamma(a))
-    lo, hi = _bisect_increasing(lambda s: math.exp(s) + (1.0 - a) * s - t,
-                                -1e6, math.log(max(t, 1.0)) + 1.0)
-    return math.exp(hi)
+    h = lambda s: math.exp(s) + (1.0 - a) * s - t or 5e-324
+    s = bisect_root(h, -1e6, math.log(max(t, 1.0)) + 1.0)
+    return math.exp(s if h(s) > 0.0 else math.nextafter(s, math.inf))
 
 
 def test_a_below_one_bounds_bracket_the_root():
@@ -558,12 +569,12 @@ def test_a_below_one_bounds_bracket_the_root():
         if query.p <= 0.5 and reg_gamma_p(a, 1e-307) >= query.p:
             continue  # the root lies below the normal doubles
         checked += 1
-        root_lo, root_hi = _bisect_root(query)
+        root = gamma_bisection_root(a, query.p, query.q)
         ln_gamma_a1 = ln_gamma(a + 1.0)
         lower = math.exp((math.log(query.p) + ln_gamma_a1) / a)
-        assert lower <= root_hi * (1.0 + 1e-13), query
+        assert lower <= root * (1.0 + 1e-13), query
         exact_upper = _q_bound_root(a, query.q)
-        assert exact_upper >= root_lo * (1.0 - 1e-13), query
+        assert exact_upper >= root * (1.0 - 1e-13), query
         x_u, _ = _upper_bound(a, math.log(query.q), ln_gamma(a))
         assert x_u >= exact_upper * (1.0 - 1e-15)
     assert checked >= 200, checked

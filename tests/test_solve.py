@@ -209,6 +209,7 @@ def test_method_given_by_name():
 def test_interval_contains_respects_openness():
     closed = Interval(0.0, 1.0, lo_open=False, hi_open=False)
     assert closed.contains(0.0) and closed.contains(1.0)
+    assert not closed.contains(-5e-324) and not closed.contains(math.nextafter(1.0, 2.0))
     open_ = Interval(0.0, 1.0)
     assert not open_.contains(0.0) and not open_.contains(1.0)
     assert open_.contains(0.5)
@@ -449,7 +450,7 @@ def test_residual_stop_scales_with_the_problem():
                            lambda x: 0.0, Interval(-math.inf, math.inf))
     assert Problem.residual_tol == line.residual_tol == 0.0
     gamma = GammaDirectProblem(GammaQuantileQuery(2.0, 0.9))
-    assert gamma.residual_tol == RESIDUAL_NOISE_FLOOR * gamma.query.q
+    assert gamma.residual_tol == RESIDUAL_NOISE_FLOOR * gamma.q
     line.residual_tol = 1e-6
     loose = solve(line, 1.0 + 1e-9, SolveOptions())
     assert (loose.reason, loose.evaluations) == (StopReason.RESIDUAL_TOL, 1)

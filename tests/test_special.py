@@ -635,7 +635,13 @@ def test_integrate_adaptive_budget_error():
 
 
 def test_bisect_root_basics():
-    assert bisect_root(math.cos, 0.0, 2.0, tol=1e-15) == pytest.approx(
-        math.pi / 2, abs=1e-14)
+    # No tolerance: the halvings run to adjacent doubles.
+    assert abs(bisect_root(math.cos, 0.0, 2.0) - math.pi / 2) <= math.ulp(math.pi / 2)
     with pytest.raises(ValueError):
         bisect_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+    # An end where f is exactly 0 is the root.
+    assert bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+    # Before the sign test: x^2 has no sign change on [0, 1].
+    assert bisect_root(lambda x: x * x, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: x * x - 4.0, -3.0, 2.0) == 2.0

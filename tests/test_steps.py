@@ -139,7 +139,7 @@ def test_fourth_order_error_constant():
     from snm.gamma import gamma_omega
 
     a, p = 5.0, 0.5
-    alpha = bisect_root(lambda x: reg_gamma_p(a, x) - p, 1.0, 20.0, tol=1e-15)
+    alpha = bisect_root(lambda x: reg_gamma_p(a, x) - p, 1.0, 20.0)
     problem = GammaDirectProblem(GammaQuantileQuery(a, p))
     h = 1e-5
     omega_prime = (gamma_omega(a, alpha + h) - gamma_omega(a, alpha - h)) / (2 * h)

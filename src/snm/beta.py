@@ -9,15 +9,18 @@ place; no query is mirrored through I_x(a, b) = 1 - I_(1-x)(b, a).
 Every query solves in the logit variable z = log(x/(1-x)), where Omega
 is negative for all shapes.  Two power bounds locate the root: x_p
 solves x^a / (a B) = p, a lower bound for b >= 1, and x_q solves
-(1-x)^b / (b B) = q, an upper bound for a >= 1.  For a, b > 1 the start
-is the asymptotic quantile of Abramowitz & Stegun 26.5.22, formed in z
-and clamped between the bounds.  Otherwise it lies on the side of the
-root that the paper's convergence theorem names for Omega's
-monotonicity: below it for a <= 1 <= b (Omega decreasing), above it for
-a >= 1 >= b (Omega increasing), from the closer bound.  For a, b < 1 the
-bounds swap sides, x_q <= root <= x_p, and name the half of (0, 1) that
-holds the root unless 1/2 lies between them; only then is I_(1/2)
-computed.  The report's ``variable`` is LOGIT and its ``start``
+(1-x)^b / (b B) = q, an upper bound for a >= 1.  Where the smaller
+tail's bound (x_p for p <= 1/2, else 1 - x_q) is within the reach of the
+reverted lower-tail series (``_series_start``), for any shapes, that
+series is the start.  Past its reach, for a, b > 1 the start is the
+asymptotic quantile of Abramowitz & Stegun 26.5.22, formed in z and
+clamped between the bounds.  Otherwise it lies on the side of the root
+that the paper's convergence theorem names for Omega's monotonicity:
+below it for a <= 1 <= b (Omega decreasing), above it for a >= 1 >= b
+(Omega increasing), from the closer bound.  For a, b < 1 the bounds swap
+sides, x_q <= root <= x_p, and name the half of (0, 1) that holds the
+root unless 1/2 lies between them; only then is I_(1/2) computed.  The
+report's ``variable`` is LOGIT and its ``start`` "series",
 "asymptotic", "lower-bound" or "upper-bound".  ``BetaDirectProblem`` is
 the paper's problem in x, which no plan uses.
 """
@@ -48,8 +51,7 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import (_STIRLING_MIN, _beta_exponent, _beta_stirling, _normal_quantile, _reg_beta,
-                      bisect_root, ln_beta)
+from .special import _beta_constants, _beta_exponent, _normal_quantile, _reg_beta, bisect_root
 
 _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 # log of the largest double below 1.
@@ -182,13 +184,15 @@ class _BetaProblem(Problem):
         a, b, p, q = query.a, query.b, query.p, query.q
         self.a, self.b, self.p, self.q = a, b, p, q
         s = a + b
-        self.ln_b = ln_beta(a, b)
+        self.ln_b, self.stirling = _beta_constants(a, b)
         self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
-        stirling = a >= _STIRLING_MIN and b >= _STIRLING_MIN
-        self.stirling = _beta_stirling(a, b) if stirling else None
-        self.deep_tail_z = _deep_tail_z(a, s)
-        self.deep_tail_top = -_deep_tail_z(b, s)
+        floor = _DEEP_TAIL_RATIO * s
+        if a >= floor and b >= floor and floor <= 1.0:  # as _deep_tail_z decides
+            self.deep_tail_z, self.deep_tail_top = DEEP_TAIL_Z, -DEEP_TAIL_Z
+        else:
+            self.deep_tail_z = _deep_tail_z(a, s)
+            self.deep_tail_top = -_deep_tail_z(b, s)
 
     def _residual(self, x: float, i: float, j: float) -> float:
         p = self.p
@@ -321,6 +325,45 @@ def _raised_log_bound(a: float, b: float, log_t: float) -> float:
     return min(log_t + (math.log1p(-c * t) - b * math.log1p(-t)) / a, math.log(mean))
 
 
+# The series start serves the queries whose power bound w is at most 1/2
+# and whose |t1 w|, the series' first correction, is at most this.
+SERIES_REACH = 0.1
+
+
+def _series_start(a: float, b: float, log_w: float) -> Optional[float]:
+    """logit of the reverted lower-tail series from the power bound w = e^log_w, or None.
+
+    I_x = x^a S(x) / (a B), S = 2F1(a, 1-b; a+1; x), so the bound's
+    w^a = p a B is x^a S(x): w = x S(x)^(1/a).  With S^(1/a) = 1 + t1 x +
+    t2 x^2 + t3 x^3 and t1 = (1-b)/(a+1), the reverted series is x = w (1 -
+    t1 w + (2 t1^2 - t2) w^2 + (5 t1 t2 - 5 t1^3 - t3) w^3) (the lower-tail
+    start of Gil, Segura & Temme, Numer. Algorithms 74, 2017).  In u = t1 w,
+    with i2 = 1/(a+2) and i3 = 1/(a+3), t2 and t3 expanded, that is
+    x = w (1 + u (-1 + k2 u - m2 w - k3 u^2 + m3 u w - n3 w^2)), k2 = 3/2 -
+    i2/2, m2 = (1 - i2)/2, k3 = 8/3 - i2 - 4 i3/3, m3 = 2 - i2 - 2 i3 and
+    n3 = (1 - 2 i3)/3: bounded for every shape, so nothing overflows.  As
+    b grows with b w fixed, it tends to gamma's ``_series_start``.  It is
+    formed in log x, and logit x = log x - log1p(-x) needs no second exp.
+
+    None past the reach: w > 1/2 or |u| > ``SERIES_REACH``.  For
+    |u| <= 1e-9 the first correction alone, x = w (1 - u), is as good a
+    start.
+    """
+    if log_w > _LOG_HALF:
+        return None
+    w = math.exp(log_w)
+    u = (1.0 - b) / (a + 1.0) * w
+    if not abs(u) > 1e-9:
+        return log_w - u - math.log1p(-w)
+    if abs(u) > SERIES_REACH:
+        return None
+    i2 = 1.0 / (a + 2.0)
+    i3 = 1.0 / (a + 3.0)
+    c = u * (-1.0 + u * (1.5 - 0.5 * i2 - u * (8.0 / 3.0 - i2 - 4.0 / 3.0 * i3))
+             - w * (0.5 - 0.5 * i2 - u * (2.0 - i2 - 2.0 * i3) + w * (1.0 - 2.0 * i3) / 3.0))
+    return log_w + math.log1p(c) - math.log1p(-w * (1.0 + c))
+
+
 def _asymptotic_start(a: float, b: float, p: float, q: float,
                       log_x_p: float, log_y_q: float) -> float:
     """A&S 26.5.22 quantile for a, b > 1 in z, clamped between the root's bounds.
@@ -354,6 +397,13 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     lies below the root iff b >= 1; 1 - I_x <= (1 - x)^b / (b B) for
     a >= 1, so x_q lies above it iff a >= 1.
 
+    - Where the smaller tail's bound w is within ``SERIES_REACH`` (w <= 1/2
+      and |(1 - b) w / (a + 1)| <= 0.1, x_p with the shapes (a, b) for
+      p <= 1/2, else y_q = 1 - x_q with (b, a)), every class starts at the
+      reverted series of ``_series_start`` (``start="series"``).  On the
+      bench query sets its error in z has median 3e-8 or less for
+      |t1 w| < 0.01 and ~2e-3 at the edge of the reach, so most solves end
+      after one evaluation.  Past the reach the rules below apply.
     - a, b > 1 start at ``_asymptotic_start``, clamped into [x_p, x_q]
       (``start="asymptotic"``).
     - Otherwise the paper's convergence theorem takes a start on the side
@@ -367,13 +417,22 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
       I_(1/2) >= p, decides.  The start stays in that half: x_p capped at
       1/2 below it, else x_q capped at 1/2 from above.
 
-    The problem holds ln B(a, b).
+    The problem holds ln B(a, b); y_q is formed only where x_p does not
+    start the series.
     """
     problem = BetaLogitProblem(query)
     a, b, p, q = problem.a, problem.b, problem.p, problem.q
     ln_b = problem.ln_b
     log_x_p = (math.log(p) + math.log(a) + ln_b) / a
+    if p <= 0.5:
+        z = _series_start(a, b, log_x_p)
+        if z is not None:
+            return _tuple_new(Plan, (problem, z, _LOGIT, "series"))
     log_y_q = (math.log(q) + math.log(b) + ln_b) / b
+    if p > 0.5:
+        z = _series_start(b, a, log_y_q)
+        if z is not None:
+            return _tuple_new(Plan, (problem, -z, _LOGIT, "series"))
     if a > 1.0 and b > 1.0:
         return _tuple_new(Plan, (problem, _asymptotic_start(a, b, p, q, log_x_p, log_y_q),
                                  _LOGIT, "asymptotic"))

@@ -52,7 +52,8 @@ from .special import _ellip_e, ellip_e_complete
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
 
-_AMPLITUDE_RANGE = Interval(0.0, math.pi / 2, lo_open=False, hi_open=False)
+_HALF_PI = math.pi / 2
+_AMPLITUDE_RANGE = Interval(0.0, _HALF_PI, lo_open=False, hi_open=False)
 
 
 class EllipticQuery(_Checked, namedtuple("EllipticQuery", "m p")):
@@ -76,7 +77,7 @@ def ellip_omega(m: float, x: float) -> float:
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"ellip_omega requires m in [0, 1], got {m}")
-    if not 0.0 <= x <= math.pi / 2:
+    if not 0.0 <= x <= _HALF_PI:
         raise ValueError(f"ellip_omega requires x in [0, pi/2], got {x}")
     s = math.sin(x)
     c = math.cos(x)
@@ -159,7 +160,7 @@ def _start_high(m: float, p: float, complete: float) -> float:
     """ellip_start_high given complete = E(1, m); m, p unchecked."""
     w = 1.0 - m * m
     t = m * complete * (1.0 - p) / (math.sqrt(2.0) * w)
-    return math.pi / 2 - math.sqrt(2.0 * w) / m * math.atan(t)
+    return _HALF_PI - math.sqrt(2.0 * w) / m * math.atan(t)
 
 
 # The complementary start's model of 1/sqrt(1 - v^2) drops the terms from
@@ -201,7 +202,7 @@ def _start_complementary(m: float, p: float, complete: float) -> Optional[float]
         r = math.sqrt(r2)
         f = 0.5 * alpha * (s * r + b2 * math.asinh(s / b)) + s * r * r2 * (beta + 0.0625 * s2)
         s -= (f - t) / (r * (1.0 + s2 * (0.5 + 0.375 * s2)))
-    return math.pi / 2 - math.asin(s)
+    return _HALF_PI - math.asin(s)
 
 
 class EllipticProblem(Problem):
@@ -210,17 +211,19 @@ class EllipticProblem(Problem):
     ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m),
     so the stop is relative to the target: an absolute one would accept
     x ~ p E(1, m) unrefined once the target itself is below the floor
-    (m near 1, small p).  It holds the modulus as ``m``, read once.
+    (m near 1, small p).  It holds the query's fields as ``m`` and ``p``,
+    read once.
     """
 
     def __init__(self, query: EllipticQuery) -> None:
         self.m = m = query.m
+        self.p = p = query.p
         self.complete = _checked_complete(m)
-        self.target = query.p * self.complete
+        self.target = p * self.complete
         self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
     def evaluate(self, x: float) -> ProblemEvaluation:
-        if not 0.0 <= x <= math.pi / 2:
+        if not 0.0 <= x <= _HALF_PI:
             raise ValueError(f"EllipticProblem requires x in [0, pi/2], got {x}")
         m = self.m
         s = math.sin(x)
@@ -236,7 +239,7 @@ class EllipticProblem(Problem):
 
     def scale(self, x: float) -> float:
         """The distance to the nearer end of [0, pi/2]."""
-        return min(x, math.pi / 2 - x)
+        return min(x, _HALF_PI - x)
 
     def domain(self) -> Interval:
         return _AMPLITUDE_RANGE
@@ -258,9 +261,12 @@ def choose_start(query: EllipticQuery,
     < 0.8).  ``complete`` is E(1, m), computed here unless the caller has
     it.
     """
-    m, p = query.m, query.p
-    if complete is None:
-        complete = ellip_e_complete(m)
+    m = query.m
+    return _choose_start(m, query.p, ellip_e_complete(m) if complete is None else complete)
+
+
+def _choose_start(m: float, p: float, complete: float) -> tuple[float, str]:
+    """``choose_start`` from the fields already read and E(1, m)."""
     if m > 0.95:
         if p > 0.5 and m < 1.0:
             x0 = _start_complementary(m, p, complete)
@@ -283,7 +289,7 @@ def elliptic_plan(query: EllipticQuery) -> Plan:
     """Problem (it holds E(1, m)) and heuristic start (``choose_start``)
     for 0 < m < 1; the solver variable is x itself."""
     problem = EllipticProblem(query)
-    x0, label = choose_start(query, problem.complete)
+    x0, label = _choose_start(problem.m, problem.p, problem.complete)
     return _tuple_new(Plan, (problem, x0, _DIRECT, label))
 
 

@@ -346,22 +346,30 @@ def ln_beta(a: float, b: float) -> float:
     """
     check_shape("ln_beta", a)
     check_shape("ln_beta", b)
+    return _beta_constants(a, b)[0]
+
+
+def _beta_constants(a: float,
+                    b: float) -> tuple[float, Optional[tuple[float, float, float, float]]]:
+    """(ln B(a, b), the constants of ``_beta_exponent``'s shifted form) for checked shapes.
+
+    The constants are ((1/2) log(ab/(2 pi s)), S(s), S(a), S(b)), s = a + b,
+    for a, b >= 16, else None.  S(s) and S(max(a, b)) serve both ln B and
+    the constants, so each is computed once.
+    """
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < _STIRLING_MIN:
-        return _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b)
+        return _ln_gamma(a) + _ln_gamma(b) - _ln_gamma(a + b), None
     s = hi + lo
+    s_s = _stirling_remainder(s)
+    s_hi = _stirling_remainder(hi)
     # ln Gamma(s) - ln Gamma(hi), both arguments >= 16.
-    diff = ((hi - 0.5) * math.log1p(lo / hi) + lo * math.log(s) - lo
-            + _stirling_remainder(s) - _stirling_remainder(hi))
-    return _ln_gamma(lo) - diff
-
-
-def _beta_stirling(a: float, b: float) -> tuple[float, float, float, float]:
-    """The constants of ``_beta_exponent``'s shifted form for a, b >= 16:
-    ((1/2) log(ab/(2 pi s)), S(s), S(a), S(b)), s = a + b."""
-    s = a + b
-    return (0.5 * math.log(a * b / (2.0 * math.pi * s)), _stirling_remainder(s),
-            _stirling_remainder(a), _stirling_remainder(b))
+    ln_b = _ln_gamma(lo) - ((hi - 0.5) * math.log1p(lo / hi) + lo * math.log(s) - lo + s_s - s_hi)
+    if lo < _STIRLING_MIN:
+        return ln_b, None
+    s_lo = _stirling_remainder(lo)
+    s_a, s_b = (s_hi, s_lo) if a >= b else (s_lo, s_hi)
+    return ln_b, (0.5 * math.log(a * b / (2.0 * math.pi * s)), s_s, s_a, s_b)
 
 
 def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float,
@@ -374,12 +382,12 @@ def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float,
         a log1p(t/a) + b log1p(-t/b) + (1/2) log(ab/(2 pi s)) + dS,
     t = x b - y a, s = a + b, dS = S(s) - S(a) - S(b), keeps the absolute
     error near eps * |t| instead of eps * |ln B|; a caller that evaluates
-    at one (a, b) many times passes its constants, ``_beta_stirling(a, b)``.
+    at one (a, b) many times passes its constants, ``_beta_constants(a, b)[1]``.
     """
     if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
         t = x * b - y * a
         if t > -0.9 * a and -t > -0.9 * b:
-            half_log, s_s, s_a, s_b = stirling or _beta_stirling(a, b)
+            half_log, s_s, s_a, s_b = stirling or _beta_constants(a, b)[1]
             return (a * math.log1p(t / a) + b * math.log1p(-t / b)
                     + half_log + s_s - s_a - s_b)
     if x <= y:

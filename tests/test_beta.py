@@ -311,29 +311,43 @@ def test_snm_beats_halley_for_shapes_above_one():
 
 
 def test_logit_path_fields_and_flags():
-    # Both shapes <= 1: the logit path from the heuristic start on the side
-    # of x = 1/2 that holds the root.
-    heur = invert_beta(BetaQuantileQuery(0.3, 0.6, 0.4))
-    assert (heur.variable, heur.start) == (Variable.LOGIT, "lower-bound")
-    assert heur.root < 0.5
-    heur = invert_beta(BetaQuantileQuery(0.3, 0.7, 0.9))
-    assert (heur.variable, heur.start) == (Variable.LOGIT, "upper-bound")
-    assert heur.root > 0.5
+    # Both shapes <= 1: the logit path from a start on the side of x = 1/2
+    # that holds the root: the series where a power bound within its reach
+    # names that side, else the bound, or the kernel's I_(1/2), decides.
+    for query, start, below in ((BetaQuantileQuery(0.3, 0.6, 0.4), "series", True),
+                                (BetaQuantileQuery(0.3, 0.7, 0.9), "series", False),
+                                (BetaQuantileQuery(0.5, 0.5, 0.45), "lower-bound", True),
+                                (BetaQuantileQuery(0.5, 0.5, 0.55), "upper-bound", False),
+                                (BetaQuantileQuery(0.3, 0.7, 0.6), "lower-bound", True)):
+        heur = invert_beta(query)
+        assert (heur.variable, heur.start) == (Variable.LOGIT, start), query
+        assert (heur.root < 0.5) == below, query
+        plan = beta_plan(query)
+        assert (plan.to_x(plan.x0) < 0.5) == below, query
 
 
 def test_logit_omega_monotone_between_start_and_root():
     # The convergence hypothesis of the logit path for a <= 1 <= b: Omega
-    # is non-increasing in z on the whole segment from the start to the root.
+    # is non-increasing in z on the whole segment from the start to the
+    # root.  The bound starts lie below the root; the series, where it
+    # reaches, may land on either side.
+    bound_starts = 0
     for a, b in itertools.product((0.05, 0.3, 0.5, 1.0), (1.5, 3.0, 30.0)):
-        for p in P_GRID:
+        for p in P_GRID + (0.9, 0.95):
             plan = beta_plan(BetaQuantileQuery(a, b, p))
-            assert (plan.variable, plan.start) == (Variable.LOGIT, "lower-bound")
+            assert plan.variable == Variable.LOGIT
+            assert plan.start in ("lower-bound", "series"), (a, b, p, plan.start)
             report = invert_beta(BetaQuantileQuery(a, b, p))
             assert report.converged, (a, b, p)
-            lo, hi = sorted((plan.x0, plan.from_x(report.root)))
+            z = plan.from_x(report.root)
+            if plan.start == "lower-bound":
+                bound_starts += 1
+                assert plan.x0 <= z, (a, b, p)
+            lo, hi = sorted((plan.x0, z))
             vals = [beta_omega_logit(a, b, lo + (hi - lo) * k / 16) for k in range(17)]
             # To rounding: for a = 1 the start is the root itself.
             assert all(v1 >= v2 - 4e-16 * abs(v2) for v1, v2 in zip(vals, vals[1:])), (a, b, p)
+    assert bound_starts >= 36, bound_starts
 
 
 @pytest.mark.parametrize("a, b, p, root", [
@@ -359,18 +373,27 @@ def test_tiny_shapes_end_in_root_underflow(a, b, p, root):
 
 
 def test_side_rules():
-    # a <= 1 <= b: Omega decreases in z, so the start lies below the root,
-    # in either tail; a >= 1 >= b: Omega increases, the start lies above it.
+    # a <= 1 <= b: Omega decreases in z, so the bound start lies below the
+    # root, in either tail; a >= 1 >= b: Omega increases, it lies above it.
     for query, start in ((BetaQuantileQuery(0.5, 3.0, 0.8), "lower-bound"),
-                         (BetaQuantileQuery(0.5, 3.0, 1e-9), "lower-bound"),
+                         (BetaQuantileQuery(0.5, 30.0, 0.99), "lower-bound"),
+                         (BetaQuantileQuery(0.9, 30.0, 0.4), "lower-bound"),
+                         (BetaQuantileQuery(1.0, 2.0, 0.7), "lower-bound"),
                          (BetaQuantileQuery(3.0, 0.5, 0.2), "upper-bound"),
-                         (BetaQuantileQuery(3.0, 0.5, 1.0 - 1e-9), "upper-bound"),
-                         (BetaQuantileQuery(1.0, 1.0, 0.3), "lower-bound"),
+                         (BetaQuantileQuery(30.0, 0.5, 0.01), "upper-bound"),
+                         (BetaQuantileQuery(30.0, 0.9, 0.6), "upper-bound"),
                          (BetaQuantileQuery(2.0, 1.0, 0.3), "upper-bound")):
         plan = beta_plan(query)
         assert (plan.variable, plan.start) == (Variable.LOGIT, start), query
         z = solve(plan.problem, plan.x0).root
         assert (plan.x0 <= z) if start == "lower-bound" else (plan.x0 >= z), query
+    # Deep in the near tail, and for a = b = 1, the power bound is within
+    # the series' reach, which starts from the bound moved toward the root.
+    for query in (BetaQuantileQuery(0.5, 3.0, 1e-9), BetaQuantileQuery(3.0, 0.5, 1.0 - 1e-9),
+                  BetaQuantileQuery(1.0, 1.0, 0.3)):
+        plan = beta_plan(query)
+        assert (plan.variable, plan.start) == (Variable.LOGIT, "series"), query
+        assert solve(plan.problem, plan.x0).evaluations == 1, query
     # Both shapes > 1 solve in z too, from the asymptotic start, in either tail.
     for p in (0.4, 0.6):
         plan = beta_plan(BetaQuantileQuery(2.0, 3.0, p))
@@ -441,10 +464,12 @@ def test_subnormal_band_starts_solve_in_one_step(a, b, p):
     plan = beta_plan(BetaQuantileQuery(a, b, p))
     assert plan.variable is Variable.LOGIT and 708.0 < abs(plan.x0) < 745.0
     report = invert_beta(BetaQuantileQuery(a, b, p))
-    # The deep tail's Omega is constant, so the one step is exact and the
-    # predicted stop applies it without the evaluation that would count it.
-    assert (report.reason, report.iterations, report.evaluations) == (
-        StopReason.PREDICTED, 0, 1)
+    # The deep tail's Omega is constant, so from a bound the one step is
+    # exact and the predicted stop applies it without the evaluation that
+    # would count it.  The series start, formed in z and not from the
+    # subnormal x, is the root to within the residual stop.
+    reason = StopReason.RESIDUAL_TOL if plan.start == "series" else StopReason.PREDICTED
+    assert (report.reason, report.iterations, report.evaluations) == (reason, 0, 1)
     # Each root is subnormal and flagged, or its mirror: 1, not flagged.
     if plan.x0 > 0.0:
         assert report.root == 1.0 and not report.root_underflow
@@ -539,7 +564,7 @@ def test_root_rounding_to_one_is_not_flagged():
     # 1e-16 relative.  The solve holds 1 - x = sigma(-z) exactly.
     query = BetaQuantileQuery(5.0, 0.1, 0.99)
     report = invert_beta(query)
-    assert report.converged and report.start == "upper-bound"
+    assert report.converged and report.start == "series"
     assert report.root == 1.0 and not report.root_underflow
     plan = beta_plan(query)
     y = _sigmoid(-solve(plan.problem, plan.x0).root)
@@ -772,6 +797,55 @@ def test_a_tail_given_alone_meets_the_contract(a, b, tail, upper):
         assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
 
 
+@pytest.mark.parametrize("p, q", [(1e-300, None), (1e-300, 1.0 - 2.0 ** -53), (1e-100, None)])
+def test_a_deep_tail_with_a_far_below_b_ends_at_the_series_start(p, q):
+    # A&S, clamped by the raised power bound, took 7, 7 and 4 evaluations
+    # here; the power bound is within the series' reach, so the series
+    # start takes one.
+    query = BetaQuantileQuery(30.0, 1e4, p, q)
+    report = invert_beta(query)
+    assert report.converged, report.reason
+    assert (report.start, report.evaluations) == ("series", 1)
+    exact = beta_bisection_root(*query)
+    assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
+
+
+def test_the_upper_tail_given_alone_stays_past_the_series_reach():
+    # y_q = 0.958 > 1/2: the series does not reach it, and the clamped A&S
+    # start still takes 4 evaluations.
+    query = BetaQuantileQuery(30.0, 1e4, 1.0, 1e-100)
+    report = invert_beta(query)
+    assert report.converged, report.reason
+    assert report.start == "asymptotic" and report.evaluations <= 4, report
+    exact = beta_bisection_root(*query)
+    assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
+
+
+def test_series_starts_meet_the_contract_mostly_in_one_evaluation():
+    # Shapes log-uniform in [0.05, 200], the smaller tail log-uniform in
+    # [1e-15, 1/2] on a random side: every solve from a series start meets
+    # the contract, or reports a root below the smallest normal double with
+    # ``root_underflow``, and nine in ten end at their first evaluation.
+    rng = random.Random("beta-series-start")
+    series = single = 0
+    for _ in range(600):
+        a, b = log_uniform(rng, 0.05, 200.0), log_uniform(rng, 0.05, 200.0)
+        tail = log_uniform(rng, 1e-15, 0.5)
+        p, q = (tail, 1.0 - tail) if rng.random() < 0.5 else (1.0 - tail, tail)
+        query = BetaQuantileQuery(a, b, p, q)
+        report = invert_beta(query)
+        if report.start != "series":
+            continue
+        series += 1
+        single += report.evaluations == 1
+        assert report.converged, (query, report.reason)
+        if report.root_underflow:
+            continue
+        exact = beta_bisection_root(a, b, p, q)
+        assert abs(report.root - exact) <= 1e-12 * exact, (query, report.root, exact)
+    assert series >= 300 and single >= 0.9 * series, (series, single)
+
+
 @pytest.mark.parametrize("a, b", [(3.0, 1.5), (1.5, 3.0), (200.0, 1.5), (2.0, 5.0), (5.0, 2.0)])
 @pytest.mark.parametrize("q", [1e-100, 1e-300])
 def test_deep_upper_tail_starts_in_z(a, b, q):
@@ -869,7 +943,11 @@ def test_the_bracket_s_side_agrees_with_the_kernel_s():
         below = query.p <= 0.5 and log_x_p <= math.log(0.5)
         above = query.q <= 0.5 and log_y_q <= math.log(0.5)
         start = beta_plan(query).start
-        assert start == ("upper-bound" if _half_is_below_the_root(query) else "lower-bound")
+        if start == "series":  # only from a bound that names the half
+            assert (query.p > 0.5) == _half_is_below_the_root(query), query
+            assert below or above, query
+        else:
+            assert start == ("upper-bound" if _half_is_below_the_root(query) else "lower-bound")
         if below or above:
             decided += 1
             assert above == _half_is_below_the_root(query), query

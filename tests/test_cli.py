@@ -84,7 +84,7 @@ def test_json_reports_a_root_of_one_unflagged(capsys):
     payload = json.loads(out)
     assert code == 0
     assert (payload["root"], payload["start"], payload["root_underflow"]) \
-        == (1.0, "upper-bound", False)
+        == (1.0, "series", False)
 
 
 def test_trace_row_count_matches_iterations(capsys):

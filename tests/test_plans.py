@@ -3,6 +3,7 @@ per-query constants are computed once per query, each query runs the
 plan's one solve, and the asymptotic starts are close enough that the
 solves need no fallback."""
 
+import collections
 import functools
 import json
 import math
@@ -317,6 +318,7 @@ BETA_CASES = (
     (BetaQuantileQuery(2.0, 3.0, 0.7), {}),
     (BetaQuantileQuery(40.0, 20.0, 0.4), {}),
     (BetaQuantileQuery(0.5, 3.0, 0.2), {}),
+    (BetaQuantileQuery(0.5, 3.0, 0.8), {}),
     (BetaQuantileQuery(3.0, 0.5, 0.2), {}),
     (BetaQuantileQuery(0.3, 0.6, 0.4), {}),
     (BetaQuantileQuery(0.3, 0.6, 0.95), {}),
@@ -327,7 +329,7 @@ BETA_CASES = (
     (NEWTON_ONE_SIDED[0], {"opts": NEWTON_OPTIONS}),
     # Capped below the one iteration each takes (the predicted stop applies
     # its second step uncounted), so they end MaxIter.
-    (BetaQuantileQuery(0.5, 3.0, 0.2),
+    (BetaQuantileQuery(0.5, 0.5, 0.45),
      {"opts": SolveOptions(max_iter=1)}),
     (BetaQuantileQuery(2.0, 3.0, 0.7),
      {"opts": SolveOptions(max_iter=1)}),
@@ -353,25 +355,27 @@ def test_gamma_query_computes_ln_gamma_at_most_twice(monkeypatch):
 
 
 def test_beta_query_computes_ln_beta_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "ln_beta")
+    # ln B and the Stirling constants come from one pass, and nothing calls
+    # the public ln_beta.
+    calls = _count_calls(monkeypatch, "_beta_constants")
+    public = _count_calls(monkeypatch, "ln_beta")
     starts = set()
     for query, kwargs in BETA_CASES:
-        calls[0] = 0
+        calls[0] = public[0] = 0
         starts.add(invert_beta(query, **kwargs).start)
-        assert calls[0] == 1, (query, kwargs, calls[0])
-    assert starts == {"asymptotic", "lower-bound", "upper-bound"}
+        assert (calls[0], public[0]) == (1, 0), (query, kwargs, calls[0], public[0])
+    assert starts == {"asymptotic", "series", "lower-bound", "upper-bound"}
 
 
 def test_solvers_do_not_recheck_the_query_s_shapes(monkeypatch):
-    # The query checks its shapes; ln Gamma is then taken unchecked, so a
-    # gamma solve checks none again and a beta solve only in ln_beta.
+    # The query checks its shapes; ln Gamma and ln B are then taken
+    # unchecked, so no solve checks them again.
     calls = _count_calls(monkeypatch, "check_shape", snm.core)
-    for (invert, cases), most in (((invert_gamma, GAMMA_CASES), 0),
-                                  ((invert_beta, BETA_CASES), 2)):
+    for invert, cases in ((invert_gamma, GAMMA_CASES), (invert_beta, BETA_CASES)):
         for query, kwargs in cases:
             calls[0] = 0
             invert(query, **kwargs)
-            assert calls[0] <= most, (query, calls[0])
+            assert calls[0] == 0, (query, calls[0])
 
 
 def test_elliptic_query_computes_complete_integral_once(monkeypatch):
@@ -527,14 +531,19 @@ def _assert_quick_direct_solve(plan, report, query):
 def test_direct_starts_need_few_evaluations_and_no_fallback():
     # Seeded fuzz over the classes that once solved in x (gamma a >= 1,
     # beta a, b > 1), now in log and logit x: the bound-clamped asymptotic
-    # starts converge in at most 3 steps across both tails.
+    # starts, and the series starts deep enough in a tail, converge in at
+    # most 3 steps across both tails.
     rng = random.Random(5)
     for _ in range(1000):
         query = GammaQuantileQuery(log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
         _assert_quick_direct_solve(gamma_start(query), invert_gamma(query), query)
+    starts = collections.Counter()
     for _ in range(1000):
         query = BetaQuantileQuery(log_uniform(rng, 1.0, 1e4),
                                   log_uniform(rng, 1.0, 1e4), *_tail_pair(rng))
         plan = beta_plan(query)
-        assert (plan.variable, plan.start) == (Variable.LOGIT, "asymptotic"), query
+        assert plan.variable == Variable.LOGIT, query
+        assert plan.start in ("asymptotic", "series"), (query, plan.start)
+        starts[plan.start] += 1
         _assert_quick_direct_solve(plan, invert_beta(query), query)
+    assert min(starts.values()) >= 200, starts

@@ -33,7 +33,7 @@ from snm.core import DEEP_TAIL_Z
 from conftest import log_uniform
 
 # CHANGES.md records each re-recording.
-DIGEST = "70ae91d283838e4577f0873474f7590bf5649f9661f827a0770afd5c5b321b93"
+DIGEST = "5af01a4164cae6ffca3ef4d08e21202692ddef8467acf86fd5f64f3fba871eb3"
 
 
 def _probability(rng):
@@ -109,6 +109,8 @@ def _branch(query, report):
             return "beta logit deep tail"
         if beta_plan(query).x0 > -DEEP_TAIL_Z:
             return "beta logit upper deep tail"
+        if report.start == "series":
+            return f"beta series {'lower' if query.p <= 0.5 else 'upper'}"
         if query.a > 1.0:
             shapes = "a>1>=b"
         elif query.b > 1.0:
@@ -125,6 +127,7 @@ def test_every_plan_branch_is_reached():
         "gamma log asymptotic", "gamma log lower-bound", "gamma log deep tail",
         "gamma log underflow", "gamma log upper-bound", "gamma log series",
         "beta asymptotic lower", "beta asymptotic upper",
+        "beta series lower", "beta series upper",
         "beta logit a>1>=b upper-bound", "beta logit a<=1<b lower-bound",
         "beta logit a,b<=1 upper-bound", "beta logit a,b<=1 lower-bound",
         "beta logit deep tail", "beta logit upper deep tail",

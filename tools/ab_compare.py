@@ -22,10 +22,11 @@ Per round it prints, for BASE, HEAD and the change: ``us_per_query``,
 each solver's µs per query (control queries included, as in
 ``bench/run.py``) and its evaluations per query, how many roots (by
 their bits) and evaluation counts of the two trees agree, and each
-tree's evaluations per query by solver and start label.  With
-``--rounds`` above 1 it ends with each metric's per-round changes and
-BASE's quartiles across the rounds.  It reads the bench directory and
-writes nothing there (no bytecode is cached).
+tree's evaluations and µs per query by solver and start label, each
+tree's queries under its own labels, so a start change shows which class
+paid or gained.  With ``--rounds`` above 1 it ends with each metric's
+per-round changes and BASE's quartiles across the rounds.  It reads the
+bench directory and writes nothing there (no bytecode is cached).
 
 ``--setup`` times ``setup_s`` instead: ``bench/run.py``'s ``SETUP_CODE``
 (a fresh ``python -I`` imports the tree's ``snm`` and calls each solver
@@ -173,19 +174,23 @@ def metrics(queries: list, us: list[float], outcomes: list[tuple], solvers) -> d
     return out
 
 
-def report_starts(queries: list, outcomes: list[list[tuple]]) -> None:
-    """Evaluations per query per solver and start label, for each tree."""
-    counts: dict[tuple[str, str], list[list[int]]] = {}
+def report_starts(queries: list, us: list[list[float]], outcomes: list[list[tuple]]) -> None:
+    """Evaluations and µs per query per solver and start label, for each tree."""
+    cells: dict[tuple[str, str], list[list[float]]] = {}
     for t, tree in enumerate(outcomes):
-        for q, (_, evals, start) in zip(queries, tree):
+        for q, u, (_, evals, start) in zip(queries, us[t], tree):
             if evals is not None:
-                cell = counts.setdefault((q.solver, start), [[0, 0], [0, 0]])[t]
+                cell = cells.setdefault((q.solver, start), [[0, 0, 0.0], [0, 0, 0.0]])[t]
                 cell[0] += 1
                 cell[1] += evals
-    print(f"  {'evaluations per query by start':32s} {'base':>14s} {'head':>14s}")
-    for (solver, start), cells in sorted(counts.items()):
-        text = [f"{e / n:.3f} ({n})" if n else "-" for n, e in cells]
-        print(f"  {solver + ' ' + (start or '-'):32s} {text[0]:>14s} {text[1]:>14s}")
+                cell[2] += u
+    print(f"  {'by start: evaluations, µs':32s} {'base':>14s} {'head':>14s} "
+          f"{'base µs':>8s} {'head µs':>8s}")
+    for (solver, start), pair in sorted(cells.items()):
+        evals = [f"{e / n:.3f} ({n})" if n else "-" for n, e, _ in pair]
+        times = [f"{u / n:.2f}" if n else "-" for n, _, u in pair]
+        print(f"  {solver + ' ' + (start or '-'):32s} {evals[0]:>14s} {evals[1]:>14s} "
+              f"{times[0]:>8s} {times[1]:>8s}")
 
 
 def main(argv=None) -> int:
@@ -248,7 +253,7 @@ def main(argv=None) -> int:
                 a, b = m[0][name], m[1][name]
                 history.setdefault(name, []).append((a, b))
                 print(f"  {name:32s} {a:10.4g} {b:10.4g} {100.0 * (b / a - 1.0):+7.1f}%")
-            report_starts(sets[0], outcomes)
+            report_starts(sets[0], us, outcomes)
         if args.rounds > 1:
             print("per-round change (%) and base quartiles across rounds:")
             for name, pairs in history.items():

@@ -22,7 +22,12 @@ predicted stop of ``core.solve``); on the ``tails`` sets of seeds 1, 2, 3
 and 7, 1.006-1.016, where the arcsin guess for every m > 0.95 took
 1.210-1.264.
 The residual is strictly increasing on [0, pi/2], so its root is unique
-and any converged solve has found it: each query runs one solve.  The
+and any converged solve has found it: each query runs one solve.  For
+m > 0.95 and p > 1/2 (the class the complementary start serves, and the
+arcsin guess beyond its model) the residual is formed as
+(1 - p) E(1, m) - C(pi/2 - x), C the integral from x to pi/2, which does
+not cancel as m and p near 1, where E(sin x, m) - p E(1, m) did; the
+solver variable stays x.  The
 report's ``start`` names the start used ("low", "high", "arcsin-guess" or
 "complementary"), or "closed-form" for m = 0 and m = 1.
 """
@@ -47,7 +52,7 @@ from .core import (
     _tuple_new,
     solve,
 )
-from .special import _ellip_e, ellip_e_complete
+from .special import _carlson_fd, _ellip_c, ellip_e_complete
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
@@ -205,37 +210,72 @@ def _start_complementary(m: float, p: float, complete: float) -> Optional[float]
     return _HALF_PI - math.asin(s)
 
 
+# Above this modulus, and for p > 1/2, the residual is formed from the
+# integral C from x to pi/2: the class that ``_choose_start`` starts from
+# the complementary side.
+_COMPLEMENT_M_MIN = 0.95
+
+
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m),
-    so the stop is relative to the target: an absolute one would accept
-    x ~ p E(1, m) unrefined once the target itself is below the floor
-    (m near 1, small p).  It holds the query's fields as ``m`` and ``p``,
-    read once.
+    For m <= 0.95 or p <= 1/2, f is formed so, and ``residual_tol`` is
+    RESIDUAL_NOISE_FLOOR times the target p E(1, m): the stop is relative
+    to the target, as an absolute one would accept x ~ p E(1, m) unrefined
+    once the target itself is below the floor (m near 1, small p).  For
+    m > 0.95 and p > 1/2, f is formed as (1 - p) E(1, m) - C(pi/2 - x),
+    with C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du (``_ellip_c``),
+    f' = sqrt(w) from w = k'^2 + m^2 cos^2 x, and ``residual_tol`` is
+    RESIDUAL_NOISE_FLOOR times (1 - p) E(1, m).  It is the same function:
+    E(sin x, m) - p E(1, m) would subtract two values near E(1, m) as m
+    and p near 1, and 1 - m^2 sin^2 x would cancel too, so its stop
+    accepted roots up to 1.7e-9 off there (ROADMAP item 9); C and this w
+    do not cancel.
+    It holds the query's fields as ``m`` and ``p``, read once, and k'^2 =
+    (1 - m)(1 + m) and (1 - p) E(1, m) as ``kprime2`` and ``rest`` (None
+    where f is formed from E).
     """
 
     def __init__(self, query: EllipticQuery) -> None:
         self.m = m = query.m
         self.p = p = query.p
-        self.complete = _checked_complete(m)
-        self.target = p * self.complete
-        self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
+        self.complete = complete = _checked_complete(m)
+        self.target = p * complete
+        # Both branches set the same attributes in the same order, so every
+        # instance keeps the class's shared-key layout.
+        if m > _COMPLEMENT_M_MIN and p > 0.5:
+            self.kprime2 = (1.0 - m) * (1.0 + m)
+            self.rest = (1.0 - p) * complete
+            self.residual_tol = RESIDUAL_NOISE_FLOOR * self.rest
+        else:
+            self.kprime2 = self.rest = None
+            self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         if not 0.0 <= x <= _HALF_PI:
             raise ValueError(f"EllipticProblem requires x in [0, pi/2], got {x}")
         m = self.m
+        m2 = m * m
         s = math.sin(x)
         c = math.cos(x)
         c2 = c * c
-        w = 1.0 - (m * s) * (m * s)
-        return ProblemEvaluation.build(x, _ellip_e(m, s, c2, w) - self.target, math.sqrt(w),
-                                       m * m * s * c / w, _ellip_omega(m, c2, w))
+        kprime2 = self.kprime2
+        if kprime2 is None:
+            w = 1.0 - (m * s) * (m * s)
+            rf, rd = _carlson_fd(c2, w)  # E(sin x, m) as ellip_e_inc forms it
+            f = s * rf - (m2 / 3.0) * (s * s * s) * rd - self.target
+        else:
+            w = kprime2 + (m * c) * (m * c)
+            f = self.rest - _ellip_c(m, kprime2, c, s * s)
+        return ProblemEvaluation.build(x, f, math.sqrt(w), m2 * s * c / w,
+                                       _ellip_omega(m, c2, w))
 
     def omega(self, x: float) -> float:
         m, s, c = self.m, math.sin(x), math.cos(x)
-        return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
+        kprime2 = self.kprime2
+        if kprime2 is None:
+            return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
+        return _ellip_omega(m, c * c, kprime2 + (m * c) * (m * c))
 
     def scale(self, x: float) -> float:
         """The distance to the nearer end of [0, pi/2]."""
@@ -267,7 +307,7 @@ def choose_start(query: EllipticQuery,
 
 def _choose_start(m: float, p: float, complete: float) -> tuple[float, str]:
     """``choose_start`` from the fields already read and E(1, m)."""
-    if m > 0.95:
+    if m > _COMPLEMENT_M_MIN:
         if p > 0.5 and m < 1.0:
             x0 = _start_complementary(m, p, complete)
             if x0 is not None:

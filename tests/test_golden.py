@@ -77,6 +77,10 @@ CASES = {
         lambda: invert_ellip_e(EllipticQuery(0.97, 0.3)),
     "elliptic low m=0.81 p=0.7":
         lambda: invert_ellip_e(EllipticQuery(0.81, 0.7)),
+    "elliptic complementary m=0.99999 p=0.99":
+        lambda: invert_ellip_e(EllipticQuery(0.99999, 0.99)),
+    "elliptic arcsin m=0.97 p=0.6":
+        lambda: invert_ellip_e(EllipticQuery(0.97, 0.6)),
     "elliptic closed m=0 p=0.4":
         lambda: invert_ellip_e(EllipticQuery(0.0, 0.4)),
     "elliptic closed m=1 p=0.4":
@@ -137,6 +141,10 @@ GOLDEN = {
         (Variable.DIRECT, "arcsin-guess", False)),
     "elliptic low m=0.81 p=0.7": ('0x1.f55eb027e5ba6p-1', 1, "Predicted",
         (Variable.DIRECT, "low", False)),
+    "elliptic complementary m=0.99999 p=0.99": ('0x1.6df90d9072274p+0', 0, "Predicted",
+        (Variable.DIRECT, "complementary", False)),
+    "elliptic arcsin m=0.97 p=0.6": ('0x1.6249bd1e33665p-1', 1, "Predicted",
+        (Variable.DIRECT, "arcsin-guess", False)),
     "elliptic closed m=0 p=0.4": ('0x1.41b2f769cf0e0p-1', 0, "ResidualTol",
         (Variable.DIRECT, "closed-form", False)),
     "elliptic closed m=1 p=0.4": ('0x1.a564ac0e73a34p-2', 0, "ResidualTol",

@@ -39,6 +39,7 @@ from snm.core import (
 from snm.elliptic import (
     EllipticProblem,
     EllipticQuery,
+    _ellip_omega,
     ellip_omega,
     elliptic_plan,
     invert_ellip_e,
@@ -55,6 +56,7 @@ from snm.gamma import (
 )
 from snm.special import (
     _beta_exponent,
+    _ellip_c,
     _gamma_prefactor,
     _ln_gamma_1p,
     _reg_beta,
@@ -238,38 +240,55 @@ def test_direct_f_prime_against_mpmath_at_large_shapes():
 
 
 def test_elliptic_evaluate_matches_public_kernels():
+    # For m > 0.95 and p > 1/2 (here m = 0.999, p = 0.9) the residual is
+    # (1 - p) E(1, m) - C(pi/2 - x), from w = k'^2 + m^2 cos^2 x; C is
+    # checked against the public Carlson integrals in test_special.
     for m in (0.01, 0.3, 0.5, 0.8, 0.9, 0.999):
         for p in (0.1, 0.5, 0.9):
             problem = EllipticProblem(EllipticQuery(m, p))
             for x in (0.0, 0.1, 0.5, 0.8, 1.2, 1.5, math.pi / 2):
                 s, c = math.sin(x), math.cos(x)
-                w = 1.0 - (m * s) * (m * s)
-                _assert_matches(problem, x, ellip_e_inc(x, m) - p * ellip_e_complete(m),
-                                math.sqrt(w), m * m * s * c / w, ellip_omega(m, x))
+                if m > 0.95 and p > 0.5:
+                    g2 = (1.0 - m) * (1.0 + m)
+                    w = g2 + (m * c) * (m * c)
+                    f = (1.0 - p) * ellip_e_complete(m) - _ellip_c(m, g2, c, s * s)
+                    omega = _ellip_omega(m, c * c, w)
+                else:
+                    w = 1.0 - (m * s) * (m * s)
+                    f = ellip_e_inc(x, m) - p * ellip_e_complete(m)
+                    omega = ellip_omega(m, x)
+                _assert_matches(problem, x, f, math.sqrt(w), m * m * s * c / w, omega)
+                assert problem.omega(x) == omega, (m, p, x)
             with pytest.raises(ValueError):
                 problem.evaluate(math.pi / 2 + 1e-9)
 
 
 def _count_calls(monkeypatch, name, owner=snm.special):
-    """Count the outermost calls of <owner>.<name> through any snm alias."""
-    original = getattr(owner, name)
+    """Count the outermost calls of <owner>.<name> through any snm alias;
+    ``name`` may be a tuple of names, whose calls share one count, so a
+    call of one inside another is not counted."""
     calls = [0]
     depth = [0]
 
-    @functools.wraps(original)
-    def counted(*args):
-        calls[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return original(*args)
-        finally:
-            depth[0] -= 1
+    def wrap(original):
+        @functools.wraps(original)
+        def counted(*args):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+        return counted
 
-    for key, module in list(sys.modules.items()):
-        if key == "snm" or key.startswith("snm."):
-            for alias, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, alias, counted)
+    for one in (name,) if isinstance(name, str) else name:
+        original = getattr(owner, one)
+        counted = wrap(original)
+        for key, module in list(sys.modules.items()):
+            if key == "snm" or key.startswith("snm."):
+                for alias, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, alias, counted)
     return calls
 
 
@@ -338,6 +357,7 @@ ELLIPTIC_CASES = (
     (EllipticQuery(0.5, 0.3), {}),
     (EllipticQuery(0.5, 0.9), {}),
     (EllipticQuery(0.97, 0.6), {}),
+    (EllipticQuery(0.99999, 0.99), {}),  # the complementary start; C by its series
     (EllipticQuery(0.8356946940637837, 0.6632687675887856), {}),
     # (0.5, 0.3) converges in 0 iterations, so no cap binds it; this query
     # takes one.
@@ -387,9 +407,11 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
 
 
 def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
-    # E(1, m) comes from the AGM, so the only duplications are the solve's
-    # own evaluations of E(sin x, m).
-    calls = _count_calls(monkeypatch, "_ellip_e")
+    # E(1, m) comes from the AGM or the k' series, so the only kernel runs
+    # are the solve's own evaluations: each one duplication pass for
+    # E(sin x, m), or for m > 0.95 and p > 1/2 one C(pi/2 - x), by its
+    # series or by that pass.
+    calls = _count_calls(monkeypatch, ("_carlson_fd", "_ellip_c"))
     evaluations = 0
     for query, kwargs in ELLIPTIC_CASES:
         calls[0] = 0

@@ -11,9 +11,11 @@ from snm.special import (
     _RD_Q_SCALE,
     _RF_Q_SCALE,
     KernelError,
+    _ELLIP_C_SERIES_MAX,
     _beta_exponent,
     _LN_4,
-    _ellip_e,
+    _carlson_fd,
+    _ellip_c,
     _ln_gamma_1p,
     _reg_beta,
     bisect_root,
@@ -477,11 +479,11 @@ def test_fused_ellip_e_matches_the_carlson_reference_bit_for_bit():
         s, c2, w = _kernel_arguments(m, phi)
         reference = (s * carlson_rf(c2, w, 1.0)
                      - (m * m / 3.0) * (s * s * s) * carlson_rd(c2, w, 1.0))
-        assert _ellip_e(m, s, c2, w) == reference, (m, phi)
+        assert ellip_e_inc(phi, m) == reference, (m, phi)
 
 
 def test_rf_never_stops_after_rd_on_elliptic_arguments():
-    # _ellip_e evaluates R_F's series inside the loop that R_D's test ends.
+    # _carlson_fd evaluates R_F's series inside the loop that R_D's test ends.
     orders = set()
     for m, phi in _fused_kernel_grid():
         _, c2, w = _kernel_arguments(m, phi)
@@ -489,6 +491,83 @@ def test_rf_never_stops_after_rd_on_elliptic_arguments():
         assert stop_f <= stop_d, (m, phi)
         orders.add(stop_f < stop_d)
     assert orders == {True, False}
+
+
+def _complement_arguments(m, psi):
+    """(c2, y) at which ``_ellip_c`` runs the duplication: cos^2 psi and
+    1 + (m sin psi / k')^2, which exceeds 1."""
+    g2 = (1.0 - m) * (1.0 + m)
+    s = math.sin(psi)
+    return math.cos(psi) ** 2, 1.0 + (m * s / math.sqrt(g2)) ** 2
+
+
+def test_shared_duplication_matches_the_carlson_reference_on_complement_arguments():
+    for m, psi in _fused_kernel_grid():
+        c2, y = _complement_arguments(m, psi)
+        assert _carlson_fd(c2, y) == (carlson_rf(c2, y, 1.0), carlson_rd(c2, y, 1.0)), (m, psi)
+
+
+def test_rf_never_stops_after_rd_on_complement_arguments():
+    for m, psi in _fused_kernel_grid():
+        stop_f, stop_d = _stop_steps(*_complement_arguments(m, psi), 1.0)
+        assert stop_f <= stop_d, (m, psi)
+
+
+def _carlson_complement(m, s, c2):
+    """C(psi) in the Carlson form that ``snm.cli.elliptic_bisection_root``
+    bisects: k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2))."""
+    g2 = (1.0 - m) * (1.0 + m)
+    w = g2 + m * m * s * s
+    return g2 * (s * carlson_rf(g2 * c2, w, g2)
+                 + m * m / 3.0 * s ** 3 * carlson_rd(g2 * c2, w, g2))
+
+
+def _series_grid(n):
+    """(m, s) with 4 k'/m <= s = sin psi <= 0.4, where ``_ellip_c`` sums its
+    series: 1 - m = 10^U[-15, -2.31] (k'/m <= 0.1), s log-uniform, seeded."""
+    rng = random.Random("ellip-c-series")
+    out = []
+    for _ in range(n):
+        m = 1.0 - 10.0 ** rng.uniform(-15.0, -2.31)
+        b = math.sqrt((1.0 - m) * (1.0 + m)) / m
+        out.append((m, math.exp(rng.uniform(math.log(4.0 * b), math.log(_ELLIP_C_SERIES_MAX)))))
+    return out
+
+
+def test_complement_series_matches_the_carlson_form():
+    # Worst 4.0 eps over these 400 points.
+    for m, s in _series_grid(400):
+        c2 = (1.0 - s) * (1.0 + s)
+        got = _ellip_c(m, (1.0 - m) * (1.0 + m), s, c2)
+        assert got == pytest.approx(_carlson_complement(m, s, c2), rel=8 * 2.0 ** -52, abs=0.0), (m, s)
+
+
+def test_complement_series_against_mpmath():
+    # C = E(1, m) - E(pi/2 - psi, m) at 50 digits; the worst is 2.5 eps (5.6e-16).
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for m, s in _series_grid(120):
+            got = _ellip_c(m, (1.0 - m) * (1.0 + m), s, (1.0 - s) * (1.0 + s))
+            m2 = mpmath.mpf(m) ** 2
+            ref = mpmath.ellipe(m2) - mpmath.ellipe(mpmath.pi / 2 - mpmath.asin(s), m2)
+            worst = max(worst, float(abs(got / ref - 1)))
+    assert worst <= 1e-15, worst
+
+
+def test_complement_branches_agree_across_their_switches():
+    # One ulp of s moves C by about two ulps; the series is taken from
+    # s = 4 k'/m up to s = 0.4 and the duplication on either side.
+    rng = random.Random("ellip-c-switch")
+    for _ in range(400):
+        m = 1.0 - 10.0 ** rng.uniform(-15.0, -2.31)
+        g2 = (1.0 - m) * (1.0 + m)
+        edge = 4.0 * (math.sqrt(g2) / m)
+        for series, duplication in ((edge, math.nextafter(edge, 0.0)),
+                                    (_ELLIP_C_SERIES_MAX, math.nextafter(_ELLIP_C_SERIES_MAX, 1.0))):
+            a = _ellip_c(m, g2, series, (1.0 - series) * (1.0 + series))
+            b = _ellip_c(m, g2, duplication, (1.0 - duplication) * (1.0 + duplication))
+            assert abs(a - b) <= 8 * 2.0 ** -52 * a, (m, series)
 
 
 def test_ellip_e_inc_limits():

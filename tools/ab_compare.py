@@ -34,7 +34,12 @@ once) for BASE and HEAD in 25 interleaved pairs of fresh interpreters
 (more than the bench's 21 samples), the order alternating from pair to
 pair.  One unrecorded run per tree first caches its bytecode, as
 a bench run's first sample does.  It prints each tree's quartiles and
-median, the change of the medians, and in how many pairs HEAD was faster.
+median, the change of the medians, the median of the per-pair HEAD/BASE
+ratios, and in how many pairs HEAD was faster.  The samples drift and
+cluster with the machine's state (5.5-9.5 ms in one run), so a tree's
+median can land in either cluster; the two runs of a pair, taken back to
+back, mostly see the same state, so the median pair ratio is the steadier
+estimate of the change.
 """
 
 from __future__ import annotations
@@ -112,15 +117,18 @@ def setup_pairs(roots: list[Path], code: str) -> list[list[float]]:
 
 
 def report_setup(times: list[list[float]]) -> None:
-    """Each tree's quartiles (ms), the change of the medians and the pairs HEAD won."""
+    """Each tree's quartiles (ms), the change of the medians, the median
+    per-pair ratio and the pairs HEAD won."""
     print(f"  {'tree':6s} {'q1 ms':>8s} {'median':>8s} {'q3 ms':>8s}")
     medians = []
     for name, samples in zip(TREES, times):
         q1, q2, q3 = statistics.quantiles(samples, n=4)
         medians.append(q2)
         print(f"  {name:6s} {1e3 * q1:8.2f} {1e3 * q2:8.2f} {1e3 * q3:8.2f}")
+    ratio = statistics.median(h / b for b, h in zip(*times))
     faster = sum(h < b for b, h in zip(*times))
     print(f"  median change {100.0 * (medians[1] / medians[0] - 1.0):+.1f}%, "
+          f"median pair ratio {100.0 * (ratio - 1.0):+.1f}%, "
           f"head faster in {faster}/{len(times[0])} pairs")
 
 

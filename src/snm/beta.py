@@ -58,8 +58,6 @@ _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _LOG_X_MAX = math.log1p(-2.0 ** -53)
 _LOG_HALF = math.log(0.5)
 _LN_EPS = math.log(MACHINE_EPSILON)
-# min(a, 1) / (a + b) above this keeps the deep tail at DEEP_TAIL_Z.
-_DEEP_TAIL_RATIO = math.exp(DEEP_TAIL_Z - _LN_EPS)
 
 
 class BetaQuantileQuery(_Checked, namedtuple("BetaQuantileQuery", "a b p q")):
@@ -175,9 +173,9 @@ class _BetaProblem(Problem):
     x (I below the switch, J above it) counts as 0: where the inverted
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
     is ln B(a, b), and ``stirling`` for a, b >= 16 the constants of the
-    kernel exponent's Stirling form.  The deep-tail bounds in z serve the
-    logit evaluation.  It holds the query's fields as ``a``, ``b``, ``p``
-    and ``q``, read once.
+    kernel exponent's Stirling form; with them ``stirling_z``, the largest
+    |z| at which the logit evaluation takes that form.  It holds the
+    query's fields as ``a``, ``b``, ``p`` and ``q``, read once.
     """
 
     def __init__(self, query: BetaQuantileQuery) -> None:
@@ -187,12 +185,8 @@ class _BetaProblem(Problem):
         self.ln_b, self.stirling = _beta_constants(a, b)
         self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
-        floor = _DEEP_TAIL_RATIO * s
-        if a >= floor and b >= floor and floor <= 1.0:  # as _deep_tail_z decides
-            self.deep_tail_z, self.deep_tail_top = DEEP_TAIL_Z, -DEEP_TAIL_Z
-        else:
-            self.deep_tail_z = _deep_tail_z(a, s)
-            self.deep_tail_top = -_deep_tail_z(b, s)
+        if self.stirling:
+            self.stirling_z = max(-DEEP_TAIL_Z, math.log(s) - _LN_EPS)
 
     def _residual(self, x: float, i: float, j: float) -> float:
         p = self.p
@@ -225,48 +219,29 @@ class BetaDirectProblem(_BetaProblem):
         return _UNIT_INTERVAL
 
 
-def _deep_tail_z(a: float, s: float) -> float:
-    """The z below which I_x is e^(az) / (a B), s = a + b: DEEP_TAIL_Z, or
-    ln(eps min(a, 1) / s) where the dropped terms, ~s e^z, need it lower."""
-    t = min(a, 1.0)
-    if t >= _DEEP_TAIL_RATIO * s:
-        return DEEP_TAIL_Z
-    return _LN_EPS + math.log(t) - math.log(s)
-
-
 class BetaLogitProblem(_BetaProblem):
     """Same residual in z = log(x/(1-x)); B and Omega transformed.
 
     x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
     so neither tail is formed by subtraction; f' is the kernel's prefactor,
     from z, or for a, b >= 16 from Stirling's shifted exponent, whose error
-    is not ~eps (a + b).  Deep tails use z alone.
+    is not ~eps (a + b), up to |z| = ``stirling_z`` = max(-DEEP_TAIL_Z,
+    ln((a + b)/eps)).  Every z runs the kernel: where (a + b) e^-|z| is
+    below eps it returns the leading power term e^(az) / (a B(a, b)), or
+    its mirror e^(-bz) / (b B(a, b)), and B_z and Omega tend to -a and
+    -a^2/4 (b and -b^2/4), even where x or y is subnormal or 0.
     """
 
     def evaluate(self, z: float) -> ProblemEvaluation:
         a, b, ln_b = self.a, self.b, self.ln_b
-        if z < self.deep_tail_z:
-            # Deep lower tail: I_x = e^(az) / (a B(a,b)) from z, as x may be
-            # subnormal; the dropped terms are ~(a+b) e^z relative to f and
-            # f' (over a for B_z = -a).
-            fp = math.exp(a * z - ln_b)
-            i = fp / a
-            return ProblemEvaluation.build(
-                z, self._residual(0.0, i, 1.0 - i), fp, -a, -0.25 * a * a)
-        if z > self.deep_tail_top:
-            # Its mirror: 1 - I_x = e^(-bz) / (b B(a,b)), B_z = b.
-            fp = math.exp(-b * z - ln_b)
-            j = fp / b
-            return ProblemEvaluation.build(
-                z, self._residual(1.0, 1.0 - j, j), fp, b, -0.25 * b * b)
         # Chain rule with dx/dz = x y: f_z' = x^a y^b / B(a,b), B_z = b x - a y;
         # t = e^-|z|: log x = -log1p(t) + min(z, 0), log y = -log1p(t) - max(z, 0).
         t = math.exp(-abs(z))
         d = 1.0 + t
         x, y = (1.0 / d, t / d) if z >= 0.0 else (t / d, 1.0 / d)
         # f_z' is the kernel's prefactor x^a y^b / B, and formed from z it
-        # keeps its precision where x or y is subnormal.
-        if self.stirling:
+        # keeps its precision where x or y is subnormal or 0.
+        if self.stirling and abs(z) <= self.stirling_z:
             fp = math.exp(_beta_exponent(a, b, x, y, ln_b, self.stirling))
         else:
             fp = math.exp((a * z if z < 0.0 else -b * z) - (a + b) * math.log1p(t) - ln_b)
@@ -275,16 +250,11 @@ class BetaLogitProblem(_BetaProblem):
             z, self._residual(x, i, j), fp, b * x - a * y, _beta_omega_logit_x(a, b, x, y))
 
     def omega(self, z: float) -> float:
-        a, b = self.a, self.b
-        if z < self.deep_tail_z:
-            return -0.25 * a * a
-        if z > self.deep_tail_top:
-            return -0.25 * b * b
         # x and y as ``evaluate`` forms them, so the Omegas agree bit for bit.
         t = math.exp(-abs(z))
         d = 1.0 + t
         x, y = (1.0 / d, t / d) if z >= 0.0 else (t / d, 1.0 / d)
-        return _beta_omega_logit_x(a, b, x, y)
+        return _beta_omega_logit_x(self.a, self.b, x, y)
 
     def scale(self, z: float) -> float:
         """1: a step of dz moves x and 1 - x by a relative dz at most."""

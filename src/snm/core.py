@@ -41,8 +41,9 @@ MACHINE_EPSILON = sys.float_info.epsilon
 # The smallest normal double; below it a double keeps fewer significant bits.
 MIN_NORMAL = sys.float_info.min
 
-# Below this z the log and logit residuals are their leading power term, and
-# above -DEEP_TAIL_Z the logit one's mirror (beta: a + b below ~1e274).
+# Below this z the gamma log residual is its leading power term; the beta
+# logit one runs its kernel at every z, with Stirling's prefactor for
+# |z| <= max(-DEEP_TAIL_Z, ln((a+b)/eps)).
 DEEP_TAIL_Z = -667.0
 
 # |lam * u^2| below this uses the odd power series in gtan/gatan; keeps

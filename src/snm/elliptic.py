@@ -285,8 +285,7 @@ class EllipticProblem(Problem):
         return _AMPLITUDE_RANGE
 
 
-def choose_start(query: EllipticQuery,
-                 complete: Optional[float] = None) -> tuple[float, str]:
+def choose_start(query: EllipticQuery) -> tuple[float, str]:
     """Starting value and its label per the selection heuristics.
 
     For m > 0.95 and p > 1/2, the complementary start
@@ -298,11 +297,10 @@ def choose_start(query: EllipticQuery,
     the degenerate relation E(sin x, 1) = sin x.  For m <= 0.95 the low
     start wins when it is below the high start and p < 0.8, since Omega
     varies slowly near 0, and where the high start is not positive (for p
-    < 0.8).  ``complete`` is E(1, m), computed here unless the caller has
-    it.
+    < 0.8).
     """
     m = query.m
-    return _choose_start(m, query.p, ellip_e_complete(m) if complete is None else complete)
+    return _choose_start(m, query.p, ellip_e_complete(m))
 
 
 def _choose_start(m: float, p: float, complete: float) -> tuple[float, str]:

@@ -151,7 +151,7 @@ class GammaDirectProblem(_GammaProblem):
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         a = self.a
-        scale, fp = _gamma_prefactor(a, x, self.ln_gamma_a)
+        scale, fp = _gamma_prefactor(a, x, self.ln_gamma_a, self.stirling)
         return ProblemEvaluation.build(
             x, self._residual(x, scale), fp, gamma_b(a, x), gamma_omega(a, x))
 

@@ -300,9 +300,11 @@ def _reg_gamma(a: float, x: float, scale: float,
     return 1.0 - q, q
 
 
-def _gamma_prefactor(a: float, x: float, ln_gamma_a: float) -> tuple[float, float]:
-    """(x^a e^-x / Gamma(a), d/dx P = that over x or 0 on underflow) for x > 0."""
-    arg = _gamma_exponent(a, x, ln_gamma_a)
+def _gamma_prefactor(a: float, x: float, ln_gamma_a: float,
+                     stirling: Optional[tuple[float, float]] = None) -> tuple[float, float]:
+    """(x^a e^-x / Gamma(a), d/dx P = that over x or 0 on underflow) for x > 0;
+    ``stirling`` as for ``_gamma_exponent``."""
+    arg = _gamma_exponent(a, x, ln_gamma_a, stirling)
     scale = math.exp(arg)
     return scale, 0.0 if arg < -745.0 else scale / x
 

@@ -27,6 +27,7 @@ from snm.core import (
     MIN_NORMAL,
     Interval,
     Method,
+    SnmError,
     SolveOptions,
     StopReason,
     Variable,
@@ -493,17 +494,22 @@ def test_subnormal_band_roots_match_mpmath(a, b, p):
         assert abs((z - exact) / exact) <= 2e-15
 
 
+def _power_term_switch(a, b):
+    """The z below which the logit problem once evaluated only I_x's leading
+    power term: DEEP_TAIL_Z, lower where the dropped terms, ~(a+b) e^z, need it."""
+    return min(DEEP_TAIL_Z, math.log(2.0 ** -52) + math.log(min(a, 1.0)) - math.log(a + b))
+
+
 @pytest.mark.parametrize("a, b", [(1e-4, 0.5), (1e-3, 3.0), (1e-2, 1e3), (0.3, 2.0),
                                   (0.5, 1e285), (1e-3, 1e280)])
 def test_deep_tail_matches_the_kernel_at_the_switch(a, b):
-    # Just below the switch the power term and the kernel at x = sigma(z)
-    # agree: f where I_x is not swamped by p, f' and B_z for every shape.
-    # The switch is DEEP_TAIL_Z, lower where a + b is huge.
+    # Just below the old power-term switch the logit evaluation and the
+    # kernel at x = sigma(z) agree: f where I_x is not swamped by p, f' and
+    # B_z for every shape.
     p = 1e-15
     problem = BetaLogitProblem(BetaQuantileQuery(a, b, p))
     ln_b = problem.ln_b
-    top = problem.deep_tail_z
-    assert top == DEEP_TAIL_Z if b < 1e270 else -708.0 < top < DEEP_TAIL_Z - 10.0
+    top = _power_term_switch(a, b)
     for z in (-700.0, top - 6.5, top - 1.25, top - 2.0 ** -40):
         e = problem.evaluate(z)
         x = _sigmoid(z)
@@ -513,6 +519,41 @@ def test_deep_tail_matches_the_kernel_at_the_switch(a, b):
         assert e.big_b == pytest.approx((a + b) * x - a, rel=1e-15, abs=0.0)
         if kernel_i > 1e-9:
             assert e.f == pytest.approx(kernel_i - p, rel=1e-15, abs=0.0), (z, e.f)
+
+
+DEEP_SHAPES = [(1e-4, 0.5), (1e-3, 1e280), (0.5, 1e285), (20.0, 30.0)]
+
+
+@pytest.mark.parametrize("a, b", DEEP_SHAPES + [(b, a) for a, b in DEEP_SHAPES])
+@pytest.mark.parametrize("p", [1e-15, 0.7])
+def test_deep_tails_evaluate_to_the_power_term_bit_for_bit(a, b, p):
+    # Well past the old power-term switch (below it, or above its mirror)
+    # the kernel at x = sigma(z), with its prefactor from z, returns the
+    # leading power term exactly: f' = e^(az) / B(a, b), I = f' / a,
+    # B_z = -a and Omega = -a^2/4, or the mirror in b and 1 - I.  Where f'
+    # underflows the evaluation raises (KernelError first where a shape's
+    # square overflows the fraction).  Nearer the switch where a + b is
+    # huge, B_z and Omega keep terms of ~(a+b) e^z that the power term drops.
+    problem = BetaLogitProblem(BetaQuantileQuery(a, b, p))
+    ln_b = problem.ln_b
+    lo, hi = _power_term_switch(a, b), -_power_term_switch(b, a)
+    for z in (lo - 30.0, lo - 300.0, -1e5, hi + 30.0, hi + 300.0, 1e5):
+        if z < 0.0:
+            fp = math.exp(a * z - ln_b)
+            i = fp / a
+            j, big_b, omega = 1.0 - i, -a, -0.25 * a * a
+        else:
+            fp = math.exp(-b * z - ln_b)
+            j = fp / b
+            i, big_b, omega = 1.0 - j, b, -0.25 * b * b
+        assert problem.omega(z) == omega, z
+        if fp == 0.0:
+            with pytest.raises(SnmError):
+                problem.evaluate(z)
+            continue
+        e = problem.evaluate(z)
+        f = i - p if p <= 0.5 else problem.q - j
+        assert (e.f, e.fp, e.big_b, e.omega) == (f, fp, big_b, omega), z
 
 
 def _mp_logit_root(a, b, p, z):
@@ -532,8 +573,8 @@ def _mp_logit_root(a, b, p, z):
         return z
 
 
-# a + b above ~1e274: the power term drops terms of about (a+b) e^z, so the
-# deep tail starts below DEEP_TAIL_Z.  (1e300, 0.5, 0.5) is the mirror of
+# a + b above ~1e274: the terms the leading power term drops, about
+# (a+b) e^z, still count below DEEP_TAIL_Z.  (1e300, 0.5, 0.5) is the mirror of
 # (0.5, 1e300, 0.5): its root 1 - 2.3e-301 rounds to 1.
 HUGE_SHAPES = [
     (0.5, 1e300, 0.5), (1e300, 0.5, 0.5), (0.5, 1e280, 0.3), (0.1, 1e300, 0.2),

@@ -539,12 +539,13 @@ def _assert_quick_direct_solve(plan, report, query):
     assert working.converged, query
     assert not any(r.fallback_used for r in working.trace), query
     assert working.evaluations <= 4, (query, working.evaluations)
-    # Round trip in the inverted tail, at the working root (the
-    # problem's own residual, which reads q - (1 - I) for p > 1/2): 1e-13,
-    # plus the residual change across 1e-15 + a step tolerance, the width
-    # of the solver's former absolute step stop (the relative one places
-    # the root at least that closely).  Beta roots near x = 1 with a >> b
-    # need it: there |f'| reaches ~1e3.
+    # Round trip in the inverted tail, at the working root z (log x or
+    # logit x; the problem's own residual, which reads q - (1 - I) for
+    # p > 1/2): 1e-13, plus f' (1e-15 + STEP_REL_TOL z).  z is signed,
+    # negative for roots below x = 1 (gamma) or 1/2 (beta), so there the
+    # slack is below 1e-15 f' and can be negative, a check stricter than
+    # 1e-13.  Beta roots near x = 1 with a >> b (z > 0) need the slack:
+    # there |f'| reaches ~1e3.
     e = plan.problem.evaluate(working.root)
     step_tol = 1e-15 + STEP_REL_TOL * working.root
     assert abs(e.f) <= 1e-13 + e.fp * step_tol, (query, e.f)

@@ -30,6 +30,7 @@ from snm import (
 )
 from snm.beta import BetaDirectProblem, BetaLogitProblem
 from snm.core import (
+    DEEP_TAIL_Z,
     STEP_REL_TOL,
     FunctionProblem,
     Problem,
@@ -53,13 +54,12 @@ def _hook_points():
     """(problem, points in its variable), the deep tails of both included."""
     logit = BetaLogitProblem(BetaQuantileQuery(0.5, 3.0, 0.2))
     upper = BetaLogitProblem(BetaQuantileQuery(4.0, 0.3, 0.9))
-    assert upper.deep_tail_top < 700.0
     return [
         (GammaDirectProblem(GammaQuantileQuery(2.5, 0.3)), (1e-100, 1e-3, 0.7, 3.5, 40.0, 200.0)),
         (GammaDirectProblem(GammaQuantileQuery(1.0, 0.3)), (1e-200, 0.5, 2.0)),
         (GammaLogProblem(GammaQuantileQuery(0.3, 0.2)), (-800.0, -30.0, -1.0, 0.0, 2.5, 6.0)),
         (BetaDirectProblem(BetaQuantileQuery(2.0, 3.0, 0.3)), (1e-100, 1e-5, 0.3, 0.5, 0.99999)),
-        (logit, (logit.deep_tail_z - 1.0, -40.0, -2.0, 0.0, 3.0, 40.0, 200.0)),
+        (logit, (DEEP_TAIL_Z - 1.0, -40.0, -2.0, 0.0, 3.0, 40.0, 200.0)),
         (upper, (-100.0, -1.0, 1.0, 700.0)),
         (EllipticProblem(EllipticQuery(0.5, 0.3)), (0.0, 0.3, 1.0, math.pi / 2)),
         (EllipticProblem(EllipticQuery(0.999, 0.9)), (0.01, 1.2, 1.55)),

@@ -21,7 +21,8 @@ Per round it prints, for BASE, HEAD and the change: ``us_per_query``,
 ``query_us_p50`` and ``query_us_p99`` over the workload's main queries,
 each solver's µs per query (control queries included, as in
 ``bench/run.py``) and its evaluations per query, how many roots (by
-their bits) and evaluation counts of the two trees agree, and each
+their bits), evaluation counts and traces (the bits of every record's
+iterate and step) of the two trees agree, and each
 tree's evaluations and µs per query by solver and start label, each
 tree's queries under its own labels, so a start change shows which class
 paid or gained.  With ``--rounds`` above 1 it ends with each metric's
@@ -133,10 +134,12 @@ def report_setup(times: list[list[float]]) -> None:
 
 
 def _outcome(out) -> tuple:
-    """(root bits, evaluations, start label) of a report, or the exception's type name."""
+    """(root bits, evaluations, start label, the bits of each trace record's x
+    and step) of a report, or the exception's type name."""
     if isinstance(out, Exception):
-        return (type(out).__name__, None, None)
-    return (out.root.hex(), out.evaluations, out.start)
+        return (type(out).__name__, None, None, None)
+    return (out.root.hex(), out.evaluations, out.start,
+            tuple((r.x.hex(), r.step.hex()) for r in out.trace))
 
 
 def time_round(sets: list[list], passes: int) -> tuple[list[list[float]], list[list[tuple]]]:
@@ -186,7 +189,7 @@ def report_starts(queries: list, us: list[list[float]], outcomes: list[list[tupl
     """Evaluations and µs per query per solver and start label, for each tree."""
     cells: dict[tuple[str, str], list[list[float]]] = {}
     for t, tree in enumerate(outcomes):
-        for q, u, (_, evals, start) in zip(queries, us[t], tree):
+        for q, u, (_, evals, start, _) in zip(queries, us[t], tree):
             if evals is not None:
                 cell = cells.setdefault((q.solver, start), [[0, 0, 0.0], [0, 0, 0.0]])[t]
                 cell[0] += 1
@@ -254,8 +257,10 @@ def main(argv=None) -> int:
             m = [metrics(sets[t], us[t], outcomes[t], solvers) for t in range(2)]
             same_root = sum(a[0] == b[0] for a, b in zip(*outcomes))
             same_evals = sum(a[1] == b[1] for a, b in zip(*outcomes))
+            same_trace = sum(a[3] == b[3] for a, b in zip(*outcomes))
             print(f"round {r + 1}: roots identical {same_root}/{len(keep)}, "
-                  f"evaluations identical {same_evals}/{len(keep)}")
+                  f"evaluations identical {same_evals}/{len(keep)}, "
+                  f"traces identical {same_trace}/{len(keep)}")
             print(f"  {'metric':32s} {'base':>10s} {'head':>10s} {'change':>8s}")
             for name in m[0]:
                 a, b = m[0][name], m[1][name]

@@ -18,11 +18,10 @@ clamped between the bounds.  Otherwise it lies on the side of the root
 that the paper's convergence theorem names for Omega's monotonicity:
 below it for a <= 1 <= b (Omega decreasing), above it for a >= 1 >= b
 (Omega increasing), from the closer bound.  For a, b < 1 the bounds swap
-sides, x_q <= root <= x_p, and name the half of (0, 1) that holds the
-root unless 1/2 lies between them; only then is I_(1/2) computed.  The
-report's ``variable`` is LOGIT and its ``start`` "series",
-"asymptotic", "lower-bound" or "upper-bound".  ``BetaDirectProblem`` is
-the paper's problem in x, which no plan uses.
+sides, x_q <= root <= x_p, and the start is 1/2 clamped into them.  The
+report's ``variable`` is LOGIT and its ``start`` "series", "asymptotic",
+"lower-bound", "upper-bound" or "bracket".  ``BetaDirectProblem`` is the
+paper's problem in x, which no plan uses.
 """
 
 from __future__ import annotations
@@ -382,10 +381,8 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
       larger (``"lower-bound"``); for a >= 1 >= b Omega increases, both lie
       above it and the start is the smaller (``"upper-bound"``).
     - Both shapes < 1: (1 - t)^(b-1) >= 1 and t^(a-1) >= 1 reverse both
-      bounds, x_q <= root <= x_p.  x_p <= 1/2 (from p <= 1/2) puts the root
-      below 1/2, x_q >= 1/2 (from q <= 1/2) above it; else one kernel call,
-      I_(1/2) >= p, decides.  The start stays in that half: x_p capped at
-      1/2 below it, else x_q capped at 1/2 from above.
+      bounds, x_q <= root <= x_p, and the start is 1/2 clamped into that
+      bracket (``"bracket"``), which needs no kernel evaluation.
 
     The problem holds ln B(a, b); y_q is formed only where x_p does not
     start the series.
@@ -416,14 +413,10 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
     if b <= 1.0 <= a:
         z_p = _logit_of(log_x_p) if p <= 0.5 and log_x_p < 0.0 else math.inf
         return _tuple_new(Plan, (problem, min(z_p, -_logit_of(log_y_q)), _LOGIT, "upper-bound"))
-    # Both shapes < 1: x_q <= root <= x_p; I_(1/2) only where 1/2 is between.
-    below = p <= 0.5 and log_x_p <= _LOG_HALF
-    if not below and not (q <= 0.5 and log_y_q <= _LOG_HALF):
-        below = _reg_beta(0.5, 0.5, a, b, math.exp(_beta_exponent(a, b, 0.5, 0.5, ln_b)))[0] >= p
-    if below:
-        return _tuple_new(Plan, (problem, _logit_of(min(log_x_p, _LOG_HALF)), _LOGIT,
-                                 "lower-bound"))
-    return _tuple_new(Plan, (problem, -_logit_of(min(log_y_q, _LOG_HALF)), _LOGIT, "upper-bound"))
+    # Both shapes < 1: x_q <= root <= x_p; the start is 1/2 clamped into them.
+    z_q = -_logit_of(log_y_q) if log_y_q < 0.0 else -math.inf
+    return _tuple_new(Plan, (problem, max(z_q, _logit_of(min(log_x_p, _LOG_HALF))), _LOGIT,
+                             "bracket"))
 
 
 def invert_beta(query: BetaQuantileQuery,

@@ -39,6 +39,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .core import (
+    MIN_NORMAL,
     RESIDUAL_NOISE_FLOOR,
     Interval,
     Plan,
@@ -157,12 +158,17 @@ def _checked_complete(m: float) -> float:
 
 def _start_low(m: float, p: float, complete: float) -> float:
     """ellip_start_low given complete = E(1, m); m, p unchecked.  Its arctanh
-    argument is below 0.833 for m, p < 1, as E(1, m) <= (pi/2)(1 - m^2/4)."""
+    argument is below 0.833 for m, p < 1, as E(1, m) <= (pi/2)(1 - m^2/4).
+    Below ``MIN_NORMAL`` (sqrt(2)/m may overflow) both starts are the root p E(1, m)."""
+    if m < MIN_NORMAL:
+        return p * complete
     return math.sqrt(2.0) / m * math.atanh(m * p * complete / math.sqrt(2.0))
 
 
 def _start_high(m: float, p: float, complete: float) -> float:
     """ellip_start_high given complete = E(1, m); m, p unchecked."""
+    if m < MIN_NORMAL:  # as in _start_low
+        return p * complete
     w = 1.0 - m * m
     t = m * complete * (1.0 - p) / (math.sqrt(2.0) * w)
     return _HALF_PI - math.sqrt(2.0 * w) / m * math.atan(t)

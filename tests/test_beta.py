@@ -20,11 +20,13 @@ from snm.beta import (
     beta_xm_coefficients,
     invert_beta,
     _logit,
+    _logit_of,
     _sigmoid,
 )
 from snm.core import (
     DEEP_TAIL_Z,
     MIN_NORMAL,
+    RESIDUAL_NOISE_FLOOR,
     Interval,
     Method,
     SnmError,
@@ -312,14 +314,15 @@ def test_snm_beats_halley_for_shapes_above_one():
 
 
 def test_logit_path_fields_and_flags():
-    # Both shapes <= 1: the logit path from a start on the side of x = 1/2
-    # that holds the root: the series where a power bound within its reach
-    # names that side, else the bound, or the kernel's I_(1/2), decides.
+    # Both shapes <= 1: the logit path from the series where a power bound
+    # within its reach names the half of (0, 1) that holds the root, else
+    # from 1/2 clamped into the bounds' bracket [x_q, x_p]; in these three
+    # the bound names the half, so the start lies in it.
     for query, start, below in ((BetaQuantileQuery(0.3, 0.6, 0.4), "series", True),
                                 (BetaQuantileQuery(0.3, 0.7, 0.9), "series", False),
-                                (BetaQuantileQuery(0.5, 0.5, 0.45), "lower-bound", True),
-                                (BetaQuantileQuery(0.5, 0.5, 0.55), "upper-bound", False),
-                                (BetaQuantileQuery(0.3, 0.7, 0.6), "lower-bound", True)):
+                                (BetaQuantileQuery(0.5, 0.5, 0.45), "bracket", True),
+                                (BetaQuantileQuery(0.5, 0.5, 0.55), "bracket", False),
+                                (BetaQuantileQuery(0.3, 0.7, 0.6), "bracket", True)):
         heur = invert_beta(query)
         assert (heur.variable, heur.start) == (Variable.LOGIT, start), query
         assert (heur.root < 0.5) == below, query
@@ -957,11 +960,17 @@ def _power_bounds(query):
     return ((math.log(p) + math.log(a) + ln_b) / a, (math.log(q) + math.log(b) + ln_b) / b)
 
 
+def _kernel_residual(query, log_x, log_y):
+    """I_x - p (q - (1 - I_x) for p > 1/2) by the kernel, at x = e^log_x, 1 - x = e^log_y."""
+    a, b = query.a, query.b
+    x, y = math.exp(log_x), math.exp(log_y)
+    i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))
+    return i - query.p if query.p <= 0.5 else query.q - j
+
+
 def _half_is_below_the_root(query):
     """The kernel's side: I_(1/2) < p."""
-    a, b = query.a, query.b
-    scale = math.exp(_beta_exponent(a, b, 0.5, 0.5, ln_beta(a, b)))
-    return _reg_beta(0.5, 0.5, a, b, scale)[0] < query.p
+    return _kernel_residual(query, math.log(0.5), math.log(0.5)) < 0.0
 
 
 def test_both_below_one_roots_lie_in_the_power_bracket():
@@ -978,17 +987,27 @@ def test_both_below_one_roots_lie_in_the_power_bracket():
 
 
 def test_the_bracket_s_side_agrees_with_the_kernel_s():
+    # The kernel's residual changes sign across [x_q, x_p], to within the
+    # residual stop where a bound is tight, so 1/2 clamped into it is a
+    # start whichever half holds the root.
     decided = 0
     for query in _both_below_one_queries():
         log_x_p, log_y_q = _power_bounds(query)
         below = query.p <= 0.5 and log_x_p <= math.log(0.5)
         above = query.q <= 0.5 and log_y_q <= math.log(0.5)
-        start = beta_plan(query).start
-        if start == "series":  # only from a bound that names the half
+        tol = RESIDUAL_NOISE_FLOOR * min(query.p, query.q)
+        if log_y_q < 0.0:
+            assert _kernel_residual(query, math.log1p(-math.exp(log_y_q)), log_y_q) <= tol, query
+        if log_x_p < 0.0:
+            assert _kernel_residual(query, log_x_p, math.log1p(-math.exp(log_x_p))) >= -tol, query
+        plan = beta_plan(query)
+        if plan.start == "series":  # only from a bound that names the half
             assert (query.p > 0.5) == _half_is_below_the_root(query), query
             assert below or above, query
         else:
-            assert start == ("upper-bound" if _half_is_below_the_root(query) else "lower-bound")
+            z_q = -_logit_of(log_y_q) if log_y_q < 0.0 else -math.inf
+            z_p = _logit_of(log_x_p) if log_x_p < 0.0 else math.inf
+            assert (plan.start, plan.x0) == ("bracket", max(z_q, min(z_p, 0.0))), query
         if below or above:
             decided += 1
             assert above == _half_is_below_the_root(query), query
@@ -1009,6 +1028,6 @@ def test_a_tail_at_most_1e_minus_6_plans_without_the_kernel(monkeypatch):
             beta_plan(query)
             planned += 1
     assert planned > 50 and calls[0] == 0, (planned, calls[0])
-    # Between the bounds the kernel decides, through the patched name.
-    beta_plan(BetaQuantileQuery(0.5, 0.5, 0.48))
-    assert calls[0] == 1
+    # Nor where 1/2 lies between the bounds: the start is 1/2 itself.
+    assert beta_plan(BetaQuantileQuery(0.5, 0.5, 0.48)).x0 == 0.0
+    assert calls[0] == 0

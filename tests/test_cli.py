@@ -203,6 +203,9 @@ EXIT_STATUS = [
     # the low start is taken; the oracle's root is 2.6e-137.
     ("invert elliptic --m 7.083934405581968e-10 --p 1.644471410137576e-137", 0),
     ("compare elliptic --m 7.083934405581968e-10 --p 1.644471410137576e-137 --oracle", 0),
+    # A subnormal modulus, where sqrt(2)/m overflows: both starts are p E(1, m).
+    ("invert elliptic --m 1e-310 --p 0.3", 0),
+    ("compare elliptic --m 1e-310 --p 0.3", 0),
     # Usage errors: a missing or out-of-range flag, an unknown problem.
     ("invert gamma --a 2", 2),
     ("invert beta --a 2 --p 0.5", 2),

@@ -191,6 +191,19 @@ def test_closed_form_reports_flag_a_subnormal_root(m, p):
     assert report.root_underflow is (p < MIN_NORMAL) is (report.root < MIN_NORMAL)
 
 
+@pytest.mark.parametrize("m", [5e-324, 1e-320, 1e-310, 5e-309])
+def test_a_subnormal_modulus_inverts_to_the_linear_root(m):
+    # Below MIN_NORMAL sqrt(2)/m may overflow and the integrand is 1 in
+    # double arithmetic: both starts are their limit m -> 0, p E(1, m).
+    for p in (1e-300, 1e-6, 0.3, 0.9, 1.0 - 1e-6):
+        report = invert_ellip_e(EllipticQuery(m, p))
+        root = p * math.pi / 2
+        assert report.converged, (m, p)
+        assert abs(report.root - root) <= 2.0 * math.ulp(root), (m, p, report.root)
+        for start in (ellip_start_low(m, p), ellip_start_high(m, p)):
+            assert 0.0 < start <= math.pi / 2, (m, p, start)
+
+
 def test_invert_known_value():
     report = invert_ellip_e(EllipticQuery(0.5, 0.5))
     assert report.converged

@@ -130,9 +130,9 @@ GOLDEN = {
     "beta heuristic flipped 0.3,0.7 p=0.9": ('0x1.b549b8b247cc2p-1', 0, "Predicted",
         (Variable.LOGIT, "series", False)),
     "beta heuristic 0.5,0.5 p=0.45": ('0x1.afe7d2615eb26p-2', 1, "Predicted",
-        (Variable.LOGIT, "lower-bound", False)),
+        (Variable.LOGIT, "bracket", False)),
     "beta heuristic 0.5,0.5 p=0.55": ('0x1.280c16cf50a70p-1', 1, "Predicted",
-        (Variable.LOGIT, "upper-bound", False)),
+        (Variable.LOGIT, "bracket", False)),
     "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e3p-2', 0, "Predicted",
         (Variable.DIRECT, "low", False)),
     "elliptic high m=0.5 p=0.9": ('0x1.66d045d309310p+0', 0, "Predicted",

@@ -345,6 +345,10 @@ BETA_CASES = (
     (BetaQuantileQuery(0.0017745513613895013, 385.5803019308725, 0.2763487602690605), {}),
     (BetaQuantileQuery(5.0, 0.1, 0.99), {}),
     (BetaQuantileQuery(1e17, 1.5, 0.3), {}),
+    # Both shapes < 1 with 1/2 between the power bounds: the start is z = 0,
+    # with the root below it and above it.
+    (BetaQuantileQuery(0.5, 0.5, 0.48), {}),
+    (BetaQuantileQuery(0.5, 0.5, 0.52), {}),
     (NEWTON_ONE_SIDED[0], {"opts": NEWTON_OPTIONS}),
     # Capped below the one iteration each takes (the predicted stop applies
     # its second step uncounted), so they end MaxIter.
@@ -384,7 +388,7 @@ def test_beta_query_computes_ln_beta_once(monkeypatch):
         calls[0] = public[0] = 0
         starts.add(invert_beta(query, **kwargs).start)
         assert (calls[0], public[0]) == (1, 0), (query, kwargs, calls[0], public[0])
-    assert starts == {"asymptotic", "series", "lower-bound", "upper-bound"}
+    assert starts == {"asymptotic", "series", "lower-bound", "upper-bound", "bracket"}
 
 
 def test_solvers_do_not_recheck_the_query_s_shapes(monkeypatch):
@@ -421,6 +425,44 @@ def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
         assert calls[0] == report.evaluations, (query, kwargs, calls[0])
         evaluations += report.evaluations
     assert evaluations > 0
+
+
+def _both_below_one_queries(n=240):
+    """Seeded a, b < 1 queries: central tails, and tails down to 1e-300,
+    each taken as p or as q."""
+    rng = random.Random("both-below-one")
+    queries = []
+    for k in range(n):
+        a, b = 10.0 ** rng.uniform(-6.0, -1e-9), 10.0 ** rng.uniform(-6.0, -1e-9)
+        t = rng.uniform(1e-3, 0.5) if k % 2 else 10.0 ** rng.uniform(-300.0, -3.0)
+        queries.append(BetaQuantileQuery(a, b, t) if k % 4 < 2
+                       else BetaQuantileQuery(a, b, 1.0 - t, t))
+    return queries
+
+
+def test_every_kernel_evaluation_is_a_counted_evaluation(monkeypatch):
+    # No plan runs a kernel, so each kernel run of an invert_* call is one
+    # of its report's evaluations.  Gamma's deep-tail branch (z below
+    # DEEP_TAIL_Z) evaluates the power term without its kernel, so a
+    # solve there may run fewer.
+    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_carlson_fd", "_ellip_c"))
+    cases = ([(invert_gamma, gamma_start, query, kwargs) for query, kwargs in GAMMA_CASES]
+             + [(invert_beta, beta_plan, query, kwargs) for query, kwargs in BETA_CASES]
+             + [(invert_beta, beta_plan, query, {}) for query in _both_below_one_queries()]
+             + [(invert_ellip_e, elliptic_plan, query, kwargs)
+                for query, kwargs in ELLIPTIC_CASES])
+    deep = 0
+    for invert, make_plan, query, kwargs in cases:
+        calls[0] = 0
+        make_plan(query)
+        assert calls[0] == 0, query
+        report = invert(query, **kwargs)
+        assert calls[0] <= report.evaluations, (query, kwargs, calls[0], report.evaluations)
+        if invert is invert_gamma and report.root < math.exp(DEEP_TAIL_Z + 20.0):
+            deep += 1
+        else:
+            assert calls[0] == report.evaluations, (query, kwargs, calls[0])
+    assert deep == 1
 
 
 @pytest.mark.parametrize("invert, make_plan, cases", [

@@ -33,7 +33,7 @@ from snm.core import DEEP_TAIL_Z
 from conftest import log_uniform
 
 # CHANGES.md records each re-recording.
-DIGEST = "33a55f7829cf57f6e5aa8c141aa20e3264d3e1c25b7e38e0165055a9d53dead1"
+DIGEST = "447eef091601aad899f5e7e408464f73abc0a562575e729b066bdbf8fa1e8abb"
 
 
 def _probability(rng):
@@ -57,6 +57,8 @@ def _queries():
         BetaQuantileQuery(0.5, 1e-3, 0.9),    # its mirror, above -DEEP_TAIL_Z, root 1
         BetaQuantileQuery(0.3, 0.7, 0.9),     # both shapes <= 1, upper side
         BetaQuantileQuery(0.3, 0.7, 0.1),     # both shapes <= 1, lower side
+        BetaQuantileQuery(0.5, 0.5, 0.48),    # both shapes < 1, start 1/2, root below
+        BetaQuantileQuery(0.5, 0.5, 0.52),    # both shapes < 1, start 1/2, root above
         GammaQuantileQuery(1.0, 1e-300),      # a tail given alone, root below DEEP_TAIL_Z
         BetaQuantileQuery(2.0, 5.0, 1.0, 1e-300),  # 1 - x ~ 1e-60, far below 2^-53
         EllipticQuery(0.0, 0.3),
@@ -130,7 +132,7 @@ def test_every_plan_branch_is_reached():
         "beta asymptotic lower", "beta asymptotic upper",
         "beta series lower", "beta series upper",
         "beta logit a>1>=b upper-bound", "beta logit a<=1<b lower-bound",
-        "beta logit a,b<=1 upper-bound", "beta logit a,b<=1 lower-bound",
+        "beta logit a,b<=1 bracket",
         "beta logit deep tail", "beta logit upper deep tail",
         "elliptic low", "elliptic high", "elliptic arcsin-guess",
         "elliptic complementary", "elliptic closed-form",

@@ -12,8 +12,8 @@ solves x^a / (a B) = p, a lower bound for b >= 1, and x_q solves
 (1-x)^b / (b B) = q, an upper bound for a >= 1.  Where the smaller
 tail's bound (x_p for p <= 1/2, else 1 - x_q) is within the reach of the
 reverted lower-tail series (``_series_start``), for any shapes, that
-series is the start.  Past its reach, for a, b > 1 the start is the
-asymptotic quantile of Abramowitz & Stegun 26.5.22, formed in z and
+series is the start.  Past its reach, for a, b > 1 the start is Temme's
+uniform asymptotic inversion with two corrections, formed in z and
 clamped between the bounds.  Otherwise it lies on the side of the root
 that the paper's convergence theorem names for Omega's monotonicity:
 below it for a <= 1 <= b (Omega decreasing), above it for a >= 1 >= b
@@ -268,30 +268,13 @@ def _logit_of(log_x: float) -> float:
 
     Below 1/2 it is ``_logit`` of the rounded x (log x where x underflows),
     the arithmetic a subnormal-band start has always had; above, minus
-    the logit of 1 - x = -expm1(log x).
+    the logit of 1 - x = -expm1(log x), also below 2^-53.  log x >= 0 (a
+    bound from a rounded tail) gives the largest double below 1.
     """
     if log_x < _LOG_HALF:
         x = math.exp(log_x)
         return _logit(x) if x else log_x
-    return -_logit(-math.expm1(min(log_x, _LOG_X_MAX)))
-
-
-def _raised_log_bound(a: float, b: float, log_t: float) -> float:
-    """log of a lower bound of the root, raised from t = e^log_t, for b >= 1.
-
-    t solves t^a / (a B) = p.  For b >= 1, I_t <= G(t) = t^a (1-t)^b /
-    (a B (1 - c t)), c = (a+b)/(a+1), as the terms of 2F1(a+b, 1; a+1; t)
-    shrink at least by c t.  One fixed-point step of G = p gives
-    t1 = t ((1 - c t) / (1-t)^b)^(1/a); R = (1-t)^b / (1 - c t) decreases
-    up to the mean a/(a+b), so G(min(t1, mean)) <= p R(min(t1, mean)) / R(t)
-    <= p: still a lower bound, and deep in a tail with a >> b far closer.
-    """
-    t = math.exp(log_t)
-    mean = a / (a + b)
-    if not t < mean:
-        return log_t
-    c = (a + b) / (a + 1.0)
-    return min(log_t + (math.log1p(-c * t) - b * math.log1p(-t)) / a, math.log(mean))
+    return -_logit(-math.expm1(log_x if log_x < 0.0 else _LOG_X_MAX))
 
 
 # The series start serves the queries whose power bound w is at most 1/2
@@ -335,27 +318,112 @@ def _series_start(a: float, b: float, log_w: float) -> Optional[float]:
 
 def _asymptotic_start(a: float, b: float, p: float, q: float,
                       log_x_p: float, log_y_q: float) -> float:
-    """A&S 26.5.22 quantile for a, b > 1 in z, clamped between the root's bounds.
+    """Temme's uniform asymptotic quantile for a, b > 1 in z, clamped between the power bounds.
 
-    Its x = a / (a + b e^(2w)) is z = ln(a/b) - 2w.  In either tail the
-    normal approximation can fall far outside the root, where f is flat;
-    it is then replaced by the power bound x_p or x_q of ``beta_plan``
-    that it passed, each raised toward the root (``_raised_log_bound``, or
-    its mirror).  Formed in z, the start keeps 1 - x where x rounds to 1.
+    With r = a + b, x0 = a/r, y0 = b/r and s = x0 y0, the root's eta solves
+    x0 ln(x/x0) + y0 ln(y/y0) = -eta^2/2, sign(eta) = sign(x - x0); in
+    u = z - ln(a/b) that is phi(u) = x0 u - ln(1 + x0 (e^u - 1)) =
+    -eta^2/2, whose slope is x0 - x.  Temme (J. Comput. Appl. Math. 41,
+    1992; Gil, Segura & Temme, Numer. Algorithms 74, 2017) gives eta =
+    eta0 + eps1/r + eps2/r^2, eta0 = Phi^-1(p)/sqrt(r): with
+    L = ln(sqrt(s) eta/(x - x0)), L' = 1/eta - eta x y/(x - x0)^2,
+    eps1 = L/eta, eps1' = (L' - eps1)/eta and eps2 = (eps1' + L' eps1 -
+    eps1^2/2 - (1/s - 1)/12)/eta.  The start is u at eta0 moved to that eta
+    by the second-order Taylor step of du/deta = eta/(x - x0); on the bench
+    query sets it ends more solves at one evaluation than u solved at eta
+    itself.
+
+    In zeta = eta/sqrt(s) every series below has coefficients of order 1
+    and radius at least sqrt(4 pi) (u is singular where e^u = 1, u != 0):
+    u = zeta - d zeta^2/6 + (1 - s) zeta^3/36 - (2 + s) d zeta^4/540 +
+    (1 - s)^2 zeta^5/4320, d = y0 - x0, within 2e-2 relative for
+    |zeta| <= 3.  There it places the point on the curve at which eps1 and
+    eps2 are taken, its own eta from phi (eta0 itself for |zeta| <= 0.1,
+    where the series is within 1e-9 and phi would cancel); further out,
+    Newton on phi to 1e-2, from the asymptote u = (ln y0 - eta0^2/2)/x0
+    below the mean, and above it from (eta0^2/2 - ln x0)/y0 or, where
+    x0 e^u < 1, from gamma's start for its limit e^u - 1 - u =
+    eta0^2/(2 x0).  eps1 is moved from that eta to eta0 by eps1'.  For
+    |zeta0| < 1e-2, where L' and eps2 cancel, eps1 and eps2 are their
+    series (``tools/temme_beta_series.py`` derives them; each tends to
+    gamma's as s -> 0), and u and its derivatives the series' at zeta0.  The shapes
+    are taken with a <= b (the mirror, z -> -z, for a > b), so that
+    x0 <= 1/2 and phi's two terms cancel at most to ~eps/|u| relative.
+
+    The start lies between the power bounds of ``beta_plan``, x_p <= x <=
+    x_q, compared in logs; it is replaced by the bound it passes.  Formed
+    in z, it keeps 1 - x where x rounds to 1.
     """
-    y = _normal_quantile(q, p)  # upper-tail quantile: Q(y) = p
-    lam = (y * y - 3.0) / 6.0
-    ra = 1.0 / (2.0 * a - 1.0)
-    rb = 1.0 / (2.0 * b - 1.0)
-    h = 2.0 / (ra + rb)
-    w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
-    z_mean = math.log(a / b)  # the logit of the mean a / (a + b)
-    z = z_mean - 2.0 * w
-    # The bound on the far side of the mean needs no raising: past the mean
-    # it cannot bind, and short of it the raised bound is the bound itself.
-    if z < z_mean:
-        return max(_logit_of(_raised_log_bound(a, b, log_x_p)), min(z, -_logit_of(log_y_q)))
-    return min(-_logit_of(_raised_log_bound(b, a, log_y_q)), max(z, _logit_of(log_x_p)))
+    if a > b:
+        return -_asymptotic_start(b, a, q, p, log_y_q, log_x_p)
+    r = a + b
+    x0 = a / r
+    y0 = b / r
+    s = x0 * y0
+    w = math.sqrt(s)
+    dl = y0 - x0
+    eta0 = _normal_quantile(p, q) / math.sqrt(r)
+    zeta = eta0 / w
+    if -1e-2 < zeta < 1e-2:
+        eps1 = (-dl / 3.0 + zeta * ((1.0 + 5.0 * s) / 36.0 + zeta * (
+            dl * (1.0 + 23.0 * s) / 1620.0 - zeta * (7.0 - 2.0 * s + 31.0 * s * s) / 6480.0)))
+        eps2 = (-dl * (7.0 + 26.0 * s) / 405.0 + zeta * (
+            -(1.0 + 5.0 * s) * (7.0 - 37.0 * s) / 2592.0
+            + zeta * dl * (533.0 + 290.0 * s + 2705.0 * s * s) / 204120.0)) / s
+        step = (eps1 + eps2 / r) / (r * s)  # in zeta
+        c2 = (1.0 - s) * zeta
+        c3 = (2.0 + s) * dl * zeta * zeta
+        u = zeta * (1.0 + zeta * (-dl / 6.0 + c2 / 36.0 - c3 / 540.0))
+        du = 1.0 + zeta * (-dl / 3.0 + c2 / 12.0 - c3 / 135.0)
+        u += step * (du + 0.5 * step * (-dl / 3.0 + c2 / 6.0 - c3 / 45.0))
+    else:
+        if -3.0 <= zeta <= 3.0:
+            u = zeta * (1.0 + zeta * (-dl / 6.0 + zeta * ((1.0 - s) / 36.0 + zeta * (
+                -(2.0 + s) * dl / 540.0 + zeta * (1.0 - s) * (1.0 - s) / 4320.0))))
+            em = math.expm1(u)
+            if -0.1 <= zeta <= 0.1:
+                eta = eta0
+            else:
+                eta = math.copysign(math.sqrt(2.0 * (math.log1p(x0 * em) - x0 * u)), u)
+        else:
+            t = 0.5 * eta0 * eta0
+            if zeta < 0.0:
+                u = (math.log(y0) - t) / x0
+            else:
+                # Gamma's start for e^u - 1 - u = t/x0, the limit x0 e^u << 1,
+                # where the asymptote is far from the root.
+                u = math.log1p(t / x0 + math.log1p(t / x0))
+                ln_x0 = math.log(x0)
+                if u > -ln_x0:
+                    u = (t - ln_x0) / y0
+            for _ in range(40):  # phi is concave: monotone from the far side
+                em = math.expm1(u)
+                lg = math.log1p(x0 * em)
+                step = (x0 * u - lg + t) * (1.0 + x0 * em) / (s * em)
+                if abs(step) <= 1e-2 * abs(u):
+                    break
+                u += step
+            eta = math.copysign(math.sqrt(2.0 * (lg - x0 * u)), u)
+        g = 1.0 + x0 * em
+        d = s * em / g  # x - x0
+        xy = s * (1.0 + em) / (g * g)
+        du = eta / d
+        d_ln = 1.0 / eta - xy * du / d
+        eps1 = math.log(w * du) / eta
+        d_eps1 = (d_ln - eps1) / eta
+        eps2 = (d_eps1 + d_ln * eps1 - 0.5 * eps1 * eps1 - (1.0 / s - 1.0) / 12.0) / eta
+        step = eta0 - eta
+        step += (eps1 + d_eps1 * step + eps2 / r) / r
+        u += step * (du + 0.5 * step * (1.0 - xy * du * du) / d)
+    z = math.log(a / b) + u
+    # log x and log y = log(1 - x) at z from one exp(-|z|).
+    l = math.log1p(math.exp(-abs(z)))
+    log_x, log_y = (z - l, -l) if z < 0.0 else (-l, -z - l)
+    if log_x < log_x_p:
+        return _logit_of(log_x_p)
+    if log_y < log_y_q:
+        return -_logit_of(log_y_q)
+    return z
 
 
 def beta_plan(query: BetaQuantileQuery) -> Plan:
@@ -373,8 +441,12 @@ def beta_plan(query: BetaQuantileQuery) -> Plan:
       bench query sets its error in z has median 3e-8 or less for
       |t1 w| < 0.01 and ~2e-3 at the edge of the reach, so most solves end
       after one evaluation.  Past the reach the rules below apply.
-    - a, b > 1 start at ``_asymptotic_start``, clamped into [x_p, x_q]
-      (``start="asymptotic"``).
+    - a, b > 1 start at ``_asymptotic_start``, Temme's inversion clamped
+      into [x_p, x_q] (``start="asymptotic"``).  On the bench query sets
+      it ends about four solves in five after one evaluation on ``bulk``
+      (1.23-1.24 evaluations per query) and nearly all on ``tails``
+      (1.00-1.03); the misses have a shape near 1, where the expansion in
+      1/(a + b) is weakest.
     - Otherwise the paper's convergence theorem takes a start on the side
       of the root that Omega's monotonicity names: for a <= 1 <= b Omega
       decreases in z, both bounds lie below the root and the start is the

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from statistics import NormalDist
 
 import pytest
 
@@ -772,7 +773,8 @@ def test_huge_b_upper_tail_solves_in_place():
 def test_raised_bound_start_needs_no_fallback():
     # A&S falls below the power bound x_p deep in the lower tail with
     # a >> b; x_p is 1.4e-3 below the root, where f is flat.  The raised
-    # bound starts within a few 1e-5 of it.  The mirror query is the same.
+    # bound started within a few 1e-5 of it; Temme's start, which replaced
+    # both, starts within 4e-8.  The mirror query is the same.
     for query in (BetaQuantileQuery(5657.13139006249, 2.6443060919804178, 5.825212535101873e-15),
                   BetaQuantileQuery(2.6443060919804178, 5657.13139006249,
                                     1.0 - 5.825212535101873e-15, 5.825212535101873e-15)):
@@ -787,8 +789,9 @@ def test_halley_bounce_on_the_fraction_s_noise_ends_on_the_noise_stop(monkeypatc
     # SNM solves of the bench sets never end on the noise stop; Halley and
     # Newton ones near the fraction's switch do.  This Halley solve bounces
     # on the residual's rounding noise and, without the stop, runs out of
-    # iterations.
-    a, b, p, q = 3.057314209574788, 195.36347862360583, 0.8848220344305574, 0.1151779655694426
+    # iterations.  (The query first pinned here, (3.06, 195.4, 0.885), now
+    # starts close enough to end on the residual stop.)
+    a, b, p, q = 13.886909099452566, 1477.159074757651, 0.3767305098234236, 0.6232694901765764
     query = BetaQuantileQuery(a, b, p, q)
     report = invert_beta(query, SolveOptions(method="halley"))
     assert report.converged and report.reason is StopReason.NOISE_FLOOR
@@ -855,14 +858,87 @@ def test_a_deep_tail_with_a_far_below_b_ends_at_the_series_start(p, q):
 
 
 def test_the_upper_tail_given_alone_stays_past_the_series_reach():
-    # y_q = 0.958 > 1/2: the series does not reach it, and the clamped A&S
-    # start still takes 4 evaluations.
+    # y_q = 0.958 > 1/2: the series does not reach it.  The clamped A&S
+    # start took 4 evaluations; Temme's takes 1.
     query = BetaQuantileQuery(30.0, 1e4, 1.0, 1e-100)
     report = invert_beta(query)
     assert report.converged, report.reason
     assert report.start == "asymptotic" and report.evaluations <= 4, report
     exact = beta_bisection_root(*query)
     assert abs(report.root - exact) <= 1e-12 * exact, (report.root, exact)
+
+
+def _asymptotic_queries(n=500):
+    # Shapes log-uniform in [1.5, 1e5], the smaller tail log-uniform in
+    # [1e-15, 1/2] on a random side; only the queries past the series
+    # start's reach, which start at Temme's inversion.
+    rng = random.Random("beta-temme-start")
+    out = []
+    for _ in range(n):
+        a, b = log_uniform(rng, 1.5, 1e5), log_uniform(rng, 1.5, 1e5)
+        tail = log_uniform(rng, 1e-15, 0.5)
+        p, q = (tail, 1.0 - tail) if rng.random() < 0.5 else (1.0 - tail, tail)
+        query = BetaQuantileQuery(a, b, p, q)
+        if beta_plan(query).start == "asymptotic":
+            out.append(query)
+    return out
+
+
+def test_temme_starts_lie_between_the_power_bounds_and_mostly_end_at_once():
+    queries = _asymptotic_queries()
+    assert len(queries) >= 350, len(queries)
+    evaluations = []
+    for query in queries:
+        z = beta_plan(query).x0
+        log_x_p, log_y_q = _power_bounds(query)
+        # log x and log(1 - x) of the start, from z.
+        assert -math.log1p(math.exp(-z)) >= log_x_p - 1e-12 * abs(log_x_p), query
+        assert -math.log1p(math.exp(z)) >= log_y_q - 1e-12 * abs(log_y_q), query
+        report = invert_beta(query)
+        assert report.converged, (query, report.reason)
+        if query.a + query.b >= 40.0:
+            evaluations.append(report.evaluations)
+    assert sum(evaluations) <= 1.25 * len(evaluations), sum(evaluations) / len(evaluations)
+
+
+def test_logit_of_keeps_one_minus_x_below_2_to_the_minus_53():
+    # 1 - x = -expm1(log x) is taken as it is, not raised to 2^-53 (logit
+    # 36.7).  A Temme start past the bound x_q < 2^-53 of this huge-b upper
+    # tail is clamped to it; the capped value, z = -36.7, sent the solve to
+    # a KernelError.
+    assert _logit_of(-1e-200) == pytest.approx(-math.log(1e-200), rel=1e-15)
+    assert _logit_of(0.0) == pytest.approx(_logit(1.0 - 2.0 ** -53), rel=1e-15)
+    report = invert_beta(BetaQuantileQuery(3.338524721437965, 3.111441181250481e+234,
+                                           1.0, 5.098624283202358e-25))
+    assert report.converged and 0.0 < report.root < 1e-232, report
+
+
+def _p_at_zeta(a, b, zeta):
+    """(p, q) whose eta0 = Phi^-1(p)/sqrt(a + b) is zeta sqrt(x0 y0), x0 = a/(a + b)."""
+    t = zeta * math.sqrt(a * b / (a + b))
+    normal = NormalDist()
+    return normal.cdf(t), normal.cdf(-t)
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 600.0), (600.0, 1.5), (1.2, 3.0), (30.0, 40.0),
+                                  (2.0, 2e5), (1e6, 1e6), (30.0, 1e12)])
+def test_temme_start_is_continuous_across_its_small_eta_series(a, b):
+    # Below |eta0| = 1e-2 sqrt(x0 y0) eps1 and eps2 are their series, where
+    # their closed forms cancel; the two sides meet within rounding.  At
+    # p = 1/2 exactly, eta0 = 0, and the start is the series' limit.
+    def start(p, q):
+        plan = beta_plan(BetaQuantileQuery(a, b, p, q))
+        assert plan.start == "asymptotic", (a, b, p)
+        return plan.x0
+
+    for zeta in (1e-2, -1e-2):
+        inside = start(*_p_at_zeta(a, b, zeta * (1.0 - 1e-9)))
+        outside = start(*_p_at_zeta(a, b, zeta * (1.0 + 1e-9)))
+        assert abs(inside - outside) <= 1e-7, (zeta, inside, outside)
+    half = start(0.5, 0.5)
+    assert math.isfinite(half)
+    for p in (0.5 - 1e-12, 0.5 + 1e-12):
+        assert abs(start(p, 1.0 - p) - half) <= 1e-9, p
 
 
 def test_series_starts_meet_the_contract_mostly_in_one_evaluation():
@@ -926,14 +1002,17 @@ def _a_two_root(b, q):
 
 
 @pytest.mark.parametrize("b, p", [
-    *itertools.product((1e4, 1e5, 3e5, 1e6), (0.3, 0.5, 0.7, 0.99)),
-    pytest.param(1e7, 0.99, marks=pytest.mark.xfail(
-        strict=True, reason="2.3e-11 off: the kernel's eps * b bias past its symmetry switch "
-                            "(ROADMAP item 5)")),
+    *itertools.product((1e4, 1e5, 3e5, 1e6, 3e6, 1e7), (0.3, 0.5, 0.7, 0.99)),
+    (3e7, 0.99),
+    pytest.param(1e8, 0.99, marks=pytest.mark.xfail(
+        strict=True, reason="1.1e-11 off: the fraction's rounding past its symmetry switch "
+                            "grows with b; BGRAT (ROADMAP item 5)")),
 ])
 def test_a_equal_two_roots_match_the_closed_form(b, p):
     # A wrong root reported as converged: solved in x, (2, 3e5, 0.99) was
-    # 1.2e-12 and (2, 1e6, 0.99) 3.2e-12 off this closed form.
+    # 1.2e-12 and (2, 1e6, 0.99) 3.2e-12 off this closed form.  With the
+    # fraction's first term formed without cancellation, (2, 1e7, 0.99) went
+    # from 2.3e-11 to 2.3e-13 off and (2, 3e6, 0.99) from 9.1e-12 to 1.8e-13.
     report = invert_beta(BetaQuantileQuery(2.0, b, p))
     exact = _a_two_root(b, 1.0 - p)
     assert report.converged, report.reason

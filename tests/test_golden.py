@@ -113,25 +113,25 @@ GOLDEN = {
         (Variable.LOG, "lower-bound", False)),
     "gamma log upper a=0.5 q=1e-10": ('0x1.4e9257b6eded2p+4', 0, "Predicted",
         (Variable.LOG, "upper-bound", False)),
-    "beta direct 2,3 p=0.3": ('0x1.16ebd0ecac2bfp-2', 1, "Predicted",
+    "beta direct 2,3 p=0.3": ('0x1.16ebd0ecac2c2p-2', 1, "ResidualTol",
         (Variable.LOGIT, "asymptotic", False)),
     "beta direct flipped 2,3 p=0.8": ('0x1.2a375adc0a661p-1', 1, "Predicted",
         (Variable.LOGIT, "series", False)),
     "beta direct 50,50 p=0.5": ('0x1.0000000000000p-1', 0, "ResidualTol",
         (Variable.LOGIT, "asymptotic", False)),
-    "beta logit 0.5,3 p=0.2": ('0x1.7a9e125bd949bp-7', 0, "Predicted",
+    "beta logit 0.5,3 p=0.2": ('0x1.7a9e125bd9495p-7', 0, "Predicted",
         (Variable.LOGIT, "series", False)),
-    "beta logit 0.5,3 p=0.8": ('0x1.06ef54871e7a1p-2', 2, "ResidualTol",
+    "beta logit 0.5,3 p=0.8": ('0x1.06ef54871e7a3p-2', 2, "ResidualTol",
         (Variable.LOGIT, "lower-bound", False)),
     "beta logit flipped 3,0.5 p=0.4": ('0x1.c26b906c4bcebp-1', 1, "Predicted",
         (Variable.LOGIT, "upper-bound", False)),
-    "beta heuristic 0.5,0.5 p=0.3": ('0x1.a61b9f7154b44p-3', 0, "Predicted",
+    "beta heuristic 0.5,0.5 p=0.3": ('0x1.a61b9f7154b3fp-3', 0, "Predicted",
         (Variable.LOGIT, "series", False)),
     "beta heuristic flipped 0.3,0.7 p=0.9": ('0x1.b549b8b247cc2p-1', 0, "Predicted",
         (Variable.LOGIT, "series", False)),
-    "beta heuristic 0.5,0.5 p=0.45": ('0x1.afe7d2615eb26p-2', 1, "Predicted",
+    "beta heuristic 0.5,0.5 p=0.45": ('0x1.afe7d2615eb22p-2', 1, "Predicted",
         (Variable.LOGIT, "bracket", False)),
-    "beta heuristic 0.5,0.5 p=0.55": ('0x1.280c16cf50a70p-1', 1, "Predicted",
+    "beta heuristic 0.5,0.5 p=0.55": ('0x1.280c16cf50a6fp-1', 1, "Predicted",
         (Variable.LOGIT, "bracket", False)),
     "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e3p-2', 0, "Predicted",
         (Variable.DIRECT, "low", False)),

@@ -3,7 +3,8 @@
 Each value is the float.hex of the result of the straightforward loops the
 kernels are written against (a Taylor series that divides zeta(k) - 1 by k
 on every call, integer loop counters, ``abs`` guards), with ln Gamma above
-2.6 taken from ``math.lgamma``.  The tabled and leaner kernels must return
+2.6 taken from ``math.lgamma``; the beta fraction's pins are those of its
+even part.  The tabled and leaner kernels must return
 the same bits; any change of rounding, even one ulp, fails here.  The
 points cover every branch: ln_gamma below 0.45, on [0.45, 1.45), on
 [1.45, 2.6], above 2.6 (``math.lgamma``) and at its exact zeros; both
@@ -84,15 +85,18 @@ REG_GAMMA = {
 # the kernel began to return the pair.  Moved through ln B by math.lgamma:
 # (0.2, 2, 5) I by -10 ulps (3.8e-15 -> 2.2e-15) and 1 - I by +6
 # (-2.1e-15 -> -1.1e-15), (0.8, 2, 5) 1 - I by -12 (5.6e-15 -> 4.0e-15).
+# Moved when the fraction became its even part (one Lentz update per pair
+# of terms): I by -2 to +4 ulps and 1 - I by -5 to +5; against 40-digit
+# mpmath the worst pair error went from 4.0e-15 to 3.7e-15.
 REG_BETA = {
-    (0.2, 2.0, 5.0): ('0x1.60e94ee392e2dp-2', '0x1.4f8b588e368eap-1'),
-    (0.8, 2.0, 5.0): ('0x1.ff2e48e8a71dep-1', '0x1.a36e2eb1c4342p-10'),
-    (0.3, 0.5, 0.7): ('0x1.cefa9a5429ce7p-2', '0x1.1882b2d5eb18cp-1'),
-    (0.9, 0.5, 0.7): ('0x1.c47ffc73cb03bp-1', '0x1.dc001c61a7e27p-4'),
-    (0.42, 20.0, 25.0): ('0x1.8014ea75c275fp-2', '0x1.3ff58ac51ec50p-1'),
-    (0.5, 20.0, 25.0): ('0x1.8c724e46d13fep-1', '0x1.ce36c6e4bb008p-3'),
-    (0.6, 40.0, 17.0): ('0x1.a7550b0387cc0p-5', '0x1.e58aaf4fc7834p-1'),
-    (0.75, 40.0, 17.0): ('0x1.90d2ecd4377b0p-1', '0x1.bcb44caf2213fp-3'),
+    (0.2, 2.0, 5.0): ('0x1.60e94ee392e2bp-2', '0x1.4f8b588e368eap-1'),
+    (0.8, 2.0, 5.0): ('0x1.ff2e48e8a71dep-1', '0x1.a36e2eb1c4340p-10'),
+    (0.3, 0.5, 0.7): ('0x1.cefa9a5429ce5p-2', '0x1.1882b2d5eb18ep-1'),
+    (0.9, 0.5, 0.7): ('0x1.c47ffc73cb03ap-1', '0x1.dc001c61a7e2cp-4'),
+    (0.42, 20.0, 25.0): ('0x1.8014ea75c2763p-2', '0x1.3ff58ac51ec4ep-1'),
+    (0.5, 20.0, 25.0): ('0x1.8c724e46d13ffp-1', '0x1.ce36c6e4bb003p-3'),
+    (0.6, 40.0, 17.0): ('0x1.a7550b0387cc3p-5', '0x1.e58aaf4fc7834p-1'),
+    (0.75, 40.0, 17.0): ('0x1.90d2ecd4377afp-1', '0x1.bcb44caf22144p-3'),
 }
 
 # (problem class, query arguments, point, (x, f, fp, big_b, omega, h)).
@@ -106,6 +110,11 @@ REG_BETA = {
 # (1.5e-14 both); at 0.6, f' by +8 (1.7e-15 -> 2.7e-15), h by -1 (-3.7e-16
 # -> -5.0e-16); (30, 20, 0.4) at 0.58, f' by -12 (1.7e-15 -> -2.7e-16), h
 # by -17 (4.9e-15 -> 6.9e-15, the error of f).
+# Moved when the beta fraction became its even part, f and h (ulps):
+# BetaDirectProblem (2, 5, 0.3) at 0.2 by -16 and -13 (f 1.7e-14 ->
+# 1.4e-14 against mpmath); (30, 20, 0.4) at 0.58 by -48 and -69 (f 6.7e-15
+# -> -1.7e-15); BetaLogitProblem (0.5, 3, 0.3) at -1.5 by -6 and -6, and
+# (0.7, 0.4, 0.2) at 2 by -4 and -2.
 EVALUATIONS = (
     (GammaDirectProblem, (2.5, 0.3), 1.7,
      ('0x1.b333333333333p+0', '0x1.f73c356851a30p-5', '0x1.37ea49a463a30p-2',
@@ -123,20 +132,20 @@ EVALUATIONS = (
      ('-0x1.5e00000000000p+9', '-0x1.3242ca9fc583bp-2', '0x1.33b90ea0e0ab2p-17',
       '-0x1.47ae147ae147bp-7', '-0x1.a36e2eb1c432dp-16', '-0x1.8d8fd81e5e578p+7')),
     (BetaDirectProblem, (2.0, 5.0, 0.3), 0.2,
-     ('0x1.999999999999ap-3', '0x1.6db0dd82fd7d0p-5', '0x1.3a92a3055326bp+1',
-      '0x0.0p+0', '-0x1.f3ffffffffffep+3', '0x1.29999999999edp-6')),
+     ('0x1.999999999999ap-3', '0x1.6db0dd82fd7c0p-5', '0x1.3a92a3055326bp+1',
+      '0x0.0p+0', '-0x1.f3ffffffffffep+3', '0x1.29999999999e0p-6')),
     (BetaDirectProblem, (2.0, 5.0, 0.3), 0.6,
      ('0x1.3333333333333p-1', '0x1.516db0dd82fd6p-1', '0x1.d7dbf487fcbaap-2',
       '0x1.0aaaaaaaaaaabp+3', '-0x1.f3ffffffffffep+4', '0x1.a4e42616b2868p-3')),
     (BetaDirectProblem, (30.0, 20.0, 0.4), 0.58,
-     ('0x1.28f5c28f5c28fp-1', '-0x1.44fa1cda0bba0p-6', '0x1.5a93b5ee438e0p+2',
-      '-0x1.30c30c30c30c8p+2', '-0x1.9a824fde5f000p+6', '-0x1.dbf0880456d80p-9')),
+     ('0x1.28f5c28f5c28fp-1', '-0x1.44fa1cda0bb70p-6', '0x1.5a93b5ee438e0p+2',
+      '-0x1.30c30c30c30c8p+2', '-0x1.9a824fde5f000p+6', '-0x1.dbf0880456d3bp-9')),
     (BetaLogitProblem, (0.5, 3.0, 0.3), -1.5,
-     ('-0x1.8000000000000p+0', '0x1.a2950dfa619cdp-2', '0x1.c0271673c67b3p-3',
-      '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aefdp+0')),
+     ('-0x1.8000000000000p+0', '0x1.a2950dfa619c7p-2', '0x1.c0271673c67b3p-3',
+      '0x1.1ba04babb60e4p-3', '-0x1.102e2ae063577p-2', '0x1.a77195b28aef7p+0')),
     (BetaLogitProblem, (0.7, 0.4, 0.2), 2.0,
-     ('0x1.0000000000000p+1', '0x1.c61444d51803bp-2', '0x1.086e5b9360f3bp-3',
-      '0x1.13546fa63d8bcp-2', '-0x1.368f31776a536p-4', '0x1.2cbe71049a195p+1')),
+     ('0x1.0000000000000p+1', '0x1.c61444d518037p-2', '0x1.086e5b9360f3bp-3',
+      '0x1.13546fa63d8bcp-2', '-0x1.368f31776a536p-4', '0x1.2cbe71049a193p+1')),
 )
 
 
@@ -227,7 +236,8 @@ def _grid_digest(kernel: str) -> str:
     return hashlib.sha256(";".join(out).encode()).hexdigest()
 
 
-# Digests of _grid_digest, recorded with the reference loops.
+# Digests of _grid_digest, recorded with the reference loops; "reg_beta" and
+# "evaluate" re-recorded when the beta fraction became its even part.
 GRID_DIGESTS = {
     "ln_gamma":
         "f921dec87af482cd8cf56bb66cfee80da76e3c8624c4cc9ebfbed00d73f3425a",
@@ -236,9 +246,9 @@ GRID_DIGESTS = {
     "reg_gamma":
         "8eb030ca7c83e9a634c32a959b3b16d52187b9e079df7ba593603a446d332256",
     "reg_beta":
-        "c1a15cdeda86fc2a1f7104c18cc898c290706d0a9736d63a17c9ce223be8a328",
+        "cf46f606c5b4411201d80fd25bfdb28d81c92b6e837833178abf465a309ab61f",
     "evaluate":
-        "088daf681259ffcaf44495b80c900e33a02e6fc429e84fb52ceb55a15d792c40",
+        "d79e38715e30bedc9114a93e6fbb129ccf056856d4fb2472e6c7f28c29002381",
 }
 
 

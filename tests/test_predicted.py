@@ -323,11 +323,11 @@ def test_tiny_a_logit_deep_tail_converges_in_one_evaluation():
     assert invert_beta(query).root_underflow
 
 
-@pytest.mark.xfail(strict=True, reason="the kernel's ~eps*b bias past its switch "
-                   "(ROADMAP item 5) puts this root 1.04e-12 off")
 def test_small_a_huge_b_upper_tail_meets_the_contract():
-    # Ended MaxIter 4.2e-13 off the true root; the predicted stop ends it
-    # converged, 1.04e-12 off, as the kernel's bias has it.
+    # Ended MaxIter 4.2e-13 off the true root; the predicted stop ended it
+    # converged, 1.04e-12 off, as the kernel's ~eps*b bias past its switch
+    # had it, until the fraction's first term was formed without
+    # cancellation (now 2.1e-14 off).
     mpmath = pytest.importorskip("mpmath")
     query = BetaQuantileQuery(0.511300301849083, 116593.65680525052, 0.9760680840027153)
     report = invert_beta(query)

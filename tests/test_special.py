@@ -386,6 +386,24 @@ def test_reg_beta_against_quadrature_oracle():
             assert abs(reg_beta(x, a, b) - quad) <= 1e-12
 
 
+@pytest.mark.parametrize("b, tol", [(1e4, 1e-13), (1e6, 1e-11), (1e8, 1e-9), (1e10, 1e-7)])
+def test_the_fraction_past_its_switch_keeps_1_minus_i_at_huge_b(b, tol):
+    # Past its switch the fraction runs in y = 1 - x with shapes (b, a); its
+    # first denominator 1 - (a + b) y/(b + 1) cancels to ~1/b there, and
+    # formed so it put 1 - I off by ~eps b (7.7e-13, 1.0e-10, 8.6e-9 and
+    # 1.3e-6 at these b).  Formed as (b x + 1 - a y)/(b + 1) it does not
+    # cancel; the rest of the error still grows with b (ROADMAP item 5).
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.5, 3.0):
+        for k in range(10):
+            x = (a + 1.5 + 0.5 * k) / b
+            y = 1.0 - x
+            j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))[1]
+            with mpmath.workdps(40):
+                exact = mpmath.betainc(a, b, x, 1, regularized=True)
+            assert abs(j - exact) <= tol * exact, (a, x, j, exact)
+
+
 def test_ln_beta_symmetric():
     assert ln_beta(3.0, 7.0) == pytest.approx(ln_beta(7.0, 3.0), rel=1e-15)
     assert ln_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)

@@ -25,7 +25,10 @@ their bits), evaluation counts and traces (the bits of every record's
 iterate and step) of the two trees agree, and each
 tree's evaluations and µs per query by solver and start label, each
 tree's queries under its own labels, so a start change shows which class
-paid or gained.  With ``--rounds`` above 1 it ends with each metric's
+paid or gained, next to each class's µs per query in the solver's plan
+function alone (``gamma_start``, ``beta_plan``, ``elliptic_plan``), timed
+in the same passes, so a start's own cost is seen apart from the
+evaluations it saves.  With ``--rounds`` above 1 it ends with each metric's
 per-round changes and BASE's quartiles across the rounds.  It reads the
 bench directory and writes nothing there (no bytecode is cached).
 
@@ -63,6 +66,7 @@ sys.dont_write_bytecode = True
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 QUERIES_PER_CLASS = 500  # as bench/run.py
 TREES = ("base", "head")
+PLANS = {"gamma": "gamma_start", "beta": "beta_plan", "elliptic": "elliptic_plan"}
 SETUP_PAIRS = 25  # >= bench/run.py's SETUP_REPEATS
 
 
@@ -142,10 +146,13 @@ def _outcome(out) -> tuple:
             tuple((r.x.hex(), r.step.hex()) for r in out.trace))
 
 
-def time_round(sets: list[list], passes: int) -> tuple[list[list[float]], list[list[tuple]]]:
-    """Per-query minimum time (µs) per tree, and each query's first outcome per tree."""
+def time_round(sets: list[list], plans: list[dict], passes: int
+               ) -> tuple[list[list[float]], list[list[float]], list[list[tuple]]]:
+    """Per-query minimum time (µs) per tree of the call and of its plan alone
+    (NaN without one), and each query's first outcome per tree."""
     n = len(sets[0])
     best = [[math.inf] * n for _ in sets]
+    plan_best = [[math.inf] * n for _ in sets]
     outcomes: list[list] = [[None] * n for _ in sets]
     clock = time.perf_counter_ns
     for k in range(passes):
@@ -166,9 +173,21 @@ def time_round(sets: list[list], passes: int) -> tuple[list[list[float]], list[l
                         best[t][i] = t1 - t0
                     if k == 0:
                         outcomes[t][i] = _outcome(out)
+                    plan = plans[t].get(q.solver)
+                    if plan is not None:
+                        t0 = clock()
+                        try:
+                            plan(obj)
+                        except Exception:
+                            pass
+                        t1 = clock()
+                        if t1 - t0 < plan_best[t][i]:
+                            plan_best[t][i] = t1 - t0
         finally:
             gc.enable()
-    return [[ns / 1000.0 for ns in row] for row in best], outcomes
+    return ([[ns / 1000.0 for ns in row] for row in best],
+            [[ns / 1000.0 if ns < math.inf else math.nan for ns in row] for row in plan_best],
+            outcomes)
 
 
 def metrics(queries: list, us: list[float], outcomes: list[tuple], solvers) -> dict:
@@ -185,23 +204,26 @@ def metrics(queries: list, us: list[float], outcomes: list[tuple], solvers) -> d
     return out
 
 
-def report_starts(queries: list, us: list[list[float]], outcomes: list[list[tuple]]) -> None:
-    """Evaluations and µs per query per solver and start label, for each tree."""
+def report_starts(queries: list, us: list[list[float]], plan_us: list[list[float]],
+                  outcomes: list[list[tuple]]) -> None:
+    """Evaluations, µs and plan µs per query per solver and start label, for each tree."""
     cells: dict[tuple[str, str], list[list[float]]] = {}
     for t, tree in enumerate(outcomes):
-        for q, u, (_, evals, start, _) in zip(queries, us[t], tree):
+        for q, u, v, (_, evals, start, _) in zip(queries, us[t], plan_us[t], tree):
             if evals is not None:
-                cell = cells.setdefault((q.solver, start), [[0, 0, 0.0], [0, 0, 0.0]])[t]
+                cell = cells.setdefault((q.solver, start), [[0, 0, 0.0, 0.0], [0, 0, 0.0, 0.0]])[t]
                 cell[0] += 1
                 cell[1] += evals
                 cell[2] += u
+                cell[3] += v
     print(f"  {'by start: evaluations, µs':32s} {'base':>14s} {'head':>14s} "
-          f"{'base µs':>8s} {'head µs':>8s}")
+          f"{'base µs':>8s} {'head µs':>8s} {'base plan':>9s} {'head plan':>9s}")
     for (solver, start), pair in sorted(cells.items()):
-        evals = [f"{e / n:.3f} ({n})" if n else "-" for n, e, _ in pair]
-        times = [f"{u / n:.2f}" if n else "-" for n, _, u in pair]
+        evals = [f"{e / n:.3f} ({n})" if n else "-" for n, e, _, _ in pair]
+        times = [f"{u / n:.2f}" if n else "-" for n, _, u, _ in pair]
+        plans = [f"{v / n:.2f}" if n and v == v else "-" for n, _, _, v in pair]
         print(f"  {solver + ' ' + (start or '-'):32s} {evals[0]:>14s} {evals[1]:>14s} "
-              f"{times[0]:>8s} {times[1]:>8s}")
+              f"{times[0]:>8s} {times[1]:>8s} {plans[0]:>9s} {plans[1]:>9s}")
 
 
 def main(argv=None) -> int:
@@ -248,12 +270,14 @@ def main(argv=None) -> int:
             keep.append(i)
         sets = [[qs[i] for i in keep] for qs in full]
         solvers = mods[0].SOLVERS
+        plans = [{solver: getattr(pkg, name) for solver, name in PLANS.items()}
+                 for pkg in packages]
 
         print(f"workload {args.workload} seed {args.seed}: {len(keep)} queries, "
               f"{args.passes} passes per round; base {args.base}, head {args.head}")
         history: dict[str, list[tuple[float, float]]] = {}
         for r in range(args.rounds):
-            us, outcomes = time_round(sets, args.passes)
+            us, plan_us, outcomes = time_round(sets, plans, args.passes)
             m = [metrics(sets[t], us[t], outcomes[t], solvers) for t in range(2)]
             same_root = sum(a[0] == b[0] for a, b in zip(*outcomes))
             same_evals = sum(a[1] == b[1] for a, b in zip(*outcomes))
@@ -266,7 +290,7 @@ def main(argv=None) -> int:
                 a, b = m[0][name], m[1][name]
                 history.setdefault(name, []).append((a, b))
                 print(f"  {name:32s} {a:10.4g} {b:10.4g} {100.0 * (b / a - 1.0):+7.1f}%")
-            report_starts(sets[0], us, outcomes)
+            report_starts(sets[0], us, plan_us, outcomes)
         if args.rounds > 1:
             print("per-round change (%) and base quartiles across rounds:")
             for name, pairs in history.items():

@@ -31,7 +31,6 @@ from collections import namedtuple
 from typing import Optional
 
 from .core import (
-    DEEP_TAIL_Z,
     MACHINE_EPSILON,
     RESIDUAL_NOISE_FLOOR,
     Interval,
@@ -57,6 +56,9 @@ _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 _LOG_X_MAX = math.log1p(-2.0 ** -53)
 _LOG_HALF = math.log(0.5)
 _LN_EPS = math.log(MACHINE_EPSILON)
+# For a, b >= 16 the logit evaluation takes Stirling's prefactor at least up
+# to this |z| (``stirling_z``), where x and 1 - x stay normal (above 1e-290).
+_STIRLING_Z = 667.0
 
 
 class BetaQuantileQuery(_Checked, namedtuple("BetaQuantileQuery", "a b p q")):
@@ -185,7 +187,7 @@ class _BetaProblem(Problem):
         self.switch = (a + 1.0) / (s + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
         if self.stirling:
-            self.stirling_z = max(-DEEP_TAIL_Z, math.log(s) - _LN_EPS)
+            self.stirling_z = max(_STIRLING_Z, math.log(s) - _LN_EPS)
 
     def _residual(self, x: float, i: float, j: float) -> float:
         p = self.p
@@ -224,7 +226,7 @@ class BetaLogitProblem(_BetaProblem):
     x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
     so neither tail is formed by subtraction; f' is the kernel's prefactor,
     from z, or for a, b >= 16 from Stirling's shifted exponent, whose error
-    is not ~eps (a + b), up to |z| = ``stirling_z`` = max(-DEEP_TAIL_Z,
+    is not ~eps (a + b), up to |z| = ``stirling_z`` = max(667,
     ln((a + b)/eps)).  Every z runs the kernel: where (a + b) e^-|z| is
     below eps it returns the leading power term e^(az) / (a B(a, b)), or
     its mirror e^(-bz) / (b B(a, b)), and B_z and Omega tend to -a and

@@ -41,11 +41,6 @@ MACHINE_EPSILON = sys.float_info.epsilon
 # The smallest normal double; below it a double keeps fewer significant bits.
 MIN_NORMAL = sys.float_info.min
 
-# Below this z the gamma log residual is its leading power term; the beta
-# logit one runs its kernel at every z, with Stirling's prefactor for
-# |z| <= max(-DEEP_TAIL_Z, ln((a+b)/eps)).
-DEEP_TAIL_Z = -667.0
-
 # |lam * u^2| below this uses the odd power series in gtan/gatan; keeps
 # relative truncation error under 1e-18, below double rounding.
 SERIES_THRESHOLD = 1e-6

@@ -22,7 +22,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .core import (
-    DEEP_TAIL_Z,
+    MIN_NORMAL,
     RESIDUAL_NOISE_FLOOR,
     DerivativeVanishedError,
     Interval,
@@ -139,9 +139,13 @@ class _GammaProblem(Problem):
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
 
     def _residual(self, x: float, scale: float) -> float:
-        """P - p for p <= 1/2, else q - Q, at x > 0, from the kernel's prefactor."""
+        """P - p for p <= 1/2, else q - Q, from the kernel's prefactor.
+
+        Where x is subnormal or 0 it is P - p for every p: Q's small-a form
+        takes log x, and there x = e^z has lost bits that a prefactor formed
+        from z keeps."""
         p = self.p
-        if p <= 0.5:
+        if p <= 0.5 or x < MIN_NORMAL:
             return _reg_gamma(self.a, x, scale)[0] - p
         return self.q - _reg_gamma(self.a, x, scale, self.ln_gamma_1p)[1]
 
@@ -173,22 +177,17 @@ class GammaLogProblem(_GammaProblem):
             raise DerivativeVanishedError(f"gamma log-variable derivative 0 at z={z}")
         x = math.exp(z)
         # Chain rule: B_z = x B(x) - 1 = x - a, f_z' = x f'(x) = x^a e^-x
-        # / Gamma(a), the kernel's prefactor, formed from z directly so
-        # deep-tail z stays finite even where x itself under/overflows;
-        # at a >= 16 by Stirling's shifted exponent, whose error is not ~eps a.
-        if a < _STIRLING_MIN or z < DEEP_TAIL_Z:
-            fp = math.exp(a * z - x - self.ln_gamma_a)
-        else:
+        # / Gamma(a), the kernel's prefactor, formed from z directly so it
+        # keeps its precision where x is subnormal or 0.  At a >= 16 it is
+        # Stirling's shifted exponent, whose error is not ~eps a, while x is
+        # normal: its log(x/a) then keeps eps accuracy, and below, from
+        # z = -45 down, every such prefactor has underflowed.
+        if self.stirling and x >= MIN_NORMAL:
             fp = math.exp(_gamma_exponent(a, x, self.ln_gamma_a, self.stirling))
-        if z < DEEP_TAIL_Z:
-            # Deep tail: P(a, x) = x^a / Gamma(a+1) to full precision
-            # (the next series term is below x ~ 1e-290).  Also dodges
-            # the precision loss of log on a subnormal x inside the
-            # kernel once x drops past 1e-308.
-            f = math.exp(a * z - self.ln_gamma_a1) - self.p
         else:
-            f = self._residual(x, fp)
-        return ProblemEvaluation.build(z, f, fp, x - a, _gamma_omega_log_x(a, x))
+            fp = math.exp(a * z - x - self.ln_gamma_a)
+        return ProblemEvaluation.build(
+            z, self._residual(x, fp), fp, x - a, _gamma_omega_log_x(a, x))
 
     def omega(self, z: float) -> float:
         if z > 709.0:  # e^z overflows past 709.78, x^2 long before

@@ -12,6 +12,11 @@ residual within its kernel's noise is 0 and still stops the solve.)
 ``log_uniform`` draws the seeded fuzzes' log-uniform values, and
 ``cube_problem`` is x^3 - 2, a problem whose Schwarzian is not constant.
 
+``DEEP_TAIL_Z`` = -667 (x = e^z about 1e-290) bounds the deep-tail input
+region the tests pin: the gamma log and beta logit problems once
+evaluated only their residual's leading power term beyond it, and now run
+their kernels there as everywhere.
+
 ``gamma_bisection_root``, ``beta_bisection_root`` and
 ``elliptic_bisection_root`` are the root oracles of ``snm compare``,
 imported here for the tests.  Each shares only the kernels with its
@@ -32,6 +37,8 @@ import pytest
 
 from snm.cli import beta_bisection_root, elliptic_bisection_root, gamma_bisection_root  # noqa: F401
 from snm.core import FunctionProblem, Interval, Problem, ProblemEvaluation, gtan
+
+DEEP_TAIL_Z = -667.0
 
 
 @dataclass(frozen=True)

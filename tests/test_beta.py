@@ -25,7 +25,6 @@ from snm.beta import (
     _sigmoid,
 )
 from snm.core import (
-    DEEP_TAIL_Z,
     MIN_NORMAL,
     RESIDUAL_NOISE_FLOOR,
     Interval,
@@ -39,7 +38,7 @@ from snm.core import (
 from snm.gamma import GammaQuantileQuery, invert_gamma
 from snm.special import _beta_exponent, _reg_beta, bisect_root, ln_beta, reg_beta
 
-from conftest import beta_bisection_root, log_uniform, step_only
+from conftest import DEEP_TAIL_Z, beta_bisection_root, log_uniform, step_only
 
 AB_GRID = (0.3, 0.5, 1.5, 2.0, 5.0, 30.0)
 P_GRID = (0.01, 0.2, 0.5, 0.8, 0.99)

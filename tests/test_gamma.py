@@ -2,11 +2,13 @@
 
 import math
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
 
-from snm.core import MIN_NORMAL, Method, SnmError, SolveOptions, StopReason, Variable, solve
+from snm.core import (MACHINE_EPSILON, MIN_NORMAL, Method, SnmError, SolveOptions, StopReason,
+                      Variable, solve)
 from snm.gamma import (
     GammaDirectProblem,
     GammaLogProblem,
@@ -20,9 +22,10 @@ from snm.gamma import (
     gamma_start,
     invert_gamma,
 )
-from snm.special import bisect_root, ln_gamma, reg_gamma_p, reg_gamma_q
+from snm.special import (_ln_gamma, _ln_gamma_1p, bisect_root, ln_gamma, reg_gamma_p,
+                         reg_gamma_q)
 
-from conftest import gamma_bisection_root, log_uniform, step_only
+from conftest import DEEP_TAIL_Z, gamma_bisection_root, log_uniform, step_only
 
 A_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 30.0, 100.0)
 P_GRID = (0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
@@ -432,6 +435,91 @@ def test_log_variable_extreme_z_reports_vanished_derivative():
     report = solve(GammaLogProblem(GammaQuantileQuery(0.5, 0.2)), 705.0)
     assert not report.converged
     assert report.reason is StopReason.DERIVATIVE_VANISHED
+
+
+DEEP_ROOT_Z = (DEEP_TAIL_Z - 30.0, DEEP_TAIL_Z - 300.0, -1e5)
+
+
+def test_deep_evaluations_are_the_leading_term():
+    # With p set so that the root lies at a deep z, each evaluation from
+    # there down is the residual's leading power term: f' = e^(az) /
+    # Gamma(a), B_z = -a and Omega = -a^2/4 bit for bit (x = e^z is below
+    # 1e-290), and f = e^(az) / Gamma(a+1) - p to the rounding of the
+    # exponent's terms, which both forms carry: the kernel differs from the
+    # power term by up to 1.4e-14 p for p above e^-100, and 1.1e-13 p near
+    # p = 1e-300.  Above 1/2, p = 0.905, the residual is q - Q where x is
+    # normal.  Where f' underflows the evaluation raises.
+    evaluated = vanished = 0
+    for root_z in DEEP_ROOT_Z:
+        for ln_p in (-0.1, -2.0, -40.0, -300.0, -690.0):
+            a = ln_p / root_z
+            p = math.exp(a * root_z - _ln_gamma_1p(a))
+            problem = GammaLogProblem(GammaQuantileQuery(a, p))
+            for z in (z for z in DEEP_ROOT_Z if z <= root_z):
+                fp = math.exp(a * z - problem.ln_gamma_a)
+                omega = -0.25 * a * a
+                assert problem.omega(z) == omega, (a, p, z)
+                if fp == 0.0:
+                    with pytest.raises(SnmError):
+                        problem.evaluate(z)
+                    vanished += 1
+                    continue
+                e = problem.evaluate(z)
+                assert (e.fp, e.big_b, e.omega) == (fp, -a, omega), (a, p, z)
+                power = math.exp(a * z - problem.ln_gamma_a1) - p
+                tol = 2.0 * MACHINE_EPSILON * (abs(a * z) + abs(problem.ln_gamma_a)) * p
+                assert abs(e.f - power) <= tol, (a, p, z, e.f, power)
+                evaluated += 1
+    assert evaluated >= 20 and vanished >= 5, (evaluated, vanished)
+
+
+def test_deep_tail_fuzz_meets_the_contract():
+    # Normal roots below the deep-tail edge, z in [-708, -667], for p in
+    # [1e-300, 1/2].  There P(a, x) = x^a / Gamma(a+1) to ~x relative, so
+    # the root is e^((ln p + ln Gamma(1+a))/a), taken in 40-digit decimal
+    # from the double ln Gamma(1+a) (whose rounding moves it < 1e-15).
+    ctx = Context(prec=40)
+    rng = random.Random("gamma-deep-normal")
+    solved = 0
+    while solved < 300:
+        a = log_uniform(rng, 1e-3, 3.0)
+        ln_gamma_a1 = _ln_gamma_1p(a) if a < 1.0 else _ln_gamma(a + 1.0)
+        p = math.exp(a * rng.uniform(-708.0, DEEP_TAIL_Z) - ln_gamma_a1)
+        if not 1e-300 <= p <= 0.5:
+            continue
+        ln_root = ctx.divide(ctx.add(ctx.ln(Decimal(p)), Decimal(ln_gamma_a1)), Decimal(a))
+        root = float(ctx.exp(ln_root))
+        report = invert_gamma(GammaQuantileQuery(a, p))
+        assert report.converged, (a, p, report.reason)
+        assert abs(report.root - root) <= 1e-12 * root, (a, p, report.root, root)
+        solved += 1
+
+
+def test_deep_upper_tails_of_tiny_shapes_meet_the_contract():
+    # a < 1e-3 and p > 1/2, the root below the deep-tail edge: subnormal,
+    # 0 (z below -745) or normal.  Where x is subnormal or 0 the residual
+    # is P - p from the prefactor formed from z; Q's small-a form would
+    # take log x, whose lost bits (or log 0) end such solves unconverged or
+    # raising.  A normal root holds the inverted tail q, computed from the
+    # root in 40-digit decimal, to 1e-13 relative.
+    ctx = Context(prec=40)
+    rng = random.Random("gamma-deep-upper")
+    solved = 0
+    while solved < 200:
+        a = log_uniform(rng, 1e-6, 1e-3)
+        ln_p = a * rng.uniform(-760.0, DEEP_TAIL_Z) - _ln_gamma_1p(a)
+        p, q = math.exp(ln_p), -math.expm1(ln_p)
+        if not p > 0.5:
+            continue
+        report = invert_gamma(GammaQuantileQuery(a, p, q))
+        assert report.converged, (a, p, q, report.reason)
+        assert report.root_underflow == (report.root < MIN_NORMAL), (a, p, report.root)
+        if not report.root_underflow:
+            ln_tail = ctx.subtract(ctx.multiply(Decimal(a), ctx.ln(Decimal(report.root))),
+                                   Decimal(_ln_gamma_1p(a)))
+            tail = 1 - ctx.exp(ln_tail)
+            assert abs(tail - Decimal(q)) <= Decimal(1e-13) * Decimal(q), (a, p, q, report.root)
+        solved += 1
 
 
 def test_log_variable_trace_mapped_root():

@@ -30,7 +30,6 @@ from snm import (
 )
 from snm.beta import BetaDirectProblem, BetaLogitProblem
 from snm.core import (
-    DEEP_TAIL_Z,
     STEP_REL_TOL,
     FunctionProblem,
     Problem,
@@ -42,7 +41,7 @@ from snm.core import (
 from snm.elliptic import EllipticProblem
 from snm.gamma import GammaDirectProblem, GammaLogProblem
 
-from conftest import (beta_bisection_root, cube_problem, elliptic_bisection_root,
+from conftest import (DEEP_TAIL_Z, beta_bisection_root, cube_problem, elliptic_bisection_root,
                       gamma_bisection_root, log_uniform)
 
 REL_TOL = 1e-12  # the contract: relative error in x

@@ -28,9 +28,8 @@ from snm import (
     invert_ellip_e,
     invert_gamma,
 )
-from snm.core import DEEP_TAIL_Z
 
-from conftest import log_uniform
+from conftest import DEEP_TAIL_Z, log_uniform
 
 # CHANGES.md records each re-recording.
 DIGEST = "fa9a520fa3e60b72aea868048ce38e1cac0d727832706bcc31c672b344c6fac0"
@@ -95,7 +94,11 @@ def _results():
 
 
 def _branch(query, report):
-    """The plan branch a result took, as a short label."""
+    """The plan branch a result took, as a short label.
+
+    The "deep tail" labels are input regions, beyond ``DEEP_TAIL_Z``,
+    that the grid must keep reaching, not branches of the problems.
+    """
     if isinstance(query, GammaQuantileQuery):
         assert report.variable is Variable.LOG
         if report.root_underflow:

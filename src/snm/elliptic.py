@@ -53,7 +53,7 @@ from .core import (
     _tuple_new,
     solve,
 )
-from .special import _carlson_fd, _ellip_c, ellip_e_complete
+from .special import _ELLIP_E_SERIES_MAX, _carlson_fd, _ellip_c, _ellip_e_series, ellip_e_complete
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
@@ -225,7 +225,9 @@ _COMPLEMENT_M_MIN = 0.95
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    For m <= 0.95 or p <= 1/2, f is formed so, and ``residual_tol`` is
+    For m <= 0.95 or p <= 1/2, f is formed so, E(sin x, m) as
+    ``ellip_e_inc`` forms it (its series for sin x <= 1/32, else one
+    duplication pass), and ``residual_tol`` is
     RESIDUAL_NOISE_FLOOR times the target p E(1, m): the stop is relative
     to the target, as an absolute one would accept x ~ p E(1, m) unrefined
     once the target itself is below the floor (m near 1, small p).  For
@@ -268,8 +270,12 @@ class EllipticProblem(Problem):
         kprime2 = self.kprime2
         if kprime2 is None:
             w = 1.0 - (m * s) * (m * s)
-            rf, rd = _carlson_fd(c2, w)  # E(sin x, m) as ellip_e_inc forms it
-            f = s * rf - (m2 / 3.0) * (s * s * s) * rd - self.target
+            # E(sin x, m) as ellip_e_inc forms it, its amplitude test inline.
+            if s <= _ELLIP_E_SERIES_MAX:
+                f = _ellip_e_series(s, m) - self.target
+            else:
+                rf, rd = _carlson_fd(c2, w)
+                f = s * rf - (m2 / 3.0) * (s * s * s) * rd - self.target
         else:
             w = kprime2 + (m * c) * (m * c)
             f = self.rest - _ellip_c(m, kprime2, c, s * s)

@@ -912,6 +912,19 @@ def test_logit_of_keeps_one_minus_x_below_2_to_the_minus_53():
     assert report.converged and 0.0 < report.root < 1e-232, report
 
 
+def test_shapes_whose_log_gamma_overflows_plan_and_end_in_a_typed_error():
+    # ln B at a smaller shape above 2.5e305 raised OverflowError from
+    # ln Gamma; the plan now forms it, and the solve may still end in an
+    # SnmError where the beta fraction overflows (ROADMAP item 5).
+    query = BetaQuantileQuery(5.395058535143388e+307, 6.637664448833635e+307,
+                              1.0, 2.809508996338098e-107)
+    beta_plan(query)
+    try:
+        invert_beta(query)
+    except SnmError:
+        pass
+
+
 def _p_at_zeta(a, b, zeta):
     """(p, q) whose eta0 = Phi^-1(p)/sqrt(a + b) is zeta sqrt(x0 y0), x0 = a/(a + b)."""
     t = zeta * math.sqrt(a * b / (a + b))

@@ -54,6 +54,7 @@ from snm.gamma import (
     invert_gamma,
 )
 from snm.special import (
+    _ELLIP_E_SERIES_MAX,
     _beta_exponent,
     _ellip_c,
     _gamma_prefactor,
@@ -245,7 +246,7 @@ def test_elliptic_evaluate_matches_public_kernels():
     for m in (0.01, 0.3, 0.5, 0.8, 0.9, 0.999):
         for p in (0.1, 0.5, 0.9):
             problem = EllipticProblem(EllipticQuery(m, p))
-            for x in (0.0, 0.1, 0.5, 0.8, 1.2, 1.5, math.pi / 2):
+            for x in (0.0, 1e-3, 0.1, 0.5, 0.8, 1.2, 1.5, math.pi / 2):
                 s, c = math.sin(x), math.cos(x)
                 if m > 0.95 and p > 0.5:
                     g2 = (1.0 - m) * (1.0 + m)
@@ -361,6 +362,8 @@ ELLIPTIC_CASES = (
     (EllipticQuery(0.5, 0.9), {}),
     (EllipticQuery(0.97, 0.6), {}),
     (EllipticQuery(0.99999, 0.99), {}),  # the complementary start; C by its series
+    (EllipticQuery(0.9999, 0.9999), {}),  # C by its series, below s = 4 k'/m
+    (EllipticQuery(1.0 - 1e-9, 0.004), {}),  # a tiny amplitude: E by its series
     (EllipticQuery(0.8356946940637837, 0.6632687675887856), {}),
     # (0.5, 0.3) converges in 0 iterations, so no cap binds it; this query
     # takes one.
@@ -411,10 +414,10 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
 
 def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
     # E(1, m) comes from the AGM or the k' series, so the only kernel runs
-    # are the solve's own evaluations: each one duplication pass for
-    # E(sin x, m), or for m > 0.95 and p > 1/2 one C(pi/2 - x), by its
-    # series or by that pass.
-    calls = _count_calls(monkeypatch, ("_carlson_fd", "_ellip_c"))
+    # are the solve's own evaluations: each one E(sin x, m), by its series
+    # or one duplication pass, or for m > 0.95 and p > 1/2 one C(pi/2 - x),
+    # by its series or by that pass.
+    calls = _count_calls(monkeypatch, ("_carlson_fd", "_ellip_c", "_ellip_e_series"))
     evaluations = 0
     for query, kwargs in ELLIPTIC_CASES:
         calls[0] = 0
@@ -424,6 +427,27 @@ def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
         assert calls[0] == report.evaluations, (query, kwargs, calls[0])
         evaluations += report.evaluations
     assert evaluations > 0
+
+
+def test_the_series_cases_take_the_series_branches(monkeypatch):
+    # (1 - 1e-9, 0.004) evaluates E only inside the E series' reach, and
+    # (0.9999, 0.9999) C only below s = 4 k'/m: neither runs a duplication
+    # pass.
+    duplication = _count_calls(monkeypatch, "_carlson_fd")
+    e_series = _count_calls(monkeypatch, "_ellip_e_series")
+    c_kernel = _count_calls(monkeypatch, "_ellip_c")
+    for query, kernel in ((EllipticQuery(1.0 - 1e-9, 0.004), e_series),
+                          (EllipticQuery(0.9999, 0.9999), c_kernel)):
+        assert (query, {}) in ELLIPTIC_CASES
+        duplication[0] = e_series[0] = c_kernel[0] = 0
+        report = invert_ellip_e(query)
+        assert report.converged, query
+        assert (kernel[0], duplication[0]) == (report.evaluations, 0), query
+        m = query.m
+        if kernel is e_series:
+            assert math.sin(report.root) <= _ELLIP_E_SERIES_MAX, query
+        else:
+            assert math.cos(report.root) < 4.0 * math.sqrt((1.0 - m) * (1.0 + m)) / m, query
 
 
 def _both_below_one_queries(n=240):
@@ -443,7 +467,8 @@ def test_every_kernel_evaluation_is_a_counted_evaluation(monkeypatch):
     # No plan runs a kernel, and every evaluation runs one, deep tails
     # included: each kernel run of an invert_* call is one of its report's
     # evaluations.
-    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_carlson_fd", "_ellip_c"))
+    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_carlson_fd", "_ellip_c",
+                                       "_ellip_e_series"))
     cases = ([(invert_gamma, gamma_start, query, kwargs) for query, kwargs in GAMMA_CASES]
              + [(invert_beta, beta_plan, query, kwargs) for query, kwargs in BETA_CASES]
              + [(invert_beta, beta_plan, query, {}) for query in _both_below_one_queries()]

@@ -32,7 +32,7 @@ from snm import (
 from conftest import DEEP_TAIL_Z, log_uniform
 
 # CHANGES.md records each re-recording.
-DIGEST = "fa9a520fa3e60b72aea868048ce38e1cac0d727832706bcc31c672b344c6fac0"
+DIGEST = "6167953365e1f3f7dc3a18d74dab23db21265f5aa55ff1e7002368bc033743c3"
 
 
 def _probability(rng):
@@ -67,6 +67,8 @@ def _queries():
         EllipticQuery(0.9999, 0.999),         # complementary start, s0 = sqrt(2T)
         EllipticQuery(0.99, 1.0 - 1e-6),      # complementary start, s0 = T/b
         EllipticQuery(0.99999, 0.99),         # C(pi/2 - x) by its series
+        EllipticQuery(0.9999, 0.9999),        # C by its series, below s = 4 k'/m
+        EllipticQuery(1.0 - 1e-9, 0.004),     # E(sin x, m) by its series
     ]
     return out
 

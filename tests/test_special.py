@@ -12,10 +12,12 @@ from snm.special import (
     _RF_Q_SCALE,
     KernelError,
     _ELLIP_C_SERIES_MAX,
+    _ELLIP_E_SERIES_MAX,
     _beta_exponent,
     _LN_4,
     _carlson_fd,
     _ellip_c,
+    _ellip_e_series,
     _ln_gamma_1p,
     _reg_beta,
     bisect_root,
@@ -411,6 +413,29 @@ def test_ln_beta_symmetric():
     assert ln_beta(2.0, 3.0) == pytest.approx(-math.log(12.0), rel=1e-14)
 
 
+def test_ln_beta_at_shapes_whose_log_gamma_overflows():
+    # Above 2.5e305 ln Gamma(lo) overflows, and lo log(a + b) with it; past
+    # lo = 1e300 ln B is Stirling's in lo/hi.  References: 50-digit mpmath.
+    for a, b, exact in ((3e305, 1e306, -7.022653851055192e+305),
+                        (5.395058535143388e+307, 6.637664448833635e+307, -8.276172215596813e+307)):
+        assert ln_beta(a, b) == ln_beta(b, a)
+        assert ln_beta(a, b) == pytest.approx(exact, rel=1e-15, abs=0.0), (a, b)
+
+
+def test_ln_beta_at_huge_shapes_against_mpmath():
+    # Both shapes in [1e300, 1.7e308]; the worst is 2.4e-16 over these 400.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random("ln-beta-huge")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(400):
+            hi = math.exp(rng.uniform(math.log(1e300), math.log(1.7e308)))
+            lo = math.exp(rng.uniform(math.log(1e300), math.log(hi)))
+            exact = mpmath.loggamma(lo) + mpmath.loggamma(hi) - mpmath.loggamma(mpmath.mpf(lo) + hi)
+            worst = max(worst, float(abs(ln_beta(lo, hi) / exact - 1)))
+    assert worst <= 1e-15, worst
+
+
 # ---------------------------------------------------- Carlson / elliptic
 
 def test_carlson_equal_arguments():
@@ -492,12 +517,72 @@ def _stop_steps(x, y, z):
     return stop_f, stop_d
 
 
+def _duplication_e(m, s, c2, w):
+    """E(s, m) as ``ellip_e_inc`` forms it past the series' reach."""
+    rf, rd = _carlson_fd(c2, w)
+    return s * rf - (m * m / 3.0) * (s * s * s) * rd
+
+
 def test_fused_ellip_e_matches_the_carlson_reference_bit_for_bit():
+    past_series = 0
     for m, phi in _fused_kernel_grid():
         s, c2, w = _kernel_arguments(m, phi)
         reference = (s * carlson_rf(c2, w, 1.0)
                      - (m * m / 3.0) * (s * s * s) * carlson_rd(c2, w, 1.0))
-        assert ellip_e_inc(phi, m) == reference, (m, phi)
+        assert _duplication_e(m, s, c2, w) == reference, (m, phi)
+        if s > _ELLIP_E_SERIES_MAX:
+            assert ellip_e_inc(phi, m) == reference, (m, phi)
+            past_series += 1
+    assert past_series > 1000
+
+
+def _e_series_grid(name, n):
+    """(m, s) with s = sin phi in the E series' reach: half with m uniform in
+    [0, 1), half with 1 - m = 10^U[-15, 0]; log s uniform over
+    [log 1e-12, log(1/32)]."""
+    rng = random.Random(name)
+    out = []
+    for k in range(n):
+        m = rng.random() if k % 2 else 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
+        out.append((m, math.exp(rng.uniform(math.log(1e-12), math.log(_ELLIP_E_SERIES_MAX)))))
+    return out
+
+
+def test_e_series_matches_the_carlson_integrals():
+    # s R_F - (m^2/3) s^3 R_D from the public kernels; the worst is 2.0 eps
+    # over these 2,000 points, mostly the rounding of the Carlson form.
+    for m, s in _e_series_grid("ellip-e-series-carlson", 2000):
+        c2 = (1.0 - s) * (1.0 + s)
+        w = 1.0 - (m * s) * (m * s)
+        reference = (s * carlson_rf(c2, w, 1.0)
+                     - (m * m / 3.0) * (s * s * s) * carlson_rd(c2, w, 1.0))
+        assert _ellip_e_series(s, m) == pytest.approx(reference, rel=4 * 2.0 ** -52, abs=0.0), (m, s)
+
+
+def test_e_series_against_mpmath():
+    # E(asin s, m) at 50 digits; the worst is 0.48 eps (1.1e-16) over these
+    # 3,000 points, where the duplication's form reads 1.73 eps.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for m, s in _e_series_grid("ellip-e-series-mpmath", 3000):
+            ref = mpmath.ellipe(mpmath.asin(s), mpmath.mpf(m) ** 2)
+            worst = max(worst, float(abs(_ellip_e_series(s, m) / ref - 1)))
+    assert worst <= 2.0 ** -52, worst
+
+
+def test_e_series_and_duplication_agree_across_their_switch():
+    # The series is taken up to s = 1/32, the duplication past it; one ulp
+    # of s moves E by about one ulp.  The worst is 3.0 eps over these 400.
+    rng = random.Random("ellip-e-switch")
+    series = _ELLIP_E_SERIES_MAX
+    duplication = math.nextafter(series, 1.0)
+    for k in range(400):
+        m = rng.random() if k % 2 else 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
+        a = _ellip_e_series(series, m)
+        c2 = (1.0 - duplication) * (1.0 + duplication)
+        b = _duplication_e(m, duplication, c2, 1.0 - (m * duplication) ** 2)
+        assert abs(b - a) <= 4 * 2.0 ** -52 * a, (m, a, b)
 
 
 def test_rf_never_stops_after_rd_on_elliptic_arguments():
@@ -541,19 +626,18 @@ def _carlson_complement(m, s, c2):
 
 
 def _series_grid(n):
-    """(m, s) with 4 k'/m <= s = sin psi <= 0.4, where ``_ellip_c`` sums its
+    """(m, s) with s = sin psi in [1e-12, 0.4], where ``_ellip_c`` sums its
     series: 1 - m = 10^U[-15, -2.31] (k'/m <= 0.1), s log-uniform, seeded."""
     rng = random.Random("ellip-c-series")
     out = []
     for _ in range(n):
         m = 1.0 - 10.0 ** rng.uniform(-15.0, -2.31)
-        b = math.sqrt((1.0 - m) * (1.0 + m)) / m
-        out.append((m, math.exp(rng.uniform(math.log(4.0 * b), math.log(_ELLIP_C_SERIES_MAX)))))
+        out.append((m, math.exp(rng.uniform(math.log(1e-12), math.log(_ELLIP_C_SERIES_MAX)))))
     return out
 
 
 def test_complement_series_matches_the_carlson_form():
-    # Worst 4.0 eps over these 400 points.
+    # Worst 3.5 eps over these 400 points.
     for m, s in _series_grid(400):
         c2 = (1.0 - s) * (1.0 + s)
         got = _ellip_c(m, (1.0 - m) * (1.0 + m), s, c2)
@@ -561,7 +645,7 @@ def test_complement_series_matches_the_carlson_form():
 
 
 def test_complement_series_against_mpmath():
-    # C = E(1, m) - E(pi/2 - psi, m) at 50 digits; the worst is 2.5 eps (5.6e-16).
+    # C = E(1, m) - E(pi/2 - psi, m) at 50 digits; the worst is 1.9 eps (4.1e-16).
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(50):
@@ -574,18 +658,17 @@ def test_complement_series_against_mpmath():
 
 
 def test_complement_branches_agree_across_their_switches():
-    # One ulp of s moves C by about two ulps; the series is taken from
-    # s = 4 k'/m up to s = 0.4 and the duplication on either side.
+    # One ulp of s moves C by about two ulps; the series is taken up to
+    # s = 0.4 and the duplication past it.
     rng = random.Random("ellip-c-switch")
+    series = _ELLIP_C_SERIES_MAX
+    duplication = math.nextafter(series, 1.0)
     for _ in range(400):
         m = 1.0 - 10.0 ** rng.uniform(-15.0, -2.31)
         g2 = (1.0 - m) * (1.0 + m)
-        edge = 4.0 * (math.sqrt(g2) / m)
-        for series, duplication in ((edge, math.nextafter(edge, 0.0)),
-                                    (_ELLIP_C_SERIES_MAX, math.nextafter(_ELLIP_C_SERIES_MAX, 1.0))):
-            a = _ellip_c(m, g2, series, (1.0 - series) * (1.0 + series))
-            b = _ellip_c(m, g2, duplication, (1.0 - duplication) * (1.0 + duplication))
-            assert abs(a - b) <= 8 * 2.0 ** -52 * a, (m, series)
+        a = _ellip_c(m, g2, series, (1.0 - series) * (1.0 + series))
+        b = _ellip_c(m, g2, duplication, (1.0 - duplication) * (1.0 + duplication))
+        assert abs(a - b) <= 8 * 2.0 ** -52 * a, (m, series)
 
 
 def test_ellip_e_inc_limits():

@@ -17,7 +17,8 @@ classes and enums.  Each pass times every query
 once on both trees, back to back, the order alternating from query to
 query and pass to pass; a query's time is its minimum over the passes.
 
-Per round it prints, for BASE, HEAD and the change: ``us_per_query``,
+Per round it prints how many roots moved per solver, with the median and
+largest move in ulps, then, for BASE, HEAD and the change: ``us_per_query``,
 ``query_us_p50`` and ``query_us_p99`` over the workload's main queries,
 each solver's µs per query (control queries included, as in
 ``bench/run.py``) and its evaluations per query, how many roots (by
@@ -55,6 +56,7 @@ import importlib.util
 import math
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -190,6 +192,33 @@ def time_round(sets: list[list], plans: list[dict], passes: int
             outcomes)
 
 
+def _ordinal(x: float) -> int:
+    """The double's position in the ordered doubles, so adjacent ones differ by 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def report_moved_roots(queries: list, outcomes: list[list[tuple]], solvers) -> None:
+    """Per solver, the roots whose bits differ and the median and largest
+    distance in ulps; a query that raised on either tree counts as moved
+    without a distance."""
+    parts = []
+    for solver in solvers:
+        pairs = [(a, b) for q, a, b in zip(queries, *outcomes) if q.solver == solver]
+        ulps = []
+        moved = 0
+        for a, b in pairs:
+            if a[0] == b[0]:
+                continue
+            moved += 1
+            if a[1] is not None and b[1] is not None:  # neither raised
+                ulps.append(abs(_ordinal(float.fromhex(a[0])) - _ordinal(float.fromhex(b[0]))))
+        spread = (f" (median {statistics.median(ulps):g} ulps, max {max(ulps)})"
+                  if ulps else "")
+        parts.append(f"{solver} {moved}/{len(pairs)}{spread}")
+    print("  roots moved: " + ", ".join(parts))
+
+
 def metrics(queries: list, us: list[float], outcomes: list[tuple], solvers) -> dict:
     """The bench's end-to-end times, plus evaluations per query per solver."""
     main = [u for q, u in zip(queries, us) if not q.control]
@@ -285,6 +314,7 @@ def main(argv=None) -> int:
             print(f"round {r + 1}: roots identical {same_root}/{len(keep)}, "
                   f"evaluations identical {same_evals}/{len(keep)}, "
                   f"traces identical {same_trace}/{len(keep)}")
+            report_moved_roots(sets[0], outcomes, solvers)
             print(f"  {'metric':32s} {'base':>10s} {'head':>10s} {'change':>8s}")
             for name in m[0]:
                 a, b = m[0][name], m[1][name]

@@ -31,7 +31,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .core import (
-    MACHINE_EPSILON,
+    MIN_NORMAL,
     RESIDUAL_NOISE_FLOOR,
     Interval,
     Plan,
@@ -55,10 +55,6 @@ _UNIT_INTERVAL = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 # log of the largest double below 1.
 _LOG_X_MAX = math.log1p(-2.0 ** -53)
 _LOG_HALF = math.log(0.5)
-_LN_EPS = math.log(MACHINE_EPSILON)
-# For a, b >= 16 the logit evaluation takes Stirling's prefactor at least up
-# to this |z| (``stirling_z``), where x and 1 - x stay normal (above 1e-290).
-_STIRLING_Z = 667.0
 
 
 class BetaQuantileQuery(_Checked, namedtuple("BetaQuantileQuery", "a b p q")):
@@ -174,20 +170,17 @@ class _BetaProblem(Problem):
     x (I below the switch, J above it) counts as 0: where the inverted
     tail is 1 minus that one, its rounding noise is that large.  ``ln_b``
     is ln B(a, b), and ``stirling`` for a, b >= 16 the constants of the
-    kernel exponent's Stirling form; with them ``stirling_z``, the largest
-    |z| at which the logit evaluation takes that form.  It holds the
-    query's fields as ``a``, ``b``, ``p`` and ``q``, read once.
+    kernel exponent's Stirling form, both from one ``_beta_constants``
+    call.  It holds the query's fields as ``a``, ``b``, ``p`` and ``q``,
+    read once.
     """
 
     def __init__(self, query: BetaQuantileQuery) -> None:
         a, b, p, q = query.a, query.b, query.p, query.q
         self.a, self.b, self.p, self.q = a, b, p, q
-        s = a + b
         self.ln_b, self.stirling = _beta_constants(a, b)
-        self.switch = (a + 1.0) / (s + 2.0)
+        self.switch = (a + 1.0) / (a + b + 2.0)
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
-        if self.stirling:
-            self.stirling_z = max(_STIRLING_Z, math.log(s) - _LN_EPS)
 
     def _residual(self, x: float, i: float, j: float) -> float:
         p = self.p
@@ -226,8 +219,8 @@ class BetaLogitProblem(_BetaProblem):
     x = sigma(z) and y = 1 - x = sigma(-z) both come from one exp(-|z|),
     so neither tail is formed by subtraction; f' is the kernel's prefactor,
     from z, or for a, b >= 16 from Stirling's shifted exponent, whose error
-    is not ~eps (a + b), up to |z| = ``stirling_z`` = max(667,
-    ln((a + b)/eps)).  Every z runs the kernel: where (a + b) e^-|z| is
+    is not ~eps (a + b), wherever x and y are both normal, the rule of
+    ``GammaLogProblem``.  Every z runs the kernel: where (a + b) e^-|z| is
     below eps it returns the leading power term e^(az) / (a B(a, b)), or
     its mirror e^(-bz) / (b B(a, b)), and B_z and Omega tend to -a and
     -a^2/4 (b and -b^2/4), even where x or y is subnormal or 0.
@@ -242,7 +235,7 @@ class BetaLogitProblem(_BetaProblem):
         x, y = (1.0 / d, t / d) if z >= 0.0 else (t / d, 1.0 / d)
         # f_z' is the kernel's prefactor x^a y^b / B, and formed from z it
         # keeps its precision where x or y is subnormal or 0.
-        if self.stirling and abs(z) <= self.stirling_z:
+        if self.stirling and min(x, y) >= MIN_NORMAL:
             fp = math.exp(_beta_exponent(a, b, x, y, ln_b, self.stirling))
         else:
             fp = math.exp((a * z if z < 0.0 else -b * z) - (a + b) * math.log1p(t) - ln_b)

@@ -37,6 +37,7 @@ from .core import (
     SnmError,
     SolveOptions,
     _sigmoid,
+    check_shape,
     osculating_eval,
     osculating_fit,
     solve,
@@ -44,9 +45,9 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import (_STIRLING_MIN, _beta_exponent, _gamma_exponent, _ln_gamma_1p, _reg_beta,
-                      _reg_gamma, bisect_root, carlson_rd, carlson_rf, ellip_e_complete,
-                      ellip_e_inc, ln_beta, ln_gamma)
+from .special import (_STIRLING_MIN, _beta_constants, _beta_exponent, _gamma_exponent,
+                      _gamma_stirling, _ln_gamma_1p, _reg_beta, _reg_gamma, bisect_root,
+                      carlson_rd, carlson_rf, ellip_e_complete, ellip_e_inc, ln_gamma)
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -67,10 +68,11 @@ def _gamma_residual(a: float, p: float, q: float) -> Callable[[float], float]:
     Below x = 1 with a < 16 the kernel's prefactor x^a e^-x / Gamma(a) is
     formed from x ** a, not from exp(a ln x - x - ln Gamma(a)), whose
     rounding of a ln x is |a ln x| eps relative (8e-14 at a = 1,
-    x = 1e-300); elsewhere it is the kernel's.
+    x = 1e-300); elsewhere it is the kernel's, with its constants formed once.
     """
     ln_gamma_a = ln_gamma(a)
     ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 and p > 0.5 else None
+    stirling = _gamma_stirling(a) if a >= _STIRLING_MIN else None
 
     def tails(x: float) -> tuple[float, float]:
         if x == 0.0:  # a compare root that underflowed
@@ -78,7 +80,7 @@ def _gamma_residual(a: float, p: float, q: float) -> Callable[[float], float]:
         if x < 1.0 and a < _STIRLING_MIN:
             scale = x ** a * math.exp(-x - ln_gamma_a)
         else:
-            scale = math.exp(_gamma_exponent(a, x, ln_gamma_a))
+            scale = math.exp(_gamma_exponent(a, x, ln_gamma_a, stirling))
         return _reg_gamma(a, x, scale, ln_gamma_1p)
     if p <= 0.5:
         return lambda x: tails(x)[0] - p
@@ -89,15 +91,18 @@ def _beta_residual(a: float, b: float, p: float, q: float) -> Callable[..., floa
     """The smaller tail's residual at x, I - p for p <= 1/2, else q - J, from
     the kernel's pair (I, J) at (x, y), as the solvers form it; y defaults to
     1 - x.  A solver root in logit x may round to x = 1, where the kernel
-    cannot take log y: there (I, J) = (1, 0)."""
-    ln_b = ln_beta(a, b)
+    cannot take log y: there (I, J) = (1, 0).  ln B and the kernel's
+    constants are formed once, from the checked shapes."""
+    check_shape("beta_bisection_root", a)
+    check_shape("beta_bisection_root", b)
+    ln_b, stirling = _beta_constants(a, b)
 
     def residual(x: float, y: Optional[float] = None) -> float:
         y = 1.0 - x if y is None else y
         if y == 0.0:
             i, j = 1.0, 0.0
         else:
-            i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_b)))
+            i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_b, stirling)))
         return i - p if p <= 0.5 else q - j
     return residual
 

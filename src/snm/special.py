@@ -162,9 +162,6 @@ _STIRLING = (
     1.0 / 1188.0,
 )
 
-
-# Above this smaller shape ``_beta_constants`` forms ln B by Stirling alone.
-_ALL_STIRLING_MIN = 1e300
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -350,10 +347,9 @@ def gamma_density(a: float, x: float) -> float:
 def ln_beta(a: float, b: float) -> float:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b).
 
-    For max(a, b) >= 16 the log Gamma difference is expanded through the
-    Stirling remainder, avoiding the cancellation of two large log Gamma
-    values.  Symmetric bit for bit: ln_beta(a, b) == ln_beta(b, a).
-    Requires finite a, b > 0.
+    For max(a, b) >= 16 every log Gamma of 16 or more is Stirling's, so two
+    large log Gamma values never cancel (``_beta_constants``).  Symmetric
+    bit for bit: ln_beta(a, b) == ln_beta(b, a).  Requires finite a, b > 0.
     """
     check_shape("ln_beta", a)
     check_shape("ln_beta", b)
@@ -365,12 +361,13 @@ def _beta_constants(a: float,
     """(ln B(a, b), the constants of ``_beta_exponent``'s shifted form) for checked shapes.
 
     The constants are ((1/2) log(ab/(2 pi s)), S(s), S(a), S(b)), s = a + b,
-    for a, b >= 16, else None.  S(s) and S(max(a, b)) serve both ln B and
-    the constants, so each is computed once.  Above lo = min(a, b) = 1e300,
-    where ln Gamma(lo) and lo log s overflow, every ln Gamma is Stirling's,
-    in r = lo/hi: ln B = (lo - 1/2)(ln r - log1p r) - (hi - 1/2) log1p r
-    - (ln hi + log1p r)/2 + ln sqrt(2 pi) + S(lo) + S(hi) - S(s), which
-    needs no a + b (S(inf) is 0).
+    for a, b >= 16, else None.  There every ln Gamma is Stirling's, in
+    r = lo/hi (lo = min(a, b), hi = max(a, b)): ln B = (lo - 1/2)(ln r -
+    log1p r) - (hi - 1/2) log1p r - (ln hi + log1p r)/2 + ln sqrt(2 pi)
+    + S(lo) + S(hi) - S(s), which needs no a + b (S(inf) is 0) and no ln
+    Gamma(lo) ~ lo ln lo to cancel.  For lo < 16 <= hi, ln B is ln Gamma(lo)
+    minus Stirling's ln Gamma(s) - ln Gamma(hi).  S(s) and S(hi) serve both
+    ln B and the constants, so each is computed once.
     """
     hi, lo = (a, b) if a >= b else (b, a)
     if hi < _STIRLING_MIN:
@@ -378,39 +375,34 @@ def _beta_constants(a: float,
     s = hi + lo
     s_s = _stirling_remainder(s)
     s_hi = _stirling_remainder(hi)
-    if lo > _ALL_STIRLING_MIN:
-        s_lo = _stirling_remainder(lo)
-        r = lo / hi
-        log1p_r = math.log1p(r)
-        ln_b = ((lo - 0.5) * (math.log(r) - log1p_r) - (hi - 0.5) * log1p_r
-                - 0.5 * (math.log(hi) + log1p_r) + _LN_SQRT_2PI + s_lo + s_hi - s_s)
-    else:
-        # ln Gamma(s) - ln Gamma(hi), both arguments >= 16.
-        ln_b = _ln_gamma(lo) - ((hi - 0.5) * math.log1p(lo / hi) + lo * math.log(s) - lo
-                                + s_s - s_hi)
-        if lo < _STIRLING_MIN:
-            return ln_b, None
-        s_lo = _stirling_remainder(lo)
+    if lo < _STIRLING_MIN:
+        return _ln_gamma(lo) - ((hi - 0.5) * math.log1p(lo / hi) + lo * math.log(s) - lo
+                                + s_s - s_hi), None
+    s_lo = _stirling_remainder(lo)
+    r = lo / hi
+    log1p_r = math.log1p(r)
+    ln_b = ((lo - 0.5) * (math.log(r) - log1p_r) - (hi - 0.5) * log1p_r
+            - 0.5 * (math.log(hi) + log1p_r) + _LN_SQRT_2PI + s_lo + s_hi - s_s)
     s_a, s_b = (s_hi, s_lo) if a >= b else (s_lo, s_hi)
     return ln_b, (0.5 * math.log(a * b / (2.0 * math.pi * s)), s_s, s_a, s_b)
 
 
 def _beta_exponent(a: float, b: float, x: float, y: float, ln_b: float,
-                   stirling: Optional[tuple[float, float, float, float]] = None) -> float:
-    """a log x + b log y - ln B(a, b), y = 1 - x, given ln_b = ln B(a, b).
+                   stirling: Optional[tuple[float, float, float, float]]) -> float:
+    """a log x + b log y - ln B(a, b), y = 1 - x, from ``_beta_constants(a, b)``:
+    ln_b = ln B(a, b) and ``stirling``, the shifted form's constants or None.
 
     The log is taken of the smaller of x and y, and log1p of minus it for
     the other, so neither is formed by subtraction.  For a, b >= 16 and x
     in the central bulk, the shifted form
         a log1p(t/a) + b log1p(-t/b) + (1/2) log(ab/(2 pi s)) + dS,
     t = x b - y a, s = a + b, dS = S(s) - S(a) - S(b), keeps the absolute
-    error near eps * |t| instead of eps * |ln B|; a caller that evaluates
-    at one (a, b) many times passes its constants, ``_beta_constants(a, b)[1]``.
+    error near eps * |t| instead of eps * |ln B|.
     """
-    if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
+    if stirling:
         t = x * b - y * a
         if t > -0.9 * a and -t > -0.9 * b:
-            half_log, s_s, s_a, s_b = stirling or _beta_constants(a, b)[1]
+            half_log, s_s, s_a, s_b = stirling
             return (a * math.log1p(t / a) + b * math.log1p(-t / b)
                     + half_log + s_s - s_a - s_b)
     if x <= y:
@@ -477,7 +469,8 @@ def reg_beta(x: float, a: float, b: float) -> float:
     if x == 1.0:
         return 1.0
     y = 1.0 - x
-    return _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))[0]
+    scale = math.exp(_beta_exponent(a, b, x, y, *_beta_constants(a, b)))
+    return _reg_beta(x, y, a, b, scale)[0]
 
 
 def _reg_beta(x: float, y: float, a: float, b: float, scale: float) -> tuple[float, float]:

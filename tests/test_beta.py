@@ -36,7 +36,7 @@ from snm.core import (
     solve,
 )
 from snm.gamma import GammaQuantileQuery, invert_gamma
-from snm.special import _beta_exponent, _reg_beta, bisect_root, ln_beta, reg_beta
+from snm.special import _beta_constants, _beta_exponent, _reg_beta, bisect_root, ln_beta, reg_beta
 
 from conftest import DEEP_TAIL_Z, beta_bisection_root, log_uniform, step_only
 
@@ -1055,7 +1055,7 @@ def _kernel_residual(query, log_x, log_y):
     """I_x - p (q - (1 - I_x) for p > 1/2) by the kernel, at x = e^log_x, 1 - x = e^log_y."""
     a, b = query.a, query.b
     x, y = math.exp(log_x), math.exp(log_y)
-    i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))
+    i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, *_beta_constants(a, b))))
     return i - query.p if query.p <= 0.5 else query.q - j
 
 

@@ -36,7 +36,8 @@ from snm.gamma import (
     _gamma_omega_log_x,
     gamma_omega_log,
 )
-from snm.special import _beta_exponent, _gamma_exponent, _reg_beta, _reg_gamma, ln_beta, ln_gamma
+from snm.special import (_beta_constants, _beta_exponent, _gamma_exponent, _reg_beta, _reg_gamma,
+                         ln_beta, ln_gamma)
 
 LN_GAMMA = {
     0.001: '0x1.ba0f3807161acp+2',
@@ -64,7 +65,7 @@ LN_BETA = {
     (15.9, 0.2): '0x1.f3a4415550600p-1',
     (20.0, 3.5): '-0x1.2fc3ad3bf8daap+3',
     (3.5, 20.0): '-0x1.2fc3ad3bf8daap+3',
-    (40.0, 60.0): '-0x1.0fdfdcf0053eep+6',
+    (40.0, 60.0): '-0x1.0fdfdcf0053efp+6',
 }
 
 # (a, x) -> (P, Q, exponent): series for x < a + 1, fraction otherwise.  The
@@ -166,7 +167,7 @@ def _reg_gamma_and_exponent(a: float, x: float) -> tuple[float, float, float]:
 
 def _reg_beta_pair(x: float, a: float, b: float) -> tuple[float, float]:
     y = 1.0 - x
-    return _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))
+    return _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, *_beta_constants(a, b))))
 
 
 def test_reg_gamma_bits():
@@ -237,16 +238,17 @@ def _grid_digest(kernel: str) -> str:
 
 
 # Digests of _grid_digest, recorded with the reference loops; "reg_beta" and
-# "evaluate" re-recorded when the beta fraction became its even part.
+# "evaluate" re-recorded when the beta fraction became its even part, and
+# "ln_beta" and "reg_beta" when ln B became Stirling's for both shapes >= 16.
 GRID_DIGESTS = {
     "ln_gamma":
         "f921dec87af482cd8cf56bb66cfee80da76e3c8624c4cc9ebfbed00d73f3425a",
     "ln_beta":
-        "7e9f5e2b01c04aa72d05edc23c3ccf1e4f75d87a382cb13a4611c43cda561489",
+        "0105e8945e8bc2ab3cf33bcf42836f43dc3a14410f6cd483f5be1aea4877cf97",
     "reg_gamma":
         "8eb030ca7c83e9a634c32a959b3b16d52187b9e079df7ba593603a446d332256",
     "reg_beta":
-        "cf46f606c5b4411201d80fd25bfdb28d81c92b6e837833178abf465a309ab61f",
+        "f872dd7152800630740e14dcf58fb4aba271bd5fa08a2b1d39b0ba845d505728",
     "evaluate":
         "d79e38715e30bedc9114a93e6fbb129ccf056856d4fb2472e6c7f28c29002381",
 }

@@ -24,7 +24,7 @@ from snm.beta import (
     beta_plan,
     invert_beta,
 )
-from snm.cli import main
+from snm.cli import beta_bisection_root, main
 from snm.core import (
     MACHINE_EPSILON,
     MIN_NORMAL,
@@ -55,6 +55,7 @@ from snm.gamma import (
 )
 from snm.special import (
     _ELLIP_E_SERIES_MAX,
+    _beta_constants,
     _beta_exponent,
     _ellip_c,
     _gamma_prefactor,
@@ -64,7 +65,6 @@ from snm.special import (
     ellip_e_complete,
     ellip_e_inc,
     gamma_density,
-    ln_beta,
     ln_gamma,
     reg_beta,
     reg_gamma_p,
@@ -172,14 +172,14 @@ def test_beta_evaluate_matches_public_kernels():
     # comes from z, so those agree with the public forms to rounding.
     for a in BETA_SHAPES:
         for b in BETA_SHAPES:
-            ln_b = ln_beta(a, b)
+            constants = _beta_constants(a, b)
             for p in TAIL_P:
                 query = BetaQuantileQuery(a, b, p)
                 direct = BetaDirectProblem(query)
                 logit = BetaLogitProblem(query)
                 for x in (0.01, 0.3, 0.5, 0.7, 0.99):
                     y = 1.0 - x
-                    scale = math.exp(_beta_exponent(a, b, x, y, ln_b))
+                    scale = math.exp(_beta_exponent(a, b, x, y, *constants))
                     e = direct.evaluate(x)
                     assert (e.f, e.fp, e.big_b, e.omega) == (
                         direct._residual(x, *_reg_beta(x, y, a, b, scale)), scale / (x * y),
@@ -192,7 +192,7 @@ def test_beta_evaluate_matches_public_kernels():
                     x, y = _sigmoid(z), _sigmoid(-z)
                     # The public kernels' prefactor, with Stirling's terms for
                     # a, b >= 16.  The logit problem forms it from z below 16.
-                    fp = math.exp(_beta_exponent(a, b, x, y, ln_b))
+                    fp = math.exp(_beta_exponent(a, b, x, y, *constants))
                     if fp == 0.0:
                         with pytest.raises(DerivativeVanishedError):
                             logit.evaluate(z)
@@ -210,6 +210,29 @@ def test_beta_evaluate_matches_public_kernels():
                         assert e.fp == pytest.approx(fp, rel=tol, abs=0.0), (a, b, z)
                     f = _beta_residual(a, b, p, query.q, x, y)
                     assert e.f == pytest.approx(f, rel=0.0, abs=4e-16), (a, b, p, z)
+
+
+def test_logit_prefactor_is_stirling_s_wherever_x_and_y_are_normal():
+    # For a, b >= 16 the logit f' is Stirling's exponent while x and 1 - x
+    # are both normal, GammaLogProblem's rule, and is formed from z once one
+    # of them is subnormal (past |z| = 708.4), where it has lost bits.  With
+    # the other shape ~1e300, f' has not underflowed there.
+    for a, b in ((20.0, 1e300), (1e300, 20.0)):
+        problem = BetaLogitProblem(BetaQuantileQuery(a, b, 0.3))
+        ln_b, stirling = _beta_constants(a, b)
+        sides = set()
+        for z in (700.0, 708.0, 708.39, 708.4, 709.0, 720.0):
+            z = -z if a < b else z
+            x, y = _sigmoid(z), _sigmoid(-z)
+            normal = min(x, y) >= MIN_NORMAL
+            sides.add(normal)
+            if normal:
+                fp = math.exp(_beta_exponent(a, b, x, y, ln_b, stirling))
+            else:
+                fp = math.exp((a * z if z < 0.0 else -b * z)
+                              - (a + b) * math.log1p(math.exp(-abs(z))) - ln_b)
+            assert 0.0 < problem.evaluate(z).fp == fp, (a, b, z)
+        assert sides == {True, False}
 
 
 def test_direct_f_prime_against_mpmath_at_large_shapes():
@@ -391,6 +414,13 @@ def test_beta_query_computes_ln_beta_once(monkeypatch):
         starts.add(invert_beta(query, **kwargs).start)
         assert (calls[0], public[0]) == (1, 0), (query, kwargs, calls[0], public[0])
     assert starts == {"asymptotic", "series", "lower-bound", "upper-bound", "bracket"}
+    # So do the public kernel and the oracle, whose bisection runs the
+    # kernel 66 times here.
+    for run in (lambda: reg_beta(0.4, 30.0, 40.0),
+                lambda: beta_bisection_root(30.0, 40.0, 0.3, 0.7)):
+        calls[0] = public[0] = 0
+        run()
+        assert (calls[0], public[0]) == (1, 0), (calls[0], public[0])
 
 
 def test_solvers_do_not_recheck_the_query_s_shapes(monkeypatch):

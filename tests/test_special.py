@@ -1,9 +1,11 @@
 """Special-function kernels against closed forms and the quadrature oracle."""
 
+import importlib.util
 import math
 import random
 from decimal import Context, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from snm.special import (
     KernelError,
     _ELLIP_C_SERIES_MAX,
     _ELLIP_E_SERIES_MAX,
+    _LNGAMMA_PIECES,
+    _beta_constants,
     _beta_exponent,
     _LN_4,
     _carlson_fd,
@@ -170,6 +174,22 @@ def test_ln_gamma_table_against_mpmath():
             worst_table = max(worst_table, float(abs((ln_gamma(a) - ref) / ref)))
             worst_series = max(worst_series, float(abs((ln_gamma_series(a) - ref) / ref)))
     assert worst_table <= worst_series, (worst_table, worst_series)
+
+
+def test_ln_gamma_table_is_what_its_fitting_script_prints():
+    # tools/fit_lngamma.py fits each piece of _LNGAMMA_PIECES by mpmath at
+    # 50 digits; its fit over its EDGES must give the table bit for bit, so
+    # a hand-edited coefficient fails here.
+    mpmath = pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location(
+        "fit_lngamma", Path(__file__).resolve().parent.parent / "tools" / "fit_lngamma.py")
+    fit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit)
+    with mpmath.workdps(50):
+        fitted = tuple((centre, *coeffs) for centre, coeffs in
+                       (fit.fit_piece(lo, hi) for lo, hi in zip(fit.EDGES, fit.EDGES[1:])))
+    assert [[v.hex() for v in piece] for piece in fitted] == \
+        [[v.hex() for v in piece] for piece in _LNGAMMA_PIECES]
 
 
 # ------------------------------------------------------ incomplete gamma
@@ -364,9 +384,8 @@ def test_reg_beta_symmetry_identity():
 def test_pair_kernel_is_symmetric(a, b, x, y):
     # (I, 1 - I) at (x, y; a, b) is (1 - I, I) at (y, x; b, a): one side
     # rule, decided in the smaller variable, serves both orders.
-    ln_b = ln_beta(a, b)
-    i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_b)))
-    j_m, i_m = _reg_beta(y, x, b, a, math.exp(_beta_exponent(b, a, y, x, ln_b)))
+    i, j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, *_beta_constants(a, b))))
+    j_m, i_m = _reg_beta(y, x, b, a, math.exp(_beta_exponent(b, a, y, x, *_beta_constants(b, a))))
     assert i == pytest.approx(i_m, rel=1e-15, abs=0.0)
     assert j == pytest.approx(j_m, rel=1e-15, abs=0.0)
     assert 0.0 < min(i, j) and max(i, j) <= 1.0
@@ -400,7 +419,8 @@ def test_the_fraction_past_its_switch_keeps_1_minus_i_at_huge_b(b, tol):
         for k in range(10):
             x = (a + 1.5 + 0.5 * k) / b
             y = 1.0 - x
-            j = _reg_beta(x, y, a, b, math.exp(_beta_exponent(a, b, x, y, ln_beta(a, b))))[1]
+            scale = math.exp(_beta_exponent(a, b, x, y, *_beta_constants(a, b)))
+            j = _reg_beta(x, y, a, b, scale)[1]
             with mpmath.workdps(40):
                 exact = mpmath.betainc(a, b, x, 1, regularized=True)
             assert abs(j - exact) <= tol * exact, (a, x, j, exact)
@@ -414,26 +434,49 @@ def test_ln_beta_symmetric():
 
 
 def test_ln_beta_at_shapes_whose_log_gamma_overflows():
-    # Above 2.5e305 ln Gamma(lo) overflows, and lo log(a + b) with it; past
-    # lo = 1e300 ln B is Stirling's in lo/hi.  References: 50-digit mpmath.
-    for a, b, exact in ((3e305, 1e306, -7.022653851055192e+305),
-                        (5.395058535143388e+307, 6.637664448833635e+307, -8.276172215596813e+307)):
+    # For both shapes >= 16 ln B is Stirling's in lo/hi, so no ln Gamma of
+    # ~lo ln lo cancels: one or two shapes per band of lo from 16 to 1e300,
+    # then past 2.5e305, where ln Gamma(lo) overflows, and lo log(a + b)
+    # with it.  The ln Gamma-difference form was 3.2-565 ulps off at these
+    # below lo = 1e300.  References: mpmath at 50 + log10(hi) digits.
+    for a, b, exact in (
+        (16.0, 24.0, -27.125813309038193),
+        (20.0, 100.0, -54.55080668172124),
+        (75.0, 75.0, -104.86364236295366),
+        (75.0, 112.5, -127.17267287662217),
+        (7000.0, 14000.0, -13370.10268192894),
+        (9000.0, 9000.0, -12479.9362139948),
+        (700000.0, 700000.0, -970411.5166894284),
+        (9000000.0, 9000000.0, -12476655.990934446),
+        (2e+94, 2e+94, -2.7725887222397813e+94),
+        (7.5e+98, 7.5e+98, -1.039720770839918e+99),
+        (1e+243, 2e+243, -1.9095425048844385e+243),
+        (3e+299, 3e+299, -4.158883083359672e+299),
+        (3e305, 1e306, -7.022653851055192e+305),
+        (5.395058535143388e+307, 6.637664448833635e+307, -8.276172215596813e+307),
+    ):
         assert ln_beta(a, b) == ln_beta(b, a)
-        assert ln_beta(a, b) == pytest.approx(exact, rel=1e-15, abs=0.0), (a, b)
+        assert abs(ln_beta(a, b) - exact) <= 3.0 * math.ulp(exact), (a, b)
 
 
 def test_ln_beta_at_huge_shapes_against_mpmath():
-    # Both shapes in [1e300, 1.7e308]; the worst is 2.4e-16 over these 400.
+    # lo = min(a, b) log-uniform in [16, 1.7e308], then hi log-uniform in
+    # [lo, 1e280 lo], below 1.7e308.  ln Gamma(hi) - ln Gamma(a + b) cancels
+    # to ~lo ln hi, so mpmath takes 45 + log10(hi) digits.  The worst is
+    # 1.8 ulps over these 400 (366 at the ln Gamma-difference form).
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random("ln-beta-huge")
+    top = math.log(1.7e308)
     worst = 0.0
-    with mpmath.workdps(50):
-        for _ in range(400):
-            hi = math.exp(rng.uniform(math.log(1e300), math.log(1.7e308)))
-            lo = math.exp(rng.uniform(math.log(1e300), math.log(hi)))
-            exact = mpmath.loggamma(lo) + mpmath.loggamma(hi) - mpmath.loggamma(mpmath.mpf(lo) + hi)
-            worst = max(worst, float(abs(ln_beta(lo, hi) / exact - 1)))
-    assert worst <= 1e-15, worst
+    for _ in range(400):
+        lo = math.exp(rng.uniform(math.log(16.0), top))
+        hi = math.exp(rng.uniform(math.log(lo), min(math.log(lo) + math.log(1e280), top)))
+        with mpmath.workdps(45 + int(math.log10(hi))):
+            lo_m, hi_m = mpmath.mpf(lo), mpmath.mpf(hi)
+            exact = mpmath.loggamma(lo_m) + mpmath.loggamma(hi_m) - mpmath.loggamma(lo_m + hi_m)
+            error = abs(ln_beta(lo, hi) - exact)
+        worst = max(worst, float(error) / math.ulp(float(exact)))
+    assert worst <= 3.0, worst
 
 
 # ---------------------------------------------------- Carlson / elliptic

@@ -335,10 +335,10 @@ def _asymptotic_start(a: float, b: float, p: float, q: float,
     |zeta| <= 3.  There it places the point on the curve at which eps1 and
     eps2 are taken, its own eta from phi (eta0 itself for |zeta| <= 0.1,
     where the series is within 1e-9 and phi would cancel); further out,
-    Newton on phi to 1e-2, from the asymptote u = (ln y0 - eta0^2/2)/x0
-    below the mean, and above it from (eta0^2/2 - ln x0)/y0 or, where
-    x0 e^u < 1, from gamma's start for its limit e^u - 1 - u =
-    eta0^2/(2 x0).  eps1 is moved from that eta to eta0 by eps1'.  For
+    which is above the mean (every zeta0 < -3 starts on ``_series_start``,
+    whose |t1 x_p| is at most 0.026 there), Newton on phi to 1e-2 from
+    gamma's start for its limit x0 e^u << 1, e^u - 1 - u = eta0^2/(2 x0).
+    eps1 is moved from that eta to eta0 by eps1'.  For
     |zeta0| < 1e-2, where L' and eps2 cancel, eps1 and eps2 are their
     series (``tools/temme_beta_series.py`` derives them; each tends to
     gamma's as s -> 0), and u and its derivatives the series' at zeta0.  The shapes
@@ -381,16 +381,10 @@ def _asymptotic_start(a: float, b: float, p: float, q: float,
             else:
                 eta = math.copysign(math.sqrt(2.0 * (math.log1p(x0 * em) - x0 * u)), u)
         else:
+            # zeta > 3: below -3 the lower series reaches every root.  Gamma's
+            # start for e^u - 1 - u = t/x0, the limit x0 e^u << 1.
             t = 0.5 * eta0 * eta0
-            if zeta < 0.0:
-                u = (math.log(y0) - t) / x0
-            else:
-                # Gamma's start for e^u - 1 - u = t/x0, the limit x0 e^u << 1,
-                # where the asymptote is far from the root.
-                u = math.log1p(t / x0 + math.log1p(t / x0))
-                ln_x0 = math.log(x0)
-                if u > -ln_x0:
-                    u = (t - ln_x0) / y0
+            u = math.log1p(t / x0 + math.log1p(t / x0))
             for _ in range(40):  # phi is concave: monotone from the far side
                 em = math.expm1(u)
                 lg = math.log1p(x0 * em)

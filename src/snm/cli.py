@@ -45,9 +45,9 @@ from .core import (
 )
 from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
-from .special import (_STIRLING_MIN, _beta_constants, _beta_exponent, _gamma_exponent,
-                      _gamma_stirling, _ln_gamma_1p, _reg_beta, _reg_gamma, bisect_root,
-                      carlson_rd, carlson_rf, ellip_e_complete, ellip_e_inc, ln_gamma)
+from .special import (_beta_constants, _beta_exponent, _gamma_constants, _gamma_exponent,
+                      _ln_gamma_1p, _reg_beta, _reg_gamma, bisect_root, carlson_rd, carlson_rf,
+                      ellip_e_complete, ellip_e_inc, ln_gamma)
 
 TABLE_DIGITS = 12
 CSV_DIGITS = 17
@@ -68,16 +68,17 @@ def _gamma_residual(a: float, p: float, q: float) -> Callable[[float], float]:
     Below x = 1 with a < 16 the kernel's prefactor x^a e^-x / Gamma(a) is
     formed from x ** a, not from exp(a ln x - x - ln Gamma(a)), whose
     rounding of a ln x is |a ln x| eps relative (8e-14 at a = 1,
-    x = 1e-300); elsewhere it is the kernel's, with its constants formed once.
+    x = 1e-300); elsewhere it is the kernel's, with its constants formed
+    once, from the checked shape.
     """
-    ln_gamma_a = ln_gamma(a)
+    check_shape("gamma_bisection_root", a)
+    ln_gamma_a, stirling = _gamma_constants(a)
     ln_gamma_1p = _ln_gamma_1p(a) if a < 1.0 and p > 0.5 else None
-    stirling = _gamma_stirling(a) if a >= _STIRLING_MIN else None
 
     def tails(x: float) -> tuple[float, float]:
         if x == 0.0:  # a compare root that underflowed
             return 0.0, 1.0
-        if x < 1.0 and a < _STIRLING_MIN:
+        if x < 1.0 and stirling is None:
             scale = x ** a * math.exp(-x - ln_gamma_a)
         else:
             scale = math.exp(_gamma_exponent(a, x, ln_gamma_a, stirling))
@@ -186,50 +187,51 @@ def elliptic_bisection_root(m: float, p: float) -> float:
 class _Kind(NamedTuple):
     """What the commands need to know about one problem name."""
 
-    flags: tuple[str, ...]  # required, in the order the query takes them
     query: Callable  # builds the query from the flag values
     direct: Callable  # query -> the problem in the x variable
     shift: Callable  # direct problem -> offset back to the function's scale
     invert: Optional[Callable] = None  # None: osculate only
     plan: Optional[Callable] = None
-    # compare's, from the query's floats (flags, then q where it has one):
+    # compare's, from the query's fields in order:
     oracle: Optional[Callable] = None  # -> the bisection root in x
     residual: Optional[Callable] = None  # -> the smaller tail's residual at x
 
 
 PROBLEMS = {
-    "gamma": _Kind(("a", "p"), GammaQuantileQuery, GammaDirectProblem,
+    "gamma": _Kind(GammaQuantileQuery, GammaDirectProblem,
                    lambda problem: problem.p, invert_gamma, gamma_start,
                    gamma_bisection_root, _gamma_residual),
-    "beta": _Kind(("a", "b", "p"), BetaQuantileQuery, BetaDirectProblem,
+    "beta": _Kind(BetaQuantileQuery, BetaDirectProblem,
                   lambda problem: problem.p, invert_beta, beta_plan,
                   beta_bisection_root, _beta_residual),
-    "elliptic": _Kind(("m", "p"), EllipticQuery, EllipticProblem,
+    "elliptic": _Kind(EllipticQuery, EllipticProblem,
                       lambda problem: problem.target, invert_ellip_e, elliptic_plan,
                       elliptic_bisection_root, _elliptic_residual),
-    "tan": _Kind((), lambda: None, lambda query: tan_problem(), lambda problem: 0.0),
+    "tan": _Kind(lambda: None, lambda query: tan_problem(), lambda problem: 0.0),
 }
 SOLVED = tuple(name for name, kind in PROBLEMS.items() if kind.invert)
-# The problems whose queries take the upper tail q as well as p.
-TWO_TAILED = ("gamma", "beta")
 
 
 def _validated_query(parser, args):
     kind = PROBLEMS[args.problem]
+    # Every field of the query but the upper tail q is a required flag, in
+    # the query's order; tan's query has no fields.
+    fields = getattr(kind.query, "_fields", ())
+    flags = tuple(name for name in fields if name != "q")
+    two_tailed = "q" in fields
     q = getattr(args, "q", None)  # osculate takes no --q
     if q is not None:
-        if args.problem not in TWO_TAILED:
+        if not two_tailed:
             parser.error(f"--q applies to gamma and beta, not {args.problem}")
         if args.p is None:
             args.p = 1.0 - q
-    for name in kind.flags:
+    for name in flags:
         if getattr(args, name) is None:
-            takes_q = hasattr(args, "q") and args.problem in TWO_TAILED
-            either = " or --q" if name == "p" and takes_q else ""
+            either = " or --q" if name == "p" and two_tailed and hasattr(args, "q") else ""
             parser.error(f"{args.problem} requires --{name}{either}")
     tails = {} if q is None else {"q": q}
     try:
-        return kind.query(*(getattr(args, name) for name in kind.flags), **tails)
+        return kind.query(*(getattr(args, name) for name in flags), **tails)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -294,9 +296,6 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if name not in ("snm", "halley", "newton"):
             parser.error(f"unknown method {name!r} (choose from snm, halley, newton)")
 
-    floats = [getattr(query, name) for name in kind.flags]
-    if args.problem in TWO_TAILED:
-        floats.append(query.q)
     x0 = plan.x0
     if args.x0 is not None:
         # --x0 is in x; each plan maps it to its own solver variable.
@@ -307,12 +306,12 @@ def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if not plan.problem.domain().contains(x0):
             parser.error(f"--x0 {args.x0} outside the problem domain")
     try:
-        oracle = kind.oracle(*floats)
+        oracle = kind.oracle(*query)
     except ValueError as exc:
         print(f"compare: no oracle root: {exc}", file=sys.stderr)
         return 1
 
-    residual = kind.residual(*floats)
+    residual = kind.residual(*query)
     # One row per method: its iteration count, the residual at its root and
     # the error of each iterate, as ``--format json`` prints them.
     rows = []

@@ -24,12 +24,12 @@ and 7, 1.006-1.016, where the arcsin guess for every m > 0.95 took
 The residual is strictly increasing on [0, pi/2], so its root is unique
 and any converged solve has found it: each query runs one solve.  For
 m > 0.95 and p > 1/2 (the class the complementary start serves, and the
-arcsin guess beyond its model) the residual is formed as
-(1 - p) E(1, m) - C(pi/2 - x), C the integral from x to pi/2, which does
-not cancel as m and p near 1, where E(sin x, m) - p E(1, m) did; the
-solver variable stays x.  The
-report's ``start`` names the start used ("low", "high", "arcsin-guess" or
-"complementary"), or "closed-form" for m = 0 and m = 1.
+arcsin guess beyond its model) the residual is formed where cos x <= 0.4
+as (1 - p) E(1, m) - C(pi/2 - x), C the integral from x to pi/2, which
+does not cancel as m and p near 1, where E(sin x, m) - p E(1, m) did;
+past cos x = 0.4, C >= ~0.08 and E's form serves.  The solver variable
+stays x.  The report's ``start`` names the start used ("low", "high",
+"arcsin-guess" or "complementary"), or "closed-form" for m = 0 and m = 1.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from .core import (
     _tuple_new,
     solve,
 )
-from .special import _ELLIP_E_SERIES_MAX, _carlson_fd, _ellip_c, _ellip_e_series, ellip_e_complete
+from .special import (_ELLIP_C_SERIES_MAX, _ELLIP_E_SERIES_MAX, _carlson_fd, _ellip_c,
+                      _ellip_e_series, ellip_e_complete)
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
@@ -225,23 +226,23 @@ _COMPLEMENT_M_MIN = 0.95
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    For m <= 0.95 or p <= 1/2, f is formed so, E(sin x, m) as
-    ``ellip_e_inc`` forms it (its series for sin x <= 1/32, else one
-    duplication pass), and ``residual_tol`` is
-    RESIDUAL_NOISE_FLOOR times the target p E(1, m): the stop is relative
-    to the target, as an absolute one would accept x ~ p E(1, m) unrefined
-    once the target itself is below the floor (m near 1, small p).  For
-    m > 0.95 and p > 1/2, f is formed as (1 - p) E(1, m) - C(pi/2 - x),
-    with C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du (``_ellip_c``),
-    f' = sqrt(w) from w = k'^2 + m^2 cos^2 x, and ``residual_tol`` is
-    RESIDUAL_NOISE_FLOOR times (1 - p) E(1, m).  It is the same function:
+    E(sin x, m) is formed as ``ellip_e_inc`` forms it (its series for
+    sin x <= 1/32, else one duplication pass on (cos^2 x, w, 1)), and
+    f' = sqrt(w).  For m <= 0.95 or p <= 1/2, w = 1 - m^2 sin^2 x and
+    ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m):
+    the stop is relative to the target, as an absolute one would accept
+    x ~ p E(1, m) unrefined once the target itself is below the floor
+    (m near 1, small p).  For m > 0.95 and p > 1/2, w = k'^2 + m^2 cos^2 x,
+    ``residual_tol`` is RESIDUAL_NOISE_FLOOR times (1 - p) E(1, m), and
+    where cos x <= 0.4 f is formed as (1 - p) E(1, m) - C(pi/2 - x), with
+    C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du (``_ellip_c``): there
     E(sin x, m) - p E(1, m) would subtract two values near E(1, m) as m
-    and p near 1, and 1 - m^2 sin^2 x would cancel too, so its stop
-    accepted roots up to 1.7e-9 off there (ROADMAP item 9); C and this w
-    do not cancel.
+    and p near 1, and 1 - m^2 sin^2 x would cancel too, so that stop
+    accepted roots up to 1.7e-9 off; C and this w do not cancel.  Past
+    cos x = 0.4, C >= ~0.08 and the difference loses at most ~4 bits.
     It holds the query's fields as ``m`` and ``p``, read once, and k'^2 =
     (1 - m)(1 + m) and (1 - p) E(1, m) as ``kprime2`` and ``rest`` (None
-    where f is formed from E).
+    for m <= 0.95 or p <= 1/2).
     """
 
     def __init__(self, query: EllipticQuery) -> None:
@@ -270,15 +271,17 @@ class EllipticProblem(Problem):
         kprime2 = self.kprime2
         if kprime2 is None:
             w = 1.0 - (m * s) * (m * s)
-            # E(sin x, m) as ellip_e_inc forms it, its amplitude test inline.
-            if s <= _ELLIP_E_SERIES_MAX:
-                f = _ellip_e_series(s, m) - self.target
-            else:
-                rf, rd = _carlson_fd(c2, w)
-                f = s * rf - (m2 / 3.0) * (s * s * s) * rd - self.target
         else:
             w = kprime2 + (m * c) * (m * c)
-            f = self.rest - _ellip_c(m, kprime2, c, s * s)
+        # E(sin x, m) as ellip_e_inc forms it, its amplitude test inline,
+        # unless C's series reaches pi/2 - x.
+        if kprime2 is not None and c <= _ELLIP_C_SERIES_MAX:
+            f = self.rest - _ellip_c(m, kprime2, c)
+        elif s <= _ELLIP_E_SERIES_MAX:
+            f = _ellip_e_series(s, m) - self.target
+        else:
+            rf, rd = _carlson_fd(c2, w)
+            f = s * rf - (m2 / 3.0) * (s * s * s) * rd - self.target
         return ProblemEvaluation.build(x, f, math.sqrt(w), m2 * s * c / w,
                                        _ellip_omega(m, c2, w))
 

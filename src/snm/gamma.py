@@ -39,8 +39,8 @@ from .core import (
     check_tails,
     solve,
 )
-from .special import (_STIRLING_MIN, _gamma_exponent, _gamma_prefactor, _gamma_stirling,
-                      _ln_gamma, _ln_gamma_1p, _normal_quantile, _reg_gamma)
+from .special import (_gamma_constants, _gamma_exponent, _gamma_prefactor, _ln_gamma_1p,
+                      _normal_quantile, _reg_gamma)
 
 _POSITIVE_AXIS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
 
@@ -120,8 +120,9 @@ class _GammaProblem(Problem):
     a < 1 the latter is ``ln_gamma_1p``, without rounding 1 + a, from which
     the kernel forms an upper tail's Q to relative accuracy on its series
     side (x < a + 1), and ln Gamma(a) is ln Gamma(1 + a) - ln a.  For
-    a >= 16 it also holds the constants of the kernel exponent's Stirling
-    form, ``stirling``.  It holds the query's fields as ``a``, ``p`` and
+    a >= 1, ln Gamma(a) and ``stirling``, the constants of the kernel
+    exponent's Stirling form (None below a = 16), come from one
+    ``_gamma_constants`` call.  It holds the query's fields as ``a``, ``p`` and
     ``q``, read once.
     """
 
@@ -130,12 +131,11 @@ class _GammaProblem(Problem):
         self.a, self.p, self.q = a, p, q
         if a < 1.0:
             self.ln_gamma_1p = self.ln_gamma_a1 = _ln_gamma_1p(a)
-            self.ln_gamma_a = self.ln_gamma_1p - math.log(a)
+            self.ln_gamma_a, self.stirling = self.ln_gamma_1p - math.log(a), None
         else:
             self.ln_gamma_1p = None
-            self.ln_gamma_a = _ln_gamma(a)
+            self.ln_gamma_a, self.stirling = _gamma_constants(a)
             self.ln_gamma_a1 = self.ln_gamma_a + math.log(a)
-        self.stirling = _gamma_stirling(a) if a >= _STIRLING_MIN else None
         self.residual_tol = RESIDUAL_NOISE_FLOOR * min(p, q)
 
     def _residual(self, x: float, scale: float) -> float:

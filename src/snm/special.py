@@ -6,14 +6,15 @@ a small-a form of Q on the series side), regularized incomplete beta
 gamma limit where 1 - x rounds to 1), Carlson symmetric elliptic
 integrals by the duplication algorithm, and the incomplete elliptic integral of the
 second kind built on them: ``_carlson_fd`` gives R_F and R_D at (x, y, 1)
-from one duplication loop, which E(phi, m) and the complementary integral
+from one duplication loop, which E(phi, m) runs on.  Small amplitudes
+take power series instead, whose cost is a fraction of the duplication's
+fixed cost: ``_ellip_e_series`` sums E for sin phi <= 1/32, within
+1.1e-16 relative of 50-digit mpmath over 3,000 seeded points with 1 - m
+down to 1e-15.  ``_ellip_c`` sums the complementary integral
 C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(cos psi, m)
-share.  Small amplitudes take power series instead, whose cost is a
-fraction of the duplication's fixed cost: ``_ellip_e_series`` sums E for
-sin phi <= 1/32, within 1.1e-16 relative of 50-digit mpmath over 3,000
-seeded points with 1 - m down to 1e-15, and ``_ellip_c`` sums C for
-s = sin psi <= 0.4, within 8.6e-16 over 1,500 with s in [1e-12, 0.4],
-taking Carlson's form past it; neither subtracts two values near E(1, m).
+for s = sin psi <= 0.4 only, within 8.6e-16 over 1,500 with s in
+[1e-12, 0.4], and subtracts no two values near E(1, m); past s = 0.4 the
+solver forms C's difference from E itself.
 The complete one, E(1, m), has two branches:
 for k'^2 = (1 - m)(1 + m) <= 0.05 (m >= 0.9747) the k' series of DLMF
 19.12.2 to 12 terms, within 1.2e-16 relative of 40-digit mpmath; below,
@@ -173,35 +174,39 @@ def _stirling_remainder(a: float) -> float:
         _STIRLING[2] + inv2 * (_STIRLING[3] + inv2 * _STIRLING[4]))))
 
 
-def _gamma_stirling(a: float) -> tuple[float, float]:
-    """((1/2) log(a/(2 pi)), S(a)), the constants of ``_gamma_exponent`` for a >= 16."""
-    return 0.5 * math.log(a / (2.0 * math.pi)), _stirling_remainder(a)
+def _gamma_constants(a: float) -> tuple[float, Optional[tuple[float, float]]]:
+    """(ln Gamma(a), the constants of ``_gamma_exponent``'s Stirling form) for a checked shape.
+
+    The constants are ((1/2) log(a/(2 pi)), S(a)) for a >= 16, else None.
+    """
+    if a < _STIRLING_MIN:
+        return _ln_gamma(a), None
+    return _ln_gamma(a), (0.5 * math.log(a / (2.0 * math.pi)), _stirling_remainder(a))
 
 
 def _gamma_exponent(a: float, x: float, ln_gamma_a: float,
-                    stirling: Optional[tuple[float, float]] = None) -> float:
-    """a log x - x - ln Gamma(a), computed without large-argument cancellation.
+                    stirling: Optional[tuple[float, float]]) -> float:
+    """a log x - x - ln Gamma(a), from ``_gamma_constants(a)``: ln_gamma_a =
+    ln Gamma(a) and ``stirling``, the Stirling form's constants or None.
 
-    ``ln_gamma_a`` is ln Gamma(a); it is read only for a < 16.  For a >= 16
-    the identity
+    Without the constants (a < 16) it is formed so.  With them the identity
         a log x - x - ln Gamma(a)
             = a log(x/a) + (a - x) + (1/2) log(a/(2 pi)) - S(a)
     (S the Stirling remainder) keeps the absolute error near |x-a| * eps
-    instead of a log(x) * eps, which matters already at a ~ 100; a caller
-    that evaluates at one a many times passes its two constants,
-    ``_gamma_stirling(a)``.  log(x/a) is taken as log1p((x-a)/a) for
+    instead of a log(x) * eps, which matters already at a ~ 100, and
+    ln_gamma_a is not read.  log(x/a) is taken as log1p((x-a)/a) for
     x >= a/2, where x - a is exact; below a/2 that difference would round
     x away, so log(x/a) is used, or log x - log a once x/a would be
     subnormal.  Below a/2 every form has absolute error near a * eps.
     """
-    if a < _STIRLING_MIN:
+    if not stirling:
         return a * math.log(x) - x - ln_gamma_a
     if x >= 0.5 * a:
         log_ratio = math.log1p((x - a) / a)
     else:
         ratio = x / a
         log_ratio = math.log(ratio) if ratio >= MIN_NORMAL else math.log(x) - math.log(a)
-    half_log, remainder = stirling or _gamma_stirling(a)
+    half_log, remainder = stirling
     return a * log_ratio + (a - x) + half_log - remainder
 
 
@@ -301,9 +306,9 @@ def _reg_gamma(a: float, x: float, scale: float,
 
 
 def _gamma_prefactor(a: float, x: float, ln_gamma_a: float,
-                     stirling: Optional[tuple[float, float]] = None) -> tuple[float, float]:
-    """(x^a e^-x / Gamma(a), d/dx P = that over x or 0 on underflow) for x > 0;
-    ``stirling`` as for ``_gamma_exponent``."""
+                     stirling: Optional[tuple[float, float]]) -> tuple[float, float]:
+    """(x^a e^-x / Gamma(a), d/dx P = that over x or 0 on underflow) for x > 0,
+    from ``_gamma_constants(a)`` as ``_gamma_exponent`` takes them."""
     arg = _gamma_exponent(a, x, ln_gamma_a, stirling)
     scale = math.exp(arg)
     return scale, 0.0 if arg < -745.0 else scale / x
@@ -318,7 +323,7 @@ def reg_gamma_p(a: float, x: float) -> float:
         return 0.0
     if x == math.inf:
         return 1.0
-    return _reg_gamma(a, x, math.exp(_gamma_exponent(a, x, _ln_gamma(a))))[0]
+    return _reg_gamma(a, x, math.exp(_gamma_exponent(a, x, *_gamma_constants(a))))[0]
 
 
 def reg_gamma_q(a: float, x: float) -> float:
@@ -330,7 +335,7 @@ def reg_gamma_q(a: float, x: float) -> float:
         return 1.0
     if x == math.inf:
         return 0.0
-    scale = math.exp(_gamma_exponent(a, x, _ln_gamma(a)))
+    scale = math.exp(_gamma_exponent(a, x, *_gamma_constants(a)))
     return _reg_gamma(a, x, scale, _ln_gamma_1p(a) if a < 1.0 else None)[1]
 
 
@@ -341,7 +346,7 @@ def gamma_density(a: float, x: float) -> float:
         raise ValueError(f"gamma_density requires x > 0, got {x}")
     if x == math.inf:
         return 0.0
-    return _gamma_prefactor(a, x, _ln_gamma(a))[1]
+    return _gamma_prefactor(a, x, *_gamma_constants(a))[1]
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -491,12 +496,12 @@ def _reg_beta(x: float, y: float, a: float, b: float, scale: float) -> tuple[flo
     if (x < (a + 1.0) / s) if x <= y else (y > (b + 1.0) / s):
         if x == 1.0:
             u = (a + 0.5 * (b - 1.0)) * y
-            return _reg_gamma(b, u, math.exp(_gamma_exponent(b, u, _ln_gamma(b))))[::-1]
+            return _reg_gamma(b, u, math.exp(_gamma_exponent(b, u, *_gamma_constants(b))))[::-1]
         i = scale * _beta_cf(a, b, x, y) / a
         return i, 1.0 - i
     if y == 1.0:
         u = (b + 0.5 * (a - 1.0)) * x
-        return _reg_gamma(a, u, math.exp(_gamma_exponent(a, u, _ln_gamma(a))))
+        return _reg_gamma(a, u, math.exp(_gamma_exponent(a, u, *_gamma_constants(a))))
     j = scale * _beta_cf(b, a, y, x) / b
     return 1.0 - j, j
 
@@ -647,7 +652,7 @@ def _ellip_e_series(s: float, m: float) -> float:
 
 
 def _carlson_fd(x: float, y: float) -> tuple[float, float]:
-    """(R_F(x, y, 1), R_D(x, y, 1)) for x in [0, 1] and y in [0, 1] or y >= 1.
+    """(R_F(x, y, 1), R_D(x, y, 1)) for E's arguments, 0 <= x <= y <= 1.
 
     Bit for bit what ``carlson_rf`` and ``carlson_rd`` return, from one
     duplication sequence: both integrals share the iterates, their square
@@ -656,7 +661,7 @@ def _carlson_fd(x: float, y: float) -> tuple[float, float]:
     the loop runs on until R_D's test passes.  R_D never stops first:
     a_D - a_F = fac (a0_D - a0_F) at every step, so fac q_D < a_D gives
     fac (q_D - (a0_D - a0_F)) < a_F, and q_D - (a0_D - a0_F) >= 1.36 q_F
-    for x, y in [0, 1] (>= 1.51 q_F for y >= 1), so fac q_F < a_F.
+    for x, y in [0, 1], so fac q_F < a_F.
     """
     a0f = (x + y + 1.0) / 3.0
     qf = _RF_Q_SCALE * max(abs(a0f - x), abs(a0f - y), abs(a0f - 1.0))
@@ -714,10 +719,10 @@ _ELLIP_C_TERMS = tuple((2.0 * n - 1.0, 2.0 * n + 2.0, math.comb(2 * n, n) / 4 **
                        for n in range(1, 31))
 
 
-def _ellip_c(m: float, g2: float, s: float, c2: float) -> float:
+def _ellip_c(m: float, g2: float, s: float) -> float:
     """C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m),
-    x = pi/2 - psi, from s = sin psi, c2 = cos^2 psi and g2 = k'^2 =
-    (1 - m)(1 + m), 0 < m < 1.
+    x = pi/2 - psi, from s = sin psi <= 0.4 and g2 = k'^2 = (1 - m)(1 + m),
+    0 < m < 1.
 
     With b = k'/m, C/m = int_0^s sqrt(v^2 + b^2) / sqrt(1 - v^2) dv, and
     1/sqrt(1 - v^2) = sum alpha_n v^(2n), alpha_n = binom(2n, n)/4^n, gives
@@ -725,37 +730,31 @@ def _ellip_c(m: float, g2: float, s: float, c2: float) -> float:
         I_0 = (s r + b^2 asinh(s/b))/2,  r = sqrt(s^2 + b^2),
         (2n + 2) I_n = s^(2n-1) r^3 - (2n - 1) b^2 I_(n-1).
     Every term is positive, and the sum runs until a term no longer moves
-    it, for every s <= 0.4.  The recurrence passes an error in I_(n-1) on
+    it.  The recurrence passes an error in I_(n-1) on
     to I_n times (2n - 1) b^2/(2n + 2) < b^2, and so to the sum, whatever
     s is; b^2 <= 0.108 for m > 0.95, where the solver calls it.  Where
     s << b the subtraction cancels, I_n being ~b s^(2n+1)/(2n+1) against
     parts ~b^3 s^(2n-1), but its rounding, ~eps b^3 s^(2n-1), is still
-    below eps b^2 s^(2n-2) of the sum ~b s.  Past s = 0.4, by homogeneity
-    from Carlson's form,
-    C = k' s R_F(c2, y, 1) + (m^2/(3 k')) s^3 R_D(c2, y, 1),
-    y = 1 + (m s/k')^2, from ``_carlson_fd``.  Neither form subtracts two
-    values near E(1, m), as E(1, m) - E(sin x, m) would.
+    below eps b^2 s^(2n-2) of the sum ~b s.  It does not subtract two
+    values near E(1, m), as E(1, m) - E(sin x, m) would; past s = 0.4,
+    where C >= ~0.08, ``EllipticProblem`` takes that difference instead.
     """
-    g = math.sqrt(g2)
-    b = g / m
-    if s <= _ELLIP_C_SERIES_MAX:
-        b2 = b * b
-        s2 = s * s
-        r2 = s2 + b2
-        r = math.sqrt(r2)
-        i = 0.5 * (s * r + b2 * math.asinh(s / b))
-        total = i
-        u = s * r2 * r  # s^(2n-1) r^3
-        for k, d, alpha in _ELLIP_C_TERMS:
-            i = (u - k * b2 * i) / d
-            new = total + alpha * i
-            if new == total:
-                break
-            total = new
-            u *= s2
-        return m * total
-    rf, rd = _carlson_fd(c2, 1.0 + (m * s / g) ** 2)
-    return g * s * rf + (m * m / (3.0 * g)) * (s * s * s) * rd
+    b = math.sqrt(g2) / m
+    b2 = b * b
+    s2 = s * s
+    r2 = s2 + b2
+    r = math.sqrt(r2)
+    i = 0.5 * (s * r + b2 * math.asinh(s / b))
+    total = i
+    u = s * r2 * r  # s^(2n-1) r^3
+    for k, d, alpha in _ELLIP_C_TERMS:
+        i = (u - k * b2 * i) / d
+        new = total + alpha * i
+        if new == total:
+            break
+        total = new
+        u *= s2
+    return m * total
 
 
 _LN_4 = math.log(4.0)

@@ -953,6 +953,29 @@ def test_temme_start_is_continuous_across_its_small_eta_series(a, b):
         assert abs(start(p, 1.0 - p) - half) <= 1e-9, p
 
 
+def test_every_lower_asymptotic_tail_past_zeta_minus_3_starts_on_the_series():
+    # _asymptotic_start's Newton on phi has a first guess for zeta0 > 3
+    # only: just below zeta0 = -3, at a <= b with a in (1, 400] and b/a up
+    # to 1e300, the lower series' |t1 x_p| stays at most 0.026, against its
+    # reach 0.1, and x_p falls with p, so every query further out starts on
+    # the series.  Each pair is taken in both orientations (the mirror's
+    # upper tail); pairs whose tail underflows hold no such query.
+    rng = random.Random("beta-zeta-minus-3")
+    planned = 0
+    for _ in range(3000):
+        a = 1.0 + log_uniform(rng, 1e-6, 399.0)
+        b = min(a * log_uniform(rng, 1.0, 1e300), 1e300)
+        p, q = _p_at_zeta(a, b, -3.0 * (1.0 + 1e-9))
+        if p < 1e-300:
+            continue
+        for query in (BetaQuantileQuery(a, b, p, q), BetaQuantileQuery(b, a, q, p)):
+            assert beta_plan(query).start == "series", query
+        log_x_p = _power_bounds(BetaQuantileQuery(a, b, p, q))[0]
+        assert abs((1.0 - b) / (a + 1.0) * math.exp(log_x_p)) <= 0.03, (a, b)
+        planned += 1
+    assert planned >= 2000, planned
+
+
 def test_series_starts_meet_the_contract_mostly_in_one_evaluation():
     # Shapes log-uniform in [0.05, 200], the smaller tail log-uniform in
     # [1e-15, 1/2] on a random side: every solve from a series start meets

@@ -28,7 +28,7 @@ from snm.elliptic import (
     elliptic_plan,
     invert_ellip_e,
 )
-from snm.special import ellip_e_complete, ellip_e_inc
+from snm.special import _ELLIP_C_SERIES_MAX, ellip_e_complete, ellip_e_inc
 
 from conftest import elliptic_bisection_root, log_uniform, step_only
 
@@ -397,6 +397,25 @@ def test_ill_conditioned_corner_meets_the_contract():
         assert abs(report.root - exact) <= 1e-15 * exact
 
 
+def test_complementary_residual_is_continuous_across_its_switch():
+    # For m > 0.95 and p > 1/2, f is (1 - p) E(1, m) - C(pi/2 - x) by C's
+    # series where cos x <= 0.4, and E(sin x, m) - p E(1, m) by the
+    # duplication below that x; one ulp of x moves f by at most ~1 eps.
+    # The worst is 4.7 eps E(1, m) over these 2,000 draws.
+    x_c = math.acos(_ELLIP_C_SERIES_MAX)
+    while math.cos(x_c) > _ELLIP_C_SERIES_MAX:
+        x_c = math.nextafter(x_c, math.pi)
+    while math.cos(math.nextafter(x_c, 0.0)) <= _ELLIP_C_SERIES_MAX:
+        x_c = math.nextafter(x_c, 0.0)
+    x_e = math.nextafter(x_c, 0.0)
+    rng = random.Random("ellip-complement-switch")
+    for _ in range(2000):
+        m = 1.0 - log_uniform(rng, 1e-15, 0.05)
+        problem = EllipticProblem(EllipticQuery(m, rng.uniform(0.5, 0.97)))
+        series, duplication = problem.evaluate(x_c).f, problem.evaluate(x_e).f
+        assert abs(series - duplication) <= 8 * 2.0 ** -52 * problem.complete, (m, problem.p)
+
+
 def _corner_grid(n: int) -> list[tuple[float, float]]:
     """m = 1 - 10^U[-12, -1.3] and 1 - p = 10^U[-12, -2], seeded."""
     rng = random.Random("elliptic-corner")
@@ -449,8 +468,9 @@ def test_corner_start_ends_after_one_evaluation():
 
 
 def test_corner_roots_meet_the_contract():
-    # For m > 0.95 and p > 1/2 the residual is (1 - p) E(1, m) - C(pi/2 - x),
-    # which does not cancel as m and p near 1: E(sin x, m) - p E(1, m) did,
+    # For m > 0.95 and p > 1/2 the residual is (1 - p) E(1, m) - C(pi/2 - x)
+    # where cos x <= 0.4, which does not cancel as m and p near 1:
+    # E(sin x, m) - p E(1, m) did there,
     # and its stop accepted roots up to 1.7e-9 off on these grids (166 and
     # 101 of them more than 1e-12 off).
     for m, p in _corner_grid(2000) + _deep_corner_grid(2000):

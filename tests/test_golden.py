@@ -143,7 +143,7 @@ GOLDEN = {
         (Variable.DIRECT, "low", False)),
     "elliptic complementary m=0.99999 p=0.99": ('0x1.6df90d9072274p+0', 0, "Predicted",
         (Variable.DIRECT, "complementary", False)),
-    "elliptic arcsin m=0.97 p=0.6": ('0x1.6249bd1e33665p-1', 1, "Predicted",
+    "elliptic arcsin m=0.97 p=0.6": ('0x1.6249bd1e33668p-1', 1, "Predicted",
         (Variable.DIRECT, "arcsin-guess", False)),
     "elliptic closed m=0 p=0.4": ('0x1.41b2f769cf0e0p-1', 0, "ResidualTol",
         (Variable.DIRECT, "closed-form", False)),

@@ -36,8 +36,8 @@ from snm.gamma import (
     _gamma_omega_log_x,
     gamma_omega_log,
 )
-from snm.special import (_beta_constants, _beta_exponent, _gamma_exponent, _reg_beta, _reg_gamma,
-                         ln_beta, ln_gamma)
+from snm.special import (_beta_constants, _beta_exponent, _gamma_constants, _gamma_exponent,
+                         _reg_beta, _reg_gamma, ln_beta, ln_gamma)
 
 LN_GAMMA = {
     0.001: '0x1.ba0f3807161acp+2',
@@ -161,7 +161,7 @@ def test_ln_beta_bits():
 
 
 def _reg_gamma_and_exponent(a: float, x: float) -> tuple[float, float, float]:
-    arg = _gamma_exponent(a, x, ln_gamma(a))
+    arg = _gamma_exponent(a, x, *_gamma_constants(a))
     return _reg_gamma(a, x, math.exp(arg)) + (arg,)
 
 

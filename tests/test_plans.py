@@ -54,14 +54,18 @@ from snm.gamma import (
     invert_gamma,
 )
 from snm.special import (
+    _ELLIP_C_SERIES_MAX,
     _ELLIP_E_SERIES_MAX,
     _beta_constants,
     _beta_exponent,
     _ellip_c,
+    _gamma_constants,
     _gamma_prefactor,
     _ln_gamma_1p,
     _reg_beta,
     _reg_gamma,
+    carlson_rd,
+    carlson_rf,
     ellip_e_complete,
     ellip_e_inc,
     gamma_density,
@@ -71,7 +75,7 @@ from snm.special import (
     reg_gamma_q,
 )
 
-from conftest import beta_bisection_root, log_uniform
+from conftest import beta_bisection_root, gamma_bisection_root, log_uniform
 from test_solve_digest import _queries as digest_queries
 
 GAMMA_SHAPES = (0.05, 0.3, 0.7, 1.0, 2.5, 15.9, 16.0, 150.0)
@@ -119,7 +123,7 @@ def test_gamma_direct_evaluate_matches_public_kernels():
             problem = GammaDirectProblem(query)
             for factor in (0.01, 0.5, 1.0, 1.5, 3.0, 10.0):
                 for x in (a * factor, a + 1.0):
-                    scale, fp = _gamma_prefactor(a, x, ln_gamma(a))
+                    scale, fp = _gamma_prefactor(a, x, *_gamma_constants(a))
                     assert fp in (scale / x, 0.0), (a, x)
                     f = _gamma_kernel_residual(a, p, query.q, x, scale)
                     assert (f, fp) == (_gamma_residual(a, p, query.q, x), gamma_density(a, x))
@@ -139,7 +143,7 @@ def test_gamma_log_evaluate_matches_public_kernels():
                 if a >= 16.0 and x >= MIN_NORMAL:
                     # Stirling's shifted exponent, as the public kernels form
                     # it: the residual is theirs bit for bit.
-                    fp = _gamma_prefactor(a, x, ln_gamma(a))[0]
+                    fp = _gamma_prefactor(a, x, *_gamma_constants(a))[0]
                     f = _gamma_residual(a, p, query.q, x)
                 else:
                     fp = math.exp(a * z - x - ln_gamma(a))
@@ -263,22 +267,31 @@ def test_direct_f_prime_against_mpmath_at_large_shapes():
 
 
 def test_elliptic_evaluate_matches_public_kernels():
-    # For m > 0.95 and p > 1/2 (here m = 0.999, p = 0.9) the residual is
-    # (1 - p) E(1, m) - C(pi/2 - x), from w = k'^2 + m^2 cos^2 x; C is
-    # checked against the public Carlson integrals in test_special.
+    # For m > 0.95 and p > 1/2 (here m = 0.999, p = 0.9) w = k'^2 + m^2 cos^2 x,
+    # and the residual is (1 - p) E(1, m) - C(pi/2 - x) where cos x <= 0.4
+    # (here x = 1.2, 1.5 and pi/2), else E(sin x, m) - p E(1, m) with the
+    # duplication on this w; C is checked against the public Carlson
+    # integrals in test_special.
     for m in (0.01, 0.3, 0.5, 0.8, 0.9, 0.999):
         for p in (0.1, 0.5, 0.9):
             problem = EllipticProblem(EllipticQuery(m, p))
             for x in (0.0, 1e-3, 0.1, 0.5, 0.8, 1.2, 1.5, math.pi / 2):
                 s, c = math.sin(x), math.cos(x)
+                target = p * ellip_e_complete(m)
                 if m > 0.95 and p > 0.5:
                     g2 = (1.0 - m) * (1.0 + m)
                     w = g2 + (m * c) * (m * c)
-                    f = (1.0 - p) * ellip_e_complete(m) - _ellip_c(m, g2, c, s * s)
+                    if c <= _ELLIP_C_SERIES_MAX:
+                        f = (1.0 - p) * ellip_e_complete(m) - _ellip_c(m, g2, c)
+                    elif s <= _ELLIP_E_SERIES_MAX:
+                        f = ellip_e_inc(x, m) - target
+                    else:
+                        f = (s * carlson_rf(c * c, w, 1.0) - (m * m / 3.0) * (s * s * s)
+                             * carlson_rd(c * c, w, 1.0) - target)
                     omega = _ellip_omega(m, c * c, w)
                 else:
                     w = 1.0 - (m * s) * (m * s)
-                    f = ellip_e_inc(x, m) - p * ellip_e_complete(m)
+                    f = ellip_e_inc(x, m) - target
                     omega = ellip_omega(m, x)
                 _assert_matches(problem, x, f, math.sqrt(w), m * m * s * c / w, omega)
                 assert problem.omega(x) == omega, (m, p, x)
@@ -403,6 +416,25 @@ def test_gamma_query_computes_ln_gamma_at_most_twice(monkeypatch):
         assert calls[0] <= 2, (query, kwargs, calls[0])
 
 
+def test_gamma_query_forms_its_constants_once(monkeypatch):
+    # ln Gamma(a) and the Stirling constants come from one _gamma_constants
+    # call for a >= 1; below, the problem forms ln Gamma(a) from
+    # ln Gamma(1 + a) and has no Stirling constants.  The public kernels,
+    # beta's gamma limit and the oracle (whose bisection runs the kernel
+    # many times) make one call each.
+    calls = _count_calls(monkeypatch, "_gamma_constants")
+    for query, kwargs in GAMMA_CASES:
+        calls[0] = 0
+        invert_gamma(query, **kwargs)
+        assert calls[0] == (query.a >= 1.0), (query, kwargs, calls[0])
+    for run in (lambda: reg_gamma_p(150.0, 140.0), lambda: reg_gamma_q(0.3, 0.2),
+                lambda: gamma_density(150.0, 140.0), lambda: reg_beta(1e-19, 2.0, 3e20),
+                lambda: gamma_bisection_root(150.0, 0.7, 0.3)):
+        calls[0] = 0
+        run()
+        assert calls[0] == 1, calls[0]
+
+
 def test_beta_query_computes_ln_beta_once(monkeypatch):
     # ln B and the Stirling constants come from one pass, and nothing calls
     # the public ln_beta.
@@ -445,8 +477,8 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
 def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
     # E(1, m) comes from the AGM or the k' series, so the only kernel runs
     # are the solve's own evaluations: each one E(sin x, m), by its series
-    # or one duplication pass, or for m > 0.95 and p > 1/2 one C(pi/2 - x),
-    # by its series or by that pass.
+    # or one duplication pass, or for m > 0.95 and p > 1/2 where cos x <= 0.4
+    # one C(pi/2 - x) by its series.
     calls = _count_calls(monkeypatch, ("_carlson_fd", "_ellip_c", "_ellip_e_series"))
     evaluations = 0
     for query, kwargs in ELLIPTIC_CASES:
@@ -462,22 +494,31 @@ def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
 def test_the_series_cases_take_the_series_branches(monkeypatch):
     # (1 - 1e-9, 0.004) evaluates E only inside the E series' reach, and
     # (0.9999, 0.9999) C only below s = 4 k'/m: neither runs a duplication
-    # pass.
+    # pass.  (0.97, 0.6) is of C's class (m > 0.95, p > 1/2), but its
+    # arcsin-guess solve stays past C's series (cos x > 0.4): each of its
+    # evaluations is one duplication pass for E, and none runs C.
     duplication = _count_calls(monkeypatch, "_carlson_fd")
     e_series = _count_calls(monkeypatch, "_ellip_e_series")
     c_kernel = _count_calls(monkeypatch, "_ellip_c")
+    kernels = (e_series, c_kernel, duplication)
     for query, kernel in ((EllipticQuery(1.0 - 1e-9, 0.004), e_series),
-                          (EllipticQuery(0.9999, 0.9999), c_kernel)):
+                          (EllipticQuery(0.9999, 0.9999), c_kernel),
+                          (EllipticQuery(0.97, 0.6), duplication)):
         assert (query, {}) in ELLIPTIC_CASES
-        duplication[0] = e_series[0] = c_kernel[0] = 0
+        for counter in kernels:
+            counter[0] = 0
         report = invert_ellip_e(query)
         assert report.converged, query
-        assert (kernel[0], duplication[0]) == (report.evaluations, 0), query
+        assert tuple(counter[0] for counter in kernels) == tuple(
+            report.evaluations if counter is kernel else 0 for counter in kernels), query
         m = query.m
         if kernel is e_series:
             assert math.sin(report.root) <= _ELLIP_E_SERIES_MAX, query
-        else:
+        elif kernel is c_kernel:
             assert math.cos(report.root) < 4.0 * math.sqrt((1.0 - m) * (1.0 + m)) / m, query
+        else:
+            assert report.start == "arcsin-guess", query
+            assert math.cos(report.root) > _ELLIP_C_SERIES_MAX, query
 
 
 def _both_below_one_queries(n=240):

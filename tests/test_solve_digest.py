@@ -32,7 +32,7 @@ from snm import (
 from conftest import DEEP_TAIL_Z, log_uniform
 
 # CHANGES.md records each re-recording.
-DIGEST = "34309e945fcd1e4bfc266e2767c7758b6db2cd86c938a53248f4eaaf80a0343f"
+DIGEST = "876c20b86fb6a91356243817e6ede5d0de549fb03a9fb7ca01381255ae98d805"
 
 
 def _probability(rng):

@@ -639,26 +639,6 @@ def test_rf_never_stops_after_rd_on_elliptic_arguments():
     assert orders == {True, False}
 
 
-def _complement_arguments(m, psi):
-    """(c2, y) at which ``_ellip_c`` runs the duplication: cos^2 psi and
-    1 + (m sin psi / k')^2, which exceeds 1."""
-    g2 = (1.0 - m) * (1.0 + m)
-    s = math.sin(psi)
-    return math.cos(psi) ** 2, 1.0 + (m * s / math.sqrt(g2)) ** 2
-
-
-def test_shared_duplication_matches_the_carlson_reference_on_complement_arguments():
-    for m, psi in _fused_kernel_grid():
-        c2, y = _complement_arguments(m, psi)
-        assert _carlson_fd(c2, y) == (carlson_rf(c2, y, 1.0), carlson_rd(c2, y, 1.0)), (m, psi)
-
-
-def test_rf_never_stops_after_rd_on_complement_arguments():
-    for m, psi in _fused_kernel_grid():
-        stop_f, stop_d = _stop_steps(*_complement_arguments(m, psi), 1.0)
-        assert stop_f <= stop_d, (m, psi)
-
-
 def _carlson_complement(m, s, c2):
     """C(psi) in the Carlson form that ``snm.cli.elliptic_bisection_root``
     bisects: k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2))."""
@@ -683,7 +663,7 @@ def test_complement_series_matches_the_carlson_form():
     # Worst 3.5 eps over these 400 points.
     for m, s in _series_grid(400):
         c2 = (1.0 - s) * (1.0 + s)
-        got = _ellip_c(m, (1.0 - m) * (1.0 + m), s, c2)
+        got = _ellip_c(m, (1.0 - m) * (1.0 + m), s)
         assert got == pytest.approx(_carlson_complement(m, s, c2), rel=8 * 2.0 ** -52, abs=0.0), (m, s)
 
 
@@ -693,25 +673,11 @@ def test_complement_series_against_mpmath():
     worst = 0.0
     with mpmath.workdps(50):
         for m, s in _series_grid(120):
-            got = _ellip_c(m, (1.0 - m) * (1.0 + m), s, (1.0 - s) * (1.0 + s))
+            got = _ellip_c(m, (1.0 - m) * (1.0 + m), s)
             m2 = mpmath.mpf(m) ** 2
             ref = mpmath.ellipe(m2) - mpmath.ellipe(mpmath.pi / 2 - mpmath.asin(s), m2)
             worst = max(worst, float(abs(got / ref - 1)))
     assert worst <= 1e-15, worst
-
-
-def test_complement_branches_agree_across_their_switches():
-    # One ulp of s moves C by about two ulps; the series is taken up to
-    # s = 0.4 and the duplication past it.
-    rng = random.Random("ellip-c-switch")
-    series = _ELLIP_C_SERIES_MAX
-    duplication = math.nextafter(series, 1.0)
-    for _ in range(400):
-        m = 1.0 - 10.0 ** rng.uniform(-15.0, -2.31)
-        g2 = (1.0 - m) * (1.0 + m)
-        a = _ellip_c(m, g2, series, (1.0 - series) * (1.0 + series))
-        b = _ellip_c(m, g2, duplication, (1.0 - duplication) * (1.0 + duplication))
-        assert abs(a - b) <= 8 * 2.0 ** -52 * a, (m, series)
 
 
 def test_ellip_e_inc_limits():

@@ -18,7 +18,8 @@ once on both trees, back to back, the order alternating from query to
 query and pass to pass; a query's time is its minimum over the passes.
 
 Per round it prints how many roots moved per solver, with the median and
-largest move in ulps, then, for BASE, HEAD and the change: ``us_per_query``,
+largest move in ulps and how many of the moved roots pass the bench's
+accuracy check (``Query.within``) on BASE and on HEAD, then, for BASE, HEAD and the change: ``us_per_query``,
 ``query_us_p50`` and ``query_us_p99`` over the workload's main queries,
 each solver's µs per query (control queries included, as in
 ``bench/run.py``) and its evaluations per query, how many roots (by
@@ -198,24 +199,34 @@ def _ordinal(x: float) -> int:
     return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
 
 
+def _within(query, outcome: tuple) -> bool:
+    """Whether a tree's root for the query passes the bench's check; False if it raised."""
+    return outcome[1] is not None and query.within(float.fromhex(outcome[0]))
+
+
 def report_moved_roots(queries: list, outcomes: list[list[tuple]], solvers) -> None:
-    """Per solver, the roots whose bits differ and the median and largest
-    distance in ulps; a query that raised on either tree counts as moved
-    without a distance."""
+    """Per solver, the roots whose bits differ, the median and largest
+    distance in ulps, and how many of them pass ``Query.within`` (the
+    bench's accuracy check) on each tree; a query that raised on either
+    tree counts as moved without a distance, and as failing on that tree."""
     parts = []
     for solver in solvers:
-        pairs = [(a, b) for q, a, b in zip(queries, *outcomes) if q.solver == solver]
+        triples = [(q, a, b) for q, a, b in zip(queries, *outcomes) if q.solver == solver]
         ulps = []
-        moved = 0
-        for a, b in pairs:
+        moved = []
+        for q, a, b in triples:
             if a[0] == b[0]:
                 continue
-            moved += 1
+            moved.append((q, a, b))
             if a[1] is not None and b[1] is not None:  # neither raised
                 ulps.append(abs(_ordinal(float.fromhex(a[0])) - _ordinal(float.fromhex(b[0]))))
-        spread = (f" (median {statistics.median(ulps):g} ulps, max {max(ulps)})"
-                  if ulps else "")
-        parts.append(f"{solver} {moved}/{len(pairs)}{spread}")
+        if not moved:
+            parts.append(f"{solver} 0/{len(triples)}")
+            continue
+        base = sum(_within(q, a) for q, a, _ in moved)
+        head = sum(_within(q, b) for q, _, b in moved)
+        spread = f"median {statistics.median(ulps):g} ulps, max {max(ulps)}; " if ulps else ""
+        parts.append(f"{solver} {len(moved)}/{len(triples)} ({spread}within {base} | {head})")
     print("  roots moved: " + ", ".join(parts))
 
 

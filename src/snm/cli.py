@@ -43,7 +43,8 @@ from .core import (
     solve,
     tan_problem,
 )
-from .elliptic import EllipticProblem, EllipticQuery, elliptic_plan, invert_ellip_e
+from .elliptic import (_COMPLEMENT_M_MIN, EllipticProblem, EllipticQuery, elliptic_plan,
+                       invert_ellip_e)
 from .gamma import GammaDirectProblem, GammaQuantileQuery, gamma_start, invert_gamma
 from .special import (_beta_constants, _beta_exponent, _gamma_constants, _gamma_exponent,
                       _ln_gamma_1p, _reg_beta, _reg_gamma, bisect_root, carlson_rd, carlson_rf,
@@ -108,9 +109,24 @@ def _beta_residual(a: float, b: float, p: float, q: float) -> Callable[..., floa
     return residual
 
 
+def _elliptic_complement(m: float, g2: float, s: float, c: float) -> float:
+    """C(psi) = E(1, m) - E(cos psi, m) from s = sin psi, c = cos psi and
+    g2 = k'^2 in Carlson's form, which sums positive terms: with
+    w = k'^2 + m^2 s^2, k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2))."""
+    w = g2 + m * m * s * s
+    return g2 * (s * carlson_rf(g2 * c * c, w, g2) + m * m / 3.0 * s ** 3
+                 * carlson_rd(g2 * c * c, w, g2))
+
+
 def _elliptic_residual(m: float, p: float) -> Callable[[float], float]:
-    """E(sin x, m) - p E(1, m) at the amplitude x."""
-    target = p * ellip_e_complete(m)
+    """E(sin x, m) - p E(1, m) at the amplitude x, or where that cancels, for
+    m > 0.95 and p > 1/2, (1 - p) E(1, m) - C(pi/2 - x) as the solver forms it."""
+    complete = ellip_e_complete(m)
+    if m > _COMPLEMENT_M_MIN and p > 0.5:
+        g2 = (1.0 - m) * (1.0 + m)
+        rest = (1.0 - p) * complete
+        return lambda x: rest - _elliptic_complement(m, g2, math.cos(x), math.sin(x))
+    target = p * complete
     return lambda x: ellip_e_inc(x, m) - target
 
 
@@ -160,9 +176,8 @@ def elliptic_bisection_root(m: float, p: float) -> float:
     ends are a fixed ratio apart, so the halvings reach adjacent doubles at
     any root size.  For p > 1/2 bisection in
     psi = pi/2 - x of C(psi) - (1 - p) E(1, m), with
-    C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m):
-    in Carlson's form, with c = cos psi, s = sin psi and w = k'^2 + m^2 s^2,
-    C = k'^2 (s R_F(k'^2 c^2, w, k'^2) + (m^2/3) s^3 R_D(k'^2 c^2, w, k'^2)).
+    C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(sin x, m)
+    in Carlson's form (``_elliptic_complement``).
     Neither side cancels near the root, so the root is resolved to its
     rounding in x even where k' and 1 - p are tiny, unlike a bisection of
     E(sin x, m) - p E(1, m), which cancels two values near 1 there.
@@ -173,13 +188,8 @@ def elliptic_bisection_root(m: float, p: float) -> float:
         return bisect_root(_elliptic_residual(m, p), 0.5 * t,
                            min(math.pi / 2, 2.0 * t / math.sqrt(g2)))
     target = (1.0 - p) * ellip_e_complete(m)
-
-    def residual(psi: float) -> float:
-        s, c = math.sin(psi), math.cos(psi)
-        w = g2 + m * m * s * s
-        return g2 * (s * carlson_rf(g2 * c * c, w, g2) + m * m / 3.0 * s ** 3
-                     * carlson_rd(g2 * c * c, w, g2)) - target
-    return math.pi / 2 - bisect_root(residual, 0.0, math.pi / 2)
+    return math.pi / 2 - bisect_root(lambda psi: _elliptic_complement(
+        m, g2, math.sin(psi), math.cos(psi)) - target, 0.0, math.pi / 2)
 
 
 # -------------------------------------------------------------- problems

@@ -27,8 +27,9 @@ m > 0.95 and p > 1/2 (the class the complementary start serves, and the
 arcsin guess beyond its model) the residual is formed where cos x <= 0.4
 as (1 - p) E(1, m) - C(pi/2 - x), C the integral from x to pi/2, which
 does not cancel as m and p near 1, where E(sin x, m) - p E(1, m) did;
-past cos x = 0.4, C >= ~0.08 and E's form serves.  The solver variable
-stays x.  The report's ``start`` names the start used ("low", "high",
+past cos x = 0.4, C >= ~0.08 and E's form serves, by halvings of the
+argument past E's series (``snm.special._ellip_e_halved``).  The solver
+variable stays x.  The report's ``start`` names the start used ("low", "high",
 "arcsin-guess" or "complementary"), or "closed-form" for m = 0 and m = 1.
 """
 
@@ -53,7 +54,7 @@ from .core import (
     _tuple_new,
     solve,
 )
-from .special import (_ELLIP_C_SERIES_MAX, _ELLIP_E_SERIES_MAX, _carlson_fd, _ellip_c,
+from .special import (_ELLIP_C_SERIES_MAX, _ELLIP_E_SERIES_MAX, _ellip_c, _ellip_e_halved,
                       _ellip_e_series, ellip_e_complete)
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
@@ -226,9 +227,10 @@ _COMPLEMENT_M_MIN = 0.95
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    E(sin x, m) is formed as ``ellip_e_inc`` forms it (its series for
-    sin x <= 1/32, else one duplication pass on (cos^2 x, w, 1)), and
-    f' = sqrt(w).  For m <= 0.95 or p <= 1/2, w = 1 - m^2 sin^2 x and
+    E(sin x, m) is formed as ``ellip_e_inc`` forms it: its series for
+    sin x <= 1/32, else halvings of (sin x, cos x, f') down to the series
+    (``_ellip_e_halved``), f' = sqrt(w).  For m <= 0.95 or p <= 1/2,
+    w = 1 - m^2 sin^2 x and
     ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m):
     the stop is relative to the target, as an absolute one would accept
     x ~ p E(1, m) unrefined once the target itself is below the floor
@@ -241,8 +243,8 @@ class EllipticProblem(Problem):
     accepted roots up to 1.7e-9 off; C and this w do not cancel.  Past
     cos x = 0.4, C >= ~0.08 and the difference loses at most ~4 bits.
     It holds the query's fields as ``m`` and ``p``, read once, and k'^2 =
-    (1 - m)(1 + m) and (1 - p) E(1, m) as ``kprime2`` and ``rest`` (None
-    for m <= 0.95 or p <= 1/2).
+    (1 - m)(1 + m) and (1 - p) E(1, m) as ``kprime2`` and ``rest`` (``rest``
+    None for m <= 0.95 or p <= 1/2).
     """
 
     def __init__(self, query: EllipticQuery) -> None:
@@ -250,47 +252,44 @@ class EllipticProblem(Problem):
         self.p = p = query.p
         self.complete = complete = _checked_complete(m)
         self.target = p * complete
+        self.kprime2 = (1.0 - m) * (1.0 + m)
         # Both branches set the same attributes in the same order, so every
         # instance keeps the class's shared-key layout.
         if m > _COMPLEMENT_M_MIN and p > 0.5:
-            self.kprime2 = (1.0 - m) * (1.0 + m)
             self.rest = (1.0 - p) * complete
             self.residual_tol = RESIDUAL_NOISE_FLOOR * self.rest
         else:
-            self.kprime2 = self.rest = None
+            self.rest = None
             self.residual_tol = RESIDUAL_NOISE_FLOOR * self.target
 
     def evaluate(self, x: float) -> ProblemEvaluation:
         if not 0.0 <= x <= _HALF_PI:
             raise ValueError(f"EllipticProblem requires x in [0, pi/2], got {x}")
         m = self.m
-        m2 = m * m
         s = math.sin(x)
         c = math.cos(x)
-        c2 = c * c
         kprime2 = self.kprime2
-        if kprime2 is None:
+        rest = self.rest
+        if rest is None:
             w = 1.0 - (m * s) * (m * s)
         else:
             w = kprime2 + (m * c) * (m * c)
+        d = math.sqrt(w)
         # E(sin x, m) as ellip_e_inc forms it, its amplitude test inline,
         # unless C's series reaches pi/2 - x.
-        if kprime2 is not None and c <= _ELLIP_C_SERIES_MAX:
-            f = self.rest - _ellip_c(m, kprime2, c)
+        if rest is not None and c <= _ELLIP_C_SERIES_MAX:
+            f = rest - _ellip_c(m, kprime2, c)
         elif s <= _ELLIP_E_SERIES_MAX:
             f = _ellip_e_series(s, m) - self.target
         else:
-            rf, rd = _carlson_fd(c2, w)
-            f = s * rf - (m2 / 3.0) * (s * s * s) * rd - self.target
-        return ProblemEvaluation.build(x, f, math.sqrt(w), m2 * s * c / w,
-                                       _ellip_omega(m, c2, w))
+            f = _ellip_e_halved(s, c, d, m, kprime2) - self.target
+        return ProblemEvaluation.build(x, f, d, m * m * s * c / w, _ellip_omega(m, c * c, w))
 
     def omega(self, x: float) -> float:
         m, s, c = self.m, math.sin(x), math.cos(x)
-        kprime2 = self.kprime2
-        if kprime2 is None:
+        if self.rest is None:
             return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
-        return _ellip_omega(m, c * c, kprime2 + (m * c) * (m * c))
+        return _ellip_omega(m, c * c, self.kprime2 + (m * c) * (m * c))
 
     def scale(self, x: float) -> float:
         """The distance to the nearer end of [0, pi/2]."""

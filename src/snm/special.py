@@ -4,13 +4,23 @@ Regularized incomplete gamma (series + continued fraction, and for a < 1
 a small-a form of Q on the series side), regularized incomplete beta
 (the even part of its continued fraction, with symmetry switch, and its
 gamma limit where 1 - x rounds to 1), Carlson symmetric elliptic
-integrals by the duplication algorithm, and the incomplete elliptic integral of the
-second kind built on them: ``_carlson_fd`` gives R_F and R_D at (x, y, 1)
-from one duplication loop, which E(phi, m) runs on.  Small amplitudes
-take power series instead, whose cost is a fraction of the duplication's
-fixed cost: ``_ellip_e_series`` sums E for sin phi <= 1/32, within
-1.1e-16 relative of 50-digit mpmath over 3,000 seeded points with 1 - m
-down to 1e-15.  ``_ellip_c`` sums the complementary integral
+integrals by the duplication algorithm, and the incomplete elliptic
+integral of the second kind.  E(phi, m) is a power series for small
+amplitudes: ``_ellip_e_series`` sums its Maclaurin series for
+sin phi <= 1/32, within 1.1e-16 relative of 50-digit mpmath over 3,000
+seeded points with 1 - m down to 1e-15.  Past that, ``_ellip_e_halved``
+halves the Jacobi argument of (sin phi, cos phi, sqrt(1 - m^2 sin^2 phi))
+until sin <= 1/32, sums the series there, and doubles back by the
+addition theorem for E, at ~60% of the cost of Carlson's duplication.
+Over 3,000 seeded points with half of them at 1 - m = 10^U[-15, 0] it is
+within 3.1 eps of 50-digit mpmath for m <= 0.95, 3.5 eps for m > 0.95
+with phi < 1.16, and everywhere within 3.0 eps of the first kind
+F(phi, m), which near (m, phi) = (1, pi/2) is up to ~20 E (there up to
+19 eps of E).
+``carlson_rf`` and ``carlson_rd`` stay public: no solver runs them, and
+the elliptic root oracle of ``snm.cli`` and the tests take them as an
+independent reference.
+``_ellip_c`` sums the complementary integral
 C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du = E(1, m) - E(cos psi, m)
 for s = sin psi <= 0.4 only, within 8.6e-16 over 1,500 with s in
 [1e-12, 0.4], and subtracts no two values near E(1, m); past s = 0.4 the
@@ -19,7 +29,7 @@ The complete one, E(1, m), has two branches:
 for k'^2 = (1 - m)(1 + m) <= 0.05 (m >= 0.9747) the k' series of DLMF
 19.12.2 to 12 terms, within 1.2e-16 relative of 40-digit mpmath; below,
 Gauss's arithmetic-geometric mean (DLMF 19.8.6), within 2.1e-15, where
-``ellip_e_inc(pi/2, m)`` is off by up to 1.1e-14.
+``ellip_e_inc(pi/2, m)`` is off by up to 1.4e-14.
 
 ``bisect_root`` is plain interval bisection, not part of the quantile
 API, with no tolerance: it runs down to adjacent doubles.  ``beta_xm``
@@ -599,7 +609,8 @@ def ellip_e_inc(phi: float, m: float) -> float:
 
     Computes int_0^phi sqrt(1 - m^2 sin^2 t) dt for phi in [0, pi/2] and
     m in [0, 1]: by its Maclaurin series in sin(phi) (``_ellip_e_series``)
-    where sin(phi) <= 1/32, else via Carlson R_F/R_D.  Note the first
+    where sin(phi) <= 1/32, else by halving the argument down to the
+    series' reach (``_ellip_e_halved``).  Note the first
     argument is the amplitude phi (upper integration limit), and m is the
     modulus, so the m = 1 case degenerates to sin(phi).
     """
@@ -616,10 +627,8 @@ def ellip_e_inc(phi: float, m: float) -> float:
     s = math.sin(phi)
     if s <= _ELLIP_E_SERIES_MAX:
         return _ellip_e_series(s, m)
-    c = math.cos(phi)
-    # E = s R_F(c^2, w, 1) - (m^2/3) s^3 R_D(c^2, w, 1), w = 1 - m^2 s^2.
-    rf, rd = _carlson_fd(c * c, 1.0 - (m * s) * (m * s))
-    return s * rf - (m * m / 3.0) * (s * s * s) * rd
+    return _ellip_e_halved(s, math.cos(phi), math.sqrt(1.0 - (m * s) * (m * s)), m,
+                           (1.0 - m) * (1.0 + m))
 
 
 # The E series runs for s = sin phi <= 1/32, t = s^2 <= 2^-10: every e_n is
@@ -641,7 +650,8 @@ def _ellip_e_series(s: float, m: float) -> float:
     taken so, each a multiple of g, so the series is s exactly at m = 1.
     Summed to e_4 t^4/9 and added to s last, it was within 0.48 eps
     (1.1e-16) relative of 50-digit mpmath over 3,000 seeded points, where
-    ``_carlson_fd``'s form read 1.73 eps.
+    the Carlson form s R_F - (m^2/3) s^3 R_D (``carlson_rf``/``carlson_rd``)
+    reads 1.73 eps.
     """
     g = (1.0 - m) * (1.0 + m)
     t = s * s
@@ -651,64 +661,43 @@ def _ellip_e_series(s: float, m: float) -> float:
     return s + (s * t) * (g / 6.0 + t * (c2 + t * (c3 + t * c4)))
 
 
-def _carlson_fd(x: float, y: float) -> tuple[float, float]:
-    """(R_F(x, y, 1), R_D(x, y, 1)) for E's arguments, 0 <= x <= y <= 1.
+# Each halving halves the Jacobi argument u = F(phi, m) <= K(m), and
+# sn v <= v, so N halvings leave s <= K(m)/2^N; K(m) < 19.5 for every
+# double m < 1 (k' >= 1.49e-8), so s <= 1/32 after at most 10.
+_ELLIP_E_MAX_HALVINGS = 12
 
-    Bit for bit what ``carlson_rf`` and ``carlson_rd`` return, from one
-    duplication sequence: both integrals share the iterates, their square
-    roots, lam and fac, and keep their own running means ``af``/``ad``.
-    R_F's series is taken at the first step its own stop test passes, and
-    the loop runs on until R_D's test passes.  R_D never stops first:
-    a_D - a_F = fac (a0_D - a0_F) at every step, so fac q_D < a_D gives
-    fac (q_D - (a0_D - a0_F)) < a_F, and q_D - (a0_D - a0_F) >= 1.36 q_F
-    for x, y in [0, 1], so fac q_F < a_F.
+
+def _ellip_e_halved(s: float, c: float, d: float, m: float, g: float) -> float:
+    """E(phi, m) for s = sin phi > 1/32, c = cos phi, d = sqrt(1 - m^2 s^2) and
+    g = k'^2 = (1 - m)(1 + m), 0 < m < 1, by halving the argument.
+
+    (s, c, d) are (sn u, cn u, dn u) at u = F(phi, m); the solver passes
+    its f' = d, formed as sqrt(k'^2 + m^2 c^2) where 1 - m^2 s^2 cancels.
+    Each pass halves u (DLMF 22.6.19-21) by quotients of sums of
+    nonnegative terms, which cancel nowhere:
+        sn(u/2) = s / sqrt((1 + c)(1 + d)),  cn(u/2) = sqrt((c + d)/(1 + d)),
+        dn(u/2) = sqrt((k'^2 + d + m^2 c)/(1 + d)),
+    until s_N = sn(u/2^N) <= 1/32, where ``_ellip_e_series`` sums
+    E_N = E(asin s_N, m).  Jacobi's epsilon function E(am v, m) doubles as
+    E(2v) = 2 E(v) - m^2 sn^2 v sn 2v (DLMF 22.16.27), so
+    E = 2^N E_N - m^2 sum_j 2^(j-1) s_j^2 s_(j-1), s_0 = s.  Both sides of
+    that difference are near F(phi, m), so the rounding of the s_j lands
+    as a few eps of F (see the module docstring).
     """
-    a0f = (x + y + 1.0) / 3.0
-    qf = _RF_Q_SCALE * max(abs(a0f - x), abs(a0f - y), abs(a0f - 1.0))
-    a0d = (x + y + 3.0) / 5.0
-    qd = _RD_Q_SCALE * max(abs(a0d - x), abs(a0d - y), abs(a0d - 1.0))
-    af = a0f
-    ad = a0d
-    xt, yt, zt = x, y, 1.0
-    fac = 1.0
-    tail = 0.0
+    m2 = m * m
     sqrt = math.sqrt
-    while fac * qf >= af:
-        sx, sy, sz = sqrt(xt), sqrt(yt), sqrt(zt)
-        lam = sx * sy + sx * sz + sy * sz
-        tail += fac / (sz * (zt + lam))
-        af = 0.25 * (af + lam)
-        ad = 0.25 * (ad + lam)
-        xt = 0.25 * (xt + lam)
-        yt = 0.25 * (yt + lam)
-        zt = 0.25 * (zt + lam)
-        fac *= 0.25
-    dx = (a0f - x) * fac / af
-    dy = (a0f - y) * fac / af
-    dz = -(dx + dy)
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
-          - 3.0 * e2 * e3 / 44.0) / sqrt(af)
-    while fac * qd >= ad:
-        sx, sy, sz = sqrt(xt), sqrt(yt), sqrt(zt)
-        lam = sx * sy + sx * sz + sy * sz
-        tail += fac / (sz * (zt + lam))
-        ad = 0.25 * (ad + lam)
-        xt = 0.25 * (xt + lam)
-        yt = 0.25 * (yt + lam)
-        zt = 0.25 * (zt + lam)
-        fac *= 0.25
-    dx = (a0d - x) * fac / ad
-    dy = (a0d - y) * fac / ad
-    dz = -(dx + dy) / 3.0
-    e2 = dx * dy - 6.0 * dz * dz
-    e3 = (3.0 * dx * dy - 8.0 * dz * dz) * dz
-    e4 = 3.0 * (dx * dy - dz * dz) * dz * dz
-    e5 = dx * dy * dz * dz * dz
-    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
-              - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return rf, fac * series / (ad * sqrt(ad)) + 3.0 * tail
+    total = 0.0
+    scale = 1.0
+    for _ in range(_ELLIP_E_MAX_HALVINGS):
+        r = 1.0 + d
+        half = s / sqrt((1.0 + c) * r)
+        c, d = sqrt((c + d) / r), sqrt((g + d + m2 * c) / r)
+        total += scale * (half * half) * s
+        s = half
+        scale *= 2.0
+        if s <= _ELLIP_E_SERIES_MAX:
+            return scale * _ellip_e_series(s, m) - m2 * total
+    raise KernelError(f"elliptic E halvings did not reach the series for m={m}")
 
 
 # The series for C(psi) runs where s <= _ELLIP_C_SERIES_MAX: there its n-th

@@ -502,6 +502,31 @@ def test_compare_oracle_resolves_the_elliptic_corner(capsys):
         assert abs(oracle - exact) <= 1e-12
 
 
+# For m > 0.95 and p > 1/2 compare forms the residual from (1 - p) E(1, m)
+# - C(pi/2 - x), as the solver does: E(sin x, m) - p E(1, m) cancels two
+# values near E(1, m): it read 1.6e-15 here, where the residual is 7.8e-20.
+_CANCELLING = ("compare", "elliptic", "--m", "0.9999999", "--p", "0.999999",
+               "--methods", "snm", "--format", "json")
+
+
+def test_compare_elliptic_residual_does_not_cancel(capsys):
+    _, out, _ = run(capsys, *_CANCELLING)
+    assert json.loads(out)["rows"][0]["final_residual"] <= 1e-18
+
+
+def test_compare_elliptic_residual_against_mpmath(capsys):
+    # Within 1e-20 of |E(sin x, m) - p E(1, m)| at 40 digits, x the root.
+    mpmath = pytest.importorskip("mpmath")
+    m, p = 0.9999999, 0.999999
+    _, out, _ = run(capsys, *_CANCELLING)
+    got = json.loads(out)["rows"][0]["final_residual"]
+    root = snm.invert_ellip_e(snm.EllipticQuery(m, p)).root
+    with mpmath.workdps(40):
+        m2 = mpmath.mpf(m) ** 2
+        exact = abs(mpmath.ellipe(mpmath.mpf(root), m2) - mpmath.mpf(p) * mpmath.ellipe(m2))
+        assert abs(got - exact) <= 1e-20, (got, exact)
+
+
 def test_compare_without_an_oracle_root_exits_one(capsys):
     # The root underflows (invert reports root_underflow): no positive
     # double brackets it, so compare says so on one line and exits 1.

@@ -400,8 +400,8 @@ def test_ill_conditioned_corner_meets_the_contract():
 def test_complementary_residual_is_continuous_across_its_switch():
     # For m > 0.95 and p > 1/2, f is (1 - p) E(1, m) - C(pi/2 - x) by C's
     # series where cos x <= 0.4, and E(sin x, m) - p E(1, m) by the
-    # duplication below that x; one ulp of x moves f by at most ~1 eps.
-    # The worst is 4.7 eps E(1, m) over these 2,000 draws.
+    # halvings below that x; one ulp of x moves f by at most ~1 eps.
+    # The worst is 4.0 eps E(1, m) over these 2,000 draws.
     x_c = math.acos(_ELLIP_C_SERIES_MAX)
     while math.cos(x_c) > _ELLIP_C_SERIES_MAX:
         x_c = math.nextafter(x_c, math.pi)
@@ -412,8 +412,8 @@ def test_complementary_residual_is_continuous_across_its_switch():
     for _ in range(2000):
         m = 1.0 - log_uniform(rng, 1e-15, 0.05)
         problem = EllipticProblem(EllipticQuery(m, rng.uniform(0.5, 0.97)))
-        series, duplication = problem.evaluate(x_c).f, problem.evaluate(x_e).f
-        assert abs(series - duplication) <= 8 * 2.0 ** -52 * problem.complete, (m, problem.p)
+        series, halved = problem.evaluate(x_c).f, problem.evaluate(x_e).f
+        assert abs(series - halved) <= 8 * 2.0 ** -52 * problem.complete, (m, problem.p)
 
 
 def _corner_grid(n: int) -> list[tuple[float, float]]:

@@ -133,17 +133,17 @@ GOLDEN = {
         (Variable.LOGIT, "bracket", False)),
     "beta heuristic 0.5,0.5 p=0.55": ('0x1.280c16cf50a6fp-1', 1, "Predicted",
         (Variable.LOGIT, "bracket", False)),
-    "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e3p-2', 0, "Predicted",
+    "elliptic low m=0.5 p=0.3": ('0x1.c66a12c3eb5e4p-2', 0, "Predicted",
         (Variable.DIRECT, "low", False)),
     "elliptic high m=0.5 p=0.9": ('0x1.66d045d309310p+0', 0, "Predicted",
         (Variable.DIRECT, "high", False)),
-    "elliptic arcsin m=0.97 p=0.3": ('0x1.4dfa5fd26b06fp-2', 1, "ResidualTol",
+    "elliptic arcsin m=0.97 p=0.3": ('0x1.4dfa5fd26b06ep-2', 1, "ResidualTol",
         (Variable.DIRECT, "arcsin-guess", False)),
-    "elliptic low m=0.81 p=0.7": ('0x1.f55eb027e5ba6p-1', 1, "Predicted",
+    "elliptic low m=0.81 p=0.7": ('0x1.f55eb027e5ba4p-1', 1, "Predicted",
         (Variable.DIRECT, "low", False)),
     "elliptic complementary m=0.99999 p=0.99": ('0x1.6df90d9072274p+0', 0, "Predicted",
         (Variable.DIRECT, "complementary", False)),
-    "elliptic arcsin m=0.97 p=0.6": ('0x1.6249bd1e33668p-1', 1, "Predicted",
+    "elliptic arcsin m=0.97 p=0.6": ('0x1.6249bd1e33669p-1', 1, "Predicted",
         (Variable.DIRECT, "arcsin-guess", False)),
     "elliptic closed m=0 p=0.4": ('0x1.41b2f769cf0e0p-1', 0, "ResidualTol",
         (Variable.DIRECT, "closed-form", False)),

@@ -59,13 +59,12 @@ from snm.special import (
     _beta_constants,
     _beta_exponent,
     _ellip_c,
+    _ellip_e_halved,
     _gamma_constants,
     _gamma_prefactor,
     _ln_gamma_1p,
     _reg_beta,
     _reg_gamma,
-    carlson_rd,
-    carlson_rf,
     ellip_e_complete,
     ellip_e_inc,
     gamma_density,
@@ -270,8 +269,8 @@ def test_elliptic_evaluate_matches_public_kernels():
     # For m > 0.95 and p > 1/2 (here m = 0.999, p = 0.9) w = k'^2 + m^2 cos^2 x,
     # and the residual is (1 - p) E(1, m) - C(pi/2 - x) where cos x <= 0.4
     # (here x = 1.2, 1.5 and pi/2), else E(sin x, m) - p E(1, m) with the
-    # duplication on this w; C is checked against the public Carlson
-    # integrals in test_special.
+    # halvings on this w; C and the halvings are checked against the public
+    # Carlson integrals in test_special.
     for m in (0.01, 0.3, 0.5, 0.8, 0.9, 0.999):
         for p in (0.1, 0.5, 0.9):
             problem = EllipticProblem(EllipticQuery(m, p))
@@ -286,8 +285,7 @@ def test_elliptic_evaluate_matches_public_kernels():
                     elif s <= _ELLIP_E_SERIES_MAX:
                         f = ellip_e_inc(x, m) - target
                     else:
-                        f = (s * carlson_rf(c * c, w, 1.0) - (m * m / 3.0) * (s * s * s)
-                             * carlson_rd(c * c, w, 1.0) - target)
+                        f = _ellip_e_halved(s, c, math.sqrt(w), m, g2) - target
                     omega = _ellip_omega(m, c * c, w)
                 else:
                     w = 1.0 - (m * s) * (m * s)
@@ -477,9 +475,9 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
 def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
     # E(1, m) comes from the AGM or the k' series, so the only kernel runs
     # are the solve's own evaluations: each one E(sin x, m), by its series
-    # or one duplication pass, or for m > 0.95 and p > 1/2 where cos x <= 0.4
-    # one C(pi/2 - x) by its series.
-    calls = _count_calls(monkeypatch, ("_carlson_fd", "_ellip_c", "_ellip_e_series"))
+    # or one run of the halvings, or for m > 0.95 and p > 1/2 where
+    # cos x <= 0.4 one C(pi/2 - x) by its series.
+    calls = _count_calls(monkeypatch, ("_ellip_e_halved", "_ellip_c", "_ellip_e_series"))
     evaluations = 0
     for query, kwargs in ELLIPTIC_CASES:
         calls[0] = 0
@@ -493,28 +491,28 @@ def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
 
 def test_the_series_cases_take_the_series_branches(monkeypatch):
     # (1 - 1e-9, 0.004) evaluates E only inside the E series' reach, and
-    # (0.9999, 0.9999) C only below s = 4 k'/m: neither runs a duplication
-    # pass.  (0.97, 0.6) is of C's class (m > 0.95, p > 1/2), but its
-    # arcsin-guess solve stays past C's series (cos x > 0.4): each of its
-    # evaluations is one duplication pass for E, and none runs C.
-    duplication = _count_calls(monkeypatch, "_carlson_fd")
+    # (0.9999, 0.9999) C only below s = 4 k'/m: neither halves E's argument.
+    # (0.97, 0.6) is of C's class (m > 0.95, p > 1/2), but its arcsin-guess
+    # solve stays past C's series (cos x > 0.4): each of its evaluations
+    # runs the halvings once, which end in one E series, and none runs C.
     e_series = _count_calls(monkeypatch, "_ellip_e_series")
     c_kernel = _count_calls(monkeypatch, "_ellip_c")
-    kernels = (e_series, c_kernel, duplication)
-    for query, kernel in ((EllipticQuery(1.0 - 1e-9, 0.004), e_series),
-                          (EllipticQuery(0.9999, 0.9999), c_kernel),
-                          (EllipticQuery(0.97, 0.6), duplication)):
+    halved = _count_calls(monkeypatch, "_ellip_e_halved")
+    kernels = (e_series, c_kernel, halved)
+    for query, runs in ((EllipticQuery(1.0 - 1e-9, 0.004), (1, 0, 0)),
+                        (EllipticQuery(0.9999, 0.9999), (0, 1, 0)),
+                        (EllipticQuery(0.97, 0.6), (1, 0, 1))):
         assert (query, {}) in ELLIPTIC_CASES
         for counter in kernels:
             counter[0] = 0
         report = invert_ellip_e(query)
         assert report.converged, query
         assert tuple(counter[0] for counter in kernels) == tuple(
-            report.evaluations if counter is kernel else 0 for counter in kernels), query
+            n * report.evaluations for n in runs), query
         m = query.m
-        if kernel is e_series:
+        if runs == (1, 0, 0):
             assert math.sin(report.root) <= _ELLIP_E_SERIES_MAX, query
-        elif kernel is c_kernel:
+        elif runs == (0, 1, 0):
             assert math.cos(report.root) < 4.0 * math.sqrt((1.0 - m) * (1.0 + m)) / m, query
         else:
             assert report.start == "arcsin-guess", query
@@ -538,7 +536,7 @@ def test_every_kernel_evaluation_is_a_counted_evaluation(monkeypatch):
     # No plan runs a kernel, and every evaluation runs one, deep tails
     # included: each kernel run of an invert_* call is one of its report's
     # evaluations.
-    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_carlson_fd", "_ellip_c",
+    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_ellip_e_halved", "_ellip_c",
                                        "_ellip_e_series"))
     cases = ([(invert_gamma, gamma_start, query, kwargs) for query, kwargs in GAMMA_CASES]
              + [(invert_beta, beta_plan, query, kwargs) for query, kwargs in BETA_CASES]

@@ -10,8 +10,6 @@ from pathlib import Path
 import pytest
 
 from snm.special import (
-    _RD_Q_SCALE,
-    _RF_Q_SCALE,
     KernelError,
     _ELLIP_C_SERIES_MAX,
     _ELLIP_E_SERIES_MAX,
@@ -19,8 +17,8 @@ from snm.special import (
     _beta_constants,
     _beta_exponent,
     _LN_4,
-    _carlson_fd,
     _ellip_c,
+    _ellip_e_halved,
     _ellip_e_series,
     _ln_gamma_1p,
     _reg_beta,
@@ -519,7 +517,7 @@ def test_carlson_domain_errors():
         carlson_rd(1.0, 1.0, 0.0)
 
 
-def _fused_kernel_grid():
+def _ellip_e_grid():
     """(m, phi) pairs: uniform, m -> 1, tiny m, and phi at and near both ends."""
     rng = random.Random(20260518)
     ms = ([rng.random() for _ in range(30)]
@@ -537,46 +535,78 @@ def _kernel_arguments(m, phi):
     return s, c * c, 1.0 - (m * s) * (m * s)
 
 
-def _stop_steps(x, y, z):
-    """Duplication steps after which carlson_rf and carlson_rd each stop."""
-    a0f = (x + y + z) / 3.0
-    a0d = (x + y + 3.0 * z) / 5.0
-    qf = _RF_Q_SCALE * max(abs(a0f - x), abs(a0f - y), abs(a0f - z))
-    qd = _RD_Q_SCALE * max(abs(a0d - x), abs(a0d - y), abs(a0d - z))
-    af, ad, fac = a0f, a0d, 1.0
-    steps = 0
-    stop_f = stop_d = None
-    while stop_f is None or stop_d is None:
-        if stop_f is None and fac * qf < abs(af):
-            stop_f = steps
-        if stop_d is None and fac * qd < abs(ad):
-            stop_d = steps
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        af, ad = 0.25 * (af + lam), 0.25 * (ad + lam)
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        fac *= 0.25
-        steps += 1
-    return stop_f, stop_d
-
-
-def _duplication_e(m, s, c2, w):
-    """E(s, m) as ``ellip_e_inc`` forms it past the series' reach."""
-    rf, rd = _carlson_fd(c2, w)
-    return s * rf - (m * m / 3.0) * (s * s * s) * rd
-
-
-def test_fused_ellip_e_matches_the_carlson_reference_bit_for_bit():
+def test_ellip_e_inc_matches_the_carlson_reference():
+    # Past the series' reach, s R_F - (m^2/3) s^3 R_D from the public
+    # kernels.  Both forms round to a few eps of F = s R_F, the first kind,
+    # which is up to ~20 E near (m, phi) = (1, pi/2): the worst is 3.9 eps
+    # of F over these points, and 4.4 eps of E for m <= 0.95.
     past_series = 0
-    for m, phi in _fused_kernel_grid():
+    for m, phi in _ellip_e_grid():
         s, c2, w = _kernel_arguments(m, phi)
-        reference = (s * carlson_rf(c2, w, 1.0)
-                     - (m * m / 3.0) * (s * s * s) * carlson_rd(c2, w, 1.0))
-        assert _duplication_e(m, s, c2, w) == reference, (m, phi)
         if s > _ELLIP_E_SERIES_MAX:
-            assert ellip_e_inc(phi, m) == reference, (m, phi)
+            f = s * carlson_rf(c2, w, 1.0)
+            reference = f - (m * m / 3.0) * (s * s * s) * carlson_rd(c2, w, 1.0)
+            assert abs(ellip_e_inc(phi, m) - reference) <= 5 * 2.0 ** -52 * f, (m, phi)
             past_series += 1
     assert past_series > 1000
+
+
+def _halved(m, s):
+    """``_ellip_e_halved`` at s = sin phi, with ``ellip_e_inc``'s arguments."""
+    return _ellip_e_halved(s, math.sqrt((1.0 - s) * (1.0 + s)), math.sqrt(1.0 - (m * s) ** 2),
+                           m, (1.0 - m) * (1.0 + m))
+
+
+def test_the_halvings_are_bounded(monkeypatch):
+    # Each halving halves u = F(phi, m) <= K(m), and K(m) < 19.5 at the
+    # largest double m below 1, so E(1, m) takes the most halvings: 10.
+    m = math.nextafter(1.0, 0.0)
+    complete = ellip_e_complete(m)
+    k = carlson_rf(0.0, (1.0 - m) * (1.0 + m), 1.0)
+    e = ellip_e_inc(math.pi / 2, m)
+    assert abs(e - complete) <= 4 * 2.0 ** -52 * k
+    monkeypatch.setattr("snm.special._ELLIP_E_MAX_HALVINGS", 10)
+    assert ellip_e_inc(math.pi / 2, m) == e
+    monkeypatch.setattr("snm.special._ELLIP_E_MAX_HALVINGS", 9)
+    with pytest.raises(KernelError):
+        ellip_e_inc(math.pi / 2, m)
+    monkeypatch.undo()
+    with pytest.raises(KernelError):
+        _halved(0.5, math.nan)
+
+
+def test_halved_e_against_mpmath():
+    # E(phi, m) at 50 digits past the series' reach, with ellip_e_inc's
+    # dn = sqrt(1 - m^2 s^2) and, for m > 0.95, also the solver's
+    # sqrt(k'^2 + m^2 c^2).  Doubling back magnifies the rounding of the
+    # halvings by F/E, F the first kind: the worst is 3.1 eps for m <= 0.95
+    # and 3.5 eps for m > 0.95 with phi < 1.16; elsewhere 3.0 eps of F and
+    # up to 19 eps of E (16.6 at 1 - m < 1e-8, phi >= 1.5, where for
+    # p > 1/2 C's series serves the solver).
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.0 ** -52
+    rng = random.Random("ellip-e-halved-mpmath")
+    lowest = math.nextafter(math.asin(_ELLIP_E_SERIES_MAX), math.pi)
+    corner = 0
+    with mpmath.workdps(50):
+        for k in range(3000):
+            m = rng.random() if k % 2 else 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
+            phi = rng.uniform(lowest, math.pi / 2)
+            s, c = math.sin(phi), math.cos(phi)
+            g2 = (1.0 - m) * (1.0 + m)
+            got = [ellip_e_inc(phi, m)]
+            if m > 0.95:
+                got.append(_ellip_e_halved(s, c, math.sqrt(g2 + (m * c) ** 2), m, g2))
+            mm = mpmath.mpf(m) ** 2
+            ref = mpmath.ellipe(phi, mm)
+            if m <= 0.95 or phi < 1.16:
+                bound = 4 * eps * ref
+            else:
+                bound = 4 * eps * mpmath.ellipf(phi, mm)
+                corner += 1 - m < 1e-8 and phi >= 1.5
+            for e in got:
+                assert abs(e - ref) <= bound, (m, phi, e)
+    assert corner > 30
 
 
 def _e_series_grid(name, n):
@@ -614,29 +644,16 @@ def test_e_series_against_mpmath():
     assert worst <= 2.0 ** -52, worst
 
 
-def test_e_series_and_duplication_agree_across_their_switch():
-    # The series is taken up to s = 1/32, the duplication past it; one ulp
-    # of s moves E by about one ulp.  The worst is 3.0 eps over these 400.
+def test_e_series_and_halvings_agree_across_their_switch():
+    # The series is taken up to s = 1/32, the halvings past it; one ulp of s
+    # moves E by about one ulp.  The worst is 2.0 eps over these 400.
     rng = random.Random("ellip-e-switch")
     series = _ELLIP_E_SERIES_MAX
-    duplication = math.nextafter(series, 1.0)
+    halved = math.nextafter(series, 1.0)
     for k in range(400):
         m = rng.random() if k % 2 else 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
         a = _ellip_e_series(series, m)
-        c2 = (1.0 - duplication) * (1.0 + duplication)
-        b = _duplication_e(m, duplication, c2, 1.0 - (m * duplication) ** 2)
-        assert abs(b - a) <= 4 * 2.0 ** -52 * a, (m, a, b)
-
-
-def test_rf_never_stops_after_rd_on_elliptic_arguments():
-    # _carlson_fd evaluates R_F's series inside the loop that R_D's test ends.
-    orders = set()
-    for m, phi in _fused_kernel_grid():
-        _, c2, w = _kernel_arguments(m, phi)
-        stop_f, stop_d = _stop_steps(c2, w, 1.0)
-        assert stop_f <= stop_d, (m, phi)
-        orders.add(stop_f < stop_d)
-    assert orders == {True, False}
+        assert abs(_halved(m, halved) - a) <= 4 * 2.0 ** -52 * a, m
 
 
 def _carlson_complement(m, s, c2):
@@ -705,9 +722,13 @@ def _agm_moduli(name, n):
 
 
 def test_ellip_e_complete_agrees_with_the_carlson_integral():
+    # R_F(0, k'^2, 1) - (m^2/3) R_D(0, k'^2, 1), and ellip_e_inc at pi/2.
     for m in _agm_moduli("agm-carlson", 300):
-        carlson = ellip_e_inc(math.pi / 2, m)
+        g2 = (1.0 - m) * (1.0 + m)
+        carlson = carlson_rf(0.0, g2, 1.0) - m * m / 3.0 * carlson_rd(0.0, g2, 1.0)
         assert ellip_e_complete(m) == pytest.approx(carlson, rel=2e-14, abs=0.0), m
+        assert ellip_e_complete(m) == pytest.approx(ellip_e_inc(math.pi / 2, m), rel=2e-14,
+                                                    abs=0.0), m
 
 
 @pytest.mark.parametrize("m", (math.nan, -0.1, 1.1))
@@ -718,7 +739,7 @@ def test_ellip_e_complete_domain_errors(m):
 
 def test_ellip_e_complete_against_mpmath():
     # 2104 moduli; the AGM's worst is 2.0e-15, and ellip_e_inc(pi/2, m)
-    # is off by up to 9.8e-15 on them.
+    # is off by up to 1.3e-14 on them.
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(40):

@@ -18,8 +18,10 @@ once on both trees, back to back, the order alternating from query to
 query and pass to pass; a query's time is its minimum over the passes.
 
 Per round it prints how many roots moved per solver, with the median and
-largest move in ulps and how many of the moved roots pass the bench's
-accuracy check (``Query.within``) on BASE and on HEAD, then, for BASE, HEAD and the change: ``us_per_query``,
+largest move in ulps, the label of the query that moved most, and how
+many of the moved roots pass the bench's accuracy check
+(``Query.within``) on BASE and on HEAD, then, for BASE, HEAD and the
+change: ``us_per_query``,
 ``query_us_p50`` and ``query_us_p99`` over the workload's main queries,
 each solver's µs per query (control queries included, as in
 ``bench/run.py``) and its evaluations per query, how many roots (by
@@ -206,9 +208,10 @@ def _within(query, outcome: tuple) -> bool:
 
 def report_moved_roots(queries: list, outcomes: list[list[tuple]], solvers) -> None:
     """Per solver, the roots whose bits differ, the median and largest
-    distance in ulps, and how many of them pass ``Query.within`` (the
-    bench's accuracy check) on each tree; a query that raised on either
-    tree counts as moved without a distance, and as failing on that tree."""
+    distance in ulps with the label of the query that moved most (the first
+    of a tie), and how many of them pass ``Query.within`` (the bench's
+    accuracy check) on each tree; a query that raised on either tree counts
+    as moved without a distance, and as failing on that tree."""
     parts = []
     for solver in solvers:
         triples = [(q, a, b) for q, a, b in zip(queries, *outcomes) if q.solver == solver]
@@ -219,13 +222,19 @@ def report_moved_roots(queries: list, outcomes: list[list[tuple]], solvers) -> N
                 continue
             moved.append((q, a, b))
             if a[1] is not None and b[1] is not None:  # neither raised
-                ulps.append(abs(_ordinal(float.fromhex(a[0])) - _ordinal(float.fromhex(b[0]))))
+                ulps.append((abs(_ordinal(float.fromhex(a[0])) - _ordinal(float.fromhex(b[0]))),
+                             q.label))
         if not moved:
             parts.append(f"{solver} 0/{len(triples)}")
             continue
         base = sum(_within(q, a) for q, a, _ in moved)
         head = sum(_within(q, b) for q, _, b in moved)
-        spread = f"median {statistics.median(ulps):g} ulps, max {max(ulps)}; " if ulps else ""
+        if ulps:
+            most, label = max(ulps, key=lambda pair: pair[0])
+            spread = (f"median {statistics.median(u for u, _ in ulps):g} ulps, "
+                      f"max {most} at {label}; ")
+        else:
+            spread = ""
         parts.append(f"{solver} {len(moved)}/{len(triples)} ({spread}within {base} | {head})")
     print("  roots moved: " + ", ".join(parts))
 

@@ -16,20 +16,23 @@ the arcsin guess arcsin(p E(1, m)).  For m <= 0.95 it takes the
 one-SNM-step value from x = 0 (the "low" start) when p < 0.8 and that
 lies below the one-step value from x = pi/2 (the "high" start), or the
 high start is not positive; else the high start.  On the ``bulk`` bench
-sets of seeds 1-3 (1,500 queries) this rule takes 1.248 evaluations per
-query, against 1.665 for the high start wherever m <= 0.95 (with the
-predicted stop of ``core.solve``); on the ``tails`` sets of seeds 1, 2, 3
-and 7, 1.006-1.016, where the arcsin guess for every m > 0.95 took
-1.210-1.264.
+sets of seeds 1 and 7 (500 elliptic queries each) these starts take 1.254
+and 1.266 evaluations per query (with the predicted stop of
+``core.solve``), and on the ``tails`` sets of the same seeds 1.008 and
+1.010.
 The residual is strictly increasing on [0, pi/2], so its root is unique
-and any converged solve has found it: each query runs one solve.  For
-m > 0.95 and p > 1/2 (the class the complementary start serves, and the
-arcsin guess beyond its model) the residual is formed where cos x <= 0.4
-as (1 - p) E(1, m) - C(pi/2 - x), C the integral from x to pi/2, which
-does not cancel as m and p near 1, where E(sin x, m) - p E(1, m) did;
-past cos x = 0.4, C >= ~0.08 and E's form serves, by halvings of the
-argument past E's series (``snm.special._ellip_e_halved``).  The solver
-variable stays x.  The report's ``start`` names the start used ("low", "high",
+and any converged solve has found it: each query runs one solve.  Every
+evaluation takes one path.  It forms w = 1 - m^2 sin^2 x as
+k'^2 + m^2 cos^2 x, a sum of nonnegative terms, for f' = sqrt(w), B and
+Omega, and E(sin x, m) by the one kernel that ``ellip_e_inc`` runs
+(``snm.special._ellip_e``: E's series, or halvings of the argument down
+to it).  Only for m > 0.95 and p > 1/2 (the class the complementary
+start serves, and the arcsin guess beyond its model), and only where
+cos x <= 0.4, is the residual formed otherwise: as
+(1 - p) E(1, m) - C(pi/2 - x), C the integral from x to pi/2, which does
+not cancel as m and p near 1, where E(sin x, m) - p E(1, m) did; past
+cos x = 0.4, C >= ~0.08 and E's form serves.  The solver variable stays
+x.  The report's ``start`` names the start used ("low", "high",
 "arcsin-guess" or "complementary"), or "closed-form" for m = 0 and m = 1.
 """
 
@@ -54,8 +57,7 @@ from .core import (
     _tuple_new,
     solve,
 )
-from .special import (_ELLIP_C_SERIES_MAX, _ELLIP_E_SERIES_MAX, _ellip_c, _ellip_e_halved,
-                      _ellip_e_series, ellip_e_complete)
+from .special import _ELLIP_C_SERIES_MAX, _ellip_c, _ellip_e, ellip_e_complete
 
 # Below this modulus, Omega has no interior extremum on (0, pi/2).
 MONOTONE_OMEGA_MODULUS = 2.0 / math.sqrt(7.0)
@@ -93,7 +95,7 @@ def ellip_omega(m: float, x: float) -> float:
 
 
 def _ellip_omega(m: float, c2: float, w: float) -> float:
-    """ellip_omega from c2 = cos^2 x and w = 1 - m^2 sin^2 x."""
+    """ellip_omega from c2 = cos^2 x and w = 1 - m^2 sin^2 x, however formed."""
     if w == 0.0:
         raise ValueError("ellip_omega singular at m=1, x=pi/2")
     m2 = m * m
@@ -227,24 +229,23 @@ _COMPLEMENT_M_MIN = 0.95
 class EllipticProblem(Problem):
     """f(x) = E(sin x, m) - p E(1, m) on the closed interval [0, pi/2].
 
-    E(sin x, m) is formed as ``ellip_e_inc`` forms it: its series for
-    sin x <= 1/32, else halvings of (sin x, cos x, f') down to the series
-    (``_ellip_e_halved``), f' = sqrt(w).  For m <= 0.95 or p <= 1/2,
-    w = 1 - m^2 sin^2 x and
-    ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target p E(1, m):
-    the stop is relative to the target, as an absolute one would accept
-    x ~ p E(1, m) unrefined once the target itself is below the floor
-    (m near 1, small p).  For m > 0.95 and p > 1/2, w = k'^2 + m^2 cos^2 x,
+    Every evaluation forms w = 1 - m^2 sin^2 x as k'^2 + m^2 cos^2 x, a sum
+    of nonnegative terms, f' = sqrt(w), and E(sin x, m) as ``ellip_e_inc``
+    forms it, by one call of ``_ellip_e`` on (sin x, cos x, f'), so there
+    f is ``ellip_e_inc(x, m) - p E(1, m)`` bit for bit.  For m <= 0.95 or
+    p <= 1/2, ``residual_tol`` is RESIDUAL_NOISE_FLOOR times the target
+    p E(1, m): the stop is relative to the target, as an absolute one
+    would accept x ~ p E(1, m) unrefined once the target itself is below
+    the floor (m near 1, small p).  For m > 0.95 and p > 1/2,
     ``residual_tol`` is RESIDUAL_NOISE_FLOOR times (1 - p) E(1, m), and
     where cos x <= 0.4 f is formed as (1 - p) E(1, m) - C(pi/2 - x), with
     C(psi) = int_0^psi sqrt(k'^2 + m^2 sin^2 u) du (``_ellip_c``): there
     E(sin x, m) - p E(1, m) would subtract two values near E(1, m) as m
-    and p near 1, and 1 - m^2 sin^2 x would cancel too, so that stop
-    accepted roots up to 1.7e-9 off; C and this w do not cancel.  Past
-    cos x = 0.4, C >= ~0.08 and the difference loses at most ~4 bits.
-    It holds the query's fields as ``m`` and ``p``, read once, and k'^2 =
-    (1 - m)(1 + m) and (1 - p) E(1, m) as ``kprime2`` and ``rest`` (``rest``
-    None for m <= 0.95 or p <= 1/2).
+    and p near 1, so that stop accepted roots up to 1.7e-9 off; C does not
+    cancel.  Past cos x = 0.4, C >= ~0.08 and the difference loses at most
+    ~4 bits.  It holds the query's fields as ``m`` and ``p``, read once,
+    and k'^2 = (1 - m)(1 + m) and (1 - p) E(1, m) as ``kprime2`` and
+    ``rest`` (``rest`` None for m <= 0.95 or p <= 1/2).
     """
 
     def __init__(self, query: EllipticQuery) -> None:
@@ -269,26 +270,18 @@ class EllipticProblem(Problem):
         s = math.sin(x)
         c = math.cos(x)
         kprime2 = self.kprime2
-        rest = self.rest
-        if rest is None:
-            w = 1.0 - (m * s) * (m * s)
-        else:
-            w = kprime2 + (m * c) * (m * c)
+        w = kprime2 + (m * c) * (m * c)
         d = math.sqrt(w)
-        # E(sin x, m) as ellip_e_inc forms it, its amplitude test inline,
-        # unless C's series reaches pi/2 - x.
+        # E(sin x, m) as ellip_e_inc forms it, unless C's series reaches pi/2 - x.
+        rest = self.rest
         if rest is not None and c <= _ELLIP_C_SERIES_MAX:
             f = rest - _ellip_c(m, kprime2, c)
-        elif s <= _ELLIP_E_SERIES_MAX:
-            f = _ellip_e_series(s, m) - self.target
         else:
-            f = _ellip_e_halved(s, c, d, m, kprime2) - self.target
+            f = _ellip_e(s, c, d, m, kprime2) - self.target
         return ProblemEvaluation.build(x, f, d, m * m * s * c / w, _ellip_omega(m, c * c, w))
 
     def omega(self, x: float) -> float:
-        m, s, c = self.m, math.sin(x), math.cos(x)
-        if self.rest is None:
-            return _ellip_omega(m, c * c, 1.0 - (m * s) * (m * s))
+        m, c = self.m, math.cos(x)
         return _ellip_omega(m, c * c, self.kprime2 + (m * c) * (m * c))
 
     def scale(self, x: float) -> float:
@@ -305,9 +298,8 @@ def choose_start(query: EllipticQuery) -> tuple[float, str]:
     For m > 0.95 and p > 1/2, the complementary start
     (``_start_complementary``): two Newton steps on a closed-form model of
     the integral from x to pi/2, where s0 <= 0.4.  On the ``tails`` bench
-    sets of seeds 1, 2, 3 and 7 it ends 97-99% of its solves after one
-    evaluation (1.012-1.032 per query), where the arcsin guess ended
-    58-65% (1.42-1.53).  Otherwise m > 0.95 uses arcsin(p E(1,m)) from
+    sets of seeds 1 and 7 its solves take 1.016 and 1.020 evaluations per
+    query.  Otherwise m > 0.95 uses arcsin(p E(1,m)) from
     the degenerate relation E(sin x, 1) = sin x.  For m <= 0.95 the low
     start wins when it is below the high start and p < 0.8, since Omega
     varies slowly near 0, and where the high start is not positive (for p

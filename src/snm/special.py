@@ -5,18 +5,18 @@ a small-a form of Q on the series side), regularized incomplete beta
 (the even part of its continued fraction, with symmetry switch, and its
 gamma limit where 1 - x rounds to 1), Carlson symmetric elliptic
 integrals by the duplication algorithm, and the incomplete elliptic
-integral of the second kind.  E(phi, m) is a power series for small
-amplitudes: ``_ellip_e_series`` sums its Maclaurin series for
-sin phi <= 1/32, within 1.1e-16 relative of 50-digit mpmath over 3,000
-seeded points with 1 - m down to 1e-15.  Past that, ``_ellip_e_halved``
-halves the Jacobi argument of (sin phi, cos phi, sqrt(1 - m^2 sin^2 phi))
-until sin <= 1/32, sums the series there, and doubles back by the
-addition theorem for E, at ~60% of the cost of Carlson's duplication.
+integral of the second kind.  E(phi, m) has one kernel, ``_ellip_e``,
+which every caller reaches with (sin phi, cos phi, sqrt(k'^2 + m^2 cos^2 phi)),
+k'^2 = (1 - m)(1 + m).  For sin phi <= 1/32 it is ``_ellip_e_series``, the
+Maclaurin series, within 1.1e-16 relative of 50-digit mpmath over 3,000
+seeded points with 1 - m down to 1e-15.  Past that, it halves the Jacobi
+argument until sin <= 1/32, sums the series there, and doubles back by
+the addition theorem for E, at ~60% of the cost of Carlson's duplication.
 Over 3,000 seeded points with half of them at 1 - m = 10^U[-15, 0] it is
-within 3.1 eps of 50-digit mpmath for m <= 0.95, 3.5 eps for m > 0.95
-with phi < 1.16, and everywhere within 3.0 eps of the first kind
+within 3.6 eps of 50-digit mpmath for m <= 0.95, 3.2 eps for m > 0.95
+with phi < 1.16, and everywhere within 3.1 eps of the first kind
 F(phi, m), which near (m, phi) = (1, pi/2) is up to ~20 E (there up to
-19 eps of E).
+16 eps of E).
 ``carlson_rf`` and ``carlson_rd`` stay public: no solver runs them, and
 the elliptic root oracle of ``snm.cli`` and the tests take them as an
 independent reference.
@@ -608,9 +608,9 @@ def ellip_e_inc(phi: float, m: float) -> float:
     """Incomplete elliptic integral of the second kind, modulus m.
 
     Computes int_0^phi sqrt(1 - m^2 sin^2 t) dt for phi in [0, pi/2] and
-    m in [0, 1]: by its Maclaurin series in sin(phi) (``_ellip_e_series``)
-    where sin(phi) <= 1/32, else by halving the argument down to the
-    series' reach (``_ellip_e_halved``).  Note the first
+    m in [0, 1], by ``_ellip_e``: its Maclaurin series in sin(phi) where
+    sin(phi) <= 1/32, else halvings of the argument down to the series'
+    reach.  Note the first
     argument is the amplitude phi (upper integration limit), and m is the
     modulus, so the m = 1 case degenerates to sin(phi).
     """
@@ -624,11 +624,9 @@ def ellip_e_inc(phi: float, m: float) -> float:
         return phi
     if m == 1.0:
         return math.sin(phi)
-    s = math.sin(phi)
-    if s <= _ELLIP_E_SERIES_MAX:
-        return _ellip_e_series(s, m)
-    return _ellip_e_halved(s, math.cos(phi), math.sqrt(1.0 - (m * s) * (m * s)), m,
-                           (1.0 - m) * (1.0 + m))
+    c = math.cos(phi)
+    g = (1.0 - m) * (1.0 + m)
+    return _ellip_e(math.sin(phi), c, math.sqrt(g + (m * c) * (m * c)), m, g)
 
 
 # The E series runs for s = sin phi <= 1/32, t = s^2 <= 2^-10: every e_n is
@@ -667,23 +665,28 @@ def _ellip_e_series(s: float, m: float) -> float:
 _ELLIP_E_MAX_HALVINGS = 12
 
 
-def _ellip_e_halved(s: float, c: float, d: float, m: float, g: float) -> float:
-    """E(phi, m) for s = sin phi > 1/32, c = cos phi, d = sqrt(1 - m^2 s^2) and
-    g = k'^2 = (1 - m)(1 + m), 0 < m < 1, by halving the argument.
+def _ellip_e(s: float, c: float, d: float, m: float, g: float) -> float:
+    """E(phi, m) for s = sin phi, c = cos phi, d = sqrt(k'^2 + m^2 c^2) and
+    g = k'^2 = (1 - m)(1 + m), 0 < m < 1: its series for s <= 1/32, else
+    by halving the argument.
 
-    (s, c, d) are (sn u, cn u, dn u) at u = F(phi, m); the solver passes
-    its f' = d, formed as sqrt(k'^2 + m^2 c^2) where 1 - m^2 s^2 cancels.
+    (s, c, d) are (sn u, cn u, dn u) at u = F(phi, m); every caller forms
+    d = sqrt(1 - m^2 s^2) as sqrt(k'^2 + m^2 c^2), a sum of nonnegative
+    terms, which the solver also reads as its f'.
     Each pass halves u (DLMF 22.6.19-21) by quotients of sums of
     nonnegative terms, which cancel nowhere:
         sn(u/2) = s / sqrt((1 + c)(1 + d)),  cn(u/2) = sqrt((c + d)/(1 + d)),
         dn(u/2) = sqrt((k'^2 + d + m^2 c)/(1 + d)),
     until s_N = sn(u/2^N) <= 1/32, where ``_ellip_e_series`` sums
-    E_N = E(asin s_N, m).  Jacobi's epsilon function E(am v, m) doubles as
+    E_N = E(asin s_N, m); for s <= 1/32 that sum is E itself (N = 0).
+    Jacobi's epsilon function E(am v, m) doubles as
     E(2v) = 2 E(v) - m^2 sn^2 v sn 2v (DLMF 22.16.27), so
     E = 2^N E_N - m^2 sum_j 2^(j-1) s_j^2 s_(j-1), s_0 = s.  Both sides of
     that difference are near F(phi, m), so the rounding of the s_j lands
     as a few eps of F (see the module docstring).
     """
+    if s <= _ELLIP_E_SERIES_MAX:
+        return _ellip_e_series(s, m)
     m2 = m * m
     sqrt = math.sqrt
     total = 0.0

@@ -320,6 +320,32 @@ def test_every_query_converges_in_one_solve():
         assert abs(round_trip - p) <= 1e-13, (m, p)
 
 
+def _extreme_queries(n: int) -> list[tuple[float, float]]:
+    """Seeded queries at the domain's extremes: m = 10^U[-300, 0) or
+    1 - m = 10^U[-16, -1.3], with p uniform, down to 1e-300, or up to
+    1 - 1e-15."""
+    rng = random.Random("elliptic-extremes")
+    out = []
+    for k in range(n):
+        m = 10.0 ** rng.uniform(-300.0, 0.0) if k % 2 else 1.0 - 10.0 ** rng.uniform(-16.0, -1.3)
+        p = (rng.uniform(1e-3, 1.0 - 1e-3), 10.0 ** rng.uniform(-300.0, 0.0),
+             1.0 - 10.0 ** rng.uniform(-15.0, 0.0))[k % 3]
+        if 0.0 < p < 1.0:
+            out.append((m, p))
+    return out
+
+
+def test_every_root_meets_the_contract():
+    # The same one-path evaluation serves every query: each root is within
+    # 1e-12 relative of the bisection oracle, over the fuzz above and the
+    # domain's extremes.
+    for m, p in _fuzz_queries() + _extreme_queries(1500):
+        report = invert_ellip_e(EllipticQuery(m, p))
+        assert report.converged, (m, p)
+        root = elliptic_bisection_root(m, p)
+        assert abs(report.root - root) <= 1e-12 * root, (m, p)
+
+
 def _tiny_modulus_queries() -> list[tuple[float, float]]:
     """A decade grid of m <= 1e-8 and small p, where the high start cancels
     to 0 or below, and a slice of a log-uniform fuzz down to 1e-300."""

@@ -39,7 +39,6 @@ from snm.elliptic import (
     EllipticProblem,
     EllipticQuery,
     _ellip_omega,
-    ellip_omega,
     elliptic_plan,
     invert_ellip_e,
 )
@@ -59,7 +58,7 @@ from snm.special import (
     _beta_constants,
     _beta_exponent,
     _ellip_c,
-    _ellip_e_halved,
+    _ellip_e,
     _gamma_constants,
     _gamma_prefactor,
     _ln_gamma_1p,
@@ -266,33 +265,26 @@ def test_direct_f_prime_against_mpmath_at_large_shapes():
 
 
 def test_elliptic_evaluate_matches_public_kernels():
-    # For m > 0.95 and p > 1/2 (here m = 0.999, p = 0.9) w = k'^2 + m^2 cos^2 x,
-    # and the residual is (1 - p) E(1, m) - C(pi/2 - x) where cos x <= 0.4
-    # (here x = 1.2, 1.5 and pi/2), else E(sin x, m) - p E(1, m) with the
-    # halvings on this w; C and the halvings are checked against the public
-    # Carlson integrals in test_special.
+    # One path for every query: f' = sqrt(k'^2 + (m cos x)^2), and f is
+    # (1 - p) E(1, m) - C(pi/2 - x) in C's class (m > 0.95, p > 1/2; here
+    # m = 0.999, p = 0.9) where cos x <= 0.4 (here x = 1.2, 1.5 and pi/2),
+    # elsewhere E(sin x, m) - p E(1, m) as ellip_e_inc forms it, bit for
+    # bit; C and E are checked against the public Carlson integrals in
+    # test_special.
     for m in (0.01, 0.3, 0.5, 0.8, 0.9, 0.999):
+        g2 = (1.0 - m) * (1.0 + m)
         for p in (0.1, 0.5, 0.9):
             problem = EllipticProblem(EllipticQuery(m, p))
             for x in (0.0, 1e-3, 0.1, 0.5, 0.8, 1.2, 1.5, math.pi / 2):
                 s, c = math.sin(x), math.cos(x)
-                target = p * ellip_e_complete(m)
-                if m > 0.95 and p > 0.5:
-                    g2 = (1.0 - m) * (1.0 + m)
-                    w = g2 + (m * c) * (m * c)
-                    if c <= _ELLIP_C_SERIES_MAX:
-                        f = (1.0 - p) * ellip_e_complete(m) - _ellip_c(m, g2, c)
-                    elif s <= _ELLIP_E_SERIES_MAX:
-                        f = ellip_e_inc(x, m) - target
-                    else:
-                        f = _ellip_e_halved(s, c, math.sqrt(w), m, g2) - target
-                    omega = _ellip_omega(m, c * c, w)
+                w = g2 + (m * c) * (m * c)
+                if m > 0.95 and p > 0.5 and c <= _ELLIP_C_SERIES_MAX:
+                    f = (1.0 - p) * ellip_e_complete(m) - _ellip_c(m, g2, c)
                 else:
-                    w = 1.0 - (m * s) * (m * s)
-                    f = ellip_e_inc(x, m) - target
-                    omega = ellip_omega(m, x)
+                    f = ellip_e_inc(x, m) - p * ellip_e_complete(m)
+                omega = _ellip_omega(m, c * c, w)
                 _assert_matches(problem, x, f, math.sqrt(w), m * m * s * c / w, omega)
-                assert problem.omega(x) == omega, (m, p, x)
+                assert problem.omega(x) == problem.evaluate(x).omega == omega, (m, p, x)
             with pytest.raises(ValueError):
                 problem.evaluate(math.pi / 2 + 1e-9)
 
@@ -474,10 +466,10 @@ def test_elliptic_query_computes_complete_integral_once(monkeypatch):
 
 def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
     # E(1, m) comes from the AGM or the k' series, so the only kernel runs
-    # are the solve's own evaluations: each one E(sin x, m), by its series
-    # or one run of the halvings, or for m > 0.95 and p > 1/2 where
-    # cos x <= 0.4 one C(pi/2 - x) by its series.
-    calls = _count_calls(monkeypatch, ("_ellip_e_halved", "_ellip_c", "_ellip_e_series"))
+    # are the solve's own evaluations: each one E(sin x, m) by one run of
+    # its kernel, or for m > 0.95 and p > 1/2 where cos x <= 0.4 one
+    # C(pi/2 - x) by its series.
+    calls = _count_calls(monkeypatch, ("_ellip_e", "_ellip_c", "_ellip_e_series"))
     evaluations = 0
     for query, kwargs in ELLIPTIC_CASES:
         calls[0] = 0
@@ -490,16 +482,18 @@ def test_elliptic_set_up_runs_no_carlson_duplication(monkeypatch):
 
 
 def test_the_series_cases_take_the_series_branches(monkeypatch):
-    # (1 - 1e-9, 0.004) evaluates E only inside the E series' reach, and
-    # (0.9999, 0.9999) C only below s = 4 k'/m: neither halves E's argument.
-    # (0.97, 0.6) is of C's class (m > 0.95, p > 1/2), but its arcsin-guess
-    # solve stays past C's series (cos x > 0.4): each of its evaluations
-    # runs the halvings once, which end in one E series, and none runs C.
+    # (1 - 1e-9, 0.004) evaluates E only inside the E series' reach: each
+    # evaluation runs the E kernel once, which sums its series with zero
+    # halvings.  (0.9999, 0.9999) evaluates C only below s = 4 k'/m: it
+    # runs no E.  (0.97, 0.6) is of C's class (m > 0.95, p > 1/2), but its
+    # arcsin-guess solve stays past C's series (cos x > 0.4): each of its
+    # evaluations runs the E kernel once, whose halvings end in one E
+    # series, and none runs C.
     e_series = _count_calls(monkeypatch, "_ellip_e_series")
     c_kernel = _count_calls(monkeypatch, "_ellip_c")
-    halved = _count_calls(monkeypatch, "_ellip_e_halved")
-    kernels = (e_series, c_kernel, halved)
-    for query, runs in ((EllipticQuery(1.0 - 1e-9, 0.004), (1, 0, 0)),
+    kernel = _count_calls(monkeypatch, "_ellip_e")
+    kernels = (e_series, c_kernel, kernel)
+    for query, runs in ((EllipticQuery(1.0 - 1e-9, 0.004), (1, 0, 1)),
                         (EllipticQuery(0.9999, 0.9999), (0, 1, 0)),
                         (EllipticQuery(0.97, 0.6), (1, 0, 1))):
         assert (query, {}) in ELLIPTIC_CASES
@@ -510,7 +504,7 @@ def test_the_series_cases_take_the_series_branches(monkeypatch):
         assert tuple(counter[0] for counter in kernels) == tuple(
             n * report.evaluations for n in runs), query
         m = query.m
-        if runs == (1, 0, 0):
+        if query.p < 0.5:
             assert math.sin(report.root) <= _ELLIP_E_SERIES_MAX, query
         elif runs == (0, 1, 0):
             assert math.cos(report.root) < 4.0 * math.sqrt((1.0 - m) * (1.0 + m)) / m, query
@@ -536,7 +530,7 @@ def test_every_kernel_evaluation_is_a_counted_evaluation(monkeypatch):
     # No plan runs a kernel, and every evaluation runs one, deep tails
     # included: each kernel run of an invert_* call is one of its report's
     # evaluations.
-    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_ellip_e_halved", "_ellip_c",
+    calls = _count_calls(monkeypatch, ("_reg_gamma", "_reg_beta", "_ellip_e", "_ellip_c",
                                        "_ellip_e_series"))
     cases = ([(invert_gamma, gamma_start, query, kwargs) for query, kwargs in GAMMA_CASES]
              + [(invert_beta, beta_plan, query, kwargs) for query, kwargs in BETA_CASES]

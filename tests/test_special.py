@@ -18,7 +18,7 @@ from snm.special import (
     _beta_exponent,
     _LN_4,
     _ellip_c,
-    _ellip_e_halved,
+    _ellip_e,
     _ellip_e_series,
     _ln_gamma_1p,
     _reg_beta,
@@ -538,8 +538,10 @@ def _kernel_arguments(m, phi):
 def test_ellip_e_inc_matches_the_carlson_reference():
     # Past the series' reach, s R_F - (m^2/3) s^3 R_D from the public
     # kernels.  Both forms round to a few eps of F = s R_F, the first kind,
-    # which is up to ~20 E near (m, phi) = (1, pi/2): the worst is 3.9 eps
-    # of F over these points, and 4.4 eps of E for m <= 0.95.
+    # which is up to ~20 E near (m, phi) = (1, pi/2): the worst is 4.9 eps
+    # of F over these points (m = 1 - 1e-9, phi = pi/2 - 1e-12, where
+    # ellip_e_inc is 3.8 eps of F from 50-digit mpmath and the reference
+    # 1.2), and 4.3 eps of E for m <= 0.95.
     past_series = 0
     for m, phi in _ellip_e_grid():
         s, c2, w = _kernel_arguments(m, phi)
@@ -552,9 +554,11 @@ def test_ellip_e_inc_matches_the_carlson_reference():
 
 
 def _halved(m, s):
-    """``_ellip_e_halved`` at s = sin phi, with ``ellip_e_inc``'s arguments."""
-    return _ellip_e_halved(s, math.sqrt((1.0 - s) * (1.0 + s)), math.sqrt(1.0 - (m * s) ** 2),
-                           m, (1.0 - m) * (1.0 + m))
+    """``_ellip_e`` at s = sin phi, with c = sqrt(1 - s^2) and d formed from
+    it as ``ellip_e_inc`` forms d from cos phi."""
+    c = math.sqrt((1.0 - s) * (1.0 + s))
+    g2 = (1.0 - m) * (1.0 + m)
+    return _ellip_e(s, c, math.sqrt(g2 + (m * c) * (m * c)), m, g2)
 
 
 def test_the_halvings_are_bounded(monkeypatch):
@@ -576,12 +580,12 @@ def test_the_halvings_are_bounded(monkeypatch):
 
 
 def test_halved_e_against_mpmath():
-    # E(phi, m) at 50 digits past the series' reach, with ellip_e_inc's
-    # dn = sqrt(1 - m^2 s^2) and, for m > 0.95, also the solver's
-    # sqrt(k'^2 + m^2 c^2).  Doubling back magnifies the rounding of the
-    # halvings by F/E, F the first kind: the worst is 3.1 eps for m <= 0.95
-    # and 3.5 eps for m > 0.95 with phi < 1.16; elsewhere 3.0 eps of F and
-    # up to 19 eps of E (16.6 at 1 - m < 1e-8, phi >= 1.5, where for
+    # E(phi, m) at 50 digits past the series' reach, by ellip_e_inc and,
+    # for m > 0.95, by the kernel called as the solver calls it, with
+    # dn = sqrt(k'^2 + m^2 c^2).  Doubling back magnifies the rounding of the
+    # halvings by F/E, F the first kind: the worst is 3.6 eps for m <= 0.95
+    # and 3.2 eps for m > 0.95 with phi < 1.16; elsewhere 3.1 eps of F and
+    # up to 16 eps of E (15.4 at 1 - m < 1e-8, phi >= 1.5, where for
     # p > 1/2 C's series serves the solver).
     mpmath = pytest.importorskip("mpmath")
     eps = 2.0 ** -52
@@ -596,7 +600,7 @@ def test_halved_e_against_mpmath():
             g2 = (1.0 - m) * (1.0 + m)
             got = [ellip_e_inc(phi, m)]
             if m > 0.95:
-                got.append(_ellip_e_halved(s, c, math.sqrt(g2 + (m * c) ** 2), m, g2))
+                got.append(_ellip_e(s, c, math.sqrt(g2 + (m * c) ** 2), m, g2))
             mm = mpmath.mpf(m) ** 2
             ref = mpmath.ellipe(phi, mm)
             if m <= 0.95 or phi < 1.16:
@@ -654,6 +658,16 @@ def test_e_series_and_halvings_agree_across_their_switch():
         m = rng.random() if k % 2 else 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
         a = _ellip_e_series(series, m)
         assert abs(_halved(m, halved) - a) <= 4 * 2.0 ** -52 * a, m
+
+
+def test_the_kernel_is_the_series_within_its_reach():
+    # At s <= 1/32 the kernel halves nothing: it returns the series' own
+    # value, at the switch and at the double below it.
+    rng = random.Random("ellip-e-kernel-series")
+    for s in (_ELLIP_E_SERIES_MAX, math.nextafter(_ELLIP_E_SERIES_MAX, 0.0)):
+        for k in range(200):
+            m = rng.random() if k % 2 else 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)
+            assert _halved(m, s) == _ellip_e_series(s, m), (m, s)
 
 
 def _carlson_complement(m, s, c2):
